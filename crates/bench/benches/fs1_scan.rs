@@ -1,7 +1,7 @@
 //! Criterion counterpart of E6/E14: FS1 secondary-file scanning —
 //! codeword generation and index scan throughput at several index
 //! sizes, comparing the retained scalar reference scan against the
-//! packed columnar scan and the sharded parallel scan.
+//! packed columnar scan.
 
 use clare_scw::{encode_query_descriptor, ClauseAddr, IndexFile, ScwConfig};
 use clare_term::parser::parse_term;
@@ -19,10 +19,6 @@ fn build_index(n: usize, symbols: &mut SymbolTable) -> IndexFile {
 }
 
 fn bench_index_scan(c: &mut Criterion) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
     let mut group = c.benchmark_group("fs1_index_scan");
     for n in [1_000usize, 10_000, 100_000] {
         let mut symbols = SymbolTable::new();
@@ -38,16 +34,6 @@ fn bench_index_scan(c: &mut Criterion) {
                 black_box(
                     index
                         .scan_with_descriptor(black_box(&descriptor))
-                        .matches
-                        .len(),
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(
-                    index
-                        .scan_with(black_box(&descriptor), workers)
                         .matches
                         .len(),
                 )

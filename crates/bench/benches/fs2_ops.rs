@@ -76,7 +76,10 @@ fn bench_clause_filtering(c: &mut Criterion) {
                 let mut hits = 0usize;
                 for bytes in &records {
                     let (record, _) = ClauseRecord::from_bytes(bytes).unwrap();
-                    if engine.match_clause_quiet(record.head_stream()).matched {
+                    if engine
+                        .match_clause_words(record.head_stream().words())
+                        .matched
+                    {
                         hits += 1;
                     }
                 }

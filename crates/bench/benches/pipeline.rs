@@ -1,7 +1,7 @@
 //! Criterion counterpart of E5/E8/E15: whole-retrieval throughput per
 //! search mode, raw FS2 clause-stream filtering speed (simulator clauses
-//! per second), and two-stage retrieval scaling across the serial /
-//! pre-decoded arena / parallel FS2 sweep configurations.
+//! per second), and two-stage retrieval scaling across the serial
+//! byte-decoding / pre-decoded arena FS2 sweep configurations.
 
 use clare_core::{retrieve, CrsOptions, SearchMode};
 use clare_fs2::Fs2Engine;
@@ -57,23 +57,14 @@ fn build_fact_kb(n: usize) -> (KnowledgeBase, Term) {
     (builder.finish(KbConfig::default()), query)
 }
 
-fn fs2_options(workers: usize, predecoded: bool) -> CrsOptions {
+fn fs2_options(predecoded: bool) -> CrsOptions {
     let mut opts = CrsOptions::default();
     opts.fs2 = opts.fs2.with_predecoded(predecoded);
-    opts.fs2_parallelism = Some(workers);
     opts
 }
 
 fn bench_two_stage_scaling(c: &mut Criterion) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
-    let contenders = [
-        ("serial", fs2_options(1, false)),
-        ("arena", fs2_options(1, true)),
-        ("parallel", fs2_options(workers, true)),
-    ];
+    let contenders = [("serial", fs2_options(false)), ("arena", fs2_options(true))];
     let mut group = c.benchmark_group("two_stage_retrieval");
     group.sample_size(10);
     for n in [1_000usize, 10_000, 100_000] {

@@ -39,7 +39,7 @@ fn workload() -> (PifStream, Vec<PifStream>) {
 fn run_bare(engine: &mut Fs2Engine, streams: &[PifStream]) -> usize {
     let mut hits = 0usize;
     for s in streams {
-        if engine.match_clause_quiet(s).matched {
+        if engine.match_clause_words(s.words()).matched {
             hits += 1;
         }
     }
@@ -56,7 +56,7 @@ fn run_instrumented(engine: &mut Fs2Engine, streams: &[PifStream]) -> usize {
     let mut clauses = 0u64;
     let mut ops = [0u64; clare_trace::FS2_OPS];
     for s in streams {
-        let verdict = engine.match_clause_quiet(s);
+        let verdict = engine.match_clause_words(s.words());
         clauses += 1;
         for (i, n) in verdict.op_histogram.iter().enumerate() {
             ops[i] += *n as u64;

@@ -8,7 +8,7 @@
 //! query solved end-to-end with automatic mode selection, reporting the
 //! answer counts, candidate volumes, and modelled retrieval times.
 
-use clare_core::{choose_mode, solve, SolveOptions};
+use clare_core::{choose_mode, solve, CrsOptions, SolveOptions};
 use clare_kb::{KbBuilder, KbConfig, KbStats};
 use clare_workload::SuiteSpec;
 use std::fmt;
@@ -62,6 +62,7 @@ pub fn run(scale: usize) -> SuiteReport {
                 max_solutions: 100_000,
                 ..SolveOptions::default()
             },
+            &CrsOptions::default(),
         );
         rows.push(SuiteRow {
             label: q.label,

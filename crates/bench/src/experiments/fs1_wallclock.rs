@@ -3,10 +3,9 @@
 //! E6 ([`super::fs1`]) reports *modelled* times: the 4.5 MB/s FS1
 //! prototype rate from the paper. This experiment measures the *host*
 //! cost of the software scan itself — the retained scalar reference
-//! path ([`IndexFile::scan_reference`]), the packed columnar path
-//! ([`IndexFile::scan_with_descriptor`]), and the sharded parallel path
-//! ([`IndexFile::scan_with`]) — at several index sizes, and emits a
-//! machine-readable `BENCH_fs1.json` so regressions are diffable.
+//! path ([`IndexFile::scan_reference`]) and the packed columnar path
+//! ([`IndexFile::scan_with_descriptor`]) — at several index sizes, and
+//! emits a machine-readable `BENCH_fs1.json` so regressions are diffable.
 
 use clare_scw::{ClauseAddr, IndexFile, QueryDescriptor, ScwConfig};
 use clare_term::parser::parse_term;
@@ -24,8 +23,6 @@ pub struct Fs1WallclockRow {
     pub scalar_ns: f64,
     /// Best observed packed columnar scan, ns per full scan.
     pub packed_ns: f64,
-    /// Best observed packed + sharded parallel scan, ns per full scan.
-    pub parallel_ns: f64,
 }
 
 impl Fs1WallclockRow {
@@ -39,29 +36,15 @@ impl Fs1WallclockRow {
         self.entries as f64 / (self.packed_ns / 1e9)
     }
 
-    /// Entries filtered per second by the parallel scan.
-    pub fn parallel_entries_per_sec(&self) -> f64 {
-        self.entries as f64 / (self.parallel_ns / 1e9)
-    }
-
-    /// Packed single-threaded speedup over the scalar reference.
+    /// Packed speedup over the scalar reference.
     pub fn packed_speedup(&self) -> f64 {
         self.scalar_ns / self.packed_ns
-    }
-
-    /// Packed + parallel speedup over the scalar reference.
-    pub fn parallel_speedup(&self) -> f64 {
-        self.scalar_ns / self.parallel_ns
     }
 }
 
 /// The wall-clock report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fs1WallclockReport {
-    /// Worker threads used for the parallel rows.
-    pub workers: usize,
-    /// Shard size (entries) used for the parallel rows.
-    pub shard_entries: usize,
     /// One row per index size, ascending.
     pub rows: Vec<Fs1WallclockRow>,
 }
@@ -74,8 +57,6 @@ impl Fs1WallclockReport {
         out.push_str("{\n");
         out.push_str("  \"experiment\": \"fs1_scan_wallclock\",\n");
         out.push_str("  \"unit\": \"entries_per_sec\",\n");
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"shard_entries\": {},\n", self.shard_entries));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             out.push_str("    {\n");
@@ -89,10 +70,6 @@ impl Fs1WallclockReport {
                 row.packed_ns
             ));
             out.push_str(&format!(
-                "      \"parallel_ns_per_scan\": {:.0},\n",
-                row.parallel_ns
-            ));
-            out.push_str(&format!(
                 "      \"scalar_entries_per_sec\": {:.0},\n",
                 row.scalar_entries_per_sec()
             ));
@@ -101,16 +78,8 @@ impl Fs1WallclockReport {
                 row.packed_entries_per_sec()
             ));
             out.push_str(&format!(
-                "      \"parallel_entries_per_sec\": {:.0},\n",
-                row.parallel_entries_per_sec()
-            ));
-            out.push_str(&format!(
-                "      \"packed_speedup_vs_scalar\": {:.2},\n",
+                "      \"packed_speedup_vs_scalar\": {:.2}\n",
                 row.packed_speedup()
-            ));
-            out.push_str(&format!(
-                "      \"parallel_speedup_vs_scalar\": {:.2}\n",
-                row.parallel_speedup()
             ));
             out.push_str(if i + 1 == self.rows.len() {
                 "    }\n"
@@ -163,10 +132,6 @@ pub(crate) fn best_ns(mut scan: impl FnMut() -> usize, budget: std::time::Durati
 /// time budget. The checked-in `BENCH_fs1.json` uses
 /// `&[1_000, 10_000, 100_000]` and a 1 s budget.
 pub fn run(sizes: &[usize], budget: std::time::Duration) -> Fs1WallclockReport {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
     let config = ScwConfig::paper();
     let mut rows = Vec::with_capacity(sizes.len());
     for &n in sizes {
@@ -179,31 +144,20 @@ pub fn run(sizes: &[usize], budget: std::time::Duration) -> Fs1WallclockReport {
             || index.scan_with_descriptor(&descriptor).matches.len(),
             budget,
         );
-        let parallel_ns = best_ns(
-            || index.scan_with(&descriptor, workers).matches.len(),
-            budget,
-        );
         rows.push(Fs1WallclockRow {
             entries: n,
             scalar_ns,
             packed_ns,
-            parallel_ns,
         });
     }
-    Fs1WallclockReport {
-        workers,
-        shard_entries: config.shard_entries(),
-        rows,
-    }
+    Fs1WallclockReport { rows }
 }
 
 impl fmt::Display for Fs1WallclockReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "E14: FS1 host scan throughput — scalar reference vs packed columnar vs \
-             packed+parallel ({} workers, shard {})\n",
-            self.workers, self.shard_entries
+            "E14: FS1 host scan throughput — scalar reference vs packed columnar\n"
         )?;
         let rows: Vec<Vec<String>> = self
             .rows
@@ -213,9 +167,7 @@ impl fmt::Display for Fs1WallclockReport {
                     r.entries.to_string(),
                     format!("{:.1}", r.scalar_entries_per_sec() / 1e6),
                     format!("{:.1}", r.packed_entries_per_sec() / 1e6),
-                    format!("{:.1}", r.parallel_entries_per_sec() / 1e6),
                     format!("{:.2}x", r.packed_speedup()),
-                    format!("{:.2}x", r.parallel_speedup()),
                 ]
             })
             .collect();
@@ -223,14 +175,7 @@ impl fmt::Display for Fs1WallclockReport {
             f,
             "{}",
             crate::render_table(
-                &[
-                    "entries",
-                    "scalar Me/s",
-                    "packed Me/s",
-                    "parallel Me/s",
-                    "packed speedup",
-                    "parallel speedup",
-                ],
+                &["entries", "scalar Me/s", "packed Me/s", "packed speedup",],
                 &rows,
             )
         )
@@ -249,7 +194,6 @@ mod tests {
         for row in &r.rows {
             assert!(row.scalar_ns > 0.0);
             assert!(row.packed_ns > 0.0);
-            assert!(row.parallel_ns > 0.0);
             assert!(row.packed_entries_per_sec() > 0.0);
         }
         let json = r.to_json();

@@ -156,7 +156,7 @@ impl ClareBoard {
                 selected: self.selected(),
             });
         }
-        let outcome = index.scan(query);
+        let outcome = index.scan_with_descriptor(&encode_query_descriptor(query, index.config()));
         self.control.set_match_found(!outcome.matches.is_empty());
         Ok(outcome)
     }

@@ -12,7 +12,7 @@
 //!   extension.
 //! * [`CancelToken`] — the runtime form. The serving layer mints one
 //!   token per request (capturing the absolute deadline) and threads it
-//!   through FS1 shard claims, FS2 track sweeps, the full-unification
+//!   through FS1 index strides, FS2 track sweeps, the full-unification
 //!   loop, and every solve expansion. Checkpoints are cooperative: the
 //!   engine polls the token at coarse strides, so cancellation latency
 //!   is one checkpoint interval, not one instruction.
@@ -218,7 +218,7 @@ impl CancelToken {
 
     /// The cooperative checkpoint: returns `Err` once the deadline has
     /// passed (or another checkpoint already tripped the token). Called
-    /// at coarse strides — per FS1 shard claim, per FS2 track, per solve
+    /// at coarse strides — per FS1 index stride, per FS2 track, per solve
     /// expansion, every ~64 candidates — so the clock read is amortized.
     pub fn checkpoint(&self) -> Result<(), BudgetReason> {
         let Some(inner) = &self.inner else {

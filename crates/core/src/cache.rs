@@ -132,15 +132,28 @@ impl QueryKey {
     }
 }
 
-/// The FS1 consultation seam handed into the scan phase: `get` is tried
-/// before scanning, `put` is called with a freshly computed outcome.
-/// Implemented by the server with the key and stamp captured, so the
-/// phase code stays ignorant of epochs.
-pub(crate) trait Fs1Cache {
+/// One query's handle on the FS1 layer, handed into the scan stage: `get`
+/// is tried before scanning, `put` is called with a freshly computed
+/// outcome. The server captures the key and stamp here, so the pipeline
+/// stays ignorant of epochs.
+#[derive(Clone, Copy)]
+pub(crate) struct Fs1Slot<'a> {
+    pub(crate) cache: &'a RetrievalCache,
+    pub(crate) key: &'a QueryKey,
+    pub(crate) stamp: Stamp,
+}
+
+impl Fs1Slot<'_> {
     /// A still-valid cached outcome, if any.
-    fn get(&self) -> Option<ScanOutcome>;
+    pub(crate) fn get(&self) -> Option<ScanOutcome> {
+        self.cache.get_fs1(self.key, self.stamp)
+    }
+
     /// Offers a freshly computed outcome for caching.
-    fn put(&self, outcome: &ScanOutcome);
+    pub(crate) fn put(&self, outcome: &ScanOutcome) {
+        self.cache
+            .put_fs1(self.key.clone(), self.stamp, outcome.clone());
+    }
 }
 
 /// One bounded, FIFO-evicted cache layer. Stale entries (stamp mismatch)

@@ -17,7 +17,7 @@
 //! unifier.
 
 use crate::budget::{BudgetExceeded, BudgetReason, CancelToken};
-use crate::cache::{CacheConfig, Fs1Cache};
+use crate::cache::{CacheConfig, Fs1Slot};
 use crate::cost::SoftwareCostModel;
 use clare_disk::{DiskProfile, SimNanos, Track};
 use clare_fs2::{Fs2Config, Fs2Engine};
@@ -28,9 +28,8 @@ use clare_term::{term_size, ClauseId, Term};
 use clare_unify::partial::{partial_match, PartialConfig};
 use clare_unify::unify_query_clause;
 use clare_wal::{Overlay, PredDelta};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// The four searching modes of §2.2.
@@ -75,19 +74,10 @@ pub struct CrsOptions {
     pub disk: DiskProfile,
     /// Host CPU cost model.
     pub cost: SoftwareCostModel,
-    /// Worker threads for the FS1 index scan. `None` (the default) defers
-    /// to the index's own [`clare_scw::ScwConfig::parallelism`]; `Some(n)`
-    /// overrides it per server. The answer set and all modelled times are
-    /// identical at every level — only host wall-clock changes.
-    pub fs1_parallelism: Option<usize>,
-    /// FS2 track-pipeline knobs: worker count, shard granularity, and
-    /// whether matching reads the pre-decoded [`clare_kb::ClauseArena`]
-    /// instead of re-parsing record bytes. As with FS1, none of these
-    /// change the answer set or any modelled time.
+    /// Whether FS2 matching reads the pre-decoded [`clare_kb::ClauseArena`]
+    /// (the default) or re-parses record bytes — the reference path. The
+    /// answer set and every modelled time are identical either way.
     pub fs2: Fs2Config,
-    /// Per-server override for [`Fs2Config::parallelism`]. `None` (the
-    /// default) defers to `fs2.parallelism()`.
-    pub fs2_parallelism: Option<usize>,
     /// Epoch-invalidated retrieval cache served by
     /// [`crate::ClauseRetrievalServer`]. Hits are byte-identical to the
     /// uncached pipeline; the free [`retrieve`] function never caches.
@@ -113,9 +103,7 @@ impl Default for CrsOptions {
         CrsOptions {
             disk: DiskProfile::fujitsu_m2351a(),
             cost: SoftwareCostModel::m68020(),
-            fs1_parallelism: None,
             fs2: Fs2Config::paper(),
-            fs2_parallelism: None,
             cache: CacheConfig::default(),
             overlay_auto_compact_ops: Some(8192),
             overlay_auto_compact_age: None,
@@ -219,92 +207,21 @@ impl Retrieval {
     }
 }
 
-/// Retrieves all candidate clauses for `query` using `mode`.
-///
-/// A query that cannot be compiled for the hardware (an integer outside
-/// the 28-bit in-line range, or a stream larger than the Query Memory)
-/// falls back to software-only retrieval; `stats.mode` reports what
-/// actually ran.
+/// Retrieves all candidate clauses for `query` using `mode`: a one-query
+/// [`retrieve_batch`] over the bare base snapshot under the unlimited
+/// budget.
 pub fn retrieve(
     kb: &KnowledgeBase,
     query: &Term,
     mode: SearchMode,
     opts: &CrsOptions,
 ) -> Retrieval {
-    unlimited(retrieve_inner(
-        kb,
-        None,
-        query,
-        mode,
-        opts,
-        Precomputed::default(),
-        None,
-        &CancelToken::unlimited(),
-    ))
+    let (queries, unlimited) = ([query], CancelToken::unlimited());
+    only(retrieve_batch(kb, None, &queries, mode, opts, &unlimited))
 }
 
-/// Unwraps a pipeline result produced under the unlimited token, which
-/// cannot trip.
-fn unlimited<T>(result: Result<T, BudgetExceeded>) -> T {
-    match result {
-        Ok(value) => value,
-        Err(_) => unreachable!("the unlimited budget cannot trip"),
-    }
-}
-
-/// [`retrieve`] under a request budget: the token's deadline and
-/// candidate limit are checked at cooperative checkpoints (every FS1
-/// shard claim, every FS2 track, every ~64 candidates of the full
-/// unifier), and a tripped budget returns a typed [`BudgetExceeded`]
-/// carrying the partial statistics — never a truncated candidate list.
-pub fn retrieve_budgeted(
-    kb: &KnowledgeBase,
-    query: &Term,
-    mode: SearchMode,
-    opts: &CrsOptions,
-    cancel: &CancelToken,
-) -> Result<Retrieval, BudgetExceeded> {
-    retrieve_inner(
-        kb,
-        None,
-        query,
-        mode,
-        opts,
-        Precomputed::default(),
-        None,
-        cancel,
-    )
-}
-
-/// [`retrieve_merged`] under a request budget (see [`retrieve_budgeted`]).
-pub fn retrieve_merged_budgeted(
-    kb: &KnowledgeBase,
-    overlay: &Overlay,
-    query: &Term,
-    mode: SearchMode,
-    opts: &CrsOptions,
-    cancel: &CancelToken,
-) -> Result<Retrieval, BudgetExceeded> {
-    retrieve_inner(
-        kb,
-        Some(overlay),
-        query,
-        mode,
-        opts,
-        Precomputed::default(),
-        None,
-        cancel,
-    )
-}
-
-/// [`retrieve`] over the base snapshot *merged with* a memtable overlay
-/// (see [`clare_wal::Overlay`]): retracted base clauses leave the
-/// candidate set and overlay additions join it unconditionally, so the
-/// answer is byte-identical to retrieving over a knowledge base rebuilt
-/// from scratch with the overlay folded in. An empty overlay (or one
-/// with no delta for the query's predicate) is byte-identical to
-/// [`retrieve`]. Overlay additions carry synthetic [`ClauseId`]s
-/// `base_len..base_len + added`, in assert order.
+/// [`retrieve`] over the base snapshot *merged with* a memtable overlay:
+/// a one-query [`retrieve_batch`] under the unlimited budget.
 pub fn retrieve_merged(
     kb: &KnowledgeBase,
     overlay: &Overlay,
@@ -312,231 +229,171 @@ pub fn retrieve_merged(
     mode: SearchMode,
     opts: &CrsOptions,
 ) -> Retrieval {
-    unlimited(retrieve_inner(
-        kb,
-        Some(overlay),
-        query,
-        mode,
-        opts,
-        Precomputed::default(),
-        None,
-        &CancelToken::unlimited(),
-    ))
+    let (queries, unlimited) = ([query], CancelToken::unlimited());
+    let merged = retrieve_batch(kb, Some(overlay), &queries, mode, opts, &unlimited);
+    only(merged)
 }
 
-/// [`retrieve_merged`] with an FS1 cache seam: the scan phase consults
-/// `fs1` before sweeping the index and offers freshly computed outcomes
-/// back. The answer — and every modelled stat — is identical to
-/// [`retrieve_merged`]; only the host work changes. Used by the server's
-/// retrieval cache. (An FS1 outcome depends only on the base index, so
-/// it stays valid across overlay commits; the server's epoch bumps
-/// invalidate it conservatively anyway.)
-pub(crate) fn retrieve_cached(
-    kb: &KnowledgeBase,
-    overlay: Option<&Overlay>,
-    query: &Term,
-    mode: SearchMode,
-    opts: &CrsOptions,
-    fs1: Option<&dyn Fs1Cache>,
-    cancel: &CancelToken,
-) -> Result<Retrieval, BudgetExceeded> {
-    retrieve_inner(
-        kb,
-        overlay,
-        query,
-        mode,
-        opts,
-        Precomputed::default(),
-        fs1,
-        cancel,
-    )
+/// The single result of a one-query request under the unlimited token,
+/// which cannot trip.
+pub(crate) fn only(result: Result<Vec<Retrieval>, BudgetExceeded>) -> Retrieval {
+    match result.map(|mut outcomes| outcomes.pop()) {
+        Ok(Some(outcome)) => outcome,
+        _ => unreachable!("one query under the unlimited budget yields one retrieval"),
+    }
 }
 
-/// Retrieves candidates for several queries, amortizing the hardware
-/// passes: queries against the same predicate are compiled together, their
-/// descriptors tested in one pass over the packed secondary file
-/// ([`clare_scw::IndexFile::scan_batch`]), and their FS2 track sweeps run
-/// over the shared pre-decoded arena through one worker pool. Results come
-/// back in input order, and each is exactly what [`retrieve`] would return
-/// for that query alone — the batch changes host wall-clock, not semantics
-/// or modelled times.
+/// The retrieval pipeline: candidates for every query of a request, in
+/// input order. A single retrieval is a request of one.
+///
+/// **Modes.** A query that cannot be compiled for the hardware (an
+/// integer outside the 28-bit in-line range, or a stream larger than the
+/// Query Memory) falls back to software-only retrieval; `stats.mode`
+/// reports what actually ran.
+///
+/// **Overlay.** With `Some(overlay)` the answer covers the base snapshot
+/// *merged with* the memtable overlay (see [`clare_wal::Overlay`]):
+/// retracted base clauses leave the candidate set and overlay additions
+/// join it unconditionally, so the answer is byte-identical to retrieving
+/// over a knowledge base rebuilt from scratch with the overlay folded in.
+/// `None`, an empty overlay, or one with no delta for the query's
+/// predicate all give the bare-base answer. Overlay additions carry
+/// synthetic [`ClauseId`]s `base_len..base_len + added`, in assert order.
+///
+/// **Sharing.** Queries against the same predicate have their descriptors
+/// tested in one pass over the packed secondary file
+/// ([`clare_scw::IndexFile::scan`]) and their FS2 track sweeps run
+/// back to back over the shared pre-decoded arena. Each result is exactly
+/// what the query would get alone — sharing changes host wall-clock, not
+/// semantics or modelled times.
+///
+/// **Budget.** The token's deadline and candidate limit cover the request
+/// as a whole and are checked at cooperative checkpoints (every few
+/// thousand index entries, every FS2 track, every ~64 candidates of the
+/// host filter and the full unifier). A tripped budget abandons the request
+/// with a typed [`BudgetExceeded`] — no member gets a partial candidate
+/// list. It carries the partial statistics of the query whose host phase
+/// tripped, or none when the trip landed in a shared hardware pass.
+/// [`CancelToken::unlimited`] never trips and costs nothing.
 pub fn retrieve_batch(
     kb: &KnowledgeBase,
-    queries: &[Term],
-    mode: SearchMode,
-    opts: &CrsOptions,
-) -> Vec<Retrieval> {
-    unlimited(retrieve_batch_cached(
-        kb,
-        None,
-        queries,
-        mode,
-        opts,
-        &vec![None; queries.len()],
-        &CancelToken::unlimited(),
-    ))
-}
-
-/// [`retrieve_batch`] under one shared request budget: the whole batch
-/// counts against the same deadline and candidate ceiling, and a tripped
-/// budget abandons the batch with a typed [`BudgetExceeded`] — no member
-/// gets a partial answer.
-pub fn retrieve_batch_budgeted(
-    kb: &KnowledgeBase,
-    queries: &[Term],
+    overlay: Option<&Overlay>,
+    queries: &[&Term],
     mode: SearchMode,
     opts: &CrsOptions,
     cancel: &CancelToken,
 ) -> Result<Vec<Retrieval>, BudgetExceeded> {
-    retrieve_batch_cached(
-        kb,
-        None,
-        queries,
-        mode,
-        opts,
-        &vec![None; queries.len()],
-        cancel,
-    )
+    pipeline(kb, overlay, queries, mode, opts, &[], cancel)
 }
 
-/// [`retrieve_batch`] over the base snapshot merged with a memtable
-/// overlay. The grouped hardware passes run over the base file exactly as
-/// in [`retrieve_batch`] — the delta merge happens after per-query
-/// candidates are computed — so each result is exactly what
-/// [`retrieve_merged`] would return for that query alone.
-pub fn retrieve_batch_merged(
-    kb: &KnowledgeBase,
-    overlay: &Overlay,
-    queries: &[Term],
-    mode: SearchMode,
-    opts: &CrsOptions,
-) -> Vec<Retrieval> {
-    unlimited(retrieve_batch_cached(
-        kb,
-        Some(overlay),
-        queries,
-        mode,
-        opts,
-        &vec![None; queries.len()],
-        &CancelToken::unlimited(),
-    ))
-}
-
-/// [`retrieve_batch`] with a per-query FS1 cache seam (parallel to
-/// [`retrieve_cached`]): before the grouped index pass, each member's
-/// cache is consulted; only the misses are scanned, and their fresh
-/// outcomes are offered back. Results are identical to [`retrieve_batch`].
-pub(crate) fn retrieve_batch_cached(
+/// [`retrieve_batch`] with the server cache's FS1 seam: `fs1_slots` is
+/// parallel to `queries` (or empty for none). Before the shared index
+/// pass each member's slot is consulted; only the misses are scanned, and
+/// their fresh outcomes are offered back. The answer — and every modelled
+/// stat — is identical with and without slots; only the host work
+/// changes. (An FS1 outcome depends only on the base index, so it stays
+/// valid across overlay commits; the server's epoch bumps invalidate it
+/// conservatively anyway.)
+pub(crate) fn pipeline(
     kb: &KnowledgeBase,
     overlay: Option<&Overlay>,
-    queries: &[Term],
+    queries: &[&Term],
     mode: SearchMode,
     opts: &CrsOptions,
-    caches: &[Option<&dyn Fs1Cache>],
+    fs1_slots: &[Option<Fs1Slot<'_>>],
     cancel: &CancelToken,
 ) -> Result<Vec<Retrieval>, BudgetExceeded> {
-    debug_assert_eq!(caches.len(), queries.len());
-    let cache_of = |i: usize| caches.get(i).copied().flatten();
-    // Group hardware-eligible queries by predicate so each group shares
-    // the index pass and the FS2 worker pool.
-    let wants_fs1 = matches!(mode, SearchMode::Fs1Only | SearchMode::TwoStage);
-    let wants_fs2 = matches!(mode, SearchMode::Fs2Only | SearchMode::TwoStage);
-    let mut groups: HashMap<(clare_term::Symbol, usize), Vec<usize>> = HashMap::new();
-    if wants_fs1 || wants_fs2 {
-        for (i, query) in queries.iter().enumerate() {
-            if let Some(key) = query.functor_arity() {
-                groups.entry(key).or_default().push(i);
-            }
-        }
-    }
-
-    let mut pre: Vec<Precomputed> = queries.iter().map(|_| Precomputed::default()).collect();
-    for ((functor, arity), members) in groups {
-        let Some((_, pred)) = kb.module_of(functor, arity) else {
-            continue;
-        };
-        if wants_fs1 {
-            let index = pred.index();
-            // Cached outcomes first; only the misses join the shared pass.
-            let mut need: Vec<usize> = Vec::new();
-            for &i in &members {
-                match cache_of(i).and_then(Fs1Cache::get) {
-                    Some(outcome) => pre[i].fs1 = Some(outcome),
-                    None => need.push(i),
-                }
-            }
-            if !need.is_empty() {
-                let descriptors: Vec<_> = need
-                    .iter()
-                    .map(|&i| encode_query_descriptor(&queries[i], index.config()))
-                    .collect();
-                let workers = opts.fs1_parallelism.unwrap_or(index.config().parallelism());
-                let outcomes = if cancel.is_unlimited() {
-                    index.scan_batch_with(&descriptors, workers)
-                } else {
-                    match index.scan_batch_with_cancel(&descriptors, workers, &|| {
-                        cancel.checkpoint().is_err()
-                    }) {
-                        Some(outcomes) => outcomes,
-                        None => return Err(exceeded(tripped_reason(cancel), None)),
-                    }
-                };
-                for (&i, outcome) in need.iter().zip(outcomes) {
-                    if let Some(cache) = cache_of(i) {
-                        cache.put(&outcome);
-                    }
-                    pre[i].fs1 = Some(outcome);
-                }
-            }
-        }
-        if wants_fs2 {
-            // One sweep job per encodable query; unencodable ones fall
-            // back to software inside retrieve_inner, exactly as for a
-            // single retrieval.
-            let mut job_of: Vec<usize> = Vec::new();
-            let mut jobs: Vec<(Fs2Engine, Vec<usize>)> = Vec::new();
-            for &i in &members {
-                let Ok(stream) = encode_query(&queries[i]) else {
-                    continue;
-                };
-                let Ok(engine) = Fs2Engine::new(&stream) else {
-                    continue;
-                };
-                let tracks = match mode {
-                    SearchMode::Fs2Only => (0..pred.file().track_count()).collect(),
-                    _ => match &pre[i].fs1 {
-                        Some(outcome) => candidate_tracks(&outcome.matches),
-                        None => continue,
-                    },
-                };
-                job_of.push(i);
-                jobs.push((engine, tracks));
-            }
-            let outcomes = match fs2_sweep_jobs(pred, &jobs, opts, cancel) {
-                Ok(outcomes) => outcomes,
-                Err(reason) => return Err(exceeded(reason, None)),
-            };
-            for ((i, (_, tracks)), outcomes) in job_of.iter().copied().zip(jobs).zip(outcomes) {
-                pre[i].fs2 = Some(Fs2Sweep { tracks, outcomes });
-            }
-        }
-    }
-
-    queries
+    // Decide every query's effective mode first: only what will really
+    // run on the hardware joins the shared passes below.
+    let mut plans: Vec<Plan<'_>> = queries
         .iter()
-        .zip(pre)
-        .enumerate()
-        .map(|(i, (query, pre))| {
-            retrieve_inner(kb, overlay, query, mode, opts, pre, cache_of(i), cancel)
-        })
-        .collect()
-}
+        .map(|query| Plan::new(kb, overlay, query, mode))
+        .collect();
+    let mut groups: HashMap<_, (&Predicate, Vec<usize>)> = HashMap::new();
+    for (i, plan) in plans.iter().enumerate() {
+        if let (Some(pred), Some(key)) = (plan.pred, plan.query.functor_arity()) {
+            if plan.mode != SearchMode::SoftwareOnly {
+                groups.entry(key).or_insert((pred, Vec::new())).1.push(i);
+            }
+        }
+    }
 
-/// The reason stored in a tripped token (the caller just observed a
-/// cancelled scan, so the token must be tripped; deadline is the
-/// conservative fallback if a race hid the reason).
-fn tripped_reason(cancel: &CancelToken) -> BudgetReason {
-    cancel.checkpoint().err().unwrap_or(BudgetReason::Deadline)
+    let slot = |i: usize| fs1_slots.get(i).copied().flatten();
+    let predecoded = opts.fs2.predecoded();
+    for (pred, members) in groups.into_values() {
+        // FS1: cached outcomes first; the misses share one index pass.
+        let index = pred.index();
+        let mut need: Vec<usize> = Vec::new();
+        for &i in &members {
+            if matches!(plans[i].mode, SearchMode::Fs1Only | SearchMode::TwoStage) {
+                plans[i].fs1 = slot(i).and_then(|slot| slot.get());
+                if plans[i].fs1.is_none() {
+                    need.push(i);
+                }
+            }
+        }
+        if !need.is_empty() {
+            let descriptors: Vec<_> = need
+                .iter()
+                .map(|&i| encode_query_descriptor(plans[i].query, index.config()))
+                .collect();
+            let tripped = || cancel.checkpoint().is_err();
+            let hook: Option<&dyn Fn() -> bool> = if cancel.is_unlimited() {
+                None
+            } else {
+                Some(&tripped)
+            };
+            let Some(outcomes) = index.scan(&descriptors, hook) else {
+                // The hook just observed a tripped token; deadline is the
+                // conservative fallback if a race hid the reason.
+                let reason = cancel.checkpoint().err().unwrap_or(BudgetReason::Deadline);
+                return Err(exceeded(reason, None));
+            };
+            for (&i, outcome) in need.iter().zip(outcomes) {
+                if let Some(slot) = slot(i) {
+                    slot.put(&outcome);
+                }
+                plans[i].fs1 = Some(outcome);
+            }
+        }
+        // FS2: each member's engine sweeps its own tracks — the whole
+        // file, or just the tracks its FS1 candidates live on. The token
+        // is polled once per track, so cancellation latency is one track.
+        for &i in &members {
+            let plan = &mut plans[i];
+            let Some(engine) = plan.engine.as_mut() else {
+                continue;
+            };
+            let tracks: Vec<usize> = match &plan.fs1 {
+                Some(outcome) => candidate_tracks(&outcome.matches),
+                None => (0..pred.file().track_count()).collect(),
+            };
+            let started = Instant::now();
+            let mut matches = Vec::with_capacity(tracks.len());
+            for &t in &tracks {
+                if let Err(reason) = cancel.checkpoint() {
+                    return Err(exceeded(reason, None));
+                }
+                matches.push(match_track(pred, engine, t, predecoded));
+            }
+            let m = clare_trace::metrics();
+            m.fs2_sweeps.inc();
+            m.fs2_modelled_ns.record(
+                matches
+                    .iter()
+                    .map(|tm| tm.fs2_time)
+                    .sum::<SimNanos>()
+                    .as_ns(),
+            );
+            m.fs2_wall_ns.record(started.elapsed().as_nanos() as u64);
+            plan.sweep = Some(Fs2Sweep { tracks, matches });
+        }
+    }
+
+    plans
+        .into_iter()
+        .map(|plan| plan.finish(opts, cancel))
+        .collect()
 }
 
 /// Packages a tripped budget as the typed retrieval outcome.
@@ -548,244 +405,202 @@ fn exceeded(reason: BudgetReason, stats: Option<RetrievalStats>) -> BudgetExceed
     }
 }
 
-/// Hardware phases a batch has already run for one query: the FS1 scan
-/// outcome and/or the FS2 track sweep. `retrieve_inner` consumes whichever
-/// parts are present and match what it would compute itself.
-#[derive(Default)]
-struct Precomputed {
+/// One query's way through the pipeline: what the first stage decided,
+/// then what the shared hardware passes produced for it.
+struct Plan<'a> {
+    query: &'a Term,
+    /// The base predicate, if the snapshot has one.
+    pred: Option<&'a Predicate>,
+    /// The overlay's non-empty delta for the predicate, if any.
+    delta: Option<&'a PredDelta>,
+    disk_resident: bool,
+    /// The mode that will actually run: the requested one, or
+    /// `SoftwareOnly` when FS2 is wanted and the query cannot be compiled
+    /// for it. (FS1 needs no query stream, only a descriptor, so
+    /// `Fs1Only` always stays viable.)
+    mode: SearchMode,
+    /// The loaded FS2 engine; present exactly in the FS2 modes.
+    engine: Option<Fs2Engine>,
+    /// The FS1 scan outcome; filled in exactly in the FS1 modes.
     fs1: Option<clare_scw::ScanOutcome>,
-    fs2: Option<Fs2Sweep>,
+    /// The FS2 sweep; filled in exactly in the FS2 modes.
+    sweep: Option<Fs2Sweep>,
 }
 
 /// A finished FS2 sweep: per-track match results for exactly `tracks`, in
 /// that order.
 struct Fs2Sweep {
     tracks: Vec<usize>,
-    outcomes: Vec<TrackMatches>,
+    matches: Vec<TrackMatches>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn retrieve_inner(
-    kb: &KnowledgeBase,
-    overlay: Option<&Overlay>,
-    query: &Term,
-    mode: SearchMode,
-    opts: &CrsOptions,
-    pre: Precomputed,
-    fs1_cache: Option<&dyn Fs1Cache>,
-    cancel: &CancelToken,
-) -> Result<Retrieval, BudgetExceeded> {
-    let Some((functor, arity)) = query.functor_arity() else {
-        return Ok(Retrieval {
-            candidates: Vec::new(),
-            stats: RetrievalStats::empty(mode),
-        });
-    };
-    let delta = overlay
-        .and_then(|o| o.delta(functor, arity))
-        .filter(|d| !d.is_empty());
-    let Some((module, pred)) = kb.module_of(functor, arity) else {
-        // A predicate that exists only in the overlay: no base file, no
-        // codeword index, no track segment — nothing for the hardware to
-        // filter. Every overlay clause is a candidate (the superset
-        // invariant holds trivially) and full unification weeds them.
-        if let Some(delta) = delta {
-            return retrieve_overlay_only(delta, query, mode, opts, cancel);
-        }
-        return Ok(Retrieval {
-            candidates: Vec::new(),
-            stats: RetrievalStats::empty(mode),
-        });
-    };
-    let disk_resident = module.kind() == ModuleKind::Large;
-
-    // Hardware modes need an encodable query.
-    let hw_query = match mode {
-        SearchMode::SoftwareOnly => None,
-        _ => match encode_query(query) {
-            Ok(stream) => Fs2Engine::new(&stream).ok(),
-            Err(_) => None,
-        },
-    };
-    let effective_mode = match (mode, &hw_query) {
-        (SearchMode::SoftwareOnly, _) => SearchMode::SoftwareOnly,
-        // FS1 needs no query stream, only a descriptor, so it stays viable.
-        (SearchMode::Fs1Only, _) => SearchMode::Fs1Only,
-        (m, Some(_)) => m,
-        (_, None) => SearchMode::SoftwareOnly,
-    };
-
-    let mut stats = RetrievalStats::empty(effective_mode);
-    stats.clauses_total = pred.clauses().len();
-
-    let mut candidates = match phase_candidates(
-        pred,
-        query,
-        effective_mode,
-        hw_query,
-        disk_resident,
-        opts,
-        pre,
-        fs1_cache,
-        &mut stats,
-        cancel,
-    ) {
-        Ok(candidates) => candidates,
-        // A tripped budget surfaces the partial stats, never a partial
-        // candidate list — and (structurally) never reaches any cache:
-        // the Err path returns before the caller's note_outcome hook.
-        Err(reason) => return Err(exceeded(reason, Some(stats))),
-    };
-
-    // Merge the memtable delta: retracted base clauses leave the
-    // candidate set, and overlay additions join it unconditionally —
-    // they have no codewords yet, so every filter must pass them (a
-    // superset filter can only over-approximate, never drop an answer).
-    // Synthetic ids `base_len + j` index the delta's added clauses; they
-    // sort after every base id, so the candidate list stays in clause
-    // order.
-    let base_len = pred.clauses().len();
-    if let Some(delta) = delta {
-        candidates.retain(|id| !delta.is_retracted(id.index() as usize));
-        let adds = delta.added().len();
-        candidates.extend((0..adds).map(|j| ClauseId::new((base_len + j) as u32)));
-        stats.clauses_total = base_len - delta.retracted_base().len() + adds;
-    }
-
-    // The candidate ceiling is charged on the final merged set, before
-    // any full-unification work is spent on it.
-    if let Err(reason) = cancel.note_candidates(candidates.len() as u64) {
-        return Err(exceeded(reason, Some(stats)));
-    }
-
-    // Full unification of the survivors — the answer set.
-    let query_nodes = term_size(query);
-    let mut unified = 0usize;
-    for (i, id) in candidates.iter().enumerate() {
-        if i % 64 == 0 {
-            if let Err(reason) = cancel.checkpoint() {
-                return Err(exceeded(reason, Some(stats)));
-            }
-        }
-        let idx = id.index() as usize;
-        let clause = match delta {
-            Some(d) if idx >= base_len => &d.added()[idx - base_len].clause,
-            _ => &pred.clauses()[idx],
+impl<'a> Plan<'a> {
+    fn new(
+        kb: &'a KnowledgeBase,
+        overlay: Option<&'a Overlay>,
+        query: &'a Term,
+        requested: SearchMode,
+    ) -> Self {
+        let key = query.functor_arity();
+        let delta = key
+            .and_then(|(functor, arity)| overlay?.delta(functor, arity))
+            .filter(|d| !d.is_empty());
+        let base = key.and_then(|(functor, arity)| kb.module_of(functor, arity));
+        // FS2 modes need an encodable query.
+        let wants_fs2 =
+            base.is_some() && matches!(requested, SearchMode::Fs2Only | SearchMode::TwoStage);
+        let engine = wants_fs2
+            .then(|| Fs2Engine::new(&encode_query(query).ok()?).ok())
+            .flatten();
+        let mode = if wants_fs2 && engine.is_none() {
+            SearchMode::SoftwareOnly
+        } else {
+            requested
         };
-        stats.full_unify_time += opts
-            .cost
-            .full_unify_cost(query_nodes, term_size(clause.head()));
-        if unify_query_clause(query, clause.head()).is_some() {
-            unified += 1;
+        Plan {
+            query,
+            pred: base.map(|(_, pred)| pred),
+            delta,
+            disk_resident: base.is_some_and(|(module, _)| module.kind() == ModuleKind::Large),
+            mode,
+            engine,
+            fs1: None,
+            sweep: None,
         }
     }
-    stats.candidates = candidates.len();
-    stats.unified = unified;
-    stats.false_drops = candidates.len() - unified;
-    stats.elapsed += stats.full_unify_time;
-    if stats.degraded {
-        clare_trace::metrics().crs_degraded_answers.inc();
-    }
 
-    Ok(Retrieval { candidates, stats })
-}
+    /// The per-query tail: timing accounting for the hardware phases (or
+    /// the host filter of mode (a)), the overlay merge, and full
+    /// unification of the survivors.
+    fn finish(self, opts: &CrsOptions, cancel: &CancelToken) -> Result<Retrieval, BudgetExceeded> {
+        let (query, delta) = (self.query, self.delta);
+        let mut stats = RetrievalStats::empty(self.mode);
+        let base_clauses = self.pred.map_or(&[][..], Predicate::clauses);
+        let base_len = base_clauses.len();
+        stats.clauses_total = base_len;
 
-/// Runs the mode-selected filter phases, producing the base-file
-/// candidate ids. Split out of [`retrieve_inner`] so a tripped budget can
-/// return through one seam with the partial stats still in hand.
-#[allow(clippy::too_many_arguments)]
-fn phase_candidates(
-    pred: &Predicate,
-    query: &Term,
-    effective_mode: SearchMode,
-    hw_query: Option<Fs2Engine>,
-    disk_resident: bool,
-    opts: &CrsOptions,
-    mut pre: Precomputed,
-    fs1_cache: Option<&dyn Fs1Cache>,
-    stats: &mut RetrievalStats,
-    cancel: &CancelToken,
-) -> Result<Vec<ClauseId>, BudgetReason> {
-    Ok(match effective_mode {
-        SearchMode::SoftwareOnly => {
-            software_phase(pred, query, opts, disk_resident, stats, cancel)?
-        }
-        SearchMode::Fs1Only => {
-            let addrs = fs1_phase(pred, query, opts, pre.fs1.take(), fs1_cache, stats, cancel)?;
-            fetch_candidate_tracks(pred, &addrs, opts, stats);
-            stats.after_fs1 = Some(addrs.len());
-            addrs_to_ids(pred, &addrs)
-        }
-        SearchMode::Fs2Only => {
-            let mut engine = hw_query.expect("checked above");
-            let all_tracks: Vec<usize> = (0..pred.file().track_count()).collect();
-            let sweep = take_sweep(&mut pre, &all_tracks);
-            let satisfiers = fs2_phase(pred, &mut engine, &all_tracks, opts, stats, sweep, cancel)?;
-            stats.after_fs2 = Some(satisfiers.len());
-            addrs_to_ids(pred, &satisfiers)
-        }
-        SearchMode::TwoStage => {
-            let mut engine = hw_query.expect("checked above");
-            let fs1_addrs = fs1_phase(pred, query, opts, pre.fs1.take(), fs1_cache, stats, cancel)?;
-            stats.after_fs1 = Some(fs1_addrs.len());
-            let tracks = candidate_tracks(&fs1_addrs);
-            let sweep = take_sweep(&mut pre, &tracks);
-            let fs2_addrs = fs2_phase(pred, &mut engine, &tracks, opts, stats, sweep, cancel)?;
-            // Intersect: only clauses selected by both stages go on.
-            let fs1_set: BTreeSet<ClauseAddr> = fs1_addrs.into_iter().collect();
-            let joint: Vec<ClauseAddr> = fs2_addrs
-                .into_iter()
-                .filter(|a| fs1_set.contains(a))
-                .collect();
-            // FS1 candidates the FS2 verdicts rejected: the numerator of
-            // the FS1 false-drop rate (`fs1.false_drops / fs1.candidates_out`).
-            clare_trace::metrics()
-                .fs1_false_drops
-                .add((fs1_set.len() - joint.len()) as u64);
-            stats.after_fs2 = Some(joint.len());
-            addrs_to_ids(pred, &joint)
-        }
-    })
-}
+        let mut candidates = match self.pred {
+            Some(pred) => match self.phase_candidates(pred, opts, &mut stats, cancel) {
+                Ok(candidates) => candidates,
+                // A tripped budget surfaces the partial stats, never a
+                // partial candidate list — and (structurally) never
+                // reaches any cache: the server only caches `Ok` results.
+                Err(reason) => return Err(exceeded(reason, Some(stats))),
+            },
+            // A predicate that exists only in the overlay has no base
+            // file, no codeword index, no track segment — nothing for the
+            // hardware to filter: every overlay clause is a candidate (the
+            // superset invariant holds trivially) and full unification
+            // weeds them. One that exists nowhere has no candidates.
+            None if delta.is_some() => Vec::new(),
+            None => {
+                return Ok(Retrieval {
+                    candidates: Vec::new(),
+                    stats,
+                })
+            }
+        };
 
-/// Retrieval for a predicate that lives only in the memtable overlay.
-/// Candidate ids are `0..added` (the base length is zero), matching the
-/// synthetic-id convention of the merged path.
-fn retrieve_overlay_only(
-    delta: &PredDelta,
-    query: &Term,
-    mode: SearchMode,
-    opts: &CrsOptions,
-    cancel: &CancelToken,
-) -> Result<Retrieval, BudgetExceeded> {
-    let mut stats = RetrievalStats::empty(mode);
-    stats.clauses_total = delta.added().len();
-    let candidates: Vec<ClauseId> = (0..delta.added().len())
-        .map(|j| ClauseId::new(j as u32))
-        .collect();
-    if let Err(reason) = cancel.note_candidates(candidates.len() as u64) {
-        return Err(exceeded(reason, Some(stats)));
-    }
-    let query_nodes = term_size(query);
-    let mut unified = 0usize;
-    for (i, oc) in delta.added().iter().enumerate() {
-        if i % 64 == 0 {
-            if let Err(reason) = cancel.checkpoint() {
-                return Err(exceeded(reason, Some(stats)));
+        // Merge the memtable delta: retracted base clauses leave the
+        // candidate set, and overlay additions join it unconditionally —
+        // they have no codewords yet, so every filter must pass them (a
+        // superset filter can only over-approximate, never drop an answer).
+        // Synthetic ids `base_len + j` index the delta's added clauses; they
+        // sort after every base id, so the candidate list stays in clause
+        // order.
+        if let Some(delta) = delta {
+            candidates.retain(|id| !delta.is_retracted(id.index() as usize));
+            let adds = delta.added().len();
+            candidates.extend((0..adds).map(|j| ClauseId::new((base_len + j) as u32)));
+            stats.clauses_total = base_len - delta.retracted_base().len() + adds;
+        }
+
+        // The candidate ceiling is charged on the final merged set, before
+        // any full-unification work is spent on it.
+        if let Err(reason) = cancel.note_candidates(candidates.len() as u64) {
+            return Err(exceeded(reason, Some(stats)));
+        }
+
+        // Full unification of the survivors — the answer set.
+        let query_nodes = term_size(query);
+        let mut unified = 0usize;
+        for (i, id) in candidates.iter().enumerate() {
+            if i % 64 == 0 {
+                if let Err(reason) = cancel.checkpoint() {
+                    return Err(exceeded(reason, Some(stats)));
+                }
+            }
+            let idx = id.index() as usize;
+            let clause = match delta {
+                Some(d) if idx >= base_len => &d.added()[idx - base_len].clause,
+                _ => &base_clauses[idx],
+            };
+            stats.full_unify_time += opts
+                .cost
+                .full_unify_cost(query_nodes, term_size(clause.head()));
+            if unify_query_clause(query, clause.head()).is_some() {
+                unified += 1;
             }
         }
-        stats.full_unify_time += opts
-            .cost
-            .full_unify_cost(query_nodes, term_size(oc.clause.head()));
-        if unify_query_clause(query, oc.clause.head()).is_some() {
-            unified += 1;
+        stats.candidates = candidates.len();
+        stats.unified = unified;
+        stats.false_drops = candidates.len() - unified;
+        stats.elapsed += stats.full_unify_time;
+        if stats.degraded {
+            clare_trace::metrics().crs_degraded_answers.inc();
         }
+
+        Ok(Retrieval { candidates, stats })
     }
-    stats.candidates = candidates.len();
-    stats.unified = unified;
-    stats.false_drops = candidates.len() - unified;
-    stats.elapsed += stats.full_unify_time;
-    Ok(Retrieval { candidates, stats })
+
+    /// Accounts the mode-selected filter phases and produces the
+    /// base-file candidate ids. Split out of [`Plan::finish`] so a tripped
+    /// budget can return through one seam with the partial stats still in
+    /// hand.
+    fn phase_candidates(
+        self,
+        pred: &Predicate,
+        opts: &CrsOptions,
+        stats: &mut RetrievalStats,
+        cancel: &CancelToken,
+    ) -> Result<Vec<ClauseId>, BudgetReason> {
+        const SCANNED: &str = "the shared pass scanned every FS1-mode query";
+        const SWEPT: &str = "the shared pass swept every FS2-mode query";
+        Ok(match self.mode {
+            SearchMode::SoftwareOnly => {
+                software_phase(pred, self.query, opts, self.disk_resident, stats, cancel)?
+            }
+            SearchMode::Fs1Only => {
+                let addrs = fs1_phase(self.fs1.expect(SCANNED), opts, stats);
+                fetch_candidate_tracks(pred, &addrs, opts, stats);
+                stats.after_fs1 = Some(addrs.len());
+                addrs_to_ids(pred, &addrs)
+            }
+            SearchMode::Fs2Only => {
+                let satisfiers = fs2_phase(pred, self.sweep.expect(SWEPT), opts, stats);
+                stats.after_fs2 = Some(satisfiers.len());
+                addrs_to_ids(pred, &satisfiers)
+            }
+            SearchMode::TwoStage => {
+                let fs1_addrs = fs1_phase(self.fs1.expect(SCANNED), opts, stats);
+                stats.after_fs1 = Some(fs1_addrs.len());
+                let fs2_addrs = fs2_phase(pred, self.sweep.expect(SWEPT), opts, stats);
+                // Intersect: only clauses selected by both stages go on.
+                let fs1_set: BTreeSet<ClauseAddr> = fs1_addrs.into_iter().collect();
+                let joint: Vec<ClauseAddr> = fs2_addrs
+                    .into_iter()
+                    .filter(|a| fs1_set.contains(a))
+                    .collect();
+                // FS1 candidates the FS2 verdicts rejected: the numerator of
+                // the FS1 false-drop rate (`fs1.false_drops / fs1.candidates_out`).
+                clare_trace::metrics()
+                    .fs1_false_drops
+                    .add((fs1_set.len() - joint.len()) as u64);
+                stats.after_fs2 = Some(joint.len());
+                addrs_to_ids(pred, &joint)
+            }
+        })
+    }
 }
 
 fn addrs_to_ids(pred: &Predicate, addrs: &[ClauseAddr]) -> Vec<ClauseId> {
@@ -808,15 +623,6 @@ fn candidate_tracks(addrs: &[ClauseAddr]) -> Vec<usize> {
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect()
-}
-
-/// Consumes a batch-precomputed FS2 sweep, but only if it covers exactly
-/// the tracks this retrieval is about to visit.
-fn take_sweep(pre: &mut Precomputed, tracks: &[usize]) -> Option<Vec<TrackMatches>> {
-    pre.fs2
-        .take()
-        .filter(|s| s.tracks == tracks)
-        .map(|s| s.outcomes)
 }
 
 /// Mode (a): stream everything (if disk resident) and filter on the host.
@@ -848,51 +654,15 @@ fn software_phase(
     Ok(out)
 }
 
-/// FS1 phase: stream the secondary file, scan codewords at 4.5 MB/s.
-/// `precomputed` carries a batch scan's outcome so grouped queries do not
-/// sweep the index again; `fs1_cache` is the server cache's seam — tried
-/// after `precomputed`, and offered any freshly computed outcome. Either
-/// short-circuit yields exactly the outcome the scan would produce, so
-/// every downstream stat is unchanged.
+/// FS1 phase accounting: the secondary file streams off the disk while
+/// FS1 scans its codewords at 4.5 MB/s. The `outcome` may come from this
+/// request's index pass or from the server's FS1 cache — either is exactly
+/// what a fresh scan would produce, so every stat is the same.
 fn fs1_phase(
-    pred: &Predicate,
-    query: &Term,
+    outcome: clare_scw::ScanOutcome,
     opts: &CrsOptions,
-    precomputed: Option<clare_scw::ScanOutcome>,
-    fs1_cache: Option<&dyn Fs1Cache>,
     stats: &mut RetrievalStats,
-    cancel: &CancelToken,
-) -> Result<Vec<ClauseAddr>, BudgetReason> {
-    let outcome = match precomputed.or_else(|| fs1_cache.and_then(Fs1Cache::get)) {
-        Some(outcome) => outcome,
-        None => {
-            let index = pred.index();
-            let outcome = if cancel.is_unlimited() {
-                match opts.fs1_parallelism {
-                    Some(workers) => {
-                        let descriptor = encode_query_descriptor(query, index.config());
-                        index.scan_with(&descriptor, workers)
-                    }
-                    None => index.scan(query),
-                }
-            } else {
-                // Budgeted scans go through the cancel-aware driver: the
-                // token is polled at every shard claim, and a cancelled
-                // scan yields no partial match list.
-                let descriptor = encode_query_descriptor(query, index.config());
-                let workers = opts.fs1_parallelism.unwrap_or(index.config().parallelism());
-                match index.scan_with_cancel(&descriptor, workers, &|| cancel.checkpoint().is_err())
-                {
-                    Some(outcome) => outcome,
-                    None => return Err(tripped_reason(cancel)),
-                }
-            };
-            if let Some(cache) = fs1_cache {
-                cache.put(&outcome);
-            }
-            outcome
-        }
-    };
+) -> Vec<ClauseAddr> {
     let index_bytes = outcome.bytes_scanned as u64;
     let disk_transfer = opts.disk.sustained_rate().transfer_time(index_bytes);
     let positioning = opts.disk.avg_seek() + opts.disk.avg_rotational_latency();
@@ -901,7 +671,7 @@ fn fs1_phase(
     stats.bytes_from_disk += index_bytes;
     // FS1 filters on the fly: the scan overlaps the transfer.
     stats.elapsed += positioning + disk_transfer.max(outcome.fs1_time);
-    Ok(outcome.matches)
+    outcome.matches
 }
 
 /// Disk time to fetch the tracks containing `addrs` (mode (b): the host
@@ -962,6 +732,9 @@ fn quarantine_track(pred: &Predicate, t: usize) -> TrackMatches {
 /// against.
 ///
 /// [`ClauseArena`]: clare_kb::ClauseArena
+// Kept out of line: folded into the large pipeline body, the per-clause
+// loop below measures ~4 % slower (E15, `clare-tables fs2bench`).
+#[inline(never)]
 fn match_track(
     pred: &Predicate,
     engine: &mut Fs2Engine,
@@ -1008,7 +781,7 @@ fn match_track(
             let Ok((record, _)) = ClauseRecord::from_bytes(record_bytes) else {
                 return quarantine_track(pred, t);
             };
-            let verdict = engine.match_clause_quiet(record.head_stream());
+            let verdict = engine.match_clause_words(record.head_stream().words());
             fs2_time += verdict.time;
             clauses += 1;
             for (total, n) in ops.iter_mut().zip(verdict.op_histogram) {
@@ -1033,232 +806,20 @@ fn match_track(
     }
 }
 
-/// Runs a set of FS2 sweep jobs — `(engine, tracks)` pairs, typically one
-/// per query of a batch — through one worker pool.
-///
-/// With one worker each job's tracks are matched in order on the calling
-/// thread. With more, every job's track list is split into shards of
-/// [`Fs2Config::shard_tracks`] tracks and workers claim shards off a
-/// shared counter, cloning the owning job's engine on first touch (cheap:
-/// the MAP ROM is a flat 64 KB table). Results are stitched back in track
-/// order per job, so the output — and everything downstream, including all
-/// modelled times — is byte-identical at every worker count.
-fn fs2_sweep_jobs(
-    pred: &Predicate,
-    jobs: &[(Fs2Engine, Vec<usize>)],
-    opts: &CrsOptions,
-    cancel: &CancelToken,
-) -> Result<Vec<Vec<TrackMatches>>, BudgetReason> {
-    let workers = fs2_workers(opts);
-    let predecoded = opts.fs2.predecoded();
-    if workers <= 1 || jobs.iter().map(|(_, t)| t.len()).sum::<usize>() <= 1 {
-        let started = Instant::now();
-        let mut out: Vec<Vec<TrackMatches>> = Vec::with_capacity(jobs.len());
-        for (engine, tracks) in jobs {
-            let mut engine = engine.clone();
-            let mut matches = Vec::with_capacity(tracks.len());
-            for &t in tracks {
-                cancel.checkpoint()?;
-                matches.push(match_track(pred, &mut engine, t, predecoded));
-            }
-            out.push(matches);
-        }
-        record_sweeps(&out, started.elapsed().as_nanos() as u64, 1);
-        return Ok(out);
-    }
-    // (job, shard offset, shard tracks) work items, claimed off a counter.
-    let shard = opts.fs2.shard_tracks().max(1);
-    let mut items: Vec<(usize, usize, &[usize])> = Vec::new();
-    for (j, (_, tracks)) in jobs.iter().enumerate() {
-        let mut start = 0;
-        while start < tracks.len() {
-            let end = (start + shard).min(tracks.len());
-            items.push((j, start, &tracks[start..end]));
-            start = end;
-        }
-    }
-    let started = Instant::now();
-    let pool_workers = workers.min(items.len());
-    let next = AtomicUsize::new(0);
-    type Shards = Vec<(usize, usize, Vec<TrackMatches>)>;
-    let (mut results, panicked): (Shards, usize) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pool_workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let busy = Instant::now();
-                    let mut engines: Vec<Option<Fs2Engine>> = vec![None; jobs.len()];
-                    let mut out = Vec::new();
-                    loop {
-                        // Cooperative cancellation at every shard claim:
-                        // the token is sticky, so once any checkpoint
-                        // trips, every worker bails at its next claim.
-                        if cancel.checkpoint().is_err() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(j, start, tracks)) = items.get(i) else {
-                            break;
-                        };
-                        // Fault injection: a worker may stall or die at a
-                        // shard boundary. The decision keys on (job, shard)
-                        // — not on claim order — so a chaos schedule replays
-                        // identically at every thread interleaving.
-                        if clare_fault::active() {
-                            let ctx = ((j as u64) << 32) | start as u64;
-                            match clare_fault::decide(clare_fault::FaultSite::Fs2Worker, ctx) {
-                                clare_fault::FaultAction::Delay { micros } => {
-                                    std::thread::sleep(std::time::Duration::from_micros(micros));
-                                }
-                                clare_fault::FaultAction::Panic => {
-                                    panic!(
-                                        "injected fault: FS2 worker died on shard ({j}, {start})"
-                                    );
-                                }
-                                _ => {}
-                            }
-                        }
-                        let engine = engines[j].get_or_insert_with(|| jobs[j].0.clone());
-                        let matches = tracks
-                            .iter()
-                            .map(|&t| match_track(pred, engine, t, predecoded))
-                            .collect();
-                        out.push((j, start, matches));
-                    }
-                    clare_trace::metrics()
-                        .fs2_worker_busy_ns
-                        .add(busy.elapsed().as_nanos() as u64);
-                    out
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        let mut panicked = 0usize;
-        for h in handles {
-            match h.join() {
-                Ok(shards) => all.extend(shards),
-                Err(_payload) => {
-                    // A dead worker takes every shard it had finished with
-                    // it. Count the death and fall through: the missing
-                    // shards are recomputed serially below, so the sweep
-                    // degrades to slower — never to wrong, never to a
-                    // re-raised panic on the serving thread.
-                    clare_trace::metrics().fs2_worker_panics.inc();
-                    panicked += 1;
-                }
-            }
-        }
-        (all, panicked)
-    });
-    // A tripped budget abandons the sweep before any serial recovery —
-    // no partial results leave this function.
-    cancel.checkpoint()?;
-    if panicked > 0 {
-        // Serial recovery of the lost shards. `match_track` still consults
-        // the disk-fault site (its decisions key on the track, so recovery
-        // sees the same corruption the worker would have), but the
-        // Fs2Worker site is only consulted at pool claim time — recovery
-        // cannot re-panic and always terminates.
-        let done: HashSet<(usize, usize)> = results.iter().map(|&(j, s, _)| (j, s)).collect();
-        let mut engines: Vec<Option<Fs2Engine>> = vec![None; jobs.len()];
-        for &(j, start, tracks) in &items {
-            if done.contains(&(j, start)) {
-                continue;
-            }
-            let engine = engines[j].get_or_insert_with(|| jobs[j].0.clone());
-            let matches = tracks
-                .iter()
-                .map(|&t| match_track(pred, engine, t, predecoded))
-                .collect();
-            clare_trace::metrics().fs2_worker_recoveries.inc();
-            results.push((j, start, matches));
-        }
-    }
-    // Stitch shards back per job, in track order.
-    results.sort_by_key(|&(j, start, _)| (j, start));
-    let mut out: Vec<Vec<TrackMatches>> = jobs
-        .iter()
-        .map(|(_, tracks)| Vec::with_capacity(tracks.len()))
-        .collect();
-    for (j, _, matches) in results {
-        out[j].extend(matches);
-    }
-    record_sweeps(&out, started.elapsed().as_nanos() as u64, pool_workers);
-    Ok(out)
-}
-
-/// Rolls one finished sweep pool into the registry: one `fs2.sweeps`
-/// tick and one modelled-time observation per job, one wall-clock
-/// observation for the pool. On the serial path busy time equals wall
-/// time (the caller's thread was the one worker).
-fn record_sweeps(jobs: &[Vec<TrackMatches>], wall_ns: u64, workers: usize) {
-    let m = clare_trace::metrics();
-    m.fs2_sweeps.add(jobs.len() as u64);
-    for outcomes in jobs {
-        let modelled: SimNanos = outcomes.iter().map(|tm| tm.fs2_time).sum();
-        m.fs2_modelled_ns.record(modelled.as_ns());
-    }
-    m.fs2_wall_ns.record(wall_ns);
-    if workers <= 1 {
-        m.fs2_worker_busy_ns.add(wall_ns);
-    }
-}
-
-/// Effective FS2 worker count: the per-server override, else the config's.
-fn fs2_workers(opts: &CrsOptions) -> usize {
-    opts.fs2_parallelism
-        .unwrap_or_else(|| opts.fs2.parallelism())
-        .max(1)
-}
-
-/// FS2 phase over the given tracks: each track streams from disk into the
-/// Double Buffer while the previous track's clauses are matched, so the
-/// per-track elapsed time is `max(transfer, matching)`.
-///
-/// The matching sweep may run sharded across worker threads (and a batch
-/// may hand in a `precomputed` sweep), but the timing accounting below
-/// always walks the tracks serially in order — the modelled disk and
-/// filter times are those of the single hardware pipeline of the paper,
-/// identical at every worker count.
+/// FS2 phase accounting over a finished sweep: each track streams from
+/// disk into the Double Buffer while the previous track's clauses are
+/// matched, so the per-track elapsed time is `max(transfer, matching)` —
+/// the single hardware pipeline of the paper, whatever order the host ran
+/// the request's sweeps in.
 fn fs2_phase(
     pred: &Predicate,
-    engine: &mut Fs2Engine,
-    tracks: &[usize],
+    sweep: Fs2Sweep,
     opts: &CrsOptions,
     stats: &mut RetrievalStats,
-    precomputed: Option<Vec<TrackMatches>>,
-    cancel: &CancelToken,
-) -> Result<Vec<ClauseAddr>, BudgetReason> {
-    let outcomes = match precomputed {
-        Some(outcomes) => outcomes,
-        None if fs2_workers(opts) <= 1 => {
-            // Serial fast path: reuse the caller's engine, no clones.
-            // The token is polled once per track, so cancellation
-            // latency is one track sweep.
-            let started = Instant::now();
-            let predecoded = opts.fs2.predecoded();
-            let mut outcomes: Vec<TrackMatches> = Vec::with_capacity(tracks.len());
-            for &t in tracks {
-                cancel.checkpoint()?;
-                outcomes.push(match_track(pred, engine, t, predecoded));
-            }
-            record_sweeps(
-                std::slice::from_ref(&outcomes),
-                started.elapsed().as_nanos() as u64,
-                1,
-            );
-            outcomes
-        }
-        None => {
-            let jobs = [(engine.clone(), tracks.to_vec())];
-            fs2_sweep_jobs(pred, &jobs, opts, cancel)?
-                .pop()
-                .expect("one job in, one sweep out")
-        }
-    };
-    debug_assert_eq!(outcomes.len(), tracks.len());
+) -> Vec<ClauseAddr> {
     let mut satisfiers = Vec::new();
     let mut prev: Option<usize> = None;
-    for (&t, tm) in tracks.iter().zip(&outcomes) {
+    for (&t, tm) in sweep.tracks.iter().zip(&sweep.matches) {
         for &slot in &tm.hits {
             satisfiers.push(ClauseAddr::new(t as u32, slot));
         }
@@ -1285,7 +846,7 @@ fn fs2_phase(
         stats.elapsed += positioning + transfer.max(tm.fs2_time);
         prev = Some(t);
     }
-    Ok(satisfiers)
+    satisfiers
 }
 
 /// The mode-selection heuristic the paper sketches: "depending on the
@@ -1507,24 +1068,27 @@ mod tests {
     #[test]
     fn fs2_positioning_charged_per_gap_not_per_track() {
         // Enough facts to span several tracks.
-        let (kb, queries) = build(&big_facts(3000), &["fact(k100, X)"]);
+        let (kb, _) = build(&big_facts(3000), &[]);
         let pred = kb.lookup("fact", 2).unwrap();
         assert!(pred.file().track_count() >= 4, "predicate spans 4+ tracks");
         let opts = CrsOptions::default();
-        let engine = Fs2Engine::new(&encode_query(&queries[0]).unwrap()).unwrap();
+        // Positioning depends only on which tracks were visited, not on
+        // what matched there.
         let sweep = |tracks: &[usize]| {
+            let matches = tracks
+                .iter()
+                .map(|_| TrackMatches {
+                    fs2_time: SimNanos::ZERO,
+                    hits: Vec::new(),
+                    degraded: false,
+                })
+                .collect();
+            let sweep = Fs2Sweep {
+                tracks: tracks.to_vec(),
+                matches,
+            };
             let mut stats = RetrievalStats::empty(SearchMode::Fs2Only);
-            let mut e = engine.clone();
-            fs2_phase(
-                pred,
-                &mut e,
-                tracks,
-                &opts,
-                &mut stats,
-                None,
-                &CancelToken::unlimited(),
-            )
-            .unwrap();
+            fs2_phase(pred, sweep, &opts, &mut stats);
             stats
         };
         let contiguous = sweep(&[0, 1, 2]);
@@ -1534,28 +1098,6 @@ mod tests {
         let positioning = opts.disk.avg_seek() + opts.disk.avg_rotational_latency();
         assert_eq!(gapped.disk_time, contiguous.disk_time + positioning);
         assert_eq!(gapped.bytes_from_disk, contiguous.bytes_from_disk);
-    }
-
-    #[test]
-    fn parallel_fs2_identical_to_serial_at_every_worker_count() {
-        let (kb, queries) = build(&big_facts(2500), &["fact(k7, X)", "fact(K, v3)"]);
-        let serial = CrsOptions {
-            fs2_parallelism: Some(1),
-            ..CrsOptions::default()
-        };
-        for q in &queries {
-            for mode in [SearchMode::Fs2Only, SearchMode::TwoStage] {
-                let reference = retrieve(&kb, q, mode, &serial);
-                for workers in [2, 4, 7] {
-                    let opts = CrsOptions {
-                        fs2_parallelism: Some(workers),
-                        ..CrsOptions::default()
-                    };
-                    let got = retrieve(&kb, q, mode, &opts);
-                    assert_eq!(got, reference, "workers = {workers}, mode = {mode}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1578,95 +1120,6 @@ mod tests {
         }
     }
 
-    /// Runs `f` with panics silenced (worker-death tests would otherwise
-    /// spray backtraces into the test log), restoring the previous hook.
-    fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = f();
-        std::panic::set_hook(prev);
-        out
-    }
-
-    #[test]
-    fn disk_faults_degrade_but_never_change_the_answer_set() {
-        use clare_fault::{DeterministicInjector, FaultPlan, FaultSite};
-        let (kb, queries) = build(&big_facts(3000), &["fact(k100, X)", "fact(K, v3)"]);
-        let opts = CrsOptions::default();
-        // Fault-free references first (the injector is not installed yet).
-        let reference: Vec<Retrieval> = queries
-            .iter()
-            .flat_map(|q| {
-                [SearchMode::Fs2Only, SearchMode::TwoStage]
-                    .into_iter()
-                    .map(|m| retrieve(&kb, q, m, &opts))
-            })
-            .collect();
-        for seed in 0..8u64 {
-            let plan = FaultPlan::none().with(FaultSite::DiskTrackRead, 600);
-            let _guard =
-                clare_fault::install(std::sync::Arc::new(DeterministicInjector::new(seed, plan)));
-            let mut degraded_seen = false;
-            for (q, want) in queries
-                .iter()
-                .flat_map(|q| {
-                    [SearchMode::Fs2Only, SearchMode::TwoStage]
-                        .into_iter()
-                        .map(move |m| (q, m))
-                })
-                .zip(&reference)
-            {
-                let (query, mode) = q;
-                let got = retrieve(&kb, query, mode, &opts);
-                // Correct or flagged: the answer set never moves, and any
-                // quarantine must be visible in the stats.
-                assert_eq!(got.stats.unified, want.stats.unified, "seed {seed}");
-                assert!(got.stats.candidates >= want.stats.unified);
-                if got.stats.quarantined_tracks > 0 {
-                    assert!(got.stats.degraded, "quarantine must flag the answer");
-                    degraded_seen = true;
-                }
-            }
-            assert!(
-                degraded_seen,
-                "60% per-track fault rate should quarantine something (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn fs2_worker_deaths_are_recovered_without_changing_the_sweep() {
-        use clare_fault::{DeterministicInjector, FaultPlan, FaultSite};
-        let (kb, queries) = build(&big_facts(2500), &["fact(k7, X)", "fact(K, v3)"]);
-        let opts = CrsOptions {
-            fs2_parallelism: Some(4),
-            ..CrsOptions::default()
-        };
-        let reference: Vec<Retrieval> = queries
-            .iter()
-            .map(|q| retrieve(&kb, q, SearchMode::Fs2Only, &opts))
-            .collect();
-        let recoveries_before = clare_trace::metrics().fs2_worker_recoveries.get();
-        quiet_panics(|| {
-            for seed in 0..12u64 {
-                let plan = FaultPlan::none().with(FaultSite::Fs2Worker, 700);
-                let _guard = clare_fault::install(std::sync::Arc::new(DeterministicInjector::new(
-                    seed, plan,
-                )));
-                for (q, want) in queries.iter().zip(&reference) {
-                    let got = retrieve(&kb, q, SearchMode::Fs2Only, &opts);
-                    // Worker faults never reach the answer: lost shards are
-                    // recomputed serially, and no panic crosses the API.
-                    assert_eq!(&got, want, "seed {seed}");
-                }
-            }
-        });
-        assert!(
-            clare_trace::metrics().fs2_worker_recoveries.get() > recoveries_before,
-            "a 70% shard fault rate across 12 seeds should kill at least one worker"
-        );
-    }
-
     #[test]
     fn batch_fs2_matches_individual_retrievals() {
         let (kb, queries) = build(
@@ -1679,12 +1132,11 @@ mod tests {
                 "fact(S, S)",
             ],
         );
-        let opts = CrsOptions {
-            fs2_parallelism: Some(3),
-            ..CrsOptions::default()
-        };
+        let opts = CrsOptions::default();
+        let refs: Vec<&Term> = queries.iter().collect();
         for mode in [SearchMode::Fs2Only, SearchMode::TwoStage] {
-            let batch = retrieve_batch(&kb, &queries, mode, &opts);
+            let batch =
+                retrieve_batch(&kb, None, &refs, mode, &opts, &CancelToken::unlimited()).unwrap();
             assert_eq!(batch.len(), queries.len());
             for (q, got) in queries.iter().zip(&batch) {
                 assert_eq!(got, &retrieve(&kb, q, mode, &opts), "mode = {mode}");

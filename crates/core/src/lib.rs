@@ -53,13 +53,11 @@ pub use budget::{BudgetExceeded, BudgetReason, CancelToken, QueryBudget};
 pub use cache::CacheConfig;
 pub use cost::SoftwareCostModel;
 pub use crs::{
-    choose_mode, retrieve, retrieve_batch, retrieve_batch_budgeted, retrieve_batch_merged,
-    retrieve_budgeted, retrieve_merged, retrieve_merged_budgeted, CrsOptions, Retrieval,
-    RetrievalStats, SearchMode,
+    choose_mode, retrieve, retrieve_batch, retrieve_merged, CrsOptions, Retrieval, RetrievalStats,
+    SearchMode,
 };
 pub use resolve::{
-    solve, solve_goals, solve_goals_budgeted, solve_goals_merged, solve_goals_merged_budgeted,
-    solve_merged, ModeChoice, Solution, SolveOptions, SolveOutcome, SolveStats,
+    solve, solve_goals, ModeChoice, Solution, SolveOptions, SolveOutcome, SolveStats,
 };
 pub use server::{
     ClauseRetrievalServer, CommitError, CommitReceipt, CompactionOutcome, LogWatcher, ServerStats,

@@ -3,17 +3,14 @@
 //! The PDBM system is "a single Prolog system" managing the whole
 //! knowledge base; this module supplies the resolution loop so queries run
 //! end-to-end: every goal's clause lookup goes through
-//! [`retrieve`](crate::crs::retrieve()) (in a chosen or automatically
+//! [`retrieve_batch`](crate::crs::retrieve_batch()) (in a chosen or automatically
 //! selected search mode), candidates are fully unified, and matching
 //! clause bodies are expanded depth-first in program order — standard
 //! Prolog semantics, including the user-significant clause ordering the
 //! paper insists a general-purpose knowledge base must preserve.
 
 use crate::budget::{BudgetExceeded, BudgetReason, CancelToken};
-use crate::crs::{
-    choose_mode, retrieve_budgeted, retrieve_merged_budgeted, CrsOptions, RetrievalStats,
-    SearchMode,
-};
+use crate::crs::{choose_mode, retrieve_batch, CrsOptions, RetrievalStats, SearchMode};
 use clare_disk::SimNanos;
 use clare_kb::KnowledgeBase;
 use clare_term::{Term, VarId};
@@ -40,8 +37,6 @@ pub struct SolveOptions {
     pub max_solutions: usize,
     /// Maximum resolution depth (guards runaway recursion).
     pub max_depth: usize,
-    /// CRS configuration.
-    pub crs: CrsOptions,
 }
 
 impl Default for SolveOptions {
@@ -50,7 +45,6 @@ impl Default for SolveOptions {
             mode: ModeChoice::Auto,
             max_solutions: usize::MAX,
             max_depth: 256,
-            crs: CrsOptions::default(),
         }
     }
 }
@@ -113,17 +107,21 @@ impl SolveOutcome {
     }
 }
 
-/// Solves `query` (a single goal) against the knowledge base.
+/// Solves `query` (a single goal) against the knowledge base: a one-goal
+/// [`solve_goals`] over the bare base snapshot under the unlimited budget.
+/// Retrievals are timed under `crs`, exactly as [`retrieve`] would.
 ///
 /// `var_names` supplies the query's variable names for the bindings
 /// report (pass the names from
 /// [`parse_term_with_vars`](clare_term::parser::parse_term_with_vars), or
 /// an empty slice to skip named bindings).
 ///
+/// [`retrieve`]: crate::crs::retrieve()
+///
 /// # Examples
 ///
 /// ```
-/// use clare_core::{solve, SolveOptions};
+/// use clare_core::{solve, CrsOptions, SolveOptions};
 /// use clare_kb::{KbBuilder, KbConfig};
 /// use clare_term::parser::parse_term_with_vars;
 ///
@@ -135,7 +133,7 @@ impl SolveOutcome {
 /// let (query, names) = parse_term_with_vars("grandparent(tom, Who)", b.symbols_mut())?;
 /// let kb = b.finish(KbConfig::default());
 ///
-/// let outcome = solve(&kb, &query, &names, &SolveOptions::default());
+/// let outcome = solve(&kb, &query, &names, &SolveOptions::default(), &CrsOptions::default());
 /// assert_eq!(outcome.solutions.len(), 1);
 /// assert_eq!(outcome.solutions[0].bindings[0].0, "Who");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -145,23 +143,13 @@ pub fn solve(
     query: &Term,
     var_names: &[String],
     options: &SolveOptions,
+    crs: &CrsOptions,
 ) -> SolveOutcome {
-    solve_goals(kb, std::slice::from_ref(query), var_names, options)
-}
-
-/// [`solve`] over the base snapshot merged with a memtable overlay: every
-/// goal's clause lookup goes through
-/// [`retrieve_merged`](crate::crs::retrieve_merged()), so asserted
-/// clauses resolve and retracted ones don't — with answers identical to
-/// solving over a knowledge base rebuilt from scratch.
-pub fn solve_merged(
-    kb: &KnowledgeBase,
-    overlay: &Overlay,
-    query: &Term,
-    var_names: &[String],
-    options: &SolveOptions,
-) -> SolveOutcome {
-    solve_goals_merged(kb, overlay, std::slice::from_ref(query), var_names, options)
+    let (goals, unlimited) = (std::slice::from_ref(query), CancelToken::unlimited());
+    match solve_goals(kb, None, goals, var_names, options, crs, &unlimited) {
+        Ok(outcome) => outcome,
+        Err(_) => unreachable!("the unlimited budget cannot trip"),
+    }
 }
 
 /// Solves a conjunction of goals sharing one variable scope (the shape
@@ -170,10 +158,22 @@ pub fn solve_merged(
 /// For a single goal, [`Solution::term`] is that goal resolved; for a
 /// conjunction it is a list of the resolved goals.
 ///
+/// **Overlay.** With `Some(overlay)` every goal's clause lookup merges the
+/// memtable overlay (see [`retrieve_batch`]), so asserted clauses resolve
+/// and retracted ones don't — with answers identical to solving over a
+/// knowledge base rebuilt from scratch.
+///
+/// **Budget.** The token is polled at every resolution step (each goal
+/// expansion charges [`CancelToken::note_step`]) and inside every
+/// retrieval's own checkpoints, so a runaway recursive query dies within
+/// one checkpoint interval of its deadline. A tripped budget returns a
+/// typed [`BudgetExceeded`] carrying the partial [`SolveStats`] — never a
+/// truncated solution list. [`CancelToken::unlimited`] never trips.
+///
 /// # Examples
 ///
 /// ```
-/// use clare_core::{solve_goals, SolveOptions};
+/// use clare_core::{solve_goals, CancelToken, CrsOptions, SolveOptions};
 /// use clare_kb::{KbBuilder, KbConfig};
 /// use clare_term::parser::parse_goals;
 ///
@@ -182,84 +182,25 @@ pub fn solve_merged(
 /// let (goals, names) = parse_goals("parent(tom, X), male(X)", b.symbols_mut())?;
 /// let kb = b.finish(KbConfig::default());
 ///
-/// let outcome = solve_goals(&kb, &goals, &names, &SolveOptions::default());
+/// let outcome = solve_goals(
+///     &kb,
+///     None,
+///     &goals,
+///     &names,
+///     &SolveOptions::default(),
+///     &CrsOptions::default(),
+///     &CancelToken::unlimited(),
+/// )?;
 /// assert_eq!(outcome.solutions.len(), 1); // only bob is male
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn solve_goals(
     kb: &KnowledgeBase,
-    goals: &[Term],
-    var_names: &[String],
-    options: &SolveOptions,
-) -> SolveOutcome {
-    match solve_goals_inner(
-        kb,
-        None,
-        goals,
-        var_names,
-        options,
-        &CancelToken::unlimited(),
-    ) {
-        Ok(outcome) => outcome,
-        Err(_) => unreachable!("the unlimited budget cannot trip"),
-    }
-}
-
-/// [`solve_goals`] merged with a memtable overlay (see [`solve_merged`]).
-pub fn solve_goals_merged(
-    kb: &KnowledgeBase,
-    overlay: &Overlay,
-    goals: &[Term],
-    var_names: &[String],
-    options: &SolveOptions,
-) -> SolveOutcome {
-    match solve_goals_inner(
-        kb,
-        Some(overlay),
-        goals,
-        var_names,
-        options,
-        &CancelToken::unlimited(),
-    ) {
-        Ok(outcome) => outcome,
-        Err(_) => unreachable!("the unlimited budget cannot trip"),
-    }
-}
-
-/// [`solve_goals`] under a request budget: the token is polled at every
-/// resolution step (each goal expansion charges [`CancelToken::note_step`])
-/// and inside every retrieval's own checkpoints, so a runaway recursive
-/// query dies within one checkpoint interval of its deadline. A tripped
-/// budget returns a typed [`BudgetExceeded`] carrying the partial
-/// [`SolveStats`] — never a truncated solution list.
-pub fn solve_goals_budgeted(
-    kb: &KnowledgeBase,
-    goals: &[Term],
-    var_names: &[String],
-    options: &SolveOptions,
-    cancel: &CancelToken,
-) -> Result<SolveOutcome, BudgetExceeded> {
-    solve_goals_inner(kb, None, goals, var_names, options, cancel)
-}
-
-/// [`solve_goals_budgeted`] merged with a memtable overlay.
-pub fn solve_goals_merged_budgeted(
-    kb: &KnowledgeBase,
-    overlay: &Overlay,
-    goals: &[Term],
-    var_names: &[String],
-    options: &SolveOptions,
-    cancel: &CancelToken,
-) -> Result<SolveOutcome, BudgetExceeded> {
-    solve_goals_inner(kb, Some(overlay), goals, var_names, options, cancel)
-}
-
-fn solve_goals_inner(
-    kb: &KnowledgeBase,
     overlay: Option<&Overlay>,
     goals: &[Term],
     var_names: &[String],
     options: &SolveOptions,
+    crs: &CrsOptions,
     cancel: &CancelToken,
 ) -> Result<SolveOutcome, BudgetExceeded> {
     let span = goals.iter().map(var_span).max().unwrap_or(0) as usize;
@@ -276,6 +217,7 @@ fn solve_goals_inner(
         kb,
         overlay,
         options,
+        crs,
         store: &mut store,
         solutions: Vec::new(),
         stats: SolveStats::default(),
@@ -307,6 +249,7 @@ struct Solver<'a> {
     kb: &'a KnowledgeBase,
     overlay: Option<&'a Overlay>,
     options: &'a SolveOptions,
+    crs: &'a CrsOptions,
     store: &'a mut BindingStore,
     solutions: Vec<Solution>,
     stats: SolveStats,
@@ -344,19 +287,17 @@ impl Solver<'_> {
             ModeChoice::Fixed(m) => m,
             ModeChoice::Auto => choose_mode(self.kb, &compact),
         };
-        let retrieval = match self.overlay {
-            Some(overlay) => retrieve_merged_budgeted(
-                self.kb,
-                overlay,
-                &compact,
-                mode,
-                &self.options.crs,
-                self.cancel,
-            ),
-            None => retrieve_budgeted(self.kb, &compact, mode, &self.options.crs, self.cancel),
-        };
-        let retrieval = match retrieval {
-            Ok(retrieval) => retrieval,
+        let retrieved = retrieve_batch(
+            self.kb,
+            self.overlay,
+            &[&compact],
+            mode,
+            self.crs,
+            self.cancel,
+        );
+        let retrieval = match retrieved.map(|mut outcomes| outcomes.pop()) {
+            Ok(Some(retrieval)) => retrieval,
+            Ok(None) => unreachable!("one query in, one retrieval out"),
             Err(exceeded) => {
                 // Fold the cancelled retrieval's partial stats in before
                 // propagating, so the reported SolveStats cover the work
@@ -471,6 +412,16 @@ mod tests {
     use clare_term::parser::{parse_term, parse_term_with_vars};
     use clare_term::{SymbolTable, TermDisplay};
 
+    /// [`solve`] under the default CRS configuration.
+    fn solve_in(
+        kb: &KnowledgeBase,
+        query: &Term,
+        var_names: &[String],
+        options: &SolveOptions,
+    ) -> SolveOutcome {
+        solve(kb, query, var_names, options, &CrsOptions::default())
+    }
+
     fn family_kb() -> (KnowledgeBase, SymbolTable) {
         let mut b = KbBuilder::new();
         b.consult(
@@ -492,7 +443,7 @@ mod tests {
         let (q, names) = parse_term_with_vars(query, &mut local).unwrap();
         // Symbols in the query must pre-exist in the KB for equality of
         // offsets; parsing with a clone is safe when atoms already occur.
-        let outcome = solve(kb, &q, &names, &SolveOptions::default());
+        let outcome = solve_in(kb, &q, &names, &SolveOptions::default());
         outcome
             .solutions
             .iter()
@@ -546,7 +497,7 @@ mod tests {
         let (kb, _sy) = family_kb();
         let mut local = kb.symbols().clone();
         let (q, names) = parse_term_with_vars("parent(Child, ann)", &mut local).unwrap();
-        let outcome = solve(&kb, &q, &names, &SolveOptions::default());
+        let outcome = solve_in(&kb, &q, &names, &SolveOptions::default());
         assert_eq!(outcome.solutions.len(), 1);
         let (name, term) = &outcome.solutions[0].bindings[0];
         assert_eq!(name, "Child");
@@ -558,7 +509,7 @@ mod tests {
         let (kb, _sy) = family_kb();
         let mut local = kb.symbols().clone();
         let (q, names) = parse_term_with_vars("parent(A, B)", &mut local).unwrap();
-        let outcome = solve(
+        let outcome = solve_in(
             &kb,
             &q,
             &names,
@@ -576,7 +527,7 @@ mod tests {
         b.consult("m", "loop(X) :- loop(X).").unwrap();
         let (q, names) = parse_term_with_vars("loop(a)", b.symbols_mut()).unwrap();
         let kb = b.finish(KbConfig::default());
-        let outcome = solve(
+        let outcome = solve_in(
             &kb,
             &q,
             &names,
@@ -594,7 +545,7 @@ mod tests {
         let (kb, _sy) = family_kb();
         let mut local = kb.symbols().clone();
         let (q, names) = parse_term_with_vars("grandparent(tom, W)", &mut local).unwrap();
-        let outcome = solve(&kb, &q, &names, &SolveOptions::default());
+        let outcome = solve_in(&kb, &q, &names, &SolveOptions::default());
         assert!(outcome.stats.retrievals >= 3); // grandparent + parent goals
         assert!(outcome.stats.clauses_unified >= 4);
         assert!(outcome.stats.retrieval_elapsed.as_ns() > 0);
@@ -605,9 +556,9 @@ mod tests {
         let (kb, sy) = family_kb();
         let mut local = sy.clone();
         let (q, names) = parse_term_with_vars("ancestor(tom, W)", &mut local).unwrap();
-        let baseline = solve(&kb, &q, &names, &SolveOptions::default());
+        let baseline = solve_in(&kb, &q, &names, &SolveOptions::default());
         for mode in SearchMode::ALL {
-            let outcome = solve(
+            let outcome = solve_in(
                 &kb,
                 &q,
                 &names,
@@ -643,7 +594,7 @@ mod tests {
             .unwrap();
         let (q, names) = parse_term_with_vars("pair(S, S)", b.symbols_mut()).unwrap();
         let kb = b.finish(KbConfig::default());
-        let outcome = solve(&kb, &q, &names, &SolveOptions::default());
+        let outcome = solve_in(&kb, &q, &names, &SolveOptions::default());
         assert_eq!(outcome.solutions.len(), 2);
     }
 
@@ -656,7 +607,7 @@ mod tests {
         let (q, names) = parse_term_with_vars("down(a)", b.symbols_mut()).unwrap();
         let kb = b.finish(KbConfig::default());
         let before = clare_trace::metrics().solve_depth_cap_hits.get();
-        let outcome = solve(
+        let outcome = solve_in(
             &kb,
             &q,
             &names,
@@ -678,7 +629,7 @@ mod tests {
         b.consult("m", "flat(a).").unwrap();
         let (q2, names2) = parse_term_with_vars("flat(a)", b.symbols_mut()).unwrap();
         let kb2 = b.finish(KbConfig::default());
-        let clean = solve(&kb2, &q2, &names2, &SolveOptions::default());
+        let clean = solve_in(&kb2, &q2, &names2, &SolveOptions::default());
         assert!(!clean.depth_capped());
     }
 
@@ -693,7 +644,8 @@ mod tests {
             ..crate::budget::QueryBudget::UNLIMITED
         };
         let cancel = CancelToken::new(&budget);
-        let err = solve_goals_budgeted(&kb, &[q], &names, &SolveOptions::default(), &cancel)
+        let (options, crs) = (SolveOptions::default(), CrsOptions::default());
+        let err = solve_goals(&kb, None, &[q], &names, &options, &crs, &cancel)
             .expect_err("a runaway recursion must trip the step limit");
         assert_eq!(err.reason, Some(BudgetReason::SolveSteps));
         let stats = err
@@ -703,27 +655,5 @@ mod tests {
             stats.retrievals > 0,
             "work done before the trip is reported"
         );
-    }
-
-    #[test]
-    fn unlimited_budgeted_solve_matches_plain_solve() {
-        let (kb, sy) = family_kb();
-        let mut local = sy.clone();
-        let (q, names) = parse_term_with_vars("ancestor(tom, W)", &mut local).unwrap();
-        let plain = solve_goals(
-            &kb,
-            std::slice::from_ref(&q),
-            &names,
-            &SolveOptions::default(),
-        );
-        let budgeted = solve_goals_budgeted(
-            &kb,
-            &[q],
-            &names,
-            &SolveOptions::default(),
-            &CancelToken::unlimited(),
-        )
-        .expect("unlimited budget never trips");
-        assert_eq!(plain.solutions, budgeted.solutions);
     }
 }

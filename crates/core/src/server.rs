@@ -31,18 +31,17 @@
 //!    In-flight retrievals keep their snapshot pair; nothing blocks.
 //!
 //! Retrievals merge the overlay at lookup time
-//! ([`crate::crs::retrieve_merged`]): overlay clauses have no codewords
+//! ([`crate::crs::retrieve_batch`]): overlay clauses have no codewords
 //! yet, so the filters pass them unconditionally — the superset
 //! (no-false-negative) invariant is preserved, and the merged answer is
 //! byte-identical to a from-scratch rebuild.
 
 use crate::budget::{BudgetExceeded, CancelToken};
-use crate::cache::{Fs1Cache, QueryKey, RetrievalCache, Stamp};
-use crate::crs::{retrieve_merged_budgeted, CrsOptions, Retrieval, SearchMode};
+use crate::cache::{Fs1Slot, QueryKey, RetrievalCache, Stamp};
+use crate::crs::{CrsOptions, Retrieval, SearchMode};
 use crate::resolve::{SolveOptions, SolveOutcome};
 use clare_disk::SimNanos;
 use clare_kb::{KbConfig, KnowledgeBase};
-use clare_scw::ScanOutcome;
 use clare_term::{ClauseDisplay, SymbolTable, Term};
 use clare_wal::{Overlay, OverlayError, ReplayReport, Wal, WalError, WalOp, WalRecord};
 use parking_lot::{Mutex, RwLock};
@@ -57,8 +56,8 @@ use std::time::Instant;
 pub struct ServerStats {
     /// Retrievals served (batch members count individually).
     pub retrievals: u64,
-    /// Batch retrieval calls served (each also bumps `retrievals` by the
-    /// batch size).
+    /// Retrieval requests served that carried more than one query (each
+    /// also bumps `retrievals` by its size).
     pub batches: u64,
     /// Solve calls served.
     pub solves: u64,
@@ -392,25 +391,6 @@ pub struct ClauseRetrievalServer {
     self_weak: Weak<ClauseRetrievalServer>,
 }
 
-/// The server's [`Fs1Cache`] seam: key and stamp are captured here so the
-/// retrieval pipeline stays ignorant of epochs.
-struct ServerFs1Cache<'a> {
-    cache: &'a RetrievalCache,
-    key: &'a QueryKey,
-    stamp: Stamp,
-}
-
-impl Fs1Cache for ServerFs1Cache<'_> {
-    fn get(&self) -> Option<ScanOutcome> {
-        self.cache.get_fs1(self.key, self.stamp)
-    }
-
-    fn put(&self, outcome: &ScanOutcome) {
-        self.cache
-            .put_fs1(self.key.clone(), self.stamp, outcome.clone());
-    }
-}
-
 /// The `functor/arity` metric key of a query, if it has one. Resolved
 /// against the overlay's symbol table — a superset of the base's, so
 /// predicates that exist only in the overlay still report. A functor the
@@ -482,117 +462,16 @@ impl ClauseRetrievalServer {
         self.kb.read().overlay.symbols().clone()
     }
 
-    /// The CRS configuration this server retrieves with. Front-ends (e.g.
-    /// the network daemon) use this to build solve options that match the
-    /// server's own retrieval path.
+    /// The CRS configuration this server retrieves and solves with.
     pub fn options(&self) -> &CrsOptions {
         &self.options
     }
 
-    /// Serves one retrieval over the merged (base + overlay) view. With
-    /// the cache enabled (the default), a repeat of a recently served
-    /// query skips the filter pipeline entirely and returns the
-    /// byte-identical cached [`Retrieval`]; degraded answers are never
-    /// cached, and any commit or track quarantine invalidates the
-    /// affected entries.
+    /// Serves one retrieval: a one-query [`retrieve_batch`](Self::retrieve_batch)
+    /// under the unlimited budget.
     pub fn retrieve(&self, query: &Term, mode: SearchMode) -> Retrieval {
-        match self.retrieve_budgeted(query, mode, &CancelToken::unlimited()) {
-            Ok(outcome) => outcome,
-            Err(_) => unreachable!("the unlimited budget cannot trip"),
-        }
-    }
-
-    /// [`retrieve`](Self::retrieve) under a query budget: the scan
-    /// checkpoints the token between shards/tracks/candidates and aborts
-    /// with a typed [`BudgetExceeded`] (carrying the partial stats) the
-    /// moment it trips. Cache *hits* are always served — a hit costs
-    /// nothing, so a budget can never refuse it — while a tripped miss
-    /// returns an error and **never** populates the cache (the error
-    /// path returns before [`note_outcome`](Self::note_outcome)).
-    pub fn retrieve_budgeted(
-        &self,
-        query: &Term,
-        mode: SearchMode,
-        cancel: &CancelToken,
-    ) -> Result<Retrieval, BudgetExceeded> {
-        let started = Instant::now();
-        let (published, outcome) = self.retrieve_through_cache(query, mode, cancel)?;
-        self.stats.update(|stats| {
-            stats.retrievals += 1;
-            stats.degraded += u64::from(outcome.stats.degraded);
-            stats.total_elapsed += outcome.stats.elapsed;
-        });
-        let m = clare_trace::metrics();
-        if self.compacting.load(Ordering::Relaxed) {
-            m.compaction_concurrent_retrievals.inc();
-        }
-        m.crs_retrieve_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
-        if let Some(key) = pred_key(published.overlay.symbols(), query) {
-            m.crs_predicates.record(&key, outcome.stats.elapsed.as_ns());
-        }
-        Ok(outcome)
-    }
-
-    /// One retrieval through the cache: answer-layer hit, else the filter
-    /// pipeline with the FS1 layer as a seam, then insertion of clean
-    /// (non-degraded, mode-as-requested) answers. A budget trip exits
-    /// with `?` *before* the insertion, so a cancelled partial answer is
-    /// structurally unreachable from the cache.
-    fn retrieve_through_cache(
-        &self,
-        query: &Term,
-        mode: SearchMode,
-        cancel: &CancelToken,
-    ) -> Result<(Published, Retrieval), BudgetExceeded> {
-        let key = if self.cache.enabled() {
-            QueryKey::new(query)
-        } else {
-            None
-        };
-        let Some(key) = key else {
-            // No canonical encoding (or cache off): the uncached pipeline.
-            let published = self.kb.read().clone();
-            let outcome = retrieve_merged_budgeted(
-                &published.base,
-                &published.overlay,
-                query,
-                mode,
-                &self.options,
-                cancel,
-            )?;
-            return Ok((published, outcome));
-        };
-        let (published, stamp) = self.snapshot_with_stamp(key.pred());
-        if let Some(hit) = self.cache.get_answer(&key, mode, stamp) {
-            return Ok((published, hit));
-        }
-        let fs1 = ServerFs1Cache {
-            cache: &self.cache,
-            key: &key,
-            stamp,
-        };
-        let outcome = crate::crs::retrieve_cached(
-            &published.base,
-            Some(&published.overlay),
-            query,
-            mode,
-            &self.options,
-            Some(&fs1),
-            cancel,
-        )?;
-        self.note_outcome(&key, mode, stamp, &outcome);
-        Ok((published, outcome))
-    }
-
-    /// The published state plus the epoch stamp for `pred`, read under
-    /// one read-lock acquisition. Commits bump epochs while holding the
-    /// write lock, so the pair can never mix an old state with a new
-    /// stamp or vice versa — the soundness core of the cache.
-    fn snapshot_with_stamp(&self, pred: (clare_term::Symbol, usize)) -> (Published, Stamp) {
-        let guard = self.kb.read();
-        let stamp = self.cache.stamp(pred);
-        (guard.clone(), stamp)
+        let (queries, unlimited) = (std::slice::from_ref(query), CancelToken::unlimited());
+        crate::crs::only(self.retrieve_batch(queries, mode, &unlimited))
     }
 
     /// Post-retrieval cache bookkeeping: a quarantine invalidates the
@@ -609,25 +488,26 @@ impl ClauseRetrievalServer {
         }
     }
 
-    /// Serves a batch of retrievals against one consistent snapshot pair:
-    /// the state is read once, same-predicate queries share a single FS1
-    /// index sweep plus one FS2 worker pool over the shared clause arena
+    /// Serves a retrieval request over the merged (base + overlay) view,
+    /// against one consistent snapshot pair: the state is read once,
+    /// same-predicate queries share a single FS1 index pass
     /// ([`crate::crs::retrieve_batch`]), and the service statistics are
-    /// updated under one lock acquisition. Results are in query order and
-    /// identical to issuing each query via
-    /// [`ClauseRetrievalServer::retrieve`].
-    pub fn retrieve_batch(&self, queries: &[Term], mode: SearchMode) -> Vec<Retrieval> {
-        match self.retrieve_batch_budgeted(queries, mode, &CancelToken::unlimited()) {
-            Ok(outcomes) => outcomes,
-            Err(_) => unreachable!("the unlimited budget cannot trip"),
-        }
-    }
-
-    /// [`retrieve_batch`](Self::retrieve_batch) under a query budget. The
-    /// budget covers the batch as a whole: one trip anywhere abandons the
-    /// remaining members and returns the typed error — never a partial
-    /// result vector — and nothing from the cancelled pass is cached.
-    pub fn retrieve_batch_budgeted(
+    /// updated under one lock acquisition. Results are in query order, and
+    /// each is what the query would get if issued alone.
+    ///
+    /// With the cache enabled (the default), a repeat of a recently served
+    /// query skips the filter pipeline entirely and returns the
+    /// byte-identical cached [`Retrieval`]; degraded answers are never
+    /// cached, and any commit or track quarantine invalidates the
+    /// affected entries.
+    ///
+    /// The budget covers the request as a whole: the pipeline checkpoints
+    /// the token between index strides, tracks and candidates, and one
+    /// trip anywhere abandons the remaining members with a typed
+    /// [`BudgetExceeded`] — never a partial result vector. Cache *hits*
+    /// are always served — a hit costs nothing, so a budget can never
+    /// refuse it — while a tripped miss **never** populates the cache.
+    pub fn retrieve_batch(
         &self,
         queries: &[Term],
         mode: SearchMode,
@@ -635,8 +515,9 @@ impl ClauseRetrievalServer {
     ) -> Result<Vec<Retrieval>, BudgetExceeded> {
         let started = Instant::now();
         let (published, outcomes) = self.retrieve_batch_through_cache(queries, mode, cancel)?;
+        let batch = queries.len() > 1;
         self.stats.update(|stats| {
-            stats.batches += 1;
+            stats.batches += u64::from(batch);
             stats.retrievals += outcomes.len() as u64;
             for outcome in &outcomes {
                 stats.degraded += u64::from(outcome.stats.degraded);
@@ -647,7 +528,9 @@ impl ClauseRetrievalServer {
         if self.compacting.load(Ordering::Relaxed) {
             m.compaction_concurrent_retrievals.inc();
         }
-        m.crs_batch_size.record(queries.len() as u64);
+        if batch {
+            m.crs_batch_size.record(queries.len() as u64);
+        }
         m.crs_retrieve_wall_ns
             .record(started.elapsed().as_nanos() as u64);
         for (query, outcome) in queries.iter().zip(&outcomes) {
@@ -658,70 +541,74 @@ impl ClauseRetrievalServer {
         Ok(outcomes)
     }
 
-    /// Batch variant of [`retrieve_through_cache`]: answer-layer hits are
-    /// taken per query, and only the misses flow through the shared
-    /// batched pipeline (each with its own FS1-layer seam), preserving
-    /// both query order and the coalescing wins for the cold subset.
+    /// The cache front: answer-layer hits are taken per query, and only
+    /// the misses flow through the pipeline (each with its own FS1-layer
+    /// slot), preserving both query order and the sharing wins for the
+    /// cold subset. Clean (non-degraded, mode-as-requested) answers are
+    /// inserted afterwards; a budget trip exits with `?` *before* the
+    /// insertion, so a cancelled partial answer is structurally
+    /// unreachable from the cache. Queries with no canonical encoding (or
+    /// all of them, with the cache off) simply run uncached.
     fn retrieve_batch_through_cache(
         &self,
         queries: &[Term],
         mode: SearchMode,
         cancel: &CancelToken,
     ) -> Result<(Published, Vec<Retrieval>), BudgetExceeded> {
-        let keys: Vec<Option<QueryKey>> = if self.cache.enabled() {
-            queries.iter().map(QueryKey::new).collect()
-        } else {
-            vec![None; queries.len()]
-        };
-        // One read-lock acquisition covers the snapshot and every stamp
-        // (see snapshot_with_stamp for why that pairing matters).
-        let (published, stamps) = {
-            let guard = self.kb.read();
-            let stamps: Vec<Option<Stamp>> = keys
-                .iter()
-                .map(|key| key.as_ref().map(|key| self.cache.stamp(key.pred())))
-                .collect();
-            (guard.clone(), stamps)
-        };
-        let mut outcomes: Vec<Option<Retrieval>> = keys
+        let mut keyed: Vec<Option<(QueryKey, Stamp)>> = queries
             .iter()
-            .zip(&stamps)
-            .map(|(key, stamp)| match (key, stamp) {
-                (Some(key), Some(stamp)) => self.cache.get_answer(key, mode, *stamp),
-                _ => None,
+            .map(|query| {
+                if !self.cache.enabled() {
+                    return None;
+                }
+                Some((QueryKey::new(query)?, Stamp::default()))
             })
             .collect();
-        let miss_idx: Vec<usize> = (0..queries.len())
+        // One read-lock acquisition covers the snapshot and every stamp.
+        // Commits bump epochs while holding the write lock, so the pair
+        // can never mix an old state with a new stamp or vice versa — the
+        // soundness core of the cache.
+        let published = {
+            let guard = self.kb.read();
+            for (key, stamp) in keyed.iter_mut().flatten() {
+                *stamp = self.cache.stamp(key.pred());
+            }
+            guard.clone()
+        };
+        let mut outcomes: Vec<Option<Retrieval>> = keyed
+            .iter()
+            .map(|keyed| {
+                let (key, stamp) = keyed.as_ref()?;
+                self.cache.get_answer(key, mode, *stamp)
+            })
+            .collect();
+        let misses: Vec<usize> = (0..queries.len())
             .filter(|&i| outcomes[i].is_none())
             .collect();
-        if !miss_idx.is_empty() {
-            let miss_queries: Vec<Term> = miss_idx.iter().map(|&i| queries[i].clone()).collect();
-            let handles: Vec<Option<ServerFs1Cache<'_>>> = miss_idx
+        if !misses.is_empty() {
+            let miss_queries: Vec<&Term> = misses.iter().map(|&i| &queries[i]).collect();
+            let slots: Vec<Option<Fs1Slot<'_>>> = misses
                 .iter()
                 .map(|&i| {
-                    keys[i].as_ref().map(|key| ServerFs1Cache {
+                    keyed[i].as_ref().map(|(key, stamp)| Fs1Slot {
                         cache: &self.cache,
                         key,
-                        stamp: stamps[i].unwrap_or_default(),
+                        stamp: *stamp,
                     })
                 })
                 .collect();
-            let handle_refs: Vec<Option<&dyn Fs1Cache>> = handles
-                .iter()
-                .map(|handle| handle.as_ref().map(|handle| handle as &dyn Fs1Cache))
-                .collect();
-            let computed = crate::crs::retrieve_batch_cached(
+            let computed = crate::crs::pipeline(
                 &published.base,
                 Some(&published.overlay),
                 &miss_queries,
                 mode,
                 &self.options,
-                &handle_refs,
+                &slots,
                 cancel,
             )?;
-            for (&i, outcome) in miss_idx.iter().zip(computed) {
-                if let (Some(key), Some(stamp)) = (&keys[i], stamps[i]) {
-                    self.note_outcome(key, mode, stamp, &outcome);
+            for (&i, outcome) in misses.iter().zip(computed) {
+                if let Some((key, stamp)) = &keyed[i] {
+                    self.note_outcome(key, mode, *stamp, &outcome);
                 }
                 outcomes[i] = Some(outcome);
             }
@@ -733,36 +620,29 @@ impl ClauseRetrievalServer {
         Ok((published, outcomes))
     }
 
-    /// Serves one solve call over the merged view.
+    /// Serves one solve call: a one-goal [`solve_goals`](Self::solve_goals)
+    /// under the unlimited budget.
     pub fn solve(
         &self,
         query: &Term,
         var_names: &[String],
         options: &SolveOptions,
     ) -> SolveOutcome {
-        self.solve_goals(std::slice::from_ref(query), var_names, options)
-    }
-
-    /// Serves a conjunction of goals sharing one variable scope.
-    pub fn solve_goals(
-        &self,
-        goals: &[Term],
-        var_names: &[String],
-        options: &SolveOptions,
-    ) -> SolveOutcome {
-        match self.solve_goals_budgeted(goals, var_names, options, &CancelToken::unlimited()) {
+        let (goals, unlimited) = (std::slice::from_ref(query), CancelToken::unlimited());
+        match self.solve_goals(goals, var_names, options, &unlimited) {
             Ok(outcome) => outcome,
             Err(_) => unreachable!("the unlimited budget cannot trip"),
         }
     }
 
-    /// [`solve_goals`](Self::solve_goals) under a query budget: every
-    /// resolution step checkpoints the token (which also covers the
+    /// Serves a conjunction of goals sharing one variable scope, over the
+    /// merged view, retrieving under this server's own [`CrsOptions`].
+    /// Every resolution step checkpoints the token (which also covers the
     /// deadline), so a runaway recursion releases its worker within one
     /// expansion of the budget tripping. The typed [`BudgetExceeded`]
     /// carries the partial [`crate::resolve::SolveStats`]; the partial
     /// solution set is dropped, never returned, never cached.
-    pub fn solve_goals_budgeted(
+    pub fn solve_goals(
         &self,
         goals: &[Term],
         var_names: &[String],
@@ -771,8 +651,14 @@ impl ClauseRetrievalServer {
     ) -> Result<SolveOutcome, BudgetExceeded> {
         let started = Instant::now();
         let (base, overlay) = self.snapshot_merged();
-        let outcome = crate::resolve::solve_goals_merged_budgeted(
-            &base, &overlay, goals, var_names, options, cancel,
+        let outcome = crate::resolve::solve_goals(
+            &base,
+            Some(&overlay),
+            goals,
+            var_names,
+            options,
+            &self.options,
+            cancel,
         )?;
         self.stats.update(|stats| {
             stats.solves += 1;
@@ -1407,12 +1293,15 @@ mod tests {
     fn batch_and_rejection_counters() {
         let (server, queries) = server_with("p(a). p(b).", &["p(a)", "p(X)"]);
         assert_eq!(server.stats(), ServerStats::default());
-        server.retrieve_batch(&queries, SearchMode::TwoStage);
+        let unlimited = CancelToken::unlimited();
+        server
+            .retrieve_batch(&queries, SearchMode::TwoStage, &unlimited)
+            .unwrap();
         server.retrieve(&queries[0], SearchMode::TwoStage);
         server.note_rejected();
         server.note_rejected();
         let stats = server.stats();
-        assert_eq!(stats.batches, 1, "one batch call");
+        assert_eq!(stats.batches, 1, "the lone retrieval is not a batch");
         assert_eq!(stats.retrievals, 3, "batch members count individually");
         assert_eq!(stats.rejected, 2);
         assert_eq!(stats.solves, 0);
@@ -1431,7 +1320,13 @@ mod tests {
                 let queries = &queries;
                 scope.spawn(move || {
                     for _ in 0..50 {
-                        server.retrieve_batch(queries, SearchMode::SoftwareOnly);
+                        server
+                            .retrieve_batch(
+                                queries,
+                                SearchMode::SoftwareOnly,
+                                &CancelToken::unlimited(),
+                            )
+                            .unwrap();
                     }
                 });
             }
@@ -1448,6 +1343,36 @@ mod tests {
         let s = server.stats();
         assert_eq!(s.batches, 4 * 50);
         assert_eq!(s.retrievals, 2 * 4 * 50);
+    }
+
+    #[test]
+    fn solve_retrieves_under_the_servers_own_options() {
+        let facts: String = (0..400)
+            .map(|i| format!("item(k{i}, v{}).", i % 7))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut b = KbBuilder::new();
+        b.consult("m", &facts).unwrap();
+        let query = parse_term("item(k13, X)", b.symbols_mut()).unwrap();
+        let micropolis = CrsOptions {
+            disk: clare_disk::DiskProfile::micropolis_1325(),
+            ..CrsOptions::default()
+        };
+        let server = ClauseRetrievalServer::new(b.finish(KbConfig::default()), micropolis.clone());
+        // A fixed hardware mode, so every retrieval is timed against the disk.
+        let options = SolveOptions {
+            mode: crate::resolve::ModeChoice::Fixed(SearchMode::TwoStage),
+            ..SolveOptions::default()
+        };
+        let served = server.solve(&query, &[], &options).stats.retrieval_elapsed;
+        let kb = server.snapshot();
+        let free = |crs: &CrsOptions| {
+            crate::resolve::solve(&kb, &query, &[], &options, crs)
+                .stats
+                .retrieval_elapsed
+        };
+        assert_eq!(served, free(&micropolis));
+        assert_ne!(served, free(&CrsOptions::default()));
     }
 
     #[test]

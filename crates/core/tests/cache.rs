@@ -115,7 +115,9 @@ fn cached_retrievals_match_uncached_across_interleavings() {
                     .map(|_| queries[rng.below(queries.len() as u64) as usize].clone())
                     .collect();
                 let mode = SearchMode::ALL[rng.below(4) as usize];
-                let got = server.retrieve_batch(&batch, mode);
+                let got = server
+                    .retrieve_batch(&batch, mode, &CancelToken::unlimited())
+                    .unwrap();
                 for (i, (query, outcome)) in batch.iter().zip(&got).enumerate() {
                     let want = reference(&server, query, mode);
                     assert_eq!(*outcome, want, "step {step} member {i}");
@@ -202,7 +204,8 @@ proptest! {
             let query = &queries[qi];
             let mode = SearchMode::ALL[mi];
             if budgeted {
-                match server.retrieve_budgeted(query, mode, &CancelToken::new(&tiny)) {
+                let alone = std::slice::from_ref(query);
+                match server.retrieve_batch(alone, mode, &CancelToken::new(&tiny)) {
                     Err(e) => {
                         prop_assert_eq!(
                             e.reason,
@@ -214,7 +217,7 @@ proptest! {
                         // abandoned pass — an identical re-run still trips.
                         prop_assert!(
                             server
-                                .retrieve_budgeted(query, mode, &CancelToken::new(&tiny))
+                                .retrieve_batch(alone, mode, &CancelToken::new(&tiny))
                                 .is_err(),
                             "step {}: a tripped retrieval populated the cache \
                              (identical re-run was served as a budget-exempt hit)",
@@ -225,7 +228,7 @@ proptest! {
                     // answer: legal, and it must still be the truth.
                     Ok(got) => prop_assert_eq!(
                         got,
-                        reference(&server, query, mode),
+                        vec![reference(&server, query, mode)],
                         "step {}: cached hit under budget diverged",
                         step
                     ),
@@ -329,7 +332,13 @@ fn overlay_merged_answers_match_from_scratch_rebuild() {
             6 => {
                 let (query, names) = &queries[rng.below(queries.len() as u64) as usize];
                 let rebuilt = shadow.rebuild(&symbols);
-                let want = solve(&rebuilt, query, names, &SolveOptions::default());
+                let want = solve(
+                    &rebuilt,
+                    query,
+                    names,
+                    &SolveOptions::default(),
+                    &CrsOptions::default(),
+                );
                 let got = server.solve(query, names, &SolveOptions::default());
                 assert_eq!(
                     got.solutions, want.solutions,
@@ -387,7 +396,14 @@ fn overlay_merged_answers_match_from_scratch_rebuild() {
             server
                 .solve(query, names, &SolveOptions::default())
                 .solutions,
-            solve(&rebuilt, query, names, &SolveOptions::default()).solutions,
+            solve(
+                &rebuilt,
+                query,
+                names,
+                &SolveOptions::default(),
+                &CrsOptions::default(),
+            )
+            .solutions,
         );
     }
 }

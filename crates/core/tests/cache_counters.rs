@@ -7,7 +7,7 @@
 //! integration-test file is its own binary (own process, own statics),
 //! so isolation at file granularity is enough.
 
-use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode};
+use clare_core::{CancelToken, ClauseRetrievalServer, CrsOptions, SearchMode};
 use clare_kb::{KbBuilder, KbConfig};
 use clare_term::parser::parse_term;
 
@@ -48,8 +48,12 @@ fn warm_cache_skips_both_filter_stages_and_invalidates_selectively() {
     // Batch repeats are served from the same cache.
     let hits = m.cache_hits.get();
     let scans = m.fs1_scans.get();
-    let batch = server.retrieve_batch(&[p_query.clone(), q_query.clone()], SearchMode::TwoStage);
-    assert_eq!(batch, vec![cold_p.clone(), cold_q.clone()]);
+    let batch = server.retrieve_batch(
+        &[p_query.clone(), q_query.clone()],
+        SearchMode::TwoStage,
+        &CancelToken::unlimited(),
+    );
+    assert_eq!(batch, Ok(vec![cold_p.clone(), cold_q.clone()]));
     assert!(m.cache_hits.get() >= hits + 2, "both members hit");
     assert_eq!(m.fs1_scans.get(), scans, "warm batch skipped FS1");
 

@@ -1,0 +1,69 @@
+//! Trace-counter proof that a request scans the index only for the
+//! queries that will really run on FS1.
+//!
+//! This file holds exactly one test on purpose: the trace registry is
+//! process-wide, and a sibling test running concurrently in the same
+//! binary would pollute the counter deltas asserted here. Each
+//! integration-test file is its own binary, so isolation at file
+//! granularity is enough.
+
+use clare_core::{retrieve, retrieve_batch, CancelToken, CrsOptions, SearchMode};
+use clare_kb::{KbBuilder, KbConfig};
+use clare_term::parser::parse_term;
+use clare_term::Term;
+
+#[test]
+fn a_batch_scans_once_per_query_that_runs_on_fs1() {
+    let mut b = KbBuilder::new();
+    let facts: String = (0..300)
+        .map(|i| format!("p(k{}, {i}).", i % 40))
+        .collect::<Vec<_>>()
+        .join("\n");
+    b.consult("m", &facts).unwrap();
+    // Three queries the hardware can encode, and one it cannot: the
+    // integer is outside the 28-bit in-line range, so a two-stage request
+    // for it falls back to software and has no business in the index pass.
+    let queries: Vec<Term> = ["p(k1, X)", "p(k2, X)", "p(K, 7)", "p(k3, 99999999999)"]
+        .iter()
+        .map(|q| parse_term(q, b.symbols_mut()).unwrap())
+        .collect();
+    let kb = b.finish(KbConfig::default());
+    let opts = CrsOptions::default();
+    let m = clare_trace::metrics();
+
+    let refs: Vec<&Term> = queries.iter().collect();
+    let (scans, entries, batch_scans) = (
+        m.fs1_scans.get(),
+        m.fs1_entries_scanned.get(),
+        m.fs1_batch_scans.get(),
+    );
+    let unlimited = CancelToken::unlimited();
+    let batch = retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &unlimited).unwrap();
+    assert_eq!(
+        m.fs1_scans.get(),
+        scans + 3,
+        "one scan per encodable member"
+    );
+    assert_eq!(m.fs1_entries_scanned.get(), entries + 3 * 300);
+    assert_eq!(
+        m.fs1_batch_scans.get(),
+        batch_scans + 1,
+        "in one shared pass"
+    );
+
+    assert_eq!(batch[3].stats.mode, SearchMode::SoftwareOnly);
+    let scans = m.fs1_scans.get();
+    for (query, got) in queries.iter().zip(&batch) {
+        assert_eq!(got, &retrieve(&kb, query, SearchMode::TwoStage, &opts));
+    }
+    assert_eq!(
+        m.fs1_scans.get(),
+        scans + 3,
+        "alone, the odd one scans nothing either"
+    );
+    assert_eq!(
+        m.fs1_batch_scans.get(),
+        batch_scans + 1,
+        "lone scans are not batches"
+    );
+}

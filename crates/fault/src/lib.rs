@@ -48,9 +48,6 @@ pub enum FaultSite {
     /// A chunk written while saving a `.ckb` image. Context: byte offset.
     /// Menu: torn write (the file ends here, as if power was lost).
     CkbWrite,
-    /// An FS2 sweep worker claiming a shard. Context: the shard's first
-    /// track index. Menu: delays, panics.
-    Fs2Worker,
     /// The server writing a reply frame. Context: request id. Menu:
     /// dropped frame, half-written frame, bit flip in the payload.
     NetServerSend,
@@ -99,7 +96,7 @@ pub enum FaultSite {
 }
 
 /// Number of distinct [`FaultSite`]s (sizes the counter arrays).
-pub const SITE_COUNT: usize = 12;
+pub const SITE_COUNT: usize = 11;
 
 impl FaultSite {
     /// All sites, in counter index order.
@@ -107,7 +104,6 @@ impl FaultSite {
         FaultSite::DiskTrackRead,
         FaultSite::KbRead,
         FaultSite::CkbWrite,
-        FaultSite::Fs2Worker,
         FaultSite::NetServerSend,
         FaultSite::NetClientSend,
         FaultSite::NetReactorRead,
@@ -124,15 +120,14 @@ impl FaultSite {
             FaultSite::DiskTrackRead => 0,
             FaultSite::KbRead => 1,
             FaultSite::CkbWrite => 2,
-            FaultSite::Fs2Worker => 3,
-            FaultSite::NetServerSend => 4,
-            FaultSite::NetClientSend => 5,
-            FaultSite::NetReactorRead => 6,
-            FaultSite::NetReactorWrite => 7,
-            FaultSite::WalAppend => 8,
-            FaultSite::ReplSend => 9,
-            FaultSite::ReplApply => 10,
-            FaultSite::WorkerStall => 11,
+            FaultSite::NetServerSend => 3,
+            FaultSite::NetClientSend => 4,
+            FaultSite::NetReactorRead => 5,
+            FaultSite::NetReactorWrite => 6,
+            FaultSite::WalAppend => 7,
+            FaultSite::ReplSend => 8,
+            FaultSite::ReplApply => 9,
+            FaultSite::WorkerStall => 10,
         }
     }
 
@@ -142,7 +137,6 @@ impl FaultSite {
             FaultSite::DiskTrackRead => "disk_track_read",
             FaultSite::KbRead => "kb_read",
             FaultSite::CkbWrite => "ckb_write",
-            FaultSite::Fs2Worker => "fs2_worker",
             FaultSite::NetServerSend => "net_server_send",
             FaultSite::NetClientSend => "net_client_send",
             FaultSite::NetReactorRead => "net_reactor_read",
@@ -183,8 +177,6 @@ pub enum FaultAction {
         /// Stall duration in microseconds.
         micros: u64,
     },
-    /// Panic at the injection point (worker sites).
-    Panic,
 }
 
 /// A fault decision source. Implementations must be cheap and pure:
@@ -273,15 +265,6 @@ impl FaultInjector for DeterministicInjector {
                 }
             }
             FaultSite::CkbWrite => FaultAction::Truncate { keep: param },
-            FaultSite::Fs2Worker => {
-                if choice.is_multiple_of(4) {
-                    FaultAction::Panic
-                } else {
-                    FaultAction::Delay {
-                        micros: param % 500,
-                    }
-                }
-            }
             FaultSite::NetServerSend => match choice % 3 {
                 0 => FaultAction::Drop,
                 1 => FaultAction::Truncate { keep: param },
@@ -354,7 +337,6 @@ static INJECTOR: RwLock<Option<Arc<dyn FaultInjector>>> = RwLock::new(None);
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 /// Faults actually handed out, per site (for chaos assertions).
 static INJECTED: [AtomicU64; SITE_COUNT] = [
-    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -451,7 +433,7 @@ pub fn install(injector: Arc<dyn FaultInjector>) -> InstallGuard {
 }
 
 /// Applies a [`FaultAction`] to a byte buffer in place, returning `true`
-/// when the buffer was changed. `Drop`/`Delay`/`Panic` are call-site
+/// when the buffer was changed. `Drop`/`Delay` are call-site
 /// behaviors and leave the buffer alone.
 pub fn corrupt_in_place(action: FaultAction, bytes: &mut Vec<u8>) -> bool {
     match action {
@@ -518,11 +500,6 @@ mod tests {
             match inj.decide(FaultSite::CkbWrite, ctx) {
                 FaultAction::Truncate { .. } => {}
                 other => panic!("CkbWrite produced {other:?}"),
-            }
-            match inj.decide(FaultSite::Fs2Worker, ctx) {
-                FaultAction::Delay { micros } => assert!(micros < 500),
-                FaultAction::Panic => {}
-                other => panic!("Fs2Worker produced {other:?}"),
             }
             match inj.decide(FaultSite::WalAppend, ctx) {
                 FaultAction::Truncate { .. } => {}

@@ -3,19 +3,10 @@
 //! The real FS2 board keeps pace with the disk because the Double Buffer
 //! overlaps one track's transfer with the previous track's matching; the
 //! *simulated* sweep has no such free lunch — it pays host CPU time per
-//! clause. [`Fs2Config`] tunes how that host work is executed (worker
-//! threads, tracks per shard, pre-decoded streams), the exact analogue of
-//! [`ScwConfig`]'s parallelism knobs for the FS1 scan. None of these
-//! knobs affect the answer set or any modelled time: satisfiers, FS2
+//! clause. [`Fs2Config`] selects how that host work reads its clauses.
+//! It does not affect the answer set or any modelled time: satisfiers, FS2
 //! matching time, disk time, and double-buffer overlap accounting are
-//! byte-identical at every setting — only host wall-clock changes.
-//!
-//! [`ScwConfig`]: https://docs.rs/clare-scw
-
-/// Default tracks per shard for the parallel FS2 sweep — the unit of work
-/// one worker claims, standing in for the span one disk head streams
-/// before the arm repositions.
-pub const DEFAULT_SHARD_TRACKS: usize = 4;
+//! byte-identical at either setting — only host wall-clock changes.
 
 /// Host-side FS2 sweep configuration.
 ///
@@ -25,56 +16,19 @@ pub const DEFAULT_SHARD_TRACKS: usize = 4;
 /// use clare_fs2::Fs2Config;
 ///
 /// let c = Fs2Config::paper();
-/// assert_eq!(c.parallelism(), 1);
 /// assert!(c.predecoded());
-///
-/// let parallel = c.with_parallelism(4).with_shard_tracks(2);
-/// assert_eq!(parallel.parallelism(), 4);
-/// assert_eq!(parallel.shard_tracks(), 2);
+/// assert!(!c.with_predecoded(false).predecoded());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fs2Config {
-    parallelism: usize,
-    shard_tracks: usize,
     predecoded: bool,
 }
 
 impl Fs2Config {
-    /// The default configuration: sequential matching on the calling
-    /// thread over pre-decoded clause streams (one FS2 board, one head).
+    /// The default configuration: matching over pre-decoded clause
+    /// streams.
     pub fn paper() -> Self {
-        Fs2Config {
-            parallelism: 1,
-            shard_tracks: DEFAULT_SHARD_TRACKS,
-            predecoded: true,
-        }
-    }
-
-    /// Number of worker threads the track sweep uses — the software
-    /// analogue of several FS2 boards filtering different tracks.
-    /// 1 (the default) matches sequentially on the calling thread.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Sets the sweep parallelism (clamped to at least 1). Satisfiers and
-    /// every modelled time are identical at every level; only host
-    /// wall-clock changes.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
-        self
-    }
-
-    /// Tracks per sweep shard — the unit of work one parallel worker
-    /// claims at a time.
-    pub fn shard_tracks(&self) -> usize {
-        self.shard_tracks
-    }
-
-    /// Sets the shard size (clamped to at least 1).
-    pub fn with_shard_tracks(mut self, tracks: usize) -> Self {
-        self.shard_tracks = tracks.max(1);
-        self
+        Fs2Config { predecoded: true }
     }
 
     /// True (the default) if the sweep matches pre-decoded clause-head
@@ -96,33 +50,5 @@ impl Fs2Config {
 impl Default for Fs2Config {
     fn default() -> Self {
         Self::paper()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_defaults() {
-        let c = Fs2Config::paper();
-        assert_eq!(c.parallelism(), 1);
-        assert_eq!(c.shard_tracks(), DEFAULT_SHARD_TRACKS);
-        assert!(c.predecoded());
-        assert_eq!(Fs2Config::default(), c);
-    }
-
-    #[test]
-    fn knobs_clamp_and_chain() {
-        let c = Fs2Config::paper()
-            .with_parallelism(0)
-            .with_shard_tracks(0)
-            .with_predecoded(false);
-        assert_eq!(c.parallelism(), 1);
-        assert_eq!(c.shard_tracks(), 1);
-        assert!(!c.predecoded());
-        let c = c.with_parallelism(7).with_shard_tracks(16);
-        assert_eq!(c.parallelism(), 7);
-        assert_eq!(c.shard_tracks(), 16);
     }
 }

@@ -243,7 +243,7 @@ impl Fs2Device {
             self.buffer.fill(record_bytes);
             let (record, _) =
                 ClauseRecord::from_bytes(self.buffer.output()).map_err(Fs2Error::BadRecord)?;
-            let verdict = engine.match_clause_quiet(record.head_stream());
+            let verdict = engine.match_clause_words(record.head_stream().words());
             stats.clauses += 1;
             stats.match_time += verdict.time;
             stats.stream_bytes += record.head_stream().byte_len() as u64;

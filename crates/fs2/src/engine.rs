@@ -223,11 +223,6 @@ impl Fs2Engine {
         verdict
     }
 
-    /// [`Self::match_clause_words`] over a [`PifStream`].
-    pub fn match_clause_quiet(&mut self, db_stream: &PifStream) -> StreamVerdict {
-        self.match_clause_words(db_stream.words())
-    }
-
     /// The all-simple fast path: when every query word and every clause
     /// word is a simple value, the Map ROM routes every pair to
     /// `SimpleMatch`, so the sweep collapses to a raw-word comparison —
@@ -851,7 +846,7 @@ mod tests {
             let stream = encode_clause_head(&c).unwrap();
             let mut engine = Fs2Engine::new(&encode_query(&q).unwrap()).unwrap();
             let full = engine.match_clause_stream(&stream);
-            let quiet = engine.match_clause_quiet(&stream);
+            let quiet = engine.match_clause_words(stream.words());
             assert_eq!(quiet.matched, full.matched, "{qs} vs {cs}");
             assert_eq!(quiet.time, full.time, "{qs} vs {cs}");
             assert_eq!(quiet.op_histogram, full.op_histogram(), "{qs} vs {cs}");
@@ -908,7 +903,7 @@ mod tests {
             }
             let mut engine = Fs2Engine::new(&q_stream).unwrap();
             let full = engine.match_clause_stream(&d_stream);
-            let quiet = engine.match_clause_quiet(&d_stream);
+            let quiet = engine.match_clause_words(d_stream.words());
             assert_eq!(quiet.matched, full.matched);
             assert_eq!(quiet.time, full.time);
             assert_eq!(quiet.op_histogram, full.op_histogram());
@@ -923,7 +918,7 @@ mod tests {
             let q = parse_term("f(a, b)", &mut sy).unwrap();
             let c = parse_term("f(a, c)", &mut sy).unwrap();
             let mut engine = Fs2Engine::new(&encode_query(&q).unwrap()).unwrap();
-            engine.match_clause_quiet(&encode_clause_head(&c).unwrap())
+            engine.match_clause_words(encode_clause_head(&c).unwrap().words())
         };
         assert!(!quiet.matched);
         assert_eq!(quiet.op_histogram[HwOp::Match.index()], 2);
@@ -938,13 +933,13 @@ mod tests {
         let no = encode_clause_head(&parse_term("f(a, b)", &mut sy).unwrap()).unwrap();
         let mut original = Fs2Engine::new(&encode_query(&q).unwrap()).unwrap();
         // Clone mid-sweep: per-clause resets make the copy's state fresh.
-        original.match_clause_quiet(&yes);
+        original.match_clause_words(yes.words());
         let mut copy = original.clone();
-        assert!(copy.match_clause_quiet(&yes).matched);
-        assert!(!copy.match_clause_quiet(&no).matched);
+        assert!(copy.match_clause_words(yes.words()).matched);
+        assert!(!copy.match_clause_words(no.words()).matched);
         assert_eq!(
-            original.match_clause_quiet(&yes),
-            copy.match_clause_quiet(&yes)
+            original.match_clause_words(yes.words()),
+            copy.match_clause_words(yes.words())
         );
     }
 

@@ -46,7 +46,7 @@ pub mod result;
 pub mod rtl;
 pub mod trace;
 
-pub use config::{Fs2Config, DEFAULT_SHARD_TRACKS};
+pub use config::Fs2Config;
 pub use control::{ControlRegister, FilterSelect, OperationalMode};
 pub use device::{Fs2Device, SearchStats};
 pub use engine::{ClauseVerdict, Fs2Engine, StreamVerdict, TraceStep};

@@ -41,8 +41,7 @@ impl KbConfig {
     /// compilations of the same clauses agree byte-for-byte iff their
     /// fingerprints agree — the guard that lets
     /// [`KnowledgeBase::touched_predicates`] justify per-predicate cache
-    /// invalidation. Worker parallelism is deliberately excluded: it
-    /// changes wall-clock only, never results.
+    /// invalidation.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for v in [
@@ -430,12 +429,6 @@ mod tests {
             ..KbConfig::default()
         };
         assert_ne!(base.fingerprint(), wider.fingerprint());
-        // Parallelism is wall-clock only: same fingerprint.
-        let parallel = KbConfig {
-            scw: ScwConfig::paper().with_parallelism(8),
-            ..KbConfig::default()
-        };
-        assert_eq!(base.fingerprint(), parallel.fingerprint());
     }
 
     #[test]

@@ -675,17 +675,11 @@ mod tests {
         let loaded = load(&mut buf.as_slice(), KbConfig::default()).unwrap();
         let mut symbols = loaded.symbols().clone();
         let q = parse_term("parent(tom, X)", &mut symbols).unwrap();
-        let pred = loaded.lookup("parent", 2).unwrap();
-        let scan = pred.index().scan(&q);
-        assert_eq!(
-            scan.matches.len(),
-            kb.lookup("parent", 2)
-                .unwrap()
-                .index()
-                .scan(&q)
-                .matches
-                .len()
-        );
+        let scan = |kb: &KnowledgeBase| {
+            let index = kb.lookup("parent", 2).unwrap().index();
+            index.scan_with_descriptor(&clare_scw::encode_query_descriptor(&q, index.config()))
+        };
+        assert_eq!(scan(&loaded).matches.len(), scan(&kb).matches.len());
     }
 
     #[test]

@@ -1203,21 +1203,28 @@ fn execute(shared: &Arc<Shared>, job: Job) {
 
     let crs = &shared.crs;
     match job.work {
-        Work::Retrieve(req) => match crs.retrieve_budgeted(&req.query, req.mode, &cancel) {
-            Ok(retrieval) => job.writer.send(&Frame::new(
-                job.request_id,
-                opcode::RETRIEVE | opcode::REPLY,
-                encode_retrieval(&retrieval),
-            )),
-            Err(e) => send_budget_exceeded(&job.writer, &ids, &e),
-        },
+        Work::Retrieve(req) => {
+            // A lone retrieve is a coalesced group of one.
+            match crs.retrieve_batch(std::slice::from_ref(&req.query), req.mode, &cancel) {
+                Ok(retrievals) => {
+                    for (&id, retrieval) in ids.iter().zip(&retrievals) {
+                        job.writer.send(&Frame::new(
+                            id,
+                            opcode::RETRIEVE | opcode::REPLY,
+                            encode_retrieval(retrieval),
+                        ));
+                    }
+                }
+                Err(e) => send_budget_exceeded(&job.writer, &ids, &e),
+            }
+        }
         Work::Coalesced { req, member_ids } => {
             // One hardware pass; each member answered as if it had been a
             // lone retrieve. Identical bytes are guaranteed by the core's
             // batch-equals-individual property. A budget trip anywhere
             // fails the whole group — members share one (identical)
             // budget, so none of them would have finished either.
-            match crs.retrieve_batch_budgeted(&req.queries, req.mode, &cancel) {
+            match crs.retrieve_batch(&req.queries, req.mode, &cancel) {
                 Ok(retrievals) => {
                     for (id, retrieval) in member_ids.into_iter().zip(&retrievals) {
                         job.writer.send(&Frame::new(
@@ -1230,7 +1237,7 @@ fn execute(shared: &Arc<Shared>, job: Job) {
                 Err(e) => send_budget_exceeded(&job.writer, &member_ids, &e),
             }
         }
-        Work::Batch(req) => match crs.retrieve_batch_budgeted(&req.queries, req.mode, &cancel) {
+        Work::Batch(req) => match crs.retrieve_batch(&req.queries, req.mode, &cancel) {
             Ok(retrievals) => job.writer.send(&Frame::new(
                 job.request_id,
                 opcode::RETRIEVE_BATCH | opcode::REPLY,
@@ -1243,9 +1250,8 @@ fn execute(shared: &Arc<Shared>, job: Job) {
                 mode: req.mode,
                 max_solutions: usize::try_from(req.max_solutions).unwrap_or(usize::MAX),
                 max_depth: usize::try_from(req.max_depth).unwrap_or(usize::MAX),
-                crs: crs.options().clone(),
             };
-            match crs.solve_goals_budgeted(&req.goals, &req.var_names, &options, &cancel) {
+            match crs.solve_goals(&req.goals, &req.var_names, &options, &cancel) {
                 Ok(outcome) => job.writer.send(&Frame::new(
                     job.request_id,
                     opcode::SOLVE | opcode::REPLY,

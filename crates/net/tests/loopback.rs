@@ -152,7 +152,9 @@ fn explicit_batches_byte_identical() {
         let queries = sample_queries(&mut symbols);
         for mode in SearchMode::ALL {
             let networked = client.retrieve_batch(&queries, mode).unwrap();
-            let direct = crs.retrieve_batch(&queries, mode);
+            let direct = crs
+                .retrieve_batch(&queries, mode, &clare_core::CancelToken::unlimited())
+                .unwrap();
             assert_eq!(networked, direct, "workers={workers} mode={mode}");
         }
         server.shutdown();

@@ -24,26 +24,17 @@ pub struct ScwConfig {
     bits_per_key: u8,
     encoded_args: usize,
     scan_rate: ByteRate,
-    parallelism: usize,
-    shard_entries: usize,
 }
-
-/// Default scan shard size: entries per shard for the parallel FS1 scan,
-/// standing in for the span one disk head streams per rotation.
-pub const DEFAULT_SHARD_ENTRIES: usize = 4096;
 
 impl ScwConfig {
     /// The configuration used throughout the reproduction: 64-bit
-    /// codewords, 3 bits per key, 12 encoded arguments, 4.5 MB/s scan rate,
-    /// single-headed (sequential) scanning.
+    /// codewords, 3 bits per key, 12 encoded arguments, 4.5 MB/s scan rate.
     pub fn paper() -> Self {
         ScwConfig {
             width_bits: 64,
             bits_per_key: 3,
             encoded_args: 12,
             scan_rate: ByteRate::from_mb_per_sec(4.5),
-            parallelism: 1,
-            shard_entries: DEFAULT_SHARD_ENTRIES,
         }
     }
 
@@ -72,8 +63,6 @@ impl ScwConfig {
             bits_per_key,
             encoded_args,
             scan_rate: ByteRate::from_mb_per_sec(4.5),
-            parallelism: 1,
-            shard_entries: DEFAULT_SHARD_ENTRIES,
         }
     }
 
@@ -101,32 +90,6 @@ impl ScwConfig {
     /// Overrides the scan rate (for sensitivity experiments).
     pub fn with_scan_rate(mut self, rate: ByteRate) -> Self {
         self.scan_rate = rate;
-        self
-    }
-
-    /// Number of worker threads the packed FS1 scan uses — the software
-    /// analogue of scanning several tracks with parallel disk heads.
-    /// 1 (the default) scans sequentially on the calling thread.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Sets the scan parallelism (clamped to at least 1). The scan result
-    /// is identical at every level; only wall-clock time changes.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
-        self
-    }
-
-    /// Entries per scan shard — the unit of work a parallel scan hands to
-    /// one worker, modelling the span a single head covers.
-    pub fn shard_entries(&self) -> usize {
-        self.shard_entries
-    }
-
-    /// Sets the shard size (clamped to at least 1).
-    pub fn with_shard_entries(mut self, entries: usize) -> Self {
-        self.shard_entries = entries.max(1);
         self
     }
 
@@ -185,18 +148,6 @@ mod tests {
     #[should_panic(expected = "encoded args")]
     fn too_many_encoded_args_rejected() {
         ScwConfig::custom(64, 3, 33);
-    }
-
-    #[test]
-    fn parallelism_knobs_clamp() {
-        let c = ScwConfig::paper().with_parallelism(0).with_shard_entries(0);
-        assert_eq!(c.parallelism(), 1);
-        assert_eq!(c.shard_entries(), 1);
-        let c = ScwConfig::paper()
-            .with_parallelism(4)
-            .with_shard_entries(512);
-        assert_eq!(c.parallelism(), 4);
-        assert_eq!(c.shard_entries(), 512);
     }
 
     #[test]

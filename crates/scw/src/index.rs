@@ -23,28 +23,21 @@
 //! depends only on the entry's (masked) mask word, so requirements are
 //! cached per distinct mask word — typically a handful per predicate.
 //!
-//! # Sharding and parallel scan
+//! # One scan
 //!
-//! Entries are grouped into fixed-size shards
-//! ([`ScwConfig::shard_entries`]); [`ScwConfig::parallelism`] workers
-//! claim shards and scan them independently, modelling the paper's scan
-//! of multiple tracks with parallel disk heads. Per-shard hit lists are
-//! merged in shard order, so the result is byte-identical to a sequential
-//! scan at every parallelism level: Prolog clause order is preserved.
-//! The modelled [`ScanOutcome::fs1_time`] is unchanged — it is the
-//! secondary-file size over the FS1 scan rate, independent of how the
-//! software host organises the sweep.
+//! [`IndexFile::scan`] tests any number of query descriptors in a single
+//! pass over the packed columns, on the calling thread. Each query's hit
+//! list comes back in clause order — Prolog clause order is preserved —
+//! and the modelled [`ScanOutcome::fs1_time`] is the secondary-file size
+//! over the FS1 scan rate, independent of how the software host organises
+//! the sweep.
 
 use crate::config::ScwConfig;
-use crate::encode::{
-    encode_clause_signature, encode_query_descriptor, ArgMask, ClauseSignature, QueryArg,
-    QueryDescriptor,
-};
+use crate::encode::{encode_clause_signature, ArgMask, ClauseSignature, QueryArg, QueryDescriptor};
 use crate::Codeword;
 use clare_disk::SimNanos;
 use clare_term::Term;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Address of a clause in its compiled clause file: track plus slot within
@@ -115,6 +108,9 @@ impl ScanOutcome {
     }
 }
 
+/// Entries a scan walks between polls of its cancellation hook.
+const CANCEL_POLL_ENTRIES: usize = 4096;
+
 /// Every 2-bit mask field set to [`ArgMask::Var`] (0b10): the packed mask
 /// word starts here so positions beyond a clause's arity read as `Var`,
 /// exactly as [`QueryDescriptor::matches`] defaults missing positions.
@@ -127,7 +123,7 @@ const ALL_VAR: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 ///
 /// ```
 /// use clare_term::{SymbolTable, parser::parse_term};
-/// use clare_scw::{ClauseAddr, IndexFile, ScwConfig};
+/// use clare_scw::{encode_query_descriptor, ClauseAddr, IndexFile, ScwConfig};
 ///
 /// let mut sy = SymbolTable::new();
 /// let mut index = IndexFile::new(ScwConfig::paper());
@@ -135,7 +131,8 @@ const ALL_VAR: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 ///     let head = parse_term(fact, &mut sy)?;
 ///     index.insert(&head, ClauseAddr::new(0, i as u16));
 /// }
-/// let outcome = index.scan(&parse_term("p(a)", &mut sy)?);
+/// let query = encode_query_descriptor(&parse_term("p(a)", &mut sy)?, index.config());
+/// let outcome = index.scan_with_descriptor(&query);
 /// // p(a) matches; p(X) matches via its mask bit; p(b) is filtered out.
 /// assert_eq!(outcome.matches.len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -248,133 +245,60 @@ impl IndexFile {
         self.len() * self.config.entry_bytes()
     }
 
-    /// Scans the whole index against a query, as the FS1 hardware does:
-    /// every entry is examined (the match is a streaming comparison, not a
-    /// tree descent), and the scan time is the secondary-file size over the
-    /// FS1 scan rate.
-    pub fn scan(&self, query: &Term) -> ScanOutcome {
-        let descriptor = encode_query_descriptor(query, &self.config);
-        self.scan_with_descriptor(&descriptor)
-    }
-
-    /// Scans against an already-compiled descriptor, using the configured
-    /// parallelism.
-    pub fn scan_with_descriptor(&self, descriptor: &QueryDescriptor) -> ScanOutcome {
-        self.scan_with(descriptor, self.config.parallelism())
-    }
-
-    /// Scans with an explicit worker count (overriding the configured
-    /// parallelism). The match list is identical at every level.
-    pub fn scan_with(&self, descriptor: &QueryDescriptor, parallelism: usize) -> ScanOutcome {
-        let started = Instant::now();
-        let compiled = CompiledQuery::compile(descriptor, self.limbs_per_entry);
-        let matches = self.packed_matches(&compiled, parallelism);
-        let outcome = self.outcome(matches);
-        let m = clare_trace::metrics();
-        m.fs1_scans.inc();
-        m.fs1_entries_scanned.add(outcome.entries_scanned as u64);
-        m.fs1_candidates_out.add(outcome.matches.len() as u64);
-        m.fs1_scan_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
-        outcome
-    }
-
-    /// [`IndexFile::scan_with`] with a cooperative cancellation hook:
-    /// `cancel` is polled once per shard claim (on every worker), and a
-    /// `true` answer abandons the scan and returns `None`. A cancelled
-    /// scan never yields a partial match list and records no scan
-    /// metrics — to the registry it never happened. The hook is a plain
-    /// closure so this crate stays free of any budget-layer dependency.
-    pub fn scan_with_cancel(
-        &self,
-        descriptor: &QueryDescriptor,
-        parallelism: usize,
-        cancel: &(dyn Fn() -> bool + Sync),
-    ) -> Option<ScanOutcome> {
-        let started = Instant::now();
-        let compiled = CompiledQuery::compile(descriptor, self.limbs_per_entry);
-        let mut per_query = self.packed_matches_batch_cancel(
-            std::slice::from_ref(&compiled),
-            parallelism,
-            Some(cancel),
-        )?;
-        let matches = per_query.pop().expect("one query in, one hit list out");
-        let outcome = self.outcome(matches);
-        let m = clare_trace::metrics();
-        m.fs1_scans.inc();
-        m.fs1_entries_scanned.add(outcome.entries_scanned as u64);
-        m.fs1_candidates_out.add(outcome.matches.len() as u64);
-        m.fs1_scan_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
-        Some(outcome)
-    }
-
-    /// Reference scalar scan: reconstructs each signature and applies
-    /// [`QueryDescriptor::matches`] per entry. Retained as the semantic
-    /// baseline the packed and parallel paths are property-tested against
-    /// (and as the benchmark's "seed scalar" contender).
-    pub fn scan_reference(&self, descriptor: &QueryDescriptor) -> ScanOutcome {
-        let matches = (0..self.len())
-            .filter(|&i| descriptor.matches(&self.signature_at(i)))
-            .map(|i| self.addrs[i])
-            .collect();
-        self.outcome(matches)
-    }
-
-    /// Scans several queries in one pass over the packed columns. Each
-    /// outcome is exactly what [`IndexFile::scan_with_descriptor`] would
-    /// return for that query — including the modelled `fs1_time`, which
-    /// charges every query a full scan of the secondary file (the paper's
-    /// hardware has a single comparator per head; what the batch amortizes
-    /// is the *host's* memory traffic, not the modelled disk sweep).
-    pub fn scan_batch(&self, descriptors: &[QueryDescriptor]) -> Vec<ScanOutcome> {
-        self.scan_batch_with(descriptors, self.config.parallelism())
-    }
-
-    /// [`IndexFile::scan_batch`] with an explicit worker count.
-    pub fn scan_batch_with(
+    /// Scans the whole index against every descriptor in one pass over the
+    /// packed columns, as the FS1 hardware does: every entry is examined
+    /// (the match is a streaming comparison, not a tree descent). Each
+    /// outcome charges its query a full scan of the secondary file — the
+    /// paper's hardware has a single comparator per head; what sharing the
+    /// pass amortizes is the *host's* memory traffic, not the modelled
+    /// disk sweep.
+    ///
+    /// `cancel`, when given, is polled every 4096 entries (and once before
+    /// the first and after the last); a `true` answer abandons the
+    /// scan and returns `None`. A cancelled scan never yields a partial
+    /// match list and records no scan metrics — to the registry it never
+    /// happened. The hook is a plain closure so this crate stays free of
+    /// any budget-layer dependency. Without a hook the result is `Some`.
+    pub fn scan(
         &self,
         descriptors: &[QueryDescriptor],
-        parallelism: usize,
-    ) -> Vec<ScanOutcome> {
-        let started = Instant::now();
-        let compiled: Vec<CompiledQuery> = descriptors
-            .iter()
-            .map(|d| CompiledQuery::compile(d, self.limbs_per_entry))
-            .collect();
-        let per_query = self.packed_matches_batch(&compiled, parallelism);
-        let outcomes: Vec<ScanOutcome> = per_query.into_iter().map(|m| self.outcome(m)).collect();
-        let m = clare_trace::metrics();
-        m.fs1_batch_scans.inc();
-        m.fs1_scans.add(outcomes.len() as u64);
-        for o in &outcomes {
-            m.fs1_entries_scanned.add(o.entries_scanned as u64);
-            m.fs1_candidates_out.add(o.matches.len() as u64);
-        }
-        m.fs1_scan_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
-        outcomes
-    }
-
-    /// [`IndexFile::scan_batch_with`] with the cooperative cancellation
-    /// hook of [`IndexFile::scan_with_cancel`]: `cancel` is polled per
-    /// shard claim, and `true` abandons the whole batch (`None`) with no
-    /// partial outcomes and no metrics recorded.
-    pub fn scan_batch_with_cancel(
-        &self,
-        descriptors: &[QueryDescriptor],
-        parallelism: usize,
-        cancel: &(dyn Fn() -> bool + Sync),
+        cancel: Option<&dyn Fn() -> bool>,
     ) -> Option<Vec<ScanOutcome>> {
         let started = Instant::now();
         let compiled: Vec<CompiledQuery> = descriptors
             .iter()
             .map(|d| CompiledQuery::compile(d, self.limbs_per_entry))
             .collect();
-        let per_query = self.packed_matches_batch_cancel(&compiled, parallelism, Some(cancel))?;
+        let len = self.len();
+        let per_query = match cancel {
+            None => self.scan_range(&compiled, 0, len),
+            Some(cancel) => {
+                let mut per_query = vec![Vec::new(); compiled.len()];
+                let mut start = 0;
+                loop {
+                    if cancel() {
+                        return None;
+                    }
+                    if start >= len {
+                        break;
+                    }
+                    let end = (start + CANCEL_POLL_ENTRIES).min(len);
+                    for (all, hits) in per_query
+                        .iter_mut()
+                        .zip(self.scan_range(&compiled, start, end))
+                    {
+                        all.extend(hits);
+                    }
+                    start = end;
+                }
+                per_query
+            }
+        };
         let outcomes: Vec<ScanOutcome> = per_query.into_iter().map(|m| self.outcome(m)).collect();
         let m = clare_trace::metrics();
-        m.fs1_batch_scans.inc();
+        if outcomes.len() > 1 {
+            m.fs1_batch_scans.inc();
+        }
         m.fs1_scans.add(outcomes.len() as u64);
         for o in &outcomes {
             m.fs1_entries_scanned.add(o.entries_scanned as u64);
@@ -383,6 +307,25 @@ impl IndexFile {
         m.fs1_scan_wall_ns
             .record(started.elapsed().as_nanos() as u64);
         Some(outcomes)
+    }
+
+    /// [`IndexFile::scan`] for one descriptor and no cancellation hook.
+    pub fn scan_with_descriptor(&self, descriptor: &QueryDescriptor) -> ScanOutcome {
+        self.scan(std::slice::from_ref(descriptor), None)
+            .and_then(|mut outcomes| outcomes.pop())
+            .expect("a scan without a hook cannot be cancelled")
+    }
+
+    /// Reference scalar scan: reconstructs each signature and applies
+    /// [`QueryDescriptor::matches`] per entry. Retained as the semantic
+    /// baseline the packed path is property-tested against
+    /// (and as the benchmark's "seed scalar" contender).
+    pub fn scan_reference(&self, descriptor: &QueryDescriptor) -> ScanOutcome {
+        let matches = (0..self.len())
+            .filter(|&i| descriptor.matches(&self.signature_at(i)))
+            .map(|i| self.addrs[i])
+            .collect();
+        self.outcome(matches)
     }
 
     fn outcome(&self, matches: Vec<ClauseAddr>) -> ScanOutcome {
@@ -395,125 +338,17 @@ impl IndexFile {
         }
     }
 
-    /// Match addresses of a single compiled query, sharded across workers.
-    fn packed_matches(&self, query: &CompiledQuery, parallelism: usize) -> Vec<ClauseAddr> {
-        let mut per_query = self.packed_matches_batch(std::slice::from_ref(query), parallelism);
-        per_query.pop().expect("one query in, one hit list out")
-    }
-
-    /// The shared scan driver: one pass over the packed columns per shard,
-    /// testing every query against every entry. Shards are claimed by
-    /// `parallelism` workers; per-shard hit lists are stitched back in
-    /// shard order so each query's matches stay in clause order.
-    fn packed_matches_batch(
-        &self,
-        queries: &[CompiledQuery],
-        parallelism: usize,
-    ) -> Vec<Vec<ClauseAddr>> {
-        self.packed_matches_batch_cancel(queries, parallelism, None)
-            .expect("uncancellable scan completed")
-    }
-
-    /// The scan driver with an optional cancellation hook: `cancel` (if
-    /// any) is polled at every shard claim; a `true` answer abandons the
-    /// whole scan and yields `None`. Without a hook this is exactly the
-    /// old driver.
-    fn packed_matches_batch_cancel(
-        &self,
-        queries: &[CompiledQuery],
-        parallelism: usize,
-        cancel: Option<&(dyn Fn() -> bool + Sync)>,
-    ) -> Option<Vec<Vec<ClauseAddr>>> {
-        let len = self.len();
-        let shard = self.config.shard_entries();
-        let shard_count = len.div_ceil(shard).max(1);
-        let workers = parallelism.clamp(1, shard_count);
-
-        if workers == 1 {
-            let Some(cancel) = cancel else {
-                return Some(self.scan_shard(queries, 0, len));
-            };
-            // Walk shard-by-shard so cancellation latency stays one
-            // shard even on the serial path.
-            let mut per_query = vec![Vec::new(); queries.len()];
-            let mut start = 0;
-            loop {
-                if cancel() {
-                    return None;
-                }
-                if start >= len {
-                    break;
-                }
-                let end = (start + shard).min(len);
-                for (q, hits) in self.scan_shard(queries, start, end).into_iter().enumerate() {
-                    per_query[q].extend(hits);
-                }
-                start = end;
-            }
-            return Some(per_query);
-        }
-
-        let next = AtomicUsize::new(0);
-        let abandoned = std::sync::atomic::AtomicBool::new(false);
-        let mut sharded: Vec<(usize, Vec<Vec<ClauseAddr>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let abandoned = &abandoned;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            if let Some(cancel) = cancel {
-                                if abandoned.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                if cancel() {
-                                    abandoned.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= shard_count {
-                                break;
-                            }
-                            let start = s * shard;
-                            let end = (start + shard).min(len);
-                            local.push((s, self.scan_shard(queries, start, end)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        });
-        if abandoned.load(Ordering::Relaxed) {
-            return None;
-        }
-        sharded.sort_unstable_by_key(|(s, _)| *s);
-
-        let mut per_query = vec![Vec::new(); queries.len()];
-        for (_, shard_hits) in sharded {
-            for (q, hits) in shard_hits.into_iter().enumerate() {
-                per_query[q].extend(hits);
-            }
-        }
-        Some(per_query)
-    }
-
     /// Scans entries `[start, end)` for every query.
     ///
     /// The bit requirement of an entry depends only on its mask word, so
-    /// the shard is walked as maximal runs of entries sharing a raw mask
+    /// the range is walked as maximal runs of entries sharing a raw mask
     /// word (facts are all-ground, so a predicate typically has one long
     /// run per rule-head shape). Within a run every query's requirement is
     /// a constant vector, and the subset test over the run's contiguous
     /// limbs is handed to the [`clare_simd::fs1_subset_hits`] kernel — the
     /// AVX2/NEON path when the host has it, the identical scalar loop
     /// otherwise.
-    fn scan_shard(
+    fn scan_range(
         &self,
         queries: &[CompiledQuery],
         start: usize,
@@ -651,8 +486,13 @@ impl RequirementCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::encode_query_descriptor;
     use clare_term::parser::parse_term;
     use clare_term::SymbolTable;
+
+    fn scan_term(index: &IndexFile, query: &Term) -> ScanOutcome {
+        index.scan_with_descriptor(&encode_query_descriptor(query, index.config()))
+    }
 
     fn build_index(clauses: &[&str], sy: &mut SymbolTable) -> IndexFile {
         build_index_with(clauses, sy, ScwConfig::paper())
@@ -674,7 +514,7 @@ mod tests {
             &["p(a, 1)", "p(b, 2)", "p(a, 3)", "p(X, 4)", "p(a, 5)"],
             &mut sy,
         );
-        let outcome = index.scan(&parse_term("p(a, Y)", &mut sy).unwrap());
+        let outcome = scan_term(&index, &parse_term("p(a, Y)", &mut sy).unwrap());
         // p(a,1), p(a,3), p(X,4) [mask], p(a,5) — in clause order.
         assert_eq!(
             outcome.matches,
@@ -692,7 +532,7 @@ mod tests {
     fn unconstrained_query_retrieves_everything() {
         let mut sy = SymbolTable::new();
         let index = build_index(&["m(a, b)", "m(c, d)", "m(e, e)"], &mut sy);
-        let outcome = index.scan(&parse_term("m(S, S)", &mut sy).unwrap());
+        let outcome = scan_term(&index, &parse_term("m(S, S)", &mut sy).unwrap());
         assert_eq!(outcome.matches.len(), 3, "shared vars defeat FS1");
         assert_eq!(outcome.selectivity(), 1.0);
     }
@@ -703,7 +543,7 @@ mod tests {
         let clauses: Vec<String> = (0..100).map(|i| format!("q(k{i}, v{i})")).collect();
         let refs: Vec<&str> = clauses.iter().map(String::as_str).collect();
         let index = build_index(&refs, &mut sy);
-        let outcome = index.scan(&parse_term("q(k42, X)", &mut sy).unwrap());
+        let outcome = scan_term(&index, &parse_term("q(k42, X)", &mut sy).unwrap());
         assert!(!outcome.matches.is_empty(), "the true hit survives");
         assert!(
             outcome.selectivity() < 0.1,
@@ -722,7 +562,7 @@ mod tests {
         let refs: Vec<&str> = clauses.iter().map(String::as_str).collect();
         let index = build_index(&refs, &mut sy);
         assert_eq!(index.file_bytes(), 450 * index.config().entry_bytes());
-        let outcome = index.scan(&parse_term("r(a7)", &mut sy).unwrap());
+        let outcome = scan_term(&index, &parse_term("r(a7)", &mut sy).unwrap());
         // 450 entries × 17 B = 7650 B at 4.5 MB/s = 1.7 ms.
         let expected_ns = (index.file_bytes() as f64 / 4.5e6 * 1e9).round() as u64;
         assert!(
@@ -736,7 +576,7 @@ mod tests {
     fn empty_index() {
         let mut sy = SymbolTable::new();
         let index = IndexFile::new(ScwConfig::paper());
-        let outcome = index.scan(&parse_term("p(a)", &mut sy).unwrap());
+        let outcome = scan_term(&index, &parse_term("p(a)", &mut sy).unwrap());
         assert!(outcome.matches.is_empty());
         assert_eq!(outcome.selectivity(), 0.0);
         assert_eq!(outcome.fs1_time, SimNanos::ZERO);
@@ -767,31 +607,8 @@ mod tests {
             let query = parse_term(q, &mut sy).unwrap();
             let descriptor = encode_query_descriptor(&query, index.config());
             let reference = index.scan_reference(&descriptor);
-            assert_eq!(index.scan(&query), reference, "query {q}");
-            for workers in [1, 2, 3, 7] {
-                assert_eq!(
-                    index.scan_with(&descriptor, workers),
-                    reference,
-                    "query {q}, {workers} workers"
-                );
-            }
+            assert_eq!(scan_term(&index, &query), reference, "query {q}");
         }
-    }
-
-    #[test]
-    fn parallel_scan_preserves_clause_order_across_shards() {
-        let mut sy = SymbolTable::new();
-        let clauses: Vec<String> = (0..97).map(|i| format!("t(a, n{i})")).collect();
-        let refs: Vec<&str> = clauses.iter().map(String::as_str).collect();
-        // Tiny shards so every worker owns many of them.
-        let config = ScwConfig::paper().with_shard_entries(5).with_parallelism(4);
-        let index = build_index_with(&refs, &mut sy, config);
-        let outcome = index.scan(&parse_term("t(a, X)", &mut sy).unwrap());
-        assert_eq!(outcome.matches.len(), 97);
-        assert!(
-            outcome.matches.windows(2).all(|w| w[0] < w[1]),
-            "matches must stay in clause order"
-        );
     }
 
     #[test]
@@ -808,17 +625,48 @@ mod tests {
             .iter()
             .map(|q| encode_query_descriptor(q, index.config()))
             .collect();
-        let batch = index.scan_batch(&descriptors);
+        let batch = index.scan(&descriptors, None).unwrap();
         assert_eq!(batch.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
-            assert_eq!(batch[i], index.scan(q), "batch outcome {i} diverged");
+            assert_eq!(batch[i], scan_term(&index, q), "batch outcome {i} diverged");
         }
     }
 
     #[test]
     fn empty_batch_is_empty() {
         let index = IndexFile::new(ScwConfig::paper());
-        assert!(index.scan_batch(&[]).is_empty());
+        assert!(index.scan(&[], None).unwrap().is_empty());
+    }
+
+    #[test]
+    fn hooked_scan_polls_every_stride_and_cancels_without_a_partial_list() {
+        let mut sy = SymbolTable::new();
+        let mut index = IndexFile::new(ScwConfig::paper());
+        for i in 0..2 * CANCEL_POLL_ENTRIES + 10 {
+            let head = parse_term(&format!("h(k{}, n{i})", i % 50), &mut sy).unwrap();
+            index.insert(&head, ClauseAddr::new((i / 64) as u32, (i % 64) as u16));
+        }
+        let query = parse_term("h(k7, X)", &mut sy).unwrap();
+        let descriptor = [encode_query_descriptor(&query, index.config())];
+        let polls = std::cell::Cell::new(0usize);
+        let hooked = index.scan(
+            &descriptor,
+            Some(&|| {
+                polls.set(polls.get() + 1);
+                false
+            }),
+        );
+        assert_eq!(hooked, index.scan(&descriptor, None));
+        assert_eq!(polls.get(), 4, "three strides, then the closing poll");
+        polls.set(0);
+        let cancelled = index.scan(
+            &descriptor,
+            Some(&|| {
+                polls.set(polls.get() + 1);
+                polls.get() == 2
+            }),
+        );
+        assert_eq!(cancelled, None, "a cancelled scan yields nothing");
     }
 
     #[test]
@@ -846,7 +694,7 @@ mod tests {
         let index = build_index_with(&refs, &mut sy, config);
         let query = parse_term("w(c31)", &mut sy).unwrap();
         let descriptor = encode_query_descriptor(&query, index.config());
-        let outcome = index.scan(&query);
+        let outcome = scan_term(&index, &query);
         assert_eq!(outcome, index.scan_reference(&descriptor));
         assert!(outcome.matches.contains(&ClauseAddr::new(31 / 4, 31 % 4)));
     }

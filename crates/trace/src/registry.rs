@@ -69,9 +69,9 @@ pub struct Metrics {
     /// Tracks whose delivered bytes failed CRC32C verification.
     pub disk_track_crc_failures: Counter,
     // --- FS1: superimposed-codeword index scans -------------------------
-    /// Index scan calls (each batch member counts once).
+    /// Descriptors scanned (each member of a shared pass counts once).
     pub fs1_scans: Counter,
-    /// Batched scan calls ([`scan_batch`]-style entry points).
+    /// Scan passes shared by more than one descriptor.
     pub fs1_batch_scans: Counter,
     /// Index entries examined across all scans.
     pub fs1_entries_scanned: Counter,
@@ -86,8 +86,7 @@ pub struct Metrics {
     // --- FS2: partial-test-unification track sweeps ---------------------
     /// Query streams loaded into an FS2 engine.
     pub fs2_queries_loaded: Counter,
-    /// Track sweeps performed (one per retrieval FS2 phase, one per
-    /// batch job).
+    /// Track sweeps performed (one per retrieval that ran an FS2 phase).
     pub fs2_sweeps: Counter,
     /// Tracks streamed through the filter.
     pub fs2_tracks: Counter,
@@ -102,15 +101,6 @@ pub struct Metrics {
     pub fs2_modelled_ns: Histogram,
     /// Host wall-clock per sweep, ns.
     pub fs2_wall_ns: Histogram,
-    /// Total busy time across sweep workers, ns. Occupancy of a parallel
-    /// sweep is `busy / (wall * workers)`.
-    pub fs2_worker_busy_ns: Counter,
-    /// Sweep worker threads that died by panic. The sweep recomputes the
-    /// dead worker's shards serially — never silently, never by
-    /// re-raising into the serving thread.
-    pub fs2_worker_panics: Counter,
-    /// Shards recomputed serially after a sweep worker died.
-    pub fs2_worker_recoveries: Counter,
     /// Tracks quarantined during FS2 sweeps: checksum-failed bytes whose
     /// clauses were re-served through the software fallback instead of
     /// being trusted to the hardware filter.
@@ -197,7 +187,7 @@ pub struct Metrics {
     pub crs_retrieve_wall_ns: Histogram,
     /// Host wall-clock per served solve call, ns.
     pub crs_solve_wall_ns: Histogram,
-    /// Batch sizes served through `retrieve_batch`.
+    /// Sizes of served retrieval requests that carried more than one query.
     pub crs_batch_size: Histogram,
     /// Per-predicate modelled retrieval latency, keyed `functor/arity`.
     pub crs_predicates: PredicateLatencies,
@@ -346,9 +336,6 @@ static METRICS: Metrics = Metrics {
     ],
     fs2_modelled_ns: Histogram::new(),
     fs2_wall_ns: Histogram::new(),
-    fs2_worker_busy_ns: Counter::new(),
-    fs2_worker_panics: Counter::new(),
-    fs2_worker_recoveries: Counter::new(),
     fs2_quarantined_tracks: Counter::new(),
     crs_degraded_answers: Counter::new(),
     cache_hits: Counter::new(),
@@ -447,12 +434,6 @@ impl Metrics {
             ("fs2.tracks".into(), self.fs2_tracks.get()),
             ("fs2.clauses".into(), self.fs2_clauses.get()),
             ("fs2.satisfiers".into(), self.fs2_satisfiers.get()),
-            ("fs2.worker_busy_ns".into(), self.fs2_worker_busy_ns.get()),
-            ("fs2.worker_panics".into(), self.fs2_worker_panics.get()),
-            (
-                "fs2.worker_recoveries".into(),
-                self.fs2_worker_recoveries.get(),
-            ),
             (
                 "fs2.quarantined_tracks".into(),
                 self.fs2_quarantined_tracks.get(),

@@ -423,9 +423,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clare_fault::{DeterministicInjector, FaultPlan};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     fn temp_path(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -536,31 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_torn_append_poisons_and_recovers() {
-        let path = temp_path("inject");
-        let (mut wal, _, _) = Wal::open(&path).unwrap();
-        wal.append_batch(&[op(0)]).unwrap();
-        let guard = clare_fault::install(Arc::new(DeterministicInjector::new(
-            11,
-            FaultPlan::none().with(FaultSite::WalAppend, 1000),
-        )));
-        let err = wal.append_batch(&[op(1), op(2)]).unwrap_err();
-        assert!(matches!(err, WalError::Io(_)));
-        // Poisoned: even a clean retry is refused on this handle.
-        drop(guard);
-        assert!(matches!(
-            wal.append_batch(&[op(1)]),
-            Err(WalError::Poisoned)
-        ));
-        drop(wal);
-        // Reopen recovers the acknowledged prefix and accepts appends.
-        let (mut wal, records, _) = Wal::open(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(wal.append_batch(&[op(1)]).unwrap(), 2..3);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn oversized_module_is_refused_not_corrupted() {
         // Regression: `module.len() as u16` used to truncate silently,
         // writing a frame whose length prefix disagreed with its bytes.
@@ -627,16 +600,5 @@ mod tests {
                 assert!(decode_ship_record(&bytes[..cut]).is_none());
             }
         }
-    }
-
-    #[test]
-    fn group_commit_is_one_fsync_per_batch() {
-        let path = temp_path("group");
-        let (mut wal, _, _) = Wal::open(&path).unwrap();
-        let before = metrics().wal_fsyncs.get();
-        let ops: Vec<WalOp> = (0..64).map(op).collect();
-        wal.append_batch(&ops).unwrap();
-        assert_eq!(metrics().wal_fsyncs.get(), before + 1);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn queries_are_answerable() {
-        use clare_core::{solve, SolveOptions};
+        use clare_core::{solve, CrsOptions, SolveOptions};
         let mut b = KbBuilder::new();
         let summary = small_spec().generate(&mut b, "db");
         let kb = b.finish(KbConfig::default());
@@ -174,6 +174,7 @@ mod tests {
                     max_solutions: 2000,
                     ..SolveOptions::default()
                 },
+                &CrsOptions::default(),
             );
             match q.label {
                 "key-selection" => assert!(outcome.solutions.len() <= 4, "{}", q.label),

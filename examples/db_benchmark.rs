@@ -44,6 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_solutions: 200_000,
                 ..SolveOptions::default()
             },
+            &CrsOptions::default(),
         );
         println!(
             "{:<18} {:<14} {:>8} {:>11} {:>11} {:>12}",

@@ -119,7 +119,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         // Path 3: an explicit batch against one snapshot.
         let batch = client.retrieve_batch(&queries, mode)?;
-        for (networked, direct) in batch.iter().zip(crs.retrieve_batch(&queries, mode).iter()) {
+        let direct = crs.retrieve_batch(&queries, mode, &CancelToken::unlimited())?;
+        for (networked, direct) in batch.iter().zip(&direct) {
             check("batch", networked, direct);
         }
     }

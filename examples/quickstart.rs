@@ -29,7 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Solve: every clause lookup goes through the Clause Retrieval
     //    Server, with the search mode chosen per goal.
-    let outcome = solve(&kb, &goal, &names, &SolveOptions::default());
+    let outcome = solve(
+        &kb,
+        &goal,
+        &names,
+        &SolveOptions::default(),
+        &CrsOptions::default(),
+    );
 
     println!("?- ancestor(tom, Who).");
     for solution in &outcome.solutions {

@@ -137,11 +137,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let m = clare::trace::metrics();
                 println!(
                     "health: {} degraded answers, {} quarantined tracks \
-                     ({} track CRC failures), {} FS2 worker recoveries",
+                     ({} track CRC failures)",
                     stats.degraded,
                     m.fs2_quarantined_tracks.get(),
                     m.disk_track_crc_failures.get(),
-                    m.fs2_worker_recoveries.get(),
                 );
                 continue;
             }
@@ -163,14 +162,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
         };
-        let outcome = server.solve_goals(
-            &goals,
-            &names,
-            &SolveOptions {
-                max_solutions: 50,
-                ..SolveOptions::default()
-            },
-        );
+        let options = SolveOptions {
+            max_solutions: 50,
+            ..SolveOptions::default()
+        };
+        let outcome = server
+            .solve_goals(&goals, &names, &options, &CancelToken::unlimited())
+            .expect("the unlimited budget cannot trip");
         if outcome.solutions.is_empty() {
             println!("false.");
         } else {

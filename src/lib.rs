@@ -37,7 +37,7 @@
 //! let (query, names) = parse_term_with_vars("grandparent(tom, Who)", builder.symbols_mut())?;
 //! let kb = builder.finish(KbConfig::default());
 //!
-//! let outcome = solve(&kb, &query, &names, &SolveOptions::default());
+//! let outcome = solve(&kb, &query, &names, &SolveOptions::default(), &CrsOptions::default());
 //! assert_eq!(outcome.solutions.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -61,9 +61,10 @@ pub use clare_workload as workload;
 /// The most commonly used items, in one import.
 pub mod prelude {
     pub use clare_core::{
-        choose_mode, retrieve, retrieve_batch, solve, solve_goals, ClauseRetrievalServer,
-        CommitError, CommitReceipt, CompactionOutcome, CrsOptions, ReplayReport, Retrieval,
-        SearchMode, ServerStats, SolveOptions, UpdateTransaction, WalError, WalOp,
+        choose_mode, retrieve, retrieve_batch, solve, solve_goals, CancelToken,
+        ClauseRetrievalServer, CommitError, CommitReceipt, CompactionOutcome, CrsOptions,
+        ReplayReport, Retrieval, SearchMode, ServerStats, SolveOptions, UpdateTransaction,
+        WalError, WalOp,
     };
     pub use clare_disk::{ByteRate, DiskProfile, SimNanos};
     pub use clare_fs2::{Fs2Config, Fs2Device, Fs2Engine, HwOp};

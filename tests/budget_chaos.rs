@@ -66,7 +66,6 @@ fn solve_options() -> SolveOptions {
         mode: ModeChoice::Fixed(SearchMode::SoftwareOnly),
         max_solutions: usize::MAX,
         max_depth: 64,
-        crs: CrsOptions::default(),
     }
 }
 

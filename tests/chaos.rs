@@ -15,7 +15,7 @@
 
 use clare::prelude::*;
 use clare_fault::{DeterministicInjector, FaultPlan, FaultSite};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Total seeded schedules to run, split across the harness's tests.
@@ -25,16 +25,6 @@ fn schedules() -> u64 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(300)
         .max(30)
-}
-
-/// Runs `f` with panic messages silenced: injected worker deaths are part
-/// of the experiment, and their backtraces would drown real failures.
-fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
 }
 
 /// A knowledge base big enough that its main predicate spans several
@@ -58,6 +48,18 @@ fn chaos_kb() -> (KnowledgeBase, Vec<Term>) {
         .map(|q| parse_term(q, &mut symbols).unwrap())
         .collect();
     (kb, queries)
+}
+
+/// The fault injector is process-wide: a storm one test installs also
+/// hits whatever a sibling test is doing outside its own install guard
+/// (computing a fault-free reference, checking the calm after a storm).
+/// Every test in this binary therefore holds this lock for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn install(seed: u64, plan: FaultPlan) -> clare_fault::InstallGuard {
@@ -85,16 +87,14 @@ fn maybe_report() {
     let _ = std::fs::write("target/chaos-metrics.json", json);
 }
 
-/// Disk corruption and FS2 worker deaths, together and separately, across
-/// the full schedule budget: the unified answer count never moves, any
-/// quarantine is flagged `degraded`, and nothing escapes as a panic.
+/// Disk corruption across the full schedule budget: the unified answer
+/// count never moves, any quarantine is flagged `degraded`, and nothing
+/// escapes as a panic.
 #[test]
 fn storage_and_sweep_chaos_is_correct_or_flagged() {
+    let _serial = serial();
     let (kb, queries) = chaos_kb();
-    let opts = CrsOptions {
-        fs2_parallelism: Some(4),
-        ..CrsOptions::default()
-    };
+    let opts = CrsOptions::default();
     let modes = [SearchMode::Fs2Only, SearchMode::TwoStage];
     let reference: Vec<Retrieval> = queries
         .iter()
@@ -103,41 +103,32 @@ fn storage_and_sweep_chaos_is_correct_or_flagged() {
 
     let total = schedules();
     let mut quarantines = 0u64;
-    quiet_panics(|| {
-        for seed in 0..total {
-            // Rotate the fault surface: disk only, workers only, both;
-            // sweep the intensity so light and heavy storms both run.
-            let permille = 100 + (seed % 8) as u32 * 100;
-            let plan = match seed % 3 {
-                0 => FaultPlan::none().with(FaultSite::DiskTrackRead, permille),
-                1 => FaultPlan::none().with(FaultSite::Fs2Worker, permille),
-                _ => FaultPlan::none()
-                    .with(FaultSite::DiskTrackRead, permille)
-                    .with(FaultSite::Fs2Worker, permille),
-            };
-            let _guard = install(seed, plan);
-            for (pair, want) in queries
-                .iter()
-                .flat_map(|q| modes.iter().map(move |&m| (q, m)))
-                .zip(&reference)
-            {
-                let (query, mode) = pair;
-                let got = retrieve(&kb, query, mode, &opts);
-                assert_eq!(
-                    got.stats.unified, want.stats.unified,
-                    "seed {seed}: the answer set moved under faults"
-                );
-                assert!(
-                    got.stats.candidates >= want.stats.unified,
-                    "seed {seed}: the filter dropped a true answer"
-                );
-                if got.stats.quarantined_tracks > 0 {
-                    assert!(got.stats.degraded, "seed {seed}: unflagged quarantine");
-                    quarantines += 1;
-                }
+    for seed in 0..total {
+        // Sweep the intensity so light and heavy storms both run.
+        let permille = 100 + (seed % 8) as u32 * 100;
+        let plan = FaultPlan::none().with(FaultSite::DiskTrackRead, permille);
+        let _guard = install(seed, plan);
+        for (pair, want) in queries
+            .iter()
+            .flat_map(|q| modes.iter().map(move |&m| (q, m)))
+            .zip(&reference)
+        {
+            let (query, mode) = pair;
+            let got = retrieve(&kb, query, mode, &opts);
+            assert_eq!(
+                got.stats.unified, want.stats.unified,
+                "seed {seed}: the answer set moved under faults"
+            );
+            assert!(
+                got.stats.candidates >= want.stats.unified,
+                "seed {seed}: the filter dropped a true answer"
+            );
+            if got.stats.quarantined_tracks > 0 {
+                assert!(got.stats.degraded, "seed {seed}: unflagged quarantine");
+                quarantines += 1;
             }
         }
-    });
+    }
     assert!(
         quarantines > 0,
         "no schedule ever quarantined a track — the harness is not biting"
@@ -150,6 +141,7 @@ fn storage_and_sweep_chaos_is_correct_or_flagged() {
 /// fail with a typed error — no panic, no silently different KB.
 #[test]
 fn kb_io_chaos_never_loads_a_corrupt_kb() {
+    let _serial = serial();
     let (kb, queries) = chaos_kb();
     let opts = CrsOptions::default();
     let reference: Vec<usize> = queries
@@ -199,20 +191,18 @@ fn kb_io_chaos_never_loads_a_corrupt_kb() {
 }
 
 /// Cache-poisoning schedules: a cache-enabled [`ClauseRetrievalServer`]
-/// under disk-corruption and worker-death storms. The invariant is that
-/// the cache can never launder a faulted answer into a later fault-free
-/// request: only non-degraded answers are cacheable, a non-degraded
-/// answer must be byte-identical to the fault-free serial reference, and
-/// every track quarantine bumps the predicate epoch so entries cached
-/// *before* the quarantine verdict was memoized cannot survive it.
+/// under disk-corruption storms. The invariant is that the cache can
+/// never launder a faulted answer into a later fault-free request: only
+/// non-degraded answers are cacheable, a non-degraded answer must be
+/// byte-identical to the fault-free reference, and every track quarantine
+/// bumps the predicate epoch so entries cached *before* the quarantine
+/// verdict was memoized cannot survive it.
 #[test]
 fn cache_hits_never_serve_poisoned_answers_under_chaos() {
+    let _serial = serial();
     let (kb, queries) = chaos_kb();
-    let opts = CrsOptions {
-        fs2_parallelism: Some(4),
-        ..CrsOptions::default()
-    };
-    // Fault-free serial reference, computed before any injector installs.
+    let opts = CrsOptions::default();
+    // Fault-free reference, computed before any injector installs.
     let reference: Vec<Retrieval> = queries
         .iter()
         .map(|q| retrieve(&kb, q, SearchMode::TwoStage, &opts))
@@ -222,50 +212,41 @@ fn cache_hits_never_serve_poisoned_answers_under_chaos() {
     let total = schedules();
     let mut quarantines = 0u64;
     let hits_before = clare_trace::metrics().cache_hits.get();
-    quiet_panics(|| {
-        for seed in 0..total {
-            let permille = 100 + (seed % 8) as u32 * 100;
-            let plan = match seed % 3 {
-                0 => FaultPlan::none().with(FaultSite::DiskTrackRead, permille),
-                1 => FaultPlan::none().with(FaultSite::Fs2Worker, permille),
-                _ => FaultPlan::none()
-                    .with(FaultSite::DiskTrackRead, permille)
-                    .with(FaultSite::Fs2Worker, permille),
-            };
-            let guard = install(seed, plan);
-            for (query, want) in queries.iter().zip(&reference) {
-                let got = server.retrieve(query, SearchMode::TwoStage);
+    for seed in 0..total {
+        let permille = 100 + (seed % 8) as u32 * 100;
+        let plan = FaultPlan::none().with(FaultSite::DiskTrackRead, permille);
+        let storm = install(seed, plan);
+        for (query, want) in queries.iter().zip(&reference) {
+            let got = server.retrieve(query, SearchMode::TwoStage);
+            assert_eq!(
+                got.stats.unified, want.stats.unified,
+                "seed {seed}: the answer set moved under faults"
+            );
+            quarantines += got.stats.quarantined_tracks as u64;
+            if !got.stats.degraded {
+                // The cacheable subset: anything here may be served
+                // verbatim to a later request, so it must already BE
+                // the fault-free answer, byte for byte.
                 assert_eq!(
-                    got.stats.unified, want.stats.unified,
-                    "seed {seed}: the answer set moved under faults"
-                );
-                quarantines += got.stats.quarantined_tracks as u64;
-                if !got.stats.degraded {
-                    // The cacheable subset: anything here may be served
-                    // verbatim to a later request, so it must already BE
-                    // the fault-free answer, byte for byte.
-                    assert_eq!(
-                        got, *want,
-                        "seed {seed}: a non-degraded (cacheable) answer diverged"
-                    );
-                }
-            }
-            // Calm after the storm: with the injector gone, the cached
-            // server must agree byte-for-byte with a fresh uncached
-            // pipeline run on its current snapshot. A storm-era entry
-            // outliving the quarantine verdicts it predates would show
-            // up right here.
-            drop(guard);
-            for query in &queries {
-                let got = server.retrieve(query, SearchMode::TwoStage);
-                let fresh = retrieve(&server.snapshot(), query, SearchMode::TwoStage, &opts);
-                assert_eq!(
-                    got, fresh,
-                    "seed {seed}: post-storm cache state diverged from the pipeline"
+                    got, *want,
+                    "seed {seed}: a non-degraded (cacheable) answer diverged"
                 );
             }
         }
-    });
+        // Calm after the storm: with no faults injected, the cached
+        // server must agree byte-for-byte with a fresh uncached pipeline
+        // run on its current snapshot. A storm-era entry outliving the
+        // quarantine verdicts it predates would show up right here.
+        drop(storm);
+        for query in &queries {
+            let got = server.retrieve(query, SearchMode::TwoStage);
+            let fresh = retrieve(&server.snapshot(), query, SearchMode::TwoStage, &opts);
+            assert_eq!(
+                got, fresh,
+                "seed {seed}: post-storm cache state diverged from the pipeline"
+            );
+        }
+    }
     assert!(
         quarantines > 0,
         "no schedule ever quarantined a track — the harness is not biting"
@@ -288,6 +269,7 @@ fn cache_hits_never_serve_poisoned_answers_under_chaos() {
 /// daemon itself never wedges and keeps serving clean clients afterwards.
 #[test]
 fn net_chaos_over_loopback_is_correct_or_flagged() {
+    let _serial = serial();
     let (kb, queries) = chaos_kb();
     let crs = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
     let server = NetServer::bind(Arc::clone(&crs), "127.0.0.1:0", NetConfig::default()).unwrap();
@@ -362,6 +344,7 @@ fn net_chaos_over_loopback_is_correct_or_flagged() {
 /// a reference server that applied the recovered prefix from scratch.
 #[test]
 fn wal_kill_and_recover_loses_no_acked_write() {
+    let _serial = serial();
     /// Deterministic per-seed stream: xorshift64*.
     struct Rng(u64);
     impl Rng {
@@ -552,6 +535,7 @@ fn wal_kill_and_recover_loses_no_acked_write() {
 /// storms is the acceptable *flagged* outcome.
 #[test]
 fn reactor_read_write_chaos_is_transparent() {
+    let _serial = serial();
     let (kb, queries) = chaos_kb();
     let crs = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
     let cfg = NetConfig {

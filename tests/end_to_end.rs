@@ -6,6 +6,16 @@ use clare::core::resolve::ModeChoice;
 use clare::prelude::*;
 use std::sync::Arc;
 
+/// The free [`solve`] under the default CRS configuration.
+fn solve_in(
+    kb: &KnowledgeBase,
+    goal: &Term,
+    names: &[String],
+    options: &SolveOptions,
+) -> clare::core::SolveOutcome {
+    solve(kb, goal, names, options, &CrsOptions::default())
+}
+
 fn family_server() -> (Arc<ClauseRetrievalServer>, SymbolTable) {
     let mut builder = KbBuilder::new();
     builder
@@ -124,7 +134,7 @@ fn mixed_relations_are_first_class() {
     let (goal, names) = parse_term_with_vars("status(S, What)", builder.symbols_mut()).unwrap();
     let kb = builder.finish(KbConfig::default());
     assert!(kb.lookup("status", 2).unwrap().is_mixed());
-    let outcome = solve(&kb, &goal, &names, &SolveOptions::default());
+    let outcome = solve_in(&kb, &goal, &names, &SolveOptions::default());
     let rendered: Vec<String> = outcome
         .solutions
         .iter()
@@ -158,12 +168,12 @@ fn atom_headed_and_list_heavy_programs() {
     let (mem, names) = parse_term_with_vars("member(E, [a, b, c])", builder.symbols_mut()).unwrap();
     let kb = builder.finish(KbConfig::default());
     assert_eq!(
-        solve(&kb, &ready, &names0, &SolveOptions::default())
+        solve_in(&kb, &ready, &names0, &SolveOptions::default())
             .solutions
             .len(),
         1
     );
-    let outcome = solve(&kb, &mem, &names, &SolveOptions::default());
+    let outcome = solve_in(&kb, &mem, &names, &SolveOptions::default());
     let es: Vec<String> = outcome
         .solutions
         .iter()
@@ -189,7 +199,7 @@ fn large_disk_module_solves_through_hardware() {
         clare::kb::ModuleKind::Large,
         "big module is disk resident"
     );
-    let outcome = solve(
+    let outcome = solve_in(
         &kb,
         &goal,
         &names,
@@ -212,7 +222,14 @@ fn conjunction_queries_share_bindings() {
     let mut local = symbols.clone();
     let (goals, names) =
         clare::term::parser::parse_goals("parent(tom, X), parent(X, Y)", &mut local).unwrap();
-    let outcome = server.solve_goals(&goals, &names, &SolveOptions::default());
+    let outcome = server
+        .solve_goals(
+            &goals,
+            &names,
+            &SolveOptions::default(),
+            &CancelToken::unlimited(),
+        )
+        .unwrap();
     // X ranges over {bob, liz}; only bob has children (ann, pat), liz has joe.
     let bindings: Vec<(String, String)> = outcome
         .solutions
@@ -240,6 +257,13 @@ fn conjunction_with_no_shared_solutions_fails() {
     let mut local = symbols.clone();
     let (goals, names) =
         clare::term::parser::parse_goals("parent(tom, X), female(X), male(X)", &mut local).unwrap();
-    let outcome = server.solve_goals(&goals, &names, &SolveOptions::default());
+    let outcome = server
+        .solve_goals(
+            &goals,
+            &names,
+            &SolveOptions::default(),
+            &CancelToken::unlimited(),
+        )
+        .unwrap();
     assert!(outcome.solutions.is_empty());
 }
