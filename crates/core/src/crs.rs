@@ -20,7 +20,7 @@ use crate::budget::{BudgetExceeded, BudgetReason, CancelToken};
 use crate::cache::{CacheConfig, Fs1Slot};
 use crate::cost::SoftwareCostModel;
 use clare_disk::{DiskProfile, SimNanos, Track};
-use clare_fs2::{Fs2Config, Fs2Engine};
+use clare_fs2::{Fs2Config, Fs2Engine, TrackVerdict};
 use clare_kb::{KnowledgeBase, ModuleKind, Predicate};
 use clare_pif::{encode_query, ClauseRecord};
 use clare_scw::{encode_query_descriptor, ClauseAddr};
@@ -370,12 +370,16 @@ pub(crate) fn pipeline(
             };
             let started = Instant::now();
             let mut matches = Vec::with_capacity(tracks.len());
+            let mut counts = SweepCounts::default();
             for &t in &tracks {
                 if let Err(reason) = cancel.checkpoint() {
+                    // The tracks that finished were really swept.
+                    counts.publish();
                     return Err(exceeded(reason, None));
                 }
-                matches.push(match_track(pred, engine, t, predecoded));
+                matches.push(match_track(pred, engine, t, predecoded, &mut counts));
             }
+            counts.publish();
             let m = clare_trace::metrics();
             m.fs2_sweeps.inc();
             m.fs2_modelled_ns.record(
@@ -725,14 +729,38 @@ fn quarantine_track(pred: &Predicate, t: usize) -> TrackMatches {
     }
 }
 
+/// What a sweep adds to the `fs2.*` registry counters, kept in locals and
+/// published once per sweep: eleven atomic adds per track are not noise
+/// when a track costs well under a microsecond.
+#[derive(Default)]
+struct SweepCounts {
+    tracks: u64,
+    clauses: u64,
+    satisfiers: u64,
+    ops: [u64; 7],
+}
+
+impl SweepCounts {
+    fn publish(&self) {
+        let m = clare_trace::metrics();
+        m.fs2_tracks.add(self.tracks);
+        m.fs2_clauses.add(self.clauses);
+        m.fs2_satisfiers.add(self.satisfiers);
+        for (counter, n) in m.fs2_ops.iter().zip(self.ops) {
+            counter.add(n);
+        }
+    }
+}
+
 /// Streams one track's clauses through the engine. With `predecoded` the
-/// head streams come straight out of the predicate's [`ClauseArena`]
-/// (decoded once at build/load time); otherwise each record is re-parsed
-/// from its on-disk bytes — the reference path the arena is property-tested
-/// against.
+/// track goes to [`Fs2Engine::match_track`] as one call over the
+/// predicate's [`ClauseArena`] (head streams decoded once at build/load
+/// time, first words in a column); otherwise each record is re-parsed from
+/// its on-disk bytes and matched on its own — the reference path the arena
+/// is property-tested against.
 ///
 /// [`ClauseArena`]: clare_kb::ClauseArena
-// Kept out of line: folded into the large pipeline body, the per-clause
+// Kept out of line: folded into the large pipeline body, the per-record
 // loop below measures ~4 % slower (E15, `clare-tables fs2bench`).
 #[inline(never)]
 fn match_track(
@@ -740,6 +768,7 @@ fn match_track(
     engine: &mut Fs2Engine,
     t: usize,
     predecoded: bool,
+    counts: &mut SweepCounts,
 ) -> TrackMatches {
     // Integrity gate *before* the arena-vs-byte choice, so both paths make
     // the same quarantine decision and stay byte-identical downstream. The
@@ -751,29 +780,16 @@ fn match_track(
     if !read.intact() {
         return quarantine_track(pred, t);
     }
-    let mut fs2_time = SimNanos::ZERO;
-    let mut hits = Vec::new();
-    // Per-clause accounting stays in locals; the shared atomic registry
-    // is touched once per track, keeping the hot loop unperturbed.
-    let mut clauses = 0u64;
-    let mut ops = [0u64; 7];
-    if predecoded {
+    let (clauses, verdict) = if predecoded {
         let arena = pred.arena();
-        let range = arena.track_clauses(t);
-        let start = range.start;
-        for i in range {
-            let verdict = engine.match_clause_words(arena.stream(i));
-            fs2_time += verdict.time;
-            clauses += 1;
-            for (total, n) in ops.iter_mut().zip(verdict.op_histogram) {
-                *total += n as u64;
-            }
-            if verdict.matched {
-                hits.push((i - start) as u16);
-            }
-        }
+        let start = arena.track_clauses(t).start;
+        let first_words = arena.track_first_words(t);
+        let verdict = engine.match_track(first_words, |slot| arena.stream(start + slot));
+        (first_words.len(), verdict)
     } else {
-        for (slot, record_bytes) in read.track().records().iter().enumerate() {
+        let records = read.track().records();
+        let mut verdict = TrackVerdict::default();
+        for (slot, record_bytes) in records.iter().enumerate() {
             // A record that fails to parse despite a good CRC means the
             // stored bytes themselves are bad: quarantine the whole track
             // rather than trust a partial sweep (or panic, as this path
@@ -781,27 +797,20 @@ fn match_track(
             let Ok((record, _)) = ClauseRecord::from_bytes(record_bytes) else {
                 return quarantine_track(pred, t);
             };
-            let verdict = engine.match_clause_words(record.head_stream().words());
-            fs2_time += verdict.time;
-            clauses += 1;
-            for (total, n) in ops.iter_mut().zip(verdict.op_histogram) {
-                *total += n as u64;
-            }
-            if verdict.matched {
-                hits.push(slot as u16);
-            }
+            let clause = engine.match_clause_words(record.head_stream().words());
+            verdict.add_clause(slot as u16, clause);
         }
-    }
-    let m = clare_trace::metrics();
-    m.fs2_tracks.inc();
-    m.fs2_clauses.add(clauses);
-    m.fs2_satisfiers.add(hits.len() as u64);
-    for (counter, n) in m.fs2_ops.iter().zip(ops) {
-        counter.add(n);
+        (records.len(), verdict)
+    };
+    counts.tracks += 1;
+    counts.clauses += clauses as u64;
+    counts.satisfiers += verdict.hits.len() as u64;
+    for (total, n) in counts.ops.iter_mut().zip(verdict.op_histogram) {
+        *total += n;
     }
     TrackMatches {
-        fs2_time,
-        hits,
+        fs2_time: verdict.time,
+        hits: verdict.hits,
         degraded: false,
     }
 }

@@ -6,6 +6,7 @@
 //! own binary, so isolation at file granularity is enough.
 
 use clare_core::{retrieve, CrsOptions, Retrieval, SearchMode};
+use clare_disk::SimNanos;
 use clare_fault::{DeterministicInjector, FaultPlan, FaultSite};
 use clare_kb::{KbBuilder, KbConfig};
 use clare_term::parser::parse_term;
@@ -46,6 +47,9 @@ fn disk_faults_degrade_but_never_change_the_answer_set() {
             assert!(got.stats.candidates >= want.stats.unified);
             if got.stats.quarantined_tracks > 0 {
                 assert!(got.stats.degraded, "quarantine must flag the answer");
+                // A quarantined track is never matched, so its share of
+                // the FS2 time is gone.
+                assert!(got.stats.fs2_time < want.stats.fs2_time, "seed {seed}");
                 degraded_seen = true;
             }
         }
@@ -53,5 +57,25 @@ fn disk_faults_degrade_but_never_change_the_answer_set() {
             degraded_seen,
             "60% per-track fault rate should quarantine something (seed {seed})"
         );
+    }
+
+    // Every read faulted, under the first-argument-bound query the track
+    // kernel prefilters: the CRC gate must stand in front of the kernel on
+    // every track — nothing matched, nothing charged, every clause
+    // re-served to the host — and the answer set still does not move.
+    let plan = FaultPlan::none().with(FaultSite::DiskTrackRead, 1000);
+    let _guard = clare_fault::install(std::sync::Arc::new(DeterministicInjector::new(0, plan)));
+    let tracks = kb.lookup("fact", 2).unwrap().file().track_count();
+    // (The first two cases are `fact(k100, X)` in the two FS2 modes.)
+    for (&(query, mode), want) in cases.iter().zip(&reference).take(2) {
+        let got = retrieve(&kb, query, mode, &opts);
+        assert_eq!(got.stats.fs2_time, SimNanos::ZERO, "mode {mode}");
+        assert_eq!(got.stats.unified, want.stats.unified, "mode {mode}");
+        if mode == SearchMode::Fs2Only {
+            assert_eq!(got.stats.quarantined_tracks, tracks);
+            assert_eq!(got.stats.candidates, 3000);
+        } else {
+            assert_eq!(got.stats.quarantined_tracks, 1, "k100 lives on one track");
+        }
     }
 }

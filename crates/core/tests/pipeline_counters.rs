@@ -1,5 +1,6 @@
 //! Trace-counter proof that a request scans the index only for the
-//! queries that will really run on FS1.
+//! queries that will really run on FS1, and that the FS2 track kernel
+//! charges the registry exactly what the per-record sweep charges.
 //!
 //! This file holds exactly one test on purpose: the trace registry is
 //! process-wide, and a sibling test running concurrently in the same
@@ -65,5 +66,41 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
         m.fs1_batch_scans.get(),
         batch_scans + 1,
         "lone scans are not batches"
+    );
+
+    // FS2 totals, published once per sweep: the kernel's bulk-charged
+    // first-word rejects must add up to what the byte-decoding reference
+    // sweep counts one record at a time.
+    let fs2_counts = || {
+        let mut counts = vec![
+            m.fs2_sweeps.get(),
+            m.fs2_tracks.get(),
+            m.fs2_clauses.get(),
+            m.fs2_satisfiers.get(),
+        ];
+        counts.extend(m.fs2_ops.iter().map(|op| op.get()));
+        counts
+    };
+    let fs2_delta = |opts: &CrsOptions| {
+        let before = fs2_counts();
+        retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, opts, &unlimited).unwrap();
+        let after = fs2_counts();
+        after
+            .iter()
+            .zip(before)
+            .map(|(a, b)| a - b)
+            .collect::<Vec<_>>()
+    };
+    let from_bytes = CrsOptions {
+        fs2: opts.fs2.with_predecoded(false),
+        ..opts.clone()
+    };
+    let kernel = fs2_delta(&opts);
+    assert_eq!(kernel, fs2_delta(&from_bytes));
+    // Three encodable members, each sweeping the predicate's one track.
+    assert_eq!(kernel[..3], [3, 3, 3 * 300]);
+    assert!(
+        kernel[4..].iter().sum::<u64>() >= 3 * 300,
+        "an op per clause"
     );
 }

@@ -19,6 +19,7 @@ use crate::memory::{CellBank, QueryMemory, QueryTooLargeError};
 use crate::ops::HwOp;
 use clare_disk::SimNanos;
 use clare_pif::{PifStream, PifWord, TagCategory, TypeTag};
+use clare_simd::SimdLevel;
 
 /// Outcome of matching one clause-head stream against the loaded query.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +60,32 @@ impl StreamVerdict {
     /// Total operations performed.
     pub fn op_count(&self) -> usize {
         self.op_histogram.iter().sum()
+    }
+}
+
+/// Outcome of matching one track's clause-head streams
+/// ([`Fs2Engine::match_track`]): the sums of the per-clause
+/// [`StreamVerdict`]s plus the slots that survived.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TrackVerdict {
+    /// Total execution time over every clause on the track.
+    pub time: SimNanos,
+    /// Count of each operation performed, indexed per [`HwOp::ALL`].
+    pub op_histogram: [u64; 7],
+    /// Slots of the clauses that survive the filter, ascending.
+    pub hits: Vec<u16>,
+}
+
+impl TrackVerdict {
+    /// Folds the verdict of the clause in `slot` into the track's sums.
+    pub fn add_clause(&mut self, slot: u16, clause: StreamVerdict) {
+        self.time += clause.time;
+        for (total, n) in self.op_histogram.iter_mut().zip(clause.op_histogram) {
+            *total += n as u64;
+        }
+        if clause.matched {
+            self.hits.push(slot);
+        }
     }
 }
 
@@ -132,13 +159,12 @@ pub struct Fs2Engine {
     /// Reusable op buffer for the allocation-free path; cleared per
     /// clause, its capacity persists across the whole sweep.
     scratch_ops: Vec<HwOp>,
-    /// The query stream's raw words when every word is a simple value
-    /// (atom/float/int pointer or in-line integer) — the precondition for
-    /// the all-simple fast path of [`Self::match_clause_words`].
-    simple_query: Option<Vec<u32>>,
-    /// Reusable raw-word buffer for the fast path's view of the clause
-    /// stream.
-    scratch_raw: Vec<u32>,
+    /// The query's first word as a raw bus word, when it is a simple
+    /// value (atom/float pointer or in-line integer) — the precondition
+    /// for the first-word prefilter of [`Self::match_track`].
+    first_key: Option<u32>,
+    /// Reusable buffer for the slots the prefilter selects on a track.
+    scratch_selected: Vec<u32>,
 }
 
 impl Fs2Engine {
@@ -152,19 +178,19 @@ impl Fs2Engine {
         let query = QueryMemory::load(query_stream)?;
         let n_vars = query.var_count();
         clare_trace::metrics().fs2_queries_loaded.inc();
-        let simple_query = query
+        let first_key = query
             .stream()
-            .iter()
-            .all(|w| w.type_tag().category() == TagCategory::Simple)
-            .then(|| query.stream().iter().map(|w| w.to_u32()).collect());
+            .first()
+            .filter(|w| w.type_tag().category() == TagCategory::Simple)
+            .map(PifWord::to_u32);
         Ok(Fs2Engine {
             query,
             q_cells: CellBank::query_vars(n_vars),
             db_cells: CellBank::db_vars(0),
             rom: MapRom::shared(),
             scratch_ops: Vec::new(),
-            simple_query,
-            scratch_raw: Vec::new(),
+            first_key,
+            scratch_selected: Vec::new(),
         })
     }
 
@@ -196,9 +222,6 @@ impl Fs2Engine {
     /// returns an op *histogram* plus time instead of the op vector. The
     /// verdict and time are identical to the vector-returning path.
     pub fn match_clause_words(&mut self, db_words: &[PifWord]) -> StreamVerdict {
-        if let Some(verdict) = self.match_simple_fast(db_words) {
-            return verdict;
-        }
         self.reset_cells(db_words);
         let mut scratch = std::mem::take(&mut self.scratch_ops);
         scratch.clear();
@@ -223,40 +246,52 @@ impl Fs2Engine {
         verdict
     }
 
-    /// The all-simple fast path: when every query word and every clause
-    /// word is a simple value, the Map ROM routes every pair to
-    /// `SimpleMatch`, so the sweep collapses to a raw-word comparison —
-    /// one MATCH op per pair up to and including the first mismatch, with
-    /// no cell-bank resets and no per-op dispatch. The comparison runs
-    /// through [`clare_simd::first_mismatch_u32`]. Returns `None` (and
-    /// leaves no state behind) when either stream has a variable or
-    /// complex word, falling back to the full Map ROM walk.
+    /// Matches one track's worth of clause heads: `first_words[k]` is
+    /// clause `k`'s [`first_word_key`](clare_pif::first_word_key) (the
+    /// layout of `clare_kb::ClauseArena::track_first_words`) and
+    /// `stream(k)` its head stream. The result is exactly the fold of
+    /// [`Self::match_clause_words`] over `stream(0..first_words.len())`.
     ///
-    /// The verdict is bit-identical to the scalar path: the lockstep loop
-    /// advances one word per side, charges MATCH before comparing, stops
-    /// at the first mismatch, and accepts only when both streams end
-    /// together.
-    fn match_simple_fast(&mut self, db_words: &[PifWord]) -> Option<StreamVerdict> {
-        let q = self.simple_query.as_deref()?;
-        self.scratch_raw.clear();
-        for w in db_words {
-            if w.type_tag().category() != TagCategory::Simple {
-                return None;
+    /// When the loaded query's first word is a simple value, a clause
+    /// whose key is neither `0` nor that word is, by the Map ROM's own
+    /// table, rejected after exactly one MATCH (non-variable db tag ×
+    /// simple query tag → `SimpleMatch`, fail on raw inequality). Those
+    /// clauses are found by [`clare_simd::select_eq_or_zero_u32`] over the
+    /// column and charged in bulk; only the rest walk the Map ROM. A
+    /// query starting with a variable or a complex word walks every clause.
+    pub fn match_track<'a>(
+        &mut self,
+        first_words: &[u32],
+        stream: impl Fn(usize) -> &'a [PifWord],
+    ) -> TrackVerdict {
+        self.match_track_at(clare_simd::level(), first_words, stream)
+    }
+
+    /// [`Self::match_track`] at an explicit SIMD level.
+    fn match_track_at<'a>(
+        &mut self,
+        level: SimdLevel,
+        first_words: &[u32],
+        stream: impl Fn(usize) -> &'a [PifWord],
+    ) -> TrackVerdict {
+        let mut verdict = TrackVerdict::default();
+        let mut selected = std::mem::take(&mut self.scratch_selected);
+        selected.clear();
+        match self.first_key {
+            Some(key) => {
+                clare_simd::select_eq_or_zero_u32(level, first_words, key, &mut selected);
+                let rejected = (first_words.len() - selected.len()) as u64;
+                verdict.op_histogram[HwOp::Match.index()] = rejected;
+                verdict.time = HwOp::Match.execution_time() * rejected;
             }
-            self.scratch_raw.push(w.to_u32());
+            None => selected.extend(0..first_words.len() as u32),
         }
-        let d = self.scratch_raw.as_slice();
-        let (matched, match_ops) = match clare_simd::first_mismatch_u32(clare_simd::level(), q, d) {
-            Some(k) => (false, k + 1),
-            None => (q.len() == d.len(), q.len().min(d.len())),
-        };
-        let mut op_histogram = [0usize; 7];
-        op_histogram[HwOp::Match.index()] = match_ops;
-        Some(StreamVerdict {
-            matched,
-            time: HwOp::Match.execution_time() * match_ops as u64,
-            op_histogram,
-        })
+        for &slot in &selected {
+            let clause = self.match_clause_words(stream(slot as usize));
+            verdict.add_clause(slot as u16, clause);
+        }
+        self.scratch_selected = selected;
+        verdict
     }
 
     /// Per-clause reset: DB Memory sized to the clause's variables, both
@@ -855,10 +890,12 @@ mod tests {
     }
 
     #[test]
-    fn simple_fast_path_agrees_with_map_rom_walk() {
-        // Random all-simple streams (the fast path) and mixed streams
-        // (the fallback) must both agree with the vector path verdict,
-        // time, and histogram — including around the 8-lane SIMD width.
+    fn track_kernel_equals_per_clause_fold() {
+        // Random tracks of 0..=40 clauses against random queries: first
+        // words simple / variable / anonymous / struct / list / in-line
+        // int over a small alphabet (so keys repeat), empty streams
+        // included. The track entry must return exactly the fold of
+        // `match_clause_words`, at the scalar level and the host's.
         let mut state = 0x5EED_F52Du64;
         let mut next = move || {
             state = state
@@ -866,48 +903,86 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        let simple_word = |r: u64| match r % 3 {
-            0 => PifWord::new(TypeTag::AtomPtr, (r / 3 % 5) as u32),
-            1 => PifWord::new(
-                TypeTag::IntInline {
-                    high_nibble: (r / 3 % 3) as u8,
-                },
-                (r / 9 % 4) as u32,
-            ),
-            _ => PifWord::new(TypeTag::FloatPtr, (r / 3 % 3) as u32),
+        // Appends one argument (a word plus any in-line elements); `var`
+        // is the named-variable tag of the stream's side.
+        let mut arg = |out: &mut Vec<PifWord>, var: fn(bool) -> TypeTag| {
+            let r = next();
+            let small = (r >> 4) as u32 % 3;
+            let atom = |k: u32| PifWord::new(TypeTag::AtomPtr, k);
+            match r % 10 {
+                0 | 1 => out.push(atom(small)),
+                2 => out.push(PifWord::int(small as i64 - 1).unwrap()),
+                3 => out.push(PifWord::new(TypeTag::FloatPtr, small)),
+                4 => out.push(PifWord::new(TypeTag::Anon, 0)),
+                5 => out.push(PifWord::new(var(small == 0), small % 2)),
+                6 => {
+                    out.push(PifWord::new(TypeTag::StructInline { arity: 2 }, small));
+                    out.extend([atom(small), atom((r >> 8) as u32 % 3)]);
+                }
+                7 => out.push(PifWord::new(TypeTag::StructPtr { arity: 2 }, small)),
+                8 => {
+                    let terminated = small != 0;
+                    out.push(PifWord::new(
+                        TypeTag::ListInline {
+                            arity: 1,
+                            terminated,
+                        },
+                        0,
+                    ));
+                    out.push(atom(small));
+                }
+                _ => out.push(PifWord::new(
+                    TypeTag::ListPtr {
+                        arity: 1,
+                        terminated: true,
+                    },
+                    0,
+                )),
+            }
         };
-        for _ in 0..300 {
-            let q_len = (next() % 20) as usize;
-            let d_len = if next() % 2 == 0 {
-                q_len
-            } else {
-                (next() % 20) as usize
-            };
+        let mut prefiltered = 0;
+        for round in 0..400 {
+            let arity = round % 4;
             let mut q_stream = PifStream::new();
-            for _ in 0..q_len {
-                q_stream.push(simple_word(next()));
+            let mut words = Vec::new();
+            for _ in 0..arity {
+                arg(&mut words, |first| TypeTag::QueryVar { first });
             }
-            let mut d_stream = PifStream::new();
-            for _ in 0..d_len {
-                d_stream.push(simple_word(next()));
-            }
-            // Half the time, poison the clause stream with a variable so
-            // the fallback path is exercised against the same oracle.
-            if next() % 2 == 0 && d_len > 0 {
-                let mut words: Vec<PifWord> = d_stream.words().to_vec();
-                words[(next() as usize) % d_len] = PifWord::new(TypeTag::Anon, 0);
-                d_stream = PifStream::new();
-                for w in words {
-                    d_stream.push(w);
+            q_stream.extend(words);
+            let track: Vec<Vec<PifWord>> = (0..round % 41)
+                .map(|k| {
+                    let mut words = Vec::new();
+                    // Every seventh clause is an empty stream.
+                    for _ in 0..if k % 7 == 6 { 0 } else { arity } {
+                        arg(&mut words, |first| TypeTag::DbVar { first });
+                    }
+                    words
+                })
+                .collect();
+            let keys: Vec<u32> = track.iter().map(|w| clare_pif::first_word_key(w)).collect();
+
+            let mut engine = Fs2Engine::new(&q_stream).unwrap();
+            let mut fold = TrackVerdict::default();
+            for (slot, words) in track.iter().enumerate() {
+                let clause = engine.match_clause_words(words);
+                fold.time += clause.time;
+                for (total, n) in fold.op_histogram.iter_mut().zip(clause.op_histogram) {
+                    *total += n as u64;
+                }
+                if clause.matched {
+                    fold.hits.push(slot as u16);
                 }
             }
-            let mut engine = Fs2Engine::new(&q_stream).unwrap();
-            let full = engine.match_clause_stream(&d_stream);
-            let quiet = engine.match_clause_words(d_stream.words());
-            assert_eq!(quiet.matched, full.matched);
-            assert_eq!(quiet.time, full.time);
-            assert_eq!(quiet.op_histogram, full.op_histogram());
+            let scalar = engine.match_track_at(SimdLevel::Scalar, &keys, |k| &track[k]);
+            assert_eq!(scalar, fold, "round {round}, scalar: {q_stream:?}");
+            let host = engine.match_track(&keys, |k| &track[k]);
+            assert_eq!(host, fold, "round {round}, host level: {q_stream:?}");
+            prefiltered += usize::from(engine.first_key.is_some() && !track.is_empty());
         }
+        assert!(
+            prefiltered > 50,
+            "the prefilter ran on {prefiltered} rounds"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod trace;
 pub use config::Fs2Config;
 pub use control::{ControlRegister, FilterSelect, OperationalMode};
 pub use device::{Fs2Device, SearchStats};
-pub use engine::{ClauseVerdict, Fs2Engine, StreamVerdict, TraceStep};
+pub use engine::{ClauseVerdict, Fs2Engine, StreamVerdict, TraceStep, TrackVerdict};
 pub use micro::{Microprogram, Wcs};
 pub use ops::{HwOp, RouteTrace};
 pub use result::ResultMemory;

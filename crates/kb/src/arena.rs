@@ -13,10 +13,15 @@
 //! property test asserts the arena agrees with re-decoded records word
 //! for word.
 //!
+//! Beside the streams sits one columnar `u32` per clause, the raw bus word
+//! of the head's first argument ([`ClauseArena::track_first_words`]), so
+//! the FS2 track kernel can decide which clauses of a track can possibly
+//! survive their first MATCH without touching the 16-byte words at all.
+//!
 //! Clause indices are program order, which by construction equals
 //! `(track, slot)` address order, so `slot = index − track start`.
 
-use clare_pif::PifWord;
+use clare_pif::{first_word_key, PifWord};
 use std::ops::Range;
 
 /// One predicate's pre-decoded clause-head streams, contiguous in memory
@@ -48,6 +53,8 @@ pub struct ClauseArena {
     words: Vec<PifWord>,
     /// Per-clause `(offset, len)` spans into `words`.
     spans: Vec<(u32, u32)>,
+    /// Per-clause first-word key (see [`Self::track_first_words`]).
+    first_words: Vec<u32>,
     /// First clause index of each track; tracks are filled in order, so
     /// track `t` holds clauses `track_starts[t] .. track_starts[t + 1]`.
     track_starts: Vec<u32>,
@@ -95,6 +102,12 @@ impl ClauseArena {
         end_of(track)..end_of(track + 1)
     }
 
+    /// The first-word keys ([`clare_pif::first_word_key`]) of the clauses
+    /// on `track`, in slot order; empty for tracks past the end.
+    pub fn track_first_words(&self, track: usize) -> &[u32] {
+        &self.first_words[self.track_clauses(track)]
+    }
+
     /// Appends one clause's head stream. Tracks must arrive in
     /// non-decreasing order (the builder lays clauses out first-fit).
     pub(crate) fn push_clause(&mut self, track: usize, words: &[PifWord]) {
@@ -108,6 +121,7 @@ impl ClauseArena {
         let offset = self.words.len() as u32;
         self.words.extend_from_slice(words);
         self.spans.push((offset, words.len() as u32));
+        self.first_words.push(first_word_key(words));
     }
 }
 
@@ -151,6 +165,22 @@ mod tests {
         assert_eq!(arena.track_clauses(2), 3..3, "skipped track is empty");
         assert_eq!(arena.track_clauses(3), 3..4);
         assert_eq!(arena.track_clauses(4), 4..4, "past the end is empty");
+    }
+
+    #[test]
+    fn first_word_column_follows_track_ranges() {
+        let anon = PifWord::new(TypeTag::Anon, 0);
+        let mut arena = ClauseArena::default();
+        arena.push_clause(0, &[word(1), word(2)]);
+        arena.push_clause(0, &[]);
+        arena.push_clause(1, &[anon, word(3)]);
+        arena.push_clause(3, &[word(4)]);
+
+        assert_eq!(arena.track_first_words(0), &[word(1).to_u32(), 0]);
+        assert_eq!(arena.track_first_words(1), &[0]);
+        assert_eq!(arena.track_first_words(2), &[] as &[u32], "skipped track");
+        assert_eq!(arena.track_first_words(3), &[word(4).to_u32()]);
+        assert_eq!(arena.track_first_words(4), &[] as &[u32], "past the end");
     }
 
     #[test]

@@ -293,12 +293,11 @@ fn compile_predicate(
     let mut index = IndexFile::with_capacity(config.scw, clauses.len());
     let mut addrs = Vec::with_capacity(clauses.len());
     let mut arena = ClauseArena::default();
-    let mut id_by_addr = HashMap::with_capacity(clauses.len());
     // Track layout mirrors FileBuilder's first-fit so addresses line up.
     let mut track = 0u32;
     let mut slot = 0u16;
     let mut used = 0usize;
-    for (i, clause) in clauses.iter().enumerate() {
+    for clause in &clauses {
         let record = ClauseRecord::compile(clause)?;
         let bytes = record.to_bytes();
         if used + bytes.len() > config.disk.track_bytes() && used > 0 {
@@ -313,7 +312,6 @@ fn compile_predicate(
         // The head stream is already decoded here — capture it so
         // retrievals never re-parse record bytes.
         arena.push_clause(track as usize, record.head_stream().words());
-        id_by_addr.insert(addr, i);
         used += bytes.len();
         slot += 1;
     }
@@ -325,7 +323,6 @@ fn compile_predicate(
         index,
         addrs,
         arena,
-        id_by_addr,
     })
 }
 
@@ -350,7 +347,16 @@ mod tests {
                 &p.clauses()[i],
                 "address {addr} for clause {i}"
             );
+            assert_eq!(p.clause_id_at(*addr).unwrap().index() as usize, i);
         }
+        // A slot past a full track's last record must not alias the next
+        // track's first clause; a track past the end holds nothing.
+        let tracks = p.file().track_count();
+        for t in 0..tracks {
+            let slots = p.arena().track_clauses(t).len() as u16;
+            assert_eq!(p.clause_id_at(ClauseAddr::new(t as u32, slots)), None);
+        }
+        assert_eq!(p.clause_id_at(ClauseAddr::new(tracks as u32, 0)), None);
     }
 
     #[test]

@@ -8,9 +8,9 @@ use std::collections::HashMap;
 
 /// A compiled predicate: the clause list (user order), its compiled clause
 /// file, its secondary index file, the address of every clause record,
-/// plus two retrieval accelerators built at compile/load time — the
-/// pre-decoded head-stream [`ClauseArena`] and the address → clause-id
-/// map.
+/// plus one retrieval accelerator built at compile/load time — the
+/// pre-decoded head-stream [`ClauseArena`], whose track ranges double as
+/// the address → clause-id map.
 #[derive(Debug, Clone)]
 pub struct Predicate {
     pub(crate) functor: Symbol,
@@ -20,7 +20,6 @@ pub struct Predicate {
     pub(crate) index: IndexFile,
     pub(crate) addrs: Vec<ClauseAddr>,
     pub(crate) arena: ClauseArena,
-    pub(crate) id_by_addr: HashMap<ClauseAddr, usize>,
 }
 
 impl Predicate {
@@ -55,13 +54,15 @@ impl Predicate {
         &self.arena
     }
 
-    /// Clause position (program order) of the record at `addr`, in O(1)
-    /// via the precomputed address map; `None` if the address was not
-    /// produced for this predicate.
+    /// Clause position (program order) of the record at `addr`, in O(1):
+    /// clauses sit in `(track, slot)` order, so it is the track's first
+    /// clause plus the slot. `None` if the address was not produced for
+    /// this predicate (slot past the track's last record, or track past
+    /// the end of the file).
     pub fn clause_id_at(&self, addr: ClauseAddr) -> Option<ClauseId> {
-        self.id_by_addr
-            .get(&addr)
-            .map(|&pos| ClauseId::new(pos as u32))
+        let range = self.arena.track_clauses(addr.track() as usize);
+        let pos = range.start + addr.slot() as usize;
+        range.contains(&pos).then(|| ClauseId::new(pos as u32))
     }
 
     /// The clause stored at `addr`.

@@ -1,6 +1,7 @@
 //! Property tests for knowledge-base compilation and persistence.
 
 use clare_kb::{io, KbBuilder, KbConfig, KbStats};
+use clare_scw::ClauseAddr;
 use proptest::prelude::*;
 
 /// Random small programs: facts and rules over a tiny vocabulary.
@@ -70,6 +71,17 @@ proptest! {
                     let range = arena.track_clauses(addr.track() as usize);
                     prop_assert_eq!(range.start + addr.slot() as usize, i);
                     prop_assert_eq!(pred.clause_id_at(*addr).unwrap().index() as usize, i);
+                    let column = arena.track_first_words(addr.track() as usize);
+                    prop_assert_eq!(
+                        column[addr.slot() as usize],
+                        clare_pif::first_word_key(arena.stream(i))
+                    );
+                }
+                // One past each track's last slot — including the empty
+                // track past the end of the file — addresses no clause.
+                for t in 0..=arena.track_count() {
+                    let past = ClauseAddr::new(t as u32, arena.track_clauses(t).len() as u16);
+                    prop_assert_eq!(pred.clause_id_at(past), None);
                 }
             }
         }

@@ -54,4 +54,4 @@ pub use error::PifError;
 pub use record::ClauseRecord;
 pub use tags::{TagCategory, TypeTag};
 pub use termio::{decode_term, encode_term, TermLimits};
-pub use word::{PifStream, PifWord};
+pub use word::{first_word_key, PifStream, PifWord};

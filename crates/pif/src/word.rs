@@ -5,7 +5,7 @@
 //! words). This is what travels over the In-bus to the FS2 comparator.
 
 use crate::error::PifError;
-use crate::tags::TypeTag;
+use crate::tags::{TagCategory, TypeTag};
 use bytes::{Buf, BufMut};
 use std::fmt;
 
@@ -147,6 +147,19 @@ impl PifWord {
         } else {
             4
         }
+    }
+}
+
+/// The first-word key of a clause-head stream: the raw bus word
+/// ([`PifWord::to_u32`]) of its first word, or `0` when the stream is
+/// empty or starts with a variable (`Anon`/`QueryVar`/`DbVar`). `0` is
+/// never a real word — tag byte `0x00` is outside Table A1 — so it reads
+/// "this clause cannot be rejected on its first word alone". The FS2 track
+/// sweep prefilters on a column of these.
+pub fn first_word_key(words: &[PifWord]) -> u32 {
+    match words.first() {
+        Some(w) if w.type_tag().category() != TagCategory::Variable => w.to_u32(),
+        _ => 0,
     }
 }
 
@@ -328,6 +341,36 @@ mod tests {
     #[test]
     fn from_u32_rejects_bad_tag() {
         assert!(PifWord::from_u32(0x00_000000).is_err());
+    }
+
+    #[test]
+    fn no_word_packs_to_zero() {
+        // Tag byte 0x00 is outside Table A1, so the all-zero bus word is
+        // free for `first_word_key` to mean "no key".
+        for byte in 0u8..=255 {
+            if let Ok(tag) = TypeTag::from_byte(byte) {
+                assert_ne!(PifWord::new(tag, 0).to_u32(), 0, "tag {byte:#04x}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_word_key_is_zero_exactly_for_empty_and_variable_heads() {
+        let atom = PifWord::new(TypeTag::AtomPtr, 1);
+        let complex = PifWord::new(TypeTag::StructInline { arity: 1 }, 9);
+        assert_eq!(first_word_key(&[]), 0);
+        assert_eq!(first_word_key(&[atom, complex]), atom.to_u32());
+        assert_eq!(first_word_key(&[complex, atom]), complex.to_u32());
+        assert_eq!(first_word_key(&[PifWord::int(-1).unwrap()]), 0x1FFF_FFFF);
+        for tag in [
+            TypeTag::Anon,
+            TypeTag::DbVar { first: true },
+            TypeTag::DbVar { first: false },
+            TypeTag::QueryVar { first: true },
+            TypeTag::QueryVar { first: false },
+        ] {
+            assert_eq!(first_word_key(&[PifWord::new(tag, 0), atom]), 0);
+        }
     }
 
     #[test]

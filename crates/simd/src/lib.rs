@@ -1,11 +1,12 @@
 //! Runtime-dispatched SIMD kernels for the two retrieval hot loops.
 //!
 //! The FS1 filter tests `required & !entry == 0` against every index entry
-//! of a shard; the FS2 fast path compares canonical 32-bit word streams for
-//! their first mismatch. Both are pure data-parallel inner loops, so this
-//! crate vectorizes them with `std::arch` intrinsics (AVX2 on x86-64, NEON
-//! on aarch64) behind a [`SimdLevel`] value chosen once per process by
-//! runtime feature detection. The scalar path is always compiled and is the
+//! of a shard; the FS2 track sweep selects, from a track's first-word
+//! column, the clauses whose key equals the query's (or that have none).
+//! Both are pure data-parallel inner loops, so this crate vectorizes them
+//! with `std::arch` intrinsics (AVX2 on x86-64, NEON on aarch64) behind a
+//! [`SimdLevel`] value chosen once per process by runtime feature
+//! detection. The scalar path is always compiled and is the
 //! semantic reference: every vector path must produce bit-identical output,
 //! including on non-lane-multiple tails, and the property tests at the
 //! bottom of this file enforce that on random inputs.
@@ -246,73 +247,88 @@ unsafe fn fs1_subset_hits_neon_s1(required: u64, limbs: &[u64], out: &mut Vec<u3
 }
 
 // ---------------------------------------------------------------------------
-// FS2 kernel: first mismatch between two 32-bit word streams
+// FS2 kernel: first-word prefilter over a track's key column
 // ---------------------------------------------------------------------------
 
-/// Returns the index of the first position where `a` and `b` differ,
-/// comparing up to the shorter length, or `None` if the shared prefix is
-/// identical. Every level produces identical output.
-pub fn first_mismatch_u32(level: SimdLevel, a: &[u32], b: &[u32]) -> Option<usize> {
-    let n = a.len().min(b.len());
+/// Appends to `out` the index (counting from 0) of every `column` entry
+/// equal to `key` or to `0`, in ascending order.
+///
+/// The FS2 track sweep runs this over a track's first-word column
+/// (`0` = the clause has no first-word key): the selected clauses are the
+/// only ones that can survive their first MATCH against a query whose
+/// first word is the simple value `key`.
+///
+/// Every level produces identical output; `level` only selects how the
+/// loop is executed.
+pub fn select_eq_or_zero_u32(level: SimdLevel, column: &[u32], key: u32, out: &mut Vec<u32>) {
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Avx2` is only produced when the host reports the feature.
-        SimdLevel::Avx2 => unsafe { first_mismatch_u32_avx2(&a[..n], &b[..n]) },
+        SimdLevel::Avx2 => unsafe { select_eq_or_zero_u32_avx2(column, key, out) },
         #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { first_mismatch_u32_neon(&a[..n], &b[..n]) },
-        _ => first_mismatch_u32_scalar(&a[..n], &b[..n]),
+        // SAFETY: NEON is architecturally mandatory on aarch64.
+        SimdLevel::Neon => unsafe { select_eq_or_zero_u32_neon(column, key, out) },
+        _ => select_eq_or_zero_u32_scalar(column, key, 0, out),
     }
 }
 
-/// The scalar reference loop for [`first_mismatch_u32`].
-fn first_mismatch_u32_scalar(a: &[u32], b: &[u32]) -> Option<usize> {
-    a.iter().zip(b).position(|(x, y)| x != y)
-}
-
-/// AVX2: eight 32-bit words per vector.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn first_mismatch_u32_avx2(a: &[u32], b: &[u32]) -> Option<usize> {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 8;
-    for c in 0..chunks {
-        // SAFETY: `c * 8 + 7 < a.len() == b.len()`.
-        let va = _mm256_loadu_si256(a.as_ptr().add(c * 8) as *const __m256i);
-        let vb = _mm256_loadu_si256(b.as_ptr().add(c * 8) as *const __m256i);
-        let eq = _mm256_cmpeq_epi32(va, vb);
-        let mask = _mm256_movemask_epi8(eq) as u32;
-        if mask != u32::MAX {
-            // Four mask bits per 32-bit lane; the first zero bit's lane is
-            // the first mismatching word.
-            return Some(c * 8 + (mask.trailing_ones() / 4) as usize);
+/// The scalar reference loop for [`select_eq_or_zero_u32`], over
+/// `column[from..]` (the vector paths use it for their tails).
+fn select_eq_or_zero_u32_scalar(column: &[u32], key: u32, from: usize, out: &mut Vec<u32>) {
+    for (i, &word) in column.iter().enumerate().skip(from) {
+        if word == key || word == 0 {
+            out.push(i as u32);
         }
     }
-    (chunks * 8..a.len()).find(|&i| a[i] != b[i])
 }
 
-/// NEON: four 32-bit words per vector.
+/// AVX2: eight column entries per vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn select_eq_or_zero_u32_avx2(column: &[u32], key: u32, out: &mut Vec<u32>) {
+    use std::arch::x86_64::*;
+    let keys = _mm256_set1_epi32(key as i32);
+    let zero = _mm256_setzero_si256();
+    let chunks = column.len() / 8;
+    for c in 0..chunks {
+        // SAFETY: `c * 8 + 7 < column.len()`; unaligned load is permitted.
+        let words = _mm256_loadu_si256(column.as_ptr().add(c * 8) as *const __m256i);
+        let hit = _mm256_or_si256(
+            _mm256_cmpeq_epi32(words, keys),
+            _mm256_cmpeq_epi32(words, zero),
+        );
+        let mut mask = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32;
+        while mask != 0 {
+            out.push((c * 8) as u32 + mask.trailing_zeros());
+            mask &= mask - 1;
+        }
+    }
+    select_eq_or_zero_u32_scalar(column, key, chunks * 8, out);
+}
+
+/// NEON: four column entries per vector.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn first_mismatch_u32_neon(a: &[u32], b: &[u32]) -> Option<usize> {
+unsafe fn select_eq_or_zero_u32_neon(column: &[u32], key: u32, out: &mut Vec<u32>) {
     use std::arch::aarch64::*;
-    debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 4;
+    let keys = vdupq_n_u32(key);
+    let zero = vdupq_n_u32(0);
+    let chunks = column.len() / 4;
     for c in 0..chunks {
-        // SAFETY: `c * 4 + 3 < a.len() == b.len()`.
-        let va = vld1q_u32(a.as_ptr().add(c * 4));
-        let vb = vld1q_u32(b.as_ptr().add(c * 4));
-        let eq = vceqq_u32(va, vb);
-        // All-equal vectors min-reduce to u32::MAX.
-        if vminvq_u32(eq) != u32::MAX {
+        // SAFETY: `c * 4 + 3 < column.len()`.
+        let words = vld1q_u32(column.as_ptr().add(c * 4));
+        let hit = vorrq_u32(vceqq_u32(words, keys), vceqq_u32(words, zero));
+        // No lane hit max-reduces to 0 — the common case on a selective key.
+        if vmaxvq_u32(hit) != 0 {
             for lane in 0..4 {
-                if a[c * 4 + lane] != b[c * 4 + lane] {
-                    return Some(c * 4 + lane);
+                let word = column[c * 4 + lane];
+                if word == key || word == 0 {
+                    out.push((c * 4 + lane) as u32);
                 }
             }
         }
     }
-    (chunks * 4..a.len()).find(|&i| a[i] != b[i])
+    select_eq_or_zero_u32_scalar(column, key, chunks * 4, out);
 }
 
 #[cfg(test)]
@@ -420,49 +436,57 @@ mod tests {
     }
 
     #[test]
-    fn mismatch_kernel_matches_scalar_on_random_streams() {
+    fn select_kernel_matches_scalar_on_random_columns() {
         let Some(level) = active_vector_level() else {
             return;
         };
         let mut rng = StdRng::seed_from_u64(0x51D_0002);
         for _ in 0..500 {
-            let len_a = rng.gen_range(0..40usize);
-            let len_b = rng.gen_range(0..40usize);
-            // Mostly-equal streams with occasional point differences.
-            let a: Vec<u32> = (0..len_a).map(|_| rng.gen_range(0..4u32)).collect();
-            let mut b: Vec<u32> = a.iter().take(len_b).copied().collect();
-            b.resize_with(len_b, || rng.gen());
-            if !b.is_empty() && rng.gen_bool(0.5) {
-                let i = rng.gen_range(0..b.len());
-                b[i] ^= 1 + rng.gen_range(0..7u32);
-            }
-            assert_eq!(
-                first_mismatch_u32(SimdLevel::Scalar, &a, &b),
-                first_mismatch_u32(level, &a, &b),
-            );
+            // A small alphabet so keys, zeros and misses all occur often,
+            // with duplicates; now and then a key that is itself 0.
+            let len = rng.gen_range(0..40usize);
+            let column: Vec<u32> = (0..len).map(|_| rng.gen_range(0..4u32)).collect();
+            let key = rng.gen_range(0..5u32);
+            let mut scalar = Vec::new();
+            let mut vector = Vec::new();
+            select_eq_or_zero_u32(SimdLevel::Scalar, &column, key, &mut scalar);
+            select_eq_or_zero_u32(level, &column, key, &mut vector);
+            assert_eq!(scalar, vector, "key {key}, column {column:?}");
         }
     }
 
     #[test]
-    fn mismatch_kernel_edge_positions() {
-        let Some(level) = active_vector_level() else {
-            return;
-        };
-        for len in 0..=19usize {
-            let a: Vec<u32> = (0..len as u32).collect();
-            assert_eq!(first_mismatch_u32(level, &a, &a), None, "equal len {len}");
-            for diff_at in 0..len {
-                let mut b = a.clone();
-                b[diff_at] = u32::MAX;
-                assert_eq!(
-                    first_mismatch_u32(level, &a, &b),
-                    Some(diff_at),
-                    "len {len} diff {diff_at}"
-                );
+    fn select_kernel_tail_lengths_are_exact() {
+        // Every length around the lane width: all-key, all-zero, all-miss,
+        // and a single hit at each position — at the host level and at the
+        // scalar reference itself.
+        for level in [SimdLevel::Scalar, SimdLevel::detect()] {
+            for len in 0..=19usize {
+                let indices: Vec<u32> = (0..len as u32).collect();
+                let mut hits = Vec::new();
+                select_eq_or_zero_u32(level, &vec![7u32; len], 7, &mut hits);
+                assert_eq!(hits, indices, "all-key, len {len}");
+                hits.clear();
+                select_eq_or_zero_u32(level, &vec![0u32; len], 7, &mut hits);
+                assert_eq!(hits, indices, "all-zero, len {len}");
+                hits.clear();
+                select_eq_or_zero_u32(level, &vec![u32::MAX; len], 7, &mut hits);
+                assert!(hits.is_empty(), "all-miss, len {len}");
+                for at in 0..len {
+                    let mut column = vec![u32::MAX; len];
+                    column[at] = 7;
+                    hits.clear();
+                    select_eq_or_zero_u32(level, &column, 7, &mut hits);
+                    assert_eq!(hits, vec![at as u32], "len {len} hit {at}");
+                }
             }
         }
-        // Unequal lengths compare only the shared prefix.
-        assert_eq!(first_mismatch_u32(level, &[1, 2, 3], &[1, 2]), None);
-        assert_eq!(first_mismatch_u32(level, &[], &[9]), None);
+    }
+
+    #[test]
+    fn select_kernel_appends_without_clearing() {
+        let mut out = vec![9u32];
+        select_eq_or_zero_u32(SimdLevel::Scalar, &[5, 0, 6, 5], 5, &mut out);
+        assert_eq!(out, vec![9, 0, 1, 3]);
     }
 }
