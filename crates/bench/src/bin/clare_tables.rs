@@ -38,7 +38,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "netbench",
-        "E17: serving-core wall-clock, reactor vs threaded (writes BENCH_net.json)",
+        "E17: serving-core wall-clock, connections x depth (writes BENCH_net.json)",
     ),
     (
         "walbench",
@@ -143,55 +143,23 @@ fn run_one(name: &str, quick: bool, json: bool) -> bool {
             }
         }
         "netbench" => {
-            use clare_net::ServerMode::{Reactor, Threaded};
             use experiments::net_wallclock::NetCase;
-            let case = |mode, connections, depth| NetCase {
-                mode,
-                connections,
-                depth,
-            };
-            if quick {
-                // CI smoke run: 64/256 connections x depth 1/8 on both
-                // intake cores. The report file IS written in quick mode —
-                // CI uploads it as the net-bench-smoke artifact.
-                let cases = [
-                    case(Threaded, 64, 1),
-                    case(Threaded, 64, 8),
-                    case(Threaded, 256, 1),
-                    case(Threaded, 256, 8),
-                    case(Reactor, 64, 1),
-                    case(Reactor, 64, 8),
-                    case(Reactor, 256, 1),
-                    case(Reactor, 256, 8),
-                ];
-                let report = experiments::net_wallclock::run(&cases, 2_000, 2);
-                println!("{report}");
-                match std::fs::write("BENCH_net.json", report.to_json()) {
-                    Ok(()) => println!("wrote BENCH_net.json"),
-                    Err(e) => eprintln!("could not write BENCH_net.json: {e}"),
-                }
+            let case = |connections, depth| NetCase { connections, depth };
+            // 64/256 connections x depth 1/8; the full matrix adds the
+            // C10K-scale point, 1024 concurrent connections. The report
+            // file IS written in quick mode — CI uploads it as the
+            // net-bench-smoke artifact.
+            let mut cases = vec![case(64, 1), case(64, 8), case(256, 1), case(256, 8)];
+            let report = if quick {
+                experiments::net_wallclock::run(&cases, 2_000, 2)
             } else {
-                // The full matrix adds the C10K-scale point the threaded
-                // core is never asked to serve: the reactor at 1024
-                // concurrent connections.
-                let cases = [
-                    case(Threaded, 64, 1),
-                    case(Threaded, 64, 8),
-                    case(Threaded, 256, 1),
-                    case(Threaded, 256, 8),
-                    case(Reactor, 64, 1),
-                    case(Reactor, 64, 8),
-                    case(Reactor, 256, 1),
-                    case(Reactor, 256, 8),
-                    case(Reactor, 1024, 1),
-                    case(Reactor, 1024, 8),
-                ];
-                let report = experiments::net_wallclock::run(&cases, 5_000, 4);
-                println!("{report}");
-                match std::fs::write("BENCH_net.json", report.to_json()) {
-                    Ok(()) => println!("wrote BENCH_net.json"),
-                    Err(e) => eprintln!("could not write BENCH_net.json: {e}"),
-                }
+                cases.extend([case(1024, 1), case(1024, 8)]);
+                experiments::net_wallclock::run(&cases, 5_000, 4)
+            };
+            println!("{report}");
+            match std::fs::write("BENCH_net.json", report.to_json()) {
+                Ok(()) => println!("wrote BENCH_net.json"),
+                Err(e) => eprintln!("could not write BENCH_net.json: {e}"),
             }
         }
         "walbench" => {

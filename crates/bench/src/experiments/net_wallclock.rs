@@ -1,20 +1,18 @@
 //! E17 — serving-core wall-clock: connections × pipelining depth against
-//! a live loopback `NetServer`, for both intake cores.
+//! a live loopback `NetServer`.
 //!
-//! The C10K question in numbers: the threaded core spends one OS thread
-//! per connection, so its cost grows with the connection count whether or
-//! not those connections are busy; the epoll reactor multiplexes every
-//! connection over a fixed shard thread. This experiment drives an
-//! identical phased workload — every connection pipelines `depth`
-//! retrieves, then all replies are collected — across a (mode,
-//! connections, depth) matrix and reports sustained throughput plus
-//! client-observed completion latency percentiles. The checked-in
-//! `BENCH_net.json` includes the reactor at 1024 concurrent connections,
-//! a point the per-thread model is never asked to serve.
+//! The C10K question in numbers: the epoll reactor multiplexes every
+//! connection over a fixed shard thread, so its cost should follow the
+//! request rate, not the connection count. This experiment drives a
+//! phased workload — every connection pipelines `depth` retrieves, then
+//! all replies are collected — across a (connections, depth) matrix up to
+//! 1024 concurrent connections and reports sustained throughput plus
+//! client-observed completion latency percentiles, with the host, core
+//! count and commit that produced them.
 //!
 //! Clients speak the raw wire protocol over plain sockets (no reader
-//! threads of their own), so the measured differences come from the
-//! server's intake core, not the harness.
+//! threads of their own), so what is measured is the server, not the
+//! harness.
 
 use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode};
 use clare_kb::{KbBuilder, KbConfig};
@@ -22,7 +20,7 @@ use clare_net::protocol::{
     decode_server_hello, encode_client_hello_caps, encode_retrieve, opcode, BudgetExt, Frame,
     FrameReader, HelloStatus, RetrieveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
-use clare_net::{NetConfig, NetServer, ServerMode};
+use clare_net::{NetConfig, NetServer};
 use clare_term::parser::parse_term;
 use clare_term::Term;
 use std::fmt;
@@ -34,8 +32,6 @@ use std::time::{Duration, Instant};
 /// One point of the measurement matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetCase {
-    /// Which intake core serves this case.
-    pub mode: ServerMode,
     /// Concurrent connections held open for the whole case.
     pub connections: usize,
     /// Pipelined retrieves in flight per connection per round.
@@ -45,8 +41,6 @@ pub struct NetCase {
 /// One measured case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetWallclockRow {
-    /// Intake core name (`"reactor"` / `"threaded"`).
-    pub mode: &'static str,
     /// Concurrent connections.
     pub connections: usize,
     /// Pipelining depth per connection.
@@ -67,6 +61,13 @@ pub struct NetWallclockRow {
 /// The wall-clock report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetWallclockReport {
+    /// Where the numbers come from: kernel hostname, cores available to
+    /// the process, and `git describe --always --dirty` of the checkout.
+    pub host: String,
+    /// See `host`.
+    pub cores: usize,
+    /// See `host`.
+    pub commit: String,
     /// Facts in the knowledge base every request retrieves against.
     pub facts: usize,
     /// Timed rounds per case.
@@ -83,12 +84,14 @@ impl NetWallclockReport {
         out.push_str("{\n");
         out.push_str("  \"experiment\": \"net_wallclock\",\n");
         out.push_str("  \"unit\": \"requests_per_second\",\n");
+        out.push_str(&format!("  \"host\": \"{}\",\n", self.host));
+        out.push_str(&format!("  \"cores\": {},\n", self.cores));
+        out.push_str(&format!("  \"commit\": \"{}\",\n", self.commit));
         out.push_str(&format!("  \"facts\": {},\n", self.facts));
         out.push_str(&format!("  \"rounds\": {},\n", self.rounds));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             out.push_str("    {\n");
-            out.push_str(&format!("      \"mode\": \"{}\",\n", row.mode));
             out.push_str(&format!("      \"connections\": {},\n", row.connections));
             out.push_str(&format!("      \"depth\": {},\n", row.depth));
             out.push_str(&format!("      \"requests\": {},\n", row.requests));
@@ -113,13 +116,6 @@ impl NetWallclockReport {
 
 const KEYS: usize = 120;
 
-fn mode_name(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::Reactor => "reactor",
-        ServerMode::Threaded => "threaded",
-    }
-}
-
 /// Runs the matrix. Every case serves the same knowledge base and the
 /// same per-connection query mix; `rounds` timed rounds follow one
 /// untimed warmup round.
@@ -141,7 +137,17 @@ pub fn run(cases: &[NetCase], facts: usize, rounds: usize) -> NetWallclockReport
         .iter()
         .map(|&case| run_case(&crs, &queries, case, rounds))
         .collect();
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned());
     NetWallclockReport {
+        host: std::fs::read_to_string("/proc/sys/kernel/hostname")
+            .map_or_else(|_| "unknown".to_owned(), |s| s.trim().to_owned()),
+        cores: std::thread::available_parallelism().map_or(0, usize::from),
+        commit: commit.unwrap_or_else(|| "unknown".to_owned()),
         facts,
         rounds,
         rows,
@@ -155,7 +161,6 @@ fn run_case(
     rounds: usize,
 ) -> NetWallclockRow {
     let cfg = NetConfig {
-        server_mode: case.mode,
         max_connections: case.connections + 16,
         queue_depth: (case.connections * case.depth * 2).max(1024),
         workers: 4,
@@ -251,7 +256,6 @@ fn run_case(
     let requests = case.connections * case.depth * rounds;
     let secs = elapsed.as_secs_f64().max(1e-9);
     NetWallclockRow {
-        mode: mode_name(case.mode),
         connections: case.connections,
         depth: case.depth,
         requests,
@@ -277,15 +281,15 @@ impl fmt::Display for NetWallclockReport {
         writeln!(
             f,
             "E17: serving-core wall-clock — throughput and completion latency vs \
-             connections x pipelining depth ({} facts, {} timed rounds)\n",
-            self.facts, self.rounds
+             connections x pipelining depth ({} facts, {} timed rounds; {} cores on {}, \
+             commit {})\n",
+            self.facts, self.rounds, self.cores, self.host, self.commit
         )?;
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
             .map(|r| {
                 vec![
-                    r.mode.to_owned(),
                     format!("{}", r.connections),
                     format!("{}", r.depth),
                     format!("{}", r.requests),
@@ -299,7 +303,7 @@ impl fmt::Display for NetWallclockReport {
             f,
             "{}",
             crate::render_table(
-                &["mode", "conns", "depth", "requests", "req/s", "p50 us", "p99 us",],
+                &["conns", "depth", "requests", "req/s", "p50 us", "p99 us"],
                 &rows,
             )
         )
@@ -314,28 +318,26 @@ mod tests {
     fn report_shape_and_json() {
         let cases = [
             NetCase {
-                mode: ServerMode::Reactor,
                 connections: 8,
                 depth: 2,
             },
             NetCase {
-                mode: ServerMode::Threaded,
-                connections: 8,
-                depth: 2,
+                connections: 4,
+                depth: 4,
             },
         ];
         let r = run(&cases, 600, 2);
         assert_eq!(r.rows.len(), 2);
         for row in &r.rows {
-            assert_eq!(row.requests, 8 * 2 * 2);
+            assert_eq!(row.requests, 16 * 2);
             assert!(row.throughput_rps > 0.0);
             assert!(row.p50_us > 0.0);
             assert!(row.p99_us >= row.p50_us);
         }
         let json = r.to_json();
         assert!(json.contains("\"experiment\": \"net_wallclock\""));
-        assert!(json.contains("\"mode\": \"reactor\""));
-        assert!(json.contains("\"mode\": \"threaded\""));
+        assert!(json.contains("\"cores\": "));
+        assert!(json.contains("\"commit\": \""));
         assert!(format!("{r}").contains("req/s"));
     }
 }

@@ -28,10 +28,10 @@
 use clare_cluster::ClusterError;
 use clare_cluster::{Router, RouterConfig, ShardMap, ShardSpec};
 use clare_net::protocol::{
-    decode_client_hello_caps, decode_consult, decode_retrieve, decode_retrieve_batch,
-    encode_commit_receipt, encode_error, encode_retrieval, encode_retrievals, encode_server_hello,
-    encode_server_stats, encode_symbols, opcode, ErrorCode, ErrorReply, Frame, FrameReader,
-    HelloStatus, ServerHello, CAP_FRAME_CRC, CLIENT_HELLO_LEN, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    admit_client, decode_consult, decode_retrieve, decode_retrieve_batch, encode_commit_receipt,
+    encode_error, encode_retrieval, encode_retrievals, encode_server_hello, encode_server_stats,
+    encode_symbols, opcode, ErrorCode, ErrorReply, Frame, FrameReader, HelloStatus, CAP_FRAME_CRC,
+    CLIENT_HELLO_LEN, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use clare_net::NetError;
 use std::io::{BufRead, Read, Write};
@@ -229,27 +229,14 @@ fn serve_connection(mut stream: TcpStream, router: &Router) {
     if stream.read_exact(&mut hello_raw).is_err() {
         return;
     }
-    let Ok((version, requested)) = decode_client_hello_caps(&hello_raw) else {
-        return;
-    };
-    let accepted = requested & CAP_FRAME_CRC;
-    let status = if version == PROTOCOL_VERSION {
-        HelloStatus::Ok
-    } else {
-        HelloStatus::VersionMismatch
-    };
-    let hello = ServerHello {
-        version: PROTOCOL_VERSION,
-        status,
-        retry_after_ms: 0,
-        caps: accepted,
-        fingerprint: router.kb_fingerprint(),
-    };
-    if stream.write_all(&encode_server_hello(&hello)).is_err() || status != HelloStatus::Ok {
+    // The router forwards queries without their budget tail, so it
+    // grants the CRC capability only.
+    let hello = admit_client(&hello_raw, CAP_FRAME_CRC, router.kb_fingerprint());
+    if stream.write_all(&encode_server_hello(&hello)).is_err() || hello.status != HelloStatus::Ok {
         return;
     }
 
-    let checksums = accepted != 0;
+    let checksums = hello.caps & CAP_FRAME_CRC != 0;
     let mut reader = FrameReader::new(MAX_FRAME_LEN);
     reader.set_checksums(checksums);
     loop {

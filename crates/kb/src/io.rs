@@ -7,10 +7,10 @@
 //! knowledge base is bit-identical to recompiling the original source
 //! under the same [`KbConfig`].
 //!
-//! # Formats
+//! # Format
 //!
-//! **`CKB2`** (written by [`save`]) wraps the payload in checksummed
-//! sections:
+//! **`CKB2`**, the only format [`save`] writes and [`load`] accepts,
+//! wraps the payload in checksummed sections:
 //!
 //! ```text
 //! "CKB2"  u32 section_count
@@ -20,9 +20,9 @@
 //!
 //! A section body is read in bounded chunks (a hostile length field can
 //! never force a large allocation) while its CRC32C is folded; a
-//! mismatch rejects the section before any of it is parsed. **`CKB1`**
-//! (the previous, checksum-free layout) still loads; [`save_v1`] writes
-//! it for downgrade paths.
+//! mismatch rejects the section before any of it is parsed. Nothing is
+//! parsed unverified: a stream with any other magic — including the
+//! checksum-free `CKB1` of earlier builds — is refused at offset 0.
 //!
 //! Every parse failure reports the byte offset where the stream went
 //! wrong ([`KbIoError::Malformed`]). With a [fault injector]
@@ -38,11 +38,8 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
-/// Magic bytes opening a current (`v2`, checksummed) `.ckb` stream.
+/// Magic bytes opening a `.ckb` stream.
 pub const MAGIC: &[u8; 4] = b"CKB2";
-
-/// Magic bytes of the legacy, checksum-free format (still loadable).
-pub const MAGIC_V1: &[u8; 4] = b"CKB1";
 
 /// Longest credible string (atom or module name).
 const MAX_STR_LEN: usize = 1 << 24;
@@ -230,25 +227,6 @@ impl<R: Read> Src<R> {
         Ok(u32::from_be_bytes(buf))
     }
 
-    fn u64(&mut self) -> Result<u64, KbIoError> {
-        let mut buf = [0u8; 8];
-        self.read_exact(&mut buf)?;
-        Ok(u64::from_be_bytes(buf))
-    }
-
-    fn str_(&mut self) -> Result<String, KbIoError> {
-        let at = self.offset;
-        let len = self.u32()? as usize;
-        if len > MAX_STR_LEN {
-            return Err(KbIoError::malformed(at, "string length implausible"));
-        }
-        let mut buf = read_bounded(self, len)?;
-        match String::from_utf8(std::mem::take(&mut buf)) {
-            Ok(s) => Ok(s),
-            Err(_) => Err(KbIoError::malformed(at + 4, "non-UTF-8 string")),
-        }
-    }
-
     /// True when at least one more byte is readable (and consumes it).
     /// Used to reject streams with bytes after the last section — a
     /// count field corrupted downward must not silently drop modules.
@@ -266,21 +244,6 @@ impl<R: Read> Src<R> {
             }
         }
     }
-}
-
-/// Reads `len` bytes in [`READ_CHUNK`]-bounded steps, so a hostile
-/// length field cannot force a large up-front allocation.
-fn read_bounded<R: Read>(src: &mut Src<R>, len: usize) -> Result<Vec<u8>, KbIoError> {
-    let mut out = Vec::with_capacity(len.min(READ_CHUNK));
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(READ_CHUNK);
-        src.read_exact(&mut chunk[..take])?;
-        out.extend_from_slice(&chunk[..take]);
-        remaining -= take;
-    }
-    Ok(out)
 }
 
 /// A cursor over an in-memory section body that reports absolute stream
@@ -390,8 +353,7 @@ fn module_section(module: &crate::predicate::Module) -> Result<Vec<u8>, KbIoErro
     Ok(body)
 }
 
-/// Serializes a knowledge base in the current (`CKB2`, checksummed)
-/// format.
+/// Serializes a knowledge base as `CKB2` checksummed sections.
 ///
 /// # Errors
 ///
@@ -415,29 +377,10 @@ pub fn save(kb: &KnowledgeBase, writer: &mut impl Write) -> Result<(), KbIoError
     Ok(())
 }
 
-/// Serializes a knowledge base in the legacy `CKB1` layout (no
-/// checksums) for downgrade paths. [`load`] accepts both.
-///
-/// # Errors
-///
-/// As for [`save`].
-pub fn save_v1(kb: &KnowledgeBase, writer: &mut impl Write) -> Result<(), KbIoError> {
-    writer.write_all(MAGIC_V1)?;
-    let symbols = symbols_section(kb)?;
-    writer.write_all(&symbols)?;
-    write_u32(writer, kb.modules().len() as u32)?;
-    for module in kb.modules() {
-        let body = module_section(module)?;
-        writer.write_all(&body)?;
-    }
-    Ok(())
-}
-
 // --- loading -------------------------------------------------------------
 
-/// Deserializes and recompiles a knowledge base under `config`. Accepts
-/// `CKB2` (checksummed sections, verified before parsing) and legacy
-/// `CKB1` streams.
+/// Deserializes and recompiles a knowledge base under `config`. Every
+/// section's checksum is verified before any of it is parsed.
 ///
 /// # Errors
 ///
@@ -448,21 +391,9 @@ pub fn load(reader: &mut impl Read, config: KbConfig) -> Result<KnowledgeBase, K
     let mut src = Src::new(FaultingReader::new(reader));
     let mut magic = [0u8; 4];
     src.read_exact(&mut magic)?;
-    let kb = match &magic {
-        m if m == MAGIC => load_v2(&mut src, config),
-        m if m == MAGIC_V1 => load_v1(&mut src, config),
-        _ => return Err(KbIoError::malformed(0, "bad magic")),
-    }?;
-    if src.has_trailing_byte()? {
-        return Err(KbIoError::malformed(
-            src.offset - 1,
-            "trailing bytes after knowledge base",
-        ));
+    if &magic != MAGIC {
+        return Err(KbIoError::malformed(0, "bad magic (not a CKB2 stream)"));
     }
-    Ok(kb)
-}
-
-fn load_v2(src: &mut Src<impl Read>, config: KbConfig) -> Result<KnowledgeBase, KbIoError> {
     let at = src.offset;
     let section_count = src.u32()? as usize;
     if section_count == 0 {
@@ -476,7 +407,7 @@ fn load_v2(src: &mut Src<impl Read>, config: KbConfig) -> Result<KnowledgeBase, 
     }
     let mut builder = KbBuilder::new();
     for i in 0..section_count {
-        let (body, base) = read_section(src)?;
+        let (body, base) = read_section(&mut src)?;
         let mut cur = Cur::new(&body, base);
         if i == 0 {
             parse_symbols(&mut cur, &mut builder)?;
@@ -487,7 +418,14 @@ fn load_v2(src: &mut Src<impl Read>, config: KbConfig) -> Result<KnowledgeBase, 
             return Err(KbIoError::malformed(cur.at(), "trailing section bytes"));
         }
     }
-    builder.try_finish(config).map_err(KbIoError::Build)
+    let kb = builder.try_finish(config).map_err(KbIoError::Build)?;
+    if src.has_trailing_byte()? {
+        return Err(KbIoError::malformed(
+            src.offset - 1,
+            "trailing bytes after knowledge base",
+        ));
+    }
+    Ok(kb)
 }
 
 /// Reads one `len · crc · body` section, verifying the checksum while
@@ -560,40 +498,6 @@ fn parse_module(cur: &mut Cur<'_>, builder: &mut KbBuilder) -> Result<(), KbIoEr
     Ok(())
 }
 
-fn load_v1(src: &mut Src<impl Read>, config: KbConfig) -> Result<KnowledgeBase, KbIoError> {
-    let mut builder = KbBuilder::new();
-    let atom_count = src.u32()? as usize;
-    for _ in 0..atom_count {
-        let text = src.str_()?;
-        builder.symbols_mut().intern_atom(&text);
-    }
-    let float_count = src.u32()? as usize;
-    for _ in 0..float_count {
-        let bits = src.u64()?;
-        builder.symbols_mut().intern_float(f64::from_bits(bits));
-    }
-    let module_count = src.u32()? as usize;
-    for _ in 0..module_count {
-        let name = src.str_()?;
-        let clause_count = src.u32()? as usize;
-        for _ in 0..clause_count {
-            let at = src.offset;
-            let len = src.u32()? as usize;
-            if len > MAX_RECORD_LEN {
-                return Err(KbIoError::malformed(at, "record length implausible"));
-            }
-            let bytes = read_bounded(src, len)?;
-            let (record, used) = ClauseRecord::from_bytes(&bytes)
-                .map_err(|e| KbIoError::malformed(at + 4, format!("bad clause record: {e}")))?;
-            if used != len {
-                return Err(KbIoError::malformed(at + 4, "trailing record bytes"));
-            }
-            builder.add_clause(&name, record.clause().clone());
-        }
-    }
-    builder.try_finish(config).map_err(KbIoError::Build)
-}
-
 /// Saves to a filesystem path.
 ///
 /// # Errors
@@ -657,16 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_ckb1_still_loads() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        save_v1(&kb, &mut buf).unwrap();
-        assert_eq!(&buf[..4], MAGIC_V1);
-        let loaded = load(&mut buf.as_slice(), KbConfig::default()).unwrap();
-        assert_eq!(KbStats::gather(&loaded), KbStats::gather(&kb));
-    }
-
-    #[test]
     fn loaded_kb_answers_queries_identically() {
         use clare_term::parser::parse_term;
         let kb = sample_kb();
@@ -693,10 +587,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Anything but `CKB2` is refused at the magic, typed, before a byte
+    /// of the body is parsed — including the checksum-free `CKB1` of
+    /// earlier builds, here a well-formed empty knowledge base.
     #[test]
     fn bad_magic_rejected() {
-        let err = load(&mut b"NOPE".as_slice(), KbConfig::default()).unwrap_err();
-        assert!(matches!(err, KbIoError::Malformed { offset: 0, .. }));
+        let mut ckb1 = b"CKB1".to_vec();
+        ckb1.extend_from_slice(&[0u8; 12]); // no atoms, no floats, no modules
+        for stream in [&b"NOPE"[..], &ckb1[..]] {
+            let mut reader = stream;
+            let err = load(&mut reader, KbConfig::default()).unwrap_err();
+            assert!(
+                matches!(err, KbIoError::Malformed { offset: 0, .. }),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -778,16 +683,21 @@ mod tests {
             other => panic!("expected Malformed, got {other:?}"),
         }
 
-        // Same for a hostile v1 record length.
+        // Same for a hostile record length inside a module section whose
+        // checksum is valid (a writer bug, not line noise).
+        let mut module = Vec::new();
+        write_str(&mut module, "m").unwrap();
+        module.extend_from_slice(&1u32.to_be_bytes()); // one clause
+        module.extend_from_slice(&u32::MAX.to_be_bytes()); // hostile record len
+        let symbols = [0u8; 8]; // no atoms, no floats
         let mut evil = Vec::new();
-        evil.extend_from_slice(MAGIC_V1);
-        evil.extend_from_slice(&0u32.to_be_bytes()); // no atoms
-        evil.extend_from_slice(&0u32.to_be_bytes()); // no floats
-        evil.extend_from_slice(&1u32.to_be_bytes()); // one module
-        evil.extend_from_slice(&1u32.to_be_bytes());
-        evil.push(b'm'); // name "m"
-        evil.extend_from_slice(&1u32.to_be_bytes()); // one clause
-        evil.extend_from_slice(&u32::MAX.to_be_bytes()); // hostile record len
+        evil.extend_from_slice(MAGIC);
+        evil.extend_from_slice(&2u32.to_be_bytes());
+        for body in [&symbols[..], &module[..]] {
+            evil.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            evil.extend_from_slice(&crc32c(body).to_be_bytes());
+            evil.extend_from_slice(body);
+        }
         match load(&mut evil.as_slice(), KbConfig::default()) {
             Err(KbIoError::Malformed { reason, .. }) => {
                 assert!(reason.contains("record length"), "{reason}");

@@ -9,9 +9,6 @@
 //! clare-served [OPTIONS] [program.pl]
 //!
 //!   --addr HOST:PORT   listen address        (default 127.0.0.1:7879)
-//!   --server-mode MODE connection intake: "reactor" (epoll event loop,
-//!                      the default) or "threaded" (one reader thread
-//!                      per connection)
 //!   --shards N         reactor shard threads (default 1)
 //!   --workers N        worker threads        (default 4)
 //!   --max-conns N      connection limit      (default 64)
@@ -32,14 +29,13 @@
 
 use clare_core::{ClauseRetrievalServer, CrsOptions};
 use clare_kb::{KbBuilder, KbConfig};
-use clare_net::{NetConfig, NetServer, ServerMode, PROTOCOL_VERSION};
+use clare_net::{NetConfig, NetServer, PROTOCOL_VERSION};
 use clare_workload::WarrenSpec;
 use std::io::BufRead;
 use std::sync::Arc;
 
 struct Args {
     addr: String,
-    server_mode: ServerMode,
     shards: usize,
     workers: usize,
     max_conns: usize,
@@ -55,7 +51,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7879".to_owned(),
-        server_mode: ServerMode::Reactor,
         shards: 1,
         workers: 4,
         max_conns: 64,
@@ -72,17 +67,6 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match arg.as_str() {
             "--addr" => args.addr = value("--addr")?,
-            "--server-mode" => {
-                args.server_mode = match value("--server-mode")?.as_str() {
-                    "reactor" => ServerMode::Reactor,
-                    "threaded" => ServerMode::Threaded,
-                    other => {
-                        return Err(format!(
-                            "bad --server-mode {other:?} (expected reactor|threaded)"
-                        ))
-                    }
-                }
-            }
             "--shards" => {
                 args.shards = value("--shards")?
                     .parse()
@@ -195,7 +179,6 @@ fn main() {
         }
     }
     let cfg = NetConfig {
-        server_mode: args.server_mode,
         reactor_shards: args.shards,
         workers: args.workers,
         max_connections: args.max_conns,
@@ -215,13 +198,8 @@ fn main() {
     // and carries the resolved port.
     println!("listening on {}", server.local_addr());
     eprintln!(
-        "clare-served: protocol v{PROTOCOL_VERSION}, {} intake, {} workers, {} connections max",
-        match args.server_mode {
-            ServerMode::Reactor => "reactor",
-            ServerMode::Threaded => "threaded",
-        },
-        args.workers,
-        args.max_conns
+        "clare-served: protocol v{PROTOCOL_VERSION}, {} workers, {} connections max",
+        args.workers, args.max_conns
     );
 
     if args.wait_stdin {

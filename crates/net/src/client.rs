@@ -91,7 +91,6 @@ pub struct NetClient {
     /// awaited (out-of-order completion under pipelining).
     stash: Vec<Frame>,
     next_id: u64,
-    server_version: u16,
     /// Knowledge-base build fingerprint the server reported in its hello;
     /// the cluster layer refuses to pair backends with differing bases.
     kb_fingerprint: u64,
@@ -102,9 +101,9 @@ pub struct NetClient {
     /// Work ceilings attached to subsequent query requests; sent on the
     /// wire only when the server negotiated [`CAP_QUERY_BUDGET`].
     budget: BudgetExt,
-    /// Negotiated on the handshake: the server understands the v4 budget
-    /// extension. Against a v3 server the client silently omits it — the
-    /// request bytes are then byte-identical to a v3 client's.
+    /// Negotiated on the handshake: the listener accepted the budget
+    /// extension. Against one that did not (the cluster router daemon)
+    /// the client silently omits the tail.
     budget_capable: bool,
     /// xorshift64* state for full-jitter backoff sleeps.
     rng: u64,
@@ -184,7 +183,6 @@ impl NetClient {
             reader,
             stash: Vec::new(),
             next_id: 1,
-            server_version: hello.version,
             kb_fingerprint: hello.fingerprint,
             checksums,
             deadline: None,
@@ -208,11 +206,6 @@ impl NetClient {
         self.budget = budget;
         self.next_id = next_id;
         Ok(())
-    }
-
-    /// The protocol version the server reported in its hello.
-    pub fn server_version(&self) -> u16 {
-        self.server_version
     }
 
     /// The knowledge-base build fingerprint the server reported in its
@@ -239,9 +232,9 @@ impl NetClient {
     /// Sets the work ceilings (solve-step and candidate limits) attached
     /// to subsequent query requests. Zero fields mean unlimited;
     /// [`BudgetExt::NONE`] clears the budget. Ceilings cross the wire
-    /// only when the server negotiated the budget capability (protocol
-    /// v4); against an older server they are silently dropped and the
-    /// request bytes stay byte-identical to a v3 client's.
+    /// only when the listener negotiated the budget capability; against
+    /// one that did not they are silently dropped and the request carries
+    /// no budget tail.
     pub fn set_budget(&mut self, budget: BudgetExt) {
         self.budget = budget;
     }
@@ -619,7 +612,6 @@ impl std::fmt::Debug for NetClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetClient")
             .field("addr", &self.addr)
-            .field("server_version", &self.server_version)
             .finish_non_exhaustive()
     }
 }

@@ -13,13 +13,15 @@
 //!   payloads are Pseudo In-line Format term bytes: the network speaks the
 //!   hardware's own encoding. Every decoder is hardened against untrusted
 //!   input (bounds-checked, depth-limited, never panics).
-//! - [`NetServer`] — connection intake (an epoll [`reactor`] by default,
-//!   or classic per-connection reader threads via
-//!   [`ServerMode::Threaded`]) feeding a bounded worker pool. Supports
-//!   request pipelining with out-of-order completion, coalesces pipelined
-//!   same-predicate retrieves into single hardware batch passes, sheds
-//!   load with retry-after hints when the queue or connection limit is
-//!   hit, and drains in-flight requests on shutdown.
+//! - [`NetServer`] — the one serving core: an epoll reactor takes
+//!   connections in and feeds a bounded worker pool, and each worker
+//!   writes its reply to the connection's socket itself, falling back to
+//!   a bounded per-connection queue the reactor flushes when the peer is
+//!   not keeping up. Supports request pipelining with out-of-order
+//!   completion, coalesces pipelined same-predicate retrieves into single
+//!   hardware batch passes, sheds load with retry-after hints when the
+//!   queue or connection limit is hit, and drains in-flight requests on
+//!   shutdown. Linux only (epoll).
 //! - [`NetClient`] — mirrors the in-process server API call for call;
 //!   answers (satisfier sets, verdict counts, modelled `SimNanos` times)
 //!   are byte-identical to direct calls on the same CRS.
@@ -62,7 +64,5 @@ pub mod server;
 
 pub use client::{ClientConfig, NetClient};
 pub use error::NetError;
-pub use protocol::{
-    BudgetExt, ErrorCode, CAP_QUERY_BUDGET, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
-pub use server::{NetConfig, NetServer, ServerMode};
+pub use protocol::{BudgetExt, ErrorCode, CAP_QUERY_BUDGET, PROTOCOL_VERSION};
+pub use server::{NetConfig, NetServer};

@@ -21,30 +21,12 @@ use clare_pif::{decode_term, encode_term, TermLimits};
 use clare_term::{ClauseId, FloatId, Symbol, SymbolTable, Term};
 use clare_trace::{HistogramSnapshot, MetricsSnapshot};
 
-/// Protocol version spoken by this build. Bumped on any incompatible frame
-/// or payload change; the handshake rejects mismatched peers outright
-/// (status [`HelloStatus::VersionMismatch`]) rather than guessing.
-///
-/// Version 2 added the degradation fields to the retrieval / solve / stats
-/// payloads and the capability byte to both hellos.
-///
-/// Version 3 added the replication stream opcodes (`SUBSCRIBE_LOG` /
-/// `LOG_FRAME` / `REPL_ACK`), the KB build fingerprint to the server
-/// hello (widening it from 12 to 20 bytes), and the `ReplGap` error
-/// code.
-///
-/// Version 4 added the query-budget extension ([`BudgetExt`], gated by
-/// [`CAP_QUERY_BUDGET`]) to the retrieve / batch / solve requests and the
-/// `BudgetExceeded` error code. The extension is an optional trailing
-/// block: a v4 peer that sets no limits emits byte-identical payloads to
-/// v3, and servers still admit v3 clients ([`MIN_PROTOCOL_VERSION`]).
+/// The one protocol version this build speaks. Bumped on any incompatible
+/// frame or payload change; the handshake ([`admit_client`]) refuses every
+/// other version outright (status [`HelloStatus::VersionMismatch`]) rather
+/// than guessing. Optional behaviour within a version is negotiated through
+/// the hello capability bits ([`CAP_FRAME_CRC`], [`CAP_QUERY_BUDGET`]).
 pub const PROTOCOL_VERSION: u16 = 4;
-
-/// Oldest protocol version this build still serves. The hello handshake
-/// admits any version in `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION` and
-/// echoes the client's version back, so old clients keep their exact wire
-/// dialect (budget-capable replies are never sent to a v3 peer).
-pub const MIN_PROTOCOL_VERSION: u16 = 3;
 
 /// Hello capability bit: the peer wants CRC32C trailers on every frame
 /// ([`super::frame::FRAME_CRC_TRAILER`]). Effective only when requested by
@@ -53,8 +35,7 @@ pub const MIN_PROTOCOL_VERSION: u16 = 3;
 pub const CAP_FRAME_CRC: u8 = 1;
 
 /// Hello capability bit: the peer understands the query-budget request
-/// extension ([`BudgetExt`]) and the `BudgetExceeded` error code. Offered
-/// by v4+ clients; the server accepts it only on a v4+ connection, and a
+/// extension ([`BudgetExt`]) and the `BudgetExceeded` error code. A
 /// client must not append the extension unless the server accepted the
 /// bit.
 pub const CAP_QUERY_BUDGET: u8 = 2;
@@ -141,9 +122,9 @@ pub enum ErrorCode {
     /// A query budget other than the wall-clock deadline tripped
     /// mid-execution (solve-step or candidate ceiling): the work was
     /// abandoned at a cancellation checkpoint and **no partial answer was
-    /// produced or cached**. Deadline trips keep reporting
-    /// [`ErrorCode::DeadlineExpired`], so v3 peers — which predate this
-    /// code — see the dialect they know. (v4+.)
+    /// produced or cached**. Deadline trips report
+    /// [`ErrorCode::DeadlineExpired`] whether they fire in the queue or
+    /// mid-execution.
     BudgetExceeded,
 }
 
@@ -340,13 +321,8 @@ impl HelloStatus {
     }
 }
 
-/// Encodes the fixed-size client hello with no capabilities requested.
-pub fn encode_client_hello(version: u16) -> [u8; CLIENT_HELLO_LEN] {
-    encode_client_hello_caps(version, 0)
-}
-
 /// Encodes the fixed-size client hello: magic, version, and the requested
-/// capability bits (byte 6; [`CAP_FRAME_CRC`]). Byte 7 stays reserved.
+/// capability bits (byte 6). Byte 7 stays reserved.
 pub fn encode_client_hello_caps(version: u16, caps: u8) -> [u8; CLIENT_HELLO_LEN] {
     let mut out = [0u8; CLIENT_HELLO_LEN];
     out[..4].copy_from_slice(&CLIENT_MAGIC);
@@ -355,14 +331,7 @@ pub fn encode_client_hello_caps(version: u16, caps: u8) -> [u8; CLIENT_HELLO_LEN
     out
 }
 
-/// Decodes a client hello, returning the client's protocol version.
-pub fn decode_client_hello(raw: &[u8; CLIENT_HELLO_LEN]) -> Result<u16, WireError> {
-    Ok(decode_client_hello_caps(raw)?.0)
-}
-
 /// Decodes a client hello, returning `(version, requested capabilities)`.
-/// Version-1 clients always sent zero in the capability byte, so this
-/// reads their hellos correctly too.
 pub fn decode_client_hello_caps(raw: &[u8; CLIENT_HELLO_LEN]) -> Result<(u16, u8), WireError> {
     if raw[..4] != CLIENT_MAGIC {
         return Err(err("bad client magic"));
@@ -381,8 +350,7 @@ pub struct ServerHello {
     /// milliseconds. Zero otherwise.
     pub retry_after_ms: u32,
     /// Capability bits the server *accepted* (byte 7; a subset of what
-    /// the client requested). Version-1 servers left this byte zero, so
-    /// their hellos decode as "no capabilities".
+    /// the client requested).
     pub caps: u8,
     /// The serving knowledge base's build fingerprint
     /// (`KnowledgeBase::content_fingerprint`, bytes 12..20). A cluster
@@ -418,6 +386,31 @@ pub fn decode_server_hello(raw: &[u8; SERVER_HELLO_LEN]) -> Result<ServerHello, 
         caps: raw[7],
         fingerprint: u64::from_be_bytes(fp),
     })
+}
+
+/// The admission rule, shared by every listener that speaks this protocol
+/// (the serving reactor and the `clare-cluster` router daemon): a client
+/// is admitted only when its hello carries the right magic and exactly
+/// [`PROTOCOL_VERSION`], and is granted the capabilities it requested that
+/// the listener allows (`allowed_caps`). Anything else is answered
+/// [`HelloStatus::VersionMismatch`] with no capabilities, after which the
+/// listener closes the connection.
+pub fn admit_client(
+    raw: &[u8; CLIENT_HELLO_LEN],
+    allowed_caps: u8,
+    fingerprint: u64,
+) -> ServerHello {
+    let (status, caps) = match decode_client_hello_caps(raw) {
+        Ok((PROTOCOL_VERSION, requested)) => (HelloStatus::Ok, requested & allowed_caps),
+        Ok(_) | Err(_) => (HelloStatus::VersionMismatch, 0),
+    };
+    ServerHello {
+        version: PROTOCOL_VERSION,
+        status,
+        retry_after_ms: 0,
+        caps,
+        fingerprint,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -485,14 +478,13 @@ pub fn decode_repl_ack(payload: &[u8]) -> Result<ReplAck, WireError> {
 // Requests
 // ---------------------------------------------------------------------------
 
-/// The protocol-v4 query-budget request extension: work ceilings beyond
-/// the wall-clock deadline (which travels in the request's existing
+/// The query-budget request extension: work ceilings beyond the
+/// wall-clock deadline (which travels in the request's own
 /// `deadline_micros` field). Encoded as an **optional 16-byte trailing
 /// block** on retrieve / batch / solve requests — appended only when at
 /// least one limit is set and only after the server accepted
-/// [`CAP_QUERY_BUDGET`] — so a v4 client with no limits emits payloads
-/// byte-identical to v3, and v3 decoders (which reject trailing bytes)
-/// are never shown the block.
+/// [`CAP_QUERY_BUDGET`] — so a request with no limits carries no tail at
+/// all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BudgetExt {
     /// Abandon a solve after this many resolution steps; `0` = unlimited.
@@ -527,7 +519,7 @@ fn put_budget_ext(out: &mut Vec<u8>, budget: &BudgetExt) {
 }
 
 /// The optional trailing budget block: present iff exactly
-/// [`BUDGET_EXT_LEN`] bytes remain (a v3 payload leaves zero). Any other
+/// [`BUDGET_EXT_LEN`] bytes remain (an unlimited request leaves zero). Any other
 /// remainder is malformed and rejected by the caller's `finish()`.
 fn get_budget_ext(c: &mut Cur<'_>) -> Result<BudgetExt, WireError> {
     if c.remaining() != BUDGET_EXT_LEN {
@@ -548,8 +540,8 @@ pub struct RetrieveReq {
     /// Expired requests are answered with [`ErrorCode::DeadlineExpired`]
     /// instead of being served.
     pub deadline_micros: u64,
-    /// Work ceilings beyond the deadline (v4; [`BudgetExt::NONE`] encodes
-    /// to nothing, keeping the payload v3-identical).
+    /// Work ceilings beyond the deadline ([`BudgetExt::NONE`] encodes to
+    /// nothing).
     pub budget: BudgetExt,
     /// The query term, PIF-encoded on the wire.
     pub query: Term,
@@ -590,7 +582,7 @@ pub struct RetrieveBatchReq {
     pub mode: SearchMode,
     /// Deadline as in [`RetrieveReq::deadline_micros`].
     pub deadline_micros: u64,
-    /// Work ceilings covering the batch as a whole (v4).
+    /// Work ceilings covering the batch as a whole.
     pub budget: BudgetExt,
     /// Member queries, answered positionally.
     pub queries: Vec<Term>,
@@ -1218,8 +1210,7 @@ mod tests {
 
     #[test]
     fn hello_roundtrip() {
-        let raw = encode_client_hello(PROTOCOL_VERSION);
-        assert_eq!(decode_client_hello(&raw).unwrap(), PROTOCOL_VERSION);
+        let raw = encode_client_hello_caps(PROTOCOL_VERSION, 0);
         assert_eq!(
             decode_client_hello_caps(&raw).unwrap(),
             (PROTOCOL_VERSION, 0)
@@ -1251,9 +1242,36 @@ mod tests {
             }
         }
 
-        let mut bad = encode_client_hello(1);
+        let mut bad = encode_client_hello_caps(PROTOCOL_VERSION, 0);
         bad[0] = b'X';
-        assert!(decode_client_hello(&bad).is_err());
+        assert!(decode_client_hello_caps(&bad).is_err());
+    }
+
+    #[test]
+    fn admission_is_exactly_this_version_with_requested_and_allowed_caps() {
+        let hello = |version, requested| encode_client_hello_caps(version, requested);
+        let mut bad_magic = hello(PROTOCOL_VERSION, 3);
+        bad_magic[0] = b'X';
+        // (client hello, allowed) → (status, granted)
+        for (raw, allowed, want) in [
+            (hello(PROTOCOL_VERSION, 0xFF), 3, (HelloStatus::Ok, 3)),
+            (hello(PROTOCOL_VERSION, 2), 1, (HelloStatus::Ok, 0)),
+            (
+                hello(PROTOCOL_VERSION - 1, 3),
+                3,
+                (HelloStatus::VersionMismatch, 0),
+            ),
+            (
+                hello(PROTOCOL_VERSION + 1, 3),
+                3,
+                (HelloStatus::VersionMismatch, 0),
+            ),
+            (bad_magic, 3, (HelloStatus::VersionMismatch, 0)),
+        ] {
+            let reply = admit_client(&raw, allowed, 7);
+            assert_eq!((reply.status, reply.caps), want);
+            assert_eq!((reply.version, reply.fingerprint), (PROTOCOL_VERSION, 7));
+        }
     }
 
     #[test]
@@ -1299,10 +1317,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_encodes_byte_identical_to_v3() {
-        // The whole compatibility story: a v4 peer with no limits emits
-        // exactly the bytes a v3 peer would, so servers cannot tell them
-        // apart and v3 decoders never see trailing bytes.
+    fn zero_budget_adds_no_bytes() {
+        // The extension is a tail, not a field: a request with no limits
+        // is exactly mode + deadline + term, whatever was negotiated.
         let mut symbols = SymbolTable::new();
         let query = sample_terms(&mut symbols).remove(1);
         let req = RetrieveReq {
@@ -1311,11 +1328,11 @@ mod tests {
             budget: BudgetExt::NONE,
             query: query.clone(),
         };
-        let mut v3 = Vec::new();
-        v3.push(mode_to_wire(req.mode));
-        v3.extend_from_slice(&req.deadline_micros.to_be_bytes());
-        v3.extend_from_slice(&encode_term(&req.query));
-        assert_eq!(encode_retrieve(&req), v3);
+        let mut bare = Vec::new();
+        bare.push(mode_to_wire(req.mode));
+        bare.extend_from_slice(&req.deadline_micros.to_be_bytes());
+        bare.extend_from_slice(&encode_term(&req.query));
+        assert_eq!(encode_retrieve(&req), bare);
 
         let limited = RetrieveReq {
             budget: BudgetExt {
@@ -1326,7 +1343,7 @@ mod tests {
         };
         assert_eq!(
             encode_retrieve(&limited).len(),
-            v3.len() + 16,
+            bare.len() + 16,
             "a set limit appends exactly the 16-byte block"
         );
     }

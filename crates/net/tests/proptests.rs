@@ -9,9 +9,9 @@ use clare_net::protocol::{
     decode_consult, decode_error, decode_metrics_snapshot, decode_retrieval, decode_retrievals,
     decode_retrieve, decode_retrieve_batch, decode_server_hello, decode_server_stats,
     decode_server_stats_extended, decode_solve, decode_solve_outcome, decode_symbols,
-    encode_client_hello, encode_client_hello_caps, encode_retrieval, encode_retrieve, opcode,
-    BudgetExt, Frame, FrameReader, HelloStatus, RetrieveReq, CAP_FRAME_CRC, CAP_QUERY_BUDGET,
-    MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SERVER_HELLO_LEN,
+    encode_client_hello_caps, encode_retrieval, encode_retrieve, opcode, BudgetExt, Frame,
+    FrameReader, HelloStatus, RetrieveReq, CAP_FRAME_CRC, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    SERVER_HELLO_LEN,
 };
 use clare_net::{ClientConfig, NetClient, NetConfig, NetServer};
 use clare_term::parser::parse_term;
@@ -76,7 +76,7 @@ proptest! {
         let server = spawn_server();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        stream.write_all(&encode_client_hello(PROTOCOL_VERSION)).unwrap();
+        stream.write_all(&encode_client_hello_caps(PROTOCOL_VERSION, 0)).unwrap();
         let mut hello = [0u8; SERVER_HELLO_LEN];
         stream.read_exact(&mut hello).unwrap();
 
@@ -143,7 +143,7 @@ proptest! {
 
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        stream.write_all(&encode_client_hello(PROTOCOL_VERSION)).unwrap();
+        stream.write_all(&encode_client_hello_caps(PROTOCOL_VERSION, 0)).unwrap();
         let mut hello = [0u8; SERVER_HELLO_LEN];
         stream.read_exact(&mut hello).unwrap();
 
@@ -201,18 +201,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Capability negotiation never strands an old client. For an
-    /// arbitrary requested-capability byte and either in-range protocol
-    /// version, the server echoes the client's version, grants only a
-    /// subset of what was requested, refuses the budget capability to a
-    /// v3 client (whose decoders predate the optional budget tail), and
-    /// then serves retrieval replies byte-identical to the in-process
-    /// reference over that client's own framing — the v4 upgrade is
-    /// invisible to v3 speakers.
+    /// The handshake admits exactly one version and never grants more
+    /// than was asked. For an arbitrary requested-capability byte: a
+    /// client speaking any other version — v3, the last dialect to be
+    /// retired, included — gets exactly one `VersionMismatch` hello with
+    /// no capabilities and then the close; a v4 client is granted a subset
+    /// of what it requested and then served retrieval replies
+    /// byte-identical to the in-process reference over the framing that
+    /// was negotiated.
     #[test]
-    fn capability_negotiation_keeps_v3_answers_byte_identical(
+    fn handshake_refuses_other_versions_and_grants_only_requested_caps(
         requested in any::<u8>(),
-        speak_v3 in any::<bool>(),
+        version in prop_oneof![Just(PROTOCOL_VERSION), Just(3u16), any::<u16>()],
         qi in 0usize..3,
     ) {
         let mut b = KbBuilder::new();
@@ -228,29 +228,29 @@ proptest! {
         )
         .unwrap();
 
-        let version = if speak_v3 { MIN_PROTOCOL_VERSION } else { PROTOCOL_VERSION };
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         stream.write_all(&encode_client_hello_caps(version, requested)).unwrap();
         let mut raw = [0u8; SERVER_HELLO_LEN];
         stream.read_exact(&mut raw).unwrap();
         let hello = decode_server_hello(&raw).unwrap();
+        prop_assert_eq!(hello.version, PROTOCOL_VERSION);
+        if version != PROTOCOL_VERSION {
+            prop_assert_eq!(hello.status, HelloStatus::VersionMismatch);
+            prop_assert_eq!(hello.caps, 0, "a refused client is granted nothing");
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).unwrap();
+            prop_assert!(rest.is_empty(), "{} bytes followed the refusal hello", rest.len());
+            server.shutdown();
+            return Ok(());
+        }
         prop_assert_eq!(hello.status, HelloStatus::Ok);
-        prop_assert_eq!(hello.version, version, "the server must echo the client's version");
         prop_assert_eq!(
             hello.caps & !requested, 0,
             "granted capabilities must be a subset of the requested ones"
         );
-        if version < PROTOCOL_VERSION {
-            prop_assert_eq!(
-                hello.caps & CAP_QUERY_BUDGET, 0,
-                "the budget capability must never be granted below v4"
-            );
-        }
 
-        // Speak whatever framing was negotiated; a zero budget encodes to
-        // v3-identical request bytes, so this is exactly what a v3 client
-        // puts on the wire.
+        // Speak whatever framing was negotiated.
         let crc = hello.caps & CAP_FRAME_CRC != 0;
         let mut symbols = crs.symbols();
         let text = ["p(X)", "q(X, Y)", "p(b)"][qi];
@@ -271,7 +271,7 @@ proptest! {
         prop_assert_eq!(
             reply.payload,
             encode_retrieval(&crs.retrieve(&query, SearchMode::TwoStage)),
-            "a {}-speaking client's reply diverged from the reference bytes", version
+            "the reply diverged from the reference bytes under caps {:#04x}", hello.caps
         );
         server.shutdown();
     }

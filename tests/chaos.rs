@@ -538,11 +538,7 @@ fn reactor_read_write_chaos_is_transparent() {
     let _serial = serial();
     let (kb, queries) = chaos_kb();
     let crs = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
-    let cfg = NetConfig {
-        server_mode: clare_net::ServerMode::Reactor,
-        ..NetConfig::default()
-    };
-    let server = NetServer::bind(Arc::clone(&crs), "127.0.0.1:0", cfg).unwrap();
+    let server = NetServer::bind(Arc::clone(&crs), "127.0.0.1:0", NetConfig::default()).unwrap();
     let reference: Vec<Retrieval> = queries
         .iter()
         .map(|q| crs.retrieve(q, SearchMode::TwoStage))
