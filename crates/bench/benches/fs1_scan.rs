@@ -1,7 +1,7 @@
 //! Criterion counterpart of E6/E14: FS1 secondary-file scanning —
 //! codeword generation and index scan throughput at several index
 //! sizes, comparing the retained scalar reference scan against the
-//! packed columnar scan.
+//! bit-sliced scan.
 
 use clare_scw::{encode_query_descriptor, ClauseAddr, IndexFile, ScwConfig};
 use clare_term::parser::parse_term;
@@ -29,7 +29,7 @@ fn bench_index_scan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar", n), &n, |b, _| {
             b.iter(|| black_box(index.scan_reference(black_box(&descriptor)).matches.len()))
         });
-        group.bench_with_input(BenchmarkId::new("packed", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("sliced", n), &n, |b, _| {
             b.iter(|| {
                 black_box(
                     index

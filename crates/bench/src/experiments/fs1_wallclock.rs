@@ -1,15 +1,16 @@
-//! E14 — host wall-clock throughput of the packed columnar FS1 scan.
+//! E14 — host wall-clock throughput of the bit-sliced FS1 scan.
 //!
 //! E6 ([`super::fs1`]) reports *modelled* times: the 4.5 MB/s FS1
 //! prototype rate from the paper. This experiment measures the *host*
 //! cost of the software scan itself — the retained scalar reference
-//! path ([`IndexFile::scan_reference`]) and the packed columnar path
-//! ([`IndexFile::scan_with_descriptor`]) — at several index sizes, and
-//! emits a machine-readable `BENCH_fs1.json` so regressions are diffable.
+//! path ([`IndexFile::scan_reference`]) and the bit-sliced path
+//! ([`IndexFile::scan_with_descriptor`]) — and of building the index, at
+//! several index sizes, and emits a machine-readable `BENCH_fs1.json`
+//! (with the host, core count and commit) so regressions are diffable.
 
 use clare_scw::{ClauseAddr, IndexFile, QueryDescriptor, ScwConfig};
 use clare_term::parser::parse_term;
-use clare_term::SymbolTable;
+use clare_term::{SymbolTable, Term};
 use std::fmt;
 use std::hint::black_box;
 use std::time::Instant;
@@ -21,8 +22,11 @@ pub struct Fs1WallclockRow {
     pub entries: usize,
     /// Best observed scalar reference scan, ns per full scan.
     pub scalar_ns: f64,
-    /// Best observed packed columnar scan, ns per full scan.
-    pub packed_ns: f64,
+    /// Best observed bit-sliced scan, ns per full scan.
+    pub sliced_ns: f64,
+    /// Best observed index build from parsed heads (encode + insert, as
+    /// the knowledge-base compiler does it), ns per entry.
+    pub build_ns_per_entry: f64,
 }
 
 impl Fs1WallclockRow {
@@ -31,20 +35,27 @@ impl Fs1WallclockRow {
         self.entries as f64 / (self.scalar_ns / 1e9)
     }
 
-    /// Entries filtered per second by the packed scan.
-    pub fn packed_entries_per_sec(&self) -> f64 {
-        self.entries as f64 / (self.packed_ns / 1e9)
+    /// Entries filtered per second by the bit-sliced scan.
+    pub fn sliced_entries_per_sec(&self) -> f64 {
+        self.entries as f64 / (self.sliced_ns / 1e9)
     }
 
-    /// Packed speedup over the scalar reference.
-    pub fn packed_speedup(&self) -> f64 {
-        self.scalar_ns / self.packed_ns
+    /// Bit-sliced speedup over the scalar reference.
+    pub fn sliced_speedup(&self) -> f64 {
+        self.scalar_ns / self.sliced_ns
     }
 }
 
 /// The wall-clock report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fs1WallclockReport {
+    /// Where the numbers come from: kernel hostname, cores available to
+    /// the process, and `git describe --always --dirty` of the checkout.
+    pub host: String,
+    /// See `host`.
+    pub cores: usize,
+    /// See `host`.
+    pub commit: String,
     /// One row per index size, ascending.
     pub rows: Vec<Fs1WallclockRow>,
 }
@@ -53,53 +64,47 @@ impl Fs1WallclockReport {
     /// Renders the report as a small JSON document (hand-written — the
     /// workspace deliberately carries no serde dependency).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"experiment\": \"fs1_scan_wallclock\",\n");
-        out.push_str("  \"unit\": \"entries_per_sec\",\n");
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"entries\": {},\n", row.entries));
-            out.push_str(&format!(
-                "      \"scalar_ns_per_scan\": {:.0},\n",
-                row.scalar_ns
-            ));
-            out.push_str(&format!(
-                "      \"packed_ns_per_scan\": {:.0},\n",
-                row.packed_ns
-            ));
-            out.push_str(&format!(
-                "      \"scalar_entries_per_sec\": {:.0},\n",
-                row.scalar_entries_per_sec()
-            ));
-            out.push_str(&format!(
-                "      \"packed_entries_per_sec\": {:.0},\n",
-                row.packed_entries_per_sec()
-            ));
-            out.push_str(&format!(
-                "      \"packed_speedup_vs_scalar\": {:.2}\n",
-                row.packed_speedup()
-            ));
-            out.push_str(if i + 1 == self.rows.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let fixed = |decimals: usize, value: f64| format!("{value:.decimals$}");
+                let fields = [
+                    ("entries", row.entries.to_string()),
+                    ("scalar_ns_per_scan", fixed(0, row.scalar_ns)),
+                    ("sliced_ns_per_scan", fixed(0, row.sliced_ns)),
+                    (
+                        "scalar_entries_per_sec",
+                        fixed(0, row.scalar_entries_per_sec()),
+                    ),
+                    (
+                        "sliced_entries_per_sec",
+                        fixed(0, row.sliced_entries_per_sec()),
+                    ),
+                    ("sliced_speedup_vs_scalar", fixed(2, row.sliced_speedup())),
+                    ("build_ns_per_entry", fixed(1, row.build_ns_per_entry)),
+                ]
+                .map(|(key, value)| format!("      \"{key}\": {value}"));
+                format!("    {{\n{}\n    }}", fields.join(",\n"))
+            })
+            .collect();
+        format!(
+            "{{\n  \"experiment\": \"fs1_scan_wallclock\",\n  \"unit\": \"entries_per_sec\",\n  \
+             \"host\": \"{}\",\n  \"cores\": {},\n  \"commit\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+            self.host,
+            self.cores,
+            self.commit,
+            rows.join(",\n")
+        )
     }
 }
 
-/// Builds the same synthetic index the criterion bench uses: `n` facts
-/// `p(k{i}, v{i % 97})` so a ground query selects ~1% of entries.
-fn build_index(n: usize, symbols: &mut SymbolTable) -> IndexFile {
-    let mut index = IndexFile::with_capacity(ScwConfig::paper(), n);
-    for i in 0..n {
-        let head = parse_term(&format!("p(k{}, v{})", i, i % 97), symbols).unwrap();
-        index.insert(&head, ClauseAddr::new((i / 200) as u32, (i % 200) as u16));
+/// Builds an index the way the knowledge-base compiler does: sized from
+/// the clause count, filled in clause order.
+fn build_index(heads: &[Term]) -> IndexFile {
+    let mut index = IndexFile::with_capacity(ScwConfig::paper(), heads.len());
+    for (i, head) in heads.iter().enumerate() {
+        index.insert(head, ClauseAddr::new((i / 200) as u32, (i % 200) as u16));
     }
     index
 }
@@ -136,28 +141,42 @@ pub fn run(sizes: &[usize], budget: std::time::Duration) -> Fs1WallclockReport {
     let mut rows = Vec::with_capacity(sizes.len());
     for &n in sizes {
         let mut symbols = SymbolTable::new();
-        let index = build_index(n, &mut symbols);
+        // The criterion bench's facts: a ground query selects ~1% of them.
+        let heads: Vec<Term> = (0..n)
+            .map(|i| parse_term(&format!("p(k{}, v{})", i, i % 97), &mut symbols).unwrap())
+            .collect();
+        let index = build_index(&heads);
         let query = parse_term("p(k42, X)", &mut symbols).unwrap();
         let descriptor: QueryDescriptor = clare_scw::encode_query_descriptor(&query, &config);
         let scalar_ns = best_ns(|| index.scan_reference(&descriptor).matches.len(), budget);
-        let packed_ns = best_ns(
+        let sliced_ns = best_ns(
             || index.scan_with_descriptor(&descriptor).matches.len(),
             budget,
         );
+        let build_ns = best_ns(|| build_index(&heads).len(), budget);
         rows.push(Fs1WallclockRow {
             entries: n,
             scalar_ns,
-            packed_ns,
+            sliced_ns,
+            build_ns_per_entry: build_ns / n as f64,
         });
     }
-    Fs1WallclockReport { rows }
+    let (host, cores, commit) = super::net_wallclock::provenance();
+    Fs1WallclockReport {
+        host,
+        cores,
+        commit,
+        rows,
+    }
 }
 
 impl fmt::Display for Fs1WallclockReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "E14: FS1 host scan throughput — scalar reference vs packed columnar\n"
+            "E14: FS1 host scan throughput — scalar reference vs bit-sliced \
+             ({} cores on {}, commit {})\n",
+            self.cores, self.host, self.commit
         )?;
         let rows: Vec<Vec<String>> = self
             .rows
@@ -166,8 +185,9 @@ impl fmt::Display for Fs1WallclockReport {
                 vec![
                     r.entries.to_string(),
                     format!("{:.1}", r.scalar_entries_per_sec() / 1e6),
-                    format!("{:.1}", r.packed_entries_per_sec() / 1e6),
-                    format!("{:.2}x", r.packed_speedup()),
+                    format!("{:.1}", r.sliced_entries_per_sec() / 1e6),
+                    format!("{:.2}x", r.sliced_speedup()),
+                    format!("{:.1}", r.build_ns_per_entry),
                 ]
             })
             .collect();
@@ -175,7 +195,13 @@ impl fmt::Display for Fs1WallclockReport {
             f,
             "{}",
             crate::render_table(
-                &["entries", "scalar Me/s", "packed Me/s", "packed speedup",],
+                &[
+                    "entries",
+                    "scalar Me/s",
+                    "sliced Me/s",
+                    "speedup",
+                    "build ns/entry"
+                ],
                 &rows,
             )
         )
@@ -193,26 +219,34 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
         for row in &r.rows {
             assert!(row.scalar_ns > 0.0);
-            assert!(row.packed_ns > 0.0);
-            assert!(row.packed_entries_per_sec() > 0.0);
+            assert!(row.sliced_ns > 0.0);
+            assert!(row.sliced_entries_per_sec() > 0.0);
+            assert!(row.build_ns_per_entry > 0.0);
         }
         let json = r.to_json();
         assert!(json.contains("\"experiment\": \"fs1_scan_wallclock\""));
         assert!(json.contains("\"entries\": 500"));
-        assert!(json.contains("\"packed_speedup_vs_scalar\""));
+        assert!(json.contains("\"sliced_speedup_vs_scalar\""));
+        assert!(json.contains("\"build_ns_per_entry\""));
+        assert!(json.contains("\"cores\": "));
+        assert!(json.contains("\"commit\": \""));
         // Render path stays panic-free.
         assert!(format!("{r}").contains("entries"));
     }
 
     #[test]
-    fn packed_scan_is_not_slower_than_reference() {
-        // Perf assertions are deliberately loose for noisy CI hosts: the
-        // packed scan must at minimum not regress below the reference.
+    fn sliced_scan_is_at_least_200x_faster_than_reference() {
+        // The reference rebuilds each signature from 64+ bit columns while
+        // the sliced scan ANDs the query's few columns: ~3600x at 20k
+        // entries on the 2-core host (BENCH_fs1.json). A row-major scan
+        // at the parent's ~1 ns per entry would sit near 150x, so the
+        // bound catches a fall back to row-at-a-time speed with an order
+        // of magnitude of headroom for noisy CI hosts.
         let r = run(&[20_000], Duration::from_millis(150));
         assert!(
-            r.rows[0].packed_speedup() > 1.0,
-            "packed scan slower than scalar reference: {:.2}x",
-            r.rows[0].packed_speedup()
+            r.rows[0].sliced_speedup() >= 200.0,
+            "sliced scan only {:.1}x faster than the scalar reference",
+            r.rows[0].sliced_speedup()
         );
     }
 }

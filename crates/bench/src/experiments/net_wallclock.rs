@@ -80,37 +80,34 @@ impl NetWallclockReport {
     /// Renders the report as a small JSON document (hand-written — the
     /// workspace deliberately carries no serde dependency).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"experiment\": \"net_wallclock\",\n");
-        out.push_str("  \"unit\": \"requests_per_second\",\n");
-        out.push_str(&format!("  \"host\": \"{}\",\n", self.host));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"commit\": \"{}\",\n", self.commit));
-        out.push_str(&format!("  \"facts\": {},\n", self.facts));
-        out.push_str(&format!("  \"rounds\": {},\n", self.rounds));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"connections\": {},\n", row.connections));
-            out.push_str(&format!("      \"depth\": {},\n", row.depth));
-            out.push_str(&format!("      \"requests\": {},\n", row.requests));
-            out.push_str(&format!("      \"elapsed_ms\": {:.1},\n", row.elapsed_ms));
-            out.push_str(&format!(
-                "      \"throughput_rps\": {:.0},\n",
-                row.throughput_rps
-            ));
-            out.push_str(&format!("      \"p50_us\": {:.0},\n", row.p50_us));
-            out.push_str(&format!("      \"p99_us\": {:.0}\n", row.p99_us));
-            out.push_str(if i + 1 == self.rows.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let fields = [
+                    ("connections", row.connections.to_string()),
+                    ("depth", row.depth.to_string()),
+                    ("requests", row.requests.to_string()),
+                    ("elapsed_ms", format!("{:.1}", row.elapsed_ms)),
+                    ("throughput_rps", format!("{:.0}", row.throughput_rps)),
+                    ("p50_us", format!("{:.0}", row.p50_us)),
+                    ("p99_us", format!("{:.0}", row.p99_us)),
+                ]
+                .map(|(key, value)| format!("      \"{key}\": {value}"));
+                format!("    {{\n{}\n    }}", fields.join(",\n"))
+            })
+            .collect();
+        format!(
+            "{{\n  \"experiment\": \"net_wallclock\",\n  \"unit\": \"requests_per_second\",\n  \
+             \"host\": \"{}\",\n  \"cores\": {},\n  \"commit\": \"{}\",\n  \"facts\": {},\n  \
+             \"rounds\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+            self.host,
+            self.cores,
+            self.commit,
+            self.facts,
+            self.rounds,
+            rows.join(",\n")
+        )
     }
 }
 
@@ -137,21 +134,33 @@ pub fn run(cases: &[NetCase], facts: usize, rounds: usize) -> NetWallclockReport
         .iter()
         .map(|&case| run_case(&crs, &queries, case, rounds))
         .collect();
+    let (host, cores, commit) = provenance();
+    NetWallclockReport {
+        host,
+        cores,
+        commit,
+        facts,
+        rounds,
+        rows,
+    }
+}
+
+/// Where a wall-clock report's numbers come from: the kernel hostname,
+/// the cores available to the process, and `git describe --always
+/// --dirty` of the checkout. Shared with [`super::fs1_wallclock`].
+pub(crate) fn provenance() -> (String, usize, String) {
     let commit = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--abbrev=12"])
         .output()
         .ok()
         .filter(|o| o.status.success())
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned());
-    NetWallclockReport {
-        host: std::fs::read_to_string("/proc/sys/kernel/hostname")
+    (
+        std::fs::read_to_string("/proc/sys/kernel/hostname")
             .map_or_else(|_| "unknown".to_owned(), |s| s.trim().to_owned()),
-        cores: std::thread::available_parallelism().map_or(0, usize::from),
-        commit: commit.unwrap_or_else(|| "unknown".to_owned()),
-        facts,
-        rounds,
-        rows,
-    }
+        std::thread::available_parallelism().map_or(0, usize::from),
+        commit.unwrap_or_else(|| "unknown".to_owned()),
+    )
 }
 
 fn run_case(

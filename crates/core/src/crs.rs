@@ -261,7 +261,7 @@ pub(crate) fn only(result: Result<Vec<Retrieval>, BudgetExceeded>) -> Retrieval 
 /// synthetic [`ClauseId`]s `base_len..base_len + added`, in assert order.
 ///
 /// **Sharing.** Queries against the same predicate have their descriptors
-/// tested in one pass over the packed secondary file
+/// tested in one pass over the bit-sliced secondary file
 /// ([`clare_scw::IndexFile::scan`]) and their FS2 track sweeps run
 /// back to back over the shared pre-decoded arena. Each result is exactly
 /// what the query would get alone — sharing changes host wall-clock, not

@@ -291,7 +291,6 @@ fn compile_predicate(
 ) -> Result<Predicate, KbError> {
     let mut file_builder = FileBuilder::new(config.disk.track_bytes());
     let mut index = IndexFile::with_capacity(config.scw, clauses.len());
-    let mut addrs = Vec::with_capacity(clauses.len());
     let mut arena = ClauseArena::default();
     // Track layout mirrors FileBuilder's first-fit so addresses line up.
     let mut track = 0u32;
@@ -308,7 +307,6 @@ fn compile_predicate(
         file_builder.append_record(&bytes)?;
         let addr = ClauseAddr::new(track, slot);
         index.insert(clause.head(), addr);
-        addrs.push(addr);
         // The head stream is already decoded here — capture it so
         // retrievals never re-parse record bytes.
         arena.push_clause(track as usize, record.head_stream().words());
@@ -321,7 +319,6 @@ fn compile_predicate(
         clauses,
         file: file_builder.finish(format!("pred_{}_{arity}.pdb", functor.offset())),
         index,
-        addrs,
         arena,
     })
 }
@@ -339,15 +336,16 @@ mod tests {
         let p = kb.lookup("big", 2).unwrap();
         assert!(p.file().track_count() > 1, "spans multiple tracks");
         // Every address must point at the right record.
-        for (i, addr) in p.addrs().iter().enumerate() {
-            let record = p.record_at(*addr);
+        for i in 0..p.index().len() {
+            let addr = p.index().addr_at(i);
+            let record = p.record_at(addr);
             let (decoded, _) = clare_pif::ClauseRecord::from_bytes(record).unwrap();
             assert_eq!(
                 decoded.clause(),
                 &p.clauses()[i],
                 "address {addr} for clause {i}"
             );
-            assert_eq!(p.clause_id_at(*addr).unwrap().index() as usize, i);
+            assert_eq!(p.clause_id_at(addr).unwrap().index() as usize, i);
         }
         // A slot past a full track's last record must not alias the next
         // track's first clause; a track past the end holds nothing.

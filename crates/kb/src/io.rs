@@ -553,7 +553,10 @@ mod tests {
         for (module, loaded_module) in kb.modules().iter().zip(loaded.modules()) {
             for (pred, loaded_pred) in module.predicates().iter().zip(loaded_module.predicates()) {
                 assert_eq!(pred.clauses(), loaded_pred.clauses());
-                assert_eq!(pred.addrs(), loaded_pred.addrs());
+                assert!(pred
+                    .index()
+                    .iter_entries()
+                    .eq(loaded_pred.index().iter_entries()));
             }
         }
         // Float survives by bit pattern.

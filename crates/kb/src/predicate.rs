@@ -1,16 +1,16 @@
 //! Predicates, modules, and the knowledge base proper.
 
 use crate::arena::ClauseArena;
-use clare_disk::{DiskProfile, SimNanos, StoredFile};
+use clare_disk::StoredFile;
 use clare_scw::{ClauseAddr, IndexFile};
 use clare_term::{Clause, ClauseId, Symbol, SymbolTable};
 use std::collections::HashMap;
 
 /// A compiled predicate: the clause list (user order), its compiled clause
-/// file, its secondary index file, the address of every clause record,
-/// plus one retrieval accelerator built at compile/load time — the
-/// pre-decoded head-stream [`ClauseArena`], whose track ranges double as
-/// the address → clause-id map.
+/// file, its secondary index file (which holds the address of every clause
+/// record, in clause order), plus one retrieval accelerator built at
+/// compile/load time — the pre-decoded head-stream [`ClauseArena`], whose
+/// track ranges double as the address → clause-id map.
 #[derive(Debug, Clone)]
 pub struct Predicate {
     pub(crate) functor: Symbol,
@@ -18,7 +18,6 @@ pub struct Predicate {
     pub(crate) clauses: Vec<Clause>,
     pub(crate) file: StoredFile,
     pub(crate) index: IndexFile,
-    pub(crate) addrs: Vec<ClauseAddr>,
     pub(crate) arena: ClauseArena,
 }
 
@@ -41,11 +40,6 @@ impl Predicate {
     /// The SCW+MB secondary index file.
     pub fn index(&self) -> &IndexFile {
         &self.index
-    }
-
-    /// Disk address of each clause, indexed by clause position.
-    pub fn addrs(&self) -> &[ClauseAddr] {
-        &self.addrs
     }
 
     /// The pre-decoded clause-head stream arena (built once at
@@ -84,15 +78,6 @@ impl Predicate {
     /// Panics if `addr` is out of range.
     pub fn record_at(&self, addr: ClauseAddr) -> &[u8] {
         &self.file.tracks()[addr.track() as usize].records()[addr.slot() as usize]
-    }
-
-    /// Time to fetch the single record at `addr` with a random access
-    /// (seek + rotational latency + record transfer).
-    pub fn record_fetch_time(&self, addr: ClauseAddr, profile: &DiskProfile) -> SimNanos {
-        let bytes = self.record_at(addr).len() as u64;
-        profile.avg_seek()
-            + profile.avg_rotational_latency()
-            + profile.sustained_rate().transfer_time(bytes)
     }
 
     /// True if the predicate mixes ground facts with rules or non-ground
@@ -388,12 +373,13 @@ mod tests {
     fn addresses_resolve_to_records() {
         let kb = family();
         let p = kb.lookup("parent", 2).unwrap();
-        assert_eq!(p.addrs().len(), 3);
-        for (i, addr) in p.addrs().iter().enumerate() {
-            let (clause, id) = p.clause_at(*addr);
+        assert_eq!(p.index().len(), 3);
+        for i in 0..3 {
+            let addr = p.index().addr_at(i);
+            let (clause, id) = p.clause_at(addr);
             assert_eq!(id.index() as usize, i);
             assert_eq!(clause, &p.clauses()[i]);
-            let record = p.record_at(*addr);
+            let record = p.record_at(addr);
             let (decoded, _) = clare_pif::ClauseRecord::from_bytes(record).unwrap();
             assert_eq!(decoded.clause(), clause);
         }

@@ -563,6 +563,26 @@ enum ConnVerdict {
 
 // --- the shard loop ------------------------------------------------------
 
+/// A shard's acknowledgement that it has stopped turning input into jobs:
+/// counted into [`Shared::quiesced_shards`] exactly once — when the shard
+/// says so, or when it exits without having said so, by a panic included —
+/// so `NetServer::shutdown` never waits on a shard that is gone.
+struct Quiesce<'a>(Option<&'a Shared>);
+
+impl Quiesce<'_> {
+    fn ack(&mut self) {
+        if let Some(shared) = self.0.take() {
+            shared.quiesced_shards.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Drop for Quiesce<'_> {
+    fn drop(&mut self) {
+        self.ack();
+    }
+}
+
 /// Runs one reactor shard until shutdown completes. Shard 0 owns the
 /// listener; connections are distributed across shards by token.
 pub(crate) fn run_shard(
@@ -572,6 +592,7 @@ pub(crate) fn run_shard(
     shared: Arc<Shared>,
 ) {
     IN_REACTOR.with(|f| f.set(true));
+    let mut quiesce = Quiesce(Some(&shared));
     let me = Arc::clone(&shards[shard_idx]);
     let setup = || {
         let epoll = Epoll::new()?;
@@ -582,9 +603,8 @@ pub(crate) fn run_shard(
         std::io::Result::Ok(epoll)
     };
     let Ok(epoll) = setup() else {
-        // Without its epoll instance this shard cannot serve; quiesce so
-        // shutdown never hangs waiting for it.
-        shared.quiesced_shards.fetch_add(1, Ordering::SeqCst);
+        // Without its epoll instance this shard cannot serve; returning
+        // quiesces it, so shutdown never hangs waiting for it.
         return;
     };
 
@@ -603,10 +623,14 @@ pub(crate) fn run_shard(
             if let Some(l) = listener.take() {
                 epoll.del(l.as_raw_fd());
             }
-            shared.quiesced_shards.fetch_add(1, Ordering::SeqCst);
+            quiesce.ack();
         }
         if shared.reactor_exit.load(Ordering::SeqCst) {
             break;
+        }
+        #[cfg(test)]
+        if shared.panic_in_shard.load(Ordering::SeqCst) {
+            panic!("test hook: a reactor shard panics");
         }
 
         let n = match epoll.wait(&mut events, DEADLINE_SCAN_INTERVAL) {
@@ -617,9 +641,7 @@ pub(crate) fn run_shard(
                 // hangs on this shard, then fall through to the final
                 // drain (best-effort flush, release every fd) instead of
                 // spinning on a broken fd.
-                if !draining {
-                    shared.quiesced_shards.fetch_add(1, Ordering::SeqCst);
-                }
+                quiesce.ack();
                 break;
             }
         };

@@ -311,6 +311,9 @@ pub(crate) struct Shared {
     /// Workers may only drain once every shard has quiesced, or a job
     /// enqueued late would be dropped with its reply unsent.
     pub(crate) quiesced_shards: AtomicUsize,
+    /// Test hook: every reactor shard panics at its next loop turn.
+    #[cfg(test)]
+    pub(crate) panic_in_shard: AtomicBool,
     /// Epoll token allocator.
     pub(crate) next_token: AtomicU64,
     queue: Mutex<VecDeque<Job>>,
@@ -467,6 +470,8 @@ impl NetServer {
             drained: AtomicBool::new(false),
             reactor_exit: AtomicBool::new(false),
             quiesced_shards: AtomicUsize::new(0),
+            #[cfg(test)]
+            panic_in_shard: AtomicBool::new(false),
             next_token: AtomicU64::new(crate::reactor::TOKEN_FIRST_CONN),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -1125,4 +1130,41 @@ fn execute(shared: &Arc<Shared>, job: Job) {
 /// The (empty) payload of a successful consult reply.
 fn encode_consult_ok() -> Vec<u8> {
     Vec::new()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clare_core::CrsOptions;
+    use clare_kb::{KbBuilder, KbConfig};
+
+    #[test]
+    fn shutdown_completes_after_a_reactor_shard_panics() {
+        let kb = KbBuilder::new().finish(KbConfig::default());
+        let crs = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
+        let server = NetServer::bind(crs, "127.0.0.1:0", NetConfig::default()).expect("bind");
+        server.shared.panic_in_shard.store(true, Ordering::SeqCst);
+        for shard in &server.shards {
+            shard.kick();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !server.reactors.iter().all(|h| h.is_finished()) {
+            assert!(
+                Instant::now() < deadline,
+                "the hook did not stop the shards"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        let shutdown = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        // On a hang the thread is left behind: joining it would hang too.
+        assert!(
+            finished.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "shutdown waited forever on panicked shards"
+        );
+        shutdown.join().expect("shutdown thread");
+    }
 }

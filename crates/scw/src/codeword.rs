@@ -45,10 +45,7 @@ impl Codeword {
 
     /// Sets the `bits_per_key` positions derived from `key`.
     pub fn set_key(&mut self, config: &ScwConfig, key: u64) {
-        let mut state = key;
-        for _ in 0..config.bits_per_key() {
-            state = splitmix64(state);
-            let bit = (state % self.width as u64) as usize;
+        for bit in key_positions(self.width, config.bits_per_key(), key) {
             self.limbs[bit / 64] |= 1u64 << (bit % 64);
         }
     }
@@ -86,11 +83,6 @@ impl Codeword {
         self.limbs.iter().map(|l| l.count_ones()).sum()
     }
 
-    /// True if no bits are set.
-    pub fn is_zero(&self) -> bool {
-        self.limbs.iter().all(|&l| l == 0)
-    }
-
     /// Serialized size in bytes (the last byte is partial when the width
     /// is not a multiple of 8).
     pub fn byte_len(&self) -> usize {
@@ -102,8 +94,8 @@ impl Codeword {
         &self.limbs
     }
 
-    /// Rebuilds a codeword from raw limbs (the packed index stores limbs
-    /// columnar and reconstructs signatures on demand).
+    /// Rebuilds a codeword from raw limbs (the bit-sliced index stores
+    /// one column per bit and reconstructs signatures on demand).
     pub(crate) fn from_raw(width: u16, limbs: Vec<u64>) -> Codeword {
         debug_assert_eq!(limbs.len(), (width as usize).div_ceil(64));
         Codeword { limbs, width }
@@ -117,6 +109,16 @@ impl fmt::Display for Codeword {
         }
         Ok(())
     }
+}
+
+/// The `bits_per_key` bit positions a key sets in a codeword `width` bits
+/// wide (repeats are possible: superimposed coding does not avoid them).
+pub(crate) fn key_positions(width: u16, bits_per_key: u8, key: u64) -> impl Iterator<Item = usize> {
+    let mut state = key;
+    (0..bits_per_key).map(move |_| {
+        state = splitmix64(state);
+        (state % u64::from(width)) as usize
+    })
 }
 
 /// splitmix64 — a small, well-distributed, deterministic mixer.

@@ -46,8 +46,8 @@ impl ScwConfig {
     ///
     /// Panics if `width_bits` is zero, if `bits_per_key` is zero or
     /// exceeds `width_bits`, or if `encoded_args` is zero or above 32
-    /// (the packed index stores the 2-bit masks of one entry in a single
-    /// 64-bit word).
+    /// (the bit-sliced index records which positions hold `Open` or `Var`
+    /// entries in one 32-bit set).
     pub fn custom(width_bits: u16, bits_per_key: u8, encoded_args: usize) -> Self {
         assert!(width_bits > 0, "width must be positive");
         assert!(
@@ -85,12 +85,6 @@ impl ScwConfig {
     /// The FS1 hardware scan rate (4.5 MB/s for the prototype).
     pub fn scan_rate(&self) -> ByteRate {
         self.scan_rate
-    }
-
-    /// Overrides the scan rate (for sensitivity experiments).
-    pub fn with_scan_rate(mut self, rate: ByteRate) -> Self {
-        self.scan_rate = rate;
-        self
     }
 
     /// Size of one serialized index entry in bytes: the codeword (rounded

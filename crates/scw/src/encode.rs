@@ -22,7 +22,7 @@ use crate::codeword::{hash_term, splitmix64, Codeword};
 use crate::config::ScwConfig;
 use clare_term::Term;
 
-/// Per-position mask bits stored in an index entry (2 bits each).
+/// Per-position mask state stored in an index entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArgMask {
     /// The argument is fully ground: both keys were encoded.
@@ -33,26 +33,6 @@ pub enum ArgMask {
     /// The argument is a variable: nothing was encoded; any query bits for
     /// this position must be ignored.
     Var,
-}
-
-impl ArgMask {
-    /// Encodes to the 2-bit field value.
-    pub fn to_bits(self) -> u8 {
-        match self {
-            ArgMask::Ground => 0,
-            ArgMask::Open => 1,
-            ArgMask::Var => 2,
-        }
-    }
-
-    /// Decodes a 2-bit field value (3 maps to `Var` defensively).
-    pub fn from_bits(bits: u8) -> Self {
-        match bits & 0b11 {
-            0 => ArgMask::Ground,
-            1 => ArgMask::Open,
-            _ => ArgMask::Var,
-        }
-    }
 }
 
 /// A clause head's index signature: superimposed codeword plus mask bits.
@@ -91,6 +71,37 @@ fn shallow_payload(term: &Term) -> Option<u64> {
     }
 }
 
+/// Walks a clause head's encoding, one encoded position at a time in
+/// position order: its mask and the keys it contributes (none, the shallow
+/// key, or the shallow and the deep key). The single statement of the key
+/// discipline — [`encode_clause_signature`] and
+/// [`IndexFile::insert`](crate::IndexFile::insert) both fold it.
+///
+/// Arguments beyond `config.encoded_args()` are ignored — the paper's
+/// "restrictive codeword representation" truncation.
+pub(crate) fn encode_positions(
+    head: &Term,
+    config: &ScwConfig,
+    mut position: impl FnMut(ArgMask, &[u64]),
+) {
+    for (i, arg) in head.children().take(config.encoded_args()).enumerate() {
+        match shallow_payload(arg) {
+            None => position(ArgMask::Var, &[]),
+            Some(payload) => {
+                let shallow = position_key(i, DOMAIN_SHALLOW, payload);
+                if !arg.is_complex() {
+                    position(ArgMask::Ground, &[shallow]);
+                } else if arg.is_ground() {
+                    let deep = position_key(i, DOMAIN_DEEP, hash_term(arg));
+                    position(ArgMask::Ground, &[shallow, deep]);
+                } else {
+                    position(ArgMask::Open, &[shallow]);
+                }
+            }
+        }
+    }
+}
+
 /// Encodes a clause head into its index signature.
 ///
 /// Arguments beyond `config.encoded_args()` are ignored — the paper's
@@ -98,24 +109,12 @@ fn shallow_payload(term: &Term) -> Option<u64> {
 pub fn encode_clause_signature(head: &Term, config: &ScwConfig) -> ClauseSignature {
     let mut codeword = Codeword::zero(config);
     let mut masks = Vec::new();
-    for (i, arg) in head.children().take(config.encoded_args()).enumerate() {
-        match shallow_payload(arg) {
-            None => masks.push(ArgMask::Var),
-            Some(payload) => {
-                codeword.set_key(config, position_key(i, DOMAIN_SHALLOW, payload));
-                if arg.is_complex() {
-                    if arg.is_ground() {
-                        codeword.set_key(config, position_key(i, DOMAIN_DEEP, hash_term(arg)));
-                        masks.push(ArgMask::Ground);
-                    } else {
-                        masks.push(ArgMask::Open);
-                    }
-                } else {
-                    masks.push(ArgMask::Ground);
-                }
-            }
+    encode_positions(head, config, |mask, keys| {
+        for &key in keys {
+            codeword.set_key(config, key);
         }
-    }
+        masks.push(mask);
+    });
     ClauseSignature { codeword, masks }
 }
 
@@ -152,7 +151,8 @@ impl QueryArg {
     /// This is the single statement of the SCW+MB relaxation rules —
     /// `Var` relaxes everything, `Open` drops the deep key — consumed by
     /// both the reference matcher ([`QueryDescriptor::matches`]) and the
-    /// packed-scan compiler, so the two paths cannot drift apart.
+    /// bit-sliced scan's query compiler, so the two paths cannot drift
+    /// apart.
     pub fn required_codewords(&self, mask: ArgMask) -> impl Iterator<Item = &Codeword> {
         let (first, second): (Option<&Codeword>, Option<&Codeword>) = match (self, mask) {
             (QueryArg::Any, _) | (_, ArgMask::Var) => (None, None),
@@ -305,13 +305,6 @@ mod tests {
         args_c2[5] = "different".to_owned();
         let c2 = format!("p({})", args_c2.join(", "));
         assert!(!accepts(&q, &c2));
-    }
-
-    #[test]
-    fn mask_bit_roundtrip() {
-        for m in [ArgMask::Ground, ArgMask::Open, ArgMask::Var] {
-            assert_eq!(ArgMask::from_bits(m.to_bits()), m);
-        }
     }
 
     #[test]

@@ -5,39 +5,44 @@
 //! secondary file is effectively an index table associating codewords with
 //! clause addresses." (§2.1.)
 //!
-//! # Packed columnar layout
+//! # Bit-sliced layout
 //!
-//! The index stores its entries struct-of-arrays: all codeword limbs in
-//! one contiguous `Vec<u64>` (a fixed stride per entry), all mask bits
-//! packed two per position into one `u64` word per entry, and all clause
-//! addresses in a parallel array. A scan is then a branch-light sweep over
-//! dense machine words — the software analogue of the FS1 streaming
-//! comparator, which sees the secondary file as a flat byte stream rather
-//! than a collection of records.
+//! The index stores its entries transposed: one bitmap per codeword bit,
+//! in which bit `j` of word `w` says whether entry `64 w + j` has that
+//! bit, and per encoded argument position two more bitmaps marking the
+//! entries whose mask there is [`ArgMask::Open`] or [`ArgMask::Var`]
+//! (`Ground` is neither). Clause addresses sit in a parallel array.
 //!
-//! A query is compiled once per scan into the bit requirements each mask
-//! state implies, so the per-entry test collapses to a single
-//! subset-of-codeword check: for every position the per-position subset
-//! tests AND together, and `(A ⊆ E) ∧ (B ⊆ E) ⟺ (A ∪ B) ⊆ E`, so the
-//! union of the required bits is tested at once. Which bits are required
-//! depends only on the entry's (masked) mask word, so requirements are
-//! cached per distinct mask word — typically a handful per predicate.
+//! A query that constrains k codeword bits then reads k bitmaps of N/64
+//! words instead of every entry's codeword. The hit set is exactly the
+//! one the per-entry test yields — the paper's false drops included; only
+//! the host's work shrinks. The FS1 hardware still streams the whole
+//! secondary file, and [`ScanOutcome::fs1_time`] still charges it.
+//!
+//! A query is compiled once per scan, from the same
+//! [`QueryArg::required_codewords`] rules the reference matcher applies,
+//! into lists of codeword columns: per constrained position, the columns
+//! an `Open` entry must have and those a `Ground` entry must have. A
+//! position where no entry is `Open` or `Var` needs no mask test, so all
+//! such positions fold into one list of columns every hit has — for a
+//! fact base, the whole query.
 //!
 //! # One scan
 //!
-//! [`IndexFile::scan`] tests any number of query descriptors in a single
-//! pass over the packed columns, on the calling thread. Each query's hit
-//! list comes back in clause order — Prolog clause order is preserved —
-//! and the modelled [`ScanOutcome::fs1_time`] is the secondary-file size
-//! over the FS1 scan rate, independent of how the software host organises
-//! the sweep.
+//! [`IndexFile::scan`] filters any number of query descriptors in one
+//! pass, 4096 entries at a time, on the calling thread: per stride and
+//! query it ANDs the column slices, then reads the surviving bits out in
+//! entry order, so each hit list comes back in clause order — Prolog
+//! clause order is preserved.
 
+use crate::codeword::key_positions;
 use crate::config::ScwConfig;
-use crate::encode::{encode_clause_signature, ArgMask, ClauseSignature, QueryArg, QueryDescriptor};
+use crate::encode::{encode_positions, ArgMask, ClauseSignature, QueryArg, QueryDescriptor};
 use crate::Codeword;
 use clare_disk::SimNanos;
 use clare_term::Term;
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Address of a clause in its compiled clause file: track plus slot within
@@ -73,7 +78,7 @@ impl fmt::Display for ClauseAddr {
 
 /// One secondary-file entry: a clause signature plus the clause address.
 ///
-/// The packed index does not store entries in this form; it is the
+/// The bit-sliced index does not store entries in this form; it is the
 /// materialized row view returned by [`IndexFile::iter_entries`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
@@ -108,16 +113,12 @@ impl ScanOutcome {
     }
 }
 
-/// Entries a scan walks between polls of its cancellation hook.
-const CANCEL_POLL_ENTRIES: usize = 4096;
-
-/// Every 2-bit mask field set to [`ArgMask::Var`] (0b10): the packed mask
-/// word starts here so positions beyond a clause's arity read as `Var`,
-/// exactly as [`QueryDescriptor::matches`] defaults missing positions.
-const ALL_VAR: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+/// Bitmap words a scan filters per pass (4096 entries), and between polls
+/// of its cancellation hook.
+const STRIDE_WORDS: usize = 64;
 
 /// The secondary index file for one predicate's compiled clause file,
-/// stored columnar (see the module docs).
+/// stored bit-sliced (see the module docs).
 ///
 /// # Examples
 ///
@@ -140,13 +141,19 @@ const ALL_VAR: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 #[derive(Debug, Clone)]
 pub struct IndexFile {
     config: ScwConfig,
-    /// Codeword limbs per entry (fixed stride into `limbs`).
-    limbs_per_entry: usize,
-    /// All entries' codeword limbs, contiguous.
-    limbs: Vec<u64>,
-    /// One packed mask word per entry: 2 bits per position, low to high,
-    /// `Var`-filled beyond the clause's arity.
-    mask_words: Vec<u64>,
+    /// Codeword columns: one per bit of the codeword's limbs. Column `c`
+    /// is codeword bit `c`; column `code_columns + 2p` is position `p`'s
+    /// `Open` column and `code_columns + 2p + 1` its `Var` column.
+    code_columns: usize,
+    /// Mask positions with columns: the widest head inserted so far.
+    positions: usize,
+    /// Bit `p` set: some entry's mask at position `p` is `Open` or `Var`.
+    mixed: u32,
+    /// Words reserved per column.
+    stride: usize,
+    /// Every column, column-major: column `c` is `bits[c * stride..]`.
+    /// Allocated at the first insert, when the head width is known.
+    bits: Vec<u64>,
     /// Number of real (clause-arity) mask fields per entry.
     mask_len: Vec<u8>,
     /// Clause address per entry, in clause order.
@@ -159,14 +166,17 @@ impl IndexFile {
         Self::with_capacity(config, 0)
     }
 
-    /// Creates an empty index pre-sized for `entries` clauses.
+    /// Creates an empty index pre-sized for `entries` clauses: the first
+    /// insert reserves every column at its final length, in one
+    /// allocation, so filling them never moves a column.
     pub fn with_capacity(config: ScwConfig, entries: usize) -> Self {
-        let limbs_per_entry = (config.width_bits() as usize).div_ceil(64);
         IndexFile {
             config,
-            limbs_per_entry,
-            limbs: Vec::with_capacity(entries * limbs_per_entry),
-            mask_words: Vec::with_capacity(entries),
+            code_columns: 64 * (config.width_bits() as usize).div_ceil(64),
+            positions: 0,
+            mixed: 0,
+            stride: entries.div_ceil(64),
+            bits: Vec::new(),
             mask_len: Vec::with_capacity(entries),
             addrs: Vec::with_capacity(entries),
         }
@@ -180,26 +190,76 @@ impl IndexFile {
     /// Encodes and appends a clause head. Entries keep insertion order —
     /// clause order is user-significant in Prolog and the index preserves
     /// it so retrieval returns clauses in program order.
+    ///
+    /// Each key's bits go straight into the columns, where
+    /// [`encode_clause_signature`](crate::encode_clause_signature) would
+    /// set them, without materializing the signature.
     pub fn insert(&mut self, head: &Term, addr: ClauseAddr) {
-        let signature = encode_clause_signature(head, &self.config);
-        self.push_signature(&signature, addr);
+        let config = self.config;
+        let (word, bit) = (self.len() / 64, 1u64 << (self.len() % 64));
+        let width = head.children().take(config.encoded_args()).count();
+        if width > self.positions || word == self.stride || self.bits.is_empty() {
+            let stride = if word < self.stride {
+                self.stride
+            } else {
+                2 * self.stride + 1
+            };
+            self.relayout(width.max(self.positions), stride);
+        }
+        let mut position = 0;
+        encode_positions(head, &config, |mask, keys| {
+            for &key in keys {
+                for column in key_positions(config.width_bits(), config.bits_per_key(), key) {
+                    self.bits[column * self.stride + word] |= bit;
+                }
+            }
+            self.set_mask(position, mask, word, bit);
+            position += 1;
+        });
+        // Beyond this head's arity every position reads `Var`.
+        for p in width..self.positions {
+            self.set_mask(p, ArgMask::Var, word, bit);
+        }
+        self.mask_len.push(width as u8);
+        self.addrs.push(addr);
     }
 
-    /// Appends an already-encoded signature (the compile path encodes
-    /// once and reuses the signature elsewhere).
-    pub fn push_signature(&mut self, signature: &ClauseSignature, addr: ClauseAddr) {
-        let limbs = signature.codeword.limbs();
-        debug_assert_eq!(limbs.len(), self.limbs_per_entry);
-        debug_assert!(signature.masks.len() <= 32, "mask word holds 32 positions");
-        self.limbs.extend_from_slice(limbs);
-        let mut word = ALL_VAR;
-        for (i, mask) in signature.masks.iter().enumerate() {
-            let shift = 2 * i as u32;
-            word = (word & !(0b11 << shift)) | (u64::from(mask.to_bits()) << shift);
+    /// Records the mask at `position` of the entry at `bit` of `word`.
+    fn set_mask(&mut self, position: usize, mask: ArgMask, word: usize, bit: u64) {
+        let column = match mask {
+            ArgMask::Ground => return,
+            ArgMask::Open => self.code_columns + 2 * position,
+            ArgMask::Var => self.code_columns + 2 * position + 1,
+        };
+        self.bits[column * self.stride + word] |= bit;
+        self.mixed |= 1 << position;
+    }
+
+    /// Rebuilds the columns for `positions` mask positions at `stride`
+    /// words each, keeping every stored word. Entries stored before a
+    /// position existed have no mask there, which reads as `Var` — as
+    /// [`QueryDescriptor::matches`] defaults a position beyond the
+    /// signature.
+    fn relayout(&mut self, positions: usize, stride: usize) {
+        let len = self.len();
+        let used = len.div_ceil(64);
+        let had = self.code_columns + 2 * self.positions;
+        let mut bits = vec![0u64; (self.code_columns + 2 * positions) * stride];
+        if len > 0 {
+            for (c, column) in bits.chunks_exact_mut(stride).enumerate() {
+                let column = &mut column[..used];
+                if c < had {
+                    column.copy_from_slice(&self.bits[c * self.stride..][..used]);
+                } else if (c - self.code_columns) % 2 == 1 {
+                    column.fill(!0);
+                    column[used - 1] = last_word_mask(len);
+                    self.mixed |= 1 << ((c - self.code_columns) / 2);
+                }
+            }
         }
-        self.mask_words.push(word);
-        self.mask_len.push(signature.masks.len() as u8);
-        self.addrs.push(addr);
+        self.bits = bits;
+        self.positions = positions;
+        self.stride = stride;
     }
 
     /// Number of entries.
@@ -217,22 +277,31 @@ impl IndexFile {
         self.addrs[i]
     }
 
-    /// Reconstructs the signature of entry `i` from the packed columns.
+    /// Reconstructs the signature of entry `i` from the bit columns.
     pub fn signature_at(&self, i: usize) -> ClauseSignature {
-        let base = i * self.limbs_per_entry;
-        let codeword = Codeword::from_raw(
-            self.config.width_bits(),
-            self.limbs[base..base + self.limbs_per_entry].to_vec(),
-        );
-        let word = self.mask_words[i];
+        let has = |column: usize| self.bits[column * self.stride + i / 64] >> (i % 64) & 1;
+        let mut limbs = vec![0u64; self.code_columns / 64];
+        for column in 0..self.code_columns {
+            limbs[column / 64] |= has(column) << (column % 64);
+        }
         let masks = (0..self.mask_len[i] as usize)
-            .map(|p| ArgMask::from_bits(((word >> (2 * p)) & 0b11) as u8))
+            .map(|p| {
+                let open = self.code_columns + 2 * p;
+                match (has(open), has(open + 1)) {
+                    (1, _) => ArgMask::Open,
+                    (_, 1) => ArgMask::Var,
+                    _ => ArgMask::Ground,
+                }
+            })
             .collect();
-        ClauseSignature { codeword, masks }
+        ClauseSignature {
+            codeword: Codeword::from_raw(self.config.width_bits(), limbs),
+            masks,
+        }
     }
 
     /// Materializes the entries in clause order (a row view over the
-    /// columnar storage — for inspection and tests, not the scan path).
+    /// bit columns — for inspection and tests, not the scan path).
     pub fn iter_entries(&self) -> impl Iterator<Item = IndexEntry> + '_ {
         (0..self.len()).map(|i| IndexEntry {
             signature: self.signature_at(i),
@@ -245,13 +314,12 @@ impl IndexFile {
         self.len() * self.config.entry_bytes()
     }
 
-    /// Scans the whole index against every descriptor in one pass over the
-    /// packed columns, as the FS1 hardware does: every entry is examined
-    /// (the match is a streaming comparison, not a tree descent). Each
-    /// outcome charges its query a full scan of the secondary file — the
-    /// paper's hardware has a single comparator per head; what sharing the
-    /// pass amortizes is the *host's* memory traffic, not the modelled
-    /// disk sweep.
+    /// Scans the whole index against every descriptor in one pass, as the
+    /// FS1 hardware does: every entry is examined (the match is a
+    /// streaming comparison, not a tree descent). Each outcome charges its
+    /// query a full scan of the secondary file — the paper's hardware has
+    /// a single comparator per head; what sharing the pass amortizes is
+    /// the *host's* memory traffic, not the modelled disk sweep.
     ///
     /// `cancel`, when given, is polled every 4096 entries (and once before
     /// the first and after the last); a `true` answer abandons the
@@ -265,35 +333,38 @@ impl IndexFile {
         cancel: Option<&dyn Fn() -> bool>,
     ) -> Option<Vec<ScanOutcome>> {
         let started = Instant::now();
-        let compiled: Vec<CompiledQuery> = descriptors
-            .iter()
-            .map(|d| CompiledQuery::compile(d, self.limbs_per_entry))
-            .collect();
+        let compiled: Vec<CompiledQuery> = descriptors.iter().map(|d| self.compile(d)).collect();
+        let mut per_query = vec![Vec::new(); compiled.len()];
         let len = self.len();
-        let per_query = match cancel {
-            None => self.scan_range(&compiled, 0, len),
-            Some(cancel) => {
-                let mut per_query = vec![Vec::new(); compiled.len()];
-                let mut start = 0;
-                loop {
-                    if cancel() {
-                        return None;
-                    }
-                    if start >= len {
-                        break;
-                    }
-                    let end = (start + CANCEL_POLL_ENTRIES).min(len);
-                    for (all, hits) in per_query
-                        .iter_mut()
-                        .zip(self.scan_range(&compiled, start, end))
-                    {
-                        all.extend(hits);
-                    }
-                    start = end;
-                }
-                per_query
+        let words = len.div_ceil(64);
+        let mut acc = [0u64; STRIDE_WORDS];
+        let mut start = 0;
+        loop {
+            if cancel.is_some_and(|cancel| cancel()) {
+                return None;
             }
-        };
+            if start >= words {
+                break;
+            }
+            let end = (start + STRIDE_WORDS).min(words);
+            for (query, hits) in compiled.iter().zip(&mut per_query) {
+                let acc = &mut acc[..end - start];
+                self.filter(query, start..end, acc);
+                if end == words {
+                    // An unconstrained query passes the unused bits too.
+                    acc[end - start - 1] &= last_word_mask(len);
+                }
+                for (w, &word) in acc.iter().enumerate() {
+                    let base = 64 * (start + w);
+                    let mut rest = word;
+                    while rest != 0 {
+                        hits.push(self.addrs[base + rest.trailing_zeros() as usize]);
+                        rest &= rest - 1;
+                    }
+                }
+            }
+            start = end;
+        }
         let outcomes: Vec<ScanOutcome> = per_query.into_iter().map(|m| self.outcome(m)).collect();
         let m = clare_trace::metrics();
         if outcomes.len() > 1 {
@@ -318,7 +389,7 @@ impl IndexFile {
 
     /// Reference scalar scan: reconstructs each signature and applies
     /// [`QueryDescriptor::matches`] per entry. Retained as the semantic
-    /// baseline the packed path is property-tested against
+    /// baseline the sliced scan is property-tested against
     /// (and as the benchmark's "seed scalar" contender).
     pub fn scan_reference(&self, descriptor: &QueryDescriptor) -> ScanOutcome {
         let matches = (0..self.len())
@@ -338,155 +409,110 @@ impl IndexFile {
         }
     }
 
-    /// Scans entries `[start, end)` for every query.
-    ///
-    /// The bit requirement of an entry depends only on its mask word, so
-    /// the range is walked as maximal runs of entries sharing a raw mask
-    /// word (facts are all-ground, so a predicate typically has one long
-    /// run per rule-head shape). Within a run every query's requirement is
-    /// a constant vector, and the subset test over the run's contiguous
-    /// limbs is handed to the [`clare_simd::fs1_subset_hits`] kernel — the
-    /// AVX2/NEON path when the host has it, the identical scalar loop
-    /// otherwise.
-    fn scan_range(
-        &self,
-        queries: &[CompiledQuery],
-        start: usize,
-        end: usize,
-    ) -> Vec<Vec<ClauseAddr>> {
-        let stride = self.limbs_per_entry;
-        let level = clare_simd::level();
-        let mut hits = vec![Vec::new(); queries.len()];
-        let mut caches: Vec<RequirementCache> =
-            queries.iter().map(|_| RequirementCache::new()).collect();
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut run = start;
-        while run < end {
-            let word = self.mask_words[run];
-            let mut run_end = run + 1;
-            while run_end < end && self.mask_words[run_end] == word {
-                run_end += 1;
+    /// Compiles a descriptor into the codeword columns the scan ANDs.
+    fn compile(&self, descriptor: &QueryDescriptor) -> CompiledQuery {
+        // The requirements come from the same `required_codewords` rules
+        // the reference matcher applies. Per position the subset tests AND
+        // together, and `(A ⊆ E) ∧ (B ⊆ E) ⟺ (A ∪ B) ⊆ E`, so a union of
+        // codewords is one column set. A query encoded with a wider config
+        // than the index contributes only the limbs the entries store —
+        // the zip-truncation semantics of [`Codeword::subset_of`].
+        let union = |arg: &QueryArg, mask| {
+            let mut columns = vec![0u64; self.code_columns / 64];
+            for cw in arg.required_codewords(mask) {
+                for (c, l) in columns.iter_mut().zip(cw.limbs()) {
+                    *c |= l;
+                }
             }
-            let limbs = &self.limbs[run * stride..run_end * stride];
-            for (q, query) in queries.iter().enumerate() {
-                let required = caches[q].required(query, word);
-                scratch.clear();
-                clare_simd::fs1_subset_hits(level, required, limbs, &mut scratch);
-                hits[q].extend(scratch.iter().map(|&rel| self.addrs[run + rel as usize]));
-            }
-            run = run_end;
-        }
-        hits
-    }
-}
-
-/// A query compiled for the packed scan: for each constrained position,
-/// the codeword bits required when the entry's mask is `Open` and when it
-/// is `Ground` (`Var` requires nothing).
-struct CompiledQuery {
-    positions: Vec<PositionReq>,
-    /// 0b11 in the 2-bit field of every constrained position: masking an
-    /// entry's mask word with this canonicalizes it for the cache.
-    relevance: u64,
-    limbs_per_entry: usize,
-}
-
-struct PositionReq {
-    /// Bit shift of this position's 2-bit mask field.
-    shift: u32,
-    /// Required limbs when the entry's mask is [`ArgMask::Open`].
-    open: Vec<u64>,
-    /// Required limbs when the entry's mask is [`ArgMask::Ground`].
-    ground: Vec<u64>,
-}
-
-impl CompiledQuery {
-    fn compile(descriptor: &QueryDescriptor, limbs_per_entry: usize) -> Self {
-        let mut positions = Vec::new();
-        let mut relevance = 0u64;
-        for (i, arg) in descriptor.args.iter().enumerate() {
+            columns
+        };
+        let mut query = CompiledQuery {
+            always: vec![0u64; self.code_columns / 64],
+            mixed: Vec::new(),
+        };
+        // Beyond the widest head every entry reads `Var`: no requirement.
+        for (position, arg) in descriptor.args.iter().enumerate().take(self.positions) {
             if matches!(arg, QueryArg::Any) {
                 continue;
             }
-            let shift = 2 * i as u32;
-            // The per-mask-state requirements come from the same
-            // `required_codewords` rules the reference matcher applies;
-            // per position the subset tests AND together, so the union of
-            // the required bits is one test. A query encoded with a wider
-            // config than the index contributes only the limbs the entries
-            // actually store — the same zip-truncation semantics as
-            // [`Codeword::subset_of`].
-            let union_for = |mask: ArgMask| {
-                let mut bits = vec![0u64; limbs_per_entry];
-                for cw in arg.required_codewords(mask) {
-                    for (b, l) in bits.iter_mut().zip(cw.limbs()) {
-                        *b |= l;
-                    }
+            if self.mixed & (1 << position) == 0 {
+                for (a, c) in query.always.iter_mut().zip(union(arg, ArgMask::Ground)) {
+                    *a |= c;
                 }
-                bits
-            };
-            relevance |= 0b11 << shift;
-            positions.push(PositionReq {
-                shift,
-                open: union_for(ArgMask::Open),
-                ground: union_for(ArgMask::Ground),
-            });
-        }
-        CompiledQuery {
-            positions,
-            relevance,
-            limbs_per_entry,
-        }
-    }
-
-    /// The union of required bits for an entry whose masked mask word is
-    /// `key`.
-    fn required_for(&self, key: u64) -> Vec<u64> {
-        let mut required = vec![0u64; self.limbs_per_entry];
-        for pos in &self.positions {
-            let bits = match (key >> pos.shift) & 0b11 {
-                0 => &pos.ground,
-                1 => &pos.open,
-                // Var (2, or the defensive 3): no requirement.
-                _ => continue,
-            };
-            for (r, b) in required.iter_mut().zip(bits) {
-                *r |= b;
+            } else {
+                query.mixed.push(MixedPosition {
+                    open_column: self.code_columns + 2 * position,
+                    open: union(arg, ArgMask::Open),
+                    ground: union(arg, ArgMask::Ground),
+                });
             }
         }
-        required
+        query
+    }
+
+    /// Sets `acc` to the entries of bitmap words `words` that pass `query`.
+    fn filter(&self, query: &CompiledQuery, words: Range<usize>, acc: &mut [u64]) {
+        let column = |c: usize| &self.bits[c * self.stride..][words.clone()];
+        acc.fill(!0);
+        and_columns(acc, &query.always, &column);
+        for pos in &query.mixed {
+            let (open, var) = (column(pos.open_column), column(pos.open_column + 1));
+            let (mut open_pass, mut ground_pass) = ([!0u64; STRIDE_WORDS], [!0u64; STRIDE_WORDS]);
+            and_columns(&mut open_pass[..acc.len()], &pos.open, &column);
+            and_columns(&mut ground_pass[..acc.len()], &pos.ground, &column);
+            for (w, a) in acc.iter_mut().enumerate() {
+                *a &= var[w] | open[w] & open_pass[w] | !(open[w] | var[w]) & ground_pass[w];
+            }
+        }
     }
 }
 
-/// Memoizes [`CompiledQuery::required_for`] per distinct masked mask
-/// word. Predicates exhibit very few distinct mask words (facts are
-/// all-ground; each rule-head shape adds one), so a small linear-probed
-/// list beats a hash map.
-struct RequirementCache {
-    entries: Vec<(u64, Vec<u64>)>,
+/// The bits of the last of `len` entries' words that hold an entry.
+fn last_word_mask(len: usize) -> u64 {
+    u64::MAX >> ((64 - len % 64) % 64)
 }
 
-impl RequirementCache {
-    fn new() -> Self {
-        RequirementCache {
-            entries: Vec::new(),
+/// ANDs into `acc` every codeword column whose bit is set in `columns`,
+/// a column slice at a time.
+fn and_columns<'a>(acc: &mut [u64], columns: &[u64], column: &impl Fn(usize) -> &'a [u64]) {
+    for (l, &limb) in columns.iter().enumerate() {
+        let mut rest = limb;
+        while rest != 0 {
+            for (a, b) in acc
+                .iter_mut()
+                .zip(column(64 * l + rest.trailing_zeros() as usize))
+            {
+                *a &= b;
+            }
+            rest &= rest - 1;
         }
     }
+}
 
-    fn required<'a>(&'a mut self, query: &CompiledQuery, mask_word: u64) -> &'a [u64] {
-        let key = mask_word & query.relevance;
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            return &self.entries[i].1;
-        }
-        self.entries.push((key, query.required_for(key)));
-        &self.entries.last().expect("just pushed").1
-    }
+/// A query compiled for the sliced scan. Column sets are bitsets over the
+/// codeword columns, one bit per column, in codeword limb layout.
+struct CompiledQuery {
+    /// Columns every hit has: the `Ground` requirements of the constrained
+    /// positions at which every entry is `Ground`.
+    always: Vec<u64>,
+    /// Constrained positions at which some entry is `Open` or `Var`.
+    mixed: Vec<MixedPosition>,
+}
+
+struct MixedPosition {
+    /// The position's `Open` column (its `Var` column is the next).
+    open_column: usize,
+    /// Columns required of an entry whose mask here is `Open`.
+    open: Vec<u64>,
+    /// Columns required of an entry whose mask here is `Ground` (`Var`
+    /// requires nothing).
+    ground: Vec<u64>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::encode_query_descriptor;
+    use crate::encode::{encode_clause_signature, encode_query_descriptor};
     use clare_term::parser::parse_term;
     use clare_term::SymbolTable;
 
@@ -591,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_scan_agrees_with_reference() {
+    fn sliced_scan_agrees_with_reference() {
         let mut sy = SymbolTable::new();
         let clauses: Vec<String> = (0..200)
             .map(|i| match i % 4 {
@@ -642,7 +668,7 @@ mod tests {
     fn hooked_scan_polls_every_stride_and_cancels_without_a_partial_list() {
         let mut sy = SymbolTable::new();
         let mut index = IndexFile::new(ScwConfig::paper());
-        for i in 0..2 * CANCEL_POLL_ENTRIES + 10 {
+        for i in 0..2 * 64 * STRIDE_WORDS + 10 {
             let head = parse_term(&format!("h(k{}, n{i})", i % 50), &mut sy).unwrap();
             index.insert(&head, ClauseAddr::new((i / 64) as u32, (i % 64) as u16));
         }
@@ -686,7 +712,7 @@ mod tests {
 
     #[test]
     fn wide_codewords_scan_correctly() {
-        // Multi-limb codewords exercise the strided limb layout.
+        // Multi-limb codewords: 192 bit columns, three signature limbs.
         let mut sy = SymbolTable::new();
         let clauses: Vec<String> = (0..60).map(|i| format!("w(c{i})")).collect();
         let refs: Vec<&str> = clauses.iter().map(String::as_str).collect();
@@ -697,5 +723,21 @@ mod tests {
         let outcome = scan_term(&index, &query);
         assert_eq!(outcome, index.scan_reference(&descriptor));
         assert!(outcome.matches.contains(&ClauseAddr::new(31 / 4, 31 % 4)));
+    }
+
+    #[test]
+    fn a_three_argument_fact_costs_at_most_18_resident_bytes() {
+        // 64 codeword bits + 3 × 2 mask bits + mask_len + address.
+        let mut sy = SymbolTable::new();
+        let n = 64 * 100;
+        let mut index = IndexFile::with_capacity(ScwConfig::paper(), n);
+        for i in 0..n {
+            let head = parse_term(&format!("f(k{i}, v{}, {i})", i % 9), &mut sy).unwrap();
+            index.insert(&head, ClauseAddr::new((i / 64) as u32, (i % 64) as u16));
+        }
+        let bytes = 8 * index.bits.capacity()
+            + index.mask_len.capacity()
+            + index.addrs.capacity() * std::mem::size_of::<ClauseAddr>();
+        assert!(bytes as f64 / n as f64 <= 18.0, "{bytes} B for {n} entries");
     }
 }

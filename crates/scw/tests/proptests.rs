@@ -1,14 +1,15 @@
 //! Property tests for the SCW+MB index: soundness (a clause always
-//! matches a query it trivially unifies with) and structural properties
-//! of codewords.
+//! matches a query it trivially unifies with), structural properties
+//! of codewords, and the bit-sliced scan against per-entry references.
 
 use clare_scw::{
     encode_clause_signature, encode_query_descriptor, ClauseAddr, Codeword, IndexFile,
     QueryDescriptor, ScwConfig,
 };
 use clare_term::parser::parse_term;
-use clare_term::SymbolTable;
+use clare_term::{SymbolTable, Term, VarId};
 use proptest::prelude::*;
+use std::cell::Cell;
 
 /// Source strategy for ground-ish clause heads.
 fn head_source() -> impl Strategy<Value = String> {
@@ -108,12 +109,12 @@ proptest! {
         prop_assert!(outcome.matches.contains(&addrs[0]));
     }
 
-    /// The packed columnar scan — one descriptor alone, all of them in one
+    /// The bit-sliced scan — one descriptor alone, all of them in one
     /// pass, and the hooked pass a budgeted retrieval takes — returns
     /// byte-identical outcomes to the retained scalar reference scan:
     /// same addresses, same clause order, same modelled times.
     #[test]
-    fn packed_scans_equal_reference(
+    fn sliced_scans_equal_reference(
         heads in prop::collection::vec(head_source(), 1..50),
         query_picks in prop::collection::vec(0usize..50, 1..5),
     ) {
@@ -140,5 +141,82 @@ proptest! {
         prop_assert_eq!(batch.as_ref(), Some(&references), "batch diverged from reference");
         let hooked = index.scan(&descriptors, Some(&|| false));
         prop_assert_eq!(hooked.as_ref(), Some(&references), "hooked pass diverged");
+    }
+
+    /// The sliced scan against a reference that does not read the index:
+    /// each entry's expected verdict is `QueryDescriptor::matches` on the
+    /// signature freshly encoded from its head. Up to ~300 heads of mixed
+    /// arity (mask columns added late), every mask state at every
+    /// position, each inserted up to 31 times in a row so the index spans
+    /// several words, ragged tails and more than one 4096-entry stride, and
+    /// a wider head often first arrives after whole blocks; queries
+    /// are heads with one argument relaxed to a variable; three codeword
+    /// configurations, one and three limbs wide; capacities below and
+    /// above the entry count; and the hooked pass is polled once per
+    /// stride and cancelled at every poll.
+    #[test]
+    fn sliced_scan_equals_freshly_encoded_signatures(
+        heads in prop::collection::vec(head_source(), 1..300),
+        copies in 1usize..32,
+        config in prop_oneof![
+            Just(ScwConfig::paper()),
+            Just(ScwConfig::custom(192, 4, 12)),
+            Just(ScwConfig::custom(16, 2, 4)),
+        ],
+        picks in prop::collection::vec((0usize..300, 0usize..7), 1..4),
+        capacity in 0usize..12_000,
+    ) {
+        let mut symbols = SymbolTable::new();
+        let terms: Vec<Term> = heads
+            .iter()
+            .map(|src| parse_term(src, &mut symbols).unwrap())
+            .collect();
+        let signatures: Vec<_> = terms
+            .iter()
+            .map(|head| encode_clause_signature(head, &config))
+            .collect();
+        let n = terms.len() * copies;
+        let addr = |i: usize| ClauseAddr::new((i / 64) as u32, (i % 64) as u16);
+        let mut index = IndexFile::with_capacity(config, capacity);
+        for i in 0..n {
+            index.insert(&terms[i / copies], addr(i));
+        }
+        let descriptors: Vec<QueryDescriptor> = picks
+            .iter()
+            .map(|&(pick, relax)| {
+                let Term::Struct { functor, mut args } = terms[pick % terms.len()].clone() else {
+                    unreachable!("heads are p/N structures")
+                };
+                if relax < args.len() {
+                    args[relax] = Term::Var(VarId::new(40));
+                }
+                encode_query_descriptor(&Term::Struct { functor, args }, &config)
+            })
+            .collect();
+        let outcomes = index.scan(&descriptors, None).unwrap();
+        for (descriptor, outcome) in descriptors.iter().zip(&outcomes) {
+            let expected: Vec<ClauseAddr> = (0..n)
+                .filter(|&i| descriptor.matches(&signatures[i / copies]))
+                .map(addr)
+                .collect();
+            prop_assert_eq!(&outcome.matches, &expected);
+            prop_assert_eq!(outcome.entries_scanned, n);
+        }
+        let polls = n.div_ceil(4096) + 1;
+        let count = Cell::new(0);
+        let hooked = index.scan(&descriptors, Some(&|| {
+            count.set(count.get() + 1);
+            false
+        }));
+        prop_assert_eq!(hooked.as_ref(), Some(&outcomes));
+        prop_assert_eq!(count.get(), polls, "one poll per stride, then the closing poll");
+        for at in 1..=polls {
+            count.set(0);
+            let cancelled = index.scan(&descriptors, Some(&|| {
+                count.set(count.get() + 1);
+                count.get() == at
+            }));
+            prop_assert!(cancelled.is_none(), "cancelled at poll {}", at);
+        }
     }
 }

@@ -1,15 +1,16 @@
-//! Runtime-dispatched SIMD kernels for the two retrieval hot loops.
+//! A runtime-dispatched SIMD kernel for the FS2 track sweep's hot loop.
 //!
-//! The FS1 filter tests `required & !entry == 0` against every index entry
-//! of a shard; the FS2 track sweep selects, from a track's first-word
-//! column, the clauses whose key equals the query's (or that have none).
-//! Both are pure data-parallel inner loops, so this crate vectorizes them
-//! with `std::arch` intrinsics (AVX2 on x86-64, NEON on aarch64) behind a
-//! [`SimdLevel`] value chosen once per process by runtime feature
-//! detection. The scalar path is always compiled and is the
-//! semantic reference: every vector path must produce bit-identical output,
-//! including on non-lane-multiple tails, and the property tests at the
-//! bottom of this file enforce that on random inputs.
+//! The sweep selects, from a track's first-word column, the clauses whose
+//! key equals the query's (or that have none) — a pure data-parallel
+//! inner loop, so this crate vectorizes it with `std::arch` intrinsics
+//! (AVX2 on x86-64, NEON on aarch64) behind a [`SimdLevel`] value chosen
+//! once per process by runtime feature detection. The scalar path is
+//! always compiled and is the semantic reference: every vector path must
+//! produce bit-identical output, including on non-lane-multiple tails,
+//! and the property tests at the bottom of this file enforce that on
+//! random inputs. (The FS1 scan needs no kernel of its own: its
+//! bit-sliced columns are ANDed a slice at a time, which the compiler
+//! vectorizes.)
 //!
 //! Set `CLARE_SIMD=off` (or `scalar`) to force the scalar path; `avx2` /
 //! `neon` request a specific level and silently fall back to scalar when
@@ -18,7 +19,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-/// The instruction-set tier the kernels run at.
+/// The instruction-set tier the kernel runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
     /// Portable scalar loops — the reference semantics.
@@ -93,157 +94,6 @@ pub fn level() -> SimdLevel {
             Err(_) => detected,
         }
     })
-}
-
-// ---------------------------------------------------------------------------
-// FS1 kernel: subset test over a run of packed index entries
-// ---------------------------------------------------------------------------
-
-/// Appends to `out` the index (counting from 0) of every entry in `limbs`
-/// whose codeword is a superset of `required`, i.e. where
-/// `required[k] & !entry[k] == 0` for every limb `k`.
-///
-/// `limbs` holds `limbs.len() / required.len()` consecutive entries of
-/// `required.len()` limbs each (the packed columnar layout); its length
-/// must be a multiple of `required.len()`. The same `required` vector
-/// applies to every entry — callers batch entries into runs that share a
-/// requirement before invoking the kernel.
-///
-/// Every level produces identical output; `level` only selects how the
-/// loop is executed.
-///
-/// # Panics
-///
-/// Panics if `required` is empty or `limbs.len()` is not a multiple of
-/// `required.len()`.
-pub fn fs1_subset_hits(level: SimdLevel, required: &[u64], limbs: &[u64], out: &mut Vec<u32>) {
-    let stride = required.len();
-    assert!(stride > 0, "requirement must have at least one limb");
-    assert_eq!(limbs.len() % stride, 0, "limbs must be whole entries");
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => match stride {
-            // SAFETY: `Avx2` is only produced by `detect()` when the host
-            // reports the feature (the env override cannot grant it).
-            1 => unsafe { fs1_subset_hits_avx2_s1(required[0], limbs, out) },
-            2 => unsafe { fs1_subset_hits_avx2_s2(required, limbs, out) },
-            _ => fs1_subset_hits_scalar(required, limbs, out),
-        },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => match stride {
-            1 => unsafe { fs1_subset_hits_neon_s1(required[0], limbs, out) },
-            _ => fs1_subset_hits_scalar(required, limbs, out),
-        },
-        _ => fs1_subset_hits_scalar(required, limbs, out),
-    }
-}
-
-/// The scalar reference loop for [`fs1_subset_hits`].
-fn fs1_subset_hits_scalar(required: &[u64], limbs: &[u64], out: &mut Vec<u32>) {
-    let stride = required.len();
-    if stride == 1 {
-        let required = required[0];
-        for (i, &entry) in limbs.iter().enumerate() {
-            if required & !entry == 0 {
-                out.push(i as u32);
-            }
-        }
-        return;
-    }
-    for (i, entry) in limbs.chunks_exact(stride).enumerate() {
-        if required.iter().zip(entry).all(|(r, l)| r & !l == 0) {
-            out.push(i as u32);
-        }
-    }
-}
-
-/// AVX2, one limb per entry: four entries per 256-bit vector.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fs1_subset_hits_avx2_s1(required: u64, limbs: &[u64], out: &mut Vec<u32>) {
-    use std::arch::x86_64::*;
-    let req = _mm256_set1_epi64x(required as i64);
-    let zero = _mm256_setzero_si256();
-    let chunks = limbs.len() / 4;
-    for c in 0..chunks {
-        // SAFETY: `c * 4 + 3 < limbs.len()`; unaligned load is permitted.
-        let entries = _mm256_loadu_si256(limbs.as_ptr().add(c * 4) as *const __m256i);
-        // andnot(entries, req) = !entries & req — the leftover required bits.
-        let leftover = _mm256_andnot_si256(entries, req);
-        let hit = _mm256_cmpeq_epi64(leftover, zero);
-        let mut mask = _mm256_movemask_pd(_mm256_castsi256_pd(hit)) as u32;
-        while mask != 0 {
-            let lane = mask.trailing_zeros();
-            out.push((c * 4) as u32 + lane);
-            mask &= mask - 1;
-        }
-    }
-    for (i, &limb) in limbs.iter().enumerate().skip(chunks * 4) {
-        if required & !limb == 0 {
-            out.push(i as u32);
-        }
-    }
-}
-
-/// AVX2, two limbs per entry: two entries per 256-bit vector.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fs1_subset_hits_avx2_s2(required: &[u64], limbs: &[u64], out: &mut Vec<u32>) {
-    use std::arch::x86_64::*;
-    let req = _mm256_set_epi64x(
-        required[1] as i64,
-        required[0] as i64,
-        required[1] as i64,
-        required[0] as i64,
-    );
-    let zero = _mm256_setzero_si256();
-    let entries_total = limbs.len() / 2;
-    let pairs = entries_total / 2;
-    for p in 0..pairs {
-        // SAFETY: `p * 4 + 3 < limbs.len()`.
-        let entries = _mm256_loadu_si256(limbs.as_ptr().add(p * 4) as *const __m256i);
-        let leftover = _mm256_andnot_si256(entries, req);
-        let hit = _mm256_cmpeq_epi64(leftover, zero);
-        let mask = _mm256_movemask_pd(_mm256_castsi256_pd(hit)) as u32;
-        // Both limb lanes of an entry must be zero-leftover.
-        if mask & 0b0011 == 0b0011 {
-            out.push((p * 2) as u32);
-        }
-        if mask & 0b1100 == 0b1100 {
-            out.push((p * 2) as u32 + 1);
-        }
-    }
-    for e in pairs * 2..entries_total {
-        let base = e * 2;
-        if required[0] & !limbs[base] == 0 && required[1] & !limbs[base + 1] == 0 {
-            out.push(e as u32);
-        }
-    }
-}
-
-/// NEON, one limb per entry: two entries per 128-bit vector.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn fs1_subset_hits_neon_s1(required: u64, limbs: &[u64], out: &mut Vec<u32>) {
-    use std::arch::aarch64::*;
-    let req = vdupq_n_u64(required);
-    let chunks = limbs.len() / 2;
-    for c in 0..chunks {
-        // SAFETY: `c * 2 + 1 < limbs.len()`.
-        let entries = vld1q_u64(limbs.as_ptr().add(c * 2));
-        let leftover = vbicq_u64(req, entries); // req & !entries
-        if vgetq_lane_u64(leftover, 0) == 0 {
-            out.push((c * 2) as u32);
-        }
-        if vgetq_lane_u64(leftover, 1) == 0 {
-            out.push((c * 2) as u32 + 1);
-        }
-    }
-    for i in chunks * 2..limbs.len() {
-        if required & !limbs[i] == 0 {
-            out.push(i as u32);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -373,66 +223,6 @@ mod tests {
             SimdLevel::from_env("neon", SimdLevel::Avx2),
             SimdLevel::Scalar
         );
-    }
-
-    #[test]
-    fn subset_kernel_matches_scalar_on_random_runs() {
-        let Some(level) = active_vector_level() else {
-            return;
-        };
-        let mut rng = StdRng::seed_from_u64(0x51D_0001);
-        for stride in [1usize, 2, 3] {
-            for _ in 0..200 {
-                let entries = rng.gen_range(0..40usize);
-                // Sparse requirements and dense entries so both outcomes
-                // occur often.
-                let required: Vec<u64> = (0..stride)
-                    .map(|_| rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>())
-                    .collect();
-                let limbs: Vec<u64> = (0..entries * stride)
-                    .map(|_| rng.gen::<u64>() | rng.gen::<u64>())
-                    .collect();
-                let mut scalar = Vec::new();
-                let mut vector = Vec::new();
-                fs1_subset_hits(SimdLevel::Scalar, &required, &limbs, &mut scalar);
-                fs1_subset_hits(level, &required, &limbs, &mut vector);
-                assert_eq!(scalar, vector, "stride {stride}, {entries} entries");
-            }
-        }
-    }
-
-    #[test]
-    fn subset_kernel_tail_lengths_are_exact() {
-        let Some(level) = active_vector_level() else {
-            return;
-        };
-        // Every length around the lane width, with an all-pass requirement
-        // and an all-fail requirement.
-        for stride in [1usize, 2] {
-            for entries in 0..=17usize {
-                let limbs = vec![0u64; entries * stride];
-                let mut hits = Vec::new();
-                fs1_subset_hits(level, &vec![0u64; stride], &limbs, &mut hits);
-                assert_eq!(hits.len(), entries, "all-pass, stride {stride}");
-                hits.clear();
-                fs1_subset_hits(level, &vec![u64::MAX; stride], &limbs, &mut hits);
-                assert!(hits.is_empty(), "all-fail, stride {stride}");
-            }
-        }
-    }
-
-    #[test]
-    fn subset_kernel_appends_without_clearing() {
-        let mut out = vec![7u32];
-        fs1_subset_hits(SimdLevel::Scalar, &[0], &[0, u64::MAX], &mut out);
-        assert_eq!(out, vec![7, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole entries")]
-    fn subset_kernel_rejects_ragged_input() {
-        let mut out = Vec::new();
-        fs1_subset_hits(SimdLevel::Scalar, &[0, 0], &[1, 2, 3], &mut out);
     }
 
     #[test]
