@@ -1,24 +1,26 @@
 //! E15 — host wall-clock throughput of the FS2 track pipeline.
 //!
 //! E7/E8 report *modelled* FS2 times (Table 1 costs against the disk's
-//! streaming rate). This experiment measures what the two-stage
-//! retrieval costs the *host*, across the FS2 sweep configurations:
+//! streaming rate). This experiment measures what a whole retrieval costs
+//! the *host* (FS1 scan, FS2 sweep and full unification of the
+//! candidates), across the FS2 sweep configurations:
 //!
 //! * **serial** — the pre-arena reference: every clause record re-parsed
 //!   from bytes ([`ClauseRecord::from_bytes`]) on one thread, matching
 //!   through the allocation-free engine path;
-//! * **arena** — the track kernel over the pre-decoded [`ClauseArena`]:
-//!   the query binds its first argument, so a track's first-word column
-//!   goes through `clare_simd::select_eq_or_zero_u32` and only the
-//!   selected clauses walk the Map ROM;
+//! * **postings** — the sweep over the pre-decoded [`ClauseArena`]: the
+//!   query binds its first argument, so each track walks only the clauses
+//!   on the first-word posting lists for that key and for key 0, and the
+//!   rest are charged their one MATCH as a count;
 //! * **unkeyed** — `fact(K, v17, T)` over the arena: the first argument
-//!   is unbound, the case the kernel does not touch, so every clause
-//!   walks the Map ROM. Measured in `Fs2Only` mode so the sweep covers the
-//!   same whole predicate as the other configurations.
+//!   is unbound, so no posting list applies and every clause walks the
+//!   Map ROM. Measured in `Fs2Only` mode so the sweep covers the same
+//!   whole predicate as the other configurations.
 //!
 //! Every configuration returns byte-identical retrievals (property-tested
-//! in `crs.rs`); only host wall-clock may differ. The
-//! checked-in `BENCH_fs2.json` is regenerated by `clare-tables fs2bench`.
+//! in `crs.rs`); only host wall-clock may differ. The checked-in
+//! `BENCH_fs2.json` is regenerated by `clare-tables fs2bench`, with the
+//! host, core count and commit recorded in the file.
 //!
 //! [`ClauseRecord::from_bytes`]: clare_pif::ClauseRecord::from_bytes
 //! [`ClauseArena`]: clare_kb::ClauseArena
@@ -37,8 +39,8 @@ pub struct Fs2WallclockRow {
     pub clauses: usize,
     /// Best observed serial byte-decoding retrieval, ns.
     pub serial_ns: f64,
-    /// Best observed arena retrieval, ns.
-    pub arena_ns: f64,
+    /// Best observed posting-list retrieval, ns.
+    pub postings_ns: f64,
     /// Best observed first-argument-unbound arena retrieval, ns.
     pub unkeyed_ns: f64,
 }
@@ -49,14 +51,14 @@ impl Fs2WallclockRow {
         self.clauses as f64 / (self.serial_ns / 1e9)
     }
 
-    /// Clauses filtered per second by the arena path.
-    pub fn arena_clauses_per_sec(&self) -> f64 {
-        self.clauses as f64 / (self.arena_ns / 1e9)
+    /// Clauses filtered per second by the posting-list sweep.
+    pub fn postings_clauses_per_sec(&self) -> f64 {
+        self.clauses as f64 / (self.postings_ns / 1e9)
     }
 
-    /// Arena speedup over the serial reference.
-    pub fn arena_speedup(&self) -> f64 {
-        self.serial_ns / self.arena_ns
+    /// Posting-list speedup over the serial reference.
+    pub fn postings_speedup(&self) -> f64 {
+        self.serial_ns / self.postings_ns
     }
 
     /// Clauses filtered per second when the query's first argument is
@@ -69,6 +71,13 @@ impl Fs2WallclockRow {
 /// The wall-clock report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fs2WallclockReport {
+    /// Where the numbers come from: kernel hostname, cores available to
+    /// the process, and `git describe --always --dirty` of the checkout.
+    pub host: String,
+    /// See `host`.
+    pub cores: usize,
+    /// See `host`.
+    pub commit: String,
     /// One row per knowledge-base size, ascending.
     pub rows: Vec<Fs2WallclockRow>,
 }
@@ -77,51 +86,45 @@ impl Fs2WallclockReport {
     /// Renders the report as a small JSON document (hand-written — the
     /// workspace deliberately carries no serde dependency).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"experiment\": \"fs2_two_stage_wallclock\",\n");
-        out.push_str("  \"unit\": \"clauses_per_sec\",\n");
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"clauses\": {},\n", row.clauses));
-            out.push_str(&format!(
-                "      \"serial_ns_per_retrieval\": {:.0},\n",
-                row.serial_ns
-            ));
-            out.push_str(&format!(
-                "      \"arena_ns_per_retrieval\": {:.0},\n",
-                row.arena_ns
-            ));
-            out.push_str(&format!(
-                "      \"unkeyed_ns_per_retrieval\": {:.0},\n",
-                row.unkeyed_ns
-            ));
-            out.push_str(&format!(
-                "      \"serial_clauses_per_sec\": {:.0},\n",
-                row.serial_clauses_per_sec()
-            ));
-            out.push_str(&format!(
-                "      \"arena_clauses_per_sec\": {:.0},\n",
-                row.arena_clauses_per_sec()
-            ));
-            out.push_str(&format!(
-                "      \"unkeyed_clauses_per_sec\": {:.0},\n",
-                row.unkeyed_clauses_per_sec()
-            ));
-            out.push_str(&format!(
-                "      \"arena_speedup_vs_serial\": {:.2}\n",
-                row.arena_speedup()
-            ));
-            out.push_str(if i + 1 == self.rows.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let fixed = |decimals: usize, value: f64| format!("{value:.decimals$}");
+                let fields = [
+                    ("clauses", row.clauses.to_string()),
+                    ("serial_ns_per_retrieval", fixed(0, row.serial_ns)),
+                    ("postings_ns_per_retrieval", fixed(0, row.postings_ns)),
+                    ("unkeyed_ns_per_retrieval", fixed(0, row.unkeyed_ns)),
+                    (
+                        "serial_clauses_per_sec",
+                        fixed(0, row.serial_clauses_per_sec()),
+                    ),
+                    (
+                        "postings_clauses_per_sec",
+                        fixed(0, row.postings_clauses_per_sec()),
+                    ),
+                    (
+                        "unkeyed_clauses_per_sec",
+                        fixed(0, row.unkeyed_clauses_per_sec()),
+                    ),
+                    (
+                        "postings_speedup_vs_serial",
+                        fixed(2, row.postings_speedup()),
+                    ),
+                ]
+                .map(|(key, value)| format!("      \"{key}\": {value}"));
+                format!("    {{\n{}\n    }}", fields.join(",\n"))
+            })
+            .collect();
+        format!(
+            "{{\n  \"experiment\": \"fs2_two_stage_wallclock\",\n  \"unit\": \"clauses_per_sec\",\n  \
+             \"host\": \"{}\",\n  \"cores\": {},\n  \"commit\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+            self.host,
+            self.cores,
+            self.commit,
+            rows.join(",\n")
+        )
     }
 }
 
@@ -154,7 +157,7 @@ fn options(predecoded: bool) -> CrsOptions {
 /// `&[1_000, 10_000, 100_000]` and a 1 s budget.
 pub fn run(sizes: &[usize], budget: std::time::Duration) -> Fs2WallclockReport {
     let serial_opts = options(false);
-    let arena_opts = options(true);
+    let postings_opts = options(true);
     let mut rows = Vec::with_capacity(sizes.len());
     for &n in sizes {
         let (kb, query, unkeyed) = build_kb(n);
@@ -164,20 +167,28 @@ pub fn run(sizes: &[usize], budget: std::time::Duration) -> Fs2WallclockReport {
         rows.push(Fs2WallclockRow {
             clauses: n,
             serial_ns: time(&query, SearchMode::TwoStage, &serial_opts),
-            arena_ns: time(&query, SearchMode::TwoStage, &arena_opts),
+            postings_ns: time(&query, SearchMode::TwoStage, &postings_opts),
             // Fs2Only streams the whole predicate, like the TwoStage rows
             // (whose FS1 hits land on every track by construction).
-            unkeyed_ns: time(&unkeyed, SearchMode::Fs2Only, &arena_opts),
+            unkeyed_ns: time(&unkeyed, SearchMode::Fs2Only, &postings_opts),
         });
     }
-    Fs2WallclockReport { rows }
+    let (host, cores, commit) = super::net_wallclock::provenance();
+    Fs2WallclockReport {
+        host,
+        cores,
+        commit,
+        rows,
+    }
 }
 
 impl fmt::Display for Fs2WallclockReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "E15: FS2 two-stage host throughput — serial byte decoding vs the arena track kernel\n"
+            "E15: FS2 two-stage host throughput — serial byte decoding vs first-word \
+             posting lists ({} cores on {}, commit {})\n",
+            self.cores, self.host, self.commit
         )?;
         let rows: Vec<Vec<String>> = self
             .rows
@@ -186,9 +197,9 @@ impl fmt::Display for Fs2WallclockReport {
                 vec![
                     r.clauses.to_string(),
                     format!("{:.2}", r.serial_clauses_per_sec() / 1e6),
-                    format!("{:.2}", r.arena_clauses_per_sec() / 1e6),
+                    format!("{:.2}", r.postings_clauses_per_sec() / 1e6),
                     format!("{:.2}", r.unkeyed_clauses_per_sec() / 1e6),
-                    format!("{:.2}x", r.arena_speedup()),
+                    format!("{:.2}x", r.postings_speedup()),
                 ]
             })
             .collect();
@@ -199,9 +210,9 @@ impl fmt::Display for Fs2WallclockReport {
                 &[
                     "clauses",
                     "serial Mc/s",
-                    "arena Mc/s",
+                    "postings Mc/s",
                     "unkeyed Mc/s",
-                    "arena speedup",
+                    "postings speedup",
                 ],
                 &rows,
             )
@@ -220,29 +231,31 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
         for row in &r.rows {
             assert!(row.serial_ns > 0.0);
-            assert!(row.arena_ns > 0.0);
+            assert!(row.postings_ns > 0.0);
             assert!(row.unkeyed_ns > 0.0);
-            assert!(row.arena_clauses_per_sec() > 0.0);
+            assert!(row.postings_clauses_per_sec() > 0.0);
         }
         let json = r.to_json();
         assert!(json.contains("\"experiment\": \"fs2_two_stage_wallclock\""));
         assert!(json.contains("\"clauses\": 400"));
-        assert!(json.contains("\"arena_speedup_vs_serial\""));
+        assert!(json.contains("\"postings_speedup_vs_serial\""));
         assert!(json.contains("\"unkeyed_ns_per_retrieval\""));
+        assert!(json.contains("\"cores\": "));
+        assert!(json.contains("\"commit\": \""));
         // Render path stays panic-free.
         assert!(format!("{r}").contains("clauses"));
     }
 
     #[test]
-    fn arena_path_is_not_slower_than_byte_decoding() {
+    fn postings_path_is_not_slower_than_byte_decoding() {
         // Perf assertions are deliberately loose for noisy CI hosts: the
-        // pre-decoded arena must at minimum not regress below re-parsing
+        // posting-list sweep must at minimum not regress below re-parsing
         // every record per retrieval.
         let r = run(&[10_000], Duration::from_millis(150));
         assert!(
-            r.rows[0].arena_speedup() > 1.0,
-            "arena path slower than byte decoding: {:.2}x",
-            r.rows[0].arena_speedup()
+            r.rows[0].postings_speedup() > 1.0,
+            "posting-list path slower than byte decoding: {:.2}x",
+            r.rows[0].postings_speedup()
         );
     }
 }

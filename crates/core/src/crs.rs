@@ -20,7 +20,7 @@ use crate::budget::{BudgetExceeded, BudgetReason, CancelToken};
 use crate::cache::{CacheConfig, Fs1Slot};
 use crate::cost::SoftwareCostModel;
 use clare_disk::{DiskProfile, SimNanos, Track};
-use clare_fs2::{Fs2Config, Fs2Engine, TrackVerdict};
+use clare_fs2::{Fs2Config, Fs2Engine, Selection, TrackVerdict};
 use clare_kb::{KnowledgeBase, ModuleKind, Predicate};
 use clare_pif::{encode_query, ClauseRecord};
 use clare_scw::{encode_query_descriptor, ClauseAddr};
@@ -28,7 +28,8 @@ use clare_term::{term_size, ClauseId, Term};
 use clare_unify::partial::{partial_match, PartialConfig};
 use clare_unify::unify_query_clause;
 use clare_wal::{Overlay, PredDelta};
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -365,19 +366,28 @@ pub(crate) fn pipeline(
                 continue;
             };
             let tracks: Vec<usize> = match &plan.fs1 {
-                Some(outcome) => candidate_tracks(&outcome.matches),
+                Some(outcome) => candidate_tracks(&outcome.matches).collect(),
                 None => (0..pred.file().track_count()).collect(),
             };
             let started = Instant::now();
             let mut matches = Vec::with_capacity(tracks.len());
             let mut counts = SweepCounts::default();
+            let arena = pred.arena();
+            let mut selection = match engine.first_key() {
+                Some(key) => Selection::Keyed {
+                    keyed: arena.key_clauses(key),
+                    zero: arena.zero_key_clauses(),
+                },
+                None => Selection::All,
+            };
             for &t in &tracks {
                 if let Err(reason) = cancel.checkpoint() {
                     // The tracks that finished were really swept.
                     counts.publish();
                     return Err(exceeded(reason, None));
                 }
-                matches.push(match_track(pred, engine, t, predecoded, &mut counts));
+                let track = match_track(pred, engine, &mut selection, t, predecoded, &mut counts);
+                matches.push(track);
             }
             counts.publish();
             let m = clare_trace::metrics();
@@ -590,16 +600,12 @@ impl<'a> Plan<'a> {
                 stats.after_fs1 = Some(fs1_addrs.len());
                 let fs2_addrs = fs2_phase(pred, self.sweep.expect(SWEPT), opts, stats);
                 // Intersect: only clauses selected by both stages go on.
-                let fs1_set: BTreeSet<ClauseAddr> = fs1_addrs.into_iter().collect();
-                let joint: Vec<ClauseAddr> = fs2_addrs
-                    .into_iter()
-                    .filter(|a| fs1_set.contains(a))
-                    .collect();
+                let joint = intersect_ascending(&fs1_addrs, &fs2_addrs);
                 // FS1 candidates the FS2 verdicts rejected: the numerator of
                 // the FS1 false-drop rate (`fs1.false_drops / fs1.candidates_out`).
                 clare_trace::metrics()
                     .fs1_false_drops
-                    .add((fs1_set.len() - joint.len()) as u64);
+                    .add((fs1_addrs.len() - joint.len()) as u64);
                 stats.after_fs2 = Some(joint.len());
                 addrs_to_ids(pred, &joint)
             }
@@ -607,26 +613,52 @@ impl<'a> Plan<'a> {
     }
 }
 
+// Every address list below ascends: FS1 outcomes do (see
+// `clare_scw::ScanOutcome::matches`), FS2 sweeps visit tracks in ascending
+// order and report hits in slot order, and an intersection of ascending
+// lists ascends. Clause order is address order, so ids ascend too.
+
+/// The clause ids of the ascending `addrs`, in clause order.
 fn addrs_to_ids(pred: &Predicate, addrs: &[ClauseAddr]) -> Vec<ClauseId> {
-    let mut ids: Vec<ClauseId> = addrs
+    debug_assert!(addrs.is_sorted(), "candidate addresses ascend");
+    addrs
         .iter()
         .map(|a| {
             pred.clause_id_at(*a)
                 .expect("candidate addresses come from this predicate")
         })
-        .collect();
-    ids.sort();
-    ids
+        .collect()
 }
 
-/// The distinct tracks containing `addrs`, ascending.
-fn candidate_tracks(addrs: &[ClauseAddr]) -> Vec<usize> {
+/// The addresses on both ascending lists, ascending.
+fn intersect_ascending(a: &[ClauseAddr], b: &[ClauseAddr]) -> Vec<ClauseAddr> {
+    debug_assert!(
+        a.is_sorted() && b.is_sorted(),
+        "both stages' addresses ascend"
+    );
+    let (mut i, mut j) = (0, 0);
+    let mut joint = Vec::new();
+    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+        match x.cmp(y) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                joint.push(*x);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    joint
+}
+
+/// The distinct tracks holding the ascending FS1 candidates `addrs`,
+/// ascending: one per run of equal tracks.
+fn candidate_tracks(addrs: &[ClauseAddr]) -> impl Iterator<Item = usize> + '_ {
+    debug_assert!(addrs.is_sorted(), "FS1 outcomes ascend");
     addrs
-        .iter()
-        .map(|a| a.track() as usize)
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect()
+        .chunk_by(|a, b| a.track() == b.track())
+        .map(|run| run[0].track() as usize)
 }
 
 /// Mode (a): stream everything (if disk resident) and filter on the host.
@@ -686,19 +718,16 @@ fn fetch_candidate_tracks(
     opts: &CrsOptions,
     stats: &mut RetrievalStats,
 ) {
-    let tracks: BTreeSet<u32> = addrs.iter().map(|a| a.track()).collect();
-    let mut prev: Option<u32> = None;
-    for &t in &tracks {
+    let seek = opts.disk.avg_seek() + opts.disk.avg_rotational_latency();
+    let transfer = opts.disk.track_transfer_time();
+    let track_bytes = pred.file().track_bytes() as u64;
+    let mut prev: Option<usize> = None;
+    for t in candidate_tracks(addrs) {
         let contiguous = prev.is_some_and(|p| t == p + 1);
-        let positioning = if contiguous {
-            SimNanos::ZERO
-        } else {
-            opts.disk.avg_seek() + opts.disk.avg_rotational_latency()
-        };
-        let transfer = opts.disk.track_transfer_time();
+        let positioning = if contiguous { SimNanos::ZERO } else { seek };
         stats.disk_time += positioning + transfer;
         stats.elapsed += positioning + transfer;
-        stats.bytes_from_disk += pred.file().track_bytes() as u64;
+        stats.bytes_from_disk += track_bytes;
         prev = Some(t);
     }
 }
@@ -755,9 +784,10 @@ impl SweepCounts {
 /// Streams one track's clauses through the engine. With `predecoded` the
 /// track goes to [`Fs2Engine::match_track`] as one call over the
 /// predicate's [`ClauseArena`] (head streams decoded once at build/load
-/// time, first words in a column); otherwise each record is re-parsed from
-/// its on-disk bytes and matched on its own — the reference path the arena
-/// is property-tested against.
+/// time), walking only the clauses `selection` lists on it — the sweep's
+/// first-word posting lists; otherwise each record is re-parsed from its
+/// on-disk bytes and matched on its own — the reference path the arena is
+/// property-tested against.
 ///
 /// [`ClauseArena`]: clare_kb::ClauseArena
 // Kept out of line: folded into the large pipeline body, the per-record
@@ -766,6 +796,7 @@ impl SweepCounts {
 fn match_track(
     pred: &Predicate,
     engine: &mut Fs2Engine,
+    selection: &mut Selection<'_>,
     t: usize,
     predecoded: bool,
     counts: &mut SweepCounts,
@@ -782,10 +813,9 @@ fn match_track(
     }
     let (clauses, verdict) = if predecoded {
         let arena = pred.arena();
-        let start = arena.track_clauses(t).start;
-        let first_words = arena.track_first_words(t);
-        let verdict = engine.match_track(first_words, |slot| arena.stream(start + slot));
-        (first_words.len(), verdict)
+        let range = arena.track_clauses(t);
+        let verdict = engine.match_track(range.clone(), selection, |c| arena.stream(c));
+        (range.len(), verdict)
     } else {
         let records = read.track().records();
         let mut verdict = TrackVerdict::default();
@@ -826,6 +856,9 @@ fn fs2_phase(
     opts: &CrsOptions,
     stats: &mut RetrievalStats,
 ) -> Vec<ClauseAddr> {
+    let seek = opts.disk.avg_seek() + opts.disk.avg_rotational_latency();
+    let transfer = opts.disk.track_transfer_time();
+    let track_bytes = pred.file().track_bytes() as u64;
     let mut satisfiers = Vec::new();
     let mut prev: Option<usize> = None;
     for (&t, tm) in sweep.tracks.iter().zip(&sweep.matches) {
@@ -842,15 +875,10 @@ fn fs2_phase(
         // Adjacent tracks continue the sweep for free; the first track and
         // any gap cost a fresh positioning (seek + rotational latency).
         let contiguous = prev.is_some_and(|p| t == p + 1);
-        let positioning = if contiguous {
-            SimNanos::ZERO
-        } else {
-            opts.disk.avg_seek() + opts.disk.avg_rotational_latency()
-        };
-        let transfer = opts.disk.track_transfer_time();
+        let positioning = if contiguous { SimNanos::ZERO } else { seek };
         stats.fs2_time += tm.fs2_time;
         stats.disk_time += positioning + transfer;
-        stats.bytes_from_disk += pred.file().track_bytes() as u64;
+        stats.bytes_from_disk += track_bytes;
         // Double buffering overlaps matching with the next transfer.
         stats.elapsed += positioning + transfer.max(tm.fs2_time);
         prev = Some(t);

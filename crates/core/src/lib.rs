@@ -64,7 +64,6 @@ pub use server::{
     SubscribeError, UpdateTransaction,
 };
 
-pub use clare_simd::SimdLevel;
 // The mutable-KB substrate (write-ahead log + memtable overlay) the server
 // builds on, re-exported so front-ends can speak its vocabulary directly.
 pub use clare_wal::{Overlay, OverlayError, ReplayReport, Wal, WalError, WalOp, WalRecord};

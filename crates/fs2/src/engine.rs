@@ -19,7 +19,7 @@ use crate::memory::{CellBank, QueryMemory, QueryTooLargeError};
 use crate::ops::HwOp;
 use clare_disk::SimNanos;
 use clare_pif::{PifStream, PifWord, TagCategory, TypeTag};
-use clare_simd::SimdLevel;
+use std::ops::Range;
 
 /// Outcome of matching one clause-head stream against the loaded query.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,6 +87,36 @@ impl TrackVerdict {
             self.hits.push(slot);
         }
     }
+}
+
+/// Which clauses of a predicate a sweep walks through the Map ROM, handed
+/// to [`Fs2Engine::match_track`] once per track in ascending track order.
+#[derive(Debug, Clone)]
+pub enum Selection<'a> {
+    /// Every clause: the query's first word is a variable or a complex
+    /// term, which no clause's first word can reject on its own.
+    All,
+    /// The query's first word is the simple value
+    /// [`Fs2Engine::first_key`]: only the clauses whose
+    /// [`first_word_key`](clare_pif::first_word_key) equals it (`keyed`)
+    /// or is `0` (`zero`) can survive their first MATCH. Both lists hold
+    /// clause indices in ascending order, and each track consumes its
+    /// share from the front.
+    Keyed {
+        /// Clauses whose first-word key equals the query's.
+        keyed: &'a [u32],
+        /// Clauses whose first-word key is `0`.
+        zero: &'a [u32],
+    },
+}
+
+/// Splits off the front of the ascending clause list `list` the entries
+/// inside `track`, dropping those before it (tracks the sweep skipped).
+fn take_track<'a>(list: &mut &'a [u32], track: &Range<usize>) -> &'a [u32] {
+    let ahead = &list[list.partition_point(|&c| (c as usize) < track.start)..];
+    let (taken, rest) = ahead.split_at(ahead.partition_point(|&c| (c as usize) < track.end));
+    *list = rest;
+    taken
 }
 
 /// One traced word-pair comparison (see
@@ -161,10 +191,8 @@ pub struct Fs2Engine {
     scratch_ops: Vec<HwOp>,
     /// The query's first word as a raw bus word, when it is a simple
     /// value (atom/float pointer or in-line integer) — the precondition
-    /// for the first-word prefilter of [`Self::match_track`].
+    /// for a [`Selection::Keyed`] sweep.
     first_key: Option<u32>,
-    /// Reusable buffer for the slots the prefilter selects on a track.
-    scratch_selected: Vec<u32>,
 }
 
 impl Fs2Engine {
@@ -190,13 +218,20 @@ impl Fs2Engine {
             rom: MapRom::shared(),
             scratch_ops: Vec::new(),
             first_key,
-            scratch_selected: Vec::new(),
         })
     }
 
     /// The loaded query stream.
     pub fn query_stream(&self) -> &[PifWord] {
         self.query.stream()
+    }
+
+    /// The query's first word as a raw bus word when it is a simple value
+    /// (atom/float pointer or in-line integer), else `None`. With a key,
+    /// a sweep may pass [`Selection::Keyed`] built from the posting lists
+    /// for it; without one it must pass [`Selection::All`].
+    pub fn first_key(&self) -> Option<u32> {
+        self.first_key
     }
 
     /// Matches one clause-head stream and records a per-pair trace: which
@@ -246,51 +281,61 @@ impl Fs2Engine {
         verdict
     }
 
-    /// Matches one track's worth of clause heads: `first_words[k]` is
-    /// clause `k`'s [`first_word_key`](clare_pif::first_word_key) (the
-    /// layout of `clare_kb::ClauseArena::track_first_words`) and
-    /// `stream(k)` its head stream. The result is exactly the fold of
-    /// [`Self::match_clause_words`] over `stream(0..first_words.len())`.
+    /// Matches one track's worth of clause heads: the track holds clauses
+    /// `clauses` (slot `s` is clause `clauses.start + s`) and `stream(c)`
+    /// is clause `c`'s head stream. The result is exactly the fold of
+    /// [`Self::match_clause_words`] over `stream(clauses)`.
     ///
     /// When the loaded query's first word is a simple value, a clause
     /// whose key is neither `0` nor that word is, by the Map ROM's own
     /// table, rejected after exactly one MATCH (non-variable db tag ×
     /// simple query tag → `SimpleMatch`, fail on raw inequality). Those
-    /// clauses are found by [`clare_simd::select_eq_or_zero_u32`] over the
-    /// column and charged in bulk; only the rest walk the Map ROM. A
-    /// query starting with a variable or a complex word walks every clause.
+    /// clauses are charged in bulk as a count; only the clauses a
+    /// [`Selection::Keyed`] lists on the track walk the Map ROM, so the
+    /// host work is proportional to the clauses selected, not to the track.
+    /// With [`Selection::All`] every clause walks.
+    ///
+    /// A sweep passes the same `selection` for every track it visits, in
+    /// ascending track order; tracks it skips cost nothing.
     pub fn match_track<'a>(
         &mut self,
-        first_words: &[u32],
-        stream: impl Fn(usize) -> &'a [PifWord],
-    ) -> TrackVerdict {
-        self.match_track_at(clare_simd::level(), first_words, stream)
-    }
-
-    /// [`Self::match_track`] at an explicit SIMD level.
-    fn match_track_at<'a>(
-        &mut self,
-        level: SimdLevel,
-        first_words: &[u32],
+        clauses: Range<usize>,
+        selection: &mut Selection<'_>,
         stream: impl Fn(usize) -> &'a [PifWord],
     ) -> TrackVerdict {
         let mut verdict = TrackVerdict::default();
-        let mut selected = std::mem::take(&mut self.scratch_selected);
-        selected.clear();
-        match self.first_key {
-            Some(key) => {
-                clare_simd::select_eq_or_zero_u32(level, first_words, key, &mut selected);
-                let rejected = (first_words.len() - selected.len()) as u64;
-                verdict.op_histogram[HwOp::Match.index()] = rejected;
-                verdict.time = HwOp::Match.execution_time() * rejected;
+        let slot = |clause: usize| (clause - clauses.start) as u16;
+        let Selection::Keyed { keyed, zero } = selection else {
+            for clause in clauses.clone() {
+                verdict.add_clause(slot(clause), self.match_clause_words(stream(clause)));
             }
-            None => selected.extend(0..first_words.len() as u32),
+            return verdict;
+        };
+        debug_assert!(self.first_key.is_some(), "a keyed selection needs a key");
+        let (mut keyed, mut zero) = (take_track(keyed, &clauses), take_track(zero, &clauses));
+        let rejected = (clauses.len() - keyed.len() - zero.len()) as u64;
+        verdict.op_histogram[HwOp::Match.index()] = rejected;
+        verdict.time = HwOp::Match.execution_time() * rejected;
+        // The two lists are disjoint and ascending: walk their union in
+        // slot order.
+        loop {
+            let clause = match (keyed.split_first(), zero.split_first()) {
+                (Some((&k, rest)), Some((&z, _))) if k < z => {
+                    keyed = rest;
+                    k
+                }
+                (_, Some((&z, rest))) => {
+                    zero = rest;
+                    z
+                }
+                (Some((&k, rest)), None) => {
+                    keyed = rest;
+                    k
+                }
+                (None, None) => break,
+            } as usize;
+            verdict.add_clause(slot(clause), self.match_clause_words(stream(clause)));
         }
-        for &slot in &selected {
-            let clause = self.match_clause_words(stream(slot as usize));
-            verdict.add_clause(slot as u16, clause);
-        }
-        self.scratch_selected = selected;
         verdict
     }
 
@@ -891,11 +936,13 @@ mod tests {
 
     #[test]
     fn track_kernel_equals_per_clause_fold() {
-        // Random tracks of 0..=40 clauses against random queries: first
-        // words simple / variable / anonymous / struct / list / in-line
-        // int over a small alphabet (so keys repeat), empty streams
-        // included. The track entry must return exactly the fold of
-        // `match_clause_words`, at the scalar level and the host's.
+        // Random predicates laid out on tracks, against random queries:
+        // first words simple / variable / anonymous / struct / list /
+        // in-line int over a small alphabet (so keys repeat and a key's
+        // clauses span tracks), empty streams included. Swept with the
+        // posting lists a brute-force partition of the first-word keys
+        // gives, every visited track must return exactly the fold of
+        // `match_clause_words` over its clauses.
         let mut state = 0x5EED_F52Du64;
         let mut next = move || {
             state = state
@@ -940,48 +987,111 @@ mod tests {
                 )),
             }
         };
-        let mut prefiltered = 0;
-        for round in 0..400 {
+        // Track lengths and which tracks a sweep skips.
+        let mut layout_state = 0x7A5C_0D1Eu64;
+        let mut layout = move || {
+            layout_state = layout_state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (layout_state >> 33) as usize
+        };
+        // What the rounds covered, checked at the end.
+        let (mut keyed_tracks, mut absent_key, mut zero_only, mut crossing, mut skipped) =
+            (0, 0, 0, 0, 0);
+        for round in 0..400usize {
             let arity = round % 4;
-            let mut q_stream = PifStream::new();
             let mut words = Vec::new();
-            for _ in 0..arity {
+            // Every fifth round asks for a first word no clause has.
+            let absent = round % 5 == 4 && arity > 0;
+            if absent {
+                words.push(PifWord::new(TypeTag::AtomPtr, 7));
+            }
+            for _ in usize::from(absent)..arity {
                 arg(&mut words, |first| TypeTag::QueryVar { first });
             }
+            let mut q_stream = PifStream::new();
             q_stream.extend(words);
-            let track: Vec<Vec<PifWord>> = (0..round % 41)
-                .map(|k| {
+
+            // A predicate of 0..=60 clauses on tracks of 0..=8 clauses
+            // (empty tracks included); in every third round track 1 holds
+            // only clauses with first-word key 0.
+            let mut clauses: Vec<Vec<PifWord>> = Vec::new();
+            let mut tracks: Vec<Range<usize>> = Vec::new();
+            while clauses.len() < round % 61 {
+                let t = tracks.len();
+                let len = layout() % 9;
+                let start = clauses.len();
+                for k in 0..len {
                     let mut words = Vec::new();
                     // Every seventh clause is an empty stream.
-                    for _ in 0..if k % 7 == 6 { 0 } else { arity } {
+                    let args = if (start + k) % 7 == 6 { 0 } else { arity };
+                    let unkeyed = args > 0 && t == 1 && round % 3 == 0;
+                    if unkeyed {
+                        words.push(PifWord::new(TypeTag::Anon, 0));
+                    }
+                    for _ in usize::from(unkeyed)..args {
                         arg(&mut words, |first| TypeTag::DbVar { first });
                     }
-                    words
-                })
+                    clauses.push(words);
+                }
+                tracks.push(start..clauses.len());
+            }
+            let keys: Vec<u32> = clauses
+                .iter()
+                .map(|w| clare_pif::first_word_key(w))
                 .collect();
-            let keys: Vec<u32> = track.iter().map(|w| clare_pif::first_word_key(w)).collect();
 
             let mut engine = Fs2Engine::new(&q_stream).unwrap();
-            let mut fold = TrackVerdict::default();
-            for (slot, words) in track.iter().enumerate() {
-                let clause = engine.match_clause_words(words);
-                fold.time += clause.time;
-                for (total, n) in fold.op_histogram.iter_mut().zip(clause.op_histogram) {
-                    *total += n as u64;
+            // The posting lists by brute force.
+            let with_key = |key: u32| -> Vec<u32> {
+                (0..clauses.len() as u32)
+                    .filter(|&c| keys[c as usize] == key)
+                    .collect()
+            };
+            let (keyed, zero) = engine
+                .first_key()
+                .map_or((Vec::new(), Vec::new()), |key| (with_key(key), with_key(0)));
+            let mut selection = match engine.first_key() {
+                Some(_) => Selection::Keyed {
+                    keyed: &keyed,
+                    zero: &zero,
+                },
+                None => Selection::All,
+            };
+            // Sweep an ascending subset of the tracks: about one in four
+            // is skipped, selected clauses and all.
+            for (t, range) in tracks.iter().enumerate() {
+                let selected = |c: &u32| range.contains(&(*c as usize));
+                if layout() % 4 == 0 {
+                    skipped += usize::from(keyed.iter().chain(&zero).any(selected));
+                    continue;
                 }
-                if clause.matched {
-                    fold.hits.push(slot as u16);
+                let mut fold = TrackVerdict::default();
+                for clause in range.clone() {
+                    let slot = (clause - range.start) as u16;
+                    fold.add_clause(slot, engine.match_clause_words(&clauses[clause]));
+                }
+                let got = engine.match_track(range.clone(), &mut selection, |c| &clauses[c]);
+                assert_eq!(got, fold, "round {round}, track {t}: {q_stream:?}");
+                if engine.first_key().is_some() && !range.is_empty() {
+                    keyed_tracks += 1;
+                    zero_only += usize::from(range.clone().all(|c| keys[c] == 0));
                 }
             }
-            let scalar = engine.match_track_at(SimdLevel::Scalar, &keys, |k| &track[k]);
-            assert_eq!(scalar, fold, "round {round}, scalar: {q_stream:?}");
-            let host = engine.match_track(&keys, |k| &track[k]);
-            assert_eq!(host, fold, "round {round}, host level: {q_stream:?}");
-            prefiltered += usize::from(engine.first_key.is_some() && !track.is_empty());
+            let track_of = |c: &u32| tracks.iter().position(|r| r.contains(&(*c as usize)));
+            crossing += usize::from(keyed.first().map(track_of) != keyed.last().map(track_of));
+            absent_key += usize::from(absent && keyed.is_empty() && !clauses.is_empty());
         }
         assert!(
-            prefiltered > 50,
-            "the prefilter ran on {prefiltered} rounds"
+            keyed_tracks > 300,
+            "keyed selections on {keyed_tracks} tracks"
+        );
+        assert!(absent_key > 20, "absent keys in {absent_key} rounds");
+        assert!(zero_only > 20, "zero-key-only tracks: {zero_only}");
+        assert!(crossing > 20, "selections across tracks: {crossing}");
+        assert!(
+            skipped > 20,
+            "skipped tracks holding selected clauses: {skipped}"
         );
     }
 

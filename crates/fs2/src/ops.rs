@@ -18,6 +18,7 @@
 use crate::components::{Component, Terminal};
 use clare_disk::SimNanos;
 use std::fmt;
+use std::sync::OnceLock;
 
 use Component::*;
 
@@ -212,6 +213,9 @@ impl HwOp {
     /// Execution time, derived from the routes: Σ per-cycle max(parallel
     /// routes) + terminal delay. Reproduces Table 1 exactly.
     ///
+    /// The matcher charges one of these per operation it runs, so the seven
+    /// times are derived once per process and then looked up.
+    ///
     /// # Examples
     ///
     /// ```
@@ -221,6 +225,12 @@ impl HwOp {
     /// assert_eq!(HwOp::QueryCrossBoundFetch.execution_time().as_ns(), 235);
     /// ```
     pub fn execution_time(self) -> SimNanos {
+        static TIMES: OnceLock<[SimNanos; 7]> = OnceLock::new();
+        TIMES.get_or_init(|| HwOp::ALL.map(HwOp::route_time))[self.index()]
+    }
+
+    /// The route derivation behind [`Self::execution_time`].
+    fn route_time(self) -> SimNanos {
         let routes: SimNanos = self.cycles().iter().map(Cycle::time).sum();
         routes + self.terminal().delay()
     }
@@ -333,6 +343,13 @@ mod tests {
                 ns,
                 "{op} must take {ns} ns (Table 1)"
             );
+        }
+    }
+
+    #[test]
+    fn op_time_table_equals_route_derivation() {
+        for op in HwOp::ALL {
+            assert_eq!(op.execution_time(), op.route_time(), "{op}");
         }
     }
 

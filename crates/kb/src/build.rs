@@ -291,7 +291,7 @@ fn compile_predicate(
 ) -> Result<Predicate, KbError> {
     let mut file_builder = FileBuilder::new(config.disk.track_bytes());
     let mut index = IndexFile::with_capacity(config.scw, clauses.len());
-    let mut arena = ClauseArena::default();
+    let mut arena = ClauseArena::with_capacity(clauses.len());
     // Track layout mirrors FileBuilder's first-fit so addresses line up.
     let mut track = 0u32;
     let mut slot = 0u16;
@@ -313,6 +313,7 @@ fn compile_predicate(
         used += bytes.len();
         slot += 1;
     }
+    arena.index_first_words();
     Ok(Predicate {
         functor,
         arity,

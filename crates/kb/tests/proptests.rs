@@ -1,8 +1,10 @@
 //! Property tests for knowledge-base compilation and persistence.
 
+use clare_disk::{ByteRate, DiskProfile, SimNanos};
 use clare_kb::{io, KbBuilder, KbConfig, KbStats};
 use clare_scw::ClauseAddr;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Random small programs: facts and rules over a tiny vocabulary.
 fn program_source() -> impl Strategy<Value = String> {
@@ -20,6 +22,47 @@ fn program_source() -> impl Strategy<Value = String> {
         None => format!("{h}."),
     });
     prop::collection::vec(clause, 0..25).prop_map(|cs| cs.join("\n"))
+}
+
+/// Programs for the first-word posting lists: every kind of first
+/// argument (atom, integer, float, compound, list, variable, anonymous)
+/// over a small alphabet so keys repeat, and zero-arity heads.
+fn first_word_source() -> impl Strategy<Value = String> {
+    let first = prop_oneof![
+        "[a-c]".prop_map(|a| a),
+        (0i64..4).prop_map(|v| v.to_string()),
+        (0i64..2).prop_map(|v| format!("{v}.5")),
+        Just("g(a, Y)".to_owned()),
+        Just("h(b)".to_owned()),
+        Just("[1, 2 | T]".to_owned()),
+        "[X-Z]".prop_map(|v| v),
+        Just("_".to_owned()),
+    ];
+    let clause =
+        ("[pq]", proptest::option::of((first, "[a-c]"))).prop_map(|(f, args)| match args {
+            Some((first, rest)) => format!("{f}({first}, {rest})."),
+            None => format!("{f}."),
+        });
+    prop::collection::vec(clause, 0..120).prop_map(|cs| cs.join("\n"))
+}
+
+/// A compilation config with 256-byte tracks, so a few dozen clauses
+/// already span several tracks.
+fn small_tracks() -> KbConfig {
+    let disk = DiskProfile::custom(
+        "small tracks",
+        256,
+        1,
+        4096,
+        3600,
+        ByteRate::from_mb_per_sec(1.0),
+        SimNanos::from_millis(10),
+        SimNanos::from_millis(2),
+    );
+    KbConfig {
+        disk,
+        ..KbConfig::default()
+    }
 }
 
 proptest! {
@@ -71,11 +114,6 @@ proptest! {
                     let range = arena.track_clauses(addr.track() as usize);
                     prop_assert_eq!(range.start + addr.slot() as usize, i);
                     prop_assert_eq!(pred.clause_id_at(addr).unwrap().index() as usize, i);
-                    let column = arena.track_first_words(addr.track() as usize);
-                    prop_assert_eq!(
-                        column[addr.slot() as usize],
-                        clare_pif::first_word_key(arena.stream(i))
-                    );
                 }
                 // One past each track's last slot — including the empty
                 // track past the end of the file — addresses no clause.
@@ -83,6 +121,39 @@ proptest! {
                     let past = ClauseAddr::new(t as u32, arena.track_clauses(t).len() as u16);
                     prop_assert_eq!(pred.clause_id_at(past), None);
                 }
+            }
+        }
+    }
+
+    /// The first-word posting lists are exactly a brute-force partition of
+    /// the clauses by `first_word_key` over their arena streams: one
+    /// ascending list per non-zero key, the rest on the zero-key list, and
+    /// nothing for a key no clause has. Predicates span several tracks.
+    #[test]
+    fn posting_lists_partition_clauses_by_first_word(source in first_word_source()) {
+        let mut b = KbBuilder::new();
+        b.consult("m", &source).unwrap();
+        let kb = b.finish(small_tracks());
+        for module in kb.modules() {
+            for pred in module.predicates() {
+                let arena = pred.arena();
+                // A two-argument record is longer than its two head words,
+                // so more than 32 of them take several tracks.
+                let arity = pred.indicator().1;
+                prop_assert!(arity == 0 || arena.len() <= 32 || arena.track_count() > 1);
+                let mut partition: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+                for i in 0..arena.len() {
+                    let key = clare_pif::first_word_key(arena.stream(i));
+                    partition.entry(key).or_default().push(i as u32);
+                }
+                let zero = partition.remove(&0).unwrap_or_default();
+                prop_assert_eq!(arena.zero_key_clauses(), &zero[..]);
+                for (key, clauses) in &partition {
+                    prop_assert_eq!(arena.key_clauses(*key), &clauses[..], "key {:#x}", key);
+                }
+                let absent = (1..).find(|k| !partition.contains_key(k)).unwrap();
+                prop_assert!(arena.key_clauses(absent).is_empty());
+                prop_assert!(arena.key_clauses(0).is_empty());
             }
         }
     }

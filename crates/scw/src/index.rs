@@ -92,7 +92,10 @@ pub struct IndexEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanOutcome {
     /// Addresses of clauses whose codewords matched (potential unifiers,
-    /// including false drops).
+    /// including false drops), one per matching entry, in entry (insertion)
+    /// order. A predicate's index is filled in clause order, whose
+    /// addresses ascend, so for it this list ascends — the ordering the
+    /// FS1→FS2 hand-off merges on instead of sorting.
     pub matches: Vec<ClauseAddr>,
     /// Entries examined (= clause count of the predicate).
     pub entries_scanned: usize,

@@ -200,6 +200,9 @@ proptest! {
                 .map(addr)
                 .collect();
             prop_assert_eq!(&outcome.matches, &expected);
+            // Entries went in with ascending addresses, as a predicate's
+            // do, so the outcome ascends: the FS1→FS2 hand-off relies on it.
+            prop_assert!(outcome.matches.windows(2).all(|w| w[0] < w[1]), "FS1 outcomes ascend");
             prop_assert_eq!(outcome.entries_scanned, n);
         }
         let polls = n.div_ceil(4096) + 1;
