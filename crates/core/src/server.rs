@@ -41,13 +41,13 @@ use crate::cache::{Fs1Slot, QueryKey, RetrievalCache, Stamp};
 use crate::crs::{CrsOptions, Retrieval, SearchMode};
 use crate::resolve::{SolveOptions, SolveOutcome};
 use clare_disk::SimNanos;
-use clare_kb::{KbConfig, KnowledgeBase};
+use clare_kb::KnowledgeBase;
 use clare_term::{ClauseDisplay, SymbolTable, Term};
 use clare_wal::{Overlay, OverlayError, ReplayReport, Wal, WalError, WalOp, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -103,75 +103,6 @@ pub struct ServerStats {
     pub total_elapsed: SimNanos,
 }
 
-/// Seqlock-style holder of the server statistics: writers serialise on a
-/// mutex and publish every field to an atomic mirror between two version
-/// bumps (odd while a publication is in flight); readers copy the mirror
-/// lock-free and retry if the version was odd or moved. Readers therefore
-/// never block the serving path, and a [`ClauseRetrievalServer::stats`]
-/// snapshot can never tear — e.g. observe a `retrieve_batch`'s `batches`
-/// bump without its `retrievals` bump.
-#[derive(Debug, Default)]
-struct StatsCell {
-    /// Authoritative copy; also the writer lock.
-    write: Mutex<ServerStats>,
-    /// Publication version: odd while the mirror is being rewritten.
-    version: AtomicU64,
-    retrievals: AtomicU64,
-    batches: AtomicU64,
-    solves: AtomicU64,
-    updates: AtomicU64,
-    rejected: AtomicU64,
-    degraded: AtomicU64,
-    total_elapsed_ns: AtomicU64,
-}
-
-impl StatsCell {
-    /// Applies `f` to the authoritative copy, then publishes it.
-    fn update(&self, f: impl FnOnce(&mut ServerStats)) {
-        let mut guard = self.write.lock();
-        f(&mut guard);
-        let s = *guard;
-        // Enter the write-side critical section: the acquire half keeps
-        // the field stores from hoisting above the bump to odd.
-        self.version.fetch_add(1, Ordering::Acquire);
-        self.retrievals.store(s.retrievals, Ordering::Relaxed);
-        self.batches.store(s.batches, Ordering::Relaxed);
-        self.solves.store(s.solves, Ordering::Relaxed);
-        self.updates.store(s.updates, Ordering::Relaxed);
-        self.rejected.store(s.rejected, Ordering::Relaxed);
-        self.degraded.store(s.degraded, Ordering::Relaxed);
-        self.total_elapsed_ns
-            .store(s.total_elapsed.as_ns(), Ordering::Relaxed);
-        // Exit: the release half keeps the stores from sinking below the
-        // bump back to even.
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// A consistent lock-free snapshot.
-    fn snapshot(&self) -> ServerStats {
-        loop {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let s = ServerStats {
-                retrievals: self.retrievals.load(Ordering::Relaxed),
-                batches: self.batches.load(Ordering::Relaxed),
-                solves: self.solves.load(Ordering::Relaxed),
-                updates: self.updates.load(Ordering::Relaxed),
-                rejected: self.rejected.load(Ordering::Relaxed),
-                degraded: self.degraded.load(Ordering::Relaxed),
-                total_elapsed: SimNanos::from_ns(self.total_elapsed_ns.load(Ordering::Relaxed)),
-            };
-            std::sync::atomic::fence(Ordering::Acquire);
-            if self.version.load(Ordering::Relaxed) == v1 {
-                return s;
-            }
-        }
-    }
-}
-
 /// The atomically published serving state: an immutable base snapshot
 /// plus the memtable overlay of everything asserted/retracted since it
 /// was built. Readers clone both `Arc`s under one read-lock acquisition
@@ -191,10 +122,6 @@ struct CommitState {
     /// The attached write-ahead log, if any. Appends happen under the
     /// commit lock; the fsynced batch is the acknowledgement point.
     wal: Option<Wal>,
-    /// Compilation parameters used to validate overlay clauses (track
-    /// fit) and to rebuild the base at compaction. Refreshed by every
-    /// transaction commit that carries one.
-    config: KbConfig,
     /// Next sequence number when no WAL is attached (the overlay still
     /// orders its ops by seq; durability simply isn't promised).
     mem_seq: u64,
@@ -401,7 +328,9 @@ pub struct ClauseRetrievalServer {
     /// count retrievals that overlap a compaction window.
     compacting: AtomicBool,
     options: CrsOptions,
-    stats: StatsCell,
+    /// Service statistics. Every update and every snapshot takes this
+    /// lock, so a snapshot is a copy of one consistent state.
+    stats: Mutex<ServerStats>,
     /// Epoch-invalidated answer/FS1 cache ([`crate::cache`]). Epoch
     /// stamps are read under the same `kb` read lock the snapshot comes
     /// from, and updates bump epochs under the write lock, so a stamp and
@@ -438,14 +367,13 @@ impl ClauseRetrievalServer {
             }),
             commit: Mutex::new(CommitState {
                 wal: None,
-                config: KbConfig::default(),
                 mem_seq: 1,
                 folded_through: 0,
                 overlay_born: None,
             }),
             compacting: AtomicBool::new(false),
             options,
-            stats: StatsCell::default(),
+            stats: Mutex::new(ServerStats::default()),
             cache,
             watchers: WatcherSet::default(),
             self_weak: Weak::new(),
@@ -541,14 +469,15 @@ impl ClauseRetrievalServer {
         let started = Instant::now();
         let (published, outcomes) = self.retrieve_batch_through_cache(queries, mode, cancel)?;
         let batch = queries.len() > 1;
-        self.stats.update(|stats| {
+        {
+            let mut stats = self.stats.lock();
             stats.batches += u64::from(batch);
             stats.retrievals += outcomes.len() as u64;
             for outcome in &outcomes {
                 stats.degraded += u64::from(outcome.stats.degraded);
                 stats.total_elapsed += outcome.stats.elapsed;
             }
-        });
+        }
         let m = clare_trace::metrics();
         if self.compacting.load(Ordering::Relaxed) {
             m.compaction_concurrent_retrievals.inc();
@@ -685,11 +614,12 @@ impl ClauseRetrievalServer {
             &self.options,
             cancel,
         )?;
-        self.stats.update(|stats| {
+        {
+            let mut stats = self.stats.lock();
             stats.solves += 1;
             stats.degraded += u64::from(outcome.stats.degraded);
             stats.total_elapsed += outcome.stats.retrieval_elapsed;
-        });
+        }
         let m = clare_trace::metrics();
         if self.compacting.load(Ordering::Relaxed) {
             m.compaction_concurrent_retrievals.inc();
@@ -732,7 +662,7 @@ impl ClauseRetrievalServer {
         };
         drop(guard);
         drop(commit);
-        self.stats.update(|stats| stats.updates += 1);
+        self.stats.lock().updates += 1;
     }
 
     /// Attaches (creating if absent) a write-ahead log and replays it:
@@ -753,7 +683,7 @@ impl ClauseRetrievalServer {
         let (wal, records, report) = Wal::open(path)?;
         let mut commit = self.commit.lock();
         let base = self.kb.read().base.clone();
-        let (overlay, _skipped) = Overlay::rebuild(&base, &records, &commit.config);
+        let (overlay, _skipped) = Overlay::rebuild(&base, &records);
         let mut guard = self.kb.write();
         // Replay can resurrect anything; invalidate wholesale.
         self.cache.bump_global();
@@ -778,7 +708,18 @@ impl ClauseRetrievalServer {
     ///
     /// Validation or WAL failure; nothing is published.
     pub fn apply_ops(&self, ops: Vec<WalOp>) -> Result<CommitReceipt, CommitError> {
-        self.commit_ops(ops, None)
+        if ops.is_empty() {
+            // The whole point of the skip: no recompile, no swap, no
+            // epoch bumps flushing hot cache entries.
+            clare_trace::metrics().wal_noop_commits.inc();
+            return Ok(CommitReceipt::noop());
+        }
+        let mut commit = self.commit.lock();
+        let receipt = self.commit_under_lock(&mut commit, &ops)?;
+        drop(commit);
+        self.stats.lock().updates += 1;
+        self.maybe_auto_compact();
+        Ok(receipt)
     }
 
     /// One-op convenience for [`apply_ops`](Self::apply_ops): asserts
@@ -799,28 +740,6 @@ impl ClauseRetrievalServer {
             module: module.to_string(),
             source: source.to_string(),
         }])
-    }
-
-    fn commit_ops(
-        &self,
-        ops: Vec<WalOp>,
-        config: Option<KbConfig>,
-    ) -> Result<CommitReceipt, CommitError> {
-        if ops.is_empty() {
-            // The whole point of the skip: no recompile, no swap, no
-            // epoch bumps flushing hot cache entries.
-            clare_trace::metrics().wal_noop_commits.inc();
-            return Ok(CommitReceipt::noop());
-        }
-        let mut commit = self.commit.lock();
-        if let Some(config) = config {
-            commit.config = config;
-        }
-        let receipt = self.commit_under_lock(&mut commit, &ops)?;
-        drop(commit);
-        self.stats.update(|stats| stats.updates += 1);
-        self.maybe_auto_compact();
-        Ok(receipt)
     }
 
     /// The shared commit body: validate → apply to an overlay clone →
@@ -852,8 +771,7 @@ impl ClauseRetrievalServer {
         let mut retracted = 0usize;
         let mut touched: BTreeSet<(clare_term::Symbol, usize)> = BTreeSet::new();
         for (k, op) in ops.iter().enumerate() {
-            let outcome =
-                overlay.apply(first_seq + k as u64, op, &published.base, &commit.config)?;
+            let outcome = overlay.apply(first_seq + k as u64, op, &published.base)?;
             asserted += outcome.clauses_added;
             retracted += outcome.clauses_removed;
             touched.extend(outcome.touched);
@@ -934,7 +852,7 @@ impl ClauseRetrievalServer {
         let ops = std::slice::from_ref(&record.op);
         self.commit_under_lock(&mut commit, ops)?;
         drop(commit);
-        self.stats.update(|stats| stats.updates += 1);
+        self.stats.lock().updates += 1;
         self.maybe_auto_compact();
         Ok(record.seq)
     }
@@ -1070,10 +988,9 @@ impl ClauseRetrievalServer {
         }
         let m = clare_trace::metrics();
         m.compaction_runs.inc();
-        let config = self.commit.lock().config.clone();
         // The expensive part — recompiling clauses, rewriting track
         // segments, rebuilding codeword indexes — runs with no lock held.
-        let rebuilt = match sealed.overlay.compacted_kb(&sealed.base, &config) {
+        let rebuilt = match sealed.overlay.compacted_kb(&sealed.base) {
             Ok(kb) => kb,
             Err(_) => {
                 m.compaction_aborts.inc();
@@ -1110,7 +1027,7 @@ impl ClauseRetrievalServer {
         } else {
             Some(Instant::now())
         };
-        let (overlay, _skipped) = Overlay::rebuild(&rebuilt, &residue, &config);
+        let (overlay, _skipped) = Overlay::rebuild(&rebuilt, &residue);
         // The rebuilt base is an incremental successor (same lineage and
         // fingerprint), so only the folded predicates' epochs bump —
         // cached answers for untouched predicates stay valid.
@@ -1173,14 +1090,14 @@ impl ClauseRetrievalServer {
     /// reaches the retrieval pipeline, so refusals stay observable in one
     /// place alongside the work that was served.
     pub fn note_rejected(&self) {
-        self.stats.update(|stats| stats.rejected += 1);
+        self.stats.lock().rejected += 1;
     }
 
-    /// Service statistics so far: a consistent snapshot that never tears
-    /// (readers retry instead of observing a half-published update) and
-    /// never blocks the serving path.
+    /// Service statistics so far: a copy taken under the stats lock, so
+    /// it never tears (e.g. a batch's `batches` bump without its
+    /// `retrievals` bump).
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
+        *self.stats.lock()
     }
 }
 
@@ -1268,8 +1185,8 @@ impl UpdateTransaction<'_> {
     /// # Errors
     ///
     /// Validation or WAL failure; nothing is published.
-    pub fn commit(self, config: KbConfig) -> Result<CommitReceipt, CommitError> {
-        self.server.commit_ops(self.ops, Some(config))
+    pub fn commit(self) -> Result<CommitReceipt, CommitError> {
+        self.server.apply_ops(self.ops)
     }
 }
 
@@ -1435,7 +1352,7 @@ mod tests {
         let (server, queries) = server_with("p(a).", &["p(a)"]);
         let mut tx = server.begin_update();
         tx.consult("m", "p(a). q(new_thing).").unwrap();
-        let receipt = tx.commit(KbConfig::default()).unwrap();
+        let receipt = tx.commit().unwrap();
         assert_eq!(receipt.asserted, 2);
         assert!(!receipt.durable, "no WAL attached");
         // The old clause survived, the new ones joined.
@@ -1470,7 +1387,7 @@ mod tests {
         let mut tx = server.begin_update();
         tx.consult("m", "  % only whitespace and nothing else\n")
             .unwrap();
-        let receipt = tx.commit(KbConfig::default()).unwrap();
+        let receipt = tx.commit().unwrap();
         assert_eq!(receipt, CommitReceipt::noop());
         assert_eq!(
             clare_trace::metrics().wal_noop_commits.get(),
@@ -1488,7 +1405,7 @@ mod tests {
         let (server, queries) = server_with("p(a). p(a). p(b).", &["p(a)", "p(X)"]);
         let mut tx = server.begin_update();
         tx.retract("m", "p(a).").unwrap();
-        let receipt = tx.commit(KbConfig::default()).unwrap();
+        let receipt = tx.commit().unwrap();
         assert_eq!(receipt.retracted, 1);
         assert_eq!(
             server
@@ -1530,7 +1447,7 @@ mod tests {
         let (server, queries) = server_with("p(a).", &["p(a)"]);
         let mut tx = server.begin_update();
         tx.consult("m", "p(999999999999).").unwrap(); // un-encodable int
-        assert!(tx.commit(KbConfig::default()).is_err());
+        assert!(tx.commit().is_err());
         assert_eq!(
             server
                 .retrieve(&queries[0], SearchMode::SoftwareOnly)
@@ -1547,7 +1464,7 @@ mod tests {
         let mut tx = server.begin_update();
         tx.consult("m", "p(c). p(d).").unwrap();
         tx.retract("m", "p(a).").unwrap();
-        tx.commit(KbConfig::default()).unwrap();
+        tx.commit().unwrap();
         let before: Vec<_> = SearchMode::ALL
             .map(|mode| server.retrieve(&queries[0], mode).stats.unified)
             .to_vec();
@@ -1584,7 +1501,7 @@ mod tests {
         server.attach_wal(&path).unwrap();
         let mut tx = server.begin_update();
         tx.consult("m", "p(b). p(c).").unwrap();
-        let receipt = tx.commit(KbConfig::default()).unwrap();
+        let receipt = tx.commit().unwrap();
         assert!(receipt.durable);
         assert_eq!(receipt.seqs, 1..2, "one op logged");
 

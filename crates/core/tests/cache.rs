@@ -137,7 +137,7 @@ fn cached_retrievals_match_uncached_across_interleavings() {
                 let mut tx = server.begin_update();
                 tx.consult(module, &fact).unwrap();
                 symbols = tx.symbols_mut().clone();
-                tx.commit(KbConfig::default()).unwrap();
+                tx.commit().unwrap();
             }
             // Full swap: rebuild everything from the shadow (a
             // non-incremental update, which must invalidate globally).
@@ -249,7 +249,7 @@ proptest! {
                 fresh += 1;
                 let mut tx = server.begin_update();
                 tx.consult("ma", &fact).unwrap();
-                tx.commit(KbConfig::default()).unwrap();
+                tx.commit().unwrap();
             }
         }
     }
@@ -352,7 +352,7 @@ fn overlay_merged_answers_match_from_scratch_rebuild() {
                 slot.unwrap().1.push(fact.clone());
                 let mut tx = server.begin_update();
                 tx.consult(module, fact).unwrap();
-                tx.commit(KbConfig::default()).unwrap();
+                tx.commit().unwrap();
             }
             // Retract the first structural match of a pool fact (a quiet
             // no-op on both sides when none is live).
@@ -365,7 +365,7 @@ fn overlay_merged_answers_match_from_scratch_rebuild() {
                 }
                 let mut tx = server.begin_update();
                 tx.retract(module, fact).unwrap();
-                tx.commit(KbConfig::default()).unwrap();
+                tx.commit().unwrap();
             }
             // Fold the overlay into a fresh base; the shadow doesn't
             // change, so subsequent comparisons prove the fold lossless.

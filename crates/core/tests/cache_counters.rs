@@ -60,7 +60,7 @@ fn warm_cache_skips_both_filter_stages_and_invalidates_selectively() {
     // An incremental consult into mp invalidates p/2 but leaves q/2 warm.
     let mut tx = server.begin_update();
     tx.consult("mp", "p(k13, v99).").unwrap();
-    tx.commit(KbConfig::default()).unwrap();
+    tx.commit().unwrap();
 
     let invalidations = m.cache_epoch_invalidations.get();
     let after_p = server.retrieve(&p_query, SearchMode::TwoStage);

@@ -146,7 +146,7 @@ fn overlapping_update_transactions_lose_neither_writer() {
     let mut tx2 = server.begin_update(); // overlaps tx1 from the same state
     tx1.consult("m", "p(b).").unwrap();
     tx2.consult("m", "q(c).").unwrap();
-    tx1.commit(KbConfig::default()).unwrap();
+    tx1.commit().unwrap();
 
     // tx1's world is visible between the commits…
     let p_query = parse_term("p(X)", &mut symbols).unwrap();
@@ -159,7 +159,7 @@ fn overlapping_update_transactions_lose_neither_writer() {
         "tx1 appended p(b)"
     );
 
-    tx2.commit(KbConfig::default()).unwrap();
+    tx2.commit().unwrap();
 
     // …and stays visible after tx2: the overlapping commit appended to
     // the shared overlay instead of overwriting from its own snapshot.
@@ -204,7 +204,7 @@ fn racing_transaction_commits_preserve_every_write() {
                 for i in 0..PER_WRITER {
                     let mut tx = server.begin_update();
                     tx.consult("m", &format!("w(t{w}, c{i}).")).unwrap();
-                    tx.commit(KbConfig::default()).unwrap();
+                    tx.commit().unwrap();
                 }
             });
         }

@@ -276,7 +276,7 @@ impl KbBuilder {
             generation: next_generation(),
             parent_generation: self.parent_generation,
             touched,
-            build_fingerprint: config.fingerprint(),
+            config,
             content_fingerprint: 0,
         };
         kb.content_fingerprint = kb.compute_content_fingerprint();

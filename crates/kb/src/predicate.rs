@@ -1,6 +1,7 @@
 //! Predicates, modules, and the knowledge base proper.
 
 use crate::arena::ClauseArena;
+use crate::build::KbConfig;
 use clare_disk::StoredFile;
 use clare_scw::{ClauseAddr, IndexFile};
 use clare_term::{Clause, ClauseId, Symbol, SymbolTable};
@@ -152,9 +153,10 @@ pub struct KnowledgeBase {
     pub(crate) parent_generation: Option<u64>,
     /// Predicates whose clause lists changed relative to the parent.
     pub(crate) touched: Vec<(Symbol, usize)>,
-    /// Fingerprint of the [`KbConfig`](crate::build::KbConfig) the base
-    /// was compiled under.
-    pub(crate) build_fingerprint: u64,
+    /// The compilation parameters the base was built under. Everything
+    /// derived from it — overlay validation, compaction, WAL replay —
+    /// reads them from here, so a rebuild keeps the base's layout.
+    pub(crate) config: KbConfig,
     /// Fingerprint of the compiled *contents* (see
     /// [`Self::content_fingerprint`]); computed once at build time.
     pub(crate) content_fingerprint: u64,
@@ -197,7 +199,12 @@ impl KnowledgeBase {
     /// scheme, scan rate, track size). Two bases with equal fingerprints
     /// and equal clause lists produce byte-identical retrievals.
     pub fn build_fingerprint(&self) -> u64 {
-        self.build_fingerprint
+        self.config.fingerprint()
+    }
+
+    /// The compilation parameters this base was built under.
+    pub fn config(&self) -> &KbConfig {
+        &self.config
     }
 
     /// Fingerprint of the compiled contents: the build parameters plus,
@@ -212,7 +219,7 @@ impl KnowledgeBase {
     }
 
     pub(crate) fn compute_content_fingerprint(&self) -> u64 {
-        let mut h = self.build_fingerprint ^ 0x9e37_79b9_7f4a_7c15;
+        let mut h = self.build_fingerprint() ^ 0x9e37_79b9_7f4a_7c15;
         let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01B3);
         for module in &self.modules {
             for &b in module.name.as_bytes() {

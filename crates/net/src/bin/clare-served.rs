@@ -19,9 +19,12 @@
 //!                      (fsynced before the commit receipt goes out)
 //!   --warren SCALE     generate a Warren-style KB at this scale
 //!                      instead of reading a program file
-//!   --no-coalesce      disable pipelined-retrieve batching
 //!   --no-stdin         serve forever instead of exiting on stdin EOF
 //! ```
+//!
+//! An unknown option is a usage error (exit status 2). Pipelined
+//! same-predicate retrieves are always answered by one batch pass, and
+//! CRC frame trailers are granted to every client that asks for them.
 //!
 //! The daemon prints `listening on ADDR` (with the actual port when 0 was
 //! requested) once ready — harnesses spawn it, parse that line, connect,
@@ -44,7 +47,6 @@ struct Args {
     wal: Option<String>,
     warren: Option<f64>,
     program: Option<String>,
-    coalesce: bool,
     wait_stdin: bool,
 }
 
@@ -59,7 +61,6 @@ fn parse_args() -> Result<Args, String> {
         wal: None,
         warren: None,
         program: None,
-        coalesce: true,
         wait_stdin: true,
     };
     let mut it = std::env::args().skip(1);
@@ -96,7 +97,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --warren: {e}"))?,
                 )
             }
-            "--no-coalesce" => args.coalesce = false,
             "--no-stdin" => args.wait_stdin = false,
             "--help" | "-h" => {
                 return Err("usage: clare-served [OPTIONS] [program.pl] \
@@ -183,7 +183,6 @@ fn main() {
         workers: args.workers,
         max_connections: args.max_conns,
         queue_depth: args.queue_depth,
-        coalesce: args.coalesce,
         ..NetConfig::default()
     };
     let server = match NetServer::bind(crs, &args.addr, cfg) {

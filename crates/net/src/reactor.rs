@@ -23,14 +23,20 @@
 //! bounded by the write timeout — which is how a slow client exerts
 //! backpressure on the service instead of ballooning memory.
 //!
+//! Each connection has one shared object, its [`Outbound`]: the shard,
+//! every job decoded from the connection and any log watcher it
+//! registered hold the same `Arc`. It owns the socket, the reply queue,
+//! the in-flight job count and the checksum capability negotiated at the
+//! handshake.
+//!
 //! Invariants: replies are byte-identical to in-process answers, pipelined
 //! requests complete out of order, consecutive same-predicate retrieves
 //! coalesce into one hardware batch pass, a frame reaches the socket whole
 //! and in queue order whoever writes it, and shutdown drains queued jobs
 //! without dropping queued replies. A half-closed peer (pipeline, then
 //! `shutdown(WR)`, then read) is owed a reply for everything it decoded:
-//! the connection is released only when its [`ConnWriter`]'s in-flight
-//! count hits zero *and* the outbound queue has flushed.
+//! the connection is released only when its [`Outbound`]'s in-flight
+//! count hits zero *and* its queue has flushed.
 
 // Identical contract to server.rs: untrusted input must degrade, never
 // abort. CI greps for this gate; do not remove it.
@@ -40,15 +46,16 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    admit_client, encode_server_hello, FrameReader, HelloStatus, ServerHello, CAP_FRAME_CRC,
-    CAP_QUERY_BUDGET, CLIENT_HELLO_LEN, PROTOCOL_VERSION,
+    admit_client, encode_error, encode_server_hello, opcode, ErrorCode, ErrorReply, Frame,
+    FrameReader, HelloStatus, ServerHello, CAP_FRAME_CRC, CAP_QUERY_BUDGET, CLIENT_HELLO_LEN,
+    MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-use crate::server::{process_burst, ConnWriter, NetConfig, Shared};
+use crate::server::{process_burst, NetConfig, Shared};
 
 /// Epoll token of the listening socket (shard 0 only).
 const TOKEN_LISTENER: u64 = 0;
@@ -242,9 +249,11 @@ enum FlushOutcome {
     Dead,
 }
 
-/// A connection's way out: its socket plus the bounded queue of reply
-/// bytes the socket has not taken yet, shared between the threads that
-/// produce its replies and the shard that owns its readiness events.
+/// The per-connection object shared by the shard that owns the
+/// connection's readiness events, every job decoded from it and any log
+/// watcher it registered: its socket, the bounded queue of reply bytes
+/// the socket has not taken yet, the count of jobs still owed a reply, and
+/// the frame checksum capability negotiated at the handshake.
 ///
 /// Every write happens under the queue lock and a sender writes directly
 /// only when nothing is queued ahead, so a frame reaches the wire whole
@@ -267,6 +276,15 @@ pub(crate) struct Outbound {
     /// The shard has stopped reading this connection and releases it once
     /// its in-flight jobs finish and the queue drains.
     closing: AtomicBool,
+    /// Jobs decoded from this connection still queued or executing. A
+    /// half-closed connection owes a reply per in-flight job, so the shard
+    /// may not release it while this is nonzero.
+    in_flight: AtomicUsize,
+    /// Negotiated at the handshake: append a CRC32C trailer to every
+    /// reply frame. `Relaxed` suffices: the shard stores it before any
+    /// job exists, and every other sender (a worker, a log watcher) got
+    /// its job through the queue mutex after that store.
+    checksums: AtomicBool,
     /// Bytes the socket has accepted, from either kind of writer. The
     /// shard's deadline scan reads it as evidence of write-side progress.
     written: AtomicU64,
@@ -274,7 +292,7 @@ pub(crate) struct Outbound {
     /// consuming, or the shard dropped the connection): sends are no-ops
     /// and the shard closes the connection if it has not already. Only
     /// stored under the queue lock, so a parked sender cannot miss it;
-    /// atomic so [`ConnWriter::send`] can skip encoding without the lock.
+    /// atomic so [`Outbound::send`] can skip encoding without the lock.
     dead: AtomicBool,
     inner: Mutex<OutboundInner>,
     room: Condvar,
@@ -300,6 +318,8 @@ impl Outbound {
             cap: cfg.outbound_queue_bytes.max(1),
             stall_timeout: cfg.write_timeout,
             closing: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            checksums: AtomicBool::new(false),
             written: AtomicU64::new(0),
             dead: AtomicBool::new(false),
             inner: Mutex::new(OutboundInner {
@@ -341,7 +361,7 @@ impl Outbound {
     /// while the queue is at capacity — unless called from the shard
     /// thread itself, which must never park on a queue only it can drain.
     /// A no-op once the connection is gone or condemned.
-    pub(crate) fn enqueue(&self, bytes: Vec<u8>) {
+    fn enqueue(&self, bytes: Vec<u8>) {
         let m = clare_trace::metrics();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if self.is_dead() {
@@ -397,10 +417,82 @@ impl Outbound {
         self.shard.kick_token(self.token);
     }
 
-    /// Condemns the stream: pending bytes are flushed best-effort once,
-    /// then the connection closes.
-    pub(crate) fn mark_dead(&self) {
-        self.condemn(self.inner.lock().unwrap_or_else(|e| e.into_inner()));
+    /// Writes one frame; a failed write condemns the connection, later
+    /// sends become no-ops and the shard drops it.
+    ///
+    /// This is the server-side network fault-injection point
+    /// ([`clare_fault::FaultSite::NetServerSend`], keyed by request id and
+    /// opcode): a reply frame can be silently dropped, cut short (after
+    /// which the byte stream is unrecoverable, so the connection is
+    /// condemned), or bit-flipped in flight.
+    pub(crate) fn send(&self, frame: &Frame) {
+        if self.is_dead() {
+            return;
+        }
+        let mut bytes = frame.encoded_with(self.checksums.load(Ordering::Relaxed));
+        if clare_fault::active() {
+            let ctx = frame.request_id ^ (u64::from(frame.opcode) << 56);
+            match clare_fault::decide(clare_fault::FaultSite::NetServerSend, ctx) {
+                clare_fault::FaultAction::Drop => return,
+                action @ clare_fault::FaultAction::Truncate { .. } => {
+                    clare_fault::corrupt_in_place(action, &mut bytes);
+                    self.enqueue(bytes);
+                    self.condemn(self.inner.lock().unwrap_or_else(|e| e.into_inner()));
+                    return;
+                }
+                action @ clare_fault::FaultAction::FlipBit { .. } => {
+                    clare_fault::corrupt_in_place(action, &mut bytes);
+                }
+                _ => {}
+            }
+        }
+        // Counted before the write: once the bytes are on the wire the
+        // peer can act on the reply — and read these counters — before
+        // this thread runs again.
+        let m = clare_trace::metrics();
+        m.net_frames_out.inc();
+        m.net_bytes_out.add(bytes.len() as u64);
+        self.enqueue(bytes);
+    }
+
+    pub(crate) fn send_error(
+        &self,
+        request_id: u64,
+        code: ErrorCode,
+        retry_after_ms: u32,
+        message: String,
+    ) {
+        let reply = ErrorReply {
+            code,
+            retry_after_ms,
+            message,
+        };
+        self.send(&Frame::new(request_id, opcode::ERROR, encode_error(&reply)));
+    }
+
+    /// Accounts one decoded job headed for the worker pool. Must happen
+    /// before the job becomes visible to workers, or the job could finish
+    /// (and the connection close) before it was ever counted.
+    pub(crate) fn job_started(&self) {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The job is done — reply sent, shed, or panicked — and its reply is
+    /// on the socket or the queue, so the shard needs waking only if it
+    /// has parked the connection as closing and this was the last job it
+    /// waits for. The shard stores the flag *before* its own
+    /// [`Outbound::idle`] check and both sides are SeqCst, so either it
+    /// sees the count at zero or this sees the flag.
+    pub(crate) fn job_finished(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 && self.closing() {
+            self.shard.kick_token(self.token);
+        }
+    }
+
+    /// No decoded jobs from this connection are still queued or executing
+    /// — every reply it is owed is on the socket or in the queue.
+    fn idle(&self) -> bool {
+        self.in_flight.load(Ordering::SeqCst) == 0
     }
 
     fn condemn(&self, inner: std::sync::MutexGuard<'_, OutboundInner>) {
@@ -420,21 +512,14 @@ impl Outbound {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).queued
     }
 
-    /// Wakes the owning shard to re-examine this connection — used by the
-    /// last in-flight job's completion so a half-closed connection parked
-    /// on outstanding replies proceeds to its flush-and-close.
-    pub(crate) fn kick(&self) {
-        self.shard.kick_token(self.token);
-    }
-
     /// The shard is waiting to release this connection.
-    pub(crate) fn closing(&self) -> bool {
+    fn closing(&self) -> bool {
         self.closing.load(Ordering::SeqCst)
     }
 
     /// Reactor-side: stop reading; close once idle and flushed. Stored
-    /// before the shard's own [`conn_idle`] check, SeqCst like the count
-    /// (see [`ConnWriter::job_finished`]).
+    /// before the shard's own [`Outbound::idle`] check, SeqCst like the
+    /// count (see [`Outbound::job_finished`]).
     fn set_closing(&self) {
         self.closing.store(true, Ordering::SeqCst);
     }
@@ -533,9 +618,6 @@ struct Conn {
     hello: [u8; CLIENT_HELLO_LEN],
     fr: FrameReader,
     outbound: Arc<Outbound>,
-    /// Created at handshake completion and shared with every job decoded
-    /// from this connection.
-    writer: Option<Arc<ConnWriter>>,
     /// When a byte last moved in either direction, as far as the shard
     /// has observed (reads at once, writes at the next deadline scan).
     last_activity: Instant,
@@ -547,12 +629,6 @@ struct Conn {
     admitted: bool,
     /// Read rounds performed (fault-injection context).
     read_rounds: u64,
-}
-
-/// No decoded jobs from this connection are still queued or executing —
-/// every reply it is owed is on the socket or in its outbound queue.
-fn conn_idle(conn: &Conn) -> bool {
-    conn.writer.as_ref().is_none_or(|w| w.idle())
 }
 
 /// What a readiness round decided about a connection's fate.
@@ -729,7 +805,7 @@ pub(crate) fn run_shard(
                     // Flush-and-close is bounded: once nothing is in
                     // flight and the flush makes no progress for a
                     // write timeout, the peer has stopped consuming.
-                    conn_idle(c) && stalled_for >= shared.cfg.write_timeout
+                    c.outbound.idle() && stalled_for >= shared.cfg.write_timeout
                 } else {
                     shared
                         .cfg
@@ -866,9 +942,8 @@ fn register_conn(
             refuse: !admitted,
         },
         hello: [0u8; CLIENT_HELLO_LEN],
-        fr: FrameReader::new(shared.cfg.max_frame_len),
+        fr: FrameReader::new(MAX_FRAME_LEN),
         outbound,
-        writer: None,
         last_activity: Instant::now(),
         seen_written: 0,
         interest: libc::EPOLLIN | libc::EPOLLRDHUP,
@@ -975,7 +1050,7 @@ fn service_read(epoll: &Epoll, conn: &mut Conn, shared: &Arc<Shared>) -> ConnVer
         conn.outbound.set_closing();
     }
     if conn.outbound.closing() {
-        if conn_idle(conn) && conn.outbound.pending() == 0 {
+        if conn.outbound.idle() && conn.outbound.pending() == 0 {
             return ConnVerdict::Close;
         }
         // Drop read interest (a half-closed peer would otherwise report
@@ -1013,9 +1088,7 @@ fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) {
                 fingerprint,
             }
         } else {
-            let crc = shared.cfg.frame_checksums;
-            let allowed = CAP_QUERY_BUDGET | if crc { CAP_FRAME_CRC } else { 0 };
-            admit_client(&conn.hello, allowed, fingerprint)
+            admit_client(&conn.hello, CAP_QUERY_BUDGET | CAP_FRAME_CRC, fingerprint)
         };
         conn.outbound.enqueue(encode_server_hello(&hello).to_vec());
         if hello.status != HelloStatus::Ok {
@@ -1025,10 +1098,7 @@ fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) {
         }
         let checksums = hello.caps & CAP_FRAME_CRC != 0;
         conn.fr.set_checksums(checksums);
-        conn.writer = Some(Arc::new(ConnWriter::new(
-            Arc::clone(&conn.outbound),
-            checksums,
-        )));
+        conn.outbound.checksums.store(checksums, Ordering::Relaxed);
         conn.state = ConnState::Active;
     }
     if !bytes.is_empty() {
@@ -1039,10 +1109,10 @@ fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) {
 /// Pops every complete frame and hands the burst to the shared
 /// decode/coalesce/enqueue path.
 fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>) {
-    // The writer exists exactly while the connection is `Active`.
-    let Some(writer) = conn.writer.as_ref().map(Arc::clone) else {
+    // Frames flow only once the handshake has completed.
+    if !matches!(conn.state, ConnState::Active) {
         return;
-    };
+    }
     let mut burst = Vec::new();
     let mut fatal = false;
     loop {
@@ -1053,14 +1123,15 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>) {
                 // The stream cannot be resynchronised after a length or
                 // checksum violation: report once, serve what decoded,
                 // then flush-and-close.
-                writer.send_error(0, crate::protocol::ErrorCode::Malformed, 0, e.to_string());
+                conn.outbound
+                    .send_error(0, ErrorCode::Malformed, 0, e.to_string());
                 fatal = true;
                 break;
             }
         }
     }
     if !burst.is_empty() {
-        process_burst(shared, &writer, burst);
+        process_burst(shared, &conn.outbound, burst);
     }
     if fatal {
         conn.outbound.set_closing();
@@ -1072,7 +1143,7 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>) {
 fn service_write(epoll: &Epoll, conn: &mut Conn) -> ConnVerdict {
     match conn.outbound.flush() {
         FlushOutcome::Drained => {
-            if conn.outbound.closing() && conn_idle(conn) {
+            if conn.outbound.closing() && conn.outbound.idle() {
                 return ConnVerdict::Close;
             }
             sync_interest(epoll, conn, false);

@@ -5,20 +5,20 @@
 //! ```text
 //!   reactor shard ──► bounded job queue ──► workers
 //!        ▲                                     │ reply
-//!        └── queued remainder ◄── ConnWriter ◄─┘ (socket first)
+//!        └── queued remainder ◄── Outbound ◄───┘ (socket first)
 //! ```
 //!
 //! The shard decodes frames and enqueues jobs; workers execute them against
-//! the CRS and send replies through the connection's shared [`ConnWriter`],
+//! the CRS and send replies through the connection's shared [`Outbound`],
 //! so pipelined requests complete out of order (responses are matched by
 //! request id, not position). A reply is written to the connection's
 //! nonblocking socket by the thread that produced it; only what the kernel
-//! does not take at once is queued for the shard to flush (see
-//! [`crate::reactor::Outbound`]). A burst holding several same-predicate
-//! retrievals is coalesced into one `retrieve_batch` job — safe because
-//! the core pins batch results to be identical to individual retrievals —
-//! and a full queue sheds load with a `Busy` error frame carrying a retry
-//! hint instead of stalling the socket.
+//! does not take at once is queued for the shard to flush. Every retrieval
+//! is one job kind: a RETRIEVE_BATCH request, or a run of pipelined
+//! same-predicate RETRIEVEs coalesced into one `retrieve_batch` pass (a
+//! lone one is a run of one) — safe because the core pins batch results to
+//! be identical to individual retrievals. A full queue sheds load with a
+//! `Busy` error frame carrying a retry hint instead of stalling the socket.
 
 // The serving loop handles untrusted input and must degrade, not abort:
 // fallible results are matched or turned into error frames. CI greps for
@@ -31,16 +31,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use clare_core::{ClauseRetrievalServer, SolveOptions};
-use clare_kb::KbConfig;
-use clare_term::{Symbol, Term};
+use clare_core::{ClauseRetrievalServer, SearchMode, SolveOptions};
+use clare_term::Symbol;
 
 use crate::protocol::{
     decode_consult, decode_repl_ack, decode_retrieve, decode_retrieve_batch, decode_solve,
-    decode_subscribe_log, encode_commit_receipt, encode_error, encode_retrieval, encode_retrievals,
+    decode_subscribe_log, encode_commit_receipt, encode_retrieval, encode_retrievals,
     encode_seq_reply, encode_server_stats, encode_server_stats_extended, encode_solve_outcome,
-    encode_symbols, opcode, BudgetExt, ConsultReq, ErrorCode, ErrorReply, Frame, RetrieveBatchReq,
-    RetrieveReq, SolveReq, MAX_FRAME_LEN, STATS_REQ_EXTENDED,
+    encode_symbols, opcode, BudgetExt, ConsultReq, ErrorCode, Frame, RetrieveBatchReq, SolveReq,
+    STATS_REQ_EXTENDED,
 };
 use crate::reactor::Outbound;
 
@@ -72,21 +71,10 @@ pub struct NetConfig {
     pub write_timeout: Duration,
     /// Retry hint attached to busy hellos and `Busy` error frames.
     pub retry_after_ms: u32,
-    /// Frame length cap enforced on incoming frames.
-    pub max_frame_len: u32,
-    /// Coalesce pipelined same-predicate retrieves into one batch job.
-    pub coalesce: bool,
-    /// Knowledge-base compilation config for consult-updates.
-    pub kb_config: KbConfig,
     /// Drop a connection after this long without a byte moving in either
     /// direction (half-open peers otherwise pin a connection slot and an
     /// fd forever). `None` disables the reap.
     pub idle_timeout: Option<Duration>,
-    /// Accept the [`crate::protocol::CAP_FRAME_CRC`] capability when a
-    /// client requests it.
-    /// Checksums only apply on connections where the client asked for
-    /// them.
-    pub frame_checksums: bool,
     /// CoDel-style queue-sojourn shedding target. When set, the worker
     /// pool notes each job's queue sojourn at dequeue; once sojourns stay
     /// above the target for a full target-length window the intake starts
@@ -119,11 +107,7 @@ impl Default for NetConfig {
             queue_depth: 256,
             write_timeout: Duration::from_secs(10),
             retry_after_ms: 100,
-            max_frame_len: MAX_FRAME_LEN,
-            coalesce: true,
-            kb_config: KbConfig::default(),
             idle_timeout: Some(Duration::from_secs(300)),
-            frame_checksums: true,
             codel_target: None,
             debug_panic_on_stats: false,
             debug_worker_delay: None,
@@ -131,118 +115,13 @@ impl Default for NetConfig {
     }
 }
 
-/// Serialized writer for one connection, shared by every worker holding a
-/// job from it.
-pub(crate) struct ConnWriter {
-    /// Where encoded frames go: the connection's socket when nothing is
-    /// queued ahead, its bounded outbound queue otherwise.
-    outbound: Arc<Outbound>,
-    /// Jobs decoded from this connection still queued or executing. A
-    /// half-closed connection owes a reply per in-flight job, so the
-    /// reactor may not release it while this is nonzero.
-    in_flight: AtomicUsize,
-    /// Negotiated on this connection's handshake: append a CRC32C
-    /// trailer to every outgoing frame.
-    checksums: bool,
-}
-
-impl ConnWriter {
-    pub(crate) fn new(outbound: Arc<Outbound>, checksums: bool) -> Self {
-        ConnWriter {
-            outbound,
-            in_flight: AtomicUsize::new(0),
-            checksums,
-        }
-    }
-
-    /// Accounts one decoded job headed for the worker pool. Must happen
-    /// before the job becomes visible to workers, or the job could finish
-    /// (and the connection close) before it was ever counted.
-    pub(crate) fn job_started(&self) {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The job is done — reply sent, shed, or panicked — and its reply is
-    /// on the socket or the outbound queue, so the shard needs waking only
-    /// if it has parked the connection as closing and this was the last
-    /// job it waits for. The shard stores the flag *before* its own
-    /// [`ConnWriter::idle`] check and both sides are SeqCst, so either it
-    /// sees the count at zero or this sees the flag.
-    pub(crate) fn job_finished(&self) {
-        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 && self.outbound.closing() {
-            self.outbound.kick();
-        }
-    }
-
-    /// No decoded jobs are outstanding on this connection.
-    pub(crate) fn idle(&self) -> bool {
-        self.in_flight.load(Ordering::SeqCst) == 0
-    }
-
-    /// Writes one frame; a failed write condemns the connection, later
-    /// sends become no-ops and the shard drops it.
-    ///
-    /// This is the server-side network fault-injection point
-    /// ([`clare_fault::FaultSite::NetServerSend`], keyed by request id and
-    /// opcode): a reply frame can be silently dropped, cut short (after
-    /// which the byte stream is unrecoverable, so the connection is marked
-    /// dead), or bit-flipped in flight.
-    pub(crate) fn send(&self, frame: &Frame) {
-        if self.outbound.is_dead() {
-            return;
-        }
-        let mut bytes = frame.encoded_with(self.checksums);
-        if clare_fault::active() {
-            let ctx = frame.request_id ^ (u64::from(frame.opcode) << 56);
-            match clare_fault::decide(clare_fault::FaultSite::NetServerSend, ctx) {
-                clare_fault::FaultAction::Drop => return,
-                action @ clare_fault::FaultAction::Truncate { .. } => {
-                    clare_fault::corrupt_in_place(action, &mut bytes);
-                    self.outbound.enqueue(bytes);
-                    self.outbound.mark_dead();
-                    return;
-                }
-                action @ clare_fault::FaultAction::FlipBit { .. } => {
-                    clare_fault::corrupt_in_place(action, &mut bytes);
-                }
-                _ => {}
-            }
-        }
-        // Counted before the write: once the bytes are on the wire the
-        // peer can act on the reply — and read these counters — before
-        // this thread runs again.
-        let m = clare_trace::metrics();
-        m.net_frames_out.inc();
-        m.net_bytes_out.add(bytes.len() as u64);
-        self.outbound.enqueue(bytes);
-    }
-
-    pub(crate) fn send_error(
-        &self,
-        request_id: u64,
-        code: ErrorCode,
-        retry_after_ms: u32,
-        message: String,
-    ) {
-        let reply = ErrorReply {
-            code,
-            retry_after_ms,
-            message,
-        };
-        self.send(&Frame::new(request_id, opcode::ERROR, encode_error(&reply)));
-    }
-}
-
 /// One unit of work for the pool.
 enum Work {
-    Retrieve(RetrieveReq),
-    Batch(RetrieveBatchReq),
-    /// Pipelined same-predicate retrieves folded into one batch; each
-    /// member keeps its own request id and is answered as a plain
-    /// `Retrieve` reply.
-    Coalesced {
+    /// One `retrieve_batch` pass over `req.queries`, answered as `answer`
+    /// says.
+    Retrieve {
         req: RetrieveBatchReq,
-        member_ids: Vec<u64>,
+        answer: Answer,
     },
     Solve(SolveReq),
     Consult(ConsultReq),
@@ -276,15 +155,139 @@ enum Work {
     },
 }
 
+/// How a retrieve job's results go back to the client.
+enum Answer {
+    /// Pipelined RETRIEVEs: one RETRIEVE reply per query, each on its own
+    /// request id (the first is the job's).
+    PerMember(Vec<u64>),
+    /// One RETRIEVE_BATCH reply on the job's request id.
+    Batch,
+}
+
+/// What pipelined RETRIEVEs must share to run as one batch pass:
+/// predicate, mode, deadline and budget.
+type CoalescingKey = ((Symbol, usize), SearchMode, u64, BudgetExt);
+
+impl Work {
+    /// Decodes a request frame: the one decode-or-error rule every opcode
+    /// goes through. `Err` is the code and message of the error frame the
+    /// request is answered with instead — `Malformed` for a payload that
+    /// does not decode, `Unsupported` for an unknown opcode.
+    fn decode(frame: &Frame) -> Result<Work, (ErrorCode, String)> {
+        let payload = &frame.payload;
+        let work = match frame.opcode {
+            opcode::RETRIEVE => decode_retrieve(payload).map(|req| Work::Retrieve {
+                req: RetrieveBatchReq {
+                    mode: req.mode,
+                    deadline_micros: req.deadline_micros,
+                    budget: req.budget,
+                    queries: vec![req.query],
+                },
+                answer: Answer::PerMember(vec![frame.request_id]),
+            }),
+            opcode::RETRIEVE_BATCH => decode_retrieve_batch(payload).map(|req| Work::Retrieve {
+                req,
+                answer: Answer::Batch,
+            }),
+            opcode::SOLVE => decode_solve(payload).map(Work::Solve),
+            opcode::CONSULT => decode_consult(payload).map(Work::Consult),
+            // Assert/retract reuse the consult payload shape (module +
+            // source text); they differ only in which commit op runs.
+            opcode::ASSERT => decode_consult(payload).map(Work::Assert),
+            opcode::RETRACT => decode_consult(payload).map(Work::Retract),
+            // The request payload selects the reply shape: empty keeps the
+            // plain 56-byte struct; a leading STATS_REQ_EXTENDED byte
+            // asks for the versioned metrics snapshot appended to it.
+            opcode::STATS => Ok(Work::Stats {
+                extended: payload.first() == Some(&STATS_REQ_EXTENDED),
+            }),
+            opcode::SYMBOLS => Ok(Work::Symbols),
+            opcode::SUBSCRIBE_LOG => decode_subscribe_log(payload).map(|req| Work::SubscribeLog {
+                from_seq: req.from_seq,
+            }),
+            // The payload is one WAL ship record (`encode_ship_record`),
+            // exactly the bytes a subscriber push carries.
+            opcode::LOG_FRAME => {
+                return clare_wal::decode_ship_record(payload)
+                    .map(Work::LogFrame)
+                    .ok_or_else(|| (ErrorCode::Malformed, "malformed WAL ship record".to_owned()))
+            }
+            opcode::REPL_ACK => decode_repl_ack(payload).map(|ack| Work::ReplAck { seq: ack.seq }),
+            other => {
+                return Err((
+                    ErrorCode::Unsupported,
+                    format!("unknown opcode {other:#04x}"),
+                ))
+            }
+        };
+        work.map_err(|e| (ErrorCode::Malformed, e.to_string()))
+    }
+
+    /// The key under which a pipelined RETRIEVE may join the run before
+    /// it; `None` for every other request, and for a query with no
+    /// predicate.
+    fn coalescing_key(&self) -> Option<CoalescingKey> {
+        match self {
+            Work::Retrieve {
+                req,
+                answer: Answer::PerMember(_),
+            } => Some((
+                req.queries.first()?.functor_arity()?,
+                req.mode,
+                req.deadline_micros,
+                req.budget,
+            )),
+            _ => None,
+        }
+    }
+}
+
+/// One decoded request — or coalesced run of RETRIEVEs — on its way
+/// through the pool, holding the connection it answers on.
 struct Job {
+    /// The request's id; a coalesced run's first member id.
     request_id: u64,
     work: Work,
-    writer: Arc<ConnWriter>,
+    outbound: Arc<Outbound>,
     accepted: Instant,
-    deadline_micros: u64,
-    /// Work ceilings from the request's budget extension
-    /// ([`BudgetExt::NONE`] for unlimited requests).
-    budget: BudgetExt,
+}
+
+impl Job {
+    /// Every request id this job owes a reply: the members of a coalesced
+    /// run, else the job's own id.
+    fn ids(&self) -> &[u64] {
+        match &self.work {
+            Work::Retrieve {
+                answer: Answer::PerMember(ids),
+                ..
+            } => ids,
+            _ => std::slice::from_ref(&self.request_id),
+        }
+    }
+
+    /// The request's deadline and work ceilings (zero and
+    /// [`BudgetExt::NONE`] for requests that carry none).
+    fn budget(&self) -> (u64, BudgetExt) {
+        match &self.work {
+            Work::Retrieve { req, .. } => (req.deadline_micros, req.budget),
+            Work::Solve(req) => (req.deadline_micros, req.budget),
+            _ => (0, BudgetExt::NONE),
+        }
+    }
+
+    /// Sends the reply to request opcode `op` on the job's id.
+    fn reply(&self, op: u8, payload: Vec<u8>) {
+        self.outbound
+            .send(&Frame::new(self.request_id, op | opcode::REPLY, payload));
+    }
+
+    /// Sends the same error frame to every id the job owes a reply.
+    fn fail(&self, code: ErrorCode, retry_after_ms: u32, message: &str) {
+        for &id in self.ids() {
+            self.outbound
+                .send_error(id, code, retry_after_ms, message.to_owned());
+        }
+    }
 }
 
 /// Queue-sojourn controller state (see [`NetConfig::codel_target`]).
@@ -580,77 +583,16 @@ impl std::fmt::Debug for NetServer {
     }
 }
 
-/// Decodes a burst of frames into jobs — coalescing runs of same-predicate
+/// Decodes a burst of frames into jobs — coalescing runs of same-key
 /// retrieves — and enqueues them, shedding load when the queue is full.
 /// Malformed payloads are answered with error frames; the connection
 /// stays up.
-pub(crate) fn process_burst(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, burst: Vec<Frame>) {
-    /// A decoded retrieve waiting to be grouped.
-    struct PendingRetrieve {
-        id: u64,
-        req: RetrieveReq,
-        key: Option<(Symbol, usize)>,
-    }
-
-    let mut pending: Vec<PendingRetrieve> = Vec::new();
+pub(crate) fn process_burst(shared: &Arc<Shared>, outbound: &Arc<Outbound>, burst: Vec<Frame>) {
     let mut jobs: Vec<Job> = Vec::new();
-
-    let flush_pending = |pending: &mut Vec<PendingRetrieve>, jobs: &mut Vec<Job>| {
-        while !pending.is_empty() {
-            // Take the head's group: the longest prefix sharing its
-            // coalescing key (same predicate, mode, deadline, and budget).
-            let head_key = pending[0].key;
-            let head_mode = pending[0].req.mode;
-            let head_deadline = pending[0].req.deadline_micros;
-            let head_budget = pending[0].req.budget;
-            let groupable = head_key.is_some();
-            let mut n = 1;
-            while groupable
-                && n < pending.len()
-                && pending[n].key == head_key
-                && pending[n].req.mode == head_mode
-                && pending[n].req.deadline_micros == head_deadline
-                && pending[n].req.budget == head_budget
-            {
-                n += 1;
-            }
-            let group: Vec<PendingRetrieve> = pending.drain(..n).collect();
-            if group.len() == 1 {
-                let p = group.into_iter().next().expect("nonempty group");
-                jobs.push(Job {
-                    request_id: p.id,
-                    work: Work::Retrieve(p.req),
-                    writer: Arc::clone(writer),
-                    accepted: Instant::now(),
-                    deadline_micros: head_deadline,
-                    budget: head_budget,
-                });
-            } else {
-                let m = clare_trace::metrics();
-                m.net_coalesced_groups.inc();
-                m.net_coalesced_members.add(group.len() as u64);
-                let member_ids: Vec<u64> = group.iter().map(|p| p.id).collect();
-                let queries: Vec<Term> = group.into_iter().map(|p| p.req.query).collect();
-                jobs.push(Job {
-                    request_id: member_ids[0],
-                    work: Work::Coalesced {
-                        req: RetrieveBatchReq {
-                            mode: head_mode,
-                            deadline_micros: head_deadline,
-                            budget: head_budget,
-                            queries,
-                        },
-                        member_ids,
-                    },
-                    writer: Arc::clone(writer),
-                    accepted: Instant::now(),
-                    deadline_micros: head_deadline,
-                    budget: head_budget,
-                });
-            }
-        }
-    };
-
+    // The key of the last job while a following RETRIEVE may still join
+    // it. Any other request, or a ping, ends the run; a request answered
+    // with an error frame does not.
+    let mut run: Option<CoalescingKey> = None;
     for frame in burst {
         let id = frame.request_id;
         if let op @ opcode::PING..=opcode::REPL_ACK = frame.opcode {
@@ -658,153 +600,68 @@ pub(crate) fn process_burst(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, burs
             m.net_frames_in[(op - opcode::PING) as usize].inc();
             m.net_bytes_in.add(frame.payload.len() as u64);
         }
-        let work = match frame.opcode {
-            opcode::PING => {
-                flush_pending(&mut pending, &mut jobs);
-                writer.send(&Frame::new(id, opcode::PING | opcode::REPLY, Vec::new()));
-                continue;
-            }
-            opcode::RETRIEVE => match decode_retrieve(&frame.payload) {
-                Ok(req) => {
-                    if shared.cfg.coalesce {
-                        let key = req.query.functor_arity();
-                        pending.push(PendingRetrieve { id, req, key });
-                        continue;
-                    }
-                    Work::Retrieve(req)
-                }
-                Err(e) => {
-                    writer.send_error(id, ErrorCode::Malformed, 0, e.to_string());
-                    continue;
-                }
-            },
-            opcode::RETRIEVE_BATCH => match decode_retrieve_batch(&frame.payload) {
-                Ok(req) => Work::Batch(req),
-                Err(e) => {
-                    writer.send_error(id, ErrorCode::Malformed, 0, e.to_string());
-                    continue;
-                }
-            },
-            opcode::SOLVE => match decode_solve(&frame.payload) {
-                Ok(req) => Work::Solve(req),
-                Err(e) => {
-                    writer.send_error(id, ErrorCode::Malformed, 0, e.to_string());
-                    continue;
-                }
-            },
-            opcode::CONSULT => match decode_consult(&frame.payload) {
-                Ok(req) => Work::Consult(req),
-                Err(e) => {
-                    writer.send_error(id, ErrorCode::Malformed, 0, e.to_string());
-                    continue;
-                }
-            },
-            // Assert/retract reuse the consult payload shape (module +
-            // source text); they differ only in which commit op runs.
-            opcode::ASSERT => match decode_consult(&frame.payload) {
-                Ok(req) => Work::Assert(req),
-                Err(e) => {
-                    writer.send_error(id, ErrorCode::Malformed, 0, e.to_string());
-                    continue;
-                }
-            },
-            opcode::RETRACT => match decode_consult(&frame.payload) {
-                Ok(req) => Work::Retract(req),
-                Err(e) => {
-                    writer.send_error(id, ErrorCode::Malformed, 0, e.to_string());
-                    continue;
-                }
-            },
-            // The request payload selects the reply shape: empty keeps the
-            // plain 56-byte struct; a leading STATS_REQ_EXTENDED byte
-            // asks for the versioned metrics snapshot appended to it.
-            opcode::STATS => Work::Stats {
-                extended: frame.payload.first() == Some(&STATS_REQ_EXTENDED),
-            },
-            opcode::SYMBOLS => Work::Symbols,
-            opcode::SUBSCRIBE_LOG => match decode_subscribe_log(&frame.payload) {
-                Ok(req) => Work::SubscribeLog {
-                    from_seq: req.from_seq,
-                },
-                Err(e) => {
-                    writer.send_error(id, ErrorCode::Malformed, 0, e.to_string());
-                    continue;
-                }
-            },
-            // The payload is one WAL ship record (`encode_ship_record`),
-            // exactly the bytes a subscriber push carries.
-            opcode::LOG_FRAME => match clare_wal::decode_ship_record(&frame.payload) {
-                Some(record) => Work::LogFrame(record),
-                None => {
-                    writer.send_error(
-                        id,
-                        ErrorCode::Malformed,
-                        0,
-                        "malformed WAL ship record".to_owned(),
-                    );
-                    continue;
-                }
-            },
-            opcode::REPL_ACK => match decode_repl_ack(&frame.payload) {
-                Ok(ack) => Work::ReplAck { seq: ack.seq },
-                Err(e) => {
-                    writer.send_error(id, ErrorCode::Malformed, 0, e.to_string());
-                    continue;
-                }
-            },
-            other => {
-                writer.send_error(
-                    id,
-                    ErrorCode::Unsupported,
-                    0,
-                    format!("unknown opcode {other:#04x}"),
-                );
+        if frame.opcode == opcode::PING {
+            run = None;
+            outbound.send(&Frame::new(id, opcode::PING | opcode::REPLY, Vec::new()));
+            continue;
+        }
+        let work = match Work::decode(&frame) {
+            Ok(work) => work,
+            Err((code, message)) => {
+                outbound.send_error(id, code, 0, message);
                 continue;
             }
         };
-        flush_pending(&mut pending, &mut jobs);
-        let (deadline_micros, budget) = match &work {
-            Work::Retrieve(req) => (req.deadline_micros, req.budget),
-            Work::Solve(req) => (req.deadline_micros, req.budget),
-            Work::Batch(req) => (req.deadline_micros, req.budget),
-            _ => (0, BudgetExt::NONE),
+        let key = work.coalescing_key();
+        let work = match (jobs.last_mut(), work) {
+            (
+                Some(Job {
+                    work:
+                        Work::Retrieve {
+                            req,
+                            answer: Answer::PerMember(ids),
+                        },
+                    ..
+                }),
+                Work::Retrieve { req: next, .. },
+            ) if key.is_some() && key == run => {
+                req.queries.extend(next.queries);
+                ids.push(id);
+                continue;
+            }
+            (_, work) => work,
         };
+        run = key;
         jobs.push(Job {
             request_id: id,
             work,
-            writer: Arc::clone(writer),
+            outbound: Arc::clone(outbound),
             accepted: Instant::now(),
-            deadline_micros,
-            budget,
         });
     }
-    flush_pending(&mut pending, &mut jobs);
 
     for job in jobs {
-        job.writer.job_started();
-        if let Err(job) = shared.try_enqueue(job) {
-            shed(shared, &job);
-            job.writer.job_finished();
+        let members = job.ids().len();
+        if members > 1 {
+            let m = clare_trace::metrics();
+            m.net_coalesced_groups.inc();
+            m.net_coalesced_members.add(members as u64);
         }
-    }
-}
-
-/// Sheds one refused job: every affected request id gets a `Busy` error
-/// frame with the retry hint, and the rejection is counted on the CRS.
-fn shed(shared: &Shared, job: &Job) {
-    let ids: Vec<u64> = match &job.work {
-        Work::Coalesced { member_ids, .. } => member_ids.clone(),
-        _ => vec![job.request_id],
-    };
-    for id in ids {
-        shared.crs.note_rejected();
-        clare_trace::metrics().net_busy_rejections.inc();
-        job.writer.send_error(
-            id,
-            ErrorCode::Busy,
-            shared.cfg.retry_after_ms,
-            "request queue full".to_owned(),
-        );
+        job.outbound.job_started();
+        if let Err(job) = shared.try_enqueue(job) {
+            // A refused job: every id it owes gets a `Busy` error frame
+            // with the retry hint, and each rejection is counted.
+            for _ in 0..job.ids().len() {
+                shared.crs.note_rejected();
+                clare_trace::metrics().net_busy_rejections.inc();
+            }
+            job.fail(
+                ErrorCode::Busy,
+                shared.cfg.retry_after_ms,
+                "request queue full",
+            );
+            job.outbound.job_finished();
+        }
     }
 }
 
@@ -813,59 +670,41 @@ fn worker_loop(shared: &Arc<Shared>) {
         // A panic while serving one request (e.g. on adversarial input)
         // must not take the worker down or leave the client hanging: the
         // affected ids get an Internal error and the pool keeps serving.
-        let ids: Vec<u64> = match &job.work {
-            Work::Coalesced { member_ids, .. } => member_ids.clone(),
-            _ => vec![job.request_id],
-        };
-        let writer = Arc::clone(&job.writer);
         let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(shared, job)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(shared, &job)));
         if outcome.is_err() {
             clare_trace::metrics().net_worker_panics.inc();
-            for id in ids {
-                writer.send_error(
-                    id,
-                    ErrorCode::Internal,
-                    0,
-                    "request processing panicked".to_owned(),
-                );
-            }
+            job.fail(ErrorCode::Internal, 0, "request processing panicked");
         }
-        writer.job_finished();
+        job.outbound.job_finished();
     }
-}
-
-/// True when the job's deadline elapsed while it sat in the queue.
-fn deadline_expired(job: &Job) -> bool {
-    job.deadline_micros > 0 && job.accepted.elapsed() > Duration::from_micros(job.deadline_micros)
 }
 
 /// Sends the typed error for a tripped budget. Deadline trips report
 /// `DeadlineExpired`, the code a deadline that expires in the queue also
 /// gets; step and candidate ceilings report `BudgetExceeded` with the trip
 /// reason in the message.
-fn send_budget_exceeded(writer: &ConnWriter, ids: &[u64], e: &clare_core::BudgetExceeded) {
+fn send_budget_exceeded(job: &Job, e: &clare_core::BudgetExceeded) {
     clare_core::CancelToken::record_trip(e.reason.unwrap_or(clare_core::BudgetReason::Deadline));
-    let (code, message) = match e.reason {
-        Some(clare_core::BudgetReason::Deadline) | None => (
+    match e.reason {
+        Some(clare_core::BudgetReason::Deadline) | None => job.fail(
             ErrorCode::DeadlineExpired,
-            "deadline expired mid-execution; partial work discarded".to_owned(),
+            0,
+            "deadline expired mid-execution; partial work discarded",
         ),
-        Some(reason) => (ErrorCode::BudgetExceeded, format!("{e}: {reason}")),
-    };
-    for &id in ids {
-        writer.send_error(id, code, 0, message.clone());
+        Some(reason) => job.fail(ErrorCode::BudgetExceeded, 0, &format!("{e}: {reason}")),
     }
 }
 
-fn execute(shared: &Arc<Shared>, job: Job) {
+fn execute(shared: &Arc<Shared>, job: &Job) {
     if let Some(delay) = shared.cfg.debug_worker_delay {
         std::thread::sleep(delay);
     }
-    // Worker-side stall fault point (chaos schedules only): pins this
-    // worker for a bounded delay *before* the queue-expiry check, so a
-    // deterministic schedule can force jobs to outlive their deadline in
-    // the queue and prove they are shed, not executed.
+    // Worker-side stall fault point (chaos schedules only), keyed by the
+    // job's first request id: pins this worker for a bounded delay
+    // *before* the queue-expiry check, so a deterministic schedule can
+    // force jobs to outlive their deadline in the queue and prove they
+    // are shed, not executed.
     if clare_fault::active() {
         if let clare_fault::FaultAction::Delay { micros } =
             clare_fault::decide(clare_fault::FaultSite::WorkerStall, job.request_id)
@@ -873,23 +712,17 @@ fn execute(shared: &Arc<Shared>, job: Job) {
             std::thread::sleep(Duration::from_micros(micros));
         }
     }
-    let ids: Vec<u64> = match &job.work {
-        Work::Coalesced { member_ids, .. } => member_ids.clone(),
-        _ => vec![job.request_id],
-    };
-    if deadline_expired(&job) {
+    let (deadline_micros, budget) = job.budget();
+    if deadline_micros > 0 && job.accepted.elapsed() > Duration::from_micros(deadline_micros) {
         // The deadline elapsed while the job sat in the queue: shed it
         // without executing — running it would waste a worker on an
         // answer the client has already given up on.
         clare_trace::metrics().budget_expired_in_queue.inc();
-        for id in ids {
-            job.writer.send_error(
-                id,
-                ErrorCode::DeadlineExpired,
-                0,
-                "deadline elapsed before execution".to_owned(),
-            );
-        }
+        job.fail(
+            ErrorCode::DeadlineExpired,
+            0,
+            "deadline elapsed before execution",
+        );
         return;
     }
     // The end-to-end cancellation token: the deadline is anchored at
@@ -898,56 +731,35 @@ fn execute(shared: &Arc<Shared>, job: Job) {
     // CancelToken::starting_at returns the zero-cost unlimited token.
     let cancel = clare_core::CancelToken::starting_at(
         &clare_core::QueryBudget {
-            deadline_micros: job.deadline_micros,
-            solve_step_limit: job.budget.solve_step_limit,
-            candidate_limit: job.budget.candidate_limit,
+            deadline_micros,
+            solve_step_limit: budget.solve_step_limit,
+            candidate_limit: budget.candidate_limit,
         },
         job.accepted,
     );
 
     let crs = &shared.crs;
-    match job.work {
-        Work::Retrieve(req) => {
-            // A lone retrieve is a coalesced group of one.
-            match crs.retrieve_batch(std::slice::from_ref(&req.query), req.mode, &cancel) {
-                Ok(retrievals) => {
+    match &job.work {
+        // One hardware pass. Pipelined members are each answered as if
+        // they had been a lone retrieve; identical bytes are guaranteed by
+        // the core's batch-equals-individual property. A budget trip
+        // anywhere fails the whole job — members share one (identical)
+        // budget, so none of them would have finished either.
+        Work::Retrieve { req, answer } => match crs.retrieve_batch(&req.queries, req.mode, &cancel)
+        {
+            Ok(retrievals) => match answer {
+                Answer::PerMember(ids) => {
                     for (&id, retrieval) in ids.iter().zip(&retrievals) {
-                        job.writer.send(&Frame::new(
+                        job.outbound.send(&Frame::new(
                             id,
                             opcode::RETRIEVE | opcode::REPLY,
                             encode_retrieval(retrieval),
                         ));
                     }
                 }
-                Err(e) => send_budget_exceeded(&job.writer, &ids, &e),
-            }
-        }
-        Work::Coalesced { req, member_ids } => {
-            // One hardware pass; each member answered as if it had been a
-            // lone retrieve. Identical bytes are guaranteed by the core's
-            // batch-equals-individual property. A budget trip anywhere
-            // fails the whole group — members share one (identical)
-            // budget, so none of them would have finished either.
-            match crs.retrieve_batch(&req.queries, req.mode, &cancel) {
-                Ok(retrievals) => {
-                    for (id, retrieval) in member_ids.into_iter().zip(&retrievals) {
-                        job.writer.send(&Frame::new(
-                            id,
-                            opcode::RETRIEVE | opcode::REPLY,
-                            encode_retrieval(retrieval),
-                        ));
-                    }
-                }
-                Err(e) => send_budget_exceeded(&job.writer, &member_ids, &e),
-            }
-        }
-        Work::Batch(req) => match crs.retrieve_batch(&req.queries, req.mode, &cancel) {
-            Ok(retrievals) => job.writer.send(&Frame::new(
-                job.request_id,
-                opcode::RETRIEVE_BATCH | opcode::REPLY,
-                encode_retrievals(&retrievals),
-            )),
-            Err(e) => send_budget_exceeded(&job.writer, &ids, &e),
+                Answer::Batch => job.reply(opcode::RETRIEVE_BATCH, encode_retrievals(&retrievals)),
+            },
+            Err(e) => send_budget_exceeded(job, &e),
         },
         Work::Solve(req) => {
             let options = SolveOptions {
@@ -956,12 +768,8 @@ fn execute(shared: &Arc<Shared>, job: Job) {
                 max_depth: usize::try_from(req.max_depth).unwrap_or(usize::MAX),
             };
             match crs.solve_goals(&req.goals, &req.var_names, &options, &cancel) {
-                Ok(outcome) => job.writer.send(&Frame::new(
-                    job.request_id,
-                    opcode::SOLVE | opcode::REPLY,
-                    encode_solve_outcome(&outcome),
-                )),
-                Err(e) => send_budget_exceeded(&job.writer, &ids, &e),
+                Ok(outcome) => job.reply(opcode::SOLVE, encode_solve_outcome(&outcome)),
+                Err(e) => send_budget_exceeded(job, &e),
             }
         }
         Work::Consult(req) => {
@@ -969,100 +777,62 @@ fn execute(shared: &Arc<Shared>, job: Job) {
             let result = tx
                 .consult(&req.module, &req.source)
                 .map_err(|e| e.to_string())
-                .and_then(|()| {
-                    tx.commit(shared.cfg.kb_config.clone())
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
-                });
+                .and_then(|()| tx.commit().map(|_| ()).map_err(|e| e.to_string()));
             match result {
-                Ok(()) => job.writer.send(&Frame::new(
-                    job.request_id,
-                    opcode::CONSULT | opcode::REPLY,
-                    encode_consult_ok(),
-                )),
-                Err(reason) => {
-                    job.writer
-                        .send_error(job.request_id, ErrorCode::ConsultRejected, 0, reason)
-                }
+                Ok(()) => job.reply(opcode::CONSULT, encode_consult_ok()),
+                Err(reason) => job.fail(ErrorCode::ConsultRejected, 0, &reason),
             }
         }
         Work::Assert(req) => match crs.assert_source(&req.module, &req.source) {
-            Ok(receipt) => job.writer.send(&Frame::new(
-                job.request_id,
-                opcode::ASSERT | opcode::REPLY,
-                encode_commit_receipt(&receipt),
-            )),
-            Err(e) => {
-                job.writer
-                    .send_error(job.request_id, ErrorCode::ConsultRejected, 0, e.to_string())
-            }
+            Ok(receipt) => job.reply(opcode::ASSERT, encode_commit_receipt(&receipt)),
+            Err(e) => job.fail(ErrorCode::ConsultRejected, 0, &e.to_string()),
         },
         Work::Retract(req) => match crs.retract_source(&req.module, &req.source) {
-            Ok(receipt) => job.writer.send(&Frame::new(
-                job.request_id,
-                opcode::RETRACT | opcode::REPLY,
-                encode_commit_receipt(&receipt),
-            )),
-            Err(e) => {
-                job.writer
-                    .send_error(job.request_id, ErrorCode::ConsultRejected, 0, e.to_string())
-            }
+            Ok(receipt) => job.reply(opcode::RETRACT, encode_commit_receipt(&receipt)),
+            Err(e) => job.fail(ErrorCode::ConsultRejected, 0, &e.to_string()),
         },
         Work::Stats { extended } => {
             if shared.cfg.debug_panic_on_stats {
                 panic!("debug_panic_on_stats fault injection");
             }
-            let payload = if extended {
+            let payload = if *extended {
                 encode_server_stats_extended(&crs.stats(), &clare_trace::metrics().snapshot())
             } else {
                 encode_server_stats(&crs.stats())
             };
-            job.writer.send(&Frame::new(
-                job.request_id,
-                opcode::STATS | opcode::REPLY,
-                payload,
-            ));
+            job.reply(opcode::STATS, payload);
         }
         Work::Symbols => {
             // The overlay symbols are a strict superset of the base's, so
             // clients can parse queries against overlay-only predicates.
             let symbols = crs.symbols();
-            job.writer.send(&Frame::new(
-                job.request_id,
-                opcode::SYMBOLS | opcode::REPLY,
-                encode_symbols(&symbols),
-            ));
+            job.reply(opcode::SYMBOLS, encode_symbols(&symbols));
         }
         Work::SubscribeLog { from_seq } => {
-            // Catch-up and live pushes both ride the connection's writer
-            // as request-id-0 LOG_FRAMEs; the watcher unregisters itself
-            // (returns false) once the connection dies.
-            let writer = Arc::clone(&job.writer);
+            // Catch-up and live pushes both ride the connection's
+            // `Outbound` as request-id-0 LOG_FRAMEs; the watcher
+            // unregisters itself (returns false) once the connection dies.
+            let outbound = Arc::clone(&job.outbound);
             let watcher: clare_core::LogWatcher = Box::new(move |records| {
                 for record in records {
-                    if writer.outbound.is_dead() {
+                    if outbound.is_dead() {
                         return false;
                     }
-                    writer.send(&Frame::new(
+                    outbound.send(&Frame::new(
                         0,
                         opcode::LOG_FRAME,
                         clare_wal::encode_ship_record(record.seq, &record.op),
                     ));
                 }
-                !writer.outbound.is_dead()
+                !outbound.is_dead()
             });
-            match crs.subscribe_ops(from_seq, watcher) {
-                Ok(current) => job.writer.send(&Frame::new(
-                    job.request_id,
-                    opcode::SUBSCRIBE_LOG | opcode::REPLY,
-                    encode_seq_reply(current),
-                )),
+            match crs.subscribe_ops(*from_seq, watcher) {
+                Ok(current) => job.reply(opcode::SUBSCRIBE_LOG, encode_seq_reply(current)),
                 Err(clare_core::SubscribeError::Gap { folded_through }) => {
-                    job.writer.send_error(
-                        job.request_id,
+                    job.fail(
                         ErrorCode::ReplGap,
                         0,
-                        format!("log folded through seq {folded_through}; resync from a snapshot"),
+                        &format!("log folded through seq {folded_through}; resync from a snapshot"),
                     );
                 }
             }
@@ -1073,12 +843,7 @@ fn execute(shared: &Arc<Shared>, job: Job) {
             if clare_fault::active() {
                 match clare_fault::decide(clare_fault::FaultSite::ReplApply, record.seq) {
                     clare_fault::FaultAction::Drop => {
-                        job.writer.send_error(
-                            job.request_id,
-                            ErrorCode::Busy,
-                            1,
-                            "replication apply refused (injected)".to_owned(),
-                        );
+                        job.fail(ErrorCode::Busy, 1, "replication apply refused (injected)");
                         return;
                     }
                     clare_fault::FaultAction::Delay { micros } => {
@@ -1087,42 +852,28 @@ fn execute(shared: &Arc<Shared>, job: Job) {
                     _ => {}
                 }
             }
-            match crs.apply_replicated(&record) {
-                Ok(applied) => job.writer.send(&Frame::new(
-                    job.request_id,
-                    opcode::LOG_FRAME | opcode::REPLY,
-                    encode_seq_reply(applied),
-                )),
+            match crs.apply_replicated(record) {
+                Ok(applied) => job.reply(opcode::LOG_FRAME, encode_seq_reply(applied)),
                 Err(clare_core::CommitError::ReplicaGap { expected }) => {
-                    job.writer.send_error(
-                        job.request_id,
+                    job.fail(
                         ErrorCode::ReplGap,
                         0,
-                        format!("expected seq {expected}, got {}", record.seq),
+                        &format!("expected seq {expected}, got {}", record.seq),
                     );
                 }
                 Err(e) => {
-                    job.writer.send_error(
-                        job.request_id,
-                        ErrorCode::ConsultRejected,
-                        0,
-                        e.to_string(),
-                    );
+                    job.fail(ErrorCode::ConsultRejected, 0, &e.to_string());
                 }
             }
         }
         Work::ReplAck { seq } => {
             // The primary's view of how far its backup trails; reads can
             // consult this to judge failover staleness.
-            let lag = crs.current_seq().saturating_sub(seq);
+            let lag = crs.current_seq().saturating_sub(*seq);
             clare_trace::metrics()
                 .cluster_repl_lag_frames
                 .set(i64::try_from(lag).unwrap_or(i64::MAX));
-            job.writer.send(&Frame::new(
-                job.request_id,
-                opcode::REPL_ACK | opcode::REPLY,
-                Vec::new(),
-            ));
+            job.reply(opcode::REPL_ACK, Vec::new());
         }
     }
 }

@@ -30,6 +30,37 @@ fn serve(cfg: NetConfig) -> (NetServer, Arc<ClauseRetrievalServer>) {
     serve_kb(item_kb(60), cfg)
 }
 
+/// The facts of `item_kb(60)` plus a second predicate, `tag/2`, so a
+/// pipeline can alternate predicates and no two consecutive retrieves
+/// share a coalescing key.
+fn serve_two_predicates(cfg: NetConfig) -> (NetServer, Arc<ClauseRetrievalServer>) {
+    let mut b = KbBuilder::new();
+    let facts: String = (0..60)
+        .map(|i| {
+            format!(
+                "item(k{}, v{}). tag(k{}, t{}).",
+                i % 12,
+                i % 5,
+                i % 12,
+                i % 3
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    b.consult("m", &facts).unwrap();
+    serve_kb(b.finish(KbConfig::default()), cfg)
+}
+
+/// Six retrieves alternating `item/2` and `tag/2`: each is its own job.
+fn alternating_queries(symbols: &mut clare_term::SymbolTable) -> Vec<Term> {
+    (0..6)
+        .map(|i| {
+            let pred = if i % 2 == 0 { "item" } else { "tag" };
+            parse_term(&format!("{pred}(k{i}, X)"), symbols).unwrap()
+        })
+        .collect()
+}
+
 fn serve_kb(kb: KnowledgeBase, cfg: NetConfig) -> (NetServer, Arc<ClauseRetrievalServer>) {
     let crs = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
     let server = NetServer::bind(Arc::clone(&crs), "127.0.0.1:0", cfg).unwrap();
@@ -328,10 +359,9 @@ fn writes_are_never_replayed_after_mid_request_hangup() {
 /// flush every outbound queue before releasing its fds.
 #[test]
 fn shutdown_drains_queued_replies() {
-    let (server, crs) = serve(NetConfig {
+    // Alternating predicates: six distinct jobs must sit in the queue.
+    let (server, crs) = serve_two_predicates(NetConfig {
         workers: 1,
-        // No coalescing: six distinct jobs must sit in the queue.
-        coalesce: false,
         debug_worker_delay: Some(Duration::from_millis(40)),
         ..NetConfig::default()
     });
@@ -345,9 +375,7 @@ fn shutdown_drains_queued_replies() {
         };
         let mut client = NetClient::connect(addr, cfg).unwrap();
         let mut symbols = client.symbols().unwrap();
-        let queries: Vec<Term> = (0..6)
-            .map(|i| parse_term(&format!("item(k{i}, X)"), &mut symbols).unwrap())
-            .collect();
+        let queries = alternating_queries(&mut symbols);
         let replies = client
             .retrieve_pipelined(&queries, SearchMode::TwoStage)
             .expect("every queued reply must be delivered across shutdown");
@@ -411,11 +439,11 @@ fn pipeline_retrieves(addr: SocketAddr, queries: &[Term]) -> TcpStream {
 #[test]
 fn half_close_delivers_in_flight_replies() {
     use clare_net::protocol::{encode_retrieval, opcode, FrameReader, MAX_FRAME_LEN};
-    let (server, crs) = serve(NetConfig {
+    // Six distinct jobs (alternating predicates), one slow worker: the
+    // EOF overtakes the queue, so most replies are produced *after* the
+    // half-close.
+    let (server, crs) = serve_two_predicates(NetConfig {
         workers: 1,
-        // Six distinct jobs, one slow worker: the EOF overtakes the
-        // queue, so most replies are produced *after* the half-close.
-        coalesce: false,
         debug_worker_delay: Some(Duration::from_millis(30)),
         ..NetConfig::default()
     });
@@ -424,9 +452,7 @@ fn half_close_delivers_in_flight_replies() {
         let mut c = NetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
         c.symbols().unwrap()
     };
-    let queries: Vec<Term> = (0..6)
-        .map(|i| parse_term(&format!("item(k{i}, X)"), &mut symbols).unwrap())
-        .collect();
+    let queries = alternating_queries(&mut symbols);
 
     // A raw client, so the write side can be shut down independently.
     let mut stream = pipeline_retrieves(server.local_addr(), &queries);

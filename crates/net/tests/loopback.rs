@@ -34,14 +34,13 @@ fn family_kb() -> KnowledgeBase {
     b.finish(KbConfig::default())
 }
 
-fn serve(workers: usize, coalesce: bool) -> (NetServer, Arc<ClauseRetrievalServer>) {
+fn serve(workers: usize) -> (NetServer, Arc<ClauseRetrievalServer>) {
     let crs = Arc::new(ClauseRetrievalServer::new(
         family_kb(),
         CrsOptions::default(),
     ));
     let cfg = NetConfig {
         workers,
-        coalesce,
         ..NetConfig::default()
     };
     let server = NetServer::bind(Arc::clone(&crs), "127.0.0.1:0", cfg).unwrap();
@@ -73,7 +72,7 @@ fn sample_queries(symbols: &mut SymbolTable) -> Vec<Term> {
 #[test]
 fn single_retrievals_byte_identical_across_pool_sizes() {
     for workers in [1, 4] {
-        let (server, crs) = serve(workers, true);
+        let (server, crs) = serve(workers);
         let mut client = connect(&server);
         let mut symbols = client.symbols().unwrap();
         for query in sample_queries(&mut symbols) {
@@ -98,7 +97,7 @@ fn single_retrievals_byte_identical_across_pool_sizes() {
 #[test]
 fn pipelined_and_coalesced_retrievals_byte_identical() {
     for workers in [1, 4] {
-        let (server, crs) = serve(workers, true);
+        let (server, crs) = serve(workers);
         let mut client = connect(&server);
         let mut symbols = client.symbols().unwrap();
         // Long same-predicate runs (coalescable) with predicate switches
@@ -146,7 +145,7 @@ fn pipelined_and_coalesced_retrievals_byte_identical() {
 #[test]
 fn explicit_batches_byte_identical() {
     for workers in [1, 3] {
-        let (server, crs) = serve(workers, true);
+        let (server, crs) = serve(workers);
         let mut client = connect(&server);
         let mut symbols = client.symbols().unwrap();
         let queries = sample_queries(&mut symbols);
@@ -165,7 +164,7 @@ fn explicit_batches_byte_identical() {
 /// in-process resolution path.
 #[test]
 fn solve_over_the_wire_matches_in_process() {
-    let (server, crs) = serve(2, true);
+    let (server, crs) = serve(2);
     let mut client = connect(&server);
     let mut symbols = client.symbols().unwrap();
     let (query, names) = parse_term_with_vars("linked(n1, Who)", &mut symbols).unwrap();
@@ -181,7 +180,7 @@ fn solve_over_the_wire_matches_in_process() {
 /// rejected with a typed error and leaves the KB untouched.
 #[test]
 fn consult_updates_and_rejections() {
-    let (server, crs) = serve(2, true);
+    let (server, crs) = serve(2);
     let mut client = connect(&server);
     let mut symbols = client.symbols().unwrap();
     let query = parse_term("item(brand_new, X)", &mut symbols).unwrap();
@@ -221,7 +220,7 @@ fn consult_updates_and_rejections() {
 /// publishing anything.
 #[test]
 fn assert_and_retract_over_the_wire() {
-    let (server, crs) = serve(2, false);
+    let (server, crs) = serve(2);
     let mut client = connect(&server);
 
     let receipt = client.assert("m", "item(wired_in, v9).").unwrap();
@@ -274,7 +273,7 @@ fn assert_and_retract_over_the_wire() {
 /// batch and rejection counts.
 #[test]
 fn stats_over_the_wire() {
-    let (server, crs) = serve(2, true);
+    let (server, crs) = serve(2);
     let mut client = connect(&server);
     let mut symbols = client.symbols().unwrap();
     let queries = sample_queries(&mut symbols);
@@ -405,7 +404,7 @@ fn raw_handshake(addr: std::net::SocketAddr) -> (TcpStream, HelloStatus) {
 /// notice before the connection drops.
 #[test]
 fn malformed_frames_yield_error_frames_not_disconnects() {
-    let (server, _crs) = serve(2, true);
+    let (server, _crs) = serve(2);
     let (mut stream, status) = raw_handshake(server.local_addr());
     assert_eq!(status, HelloStatus::Ok);
     let mut reader = FrameReader::new(protocol::MAX_FRAME_LEN);
@@ -419,6 +418,43 @@ fn malformed_frames_yield_error_frames_not_disconnects() {
     assert_eq!(reply.opcode, opcode::ERROR);
     let e = protocol::decode_error(&reply.payload).unwrap();
     assert_eq!(e.code, ErrorCode::Malformed);
+
+    // Every other opcode that carries a payload takes the same
+    // decode-or-Malformed path: an error on its own id, and the
+    // connection keeps serving.
+    let payload_opcodes = [
+        opcode::RETRIEVE_BATCH,
+        opcode::SOLVE,
+        opcode::CONSULT,
+        opcode::ASSERT,
+        opcode::RETRACT,
+        opcode::SUBSCRIBE_LOG,
+        opcode::LOG_FRAME,
+        opcode::REPL_ACK,
+    ];
+    for (i, op) in payload_opcodes.into_iter().enumerate() {
+        let id = 100 + i as u64;
+        stream
+            .write_all(&Frame::new(id, op, vec![0xDE, 0xAD, 0xBE]).encoded())
+            .unwrap();
+        let reply = reader.read_frame(&mut stream).unwrap();
+        assert_eq!(
+            (reply.request_id, reply.opcode),
+            (id, opcode::ERROR),
+            "opcode {op:#04x}"
+        );
+        let e = protocol::decode_error(&reply.payload).unwrap();
+        assert_eq!(e.code, ErrorCode::Malformed, "opcode {op:#04x}");
+        stream
+            .write_all(&Frame::new(id + 50, opcode::PING, Vec::new()).encoded())
+            .unwrap();
+        let reply = reader.read_frame(&mut stream).unwrap();
+        assert_eq!(
+            (reply.request_id, reply.opcode),
+            (id + 50, opcode::PING | opcode::REPLY),
+            "opcode {op:#04x}"
+        );
+    }
 
     // Unknown opcode → Unsupported error.
     stream
@@ -482,7 +518,7 @@ fn connection_limit_refuses_with_retry_hint() {
 /// DeadlineExpired instead of being executed.
 #[test]
 fn expired_deadlines_are_refused() {
-    let (server, crs) = serve(1, true);
+    let (server, crs) = serve(1);
     let mut client = connect(&server);
     let mut symbols = client.symbols().unwrap();
     let query = parse_term("item(k1, X)", &mut symbols).unwrap();
@@ -506,7 +542,7 @@ fn expired_deadlines_are_refused() {
 /// still arrives, and afterwards the port stops accepting.
 #[test]
 fn graceful_shutdown_drains_inflight_requests() {
-    let (server, _crs) = serve(1, true);
+    let (server, _crs) = serve(1);
     let addr = server.local_addr();
     let mut client = connect(&server);
     let mut symbols = client.symbols().unwrap();
@@ -529,24 +565,4 @@ fn graceful_shutdown_drains_inflight_requests() {
         NetClient::connect(addr, ClientConfig::default()).is_err(),
         "listener must be closed after shutdown"
     );
-}
-
-/// Disabling coalescing still answers identically (it is an optimization,
-/// not a semantic switch).
-#[test]
-fn coalescing_disabled_is_equivalent() {
-    let (server, crs) = serve(2, false);
-    let mut client = connect(&server);
-    let mut symbols = client.symbols().unwrap();
-    let queries: Vec<Term> = (0..6)
-        .map(|i| parse_term(&format!("item(k{i}, X)"), &mut symbols).unwrap())
-        .collect();
-    let networked = client
-        .retrieve_pipelined(&queries, SearchMode::TwoStage)
-        .unwrap();
-    for (query, got) in queries.iter().zip(&networked) {
-        assert_eq!(got, &crs.retrieve(query, SearchMode::TwoStage));
-    }
-    assert_eq!(crs.stats().batches, 0, "coalescing was disabled");
-    server.shutdown();
 }

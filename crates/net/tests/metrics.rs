@@ -114,12 +114,11 @@ fn saturated_daemon_is_eventually_served_through_retry() {
             &format!("p(a). p(b). hard :- {}, absent(A0).", goals.join(", ")),
         )
         .unwrap();
-        tx.commit(KbConfig::default()).unwrap();
+        tx.commit().unwrap();
     }
     let cfg = NetConfig {
         workers: 1,
         queue_depth: 1,
-        coalesce: false,
         retry_after_ms: 5,
         ..NetConfig::default()
     };

@@ -130,7 +130,7 @@ proptest! {
         let server = NetServer::bind(
             Arc::clone(&crs),
             "127.0.0.1:0",
-            NetConfig { workers, coalesce: true, ..NetConfig::default() },
+            NetConfig { workers, ..NetConfig::default() },
         )
         .unwrap();
 

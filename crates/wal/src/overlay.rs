@@ -19,7 +19,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::log::{WalOp, WalRecord};
-use clare_kb::{KbBuilder, KbConfig, KbError, KnowledgeBase};
+use clare_kb::{KbBuilder, KbError, KnowledgeBase};
 use clare_pif::ClauseRecord;
 use clare_term::parser::{parse_program, ParseError};
 use clare_term::{Clause, Symbol, SymbolTable};
@@ -220,14 +220,14 @@ impl Overlay {
     }
 
     /// Applies one operation at `seq` against `base`, validating every
-    /// clause (parse, PIF compile, track fit) before mutating anything:
-    /// an `Err` leaves this overlay exactly as it was.
+    /// clause (parse, PIF compile, fit in a track of the base's build
+    /// config) before mutating anything: an `Err` leaves this overlay
+    /// exactly as it was.
     pub fn apply(
         &mut self,
         seq: u64,
         op: &WalOp,
         base: &KnowledgeBase,
-        config: &KbConfig,
     ) -> Result<ApplyOutcome, OverlayError> {
         let outcome = match op {
             WalOp::Assert { module, source } => {
@@ -236,7 +236,7 @@ impl Overlay {
                 for clause in clauses {
                     let record = ClauseRecord::compile(&clause).map_err(OverlayError::Pif)?;
                     let record_bytes = record.to_bytes().len();
-                    let track_bytes = config.disk.track_bytes();
+                    let track_bytes = base.config().disk.track_bytes();
                     if record_bytes > track_bytes {
                         return Err(OverlayError::RecordTooLarge {
                             record_bytes,
@@ -348,15 +348,11 @@ impl Overlay {
     /// no longer apply (e.g. the base changed under them) are skipped and
     /// counted — on a faithful replay over the original base the skip
     /// count is zero.
-    pub fn rebuild(
-        base: &KnowledgeBase,
-        records: &[WalRecord],
-        config: &KbConfig,
-    ) -> (Overlay, usize) {
+    pub fn rebuild(base: &KnowledgeBase, records: &[WalRecord]) -> (Overlay, usize) {
         let mut overlay = Overlay::new(base.symbols().clone());
         let mut skipped = 0usize;
         for record in records {
-            if overlay.apply(record.seq, &record.op, base, config).is_err() {
+            if overlay.apply(record.seq, &record.op, base).is_err() {
                 skipped += 1;
             }
         }
@@ -366,18 +362,15 @@ impl Overlay {
     /// Folds this overlay into `base`, producing the compacted snapshot:
     /// retracted base clauses dropped, overlay clauses appended to their
     /// predicates, track segments and FS1 codeword indexes rebuilt for
-    /// exactly the affected modules. The rebuilt base keeps the old
+    /// exactly the affected modules, under the base's own build config
+    /// ([`KnowledgeBase::config`]). The rebuilt base keeps the old
     /// base's generation as its parent, so the retrieval cache's
     /// incremental epoch bump invalidates only the touched predicates.
     ///
     /// Everything here reads in-memory clause terms — never the
     /// simulated disk — so degraded (quarantined-track) data can never
     /// be compacted into the new segments.
-    pub fn compacted_kb(
-        &self,
-        base: &KnowledgeBase,
-        config: &KbConfig,
-    ) -> Result<KnowledgeBase, KbError> {
+    pub fn compacted_kb(&self, base: &KnowledgeBase) -> Result<KnowledgeBase, KbError> {
         let mut builder: KbBuilder = base.to_builder();
         *builder.symbols_mut() = self.symbols.clone();
         // Group deltas by module; base membership wins over the module
@@ -424,13 +417,14 @@ impl Overlay {
             }
             builder.set_module_clauses(&module, clauses);
         }
-        builder.try_finish(config.clone())
+        builder.try_finish(base.config().clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clare_kb::KbConfig;
     use clare_term::parser::parse_term;
 
     fn base_kb() -> KnowledgeBase {
@@ -441,7 +435,7 @@ mod tests {
     }
 
     fn apply(overlay: &mut Overlay, seq: u64, op: WalOp, base: &KnowledgeBase) -> ApplyOutcome {
-        overlay.apply(seq, &op, base, &KbConfig::default()).unwrap()
+        overlay.apply(seq, &op, base).unwrap()
     }
 
     fn assert_op(source: &str) -> WalOp {
@@ -509,12 +503,7 @@ mod tests {
         let mut o = Overlay::new(base.symbols().clone());
         apply(&mut o, 1, assert_op("p(d)."), &base);
         let before_ops = o.len();
-        let err = o.apply(
-            2,
-            &assert_op("p(ok). p(999999999999)."),
-            &base,
-            &KbConfig::default(),
-        );
+        let err = o.apply(2, &assert_op("p(ok). p(999999999999)."), &base);
         assert!(matches!(err, Err(OverlayError::Pif(_))));
         // Validation happens before mutation: p(ok) did not land either.
         let p = base.symbols().lookup_atom("p").unwrap();
@@ -527,7 +516,7 @@ mod tests {
         let base = base_kb();
         let mut o = Overlay::new(base.symbols().clone());
         assert!(matches!(
-            o.apply(1, &retract_op("p(a). p(b)."), &base, &KbConfig::default()),
+            o.apply(1, &retract_op("p(a). p(b)."), &base),
             Err(OverlayError::RetractNotSingle(2))
         ));
     }
@@ -538,7 +527,7 @@ mod tests {
         let mut o = Overlay::new(base.symbols().clone());
         apply(&mut o, 1, assert_op("p(d). r(new_pred)."), &base);
         apply(&mut o, 2, retract_op("p(a)."), &base);
-        let compacted = o.compacted_kb(&base, &KbConfig::default()).unwrap();
+        let compacted = o.compacted_kb(&base).unwrap();
         // p: base (b, c) survive, then the added d.
         let p = compacted.lookup("p", 1).unwrap();
         let mut symbols = compacted.symbols().clone();
@@ -565,7 +554,7 @@ mod tests {
         apply(&mut o, 1, assert_op("p(d)."), &base);
         apply(&mut o, 2, retract_op("p(b)."), &base);
         apply(&mut o, 3, assert_op("s(1). s(2)."), &base);
-        let (replayed, skipped) = Overlay::rebuild(&base, o.ops(), &KbConfig::default());
+        let (replayed, skipped) = Overlay::rebuild(&base, o.ops());
         assert_eq!(skipped, 0);
         let p = base.symbols().lookup_atom("p").unwrap();
         assert_eq!(
@@ -574,8 +563,8 @@ mod tests {
         );
         assert_eq!(replayed.max_seq(), 3);
         // Both overlays compact to byte-identical clause sets.
-        let a = o.compacted_kb(&base, &KbConfig::default()).unwrap();
-        let b = replayed.compacted_kb(&base, &KbConfig::default()).unwrap();
+        let a = o.compacted_kb(&base).unwrap();
+        let b = replayed.compacted_kb(&base).unwrap();
         assert_eq!(a.clause_count(), b.clause_count());
     }
 }

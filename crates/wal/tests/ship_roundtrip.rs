@@ -69,11 +69,10 @@ proptest! {
         // Apply locally and apply the shipped copy; the overlays must be
         // indistinguishable.
         let kb = base_kb();
-        let config = KbConfig::default();
         let mut local = Overlay::new(kb.symbols().clone());
         let mut remote = Overlay::new(kb.symbols().clone());
-        let a = local.apply(seq, &op, &kb, &config);
-        let b = remote.apply(shipped.seq, &shipped.op, &kb, &config);
+        let a = local.apply(seq, &op, &kb);
+        let b = remote.apply(shipped.seq, &shipped.op, &kb);
         match (a, b) {
             (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
             (Err(x), Err(y)) => prop_assert_eq!(format!("{x:?}"), format!("{y:?}")),

@@ -77,7 +77,6 @@ fn runaway_solve_with_deadline_releases_worker_and_returns_typed_error() {
     let _serial = serial();
     let (server, crs) = serve(NetConfig {
         workers: 1,
-        coalesce: false,
         ..NetConfig::default()
     });
     let mut client = NetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
@@ -136,7 +135,6 @@ fn work_ceilings_trip_with_typed_budget_code_and_pollute_nothing() {
     let _serial = serial();
     let (server, crs) = serve(NetConfig {
         workers: 2,
-        coalesce: false,
         ..NetConfig::default()
     });
     let mut client = NetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
@@ -195,7 +193,6 @@ fn deadline_expired_in_queue_is_shed_not_executed() {
     let _serial = serial();
     let (server, _crs) = serve(NetConfig {
         workers: 1,
-        coalesce: false,
         queue_depth: 64,
         ..NetConfig::default()
     });

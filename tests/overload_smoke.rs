@@ -59,7 +59,6 @@ fn saturating_mix_sheds_load_without_pinning_workers_or_corrupting_answers() {
         "127.0.0.1:0",
         NetConfig {
             workers: 2,
-            coalesce: false,
             // A short queue plus CoDel keeps the backlog honest: when the
             // workers can't keep up, refuse early instead of queueing
             // jobs that will only expire later.

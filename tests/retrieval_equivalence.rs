@@ -75,7 +75,7 @@ proptest! {
         let empty = Overlay::new(kb.symbols().clone());
         let mut elsewhere = empty.clone();
         let assert = WalOp::Assert { module: "s".into(), source: "side(a). side(b).".into() };
-        elsewhere.apply(1, &assert, &kb, &KbConfig::default()).unwrap();
+        elsewhere.apply(1, &assert, &kb).unwrap();
         let overlays = [None, Some(&empty), Some(&elsewhere)];
         let all: Vec<&Term> = queries.iter().collect();
         for mode in SearchMode::ALL {
