@@ -2,13 +2,10 @@
 //! experiment index.
 
 pub mod bench_suite;
-pub mod cache_wallclock;
-pub mod cluster_wallclock;
 pub mod false_drops;
 pub mod fig1;
 pub mod figures;
 pub mod fs1;
-pub mod fs1_wallclock;
 pub mod fs2_wallclock;
 pub mod levels;
 pub mod lists;
@@ -19,5 +16,4 @@ pub mod result_memory;
 pub mod table1;
 pub mod table_a1;
 pub mod throughput;
-pub mod wal_wallclock;
 pub mod warren_scale;

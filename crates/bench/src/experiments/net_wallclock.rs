@@ -147,8 +147,7 @@ pub fn run(cases: &[NetCase], facts: usize, rounds: usize) -> NetWallclockReport
 
 /// Where a wall-clock report's numbers come from: the kernel hostname,
 /// the cores available to the process, and `git describe --always
-/// --dirty` of the checkout. Shared with [`super::fs1_wallclock`] and
-/// [`super::fs2_wallclock`].
+/// --dirty` of the checkout. Shared with [`super::fs2_wallclock`].
 pub(crate) fn provenance() -> (String, usize, String) {
     let commit = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--abbrev=12"])

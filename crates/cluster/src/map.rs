@@ -148,4 +148,19 @@ mod tests {
         }
         assert!(seen.len() > 1, "first-arg split never left one shard");
     }
+
+    #[test]
+    fn sixteen_predicates_spread_evenly() {
+        // pred0/2 .. pred15/2 place 8/8 over two shards and 4/4/4/4 over
+        // four, so a routed mix over them is balanced; a skewed split is
+        // a placement change that moves every shard's load.
+        for shards in [2, 4] {
+            let m = map(shards);
+            let mut load = vec![0; shards];
+            for p in 0..16 {
+                load[m.route(&format!("pred{p}"), 2)] += 1;
+            }
+            assert_eq!(load, vec![16 / shards; shards], "{shards} shards");
+        }
+    }
 }

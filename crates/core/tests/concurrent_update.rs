@@ -16,11 +16,12 @@
 //! lock — the tests below pin the *replacement* guarantee: overlapping
 //! commits both land, and no writer's clauses are ever lost.
 
-use clare_core::{CancelToken, ClauseRetrievalServer, CrsOptions, SearchMode};
+use clare_core::{CancelToken, ClauseRetrievalServer, CompactionOutcome, CrsOptions, SearchMode};
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
 use clare_term::parser::parse_term;
 use clare_term::{SymbolTable, Term};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Builds a KB holding `n` `item/2` facts in the given symbol lineage.
 fn item_kb(symbols: Option<SymbolTable>, n: usize) -> (KnowledgeBase, SymbolTable) {
@@ -220,4 +221,42 @@ fn racing_transaction_commits_preserve_every_write() {
         "an acknowledged commit was lost"
     );
     assert_eq!(server.stats().updates, (WRITERS * PER_WRITER) as u64);
+}
+
+/// Compaction never blocks readers: retrievals issued while a background
+/// fold is in flight complete, answer as the overlay did, and are counted
+/// in `compaction.concurrent_retrievals`.
+#[test]
+fn retrievals_complete_while_a_compaction_is_in_flight() {
+    let (kb, mut symbols) = item_kb(None, 4_000);
+    let server = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
+    let q = parse_term("item(k7, X)", &mut symbols).unwrap();
+    let concurrent = || {
+        clare_trace::metrics()
+            .compaction_concurrent_retrievals
+            .get()
+    };
+    let before = concurrent();
+    // A fold over 4 000 facts takes milliseconds and a retrieval
+    // microseconds, so the first round nearly always overlaps; the
+    // retries only absorb a scheduler that runs the whole fold first.
+    for round in 0..20 {
+        server
+            .assert_source("m", &format!("item(k7, new{round})."))
+            .unwrap();
+        let expected = server.retrieve(&q, SearchMode::TwoStage).stats.unified;
+        let fold = server.spawn_compaction();
+        while !fold.is_finished() {
+            let got = server.retrieve(&q, SearchMode::TwoStage).stats.unified;
+            assert_eq!(got, expected, "round {round}: a retrieval during the fold");
+        }
+        assert!(matches!(
+            fold.join().unwrap(),
+            CompactionOutcome::Swapped { .. }
+        ));
+        if concurrent() > before {
+            return;
+        }
+    }
+    panic!("no retrieval overlapped any of 20 compactions");
 }

@@ -34,7 +34,8 @@ use crate::protocol::{
 };
 use clare_trace::MetricsSnapshot;
 
-/// Client tuning knobs.
+/// Client tuning knobs. The client always requests [`CAP_FRAME_CRC`] and
+/// caps replies at [`MAX_FRAME_LEN`]; neither is configurable.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// TCP connect timeout per candidate address.
@@ -43,8 +44,6 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
-    /// Frame length cap enforced on replies.
-    pub max_frame_len: u32,
     /// How many times an idempotent request (ping, retrieve, batch,
     /// stats, symbols) refused with `Busy` is re-sent before the error
     /// surfaces. A `Busy` reply means the request was shed *before*
@@ -54,11 +53,6 @@ pub struct ClientConfig {
     /// sleep starts from the server's `retry_after_ms` hint and doubles
     /// per attempt up to this cap.
     pub busy_retry_cap: Duration,
-    /// Request the [`CAP_FRAME_CRC`] capability in the hello: CRC32C
-    /// trailers on every frame in both directions. Effective only when
-    /// the server accepts; against an old server the connection simply
-    /// runs without checksums.
-    pub frame_checksums: bool,
     /// How many times an *idempotent* request that died with a
     /// connection-fatal error (I/O failure, framing corruption) is
     /// replayed over a fresh connection before the error surfaces.
@@ -72,10 +66,8 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
-            max_frame_len: MAX_FRAME_LEN,
             busy_retries: 5,
             busy_retry_cap: Duration::from_secs(1),
-            frame_checksums: true,
             reconnect_retries: 2,
         }
     }
@@ -139,11 +131,10 @@ impl NetClient {
         stream.set_write_timeout(Some(cfg.write_timeout))?;
         stream.set_nodelay(true).ok();
 
-        let requested = if cfg.frame_checksums {
-            CAP_FRAME_CRC | CAP_QUERY_BUDGET
-        } else {
-            CAP_QUERY_BUDGET
-        };
+        // Always ask for CRC32C trailers on every frame in both directions;
+        // against a server that declines, the connection simply runs
+        // without checksums.
+        let requested = CAP_FRAME_CRC | CAP_QUERY_BUDGET;
         stream.write_all(&encode_client_hello_caps(PROTOCOL_VERSION, requested))?;
         let mut hello_raw = [0u8; SERVER_HELLO_LEN];
         read_exactly(&mut stream, &mut hello_raw)?;
@@ -166,7 +157,7 @@ impl NetClient {
         // client never requested would be a server bug, so mask again.
         let checksums = hello.caps & requested & CAP_FRAME_CRC != 0;
         let budget_capable = hello.caps & requested & CAP_QUERY_BUDGET != 0;
-        let mut reader = FrameReader::new(cfg.max_frame_len);
+        let mut reader = FrameReader::new(MAX_FRAME_LEN);
         reader.set_checksums(checksums);
         // Seed the backoff jitter from wall clock and peer identity; the
         // whole point is that two clients retrying the same overload do

@@ -179,7 +179,8 @@ pub struct Metrics {
     /// Overlay clauses folded into rebuilt track segments.
     pub compaction_clauses: Counter,
     /// Retrievals served while a compaction pass was in flight — the
-    /// walbench liveness check that compaction never blocks readers.
+    /// benchmark reports it as `wal.retrievals_during_compaction`, the
+    /// liveness check that compaction never blocks readers.
     pub compaction_concurrent_retrievals: Counter,
     /// Host wall-clock per compaction pass, ns (rebuild plus swap).
     pub compaction_wall_ns: Histogram,
