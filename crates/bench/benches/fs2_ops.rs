@@ -1,8 +1,7 @@
 //! Criterion counterpart of E1/E2 (Table 1, Figures 6–12): how fast the
 //! *simulator* executes each of the seven hardware operations, the
-//! route-derivation cost itself, and clause filtering throughput across
-//! the three stream-sourcing strategies (re-parse bytes per clause,
-//! pre-decoded with per-clause op vectors, pre-decoded allocation-free).
+//! route-derivation cost itself, and clause filtering throughput from
+//! re-parsed record bytes and from pre-decoded streams.
 
 use clare_fs2::{Fs2Engine, HwOp};
 use clare_pif::{encode_clause_head, encode_query, ClauseRecord, PifStream};
@@ -32,20 +31,24 @@ fn bench_op_matching(c: &mut Criterion) {
         let c_stream = encode_clause_head(&cl).unwrap();
         let mut engine = Fs2Engine::new(&q_stream).unwrap();
         group.bench_function(label, |b| {
-            b.iter(|| black_box(engine.match_clause_stream(black_box(&c_stream)).matched))
+            b.iter(|| {
+                black_box(
+                    engine
+                        .match_clause_words(black_box(c_stream.words()))
+                        .matched,
+                )
+            })
         });
     }
     group.finish();
 }
 
-/// Filtering a clause set through the engine, three ways:
+/// Filtering a clause set through the engine, two ways:
 ///
 /// * `bytes` — re-parse every record from its on-disk bytes, then match
-///   through the allocation-free path (the pre-arena per-retrieval cost);
-/// * `decoded_alloc` — pre-decoded streams, but the op-vector path that
-///   allocates a `Vec<HwOp>` per clause;
-/// * `decoded_quiet` — pre-decoded streams through the allocation-free
-///   scratch path, as the retrieval pipeline now runs.
+///   (the pre-arena per-retrieval cost);
+/// * `decoded_quiet` — pre-decoded streams, as the retrieval pipeline
+///   runs.
 fn bench_clause_filtering(c: &mut Criterion) {
     let mut group = c.benchmark_group("fs2_clause_filtering");
     group.sample_size(10);
@@ -80,17 +83,6 @@ fn bench_clause_filtering(c: &mut Criterion) {
                         .match_clause_words(record.head_stream().words())
                         .matched
                     {
-                        hits += 1;
-                    }
-                }
-                black_box(hits)
-            })
-        });
-        group.bench_function(format!("decoded_alloc/{n}"), |b| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for s in &streams {
-                    if engine.match_clause_stream(s).matched {
                         hits += 1;
                     }
                 }

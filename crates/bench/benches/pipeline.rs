@@ -1,7 +1,7 @@
 //! Criterion counterpart of E5/E8/E15: whole-retrieval throughput per
 //! search mode, raw FS2 clause-stream filtering speed (simulator clauses
-//! per second), and two-stage retrieval scaling across the serial
-//! byte-decoding / pre-decoded arena FS2 sweep configurations.
+//! per second), and two-stage retrieval scaling with the knowledge-base
+//! size.
 
 use clare_core::{retrieve, CrsOptions, SearchMode};
 use clare_fs2::Fs2Engine;
@@ -57,30 +57,22 @@ fn build_fact_kb(n: usize) -> (KnowledgeBase, Term) {
     (builder.finish(KbConfig::default()), query)
 }
 
-fn fs2_options(predecoded: bool) -> CrsOptions {
-    let mut opts = CrsOptions::default();
-    opts.fs2 = opts.fs2.with_predecoded(predecoded);
-    opts
-}
-
 fn bench_two_stage_scaling(c: &mut Criterion) {
-    let contenders = [("serial", fs2_options(false)), ("arena", fs2_options(true))];
+    let opts = CrsOptions::default();
     let mut group = c.benchmark_group("two_stage_retrieval");
     group.sample_size(10);
     for n in [1_000usize, 10_000, 100_000] {
         let (kb, query) = build_fact_kb(n);
         group.throughput(Throughput::Elements(n as u64));
-        for (label, opts) in &contenders {
-            group.bench_function(format!("{label}/{n}"), |b| {
-                b.iter(|| {
-                    black_box(
-                        retrieve(&kb, black_box(&query), SearchMode::TwoStage, opts)
-                            .stats
-                            .unified,
-                    )
-                })
-            });
-        }
+        group.bench_function(format!("arena/{n}"), |b| {
+            b.iter(|| {
+                black_box(
+                    retrieve(&kb, black_box(&query), SearchMode::TwoStage, &opts)
+                        .stats
+                        .unified,
+                )
+            })
+        });
     }
     group.finish();
 }
@@ -106,7 +98,7 @@ fn bench_fs2_stream(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0usize;
             for s in &streams {
-                if engine.match_clause_stream(s).matched {
+                if engine.match_clause_words(s.words()).matched {
                     hits += 1;
                 }
             }

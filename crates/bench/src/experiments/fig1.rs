@@ -60,7 +60,8 @@ pub fn run(pairs: usize, seed: u64) -> Fig1Report {
             _ => continue,
         };
         let mut engine = Fs2Engine::new(&q_stream).expect("random queries fit query memory");
-        let hardware = engine.match_clause_stream(&c_stream);
+        let mut hardware_ops = Vec::new();
+        let hardware = engine.match_clause_observed(c_stream.words(), &mut hardware_ops);
         if unifies {
             report.unifiable += 1;
         }
@@ -72,9 +73,8 @@ pub fn run(pairs: usize, seed: u64) -> Fig1Report {
         } else if unifies {
             report.false_negatives += 1;
         }
-        let traces_equal = hardware.ops.len() == software.ops.len()
-            && hardware
-                .ops
+        let traces_equal = hardware_ops.len() == software.ops.len()
+            && hardware_ops
                 .iter()
                 .zip(&software.ops)
                 .all(|(h, s)| h.name() == s.name());

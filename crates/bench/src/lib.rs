@@ -28,9 +28,13 @@
 //! | E12 | database benchmark suite | [`experiments::bench_suite`] |
 //! | E13 | unlimited-list matching | [`experiments::lists`] |
 //! | E15 | FS2 two-stage host wall-clock (BENCH_fs2.json) | [`experiments::fs2_wallclock`] |
+//!
+//! [`board`] is the §2.2 model of the two filter boards behind their shared
+//! VMEbus window; nothing on the query path drives it.
 
 #![warn(missing_docs)]
 
+pub mod board;
 pub mod experiments;
 
 /// A paper-fidelity experiment: its `clare-tables` name, a one-line

@@ -20,9 +20,9 @@ use crate::budget::{BudgetExceeded, BudgetReason, CancelToken};
 use crate::cache::{CacheConfig, Fs1Slot};
 use crate::cost::SoftwareCostModel;
 use clare_disk::{DiskProfile, SimNanos, Track};
-use clare_fs2::{Fs2Config, Fs2Engine, Selection, TrackVerdict};
+use clare_fs2::{Fs2Engine, Selection};
 use clare_kb::{KnowledgeBase, ModuleKind, Predicate};
-use clare_pif::{encode_query, ClauseRecord};
+use clare_pif::encode_query;
 use clare_scw::{encode_query_descriptor, ClauseAddr};
 use clare_term::{term_size, ClauseId, Term};
 use clare_unify::partial::{partial_match, PartialConfig};
@@ -75,10 +75,6 @@ pub struct CrsOptions {
     pub disk: DiskProfile,
     /// Host CPU cost model.
     pub cost: SoftwareCostModel,
-    /// Whether FS2 matching reads the pre-decoded [`clare_kb::ClauseArena`]
-    /// (the default) or re-parses record bytes — the reference path. The
-    /// answer set and every modelled time are identical either way.
-    pub fs2: Fs2Config,
     /// Epoch-invalidated retrieval cache served by
     /// [`crate::ClauseRetrievalServer`]. Hits are byte-identical to the
     /// uncached pipeline; the free [`retrieve`] function never caches.
@@ -89,14 +85,8 @@ pub struct CrsOptions {
     /// them). Overlay clauses bypass the FS1 filter, so an unbounded
     /// overlay pays software-side filtering on every retrieval — this
     /// bound keeps that cost finite without any manual `compact_now`
-    /// call. `None` disables the size trigger.
+    /// call. `None` disables auto-compaction.
     pub overlay_auto_compact_ops: Option<usize>,
-    /// Auto-compaction age threshold: when a commit finds the oldest
-    /// uncompacted operation at least this old, a pass is triggered. The
-    /// age is only examined at commit time (there is no timer thread), so
-    /// a write-idle server keeps its overlay until the next commit.
-    /// `None` (the default) disables the age trigger.
-    pub overlay_auto_compact_age: Option<std::time::Duration>,
 }
 
 impl Default for CrsOptions {
@@ -104,10 +94,8 @@ impl Default for CrsOptions {
         CrsOptions {
             disk: DiskProfile::fujitsu_m2351a(),
             cost: SoftwareCostModel::m68020(),
-            fs2: Fs2Config::paper(),
             cache: CacheConfig::default(),
             overlay_auto_compact_ops: Some(8192),
-            overlay_auto_compact_age: None,
         }
     }
 }
@@ -320,7 +308,6 @@ pub(crate) fn pipeline(
     }
 
     let slot = |i: usize| fs1_slots.get(i).copied().flatten();
-    let predecoded = opts.fs2.predecoded();
     for (pred, members) in groups.into_values() {
         // FS1: cached outcomes first; the misses share one index pass.
         let index = pred.index();
@@ -386,8 +373,7 @@ pub(crate) fn pipeline(
                     counts.publish();
                     return Err(exceeded(reason, None));
                 }
-                let track = match_track(pred, engine, &mut selection, t, predecoded, &mut counts);
-                matches.push(track);
+                matches.push(match_track(pred, engine, &mut selection, t, &mut counts));
             }
             counts.publish();
             let m = clare_trace::metrics();
@@ -781,59 +767,34 @@ impl SweepCounts {
     }
 }
 
-/// Streams one track's clauses through the engine. With `predecoded` the
-/// track goes to [`Fs2Engine::match_track`] as one call over the
-/// predicate's [`ClauseArena`] (head streams decoded once at build/load
-/// time), walking only the clauses `selection` lists on it — the sweep's
-/// first-word posting lists; otherwise each record is re-parsed from its
-/// on-disk bytes and matched on its own — the reference path the arena is
-/// property-tested against.
+/// Streams one track's clauses through the engine: one
+/// [`Fs2Engine::match_track`] call over the predicate's [`ClauseArena`]
+/// (head streams decoded once at build/load time), walking only the
+/// clauses `selection` lists on the track — the sweep's first-word posting
+/// lists. A track whose stored bytes fail their CRC is quarantined
+/// instead.
 ///
 /// [`ClauseArena`]: clare_kb::ClauseArena
-// Kept out of line: folded into the large pipeline body, the per-record
-// loop below measures ~4 % slower (E15, `clare-tables fs2bench`).
+// Kept out of line: inlined into the large pipeline body, the sweep
+// measured ~4 % slower (E15, `clare-tables fs2bench`).
 #[inline(never)]
 fn match_track(
     pred: &Predicate,
     engine: &mut Fs2Engine,
     selection: &mut Selection<'_>,
     t: usize,
-    predecoded: bool,
     counts: &mut SweepCounts,
 ) -> TrackMatches {
-    // Integrity gate *before* the arena-vs-byte choice, so both paths make
-    // the same quarantine decision and stay byte-identical downstream. The
-    // CRC verdict is memoized per track inside the stored file, so the
+    // The CRC verdict is memoized per track inside the stored file, so the
     // fault-free fast path pays the checksum exactly once per track.
-    let Some(read) = pred.file().read_track(t) else {
-        return quarantine_track(pred, t);
-    };
-    if !read.intact() {
+    if !pred.file().read_track(t).is_some_and(|read| read.intact()) {
         return quarantine_track(pred, t);
     }
-    let (clauses, verdict) = if predecoded {
-        let arena = pred.arena();
-        let range = arena.track_clauses(t);
-        let verdict = engine.match_track(range.clone(), selection, |c| arena.stream(c));
-        (range.len(), verdict)
-    } else {
-        let records = read.track().records();
-        let mut verdict = TrackVerdict::default();
-        for (slot, record_bytes) in records.iter().enumerate() {
-            // A record that fails to parse despite a good CRC means the
-            // stored bytes themselves are bad: quarantine the whole track
-            // rather than trust a partial sweep (or panic, as this path
-            // once did).
-            let Ok((record, _)) = ClauseRecord::from_bytes(record_bytes) else {
-                return quarantine_track(pred, t);
-            };
-            let clause = engine.match_clause_words(record.head_stream().words());
-            verdict.add_clause(slot as u16, clause);
-        }
-        (records.len(), verdict)
-    };
+    let arena = pred.arena();
+    let clauses = arena.track_clauses(t);
+    let verdict = engine.match_track(clauses.clone(), selection, |c| arena.stream(c));
     counts.tracks += 1;
-    counts.clauses += clauses as u64;
+    counts.clauses += clauses.len() as u64;
     counts.satisfiers += verdict.hits.len() as u64;
     for (total, n) in counts.ops.iter_mut().zip(verdict.op_histogram) {
         *total += n;
@@ -1135,26 +1096,6 @@ mod tests {
         let positioning = opts.disk.avg_seek() + opts.disk.avg_rotational_latency();
         assert_eq!(gapped.disk_time, contiguous.disk_time + positioning);
         assert_eq!(gapped.bytes_from_disk, contiguous.bytes_from_disk);
-    }
-
-    #[test]
-    fn predecoded_and_byte_decoded_paths_agree() {
-        let (kb, queries) = build(&big_facts(1500), &["fact(k3, X)", "fact(S, S)"]);
-        let bytes = CrsOptions {
-            fs2: Fs2Config::paper().with_predecoded(false),
-            ..CrsOptions::default()
-        };
-        let opts = CrsOptions::default();
-        assert!(opts.fs2.predecoded(), "arena path is the default");
-        for q in &queries {
-            for mode in [SearchMode::Fs2Only, SearchMode::TwoStage] {
-                assert_eq!(
-                    retrieve(&kb, q, mode, &opts),
-                    retrieve(&kb, q, mode, &bytes),
-                    "mode = {mode}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -40,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod board;
 pub mod budget;
 pub mod cache;
 pub mod cost;
@@ -48,7 +47,6 @@ pub mod crs;
 pub mod resolve;
 pub mod server;
 
-pub use board::ClareBoard;
 pub use budget::{BudgetExceeded, BudgetReason, CancelToken, QueryBudget};
 pub use cache::CacheConfig;
 pub use cost::SoftwareCostModel;

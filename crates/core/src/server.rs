@@ -130,10 +130,6 @@ struct CommitState {
     /// subscriber asking to catch up from below this point cannot be
     /// served from the overlay — [`SubscribeError::Gap`].
     folded_through: u64,
-    /// When the overlay last went from empty to holding operations; the
-    /// age reference for the auto-compaction age trigger. Cleared when a
-    /// compaction or wholesale update empties the overlay.
-    overlay_born: Option<Instant>,
 }
 
 /// What a successful commit did.
@@ -369,7 +365,6 @@ impl ClauseRetrievalServer {
                 wal: None,
                 mem_seq: 1,
                 folded_through: 0,
-                overlay_born: None,
             }),
             compacting: AtomicBool::new(false),
             options,
@@ -649,7 +644,6 @@ impl ClauseRetrievalServer {
             .as_ref()
             .map_or(commit.mem_seq, |wal| wal.next_seq())
             - 1;
-        commit.overlay_born = None;
         let overlay = Overlay::new(kb.symbols().clone());
         let mut guard = self.kb.write();
         // Bump cache epochs *while holding the write lock*: readers take
@@ -761,7 +755,6 @@ impl ClauseRetrievalServer {
         // publisher (commits, wholesale updates, the compaction swap)
         // also takes it.
         let published = self.kb.read().clone();
-        let was_empty = published.overlay.is_empty();
         let mut overlay = (*published.overlay).clone();
         let first_seq = commit
             .wal
@@ -790,9 +783,6 @@ impl ClauseRetrievalServer {
                 false
             }
         };
-        if was_empty {
-            commit.overlay_born = Some(Instant::now());
-        }
         let mut guard = self.kb.write();
         debug_assert!(
             Arc::ptr_eq(&guard.base, &published.base),
@@ -911,30 +901,18 @@ impl ClauseRetrievalServer {
         Ok(current)
     }
 
-    /// Triggers a compaction pass when the just-committed overlay
-    /// crosses a configured size/age threshold. Called after every
+    /// Triggers a compaction pass when the just-committed overlay holds
+    /// at least `overlay_auto_compact_ops` operations. Called after every
     /// commit, outside all locks. Shared servers ([`Self::shared`]) get a
     /// detached background pass; plain ones compact synchronously (the
     /// committing caller pays the rebuild, keeping the bound honest
     /// without a handle to spawn through).
     fn maybe_auto_compact(&self) {
-        let size = self.options.overlay_auto_compact_ops;
-        let age = self.options.overlay_auto_compact_age;
-        if size.is_none() && age.is_none() {
+        let Some(threshold) = self.options.overlay_auto_compact_ops else {
             return;
-        }
+        };
         let len = self.kb.read().overlay.len();
-        if len == 0 {
-            return;
-        }
-        let over_size = size.is_some_and(|t| len >= t);
-        let over_age = age.is_some_and(|t| {
-            self.commit
-                .lock()
-                .overlay_born
-                .is_some_and(|born| born.elapsed() >= t)
-        });
-        if !over_size && !over_age {
+        if len == 0 || len < threshold {
             return;
         }
         if self.compacting.load(Ordering::Relaxed) {
@@ -1022,11 +1000,6 @@ impl ClauseRetrievalServer {
         // Everything at or below the sealed frontier leaves the overlay:
         // new replication subscribers must start past it.
         commit.folded_through = commit.folded_through.max(sealed_max);
-        commit.overlay_born = if residue.is_empty() {
-            None
-        } else {
-            Some(Instant::now())
-        };
         let (overlay, _skipped) = Overlay::rebuild(&rebuilt, &residue);
         // The rebuilt base is an incremental successor (same lineage and
         // fingerprint), so only the folded predicates' epochs bump —

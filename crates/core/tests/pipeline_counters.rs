@@ -1,6 +1,6 @@
 //! Trace-counter proof that a request scans the index only for the
 //! queries that will really run on FS1, and that the FS2 track kernel
-//! charges the registry exactly what the per-record sweep charges.
+//! charges the registry exactly what a clause-at-a-time walk charges.
 //!
 //! This file holds exactly one test on purpose: the trace registry is
 //! process-wide, and a sibling test running concurrently in the same
@@ -9,7 +9,9 @@
 //! granularity is enough.
 
 use clare_core::{retrieve, retrieve_batch, CancelToken, CrsOptions, SearchMode};
+use clare_fs2::Fs2Engine;
 use clare_kb::{KbBuilder, KbConfig};
+use clare_pif::encode_query;
 use clare_term::parser::parse_term;
 use clare_term::Term;
 
@@ -69,8 +71,8 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
     );
 
     // FS2 totals, published once per sweep: the kernel's bulk-charged
-    // first-word rejects must add up to what the byte-decoding reference
-    // sweep counts one record at a time.
+    // first-word rejects must add up to what walking every clause of the
+    // predicate through the engine counts one clause at a time.
     let fs2_counts = || {
         let mut counts = vec![
             m.fs2_sweeps.get(),
@@ -81,24 +83,29 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
         counts.extend(m.fs2_ops.iter().map(|op| op.get()));
         counts
     };
-    let fs2_delta = |opts: &CrsOptions| {
-        let before = fs2_counts();
-        retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, opts, &unlimited).unwrap();
-        let after = fs2_counts();
-        after
-            .iter()
-            .zip(before)
-            .map(|(a, b)| a - b)
-            .collect::<Vec<_>>()
-    };
-    let from_bytes = CrsOptions {
-        fs2: opts.fs2.with_predecoded(false),
-        ..opts.clone()
-    };
-    let kernel = fs2_delta(&opts);
-    assert_eq!(kernel, fs2_delta(&from_bytes));
+    let before = fs2_counts();
+    retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &unlimited).unwrap();
+    let kernel: Vec<u64> = fs2_counts()
+        .iter()
+        .zip(before)
+        .map(|(a, b)| a - b)
+        .collect();
     // Three encodable members, each sweeping the predicate's one track.
     assert_eq!(kernel[..3], [3, 3, 3 * 300]);
+    let arena = kb.lookup("p", 2).unwrap().arena();
+    let mut per_clause = kernel[..3].to_vec();
+    per_clause.resize(kernel.len(), 0);
+    for query in &queries[..3] {
+        let mut engine = Fs2Engine::new(&encode_query(query).unwrap()).unwrap();
+        for clause in 0..arena.len() {
+            let verdict = engine.match_clause_words(arena.stream(clause));
+            per_clause[3] += u64::from(verdict.matched);
+            for (total, n) in per_clause[4..].iter_mut().zip(verdict.op_histogram) {
+                *total += n as u64;
+            }
+        }
+    }
+    assert_eq!(kernel, per_clause);
     assert!(
         kernel[4..].iter().sum::<u64>() >= 3 * 300,
         "an op per clause"

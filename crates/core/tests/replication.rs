@@ -61,7 +61,7 @@ fn overlay_auto_compacts_past_the_size_threshold() {
     assert_eq!(got.stats.unified, 100);
 }
 
-/// Thresholds off (`None`) means no auto-trigger, however large the
+/// The threshold off (`None`) means no auto-trigger, however large the
 /// overlay grows.
 #[test]
 fn auto_compaction_disabled_when_thresholds_are_none() {
@@ -70,7 +70,6 @@ fn auto_compaction_disabled_when_thresholds_are_none() {
         base_kb(),
         CrsOptions {
             overlay_auto_compact_ops: None,
-            overlay_auto_compact_age: None,
             ..CrsOptions::default()
         },
     );

@@ -21,31 +21,10 @@ use clare_disk::SimNanos;
 use clare_pif::{PifStream, PifWord, TagCategory, TypeTag};
 use std::ops::Range;
 
-/// Outcome of matching one clause-head stream against the loaded query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClauseVerdict {
-    /// True if the clause survives the filter (a potential unifier).
-    pub matched: bool,
-    /// The hardware operations performed, in order.
-    pub ops: Vec<HwOp>,
-    /// Total execution time (sum of Table 1 entries for `ops`).
-    pub time: SimNanos,
-}
-
-impl ClauseVerdict {
-    /// Histogram over [`HwOp::ALL`].
-    pub fn op_histogram(&self) -> [usize; 7] {
-        let mut h = [0usize; 7];
-        for op in &self.ops {
-            h[op.index()] += 1;
-        }
-        h
-    }
-}
-
-/// Outcome of matching one clause-head stream on the allocation-free path
-/// ([`Fs2Engine::match_clause_words`]): the verdict, the exact Table 1
-/// time, and an operation histogram instead of the per-operation vector.
+/// Outcome of matching one clause-head stream against the loaded query:
+/// the verdict, the exact Table 1 time, and how often each operation ran.
+/// Anything more (the op sequence, a per-pair trace) is a
+/// [`MatchObserver`]'s to record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamVerdict {
     /// True if the clause survives the filter (a potential unifier).
@@ -54,13 +33,6 @@ pub struct StreamVerdict {
     pub time: SimNanos,
     /// Count of each operation performed, indexed per [`HwOp::ALL`].
     pub op_histogram: [usize; 7],
-}
-
-impl StreamVerdict {
-    /// Total operations performed.
-    pub fn op_count(&self) -> usize {
-        self.op_histogram.iter().sum()
-    }
 }
 
 /// Outcome of matching one track's clause-head streams
@@ -119,8 +91,67 @@ fn take_track<'a>(list: &mut &'a [u32], track: &Range<usize>) -> &'a [u32] {
     taken
 }
 
-/// One traced word-pair comparison (see
-/// [`Fs2Engine::match_clause_stream_traced`]).
+/// What a caller of [`Fs2Engine::match_clause_observed`] records of one
+/// clause walk beyond the [`StreamVerdict`]. Every method defaults to
+/// doing nothing, so `()` is the free observer the pipeline runs.
+pub trait MatchObserver {
+    /// A word pair was dispatched to `routine`; it stays open, with any
+    /// element pairs of a complex term nested inside it, until
+    /// [`Self::pair_end`].
+    fn pair_start(&mut self, _q_index: usize, _d_index: usize, _routine: Routine) {}
+    /// A hardware operation ran, charged to the innermost open pair.
+    fn op(&mut self, _op: HwOp) {}
+    /// The innermost open pair finished; `passed` if matching continues.
+    fn pair_end(&mut self, _passed: bool) {}
+}
+
+impl MatchObserver for () {}
+
+/// Records the operations performed, in order.
+impl MatchObserver for Vec<HwOp> {
+    fn op(&mut self, op: HwOp) {
+        self.push(op);
+    }
+}
+
+/// A per-pair record of one clause walk: which words were compared, which
+/// Map ROM routine fired, which operation it ran first, and whether the
+/// pair passed. [`crate::trace::render_trace`] lays it out as a table.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Trace {
+    /// One step per word pair, in dispatch order (a complex pair before
+    /// its element pairs).
+    pub steps: Vec<TraceStep>,
+    /// Indices into `steps` of the pairs still open, innermost last.
+    open: Vec<usize>,
+}
+
+impl MatchObserver for Trace {
+    fn pair_start(&mut self, q_index: usize, d_index: usize, routine: Routine) {
+        self.open.push(self.steps.len());
+        self.steps.push(TraceStep {
+            q_index,
+            d_index,
+            routine,
+            op: None,
+            passed: false,
+        });
+    }
+
+    fn op(&mut self, op: HwOp) {
+        if let Some(&step) = self.open.last() {
+            self.steps[step].op.get_or_insert(op);
+        }
+    }
+
+    fn pair_end(&mut self, passed: bool) {
+        if let Some(step) = self.open.pop() {
+            self.steps[step].passed = passed;
+        }
+    }
+}
+
+/// One traced word-pair comparison (see [`Trace`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceStep {
     /// Index of the query word in the query stream.
@@ -128,7 +159,7 @@ pub struct TraceStep {
     /// Index of the database word in the clause-head stream.
     pub d_index: usize,
     /// The Map ROM routine that fired.
-    pub routine: crate::map::Routine,
+    pub routine: Routine,
     /// The first hardware operation the routine performed, if any.
     pub op: Option<HwOp>,
     /// True if the pair passed (matching continued).
@@ -171,10 +202,10 @@ enum Resolved {
 /// let mut engine = Fs2Engine::new(&encode_query(&query)?)?;
 ///
 /// let hit = parse_term("married_couple(sue, sue)", &mut sy)?;
-/// assert!(engine.match_clause_stream(&encode_clause_head(&hit)?).matched);
+/// assert!(engine.match_clause_words(encode_clause_head(&hit)?.words()).matched);
 ///
 /// let miss = parse_term("married_couple(ann, bob)", &mut sy)?;
-/// assert!(!engine.match_clause_stream(&encode_clause_head(&miss)?).matched);
+/// assert!(!engine.match_clause_words(encode_clause_head(&miss)?.words()).matched);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -186,9 +217,6 @@ pub struct Fs2Engine {
     /// is burned once, so engine construction and cloning never pay the
     /// 64 K-entry derivation.
     rom: std::sync::Arc<MapRom>,
-    /// Reusable op buffer for the allocation-free path; cleared per
-    /// clause, its capacity persists across the whole sweep.
-    scratch_ops: Vec<HwOp>,
     /// The query's first word as a raw bus word, when it is a simple
     /// value (atom/float pointer or in-line integer) — the precondition
     /// for a [`Selection::Keyed`] sweep.
@@ -216,7 +244,6 @@ impl Fs2Engine {
             q_cells: CellBank::query_vars(n_vars),
             db_cells: CellBank::db_vars(0),
             rom: MapRom::shared(),
-            scratch_ops: Vec::new(),
             first_key,
         })
     }
@@ -234,51 +261,38 @@ impl Fs2Engine {
         self.first_key
     }
 
-    /// Matches one clause-head stream and records a per-pair trace: which
-    /// words were compared, which Map ROM routine fired, which hardware
-    /// operation ran, and whether the pair passed. The verdict is
-    /// identical to [`Self::match_clause_stream`].
-    pub fn match_clause_stream_traced(
-        &mut self,
-        db_stream: &PifStream,
-    ) -> (ClauseVerdict, Vec<TraceStep>) {
-        self.run_match(db_stream, true)
-    }
-
-    /// Matches one clause-head stream, resetting both variable memories
-    /// first (the per-clause "reset to pointing to itself").
-    pub fn match_clause_stream(&mut self, db_stream: &PifStream) -> ClauseVerdict {
-        self.run_match(db_stream, false).0
-    }
-
-    /// Allocation-free variant of [`Self::match_clause_stream`] for tight
-    /// sweep loops: matches a clause-head word slice (e.g. out of a
-    /// pre-decoded arena), reusing the engine's scratch op buffer, and
-    /// returns an op *histogram* plus time instead of the op vector. The
-    /// verdict and time are identical to the vector-returning path.
+    /// Matches one clause-head word slice (a pre-decoded arena stream or
+    /// an encoded head), resetting both variable memories first (the
+    /// per-clause "reset to pointing to itself"). This is the walk the
+    /// pipeline runs; it records nothing beyond the verdict.
     pub fn match_clause_words(&mut self, db_words: &[PifWord]) -> StreamVerdict {
+        self.match_clause_observed(db_words, &mut ())
+    }
+
+    /// [`Self::match_clause_words`], reporting every word pair and
+    /// operation to `observer` as the walk goes: a `Vec<HwOp>` collects
+    /// the op sequence, a [`Trace`] the per-pair steps. The verdict does
+    /// not depend on the observer.
+    pub fn match_clause_observed(
+        &mut self,
+        db_words: &[PifWord],
+        observer: &mut impl MatchObserver,
+    ) -> StreamVerdict {
         self.reset_cells(db_words);
-        let mut scratch = std::mem::take(&mut self.scratch_ops);
-        scratch.clear();
         let mut run = Run {
             rom: &self.rom,
             q_cells: &mut self.q_cells,
             db_cells: &mut self.db_cells,
-            ops: &mut scratch,
+            observer,
             op_histogram: [0; 7],
             time: SimNanos::ZERO,
-            traced: false,
-            trace: Vec::new(),
         };
-        let q = self.query.stream();
-        let matched = run.run(q, db_words);
-        let verdict = StreamVerdict {
+        let matched = run.run(self.query.stream(), db_words);
+        StreamVerdict {
             matched,
             time: run.time,
             op_histogram: run.op_histogram,
-        };
-        self.scratch_ops = scratch;
-        verdict
+        }
     }
 
     /// Matches one track's worth of clause heads: the track holds clauses
@@ -353,44 +367,17 @@ impl Fs2Engine {
         self.db_cells.reset(db_vars);
         self.q_cells.reset(self.query.var_count());
     }
-
-    fn run_match(
-        &mut self,
-        db_stream: &PifStream,
-        traced: bool,
-    ) -> (ClauseVerdict, Vec<TraceStep>) {
-        let d = db_stream.words();
-        self.reset_cells(d);
-
-        let mut ops = Vec::new();
-        let mut run = Run {
-            rom: &self.rom,
-            q_cells: &mut self.q_cells,
-            db_cells: &mut self.db_cells,
-            ops: &mut ops,
-            op_histogram: [0; 7],
-            time: SimNanos::ZERO,
-            traced,
-            trace: Vec::new(),
-        };
-        // Clone-free view of the two streams.
-        let q = self.query.stream();
-        let matched = run.run(q, d);
-        let time = run.time;
-        let trace = run.trace;
-        (ClauseVerdict { matched, ops, time }, trace)
-    }
 }
 
-struct Run<'a> {
+/// One clause walk: the cell banks it binds, the Table 1 time and op
+/// counts it accumulates, and the observer it reports to.
+struct Run<'a, O> {
     rom: &'a MapRom,
     q_cells: &'a mut CellBank,
     db_cells: &'a mut CellBank,
-    ops: &'a mut Vec<HwOp>,
+    observer: &'a mut O,
     op_histogram: [usize; 7],
     time: SimNanos,
-    traced: bool,
-    trace: Vec<TraceStep>,
 }
 
 /// Advance past a word and its in-line elements.
@@ -460,11 +447,11 @@ fn could_unify_raw(a: u32, b: u32) -> bool {
     }
 }
 
-impl Run<'_> {
+impl<O: MatchObserver> Run<'_, O> {
     fn op(&mut self, op: HwOp) {
         self.time += op.execution_time();
         self.op_histogram[op.index()] += 1;
-        self.ops.push(op);
+        self.observer.op(op);
     }
 
     fn run(&mut self, q: &[PifWord], d: &[PifWord]) -> bool {
@@ -493,35 +480,11 @@ impl Run<'_> {
         d: &[PifWord],
         di: usize,
     ) -> Option<(usize, usize)> {
-        if !self.traced {
-            return self.pair_inner(q, qi, d, di);
-        }
-        let routine = self.rom.dispatch(d[di].tag(), q[qi].tag());
-        let ops_before = self.ops.len();
-        let step_slot = self.trace.len();
-        self.trace.push(TraceStep {
-            q_index: qi,
-            d_index: di,
-            routine,
-            op: None,
-            passed: false,
-        });
-        let outcome = self.pair_inner(q, qi, d, di);
-        self.trace[step_slot].op = self.ops.get(ops_before).copied();
-        self.trace[step_slot].passed = outcome.is_some();
-        outcome
-    }
-
-    fn pair_inner(
-        &mut self,
-        q: &[PifWord],
-        qi: usize,
-        d: &[PifWord],
-        di: usize,
-    ) -> Option<(usize, usize)> {
         let qw = q[qi];
         let dw = d[di];
-        match self.rom.dispatch(dw.tag(), qw.tag()) {
+        let routine = self.rom.dispatch(dw.tag(), qw.tag());
+        self.observer.pair_start(qi, di, routine);
+        let outcome = match routine {
             Routine::Skip => {
                 self.op(HwOp::Match);
                 Some((skip(q, qi), skip(d, di)))
@@ -538,7 +501,9 @@ impl Run<'_> {
             Routine::QueryVar => self.var_routine(qw, dw, q, qi, d, di),
             Routine::ComplexMatch => self.complex(q, qi, d, di),
             Routine::Invalid => None,
-        }
+        };
+        self.observer.pair_end(outcome.is_some());
+        outcome
     }
 
     /// Follows a variable's reference chain through the two memories.
@@ -747,16 +712,20 @@ mod tests {
     use clare_term::parser::parse_term;
     use clare_term::SymbolTable;
 
-    fn verdict(query: &str, clause: &str) -> ClauseVerdict {
+    /// The verdict for `clause` against `query`, with the op sequence a
+    /// `Vec<HwOp>` observer recorded.
+    fn verdict(query: &str, clause: &str) -> (StreamVerdict, Vec<HwOp>) {
         let mut sy = SymbolTable::new();
         let q = parse_term(query, &mut sy).unwrap();
         let c = parse_term(clause, &mut sy).unwrap();
         let mut engine = Fs2Engine::new(&encode_query(&q).unwrap()).unwrap();
-        engine.match_clause_stream(&encode_clause_head(&c).unwrap())
+        let mut ops = Vec::new();
+        let v = engine.match_clause_observed(encode_clause_head(&c).unwrap().words(), &mut ops);
+        (v, ops)
     }
 
     fn fs2(query: &str, clause: &str) -> bool {
-        verdict(query, clause).matched
+        verdict(query, clause).0.matched
     }
 
     #[test]
@@ -778,10 +747,10 @@ mod tests {
     fn paper_cross_binding_example() {
         // §3.3.6: f(X, a, b) against f(A, a, A) needs a
         // DB_CROSS_BOUND_FETCH for the second A.
-        let v = verdict("f(X, a, b)", "f(A, a, A)");
+        let (v, ops) = verdict("f(X, a, b)", "f(A, a, A)");
         assert!(v.matched);
-        assert!(v.ops.contains(&HwOp::DbStore));
-        assert!(v.ops.contains(&HwOp::DbCrossBoundFetch));
+        assert!(ops.contains(&HwOp::DbStore));
+        assert!(ops.contains(&HwOp::DbCrossBoundFetch));
     }
 
     #[test]
@@ -794,9 +763,9 @@ mod tests {
     fn anon_skips() {
         assert!(fs2("f(_, b)", "f(anything, b)"));
         assert!(fs2("f(a, b)", "f(_, b)"));
-        let v = verdict("f(_)", "f(g(a, b))");
+        let (v, ops) = verdict("f(_)", "f(g(a, b))");
         assert!(v.matched, "anon skips a whole complex argument");
-        assert_eq!(v.ops, vec![HwOp::Match]);
+        assert_eq!(ops, vec![HwOp::Match]);
     }
 
     #[test]
@@ -825,28 +794,24 @@ mod tests {
     #[test]
     fn timing_accumulates_table_1_values() {
         // Two ground atoms: exactly two MATCH operations at 105 ns.
-        let v = verdict("f(a, b)", "f(a, b)");
-        assert_eq!(v.ops, vec![HwOp::Match, HwOp::Match]);
+        let (v, ops) = verdict("f(a, b)", "f(a, b)");
+        assert_eq!(ops, vec![HwOp::Match, HwOp::Match]);
         assert_eq!(v.time.as_ns(), 210);
         // QUERY_STORE (115) then QUERY_FETCH (170).
-        let v = verdict("f(X, X)", "f(a, a)");
-        assert_eq!(v.ops, vec![HwOp::QueryStore, HwOp::QueryFetch]);
+        let (v, ops) = verdict("f(X, X)", "f(a, a)");
+        assert_eq!(ops, vec![HwOp::QueryStore, HwOp::QueryFetch]);
         assert_eq!(v.time.as_ns(), 285);
         // DB_STORE (95) then DB_FETCH (105).
-        let v = verdict("f(a, a)", "f(A, A)");
-        assert_eq!(v.ops, vec![HwOp::DbStore, HwOp::DbFetch]);
+        let (v, ops) = verdict("f(a, a)", "f(A, A)");
+        assert_eq!(ops, vec![HwOp::DbStore, HwOp::DbFetch]);
         assert_eq!(v.time.as_ns(), 200);
     }
 
     #[test]
     fn query_cross_bound_fetch_chain() {
-        let v = verdict("f(X, Y, X, Y)", "f(B, B, c, c)");
+        let (v, ops) = verdict("f(X, Y, X, Y)", "f(B, B, c, c)");
         assert!(v.matched);
-        assert!(
-            v.ops.contains(&HwOp::QueryCrossBoundFetch),
-            "ops: {:?}",
-            v.ops
-        );
+        assert!(ops.contains(&HwOp::QueryCrossBoundFetch), "ops: {ops:?}");
         assert!(!fs2("f(X, Y, X, Y)", "f(B, B, c, d)"));
     }
 
@@ -872,9 +837,9 @@ mod tests {
     #[test]
     fn empty_streams_match() {
         // Zero-arity predicates have empty argument streams.
-        let v = verdict("halt", "halt");
+        let (v, ops) = verdict("halt", "halt");
         assert!(v.matched);
-        assert!(v.ops.is_empty());
+        assert!(ops.is_empty());
         assert_eq!(v.time, SimNanos::ZERO);
     }
 
@@ -889,25 +854,19 @@ mod tests {
         for _ in 0..3 {
             assert!(
                 engine
-                    .match_clause_stream(&encode_clause_head(&yes).unwrap())
+                    .match_clause_words(encode_clause_head(&yes).unwrap().words())
                     .matched
             );
             assert!(
                 !engine
-                    .match_clause_stream(&encode_clause_head(&no).unwrap())
+                    .match_clause_words(encode_clause_head(&no).unwrap().words())
                     .matched
             );
         }
     }
 
     #[test]
-    fn op_histogram_sums() {
-        let v = verdict("f(X, X, a)", "f(A, A, a)");
-        assert_eq!(v.op_histogram().iter().sum::<usize>(), v.ops.len());
-    }
-
-    #[test]
-    fn quiet_path_agrees_with_vector_path() {
+    fn observers_see_the_same_walk() {
         let cases = [
             ("f(a, 1)", "f(a, 1)"),
             ("f(a)", "f(b)"),
@@ -923,14 +882,19 @@ mod tests {
         for (qs, cs) in cases {
             let q = parse_term(qs, &mut sy).unwrap();
             let c = parse_term(cs, &mut sy).unwrap();
-            let stream = encode_clause_head(&c).unwrap();
+            let words = encode_clause_head(&c).unwrap();
             let mut engine = Fs2Engine::new(&encode_query(&q).unwrap()).unwrap();
-            let full = engine.match_clause_stream(&stream);
-            let quiet = engine.match_clause_words(stream.words());
-            assert_eq!(quiet.matched, full.matched, "{qs} vs {cs}");
-            assert_eq!(quiet.time, full.time, "{qs} vs {cs}");
-            assert_eq!(quiet.op_histogram, full.op_histogram(), "{qs} vs {cs}");
-            assert_eq!(quiet.op_count(), full.ops.len(), "{qs} vs {cs}");
+            let quiet = engine.match_clause_words(words.words());
+            let (mut ops, mut trace) = (Vec::new(), Trace::default());
+            let with_ops = engine.match_clause_observed(words.words(), &mut ops);
+            let traced = engine.match_clause_observed(words.words(), &mut trace);
+            assert_eq!((with_ops, traced), (quiet, quiet), "{qs} vs {cs}");
+            for op in HwOp::ALL {
+                let n = ops.iter().filter(|&&o| o == op).count();
+                assert_eq!(n, quiet.op_histogram[op.index()], "{op:?}: {qs} vs {cs}");
+            }
+            let last_passed = trace.steps.last().is_none_or(|step| step.passed);
+            assert_eq!(last_passed, quiet.matched, "{qs} vs {cs}");
         }
     }
 
@@ -1153,14 +1117,16 @@ mod tests {
             let q = parse_term(qs, &mut sy).unwrap();
             let c = parse_term(cs, &mut sy).unwrap();
             let mut engine = Fs2Engine::new(&encode_query(&q).unwrap()).unwrap();
-            let hw = engine.match_clause_stream(&encode_clause_head(&c).unwrap());
+            let mut ops = Vec::new();
+            let hw =
+                engine.match_clause_observed(encode_clause_head(&c).unwrap().words(), &mut ops);
             let sw = partial_match(&q, &c, PartialConfig::fs2());
             assert_eq!(
                 hw.matched, sw.matched,
                 "hardware vs software verdict for {qs} vs {cs}"
             );
             let sw_ops: Vec<&str> = sw.ops.iter().map(|o| o.name()).collect();
-            let hw_ops: Vec<&str> = hw.ops.iter().map(|o| o.name()).collect();
+            let hw_ops: Vec<&str> = ops.iter().map(|o| o.name()).collect();
             assert_eq!(hw_ops, sw_ops, "op traces for {qs} vs {cs}");
         }
     }
@@ -1173,12 +1139,14 @@ mod trace_tests {
     use clare_term::parser::parse_term;
     use clare_term::SymbolTable;
 
-    fn traced(query: &str, clause: &str) -> (ClauseVerdict, Vec<TraceStep>) {
+    fn traced(query: &str, clause: &str) -> (StreamVerdict, Vec<TraceStep>) {
         let mut sy = SymbolTable::new();
         let q = parse_term(query, &mut sy).unwrap();
         let c = parse_term(clause, &mut sy).unwrap();
         let mut engine = Fs2Engine::new(&encode_query(&q).unwrap()).unwrap();
-        engine.match_clause_stream_traced(&encode_clause_head(&c).unwrap())
+        let mut trace = Trace::default();
+        let v = engine.match_clause_observed(encode_clause_head(&c).unwrap().words(), &mut trace);
+        (v, trace.steps)
     }
 
     #[test]
@@ -1204,31 +1172,11 @@ mod trace_tests {
     }
 
     #[test]
-    fn traced_and_untraced_agree() {
-        let cases = [
-            ("f(X, X)", "f(a, a)"),
-            ("f(X, X)", "f(a, b)"),
-            ("p(g(a, X))", "p(g(a, b))"),
-            ("p([a | T])", "p([a, b])"),
-        ];
-        for (q, c) in cases {
-            let (v1, trace) = traced(q, c);
-            let mut sy = SymbolTable::new();
-            let qt = parse_term(q, &mut sy).unwrap();
-            let ct = parse_term(c, &mut sy).unwrap();
-            let mut engine = Fs2Engine::new(&encode_query(&qt).unwrap()).unwrap();
-            let v2 = engine.match_clause_stream(&encode_clause_head(&ct).unwrap());
-            assert_eq!(v1, v2, "{q} vs {c}");
-            assert!(!trace.is_empty());
-        }
-    }
-
-    #[test]
     fn nested_elements_appear_in_trace() {
         let (_, trace) = traced("p(g(a, b))", "p(g(a, b))");
         // Pair for g/2 word, then pairs for both elements.
         assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].routine, crate::map::Routine::ComplexMatch);
+        assert_eq!(trace[0].routine, Routine::ComplexMatch);
         assert_eq!(trace[1].q_index, 1);
         assert_eq!(trace[2].q_index, 2);
     }
@@ -1251,7 +1199,7 @@ mod robustness_tests {
         let mut bad = PifStream::new();
         bad.push(PifWord::new(TypeTag::StructInline { arity: 3 }, 0));
         bad.push(PifWord::new(TypeTag::AtomPtr, 1)); // only one element
-        let verdict = engine.match_clause_stream(&bad);
+        let verdict = engine.match_clause_words(bad.words());
         assert!(!verdict.matched);
     }
 
@@ -1269,7 +1217,7 @@ mod robustness_tests {
         ] {
             let mut bad = PifStream::new();
             bad.push(PifWord::new(tag, 63));
-            let _ = engine.match_clause_stream(&bad);
+            let _ = engine.match_clause_words(bad.words());
         }
     }
 
@@ -1297,7 +1245,7 @@ mod robustness_tests {
                 }
             }
             // Must not panic, whatever the verdict.
-            let _ = engine.match_clause_stream(&stream);
+            let _ = engine.match_clause_words(stream.words());
         }
     }
 }

@@ -23,7 +23,8 @@
 //!   microroutine, per the three type categories of §3.1.
 //! * [`engine`] — the matching engine: walks the pre-loaded query stream
 //!   against each clause head stream, drives the seven operations, and
-//!   renders a verdict with a full operation trace and nanosecond timing.
+//!   renders a verdict with an op histogram and nanosecond timing; a
+//!   [`MatchObserver`] records the op sequence or a per-pair [`Trace`].
 //! * [`result`] — the Result Memory with its 6-bit satisfier counter and
 //!   9-bit offset counter (32 KB, one disk track worst case).
 //! * [`buffer`] — the Double Buffer alternation model.
@@ -34,7 +35,6 @@
 
 pub mod buffer;
 pub mod components;
-pub mod config;
 pub mod control;
 pub mod device;
 pub mod engine;
@@ -46,10 +46,11 @@ pub mod result;
 pub mod rtl;
 pub mod trace;
 
-pub use config::Fs2Config;
 pub use control::{ControlRegister, FilterSelect, OperationalMode};
 pub use device::{Fs2Device, SearchStats};
-pub use engine::{ClauseVerdict, Fs2Engine, Selection, StreamVerdict, TraceStep, TrackVerdict};
+pub use engine::{
+    Fs2Engine, MatchObserver, Selection, StreamVerdict, Trace, TraceStep, TrackVerdict,
+};
 pub use micro::{Microprogram, Wcs};
 pub use ops::{HwOp, RouteTrace};
 pub use result::ResultMemory;

@@ -1,7 +1,7 @@
 //! Human-readable rendering of FS2 match traces.
 //!
-//! [`Fs2Engine::match_clause_stream_traced`](crate::engine::Fs2Engine::match_clause_stream_traced)
-//! records which word pairs were compared and what the hardware did;
+//! A [`Trace`](crate::engine::Trace) observer records which word pairs
+//! were compared and what the hardware did;
 //! [`render_trace`] lays that out as a table — the closest software
 //! equivalent of watching the Map ROM dispatch on a logic analyser.
 
@@ -77,7 +77,7 @@ pub fn render_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Fs2Engine;
+    use crate::engine::{Fs2Engine, Trace};
     use clare_pif::{encode_clause_head, encode_query};
     use clare_term::parser::parse_term;
     use clare_term::SymbolTable;
@@ -90,9 +90,10 @@ mod tests {
         let q_stream = encode_query(&q).unwrap();
         let c_stream = encode_clause_head(&c).unwrap();
         let mut engine = Fs2Engine::new(&q_stream).unwrap();
-        let (verdict, steps) = engine.match_clause_stream_traced(&c_stream);
+        let mut trace = Trace::default();
+        let verdict = engine.match_clause_observed(c_stream.words(), &mut trace);
         assert!(verdict.matched);
-        let text = render_trace(q_stream.words(), c_stream.words(), &steps);
+        let text = render_trace(q_stream.words(), c_stream.words(), &trace.steps);
         assert!(text.contains("QUERY_STORE"));
         assert!(text.contains("MATCH (105 ns)"));
         assert!(text.contains("pass"));
@@ -108,9 +109,10 @@ mod tests {
         let q_stream = encode_query(&q).unwrap();
         let c_stream = encode_clause_head(&c).unwrap();
         let mut engine = Fs2Engine::new(&q_stream).unwrap();
-        let (verdict, steps) = engine.match_clause_stream_traced(&c_stream);
+        let mut trace = Trace::default();
+        let verdict = engine.match_clause_observed(c_stream.words(), &mut trace);
         assert!(!verdict.matched);
-        let text = render_trace(q_stream.words(), c_stream.words(), &steps);
+        let text = render_trace(q_stream.words(), c_stream.words(), &trace.steps);
         assert!(text.contains("FAIL"));
     }
 

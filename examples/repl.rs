@@ -13,6 +13,7 @@
 //! per-layer metrics registry (FS1, FS2, CRS, net).
 
 use clare::fs2::trace::render_trace;
+use clare::fs2::Trace;
 use clare::prelude::*;
 use std::io::{BufRead, Write as _};
 
@@ -51,7 +52,8 @@ fn trace_goal(server: &ClauseRetrievalServer, symbols: &SymbolTable, src: &str) 
         let Ok(c_stream) = encode_clause_head(clause.head()) else {
             continue;
         };
-        let (verdict, steps) = engine.match_clause_stream_traced(&c_stream);
+        let mut trace = Trace::default();
+        let verdict = engine.match_clause_observed(c_stream.words(), &mut trace);
         println!(
             "clause {}: {}  ->  {} in {}",
             i,
@@ -65,7 +67,7 @@ fn trace_goal(server: &ClauseRetrievalServer, symbols: &SymbolTable, src: &str) 
         );
         print!(
             "{}",
-            render_trace(q_stream.words(), c_stream.words(), &steps)
+            render_trace(q_stream.words(), c_stream.words(), &trace.steps)
         );
     }
     if pred.clauses().len() > 4 {

@@ -67,7 +67,7 @@ pub mod prelude {
         WalError, WalOp,
     };
     pub use clare_disk::{ByteRate, DiskProfile, SimNanos};
-    pub use clare_fs2::{Fs2Config, Fs2Device, Fs2Engine, HwOp};
+    pub use clare_fs2::{Fs2Device, Fs2Engine, HwOp};
     pub use clare_kb::{KbBuilder, KbConfig, KbStats, KnowledgeBase};
     pub use clare_net::{ClientConfig, NetClient, NetConfig, NetError, NetServer};
     pub use clare_pif::{encode_clause_head, encode_query, ClauseRecord};

@@ -46,7 +46,7 @@ proptest! {
                 "false negative at the FS2 configuration"
             );
             let mut engine = Fs2Engine::new(&encode_query(&query).unwrap()).unwrap();
-            let verdict = engine.match_clause_stream(&encode_clause_head(&clause).unwrap());
+            let verdict = engine.match_clause_words(encode_clause_head(&clause).unwrap().words());
             prop_assert!(verdict.matched, "false negative in the hardware engine");
         }
     }
@@ -62,9 +62,10 @@ proptest! {
             let clause = gen.head();
             let sw = partial_match(&query, &clause, PartialConfig::fs2());
             let mut engine = Fs2Engine::new(&encode_query(&query).unwrap()).unwrap();
-            let hw = engine.match_clause_stream(&encode_clause_head(&clause).unwrap());
+            let mut ops = Vec::new();
+            let hw = engine.match_clause_observed(encode_clause_head(&clause).unwrap().words(), &mut ops);
             prop_assert_eq!(hw.matched, sw.matched, "verdicts differ");
-            let hw_ops: Vec<&str> = hw.ops.iter().map(|o| o.name()).collect();
+            let hw_ops: Vec<&str> = ops.iter().map(|o| o.name()).collect();
             let sw_ops: Vec<&str> = sw.ops.iter().map(|o| o.name()).collect();
             prop_assert_eq!(hw_ops, sw_ops, "op traces differ");
         }

@@ -4,9 +4,8 @@
 //! There is one pipeline. A query may reach it alone or inside a
 //! mixed-predicate batch, under the unlimited token or a budget it never
 //! exhausts, over the bare base or with an overlay that does not touch
-//! its predicate, swept by the FS2 track kernel over the arena or record
-//! by record from bytes, in any of the four modes — and every one of
-//! those must return the identical [`Retrieval`]: same candidates, same
+//! its predicate, in any of the four modes — and every one of those must
+//! return the identical [`Retrieval`]: same candidates, same
 //! statistics, and therefore the same modelled `fs1_time`, `fs2_time`,
 //! `disk_time` and `elapsed`. These tests pin that down over random
 //! knowledge bases and queries, together with the filters' one contract:
@@ -64,14 +63,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Alone or batched × unlimited or generously budgeted × no overlay,
-    /// an empty one, or one with a delta on another predicate × the
-    /// track kernel or the byte-decoding reference sweep × the four modes:
-    /// always exactly what the plain [`retrieve`] returns.
+    /// an empty one, or one with a delta on another predicate × the four
+    /// modes: always exactly what the plain [`retrieve`] returns.
     #[test]
     fn every_request_shape_returns_the_same_retrieval(seed in any::<u64>()) {
         let (kb, queries) = random_kb(seed, 100);
         let opts = CrsOptions::default();
-        let bytes = CrsOptions { fs2: Fs2Config::paper().with_predecoded(false), ..opts.clone() };
         let empty = Overlay::new(kb.symbols().clone());
         let mut elsewhere = empty.clone();
         let assert = WalOp::Assert { module: "s".into(), source: "side(a). side(b).".into() };
@@ -83,8 +80,6 @@ proptest! {
                 queries.iter().map(|q| retrieve(&kb, q, mode, &opts)).collect();
             // `RandomTerms` heads carry variable and complex first
             // arguments, so both sides of the kernel's prefilter run.
-            let from_bytes = retrieve_batch(&kb, None, &all, mode, &bytes, &CancelToken::unlimited());
-            prop_assert_eq!(from_bytes.as_ref(), Ok(&reference), "byte-decoded, mode = {}", mode);
             for overlay in overlays {
                 for budgeted in [false, true] {
                     let token = || if budgeted { generous() } else { CancelToken::unlimited() };
