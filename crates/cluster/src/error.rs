@@ -1,5 +1,6 @@
 //! Typed cluster-layer errors.
 
+use clare_net::protocol::{ErrorCode, ErrorReply};
 use clare_net::NetError;
 
 /// Everything that can go wrong routing a request through the cluster.
@@ -89,5 +90,28 @@ impl std::error::Error for ClusterError {
 impl From<NetError> for ClusterError {
     fn from(e: NetError) -> Self {
         ClusterError::Net(e)
+    }
+}
+
+/// How the router's front end answers a failed request. A backend's own
+/// error frame passes through with its code and retry hint.
+impl From<ClusterError> for ErrorReply {
+    fn from(e: ClusterError) -> Self {
+        match e {
+            ClusterError::Net(NetError::Remote {
+                code,
+                retry_after_ms,
+                message,
+            }) => ErrorReply {
+                code,
+                retry_after_ms,
+                message,
+            },
+            ClusterError::Parse(msg) => ErrorReply::new(ErrorCode::ConsultRejected, msg),
+            ClusterError::Unroutable(_) | ClusterError::CrossShardWrite { .. } => {
+                ErrorReply::new(ErrorCode::Unsupported, e.to_string())
+            }
+            _ => ErrorReply::new(ErrorCode::Internal, e.to_string()),
+        }
     }
 }

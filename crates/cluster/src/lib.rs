@@ -20,9 +20,10 @@
 //! [`Router::tick_health`]) flags answers from a possibly-stale backup
 //! as degraded rather than dropping them.
 //!
-//! The `clare-cluster` binary wraps the router in the same wire
-//! protocol the backends speak, so ordinary [`clare_net::NetClient`]s
-//! talk to the cluster exactly as they would to one server.
+//! [`Router`] implements [`clare_net::Service`], and the `clare-cluster`
+//! binary serves it through the same [`clare_net::NetServer`] the
+//! backends run, so ordinary [`clare_net::NetClient`]s talk to the
+//! cluster exactly as they would to one server.
 
 // The router mediates between live network peers; a refused frame or a
 // dead backend must degrade, never abort. CI greps for this gate; do

@@ -21,8 +21,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use clare_core::{CommitReceipt, Retrieval, SearchMode, ServerStats};
-use clare_net::{ClientConfig, ErrorCode, NetClient, NetError};
+use clare_core::{CancelToken, CommitReceipt, Retrieval, SearchMode, ServerStats};
+use clare_net::protocol::{ErrorReply, CAP_FRAME_CRC};
+use clare_net::{ClientConfig, ErrorCode, NetClient, NetError, Service};
 use clare_term::parser::parse_program;
 use clare_term::{SymbolTable, Term};
 
@@ -468,22 +469,6 @@ impl Router {
         Ok(retrieval)
     }
 
-    /// Aggregated service statistics across every serving backend.
-    pub fn stats(&self) -> Result<ServerStats, ClusterError> {
-        let mut total = ServerStats::default();
-        for shard in &self.shards {
-            let s = lock(&shard.serving).stats()?;
-            total.retrievals += s.retrievals;
-            total.batches += s.batches;
-            total.solves += s.solves;
-            total.updates += s.updates;
-            total.rejected += s.rejected;
-            total.degraded += s.degraded;
-            total.total_elapsed += s.total_elapsed;
-        }
-        Ok(total)
-    }
-
     // ------------------------------------------------------------------
     // Writes
     // ------------------------------------------------------------------
@@ -787,6 +772,64 @@ impl Router {
         *lock(&shard.serving) = fresh;
         clare_trace::metrics().cluster_failovers.inc();
         Ok(())
+    }
+}
+
+/// The router behind a [`NetServer`](clare_net::NetServer): what the
+/// `clare-cluster` daemon serves. Solve, consult and the replication
+/// opcodes keep the trait's `Unsupported` answers.
+impl Service for Router {
+    fn fingerprint(&self) -> u64 {
+        self.kb_fingerprint()
+    }
+
+    /// The router forwards queries without their budget tail, so it
+    /// grants the CRC capability only.
+    fn caps(&self) -> u8 {
+        CAP_FRAME_CRC
+    }
+
+    /// Queries in one pass may route to different shards, so each is
+    /// routed on its own (batch results equal individual retrievals, so
+    /// this is lossless); the first failure fails the pass.
+    fn retrieve_batch(
+        &self,
+        queries: &[Term],
+        mode: SearchMode,
+        _cancel: &CancelToken,
+    ) -> Result<Vec<Retrieval>, ErrorReply> {
+        queries
+            .iter()
+            .map(|query| self.retrieve(query, mode).map_err(ErrorReply::from))
+            .collect()
+    }
+
+    fn assert_source(&self, module: &str, source: &str) -> Result<CommitReceipt, ErrorReply> {
+        Ok(self.assert(module, source)?.receipt)
+    }
+
+    fn retract_source(&self, module: &str, source: &str) -> Result<CommitReceipt, ErrorReply> {
+        Ok(self.retract(module, source)?.receipt)
+    }
+
+    /// Aggregated service statistics across every serving backend.
+    fn stats(&self) -> Result<ServerStats, ErrorReply> {
+        let mut total = ServerStats::default();
+        for shard in &self.shards {
+            let s = lock(&shard.serving).stats().map_err(ClusterError::from)?;
+            total.retrievals += s.retrievals;
+            total.batches += s.batches;
+            total.solves += s.solves;
+            total.updates += s.updates;
+            total.rejected += s.rejected;
+            total.degraded += s.degraded;
+            total.total_elapsed += s.total_elapsed;
+        }
+        Ok(total)
+    }
+
+    fn symbols(&self) -> SymbolTable {
+        Router::symbols(self)
     }
 }
 

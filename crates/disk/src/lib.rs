@@ -44,6 +44,6 @@ pub mod volume;
 pub use profile::DiskProfile;
 pub use time::{ByteRate, SimNanos, TimeError};
 pub use volume::{
-    FileBuilder, InvalidTrackSizeError, RecordTooLargeError, StoredFile, Track, TrackRead,
-    TrackStream, TransferStats,
+    FileBuilder, InvalidTrackSizeError, RecordTooLargeError, StoredFile, Track, TrackStream,
+    TransferStats,
 };

@@ -39,10 +39,8 @@ use std::sync::Arc;
 
 struct Args {
     addr: String,
-    shards: usize,
-    workers: usize,
-    max_conns: usize,
-    queue_depth: usize,
+    /// `NetConfig`'s defaults are the documented option defaults.
+    net: NetConfig,
     module: String,
     wal: Option<String>,
     warren: Option<f64>,
@@ -53,10 +51,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7879".to_owned(),
-        shards: 1,
-        workers: 4,
-        max_conns: 64,
-        queue_depth: 256,
+        net: NetConfig::default(),
         module: "user".to_owned(),
         wal: None,
         warren: None,
@@ -65,38 +60,16 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {arg}"));
         match arg.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?
-            }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?
-            }
-            "--max-conns" => {
-                args.max_conns = value("--max-conns")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-conns: {e}"))?
-            }
-            "--queue-depth" => {
-                args.queue_depth = value("--queue-depth")?
-                    .parse()
-                    .map_err(|e| format!("bad --queue-depth: {e}"))?
-            }
-            "--module" => args.module = value("--module")?,
-            "--wal" => args.wal = Some(value("--wal")?),
-            "--warren" => {
-                args.warren = Some(
-                    value("--warren")?
-                        .parse()
-                        .map_err(|e| format!("bad --warren: {e}"))?,
-                )
-            }
+            "--addr" => args.addr = value()?,
+            "--shards" => args.net.reactor_shards = number(&arg, value()?)?,
+            "--workers" => args.net.workers = number(&arg, value()?)?,
+            "--max-conns" => args.net.max_connections = number(&arg, value()?)?,
+            "--queue-depth" => args.net.queue_depth = number(&arg, value()?)?,
+            "--module" => args.module = value()?,
+            "--wal" => args.wal = Some(value()?),
+            "--warren" => args.warren = Some(number(&arg, value()?)?),
             "--no-stdin" => args.wait_stdin = false,
             "--help" | "-h" => {
                 return Err("usage: clare-served [OPTIONS] [program.pl] \
@@ -111,6 +84,14 @@ fn parse_args() -> Result<Args, String> {
         return Err("--warren and a program file are mutually exclusive".to_owned());
     }
     Ok(args)
+}
+
+/// Parses the value of a numeric option.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("bad {flag}: {e}"))
 }
 
 fn build_kb(args: &Args) -> Result<clare_kb::KnowledgeBase, String> {
@@ -178,14 +159,7 @@ fn main() {
             }
         }
     }
-    let cfg = NetConfig {
-        reactor_shards: args.shards,
-        workers: args.workers,
-        max_connections: args.max_conns,
-        queue_depth: args.queue_depth,
-        ..NetConfig::default()
-    };
-    let server = match NetServer::bind(crs, &args.addr, cfg) {
+    let server = match NetServer::bind(Arc::clone(&crs), &args.addr, args.net.clone()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("clare-served: cannot bind {}: {e}", args.addr);
@@ -198,20 +172,19 @@ fn main() {
     println!("listening on {}", server.local_addr());
     eprintln!(
         "clare-served: protocol v{PROTOCOL_VERSION}, {} workers, {} connections max",
-        args.workers, args.max_conns
+        args.net.workers, args.net.max_connections
     );
 
     if args.wait_stdin {
         // Serve until stdin closes, then drain and exit — the natural
         // lifecycle under a spawning test harness or a shell pipe.
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            if line.is_err() {
-                break;
-            }
-        }
+        std::io::stdin()
+            .lock()
+            .lines()
+            .map_while(Result::ok)
+            .for_each(drop);
         eprintln!("clare-served: stdin closed, draining…");
-        let stats = server.crs().stats();
+        let stats = crs.stats();
         server.shutdown();
         eprintln!(
             "clare-served: served {} retrievals ({} batches), {} solves, \

@@ -3,9 +3,9 @@
 //! The paper's CRS is a shared back-end engine: one retrieval unit serving
 //! many inference machines. This crate gives the reproduction the same
 //! shape over a network — a [`NetServer`] front-end that exposes a
-//! [`ClauseRetrievalServer`](clare_core::ClauseRetrievalServer) to remote
-//! clients, a standalone daemon (`clare-served`), and a blocking
-//! [`NetClient`].
+//! [`Service`] (a [`ClauseRetrievalServer`](clare_core::ClauseRetrievalServer),
+//! or the `clare-cluster` router) to remote clients, a standalone daemon
+//! (`clare-served`), and a blocking [`NetClient`].
 //!
 //! Three layers:
 //!
@@ -61,8 +61,10 @@ pub mod error;
 pub mod protocol;
 pub(crate) mod reactor;
 pub mod server;
+pub mod service;
 
 pub use client::{ClientConfig, NetClient};
 pub use error::NetError;
 pub use protocol::{BudgetExt, ErrorCode, CAP_QUERY_BUDGET, PROTOCOL_VERSION};
 pub use server::{NetConfig, NetServer};
+pub use service::Service;

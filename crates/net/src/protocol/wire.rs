@@ -388,9 +388,8 @@ pub fn decode_server_hello(raw: &[u8; SERVER_HELLO_LEN]) -> Result<ServerHello, 
     })
 }
 
-/// The admission rule, shared by every listener that speaks this protocol
-/// (the serving reactor and the `clare-cluster` router daemon): a client
-/// is admitted only when its hello carries the right magic and exactly
+/// The admission rule the serving reactor applies to every hello: a
+/// client is admitted only when its hello carries the right magic and exactly
 /// [`PROTOCOL_VERSION`], and is granted the capabilities it requested that
 /// the listener allows (`allowed_caps`). Anything else is answered
 /// [`HelloStatus::VersionMismatch`] with no capabilities, after which the
@@ -1156,6 +1155,17 @@ pub struct ErrorReply {
     pub retry_after_ms: u32,
     /// Human-readable detail.
     pub message: String,
+}
+
+impl ErrorReply {
+    /// An error reply with no retry hint.
+    pub fn new(code: ErrorCode, message: impl Into<String>) -> ErrorReply {
+        ErrorReply {
+            code,
+            retry_after_ms: 0,
+            message: message.into(),
+        }
+    }
 }
 
 /// Encodes an [`ErrorReply`].

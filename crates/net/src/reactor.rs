@@ -23,6 +23,10 @@
 //! bounded by the write timeout — which is how a slow client exerts
 //! backpressure on the service instead of ballooning memory.
 //!
+//! It is the workspace's only listener (`clare-served` and the
+//! `clare-cluster` router both serve through it); the handshake grants
+//! the [`Service`](crate::Service)'s capabilities and its fingerprint.
+//!
 //! Each connection has one shared object, its [`Outbound`]: the shard,
 //! every job decoded from the connection and any log watcher it
 //! registered hold the same `Arc`. It owns the socket, the reply queue,
@@ -52,8 +56,8 @@ use std::time::{Duration, Instant};
 
 use crate::protocol::{
     admit_client, encode_error, encode_server_hello, opcode, ErrorCode, ErrorReply, Frame,
-    FrameReader, HelloStatus, ServerHello, CAP_FRAME_CRC, CAP_QUERY_BUDGET, CLIENT_HELLO_LEN,
-    MAX_FRAME_LEN, PROTOCOL_VERSION,
+    FrameReader, HelloStatus, ServerHello, CAP_FRAME_CRC, CLIENT_HELLO_LEN, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 use crate::server::{process_burst, NetConfig, Shared};
 
@@ -455,19 +459,8 @@ impl Outbound {
         self.enqueue(bytes);
     }
 
-    pub(crate) fn send_error(
-        &self,
-        request_id: u64,
-        code: ErrorCode,
-        retry_after_ms: u32,
-        message: String,
-    ) {
-        let reply = ErrorReply {
-            code,
-            retry_after_ms,
-            message,
-        };
-        self.send(&Frame::new(request_id, opcode::ERROR, encode_error(&reply)));
+    pub(crate) fn send_error(&self, request_id: u64, reply: &ErrorReply) {
+        self.send(&Frame::new(request_id, opcode::ERROR, encode_error(reply)));
     }
 
     /// Accounts one decoded job headed for the worker pool. Must happen
@@ -886,7 +879,7 @@ fn accept_ready(
                     shared.connections.fetch_add(1, Ordering::Relaxed);
                     clare_trace::metrics().net_connections.add(1);
                 } else {
-                    shared.crs.note_rejected();
+                    shared.service.note_rejected();
                     clare_trace::metrics().net_busy_rejections.inc();
                     if shared.refused.load(Ordering::Relaxed) >= REFUSED_BUDGET {
                         // The courtesy budget is spent: drop the accept
@@ -1078,7 +1071,7 @@ fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) {
         if *got < CLIENT_HELLO_LEN {
             return;
         }
-        let fingerprint = shared.crs.snapshot().content_fingerprint();
+        let fingerprint = shared.service.fingerprint();
         let hello = if *refuse {
             ServerHello {
                 version: PROTOCOL_VERSION,
@@ -1088,7 +1081,7 @@ fn ingest(conn: &mut Conn, mut bytes: &[u8], shared: &Arc<Shared>) {
                 fingerprint,
             }
         } else {
-            admit_client(&conn.hello, CAP_QUERY_BUDGET | CAP_FRAME_CRC, fingerprint)
+            admit_client(&conn.hello, shared.service.caps(), fingerprint)
         };
         conn.outbound.enqueue(encode_server_hello(&hello).to_vec());
         if hello.status != HelloStatus::Ok {
@@ -1124,7 +1117,7 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>) {
                 // checksum violation: report once, serve what decoded,
                 // then flush-and-close.
                 conn.outbound
-                    .send_error(0, ErrorCode::Malformed, 0, e.to_string());
+                    .send_error(0, &ErrorReply::new(ErrorCode::Malformed, e.to_string()));
                 fatal = true;
                 break;
             }

@@ -1,6 +1,7 @@
 //! The serving front-end: one connection-intake core — the epoll event
 //! loop in [`crate::reactor`] — feeding a bounded worker pool over one
-//! shared [`ClauseRetrievalServer`].
+//! shared [`Service`]: a [`ClauseRetrievalServer`](clare_core::ClauseRetrievalServer),
+//! or the `clare-cluster` router in front of several.
 //!
 //! ```text
 //!   reactor shard ──► bounded job queue ──► workers
@@ -9,7 +10,7 @@
 //! ```
 //!
 //! The shard decodes frames and enqueues jobs; workers execute them against
-//! the CRS and send replies through the connection's shared [`Outbound`],
+//! the service and send replies through the connection's shared [`Outbound`],
 //! so pipelined requests complete out of order (responses are matched by
 //! request id, not position). A reply is written to the connection's
 //! nonblocking socket by the thread that produced it; only what the kernel
@@ -31,17 +32,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use clare_core::{ClauseRetrievalServer, SearchMode, SolveOptions};
+use clare_core::{SearchMode, SolveOptions};
 use clare_term::Symbol;
 
 use crate::protocol::{
     decode_consult, decode_repl_ack, decode_retrieve, decode_retrieve_batch, decode_solve,
     decode_subscribe_log, encode_commit_receipt, encode_retrieval, encode_retrievals,
     encode_seq_reply, encode_server_stats, encode_server_stats_extended, encode_solve_outcome,
-    encode_symbols, opcode, BudgetExt, ConsultReq, ErrorCode, Frame, RetrieveBatchReq, SolveReq,
-    STATS_REQ_EXTENDED,
+    encode_symbols, opcode, BudgetExt, ConsultReq, ErrorCode, ErrorReply, Frame, RetrieveBatchReq,
+    SolveReq, STATS_REQ_EXTENDED,
 };
 use crate::reactor::Outbound;
+use crate::Service;
 
 /// Tuning knobs for [`NetServer`].
 #[derive(Debug, Clone)]
@@ -170,10 +172,10 @@ type CoalescingKey = ((Symbol, usize), SearchMode, u64, BudgetExt);
 
 impl Work {
     /// Decodes a request frame: the one decode-or-error rule every opcode
-    /// goes through. `Err` is the code and message of the error frame the
-    /// request is answered with instead — `Malformed` for a payload that
-    /// does not decode, `Unsupported` for an unknown opcode.
-    fn decode(frame: &Frame) -> Result<Work, (ErrorCode, String)> {
+    /// goes through. `Err` is the error frame the request is answered with
+    /// instead — `Malformed` for a payload that does not decode,
+    /// `Unsupported` for an unknown opcode.
+    fn decode(frame: &Frame) -> Result<Work, ErrorReply> {
         let payload = &frame.payload;
         let work = match frame.opcode {
             opcode::RETRIEVE => decode_retrieve(payload).map(|req| Work::Retrieve {
@@ -210,17 +212,19 @@ impl Work {
             opcode::LOG_FRAME => {
                 return clare_wal::decode_ship_record(payload)
                     .map(Work::LogFrame)
-                    .ok_or_else(|| (ErrorCode::Malformed, "malformed WAL ship record".to_owned()))
+                    .ok_or_else(|| {
+                        ErrorReply::new(ErrorCode::Malformed, "malformed WAL ship record")
+                    })
             }
             opcode::REPL_ACK => decode_repl_ack(payload).map(|ack| Work::ReplAck { seq: ack.seq }),
             other => {
-                return Err((
+                return Err(ErrorReply::new(
                     ErrorCode::Unsupported,
                     format!("unknown opcode {other:#04x}"),
                 ))
             }
         };
-        work.map_err(|e| (ErrorCode::Malformed, e.to_string()))
+        work.map_err(|e| ErrorReply::new(ErrorCode::Malformed, e.to_string()))
     }
 
     /// The key under which a pipelined RETRIEVE may join the run before
@@ -282,10 +286,9 @@ impl Job {
     }
 
     /// Sends the same error frame to every id the job owes a reply.
-    fn fail(&self, code: ErrorCode, retry_after_ms: u32, message: &str) {
+    fn fail(&self, e: &ErrorReply) {
         for &id in self.ids() {
-            self.outbound
-                .send_error(id, code, retry_after_ms, message.to_owned());
+            self.outbound.send_error(id, e);
         }
     }
 }
@@ -300,7 +303,7 @@ struct CodelState {
 }
 
 pub(crate) struct Shared {
-    pub(crate) crs: Arc<ClauseRetrievalServer>,
+    pub(crate) service: Arc<dyn Service>,
     pub(crate) cfg: NetConfig,
     /// Stops the intake (accepting and input processing); no new work
     /// enters the queue.
@@ -333,7 +336,7 @@ pub(crate) struct Shared {
 impl Shared {
     /// Enqueues a job unless the queue is full or the sojourn controller
     /// is shedding. On refusal the caller sheds load; admission control
-    /// is accounted on the CRS stats.
+    /// is accounted on the service's stats.
     fn try_enqueue(&self, job: Job) -> Result<(), Box<Job>> {
         if self.cfg.codel_target.is_some() {
             let mut codel = self.codel.lock().unwrap_or_else(|e| e.into_inner());
@@ -416,11 +419,11 @@ impl Shared {
     }
 }
 
-/// A running PIF-over-TCP front-end for a [`ClauseRetrievalServer`].
+/// A running PIF-over-TCP front-end for a [`Service`].
 ///
 /// Bind with [`NetServer::bind`], connect with
 /// [`NetClient`](crate::NetClient), stop with [`NetServer::shutdown`]
-/// (dropping the server also shuts it down). The underlying CRS is shared:
+/// (dropping the server also shuts it down). The service is shared:
 /// in-process callers and networked clients observe the same knowledge
 /// base, statistics, and update stream.
 pub struct NetServer {
@@ -434,7 +437,7 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Binds `addr` and starts serving `crs`.
+    /// Binds `addr` and starts serving `service`.
     ///
     /// `addr` may use port 0 to let the OS pick; the bound address is
     /// reported by [`NetServer::local_addr`].
@@ -445,7 +448,7 @@ impl NetServer {
     /// loop, so on targets other than Linux this returns
     /// [`std::io::ErrorKind::Unsupported`].
     pub fn bind(
-        crs: Arc<ClauseRetrievalServer>,
+        service: Arc<impl Service>,
         addr: impl ToSocketAddrs,
         cfg: NetConfig,
     ) -> std::io::Result<NetServer> {
@@ -467,7 +470,7 @@ impl NetServer {
         }
 
         let shared = Arc::new(Shared {
-            crs,
+            service,
             cfg: cfg.clone(),
             shutdown: AtomicBool::new(false),
             drained: AtomicBool::new(false),
@@ -518,11 +521,6 @@ impl NetServer {
     /// The bound listening address.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The shared retrieval service behind this listener.
-    pub fn crs(&self) -> &Arc<ClauseRetrievalServer> {
-        &self.shared.crs
     }
 
     /// Gracefully stops the server: the listener closes, the intake stops
@@ -607,8 +605,8 @@ pub(crate) fn process_burst(shared: &Arc<Shared>, outbound: &Arc<Outbound>, burs
         }
         let work = match Work::decode(&frame) {
             Ok(work) => work,
-            Err((code, message)) => {
-                outbound.send_error(id, code, 0, message);
+            Err(e) => {
+                outbound.send_error(id, &e);
                 continue;
             }
         };
@@ -652,14 +650,13 @@ pub(crate) fn process_burst(shared: &Arc<Shared>, outbound: &Arc<Outbound>, burs
             // A refused job: every id it owes gets a `Busy` error frame
             // with the retry hint, and each rejection is counted.
             for _ in 0..job.ids().len() {
-                shared.crs.note_rejected();
+                shared.service.note_rejected();
                 clare_trace::metrics().net_busy_rejections.inc();
             }
-            job.fail(
-                ErrorCode::Busy,
-                shared.cfg.retry_after_ms,
-                "request queue full",
-            );
+            job.fail(&ErrorReply {
+                retry_after_ms: shared.cfg.retry_after_ms,
+                ..ErrorReply::new(ErrorCode::Busy, "request queue full")
+            });
             job.outbound.job_finished();
         }
     }
@@ -674,25 +671,12 @@ fn worker_loop(shared: &Arc<Shared>) {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(shared, &job)));
         if outcome.is_err() {
             clare_trace::metrics().net_worker_panics.inc();
-            job.fail(ErrorCode::Internal, 0, "request processing panicked");
+            job.fail(&ErrorReply::new(
+                ErrorCode::Internal,
+                "request processing panicked",
+            ));
         }
         job.outbound.job_finished();
-    }
-}
-
-/// Sends the typed error for a tripped budget. Deadline trips report
-/// `DeadlineExpired`, the code a deadline that expires in the queue also
-/// gets; step and candidate ceilings report `BudgetExceeded` with the trip
-/// reason in the message.
-fn send_budget_exceeded(job: &Job, e: &clare_core::BudgetExceeded) {
-    clare_core::CancelToken::record_trip(e.reason.unwrap_or(clare_core::BudgetReason::Deadline));
-    match e.reason {
-        Some(clare_core::BudgetReason::Deadline) | None => job.fail(
-            ErrorCode::DeadlineExpired,
-            0,
-            "deadline expired mid-execution; partial work discarded",
-        ),
-        Some(reason) => job.fail(ErrorCode::BudgetExceeded, 0, &format!("{e}: {reason}")),
     }
 }
 
@@ -718,11 +702,10 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
         // without executing — running it would waste a worker on an
         // answer the client has already given up on.
         clare_trace::metrics().budget_expired_in_queue.inc();
-        job.fail(
+        job.fail(&ErrorReply::new(
             ErrorCode::DeadlineExpired,
-            0,
             "deadline elapsed before execution",
-        );
+        ));
         return;
     }
     // The end-to-end cancellation token: the deadline is anchored at
@@ -738,16 +721,16 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
         job.accepted,
     );
 
-    let crs = &shared.crs;
-    match &job.work {
-        // One hardware pass. Pipelined members are each answered as if
-        // they had been a lone retrieve; identical bytes are guaranteed by
-        // the core's batch-equals-individual property. A budget trip
-        // anywhere fails the whole job — members share one (identical)
-        // budget, so none of them would have finished either.
-        Work::Retrieve { req, answer } => match crs.retrieve_batch(&req.queries, req.mode, &cancel)
-        {
-            Ok(retrievals) => match answer {
+    let service = &*shared.service;
+    let served = match &job.work {
+        // One pass. Pipelined members are each answered as if they had
+        // been a lone retrieve; identical bytes are guaranteed by the
+        // batch-equals-individual property. A failure anywhere fails the
+        // whole job — members share one (identical) budget, so none of
+        // them would have finished either.
+        Work::Retrieve { req, answer } => service
+            .retrieve_batch(&req.queries, req.mode, &cancel)
+            .map(|retrievals| match answer {
                 Answer::PerMember(ids) => {
                     for (&id, retrieval) in ids.iter().zip(&retrievals) {
                         job.outbound.send(&Frame::new(
@@ -758,55 +741,43 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
                     }
                 }
                 Answer::Batch => job.reply(opcode::RETRIEVE_BATCH, encode_retrievals(&retrievals)),
-            },
-            Err(e) => send_budget_exceeded(job, &e),
-        },
+            }),
         Work::Solve(req) => {
             let options = SolveOptions {
                 mode: req.mode,
                 max_solutions: usize::try_from(req.max_solutions).unwrap_or(usize::MAX),
                 max_depth: usize::try_from(req.max_depth).unwrap_or(usize::MAX),
             };
-            match crs.solve_goals(&req.goals, &req.var_names, &options, &cancel) {
-                Ok(outcome) => job.reply(opcode::SOLVE, encode_solve_outcome(&outcome)),
-                Err(e) => send_budget_exceeded(job, &e),
-            }
+            service
+                .solve_goals(&req.goals, &req.var_names, &options, &cancel)
+                .map(|outcome| job.reply(opcode::SOLVE, encode_solve_outcome(&outcome)))
         }
-        Work::Consult(req) => {
-            let mut tx = crs.begin_update();
-            let result = tx
-                .consult(&req.module, &req.source)
-                .map_err(|e| e.to_string())
-                .and_then(|()| tx.commit().map(|_| ()).map_err(|e| e.to_string()));
-            match result {
-                Ok(()) => job.reply(opcode::CONSULT, encode_consult_ok()),
-                Err(reason) => job.fail(ErrorCode::ConsultRejected, 0, &reason),
-            }
-        }
-        Work::Assert(req) => match crs.assert_source(&req.module, &req.source) {
-            Ok(receipt) => job.reply(opcode::ASSERT, encode_commit_receipt(&receipt)),
-            Err(e) => job.fail(ErrorCode::ConsultRejected, 0, &e.to_string()),
-        },
-        Work::Retract(req) => match crs.retract_source(&req.module, &req.source) {
-            Ok(receipt) => job.reply(opcode::RETRACT, encode_commit_receipt(&receipt)),
-            Err(e) => job.fail(ErrorCode::ConsultRejected, 0, &e.to_string()),
-        },
+        // A successful consult's reply payload is empty.
+        Work::Consult(req) => service
+            .consult(&req.module, &req.source)
+            .map(|()| job.reply(opcode::CONSULT, Vec::new())),
+        Work::Assert(req) => service
+            .assert_source(&req.module, &req.source)
+            .map(|receipt| job.reply(opcode::ASSERT, encode_commit_receipt(&receipt))),
+        Work::Retract(req) => service
+            .retract_source(&req.module, &req.source)
+            .map(|receipt| job.reply(opcode::RETRACT, encode_commit_receipt(&receipt))),
         Work::Stats { extended } => {
             if shared.cfg.debug_panic_on_stats {
                 panic!("debug_panic_on_stats fault injection");
             }
-            let payload = if *extended {
-                encode_server_stats_extended(&crs.stats(), &clare_trace::metrics().snapshot())
-            } else {
-                encode_server_stats(&crs.stats())
-            };
-            job.reply(opcode::STATS, payload);
+            service.stats().map(|stats| {
+                let payload = if *extended {
+                    encode_server_stats_extended(&stats, &clare_trace::metrics().snapshot())
+                } else {
+                    encode_server_stats(&stats)
+                };
+                job.reply(opcode::STATS, payload);
+            })
         }
         Work::Symbols => {
-            // The overlay symbols are a strict superset of the base's, so
-            // clients can parse queries against overlay-only predicates.
-            let symbols = crs.symbols();
-            job.reply(opcode::SYMBOLS, encode_symbols(&symbols));
+            job.reply(opcode::SYMBOLS, encode_symbols(&service.symbols()));
+            Ok(())
         }
         Work::SubscribeLog { from_seq } => {
             // Catch-up and live pushes both ride the connection's
@@ -826,16 +797,9 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
                 }
                 !outbound.is_dead()
             });
-            match crs.subscribe_ops(*from_seq, watcher) {
-                Ok(current) => job.reply(opcode::SUBSCRIBE_LOG, encode_seq_reply(current)),
-                Err(clare_core::SubscribeError::Gap { folded_through }) => {
-                    job.fail(
-                        ErrorCode::ReplGap,
-                        0,
-                        &format!("log folded through seq {folded_through}; resync from a snapshot"),
-                    );
-                }
-            }
+            service
+                .subscribe_ops(*from_seq, watcher)
+                .map(|current| job.reply(opcode::SUBSCRIBE_LOG, encode_seq_reply(current)))
         }
         Work::LogFrame(record) => {
             // Backup-side apply fault point: a chaos schedule can refuse
@@ -843,7 +807,13 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
             if clare_fault::active() {
                 match clare_fault::decide(clare_fault::FaultSite::ReplApply, record.seq) {
                     clare_fault::FaultAction::Drop => {
-                        job.fail(ErrorCode::Busy, 1, "replication apply refused (injected)");
+                        job.fail(&ErrorReply {
+                            retry_after_ms: 1,
+                            ..ErrorReply::new(
+                                ErrorCode::Busy,
+                                "replication apply refused (injected)",
+                            )
+                        });
                         return;
                     }
                     clare_fault::FaultAction::Delay { micros } => {
@@ -852,41 +822,23 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
                     _ => {}
                 }
             }
-            match crs.apply_replicated(record) {
-                Ok(applied) => job.reply(opcode::LOG_FRAME, encode_seq_reply(applied)),
-                Err(clare_core::CommitError::ReplicaGap { expected }) => {
-                    job.fail(
-                        ErrorCode::ReplGap,
-                        0,
-                        &format!("expected seq {expected}, got {}", record.seq),
-                    );
-                }
-                Err(e) => {
-                    job.fail(ErrorCode::ConsultRejected, 0, &e.to_string());
-                }
-            }
+            service
+                .apply_replicated(record)
+                .map(|applied| job.reply(opcode::LOG_FRAME, encode_seq_reply(applied)))
         }
-        Work::ReplAck { seq } => {
-            // The primary's view of how far its backup trails; reads can
-            // consult this to judge failover staleness.
-            let lag = crs.current_seq().saturating_sub(*seq);
-            clare_trace::metrics()
-                .cluster_repl_lag_frames
-                .set(i64::try_from(lag).unwrap_or(i64::MAX));
-            job.reply(opcode::REPL_ACK, Vec::new());
-        }
+        Work::ReplAck { seq } => service
+            .repl_ack(*seq)
+            .map(|()| job.reply(opcode::REPL_ACK, Vec::new())),
+    };
+    if let Err(e) = served {
+        job.fail(&e);
     }
-}
-
-/// The (empty) payload of a successful consult reply.
-fn encode_consult_ok() -> Vec<u8> {
-    Vec::new()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clare_core::CrsOptions;
+    use clare_core::{ClauseRetrievalServer, CrsOptions};
     use clare_kb::{KbBuilder, KbConfig};
 
     #[test]

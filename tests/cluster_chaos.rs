@@ -27,6 +27,8 @@ use clare::prelude::*;
 use clare_cluster::{merge_retrievals, ClusterError, Router, RouterConfig, ShardMap, ShardSpec};
 use clare_core::ClauseRetrievalServer;
 use clare_fault::{DeterministicInjector, FaultPlan, FaultSite};
+use clare_net::protocol::encode_retrieval;
+use clare_net::ErrorCode;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,7 +88,10 @@ fn install(seed: u64, plan: FaultPlan) -> clare_fault::InstallGuard {
 // ---------------------------------------------------------------------
 
 /// Every routed answer equals a per-shard reference that received
-/// exactly that shard's writes; hot broadcasts merge across shards.
+/// exactly that shard's writes; hot broadcasts merge across shards. The
+/// router's network front end — a `NetServer` over the same router, as
+/// the `clare-cluster` daemon runs it — answers byte-identically, lone,
+/// pipelined and batched.
 #[test]
 fn routed_answers_match_per_shard_references() {
     let (_s0, a0) = backend();
@@ -106,7 +111,7 @@ fn routed_answers_match_per_shard_references() {
         fingerprint: None,
     };
     let placements = map.clone();
-    let router = Router::connect(map, RouterConfig::default()).unwrap();
+    let router = Arc::new(Router::connect(map, RouterConfig::default()).unwrap());
     let refs = [reference(), reference()];
 
     // Eight predicates must not all hash to one of two shards, or the
@@ -185,6 +190,69 @@ fn routed_answers_match_per_shard_references() {
     .unwrap();
     assert_eq!(got, want, "broadcast merge diverged");
     assert_eq!(got.stats.unified, 12, "hot facts lost in the merge");
+
+    // The same queries through the router's front end.
+    let front = NetServer::bind(Arc::clone(&router), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(front.local_addr(), ClientConfig::default()).unwrap();
+    assert!(!client.budget_capable(), "the router grants no budgets");
+    let mut net_syms = client.symbols().unwrap();
+    let texts = [
+        "p0(K, V)",
+        "p0(k5, V)",
+        "p3(k2, v2)",
+        "p7(K, v1)",
+        "pool(X)",
+        "hot(k3, X)",
+        "hot(k10, v1)",
+        "hot(K, V)",
+    ];
+    let queries: Vec<Term> = texts
+        .iter()
+        .map(|q| parse_term(q, &mut net_syms).unwrap())
+        .collect();
+    let want: Vec<Vec<u8>> = queries
+        .iter()
+        .map(|q| encode_retrieval(&router.retrieve(q, SearchMode::TwoStage).unwrap()))
+        .collect();
+    let routed_before = client.metrics().unwrap().1.counter("cluster.routed");
+    for ((q, text), want) in queries.iter().zip(texts).zip(&want) {
+        let lone = client.retrieve(q, SearchMode::TwoStage).unwrap();
+        assert_eq!(
+            &encode_retrieval(&lone),
+            want,
+            "front end diverged on {text}"
+        );
+    }
+    let pipelined = client
+        .retrieve_pipelined(&queries, SearchMode::TwoStage)
+        .unwrap();
+    let batched = client
+        .retrieve_batch(&queries, SearchMode::TwoStage)
+        .unwrap();
+    for (i, want) in want.iter().enumerate() {
+        assert_eq!(
+            &encode_retrieval(&pipelined[i]),
+            want,
+            "pipelined {}",
+            texts[i]
+        );
+        assert_eq!(&encode_retrieval(&batched[i]), want, "batched {}", texts[i]);
+    }
+
+    // Refusals and stats go through the same front end.
+    match client.solve_goals(&queries[..1], &[], &SolveOptions::default()) {
+        Err(NetError::Remote {
+            code: ErrorCode::Unsupported,
+            ..
+        }) => {}
+        other => panic!("solve through the router: {other:?}"),
+    }
+    let routed_after = client.metrics().unwrap().1.counter("cluster.routed");
+    assert!(
+        routed_after > routed_before,
+        "cluster.routed did not grow: {routed_before:?} -> {routed_after:?}"
+    );
+    front.shutdown();
 }
 
 /// Placement errors are typed: an unknown predicate is unroutable, and
