@@ -8,7 +8,7 @@
 //! query solved end-to-end with automatic mode selection, reporting the
 //! answer counts, candidate volumes, and modelled retrieval times.
 
-use clare_core::{choose_mode, solve, CrsOptions, SolveOptions};
+use clare_core::{choose_mode, solve_goals, CancelToken, CrsOptions, SolveOptions};
 use clare_kb::{KbBuilder, KbConfig, KbStats};
 use clare_workload::SuiteSpec;
 use std::fmt;
@@ -54,16 +54,19 @@ pub fn run(scale: usize) -> SuiteReport {
     let mut rows = Vec::new();
     for q in &summary.queries {
         let mode = choose_mode(&kb, &q.goal).to_string();
-        let outcome = solve(
+        let outcome = solve_goals(
             &kb,
-            &q.goal,
+            None,
+            std::slice::from_ref(&q.goal),
             &q.var_names,
             &SolveOptions {
                 max_solutions: 100_000,
                 ..SolveOptions::default()
             },
             &CrsOptions::default(),
-        );
+            &CancelToken::unlimited(),
+        )
+        .expect("the unlimited budget cannot trip");
         rows.push(SuiteRow {
             label: q.label,
             mode,

@@ -17,8 +17,8 @@
 use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode};
 use clare_kb::{KbBuilder, KbConfig};
 use clare_net::protocol::{
-    decode_server_hello, encode_client_hello_caps, encode_retrieve, opcode, BudgetExt, Frame,
-    FrameReader, HelloStatus, RetrieveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
+    decode_server_hello, encode, encode_client_hello_caps, opcode, BudgetExt, Frame, FrameReader,
+    HelloStatus, RetrieveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
 use clare_net::{NetConfig, NetServer};
 use clare_term::parser::parse_term;
@@ -212,7 +212,7 @@ fn run_case(
                 budget: BudgetExt::NONE,
                 query: queries[i % queries.len()].clone(),
             };
-            encode_retrieve(&req)
+            encode(&req)
         })
         .collect();
 

@@ -6,7 +6,7 @@
 use clare_cluster::{ShardMap, ShardSpec};
 use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode};
 use clare_kb::{KbBuilder, KbConfig};
-use clare_net::protocol::encode_retrieval;
+use clare_net::protocol::encode;
 use clare_net::{ClientConfig, NetClient, NetConfig, NetServer};
 use clare_term::parser::parse_term;
 use std::io::{BufRead, BufReader};
@@ -66,7 +66,7 @@ fn router_daemon_serves_and_exits_on_stdin_close() {
     let routed = client.retrieve(&query, SearchMode::TwoStage).unwrap();
     let owner = &shards[map.route("parent", 2)].0;
     let own = owner.retrieve(&query, SearchMode::TwoStage);
-    assert_eq!(encode_retrieval(&routed), encode_retrieval(&own));
+    assert_eq!(encode(&routed), encode(&own));
     assert_eq!(routed.stats.unified, 2);
     drop(client);
 

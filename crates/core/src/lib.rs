@@ -54,9 +54,7 @@ pub use crs::{
     choose_mode, retrieve, retrieve_batch, retrieve_merged, CrsOptions, Retrieval, RetrievalStats,
     SearchMode,
 };
-pub use resolve::{
-    solve, solve_goals, ModeChoice, Solution, SolveOptions, SolveOutcome, SolveStats,
-};
+pub use resolve::{solve_goals, ModeChoice, Solution, SolveOptions, SolveOutcome, SolveStats};
 pub use server::{
     ClauseRetrievalServer, CommitError, CommitReceipt, CompactionOutcome, LogWatcher, ServerStats,
     SubscribeError, UpdateTransaction,

@@ -107,51 +107,6 @@ impl SolveOutcome {
     }
 }
 
-/// Solves `query` (a single goal) against the knowledge base: a one-goal
-/// [`solve_goals`] over the bare base snapshot under the unlimited budget.
-/// Retrievals are timed under `crs`, exactly as [`retrieve`] would.
-///
-/// `var_names` supplies the query's variable names for the bindings
-/// report (pass the names from
-/// [`parse_term_with_vars`](clare_term::parser::parse_term_with_vars), or
-/// an empty slice to skip named bindings).
-///
-/// [`retrieve`]: crate::crs::retrieve()
-///
-/// # Examples
-///
-/// ```
-/// use clare_core::{solve, CrsOptions, SolveOptions};
-/// use clare_kb::{KbBuilder, KbConfig};
-/// use clare_term::parser::parse_term_with_vars;
-///
-/// let mut b = KbBuilder::new();
-/// b.consult("m", "
-///     parent(tom, bob). parent(bob, ann).
-///     grandparent(X, Z) :- parent(X, Y), parent(Y, Z).
-/// ")?;
-/// let (query, names) = parse_term_with_vars("grandparent(tom, Who)", b.symbols_mut())?;
-/// let kb = b.finish(KbConfig::default());
-///
-/// let outcome = solve(&kb, &query, &names, &SolveOptions::default(), &CrsOptions::default());
-/// assert_eq!(outcome.solutions.len(), 1);
-/// assert_eq!(outcome.solutions[0].bindings[0].0, "Who");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn solve(
-    kb: &KnowledgeBase,
-    query: &Term,
-    var_names: &[String],
-    options: &SolveOptions,
-    crs: &CrsOptions,
-) -> SolveOutcome {
-    let (goals, unlimited) = (std::slice::from_ref(query), CancelToken::unlimited());
-    match solve_goals(kb, None, goals, var_names, options, crs, &unlimited) {
-        Ok(outcome) => outcome,
-        Err(_) => unreachable!("the unlimited budget cannot trip"),
-    }
-}
-
 /// Solves a conjunction of goals sharing one variable scope (the shape
 /// [`parse_goals`](clare_term::parser::parse_goals) produces).
 ///
@@ -412,14 +367,25 @@ mod tests {
     use clare_term::parser::{parse_term, parse_term_with_vars};
     use clare_term::{SymbolTable, TermDisplay};
 
-    /// [`solve`] under the default CRS configuration.
+    /// One goal over the bare base, under the default CRS configuration
+    /// and the unlimited budget.
     fn solve_in(
         kb: &KnowledgeBase,
         query: &Term,
         var_names: &[String],
         options: &SolveOptions,
     ) -> SolveOutcome {
-        solve(kb, query, var_names, options, &CrsOptions::default())
+        let (crs, unlimited) = (CrsOptions::default(), CancelToken::unlimited());
+        solve_goals(
+            kb,
+            None,
+            std::slice::from_ref(query),
+            var_names,
+            options,
+            &crs,
+            &unlimited,
+        )
+        .expect("the unlimited budget cannot trip")
     }
 
     fn family_kb() -> (KnowledgeBase, SymbolTable) {

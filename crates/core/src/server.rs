@@ -1284,8 +1284,11 @@ mod tests {
         };
         let served = server.solve(&query, &[], &options).stats.retrieval_elapsed;
         let kb = server.snapshot();
+        let unlimited = crate::CancelToken::unlimited();
         let free = |crs: &CrsOptions| {
-            crate::resolve::solve(&kb, &query, &[], &options, crs)
+            let goals = std::slice::from_ref(&query);
+            crate::resolve::solve_goals(&kb, None, goals, &[], &options, crs, &unlimited)
+                .expect("the unlimited budget cannot trip")
                 .stats
                 .retrieval_elapsed
         };

@@ -10,8 +10,8 @@
 //! up as an equality failure here.
 
 use clare_core::{
-    retrieve_merged, solve, BudgetReason, CancelToken, ClauseRetrievalServer, CompactionOutcome,
-    CrsOptions, QueryBudget, Retrieval, SearchMode, SolveOptions,
+    retrieve_merged, solve_goals, BudgetReason, CancelToken, ClauseRetrievalServer,
+    CompactionOutcome, CrsOptions, QueryBudget, Retrieval, SearchMode, SolveOptions,
 };
 use clare_kb::{KbBuilder, KbConfig};
 use clare_term::parser::{parse_term, parse_term_with_vars};
@@ -332,13 +332,16 @@ fn overlay_merged_answers_match_from_scratch_rebuild() {
             6 => {
                 let (query, names) = &queries[rng.below(queries.len() as u64) as usize];
                 let rebuilt = shadow.rebuild(&symbols);
-                let want = solve(
+                let want = solve_goals(
                     &rebuilt,
-                    query,
+                    None,
+                    std::slice::from_ref(query),
                     names,
                     &SolveOptions::default(),
                     &CrsOptions::default(),
-                );
+                    &CancelToken::unlimited(),
+                )
+                .unwrap();
                 let got = server.solve(query, names, &SolveOptions::default());
                 assert_eq!(
                     got.solutions, want.solutions,
@@ -396,13 +399,16 @@ fn overlay_merged_answers_match_from_scratch_rebuild() {
             server
                 .solve(query, names, &SolveOptions::default())
                 .solutions,
-            solve(
+            solve_goals(
                 &rebuilt,
-                query,
+                None,
+                std::slice::from_ref(query),
                 names,
                 &SolveOptions::default(),
                 &CrsOptions::default(),
+                &CancelToken::unlimited(),
             )
+            .unwrap()
             .solutions,
         );
     }

@@ -24,15 +24,14 @@ use clare_term::{SymbolTable, Term};
 
 use crate::error::NetError;
 use crate::protocol::{
-    decode_commit_receipt, decode_error, decode_retrieval, decode_retrievals, decode_seq_reply,
-    decode_server_hello, decode_server_stats, decode_server_stats_extended, decode_solve_outcome,
-    decode_symbols, encode_client_hello_caps, encode_consult, encode_repl_ack, encode_retrieve,
-    encode_retrieve_batch, encode_solve, encode_subscribe_log, opcode, BudgetExt, ConsultReq,
-    ErrorCode, Frame, FrameReader, HelloStatus, ReplAck, RetrieveBatchReq, RetrieveReq, SolveReq,
-    SubscribeLogReq, CAP_FRAME_CRC, CAP_QUERY_BUDGET, MAX_FRAME_LEN, PROTOCOL_VERSION,
-    SERVER_HELLO_LEN, STATS_REQ_EXTENDED,
+    decode, decode_server_hello, encode, encode_client_hello_caps, opcode, AssertReq, BudgetExt,
+    ConsultReq, ErrorCode, ErrorReply, Frame, FrameReader, HelloStatus, MetricsReq, Ping, ReplAck,
+    Request, RetractReq, RetrieveBatchReq, RetrieveReq, SolveReq, StatsReq, SubscribeLogReq,
+    SymbolsReq, Tagged, CAP_FRAME_CRC, CAP_QUERY_BUDGET, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    SERVER_HELLO_LEN,
 };
 use clare_trace::MetricsSnapshot;
+use clare_wal::WalRecord;
 
 /// Client tuning knobs. The client always requests [`CAP_FRAME_CRC`] and
 /// caps replies at [`MAX_FRAME_LEN`]; neither is configurable.
@@ -282,14 +281,8 @@ impl NetClient {
         Ok(())
     }
 
-    /// Sends one request frame and awaits its reply.
-    fn roundtrip(&mut self, op: u8, payload: Vec<u8>) -> Result<Frame, NetError> {
-        let id = self.fresh_id();
-        self.send_frame(&Frame::new(id, op, payload))?;
-        self.await_reply(id, op)
-    }
-
-    /// [`Self::roundtrip`] for idempotent requests: honors the server's
+    /// Sends one request and decodes its reply, both as the [`Request`]
+    /// table says. An idempotent request honors the server's
     /// `retry_after_ms` hint on a `Busy` refusal with bounded exponential
     /// backoff (a shed request was never executed, so re-sending it is
     /// safe), and replays over a fresh connection when the transport dies
@@ -299,30 +292,42 @@ impl NetClient {
     /// [`ClientConfig::busy_retries`] refusals or
     /// [`ClientConfig::reconnect_retries`] transport failures the error
     /// surfaces to the caller.
-    fn roundtrip_idempotent(&mut self, op: u8, payload: Vec<u8>) -> Result<Frame, NetError> {
+    fn call<R: Request>(&mut self, req: &R) -> Result<R::Reply, NetError> {
+        let payload = encode(req);
         let mut attempt = 0u32;
         let mut reconnects = 0u32;
         loop {
-            match self.roundtrip(op, payload.clone()) {
+            match self.roundtrip(R::OP, payload.clone()) {
                 Err(NetError::Remote {
                     code: ErrorCode::Busy,
                     retry_after_ms,
                     ..
-                }) if attempt < self.cfg.busy_retries => {
+                }) if R::IDEMPOTENT && attempt < self.cfg.busy_retries => {
                     let hinted = Duration::from_millis(u64::from(retry_after_ms.max(1)));
                     let backoff =
                         full_jitter(&mut self.rng, hinted, attempt, self.cfg.busy_retry_cap);
                     std::thread::sleep(backoff);
                     attempt += 1;
                 }
-                Err(e) if e.is_connection_fatal() && reconnects < self.cfg.reconnect_retries => {
+                Err(e)
+                    if R::IDEMPOTENT
+                        && e.is_connection_fatal()
+                        && reconnects < self.cfg.reconnect_retries =>
+                {
                     clare_trace::metrics().net_client_reconnects.inc();
                     self.reconnect()?;
                     reconnects += 1;
                 }
-                other => return other,
+                reply => return Ok(decode(&reply?.payload)?),
             }
         }
+    }
+
+    /// Sends one request frame and awaits its reply.
+    fn roundtrip(&mut self, op: u8, payload: Vec<u8>) -> Result<Frame, NetError> {
+        let id = self.fresh_id();
+        self.send_frame(&Frame::new(id, op, payload))?;
+        self.await_reply(id, op)
     }
 
     /// Awaits the reply for `id`, stashing interleaved replies to other
@@ -343,14 +348,12 @@ impl NetClient {
     /// Retrieves candidates for one query, exactly like
     /// [`ClauseRetrievalServer::retrieve`](clare_core::ClauseRetrievalServer::retrieve).
     pub fn retrieve(&mut self, query: &Term, mode: SearchMode) -> Result<Retrieval, NetError> {
-        let req = RetrieveReq {
+        self.call(&RetrieveReq {
             mode,
             deadline_micros: self.deadline_micros(),
             budget: self.wire_budget(),
             query: query.clone(),
-        };
-        let reply = self.roundtrip_idempotent(opcode::RETRIEVE, encode_retrieve(&req))?;
-        Ok(decode_retrieval(&reply.payload)?)
+        })
     }
 
     /// Sends every query before reading any reply (request pipelining):
@@ -375,13 +378,13 @@ impl NetClient {
                 budget,
                 query: query.clone(),
             };
-            self.send_frame(&Frame::new(id, opcode::RETRIEVE, encode_retrieve(&req)))?;
+            self.send_frame(&Frame::new(id, RetrieveReq::OP, encode(&req)))?;
             ids.push(id);
         }
         ids.into_iter()
             .map(|id| {
-                let reply = self.await_reply(id, opcode::RETRIEVE)?;
-                Ok(decode_retrieval(&reply.payload)?)
+                let reply = self.await_reply(id, RetrieveReq::OP)?;
+                Ok(decode(&reply.payload)?)
             })
             .collect()
     }
@@ -393,15 +396,12 @@ impl NetClient {
         queries: &[Term],
         mode: SearchMode,
     ) -> Result<Vec<Retrieval>, NetError> {
-        let req = RetrieveBatchReq {
+        let retrievals = self.call(&RetrieveBatchReq {
             mode,
             deadline_micros: self.deadline_micros(),
             budget: self.wire_budget(),
             queries: queries.to_vec(),
-        };
-        let reply =
-            self.roundtrip_idempotent(opcode::RETRIEVE_BATCH, encode_retrieve_batch(&req))?;
-        let retrievals = decode_retrievals(&reply.payload)?;
+        })?;
         if retrievals.len() != queries.len() {
             return Err(NetError::Protocol(format!(
                 "batch reply has {} members for {} queries",
@@ -416,13 +416,27 @@ impl NetClient {
     /// [`ClauseRetrievalServer::solve_goals`](clare_core::ClauseRetrievalServer::solve_goals).
     /// The server supplies its own CRS options; only the solver policy in
     /// `options` (mode, limits) crosses the wire.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Protocol`], before anything is sent, for more than
+    /// `u16::MAX` goals or variable names: the wire counts each in a `u16`.
     pub fn solve_goals(
         &mut self,
         goals: &[Term],
         var_names: &[String],
         options: &SolveOptions,
     ) -> Result<SolveOutcome, NetError> {
-        let req = SolveReq {
+        let limit = usize::from(u16::MAX);
+        if goals.len() > limit || var_names.len() > limit {
+            return Err(NetError::Protocol(format!(
+                "a solve request carries at most {limit} goals and {limit} variable names, \
+                 not {} and {}",
+                goals.len(),
+                var_names.len()
+            )));
+        }
+        self.call(&SolveReq {
             goals: goals.to_vec(),
             var_names: var_names.to_vec(),
             mode: options.mode,
@@ -430,9 +444,7 @@ impl NetClient {
             max_depth: u64::try_from(options.max_depth).unwrap_or(u64::MAX),
             deadline_micros: self.deadline_micros(),
             budget: self.wire_budget(),
-        };
-        let reply = self.roundtrip(opcode::SOLVE, encode_solve(&req))?;
-        Ok(decode_solve_outcome(&reply.payload)?)
+        })
     }
 
     /// Solves a single goal. See [`NetClient::solve_goals`].
@@ -455,12 +467,10 @@ impl NetClient {
     /// when the source fails to parse or compile; the knowledge base is
     /// then unchanged.
     pub fn consult(&mut self, module: &str, source: &str) -> Result<(), NetError> {
-        let req = ConsultReq {
+        self.call(&ConsultReq {
             module: module.to_owned(),
             source: source.to_owned(),
-        };
-        self.roundtrip(opcode::CONSULT, encode_consult(&req))?;
-        Ok(())
+        })
     }
 
     /// Asserts every clause in `source` (in order) to `module` through
@@ -476,12 +486,10 @@ impl NetClient {
     /// [`NetError::Remote`] with `ConsultRejected` when a clause fails to
     /// parse, compile, or fit a track; the knowledge base is unchanged.
     pub fn assert(&mut self, module: &str, source: &str) -> Result<CommitReceipt, NetError> {
-        let req = ConsultReq {
+        self.call::<AssertReq>(&Tagged(ConsultReq {
             module: module.to_owned(),
             source: source.to_owned(),
-        };
-        let reply = self.roundtrip(opcode::ASSERT, encode_consult(&req))?;
-        Ok(decode_commit_receipt(&reply.payload)?)
+        }))
     }
 
     /// Retracts the first live clause structurally equal to the single
@@ -493,19 +501,16 @@ impl NetClient {
     /// [`NetError::Remote`] with `ConsultRejected` when the source does
     /// not hold exactly one parseable clause.
     pub fn retract(&mut self, module: &str, source: &str) -> Result<CommitReceipt, NetError> {
-        let req = ConsultReq {
+        self.call::<RetractReq>(&Tagged(ConsultReq {
             module: module.to_owned(),
             source: source.to_owned(),
-        };
-        let reply = self.roundtrip(opcode::RETRACT, encode_consult(&req))?;
-        Ok(decode_commit_receipt(&reply.payload)?)
+        }))
     }
 
     /// Fetches the server's service statistics (the legacy fixed-size
     /// struct; see [`NetClient::metrics`] for the per-layer snapshot).
     pub fn stats(&mut self) -> Result<ServerStats, NetError> {
-        let reply = self.roundtrip_idempotent(opcode::STATS, Vec::new())?;
-        Ok(decode_server_stats(&reply.payload)?)
+        self.call(&StatsReq)
     }
 
     /// Fetches the service statistics together with the server's
@@ -514,22 +519,19 @@ impl NetClient {
     /// servers answer the plain [`NetClient::stats`] form unchanged, so
     /// old clients keep decoding the legacy struct.
     pub fn metrics(&mut self) -> Result<(ServerStats, MetricsSnapshot), NetError> {
-        let reply = self.roundtrip_idempotent(opcode::STATS, vec![STATS_REQ_EXTENDED])?;
-        Ok(decode_server_stats_extended(&reply.payload)?)
+        self.call(&MetricsReq)
     }
 
     /// Downloads the server's symbol table. Parse query terms against the
     /// returned table (offsets are preserved exactly) so their PIF
     /// encodings mean the same thing on the server.
     pub fn symbols(&mut self) -> Result<SymbolTable, NetError> {
-        let reply = self.roundtrip_idempotent(opcode::SYMBOLS, Vec::new())?;
-        Ok(decode_symbols(&reply.payload)?)
+        self.call(&SymbolsReq)
     }
 
     /// Liveness probe: one empty-payload round trip.
     pub fn ping(&mut self) -> Result<(), NetError> {
-        self.roundtrip_idempotent(opcode::PING, Vec::new())?;
-        Ok(())
+        self.call(&Ping)
     }
 
     /// Subscribes this connection to the server's commit log from
@@ -548,11 +550,7 @@ impl NetClient {
     /// predates the server's compaction frontier — the overlay ops before
     /// it are folded and can no longer be replayed.
     pub fn subscribe_log(&mut self, from_seq: u64) -> Result<u64, NetError> {
-        let reply = self.roundtrip(
-            opcode::SUBSCRIBE_LOG,
-            encode_subscribe_log(&SubscribeLogReq { from_seq }),
-        )?;
-        Ok(decode_seq_reply(&reply.payload)?)
+        self.call::<SubscribeLogReq>(&Tagged(from_seq))
     }
 
     /// Blocks for the next `LOG_FRAME` pushed on this subscribed
@@ -582,20 +580,22 @@ impl NetClient {
     ///
     /// # Errors
     ///
+    /// [`NetError::Protocol`], before anything is sent, when the bytes are
+    /// not a ship record.
+    ///
     /// [`NetError::Remote`] with [`ErrorCode::ReplGap`] when the record
     /// skips ahead of the sequence the server expects next (the message
     /// names it); re-ship from there.
     pub fn ship_log_frame(&mut self, ship_record: Vec<u8>) -> Result<u64, NetError> {
-        let reply = self.roundtrip(opcode::LOG_FRAME, ship_record)?;
-        Ok(decode_seq_reply(&reply.payload)?)
+        let record: WalRecord = decode(&ship_record)?;
+        self.call(&record)
     }
 
     /// Reports to a subscribed-to primary that the downstream backup has
     /// applied through `seq`; the primary updates its replication-lag
     /// gauge.
     pub fn repl_ack(&mut self, seq: u64) -> Result<(), NetError> {
-        self.roundtrip(opcode::REPL_ACK, encode_repl_ack(&ReplAck { seq }))?;
-        Ok(())
+        self.call::<ReplAck>(&Tagged(seq))
     }
 }
 
@@ -616,7 +616,7 @@ fn check_reply(frame: Frame, request_op: u8) -> Result<Frame, NetError> {
         return Ok(frame);
     }
     if frame.opcode == opcode::ERROR {
-        let e = decode_error(&frame.payload)?;
+        let e: ErrorReply = decode(&frame.payload)?;
         return Err(NetError::Remote {
             code: e.code,
             retry_after_ms: e.retry_after_ms,
@@ -677,6 +677,49 @@ fn read_exactly(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), NetError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::decode;
+    use crate::{NetConfig, NetServer};
+    use clare_core::{ClauseRetrievalServer, CrsOptions, ModeChoice};
+    use clare_kb::{KbBuilder, KbConfig};
+    use std::sync::Arc;
+
+    #[test]
+    fn solve_refuses_more_goals_or_names_than_a_u16_counts() {
+        // The wire counts goals and names in a u16: u16::MAX of them
+        // round-trip through the codec...
+        let most = usize::from(u16::MAX);
+        let req = SolveReq {
+            goals: vec![Term::Int(1); most],
+            var_names: vec!["X".to_owned(); most],
+            mode: ModeChoice::Auto,
+            max_solutions: 1,
+            max_depth: 1,
+            deadline_micros: 0,
+            budget: BudgetExt::NONE,
+        };
+        assert_eq!(decode::<SolveReq>(&encode(&req)).unwrap(), req);
+
+        // ...and one more is refused before a frame leaves the client.
+        let kb = KbBuilder::new().finish(KbConfig::default());
+        let crs = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
+        let server = NetServer::bind(crs, "127.0.0.1:0", NetConfig::default()).unwrap();
+        let mut client = NetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
+        let solves_in =
+            || clare_trace::metrics().net_frames_in[usize::from(opcode::SOLVE - 1)].get();
+        let before = solves_in();
+        let options = SolveOptions::default();
+        for (goals, names) in [(most + 1, 0), (1, most + 1)] {
+            let got = client.solve_goals(
+                &vec![Term::Int(1); goals],
+                &vec!["X".to_owned(); names],
+                &options,
+            );
+            assert!(matches!(got, Err(NetError::Protocol(_))), "{got:?}");
+        }
+        client.ping().unwrap();
+        assert_eq!(solves_in(), before, "a SOLVE frame reached the server");
+        server.shutdown();
+    }
 
     #[test]
     fn full_jitter_stays_within_the_exponential_window() {

@@ -11,8 +11,9 @@
 //!
 //! - [`protocol`] — the wire format. Length-prefixed frames whose query
 //!   payloads are Pseudo In-line Format term bytes: the network speaks the
-//!   hardware's own encoding. Every decoder is hardened against untrusted
-//!   input (bounds-checked, depth-limited, never panics).
+//!   hardware's own encoding. Each payload's layout is declared once, and
+//!   one opcode table types both ends. Decoding is hardened against
+//!   untrusted input (bounds-checked, depth-limited, never panics).
 //! - [`NetServer`] — the one serving core: an epoll reactor takes
 //!   connections in and feeds a bounded worker pool, and each worker
 //!   writes its reply to the connection's socket itself, falling back to

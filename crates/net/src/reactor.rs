@@ -55,9 +55,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    admit_client, encode_error, encode_server_hello, opcode, ErrorCode, ErrorReply, Frame,
-    FrameReader, HelloStatus, ServerHello, CAP_FRAME_CRC, CLIENT_HELLO_LEN, MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
+    admit_client, encode, encode_server_hello, opcode, ErrorCode, ErrorReply, Frame, FrameReader,
+    HelloStatus, ServerHello, CAP_FRAME_CRC, CLIENT_HELLO_LEN, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::server::{process_burst, NetConfig, Shared};
 
@@ -460,7 +459,7 @@ impl Outbound {
     }
 
     pub(crate) fn send_error(&self, request_id: u64, reply: &ErrorReply) {
-        self.send(&Frame::new(request_id, opcode::ERROR, encode_error(reply)));
+        self.send(&Frame::new(request_id, opcode::ERROR, encode(reply)));
     }
 
     /// Accounts one decoded job headed for the worker pool. Must happen

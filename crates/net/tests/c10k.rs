@@ -11,8 +11,8 @@
 use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode};
 use clare_kb::{KbBuilder, KbConfig};
 use clare_net::protocol::{
-    decode_server_hello, encode_client_hello_caps, encode_retrieval, encode_retrieve, opcode,
-    BudgetExt, Frame, FrameReader, HelloStatus, RetrieveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
+    decode_server_hello, encode, encode_client_hello_caps, opcode, BudgetExt, Frame, FrameReader,
+    HelloStatus, RetrieveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
 use clare_net::{NetConfig, NetServer};
 use clare_term::parser::parse_term;
@@ -62,7 +62,7 @@ fn reactor_serves_a_thousand_concurrent_pipelined_connections() {
         .collect();
     let expected: Vec<Vec<u8>> = queries
         .iter()
-        .map(|q| encode_retrieval(&crs.retrieve(q, SearchMode::TwoStage)))
+        .map(|q| encode(&crs.retrieve(q, SearchMode::TwoStage)))
         .collect();
 
     // Phase 1: open every connection and complete its hello exchange.
@@ -106,9 +106,7 @@ fn reactor_serves_a_thousand_concurrent_pipelined_connections() {
                 query: queries[q].clone(),
             };
             let id = (i * DEPTH + d) as u64 + 1;
-            batch.extend_from_slice(
-                &Frame::new(id, opcode::RETRIEVE, encode_retrieve(&req)).encoded(),
-            );
+            batch.extend_from_slice(&Frame::new(id, opcode::RETRIEVE, encode(&req)).encoded());
         }
         stream.write_all(&batch).unwrap();
     }

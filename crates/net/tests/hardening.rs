@@ -404,7 +404,7 @@ fn shutdown_drains_queued_replies() {
 /// RETRIEVE per query, pipelined, with request ids `1..=queries.len()`.
 fn pipeline_retrieves(addr: SocketAddr, queries: &[Term]) -> TcpStream {
     use clare_net::protocol::{
-        decode_server_hello, encode_client_hello_caps, encode_retrieve, opcode, BudgetExt, Frame,
+        decode_server_hello, encode, encode_client_hello_caps, opcode, BudgetExt, Frame,
         HelloStatus, RetrieveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
     };
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -425,7 +425,7 @@ fn pipeline_retrieves(addr: SocketAddr, queries: &[Term]) -> TcpStream {
             budget: BudgetExt::NONE,
             query: query.clone(),
         };
-        burst.extend(Frame::new(i as u64 + 1, opcode::RETRIEVE, encode_retrieve(&req)).encoded());
+        burst.extend(Frame::new(i as u64 + 1, opcode::RETRIEVE, encode(&req)).encoded());
     }
     stream.write_all(&burst).unwrap();
     stream
@@ -438,7 +438,7 @@ fn pipeline_retrieves(addr: SocketAddr, queries: &[Term]) -> TcpStream {
 /// in-flight count reaches zero *and* the outbound queue has flushed.
 #[test]
 fn half_close_delivers_in_flight_replies() {
-    use clare_net::protocol::{encode_retrieval, opcode, FrameReader, MAX_FRAME_LEN};
+    use clare_net::protocol::{encode, opcode, FrameReader, MAX_FRAME_LEN};
     // Six distinct jobs (alternating predicates), one slow worker: the
     // EOF overtakes the queue, so most replies are produced *after* the
     // half-close.
@@ -487,7 +487,7 @@ fn half_close_delivers_in_flight_replies() {
         assert_eq!(frame.opcode, opcode::RETRIEVE | opcode::REPLY);
         assert_eq!(
             frame.payload,
-            encode_retrieval(&crs.retrieve(query, SearchMode::TwoStage)),
+            encode(&crs.retrieve(query, SearchMode::TwoStage)),
             "reply {i} must be byte-identical to the direct call"
         );
     }
@@ -508,7 +508,7 @@ fn half_close_delivers_in_flight_replies() {
 /// keeps being served, and finds a truncated stream and a close.
 #[test]
 fn backpressure_delivers_to_a_slow_reader_and_condemns_a_deaf_one() {
-    use clare_net::protocol::{encode_retrieval, opcode, FrameError, FrameReader, MAX_FRAME_LEN};
+    use clare_net::protocol::{encode, opcode, FrameError, FrameReader, MAX_FRAME_LEN};
     const PIPELINE: usize = 768;
 
     let cfg = NetConfig {
@@ -521,7 +521,7 @@ fn backpressure_delivers_to_a_slow_reader_and_condemns_a_deaf_one() {
     let (server, crs) = serve_kb(item_kb(4096), cfg);
     let query = parse_term("item(X, Y)", &mut crs.symbols()).unwrap();
     let direct = crs.retrieve(&query, SearchMode::TwoStage);
-    let reference = encode_retrieval(&direct);
+    let reference = encode(&direct);
     assert!(reference.len() >= 16 * 1024, "reply is {}", reference.len());
     let queries = vec![query.clone(); PIPELINE];
     let m = clare_trace::metrics();

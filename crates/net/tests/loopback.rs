@@ -6,7 +6,7 @@
 use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode, SolveOptions};
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
 use clare_net::protocol::{
-    self, encode_client_hello_caps, encode_retrieval, opcode, Frame, FrameReader, HelloStatus,
+    self, encode, encode_client_hello_caps, opcode, Frame, FrameReader, HelloStatus,
     PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
 use clare_net::{ClientConfig, ErrorCode, NetClient, NetConfig, NetError, NetServer};
@@ -81,8 +81,8 @@ fn single_retrievals_byte_identical_across_pool_sizes() {
                 let direct = crs.retrieve(&query, mode);
                 assert_eq!(networked, direct, "workers={workers} mode={mode}");
                 assert_eq!(
-                    encode_retrieval(&networked),
-                    encode_retrieval(&direct),
+                    encode(&networked),
+                    encode(&direct),
                     "wire bytes differ (workers={workers} mode={mode})"
                 );
             }
@@ -416,7 +416,7 @@ fn malformed_frames_yield_error_frames_not_disconnects() {
     let reply = reader.read_frame(&mut stream).unwrap();
     assert_eq!(reply.request_id, 41);
     assert_eq!(reply.opcode, opcode::ERROR);
-    let e = protocol::decode_error(&reply.payload).unwrap();
+    let e = protocol::decode::<protocol::ErrorReply>(&reply.payload).unwrap();
     assert_eq!(e.code, ErrorCode::Malformed);
 
     // Every other opcode that carries a payload takes the same
@@ -443,7 +443,7 @@ fn malformed_frames_yield_error_frames_not_disconnects() {
             (id, opcode::ERROR),
             "opcode {op:#04x}"
         );
-        let e = protocol::decode_error(&reply.payload).unwrap();
+        let e = protocol::decode::<protocol::ErrorReply>(&reply.payload).unwrap();
         assert_eq!(e.code, ErrorCode::Malformed, "opcode {op:#04x}");
         stream
             .write_all(&Frame::new(id + 50, opcode::PING, Vec::new()).encoded())
@@ -462,7 +462,7 @@ fn malformed_frames_yield_error_frames_not_disconnects() {
         .unwrap();
     let reply = reader.read_frame(&mut stream).unwrap();
     assert_eq!(reply.request_id, 42);
-    let e = protocol::decode_error(&reply.payload).unwrap();
+    let e = protocol::decode::<protocol::ErrorReply>(&reply.payload).unwrap();
     assert_eq!(e.code, ErrorCode::Unsupported);
 
     // The connection is still healthy: a ping round-trips.

@@ -9,8 +9,8 @@
 use clare_core::{ClauseRetrievalServer, CrsOptions, ModeChoice, SearchMode};
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
 use clare_net::protocol::{
-    self, encode_client_hello_caps, encode_retrieve, encode_solve, opcode, BudgetExt, Frame,
-    HelloStatus, RetrieveReq, SolveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
+    self, encode, encode_client_hello_caps, opcode, BudgetExt, Frame, HelloStatus, RetrieveReq,
+    SolveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
 use clare_net::{ClientConfig, ErrorCode, NetClient, NetConfig, NetError, NetServer};
 use clare_term::parser::parse_term;
@@ -148,7 +148,7 @@ fn saturated_daemon_is_eventually_served_through_retry() {
             &Frame::new(
                 1,
                 opcode::SOLVE,
-                encode_solve(&SolveReq {
+                encode(&SolveReq {
                     goals: vec![hard],
                     var_names: Vec::new(),
                     mode: ModeChoice::Fixed(SearchMode::SoftwareOnly),
@@ -168,7 +168,7 @@ fn saturated_daemon_is_eventually_served_through_retry() {
             &Frame::new(
                 1,
                 opcode::RETRIEVE,
-                encode_retrieve(&RetrieveReq {
+                encode(&RetrieveReq {
                     query: query.clone(),
                     mode: SearchMode::SoftwareOnly,
                     deadline_micros: 0,

@@ -1,15 +1,12 @@
-//! Adversarial-input properties for the live server and the payload
-//! codecs: arbitrary bytes never panic a decoder, and a live server
-//! answers every garbage frame with *some* frame — never a hang, never a
-//! dropped connection, never a dead worker.
+//! Adversarial-input properties for the live server: it answers every
+//! garbage frame with *some* frame — never a hang, never a dropped
+//! connection, never a dead worker. (Payload decoders are fuzzed
+//! table-wide in `golden.rs`.)
 
 use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode};
 use clare_kb::{KbBuilder, KbConfig};
 use clare_net::protocol::{
-    decode_consult, decode_error, decode_metrics_snapshot, decode_retrieval, decode_retrievals,
-    decode_retrieve, decode_retrieve_batch, decode_server_hello, decode_server_stats,
-    decode_server_stats_extended, decode_solve, decode_solve_outcome, decode_symbols,
-    encode_client_hello_caps, encode_retrieval, encode_retrieve, opcode, BudgetExt, Frame,
+    decode, decode_server_hello, encode, encode_client_hello_caps, opcode, BudgetExt, Frame,
     FrameReader, HelloStatus, RetrieveReq, CAP_FRAME_CRC, MAX_FRAME_LEN, PROTOCOL_VERSION,
     SERVER_HELLO_LEN,
 };
@@ -20,26 +17,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Every request-payload decoder is total on arbitrary bytes.
-    #[test]
-    fn payload_decoders_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_retrieve(&bytes);
-        let _ = decode_retrieve_batch(&bytes);
-        let _ = decode_solve(&bytes);
-        let _ = decode_consult(&bytes);
-        let _ = decode_retrievals(&bytes);
-        let _ = decode_solve_outcome(&bytes);
-        let _ = decode_server_stats(&bytes);
-        let _ = decode_symbols(&bytes);
-        let _ = decode_error(&bytes);
-        let _ = decode_metrics_snapshot(&bytes);
-        let _ = decode_server_stats_extended(&bytes);
-    }
-}
 
 /// One server shared by the live-fire property below.
 fn spawn_server() -> NetServer {
@@ -155,7 +132,7 @@ proptest! {
             match op {
                 0..=3 => {
                     let query = &queries[*op as usize];
-                    burst.extend_from_slice(&Frame::new(id, opcode::RETRIEVE, encode_retrieve(&RetrieveReq {
+                    burst.extend_from_slice(&Frame::new(id, opcode::RETRIEVE, encode(&RetrieveReq {
                         query: query.clone(),
                         mode: SearchMode::TwoStage,
                         deadline_micros: 0,
@@ -187,7 +164,7 @@ proptest! {
             match query {
                 Some(query) => {
                     prop_assert_eq!(frame.opcode, opcode::RETRIEVE | opcode::REPLY);
-                    let got = decode_retrieval(&frame.payload).unwrap();
+                    let got = decode::<clare_core::Retrieval>(&frame.payload).unwrap();
                     let direct = crs.retrieve(query, SearchMode::TwoStage);
                     prop_assert_eq!(&got, &direct, "reply for id {} answers a different query", id);
                 }
@@ -261,7 +238,7 @@ proptest! {
             budget: BudgetExt::NONE,
             query: query.clone(),
         };
-        let frame = Frame::new(7, opcode::RETRIEVE, encode_retrieve(&req));
+        let frame = Frame::new(7, opcode::RETRIEVE, encode(&req));
         stream.write_all(&frame.encoded_with(crc)).unwrap();
         let mut fr = FrameReader::new(MAX_FRAME_LEN);
         fr.set_checksums(crc);
@@ -270,7 +247,7 @@ proptest! {
         prop_assert_eq!(reply.opcode, opcode::RETRIEVE | opcode::REPLY);
         prop_assert_eq!(
             reply.payload,
-            encode_retrieval(&crs.retrieve(&query, SearchMode::TwoStage)),
+            encode(&crs.retrieve(&query, SearchMode::TwoStage)),
             "the reply diverged from the reference bytes under caps {:#04x}", hello.caps
         );
         server.shutdown();

@@ -161,21 +161,24 @@ mod tests {
 
     #[test]
     fn queries_are_answerable() {
-        use clare_core::{solve, CrsOptions, SolveOptions};
+        use clare_core::{solve_goals, CancelToken, CrsOptions, SolveOptions};
         let mut b = KbBuilder::new();
         let summary = small_spec().generate(&mut b, "db");
         let kb = b.finish(KbConfig::default());
         for q in &summary.queries {
-            let outcome = solve(
+            let outcome = solve_goals(
                 &kb,
-                &q.goal,
+                None,
+                std::slice::from_ref(&q.goal),
                 &q.var_names,
                 &SolveOptions {
                     max_solutions: 2000,
                     ..SolveOptions::default()
                 },
                 &CrsOptions::default(),
-            );
+                &CancelToken::unlimited(),
+            )
+            .unwrap();
             match q.label {
                 "key-selection" => assert!(outcome.solutions.len() <= 4, "{}", q.label),
                 "colour-selection" => assert_eq!(outcome.solutions.len(), 10, "{}", q.label),

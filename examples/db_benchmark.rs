@@ -36,16 +36,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for q in &summary.queries {
         let mode = choose_mode(&kb, &q.goal);
-        let outcome = solve(
+        let outcome = solve_goals(
             &kb,
-            &q.goal,
+            None,
+            std::slice::from_ref(&q.goal),
             &q.var_names,
             &SolveOptions {
                 max_solutions: 200_000,
                 ..SolveOptions::default()
             },
             &CrsOptions::default(),
-        );
+            &CancelToken::unlimited(),
+        )?;
         println!(
             "{:<18} {:<14} {:>8} {:>11} {:>11} {:>12}",
             q.label,

@@ -29,13 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Solve: every clause lookup goes through the Clause Retrieval
     //    Server, with the search mode chosen per goal.
-    let outcome = solve(
+    let outcome = solve_goals(
         &kb,
-        &goal,
+        None,
+        std::slice::from_ref(&goal),
         &names,
         &SolveOptions::default(),
         &CrsOptions::default(),
-    );
+        &CancelToken::unlimited(),
+    )?;
 
     println!("?- ancestor(tom, Who).");
     for solution in &outcome.solutions {

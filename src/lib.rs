@@ -34,10 +34,11 @@
 //!     parent(tom, bob). parent(bob, ann).
 //!     grandparent(X, Z) :- parent(X, Y), parent(Y, Z).
 //! ")?;
-//! let (query, names) = parse_term_with_vars("grandparent(tom, Who)", builder.symbols_mut())?;
+//! let (goals, names) = parse_goals("grandparent(tom, Who)", builder.symbols_mut())?;
 //! let kb = builder.finish(KbConfig::default());
 //!
-//! let outcome = solve(&kb, &query, &names, &SolveOptions::default(), &CrsOptions::default());
+//! let (options, unlimited) = (SolveOptions::default(), CancelToken::unlimited());
+//! let outcome = solve_goals(&kb, None, &goals, &names, &options, &CrsOptions::default(), &unlimited)?;
 //! assert_eq!(outcome.solutions.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -61,10 +62,9 @@ pub use clare_workload as workload;
 /// The most commonly used items, in one import.
 pub mod prelude {
     pub use clare_core::{
-        choose_mode, retrieve, retrieve_batch, solve, solve_goals, CancelToken,
-        ClauseRetrievalServer, CommitError, CommitReceipt, CompactionOutcome, CrsOptions,
-        ReplayReport, Retrieval, SearchMode, ServerStats, SolveOptions, UpdateTransaction,
-        WalError, WalOp,
+        choose_mode, retrieve, retrieve_batch, solve_goals, CancelToken, ClauseRetrievalServer,
+        CommitError, CommitReceipt, CompactionOutcome, CrsOptions, ReplayReport, Retrieval,
+        SearchMode, ServerStats, SolveOptions, UpdateTransaction, WalError, WalOp,
     };
     pub use clare_disk::{ByteRate, DiskProfile, SimNanos};
     pub use clare_fs2::{Fs2Device, Fs2Engine, HwOp};

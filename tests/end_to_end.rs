@@ -6,14 +6,25 @@ use clare::core::resolve::ModeChoice;
 use clare::prelude::*;
 use std::sync::Arc;
 
-/// The free [`solve`] under the default CRS configuration.
+/// One goal over the bare base, under the default CRS configuration and
+/// the unlimited budget.
 fn solve_in(
     kb: &KnowledgeBase,
     goal: &Term,
     names: &[String],
     options: &SolveOptions,
 ) -> clare::core::SolveOutcome {
-    solve(kb, goal, names, options, &CrsOptions::default())
+    let (crs, unlimited) = (CrsOptions::default(), CancelToken::unlimited());
+    solve_goals(
+        kb,
+        None,
+        std::slice::from_ref(goal),
+        names,
+        options,
+        &crs,
+        &unlimited,
+    )
+    .expect("the unlimited budget cannot trip")
 }
 
 fn family_server() -> (Arc<ClauseRetrievalServer>, SymbolTable) {
