@@ -11,7 +11,9 @@
 //! * [`crs`] — the four [`SearchMode`]s with a full timing pipeline
 //!   (disk streaming, FS1 index scan at 4.5 MB/s, FS2 double-buffered
 //!   matching at Table 1 costs, software costs on an M68020-class host),
-//!   plus the mode-selection heuristic the paper sketches.
+//!   plus the mode-selection heuristic the paper sketches. Each goal is
+//!   compiled once into a query plan (PIF stream, FS1 descriptor, mode
+//!   inputs) that every stage reads.
 //! * [`resolve`] — an SLD resolution engine that performs clause lookup
 //!   through the CRS, so whole Prolog queries run end-to-end against
 //!   disk-resident knowledge bases.
@@ -44,6 +46,7 @@ pub mod budget;
 pub mod cache;
 pub mod cost;
 pub mod crs;
+mod plan;
 pub mod resolve;
 pub mod server;
 

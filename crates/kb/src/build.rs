@@ -284,6 +284,10 @@ impl KbBuilder {
     }
 }
 
+/// Compiles one predicate: its clause file, index, arena and rule count,
+/// all in one pass over the clauses. This is the only place a
+/// [`Predicate`] is made — fresh builds, `to_builder` recompiles,
+/// compaction and CKB2 loads all finish through it.
 fn compile_predicate(
     (functor, arity): (Symbol, usize),
     clauses: Vec<Clause>,
@@ -296,7 +300,9 @@ fn compile_predicate(
     let mut track = 0u32;
     let mut slot = 0u16;
     let mut used = 0usize;
+    let mut rules = 0usize;
     for clause in &clauses {
+        rules += usize::from(!clause.is_fact());
         let record = ClauseRecord::compile(clause)?;
         let bytes = record.to_bytes();
         if used + bytes.len() > config.disk.track_bytes() && used > 0 {
@@ -318,6 +324,7 @@ fn compile_predicate(
         functor,
         arity,
         clauses,
+        rules,
         file: file_builder.finish(format!("pred_{}_{arity}.pdb", functor.offset())),
         index,
         arena,

@@ -11,12 +11,15 @@ use std::collections::HashMap;
 /// file, its secondary index file (which holds the address of every clause
 /// record, in clause order), plus one retrieval accelerator built at
 /// compile/load time — the pre-decoded head-stream [`ClauseArena`], whose
-/// track ranges double as the address → clause-id map.
+/// track ranges double as the address → clause-id map — and the rule
+/// count the search-mode heuristic reads.
 #[derive(Debug, Clone)]
 pub struct Predicate {
     pub(crate) functor: Symbol,
     pub(crate) arity: usize,
     pub(crate) clauses: Vec<Clause>,
+    /// Clauses with a non-empty body, counted in the compile loop.
+    pub(crate) rules: usize,
     pub(crate) file: StoredFile,
     pub(crate) index: IndexFile,
     pub(crate) arena: ClauseArena,
@@ -88,12 +91,13 @@ impl Predicate {
         ground != 0 && ground != self.clauses.len()
     }
 
-    /// Fraction of clauses that are rules (non-empty body).
+    /// Fraction of clauses that are rules (non-empty body), in O(1): the
+    /// rule count is compiled with the predicate.
     pub fn rule_fraction(&self) -> f64 {
         if self.clauses.is_empty() {
             return 0.0;
         }
-        self.clauses.iter().filter(|c| !c.is_fact()).count() as f64 / self.clauses.len() as f64
+        self.rules as f64 / self.clauses.len() as f64
     }
 }
 

@@ -41,6 +41,7 @@ use crate::encode::{encode_positions, ArgMask, ClauseSignature, QueryArg, QueryD
 use crate::Codeword;
 use clare_disk::SimNanos;
 use clare_term::Term;
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
@@ -330,13 +331,19 @@ impl IndexFile {
     /// match list and records no scan metrics — to the registry it never
     /// happened. The hook is a plain closure so this crate stays free of
     /// any budget-layer dependency. Without a hook the result is `Some`.
-    pub fn scan(
+    ///
+    /// The descriptors may be owned or borrowed (a caller that keeps each
+    /// query's descriptor in a compiled plan passes references).
+    pub fn scan<D: Borrow<QueryDescriptor>>(
         &self,
-        descriptors: &[QueryDescriptor],
+        descriptors: &[D],
         cancel: Option<&dyn Fn() -> bool>,
     ) -> Option<Vec<ScanOutcome>> {
         let started = Instant::now();
-        let compiled: Vec<CompiledQuery> = descriptors.iter().map(|d| self.compile(d)).collect();
+        let compiled: Vec<CompiledQuery> = descriptors
+            .iter()
+            .map(|d| self.compile(d.borrow()))
+            .collect();
         let mut per_query = vec![Vec::new(); compiled.len()];
         let len = self.len();
         let words = len.div_ceil(64);
@@ -664,7 +671,7 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let index = IndexFile::new(ScwConfig::paper());
-        assert!(index.scan(&[], None).unwrap().is_empty());
+        assert!(index.scan::<QueryDescriptor>(&[], None).unwrap().is_empty());
     }
 
     #[test]

@@ -109,6 +109,10 @@ pub struct Metrics {
     /// Retrieval/solve answers flagged degraded (some input failed
     /// integrity checks and a software fallback covered for it).
     pub crs_degraded_answers: Counter,
+    /// Goals compiled into a query plan (PIF stream, FS1 descriptor, mode
+    /// inputs): one per retrieval that runs the filters, none per
+    /// answer-cache hit.
+    pub crs_query_compiles: Counter,
     /// Retrieval-cache lookups answered from the cache (either layer:
     /// full answers or FS1 candidate sets).
     pub cache_hits: Counter,
@@ -339,6 +343,7 @@ static METRICS: Metrics = Metrics {
     fs2_wall_ns: Histogram::new(),
     fs2_quarantined_tracks: Counter::new(),
     crs_degraded_answers: Counter::new(),
+    crs_query_compiles: Counter::new(),
     cache_hits: Counter::new(),
     cache_misses: Counter::new(),
     cache_evictions: Counter::new(),
@@ -443,6 +448,7 @@ impl Metrics {
                 "crs.degraded_answers".into(),
                 self.crs_degraded_answers.get(),
             ),
+            ("crs.query_compiles".into(), self.crs_query_compiles.get()),
             ("cache.hits".into(), self.cache_hits.get()),
             ("cache.misses".into(), self.cache_misses.get()),
             ("cache.evictions".into(), self.cache_evictions.get()),
