@@ -18,8 +18,8 @@
 //! insert, and a hit requires both stamps to still be current. Epochs
 //! move only forward:
 //!
-//! * an **incremental** update (built via `to_builder` from the currently
-//!   published base, same [`KbConfig`](clare_kb::KbConfig) fingerprint)
+//! * an **incremental** update ([`KnowledgeBase::with_predicates`] of the
+//!   currently published base, same [`KbConfig`](clare_kb::KbConfig) fingerprint)
 //!   bumps the predicate epoch of every touched predicate — module
 //!   granularity, see [`KnowledgeBase::touched_predicates`];
 //! * any **other** update (fresh build, loaded `.ckb`, different

@@ -54,31 +54,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-/// Hands the pages of freed heap chunks back to the operating system.
-///
-/// A compaction swap retires a whole base snapshot — hundreds of bytes
-/// per clause — and its successor was built on a fresh thread, which
-/// glibc serves from a different arena. The retired base's chunks then
-/// sit in the free lists of an arena nothing allocates from again, so
-/// resident memory ratchets up by a snapshot per generation instead of
-/// returning to the live set. `malloc_trim` walks every arena and
-/// releases the free pages. Off glibc this is a no-op.
-fn release_freed_heap() {
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    {
-        extern "C" {
-            fn malloc_trim(pad: usize) -> i32;
-        }
-        // SAFETY: `malloc_trim` takes no pointers and is thread-safe (it
-        // locks each arena in turn); it only returns pages of chunks that
-        // are already free. On this target the `System` allocator Rust
-        // uses by default is glibc's malloc, the heap it trims.
-        unsafe {
-            malloc_trim(0);
-        }
-    }
-}
-
 /// Aggregate service statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
@@ -643,9 +618,12 @@ impl ClauseRetrievalServer {
 
     /// Commits a new compiled knowledge base atomically, **discarding the
     /// overlay**: the new base is taken as the complete state (callers
-    /// rebuilding via [`KnowledgeBase::to_builder`] have already folded
-    /// whatever they wanted to keep). In-flight clients finish against
-    /// their snapshot pair; new calls see the update.
+    /// have already folded whatever they wanted to keep). In-flight
+    /// clients finish against their snapshot pair; new calls see the
+    /// update. A successor built by [`KnowledgeBase::with_predicates`]
+    /// from the published base invalidates only its touched predicates'
+    /// cache entries; any other base, a [`KnowledgeBase::to_builder`]
+    /// rebuild included, invalidates the whole cache.
     ///
     /// A wholesale update is an in-memory operation: it is *not* logged
     /// to an attached WAL, and prior WAL records replay against the base
@@ -947,8 +925,9 @@ impl ClauseRetrievalServer {
     }
 
     /// Folds the overlay into a fresh immutable base — track segments and
-    /// FS1 codeword indexes rebuilt for exactly the affected modules, off
-    /// the write path — and swaps it in atomically. Operations that
+    /// FS1 codeword indexes rebuilt for exactly the changed predicates,
+    /// off the write path, every other predicate shared with the old base
+    /// by pointer — and swaps it in atomically. Operations that
     /// commit while the rebuild runs are re-applied on top of the new
     /// base, so no commit is ever lost to a compaction. Retrievals are
     /// never blocked: in-flight calls keep their snapshot pair, and the
@@ -969,9 +948,6 @@ impl ClauseRetrievalServer {
     fn compact_claimed(&self) -> CompactionOutcome {
         let outcome = self.compact_inner();
         self.compacting.store(false, Ordering::Release);
-        if matches!(outcome, CompactionOutcome::Swapped { .. }) {
-            release_freed_heap();
-        }
         outcome
     }
 
@@ -983,8 +959,8 @@ impl ClauseRetrievalServer {
         }
         let m = clare_trace::metrics();
         m.compaction_runs.inc();
-        // The expensive part — recompiling clauses, rewriting track
-        // segments, rebuilding codeword indexes — runs with no lock held.
+        // The expensive part — recompiling the changed predicates' clauses,
+        // track segments and codeword indexes — runs with no lock held.
         let rebuilt = match sealed.overlay.compacted_kb(&sealed.base) {
             Ok(kb) => kb,
             Err(_) => {

@@ -9,8 +9,9 @@ use clare_pif::ClauseRecord;
 use clare_scw::{ClauseAddr, IndexFile, ScwConfig};
 use clare_term::parser::{parse_program, ParseError};
 use clare_term::{Clause, Symbol, SymbolTable};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Compilation parameters.
 #[derive(Debug, Clone)]
@@ -132,15 +133,6 @@ pub struct KbBuilder {
     symbols: SymbolTable,
     modules: Vec<(String, Vec<Clause>)>,
     module_index: HashMap<String, usize>,
-    /// Generation of the base this builder was decompiled from, if any.
-    parent_generation: Option<u64>,
-    /// Module slots that gained clauses since [`Self::set_baseline`] (or
-    /// since creation, for a from-scratch builder). Dirtiness is tracked
-    /// per *module*, not per predicate: appending clauses anywhere in a
-    /// module can flip its [`ModuleKind`] across the large-module
-    /// threshold, which changes the retrieval timing of every sibling
-    /// predicate — so they must all count as touched.
-    dirty_modules: std::collections::HashSet<usize>,
 }
 
 impl KbBuilder {
@@ -164,9 +156,6 @@ impl KbBuilder {
     pub fn consult(&mut self, module: &str, source: &str) -> Result<(), KbError> {
         let clauses = parse_program(source, &mut self.symbols)?;
         let slot = self.module_slot(module);
-        if !clauses.is_empty() {
-            self.dirty_modules.insert(slot);
-        }
         self.modules[slot].1.extend(clauses);
         Ok(())
     }
@@ -174,35 +163,7 @@ impl KbBuilder {
     /// Adds one already-built clause to `module`.
     pub fn add_clause(&mut self, module: &str, clause: Clause) {
         let slot = self.module_slot(module);
-        self.dirty_modules.insert(slot);
         self.modules[slot].1.push(clause);
-    }
-
-    /// The clauses currently staged for `module`, if it exists.
-    pub fn module_clauses(&self, module: &str) -> Option<&[Clause]> {
-        self.module_index
-            .get(module)
-            .map(|&i| self.modules[i].1.as_slice())
-    }
-
-    /// Replaces `module`'s staged clauses wholesale (the module is
-    /// created on first use) and marks it dirty, so `try_finish` records
-    /// every one of its predicates as touched. Compaction uses this to
-    /// fold the memtable overlay into rebuilt track segments while the
-    /// epoch scheme invalidates only the affected predicates.
-    pub fn set_module_clauses(&mut self, module: &str, clauses: Vec<Clause>) {
-        let slot = self.module_slot(module);
-        self.dirty_modules.insert(slot);
-        self.modules[slot].1 = clauses;
-    }
-
-    /// Declares the clauses added so far to be the verbatim content of the
-    /// base with generation `parent`: the dirty set restarts empty, so the
-    /// finished base's [`KnowledgeBase::touched_predicates`] lists only
-    /// predicates modified *after* this point.
-    pub(crate) fn set_baseline(&mut self, parent: u64) {
-        self.parent_generation = Some(parent);
-        self.dirty_modules.clear();
     }
 
     fn module_slot(&mut self, module: &str) -> usize {
@@ -232,9 +193,7 @@ impl KbBuilder {
     /// Returns the first PIF or layout error encountered.
     pub fn try_finish(self, config: KbConfig) -> Result<KnowledgeBase, KbError> {
         let mut modules = Vec::new();
-        let mut by_indicator = HashMap::new();
-        let mut touched: Vec<(Symbol, usize)> = Vec::new();
-        for (mi, (name, clauses)) in self.modules.into_iter().enumerate() {
+        for (name, clauses) in self.modules {
             // Group into predicates, preserving first-seen order.
             let mut order: Vec<(Symbol, usize)> = Vec::new();
             let mut grouped: HashMap<(Symbol, usize), Vec<Clause>> = HashMap::new();
@@ -245,49 +204,135 @@ impl KbBuilder {
                 }
                 grouped.entry(key).or_default().push(clause);
             }
-            if self.dirty_modules.contains(&mi) {
-                // Every predicate of a dirty module counts as touched: new
-                // clauses elsewhere in the module can flip its ModuleKind,
-                // which changes sibling predicates' retrieval timing.
-                touched.extend(order.iter().copied());
+            let mut predicates = Vec::with_capacity(order.len());
+            for key in order {
+                let clauses = grouped.remove(&key).expect("grouped by key");
+                predicates.push(Arc::new(compile_predicate(key, clauses, &config)?));
             }
-            let mut predicates = Vec::new();
-            for (pi, key) in order.iter().enumerate() {
-                let clauses = grouped.remove(key).expect("grouped by key");
-                let predicate = compile_predicate(*key, clauses, &config)?;
-                by_indicator.insert(*key, (mi, pi));
-                predicates.push(predicate);
+            modules.push(Module::classified(name, predicates, &config));
+        }
+        Ok(KnowledgeBase::assemble(self.symbols, modules, None, config))
+    }
+}
+
+impl KnowledgeBase {
+    /// The successor of this base in which each `(module, predicate,
+    /// clauses)` entry of `changed` replaces that predicate's clauses
+    /// (each predicate at most once). Only those predicates are
+    /// recompiled; every other one is shared with `self` by pointer. A
+    /// known predicate keeps its module and position, and an empty list
+    /// drops it (its module stays); a new one joins `module`, or a new
+    /// module, in `changed` order. The successor's parent is `self`, and
+    /// it touches every predicate of each module an entry changed: a
+    /// change can flip the module's [`ModuleKind`], and with it every
+    /// sibling's retrieval timing. `symbols` must extend `self`'s table.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first PIF or layout error of a changed predicate.
+    pub fn with_predicates<'a>(
+        &self,
+        symbols: SymbolTable,
+        changed: impl IntoIterator<Item = (&'a str, (Symbol, usize), Vec<Clause>)>,
+    ) -> Result<KnowledgeBase, KbError> {
+        let mut dirty: HashSet<&str> = HashSet::new();
+        let mut replaced: HashMap<(Symbol, usize), Option<Arc<Predicate>>> = HashMap::new();
+        let mut added: Vec<(&str, Arc<Predicate>)> = Vec::new();
+        for (module, key, clauses) in changed {
+            let compile = !clauses.is_empty();
+            let compile = compile.then(|| compile_predicate(key, clauses, &self.config));
+            let compiled = compile.transpose()?.map(Arc::new);
+            match (self.module_of(key.0, key.1), compiled) {
+                (Some((home, _)), compiled) => {
+                    dirty.insert(&home.name);
+                    replaced.insert(key, compiled);
+                }
+                (None, Some(pred)) => {
+                    dirty.insert(module);
+                    added.push((module, pred));
+                }
+                (None, None) => {}
             }
-            let mut module = Module {
-                name,
-                kind: ModuleKind::Small,
-                predicates,
-            };
-            if module.compiled_bytes() > config.large_module_threshold {
-                module.kind = ModuleKind::Large;
+        }
+        // The base's modules in order, then new ones in `changed` order.
+        let mut names: Vec<&str> = self.modules.iter().map(|m| m.name.as_str()).collect();
+        for &(name, _) in &added {
+            if !names.contains(&name) {
+                names.push(name);
             }
-            modules.push(module);
+        }
+        let module = |(i, &name): (usize, &&str)| match self.modules.get(i) {
+            Some(module) if !dirty.contains(name) => module.clone(),
+            base => {
+                let kept = base.into_iter().flat_map(|m| &m.predicates);
+                let kept = kept.filter_map(|p| match replaced.get(&p.indicator()) {
+                    Some(replacement) => replacement.clone(),
+                    None => Some(Arc::clone(p)),
+                });
+                let joining = added.iter().filter(|(m, _)| *m == name);
+                let predicates = kept.chain(joining.map(|(_, p)| Arc::clone(p))).collect();
+                Module::classified(name.to_owned(), predicates, &self.config)
+            }
+        };
+        let modules = names.iter().enumerate().map(module).collect();
+        let (lineage, config) = (Some((self.generation, &dirty)), self.config.clone());
+        Ok(KnowledgeBase::assemble(symbols, modules, lineage, config))
+    }
+
+    /// Indexes `modules`, mints a generation and fingerprints the result.
+    /// `lineage` is the parent's generation and the modules changed since
+    /// it; without one, every predicate counts as touched.
+    fn assemble(
+        symbols: SymbolTable,
+        modules: Vec<Module>,
+        lineage: Option<(u64, &HashSet<&str>)>,
+        config: KbConfig,
+    ) -> KnowledgeBase {
+        let mut by_indicator = HashMap::new();
+        let mut touched = Vec::new();
+        for (mi, module) in modules.iter().enumerate() {
+            let dirty = lineage.is_none_or(|(_, dirty)| dirty.contains(module.name.as_str()));
+            for (pi, pred) in module.predicates.iter().enumerate() {
+                by_indicator.insert(pred.indicator(), (mi, pi));
+                touched.extend(dirty.then(|| pred.indicator()));
+            }
         }
         touched.sort_unstable_by_key(|(s, a)| (s.offset(), *a));
         let mut kb = KnowledgeBase {
-            symbols: self.symbols,
+            symbols,
             modules,
             by_indicator,
             generation: next_generation(),
-            parent_generation: self.parent_generation,
+            parent_generation: lineage.map(|(parent, _)| parent),
             touched,
             config,
             content_fingerprint: 0,
         };
         kb.content_fingerprint = kb.compute_content_fingerprint();
-        Ok(kb)
+        kb
+    }
+}
+
+impl Module {
+    /// A module of `predicates`, [`ModuleKind::Large`] when their compiled
+    /// size exceeds the build's large-module threshold.
+    fn classified(name: String, predicates: Vec<Arc<Predicate>>, config: &KbConfig) -> Module {
+        let mut module = Module {
+            name,
+            kind: ModuleKind::Small,
+            predicates,
+        };
+        if module.compiled_bytes() > config.large_module_threshold {
+            module.kind = ModuleKind::Large;
+        }
+        module
     }
 }
 
 /// Compiles one predicate: its clause file, index, arena and rule count,
 /// all in one pass over the clauses. This is the only place a
-/// [`Predicate`] is made — fresh builds, `to_builder` recompiles,
-/// compaction and CKB2 loads all finish through it.
+/// [`Predicate`] is made — fresh builds, CKB2 loads and
+/// [`KnowledgeBase::with_predicates`] all compile through it.
 fn compile_predicate(
     (functor, arity): (Symbol, usize),
     clauses: Vec<Clause>,
@@ -404,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_builders_track_touched_predicates() {
+    fn successors_track_touched_predicates() {
         let mut b = KbBuilder::new();
         b.consult("m", "p(a). q(b).").unwrap();
         b.consult("other", "r(z).").unwrap();
@@ -412,24 +457,75 @@ mod tests {
         assert!(kb.parent_generation().is_none());
         assert_eq!(kb.touched_predicates().len(), 3);
 
-        let mut inc = kb.to_builder();
-        inc.consult("m", "p(c).").unwrap();
-        let kb2 = inc.finish(KbConfig::default());
+        let mut symbols = kb.symbols().clone();
+        let mut p_clauses = kb.lookup("p", 1).unwrap().clauses().to_vec();
+        p_clauses.extend(parse_program("p(c).", &mut symbols).unwrap());
+        let p = symbols.lookup_atom("p").unwrap();
+        let kb2 = kb
+            .with_predicates(symbols, [("m", (p, 1), p_clauses)])
+            .unwrap();
         assert_eq!(kb2.parent_generation(), Some(kb.generation()));
         assert_ne!(kb2.generation(), kb.generation());
+        assert_eq!(kb2.lookup("p", 1).unwrap().clauses().len(), 2);
         // Touching p/1 touches its whole module (the module's kind could
-        // have flipped), but not the untouched `other` module.
-        let p = kb2.symbols().lookup_atom("p").unwrap();
+        // have flipped), but not the untouched `other` module, whose
+        // predicate is the parent's own.
         let q = kb2.symbols().lookup_atom("q").unwrap();
         let mut want = vec![(p, 1), (q, 1)];
         want.sort_unstable_by_key(|(s, a)| (s.offset(), *a));
         assert_eq!(kb2.touched_predicates(), want.as_slice());
+        assert!(Arc::ptr_eq(
+            &kb.modules()[1].predicates()[0],
+            &kb2.modules()[1].predicates()[0]
+        ));
+        assert!(Arc::ptr_eq(
+            &kb.modules()[0].predicates()[1],
+            &kb2.modules()[0].predicates()[1]
+        ));
         assert_eq!(kb.build_fingerprint(), kb2.build_fingerprint());
 
-        // An untouched incremental rebuild touches nothing.
-        let kb3 = kb2.to_builder().finish(KbConfig::default());
+        // An empty change touches nothing; a decompile has no parent.
+        let kb3 = kb2.with_predicates(kb2.symbols().clone(), []).unwrap();
         assert!(kb3.touched_predicates().is_empty());
         assert_eq!(kb3.parent_generation(), Some(kb2.generation()));
+        assert_eq!(kb3.content_fingerprint(), kb2.content_fingerprint());
+        let rebuilt = kb3.to_builder().finish(KbConfig::default());
+        assert!(rebuilt.parent_generation().is_none());
+        assert_eq!(rebuilt.content_fingerprint(), kb3.content_fingerprint());
+    }
+
+    #[test]
+    fn successors_drop_emptied_and_append_new_predicates() {
+        let mut b = KbBuilder::new();
+        b.consult("m", "p(a). q(b).").unwrap();
+        let kb = b.finish(KbConfig::default());
+        let mut symbols = kb.symbols().clone();
+        let new = parse_program("s(1). t(2).", &mut symbols).unwrap();
+        let p = symbols.lookup_atom("p").unwrap();
+        let s_ = symbols.lookup_atom("s").unwrap();
+        let t = symbols.lookup_atom("t").unwrap();
+        let kb2 = kb
+            .with_predicates(
+                symbols,
+                [
+                    ("fresh", (t, 1), vec![new[1].clone()]),
+                    ("m", (p, 1), Vec::new()),
+                    ("m", (s_, 1), vec![new[0].clone()]),
+                ],
+            )
+            .unwrap();
+        assert!(kb2.lookup("p", 1).is_none());
+        let names = |m: &Module| -> Vec<&str> {
+            let preds = m.predicates().iter();
+            preds
+                .map(|p| kb2.symbols().atom_text(p.indicator().0))
+                .collect()
+        };
+        assert_eq!(names(&kb2.modules()[0]), ["q", "s"]);
+        assert_eq!(kb2.modules()[1].name(), "fresh");
+        assert_eq!(names(&kb2.modules()[1]), ["t"]);
+        assert_eq!(kb2.module_of(t, 1).unwrap().0.name(), "fresh");
+        assert_eq!(kb2.touched_predicates().len(), 3);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use clare_disk::StoredFile;
 use clare_scw::{ClauseAddr, IndexFile};
 use clare_term::{Clause, ClauseId, Symbol, SymbolTable};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A compiled predicate: the clause list (user order), its compiled clause
 /// file, its secondary index file (which holds the address of every clause
@@ -13,6 +14,7 @@ use std::collections::HashMap;
 /// compile/load time — the pre-decoded head-stream [`ClauseArena`], whose
 /// track ranges double as the address → clause-id map — and the rule
 /// count the search-mode heuristic reads.
+/// It is immutable and is the unit of sharing: modules hold it by [`Arc`].
 #[derive(Debug, Clone)]
 pub struct Predicate {
     pub(crate) functor: Symbol,
@@ -116,7 +118,7 @@ pub enum ModuleKind {
 pub struct Module {
     pub(crate) name: String,
     pub(crate) kind: ModuleKind,
-    pub(crate) predicates: Vec<Predicate>,
+    pub(crate) predicates: Vec<Arc<Predicate>>,
 }
 
 impl Module {
@@ -131,7 +133,7 @@ impl Module {
     }
 
     /// The predicates in definition order.
-    pub fn predicates(&self) -> &[Predicate] {
+    pub fn predicates(&self) -> &[Arc<Predicate>] {
         &self.predicates
     }
 
@@ -153,7 +155,7 @@ pub struct KnowledgeBase {
     /// Process-unique build generation (see [`Self::generation`]).
     pub(crate) generation: u64,
     /// Generation of the knowledge base this one was derived from via
-    /// [`Self::to_builder`], if any.
+    /// [`Self::with_predicates`], if any.
     pub(crate) parent_generation: Option<u64>,
     /// Predicates whose clause lists changed relative to the parent.
     pub(crate) touched: Vec<(Symbol, usize)>,
@@ -181,20 +183,21 @@ impl KnowledgeBase {
     }
 
     /// The generation of the base this one was derived from through
-    /// [`Self::to_builder`], or `None` for a base built from scratch.
+    /// [`Self::with_predicates`], or `None` for a base built from scratch
+    /// (a [`Self::to_builder`] rebuild included).
     pub fn parent_generation(&self) -> Option<u64> {
         self.parent_generation
     }
 
     /// The predicates possibly affected by changes relative to the parent
     /// base (meaningful only when [`Self::parent_generation`] is set).
-    /// Granularity is the *module*: every predicate of a module that
-    /// gained clauses is listed, because new clauses anywhere in a module
-    /// can flip its [`ModuleKind`] and with it the retrieval timing of
-    /// sibling predicates. Predicates outside touched modules compile
-    /// bit-identically under the same
-    /// [`KbConfig`](crate::build::KbConfig), which is what lets a
-    /// retrieval cache invalidate per predicate instead of globally.
+    /// [`Self::with_predicates`] lists every predicate of each module it
+    /// changed, because a change anywhere in a module can flip its
+    /// [`ModuleKind`] and with it the retrieval timing of sibling
+    /// predicates. Predicates outside those modules are the parent's own,
+    /// shared by pointer, which is what lets a retrieval cache invalidate
+    /// per predicate instead of globally. A base built from scratch lists
+    /// every predicate.
     pub fn touched_predicates(&self) -> &[(Symbol, usize)] {
         &self.touched
     }
@@ -255,7 +258,7 @@ impl KnowledgeBase {
     pub fn predicate(&self, functor: Symbol, arity: usize) -> Option<&Predicate> {
         self.by_indicator
             .get(&(functor, arity))
-            .map(|&(m, p)| &self.modules[m].predicates[p])
+            .map(|&(m, p)| &*self.modules[m].predicates[p])
     }
 
     /// Looks up a predicate by functor *name* (convenience for tests and
@@ -269,7 +272,7 @@ impl KnowledgeBase {
     pub fn module_of(&self, functor: Symbol, arity: usize) -> Option<(&Module, &Predicate)> {
         self.by_indicator.get(&(functor, arity)).map(|&(m, p)| {
             let module = &self.modules[m];
-            (module, &module.predicates[p])
+            (module, &*module.predicates[p])
         })
     }
 
@@ -288,8 +291,9 @@ impl KnowledgeBase {
     }
 
     /// Decompiles the knowledge base back into a [`KbBuilder`] carrying
-    /// the same symbol table and every clause in module/predicate order —
-    /// the basis for incremental updates (add clauses, recompile).
+    /// the same symbol table and every clause in module/predicate order.
+    /// Its finish is a base built from scratch, with no parent; a change
+    /// to a few predicates goes through [`Self::with_predicates`].
     ///
     /// [`KbBuilder`]: crate::build::KbBuilder
     pub fn to_builder(&self) -> crate::build::KbBuilder {
@@ -302,9 +306,6 @@ impl KnowledgeBase {
                 }
             }
         }
-        // Clauses added so far are the parent's own; only additions from
-        // here on count as touched.
-        builder.set_baseline(self.generation);
         builder
     }
 

@@ -15,10 +15,10 @@
 //!   codewords yet), preserving the no-false-negative invariant, and the
 //!   merged answer set is byte-identical to a from-scratch rebuild.
 //! * [`Overlay::compacted_kb`] — the background compaction rebuild:
-//!   sealed track segments and their FS1 codeword indexes are rewritten
-//!   off the write path from in-memory clause terms (never from the
-//!   possibly-degraded simulated disk) and swapped in atomically by the
-//!   serving layer.
+//!   exactly the changed predicates' track segments and FS1 codeword
+//!   indexes are rewritten off the write path from in-memory clause terms
+//!   (never from the possibly-degraded simulated disk), the rest shared by
+//!   pointer, and swapped in atomically by the serving layer.
 //!
 //! The serving integration — commit serialization, epoch bumps, the
 //! atomic swap — lives in `clare-core`'s `ClauseRetrievalServer`; this

@@ -19,7 +19,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::log::{WalOp, WalRecord};
-use clare_kb::{KbBuilder, KbError, KnowledgeBase};
+use clare_kb::{KbError, KnowledgeBase};
 use clare_pif::ClauseRecord;
 use clare_term::parser::{parse_program, ParseError};
 use clare_term::{Clause, Symbol, SymbolTable};
@@ -362,69 +362,42 @@ impl Overlay {
     /// Folds this overlay into `base`, producing the compacted snapshot:
     /// retracted base clauses dropped, overlay clauses appended to their
     /// predicates, track segments and FS1 codeword indexes rebuilt for
-    /// exactly the affected modules, under the base's own build config
-    /// ([`KnowledgeBase::config`]). The rebuilt base keeps the old
-    /// base's generation as its parent, so the retrieval cache's
-    /// incremental epoch bump invalidates only the touched predicates.
+    /// exactly the changed predicates, under the base's own build config
+    /// ([`KnowledgeBase::config`]). Every other predicate is shared with
+    /// `base` by pointer ([`KnowledgeBase::with_predicates`]), and the
+    /// folded base keeps the old base's generation as its parent, so the
+    /// retrieval cache's incremental epoch bump invalidates only the
+    /// changed modules' predicates.
+    ///
+    /// A new predicate joins its module, or a new module, in first-assert
+    /// order: by the seq of its earliest live added clause, ties (one
+    /// assert defining several) broken by symbol id. Two processes that
+    /// fold the same log therefore build the same base.
     ///
     /// Everything here reads in-memory clause terms — never the
     /// simulated disk — so degraded (quarantined-track) data can never
     /// be compacted into the new segments.
     pub fn compacted_kb(&self, base: &KnowledgeBase) -> Result<KnowledgeBase, KbError> {
-        let mut builder: KbBuilder = base.to_builder();
-        *builder.symbols_mut() = self.symbols.clone();
-        // Group deltas by module; base membership wins over the module
-        // recorded at assert time (a predicate lives in one module).
-        type ModuleDeltas<'a> = Vec<(&'a (Symbol, usize), &'a PredDelta)>;
-        let mut by_module: HashMap<String, ModuleDeltas<'_>> = HashMap::new();
-        for (key, delta) in &self.preds {
-            if delta.is_empty() {
-                continue;
-            }
-            let module = base
-                .module_of(key.0, key.1)
-                .map(|(m, _)| m.name().to_owned())
-                .unwrap_or_else(|| delta.module.clone());
-            by_module.entry(module).or_default().push((key, delta));
-        }
-        for (module, deltas) in by_module {
-            let mut clauses: Vec<Clause> = builder
-                .module_clauses(&module)
-                .map(<[Clause]>::to_vec)
-                .unwrap_or_default();
-            // Drop retracted base clauses: the n-th clause of predicate P
-            // in the module list is base index n of P (the builder stages
-            // clauses in predicate-grouped order).
-            let retracted: HashMap<(Symbol, usize), &BTreeSet<usize>> = deltas
-                .iter()
-                .map(|(key, delta)| (**key, &delta.retracted_base))
-                .collect();
-            let mut ordinal: HashMap<(Symbol, usize), usize> = HashMap::new();
-            clauses.retain(|clause| {
-                let Some(key) = clause.head().functor_arity() else {
-                    return true;
-                };
-                let n = ordinal.entry(key).or_insert(0);
-                let keep = !retracted.get(&key).is_some_and(|set| set.contains(n));
-                *n += 1;
-                keep
-            });
-            // Append overlay adds; try_finish regroups per predicate, so
-            // each predicate sees its base clauses first, then its adds
-            // in assert order — exact assertz semantics.
-            for (_, delta) in &deltas {
-                clauses.extend(delta.added.iter().map(|oc| oc.clause.clone()));
-            }
-            builder.set_module_clauses(&module, clauses);
-        }
-        builder.try_finish(base.config().clone())
+        let mut deltas: Vec<_> = self.preds.iter().filter(|(_, d)| !d.is_empty()).collect();
+        deltas.sort_unstable_by_key(|((functor, arity), d)| {
+            (d.added.first().map(|c| c.seq), functor.offset(), *arity)
+        });
+        let changed = deltas.into_iter().map(|(&key, delta)| {
+            let old = base.predicate(key.0, key.1).map(|p| p.clauses());
+            let old = old.unwrap_or_default();
+            let kept = (0..old.len()).filter(|i| !delta.is_retracted(*i));
+            let kept = kept.map(|i| &old[i]);
+            let clauses = kept.chain(delta.added.iter().map(|oc| &oc.clause)).cloned();
+            (delta.module.as_str(), key, clauses.collect())
+        });
+        base.with_predicates(self.symbols.clone(), changed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clare_kb::KbConfig;
+    use clare_kb::{KbBuilder, KbConfig};
     use clare_term::parser::parse_term;
 
     fn base_kb() -> KnowledgeBase {
@@ -545,6 +518,32 @@ mod tests {
         assert_eq!(compacted.lookup("q", 1).unwrap().clauses().len(), 1);
         // Lineage: the rebuilt base descends from the sealed one.
         assert_eq!(compacted.parent_generation(), Some(base.generation()));
+    }
+
+    #[test]
+    fn new_predicates_fold_in_first_assert_order() {
+        // `a` is interned before `b` (the base holds p(a)), so neither
+        // symbol order nor hash order gives what the log says: b/1 first.
+        let base = base_kb();
+        let mut o = Overlay::new(base.symbols().clone());
+        apply(&mut o, 1, assert_op("b(1)."), &base);
+        apply(&mut o, 2, assert_op("a(1)."), &base);
+        let compacted = o.compacted_kb(&base).unwrap();
+        let preds = compacted.modules()[0].predicates().iter();
+        let names: Vec<&str> = preds
+            .map(|p| compacted.symbols().atom_text(p.indicator().0))
+            .collect();
+        assert_eq!(names, ["p", "q", "bridge", "b", "a"]);
+        let mut fresh = KbBuilder::new();
+        *fresh.symbols_mut() = o.symbols().clone();
+        fresh
+            .consult(
+                "m",
+                "p(a). p(b). p(c). q(1). bridge(X) :- p(X), q(1). b(1). a(1).",
+            )
+            .unwrap();
+        let fresh = fresh.finish(KbConfig::default());
+        assert_eq!(compacted.content_fingerprint(), fresh.content_fingerprint());
     }
 
     #[test]
