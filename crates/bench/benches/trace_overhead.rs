@@ -1,8 +1,8 @@
 //! Overhead budget for the observability layer: the FS2 sweep with the
 //! metric recording the retrieval pipeline does (per-track local counts,
 //! published to the process registry once per sweep together with the
-//! sweep's modelled and wall times, plus a span with no sink installed)
-//! must cost less than 2% over the bare sweep.
+//! sweep's modelled and wall times) must cost less than 2% over the bare
+//! sweep.
 //!
 //! Both arms sweep a compiled `fact/3` predicate the way `crs.rs` does:
 //! [`Fs2Engine::match_track`] per track over the predicate's
@@ -74,9 +74,8 @@ fn run_bare(arena: &ClauseArena, engine: &mut Fs2Engine) -> usize {
 
 /// The instrumented sweep: exactly the recording the retrieval pipeline
 /// performs per sweep — per-track locals, one registry publish, the
-/// sweep's modelled and wall times — plus a span with no sink installed.
+/// sweep's modelled and wall times.
 fn run_instrumented(arena: &ClauseArena, engine: &mut Fs2Engine) -> usize {
-    let _span = clare_trace::span("fs2.sweep");
     let started = Instant::now();
     let mut selection = selection(arena, engine);
     let (mut tracks, mut clauses, mut hits) = (0u64, 0u64, 0usize);
@@ -155,7 +154,7 @@ fn overhead_check() {
     let (bare, instrumented) = rounds[ROUNDS / 2];
     let overhead = instrumented / bare - 1.0;
     println!(
-        "fs2 sweep no-op-sink overhead: {:+.3}% (median of {ROUNDS} paired rounds; \
+        "fs2 sweep metric-recording overhead: {:+.3}% (median of {ROUNDS} paired rounds; \
          bare {:.2} µs, instrumented {:.2} µs per sweep in that round)",
         overhead * 100.0,
         bare * 1e6,

@@ -7,7 +7,6 @@
 //! driver driving the real register.
 
 use crate::buffer::DoubleBuffer;
-use crate::components::WCS_INSTRUCTIONS;
 use crate::control::{ControlRegister, FilterSelect, OperationalMode};
 use crate::engine::Fs2Engine;
 use crate::micro::{Microprogram, Wcs};
@@ -26,11 +25,6 @@ pub enum Fs2Error {
         /// Mode the action needs.
         needed: OperationalMode,
     },
-    /// The microprogram exceeds the 2048-instruction WCS.
-    MicroprogramTooLarge {
-        /// Instructions requested.
-        instructions: usize,
-    },
     /// Search was started before loading a microprogram and a query.
     NotReady,
     /// The query stream exceeds the Query Memory.
@@ -47,10 +41,6 @@ impl fmt::Display for Fs2Error {
             Fs2Error::WrongMode { current, needed } => {
                 write!(f, "device is in {current} mode but {needed} is required")
             }
-            Fs2Error::MicroprogramTooLarge { instructions } => write!(
-                f,
-                "microprogram of {instructions} instructions exceeds the {WCS_INSTRUCTIONS}-instruction WCS"
-            ),
             Fs2Error::NotReady => f.write_str("search started without microprogram and query"),
             Fs2Error::QueryTooLarge(e) => write!(f, "{e}"),
             Fs2Error::BadRecord(e) => write!(f, "bad clause record: {e}"),
@@ -95,7 +85,7 @@ impl SearchStats {
 /// # Examples
 ///
 /// ```
-/// use clare_fs2::{Fs2Device, OperationalMode};
+/// use clare_fs2::{Fs2Device, Microprogram, OperationalMode};
 /// use clare_pif::{encode_query, ClauseRecord};
 /// use clare_term::{SymbolTable, parser::{parse_term, parse_clause}};
 /// use clare_disk::FileBuilder;
@@ -103,7 +93,7 @@ impl SearchStats {
 /// let mut sy = SymbolTable::new();
 /// let mut device = Fs2Device::new();
 /// device.set_mode(OperationalMode::Microprogramming);
-/// device.load_microprogram(512)?;
+/// device.load_program(&Microprogram::standard())?;
 /// device.set_mode(OperationalMode::SetQuery);
 /// device.set_query(&encode_query(&parse_term("p(a, X)", &mut sy)?)?)?;
 ///
@@ -130,7 +120,7 @@ pub struct Fs2Device {
     buffer: DoubleBuffer,
     result: ResultMemory,
     wcs: Wcs,
-    microprogram: Option<usize>,
+    programmed: bool,
 }
 
 impl Fs2Device {
@@ -144,7 +134,7 @@ impl Fs2Device {
             buffer: DoubleBuffer::new(),
             result: ResultMemory::new(),
             wcs: Wcs::new(),
-            microprogram: None,
+            programmed: false,
         }
     }
 
@@ -169,39 +159,19 @@ impl Fs2Device {
         }
     }
 
-    /// Loads a compiled query's microprogram (Microprogramming mode).
-    ///
-    /// The simulation does not interpret instruction bits — the routine
-    /// semantics live in the engine — but it enforces the WCS capacity and
-    /// the mode protocol.
+    /// Loads `program` into the WCS (Microprogramming mode). Every
+    /// program is [`Microprogram::standard`], the Level-3 program every
+    /// search uses, and it fits the 2048-word store.
     ///
     /// # Errors
     ///
-    /// [`Fs2Error::WrongMode`] or [`Fs2Error::MicroprogramTooLarge`].
-    pub fn load_microprogram(&mut self, instructions: usize) -> Result<(), Fs2Error> {
-        self.require_mode(OperationalMode::Microprogramming)?;
-        if instructions > WCS_INSTRUCTIONS {
-            return Err(Fs2Error::MicroprogramTooLarge { instructions });
-        }
-        self.microprogram = Some(instructions);
-        Ok(())
-    }
-
-    /// Assembles and loads a real microprogram into the WCS
-    /// (Microprogramming mode). [`Microprogram::standard`] is the Level-3
-    /// program every search uses.
-    ///
-    /// # Errors
-    ///
-    /// [`Fs2Error::WrongMode`] or [`Fs2Error::MicroprogramTooLarge`].
+    /// [`Fs2Error::WrongMode`].
     pub fn load_program(&mut self, program: &Microprogram) -> Result<(), Fs2Error> {
         self.require_mode(OperationalMode::Microprogramming)?;
         self.wcs
             .load(program)
-            .map_err(|e| Fs2Error::MicroprogramTooLarge {
-                instructions: e.instructions,
-            })?;
-        self.microprogram = Some(program.len());
+            .expect("the standard microprogram fits the WCS");
+        self.programmed = true;
         Ok(())
     }
 
@@ -233,7 +203,7 @@ impl Fs2Device {
     /// [`Fs2Error::BadRecord`], or [`Fs2Error::Overflow`].
     pub fn search_track(&mut self, track: &Track) -> Result<SearchStats, Fs2Error> {
         self.require_mode(OperationalMode::Search)?;
-        if self.microprogram.is_none() {
+        if !self.programmed {
             return Err(Fs2Error::NotReady);
         }
         let engine = self.engine.as_mut().ok_or(Fs2Error::NotReady)?;
@@ -305,7 +275,7 @@ mod tests {
     fn ready_device(query: &str, sy: &mut SymbolTable) -> Fs2Device {
         let mut d = Fs2Device::new();
         d.set_mode(OperationalMode::Microprogramming);
-        d.load_microprogram(256).unwrap();
+        d.load_program(&Microprogram::standard()).unwrap();
         d.set_mode(OperationalMode::SetQuery);
         d.set_query(&encode_query(&parse_term(query, sy).unwrap()).unwrap())
             .unwrap();
@@ -338,7 +308,7 @@ mod tests {
         let mut d = Fs2Device::new();
         // Loading a microprogram in Read Result mode fails.
         assert!(matches!(
-            d.load_microprogram(10),
+            d.load_program(&Microprogram::standard()),
             Err(Fs2Error::WrongMode { .. })
         ));
         // Setting a query in Microprogramming mode fails.
@@ -371,17 +341,6 @@ mod tests {
         d.set_mode(OperationalMode::Search);
         let file = make_track(&["p(a)."], &mut sy);
         assert_eq!(d.search_track(&file.tracks()[0]).unwrap().satisfiers, 1);
-    }
-
-    #[test]
-    fn microprogram_capacity_enforced() {
-        let mut d = Fs2Device::new();
-        d.set_mode(OperationalMode::Microprogramming);
-        assert!(d.load_microprogram(2048).is_ok());
-        assert_eq!(
-            d.load_microprogram(2049),
-            Err(Fs2Error::MicroprogramTooLarge { instructions: 2049 })
-        );
     }
 
     #[test]

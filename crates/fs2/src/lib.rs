@@ -21,10 +21,15 @@
 //!   variable cells.
 //! * [`map`] — the Map ROM: dispatch on the pair of 8-bit type tags to a
 //!   microroutine, per the three type categories of §3.1.
+//! * [`micro`] — the Writable Control Store and the standard Level-3
+//!   microprogram as a listing: 64-bit words, one routine per Table 1
+//!   operation, selector settings cross-checked against the routes of
+//!   [`ops`]. Nothing executes it; [`engine`] implements the semantics.
 //! * [`engine`] — the matching engine: walks the pre-loaded query stream
 //!   against each clause head stream, drives the seven operations, and
 //!   renders a verdict with an op histogram and nanosecond timing; a
 //!   [`MatchObserver`] records the op sequence or a per-pair [`Trace`].
+//! * [`trace`] — renders a recorded [`Trace`] as a table.
 //! * [`result`] — the Result Memory with its 6-bit satisfier counter and
 //!   9-bit offset counter (32 KB, one disk track worst case).
 //! * [`buffer`] — the Double Buffer alternation model.
@@ -43,7 +48,6 @@ pub mod memory;
 pub mod micro;
 pub mod ops;
 pub mod result;
-pub mod rtl;
 pub mod trace;
 
 pub use control::{ControlRegister, FilterSelect, OperationalMode};

@@ -1,5 +1,5 @@
-//! The Writable Control Store: microinstructions, the standard
-//! microprogram, and the Micro Program Controller (§3.1).
+//! The Writable Control Store: microinstructions and the standard
+//! microprogram (§3.1).
 //!
 //! "The WCS consists of a bank of fast bipolar RAM which holds the
 //! microprogram instruction for coordinating the overall FS2 hardware
@@ -21,8 +21,10 @@
 //!   settings are cross-validated against the Figure 6–12 routes in
 //!   [`ops`](crate::ops)), and the complex-term counter loop.
 //! * [`Wcs`] — the 2048×64-bit RAM with Microprogramming-mode loading.
-//! * [`Mpc`] — the sequencer: steps `Continue`/`Jump`/`JumpMap`/`Poll`
-//!   transitions and traces which instructions a routine executes.
+//!
+//! Nothing steps the program: which routine fires for a type pair is the
+//! [`map`](crate::map) dispatch, and how long it takes is the route sum in
+//! [`ops`](crate::ops).
 
 use crate::components::{Component, WCS_INSTRUCTIONS};
 use crate::ops::HwOp;
@@ -296,9 +298,6 @@ pub struct Microprogram {
     poll_entry: u16,
     dispatch_entry: u16,
     op_entries: [(HwOp, u16); 7],
-    accept_entry: u16,
-    reject_entry: u16,
-    query_driver_entry: Option<u16>,
 }
 
 impl Microprogram {
@@ -417,43 +416,7 @@ impl Microprogram {
             poll_entry,
             dispatch_entry,
             op_entries: op_entries.try_into().expect("seven ops"),
-            accept_entry,
-            reject_entry,
-            query_driver_entry: None,
         }
-    }
-
-    /// Translates a query into microprogram instructions, as the paper's
-    /// flow requires ("when a query is posed, it is translated into
-    /// microprogram instructions"): the standard routine library plus a
-    /// per-word driver that puts each query word's Query Memory address
-    /// on microcode bits 13–20 and dispatches through the Map ROM.
-    pub fn for_query(query_stream: &clare_pif::PifStream) -> Self {
-        let mut program = Self::standard();
-        let entry = program.instructions.len() as u16;
-        for (i, _word) in query_stream.words().iter().enumerate() {
-            program.instructions.push(MicroInstruction {
-                sequencer: Sequencer::JumpMap,
-                control: DatapathControl {
-                    q_address: i as u8,
-                    ..DatapathControl::default()
-                },
-                label: "QUERY_WORD",
-            });
-        }
-        // All argument words matched: the clause is a satisfier.
-        program.instructions.push(MicroInstruction::sequencer_only(
-            Sequencer::Jump(program.accept_entry),
-            "QUERY_DONE",
-        ));
-        program.query_driver_entry = Some(entry);
-        program
-    }
-
-    /// Entry address of the query-word driver sequence, when this program
-    /// was built with [`Self::for_query`].
-    pub fn query_driver_entry(&self) -> Option<u16> {
-        self.query_driver_entry
     }
 
     /// The instructions in WCS order.
@@ -728,82 +691,6 @@ impl Default for Wcs {
     }
 }
 
-/// The Micro Program Controller: a program counter stepping WCS words
-/// under the condition codes.
-#[derive(Debug, Clone)]
-pub struct Mpc {
-    pc: u16,
-}
-
-/// Condition-code inputs for one step.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CcInputs {
-    /// A clause is ready in the Double Buffer.
-    pub clause_ready: bool,
-    /// The comparator raised HIT.
-    pub hit: bool,
-    /// The database element counter is zero.
-    pub db_counter_zero: bool,
-    /// The query element counter is zero.
-    pub query_counter_zero: bool,
-}
-
-impl CcInputs {
-    fn test(&self, cc: CondCode) -> bool {
-        match cc {
-            CondCode::ClauseReady => self.clause_ready,
-            CondCode::Hit => self.hit,
-            CondCode::DbCounterZero => self.db_counter_zero,
-            CondCode::QueryCounterZero => self.query_counter_zero,
-        }
-    }
-}
-
-impl Mpc {
-    /// A controller starting at address 0 (the polling routine).
-    pub fn new() -> Self {
-        Mpc { pc: 0 }
-    }
-
-    /// The current program counter.
-    pub fn pc(&self) -> u16 {
-        self.pc
-    }
-
-    /// Executes one microcycle: fetches the instruction at `pc`, applies
-    /// the sequencer under the condition codes (Map ROM jumps resolve to
-    /// `map_target`), and returns the executed instruction.
-    pub fn step(&mut self, wcs: &Wcs, cc: CcInputs, map_target: u16) -> MicroInstruction {
-        let instruction = wcs.fetch(self.pc);
-        self.pc = match instruction.sequencer {
-            Sequencer::Continue => self.pc.wrapping_add(1),
-            Sequencer::Jump(a) => a,
-            Sequencer::CondJump(code, a) => {
-                if cc.test(code) {
-                    a
-                } else {
-                    self.pc.wrapping_add(1)
-                }
-            }
-            Sequencer::JumpMap => map_target,
-            Sequencer::Poll(code) => {
-                if cc.test(code) {
-                    self.pc.wrapping_add(1)
-                } else {
-                    self.pc
-                }
-            }
-        };
-        instruction
-    }
-}
-
-impl Default for Mpc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,95 +758,28 @@ mod tests {
         assert!(last(HwOp::Match).compare);
         assert!(last(HwOp::QueryCrossBoundFetch).compare);
         assert!(!last(HwOp::DbStore).compare);
-    }
 
-    #[test]
-    fn mpc_polls_until_clause_ready() {
-        let p = Microprogram::standard();
-        let mut wcs = Wcs::new();
-        wcs.load(&p).unwrap();
-        let mut mpc = Mpc::new();
-        // Nothing ready: the MPC spins at the poll address.
-        for _ in 0..5 {
-            mpc.step(&wcs, CcInputs::default(), 0);
-            assert_eq!(mpc.pc(), p.poll_entry());
+        // Control flow: poll for a clause, dispatch on the Map ROM, and
+        // leave every routine for the accept or the reject entry.
+        let code = p.instructions();
+        let at = |label: &str| code.iter().position(|i| i.label == label).unwrap();
+        let poll = at("POLL_CLAUSE");
+        assert_eq!(poll, p.poll_entry() as usize);
+        assert_eq!(code[poll].sequencer, Sequencer::Poll(CondCode::ClauseReady));
+        assert_eq!(at("DISPATCH"), poll + 1);
+        assert_eq!(code[poll + 1].sequencer, Sequencer::JumpMap);
+        let accept = at("ACCEPT_NEXT_ARG") as u16;
+        let reject = Sequencer::Jump(at("REJECT_CLAUSE") as u16);
+        for op in HwOp::ALL {
+            let end = p.op_entry(op) as usize + op.cycle_count() - 1;
+            if matches!(op, HwOp::DbStore | HwOp::QueryStore) {
+                assert_eq!(code[end].sequencer, Sequencer::Jump(accept), "{op}");
+            } else {
+                let hit = Sequencer::CondJump(CondCode::Hit, accept);
+                assert_eq!(code[end].sequencer, hit, "{op}");
+                assert_eq!(code[end + 1].sequencer, reject, "{op} falls through");
+            }
         }
-        // A clause arrives: fall through to the dispatch instruction.
-        mpc.step(
-            &wcs,
-            CcInputs {
-                clause_ready: true,
-                ..CcInputs::default()
-            },
-            0,
-        );
-        assert_eq!(mpc.pc(), p.dispatch_entry());
-    }
-
-    #[test]
-    fn mpc_dispatches_through_map_rom_and_runs_match() {
-        let p = Microprogram::standard();
-        let mut wcs = Wcs::new();
-        wcs.load(&p).unwrap();
-        let mut mpc = Mpc::new();
-        let ready = CcInputs {
-            clause_ready: true,
-            hit: true,
-            ..CcInputs::default()
-        };
-        mpc.step(&wcs, ready, 0); // poll -> dispatch
-        let match_entry = p.op_entry(HwOp::Match);
-        mpc.step(&wcs, ready, match_entry); // dispatch -> MATCH
-        assert_eq!(mpc.pc(), match_entry);
-        let executed = mpc.step(&wcs, ready, 0); // MATCH body, HIT -> accept
-        assert!(executed.control.compare);
-        assert_eq!(mpc.pc(), 2, "HIT branches to ACCEPT_NEXT_ARG");
-    }
-
-    #[test]
-    fn failed_compare_falls_through_to_reject() {
-        let p = Microprogram::standard();
-        let mut wcs = Wcs::new();
-        wcs.load(&p).unwrap();
-        let mut mpc = Mpc::new();
-        let no_hit = CcInputs {
-            clause_ready: true,
-            hit: false,
-            ..CcInputs::default()
-        };
-        mpc.step(&wcs, no_hit, 0);
-        let entry = p.op_entry(HwOp::Match);
-        mpc.step(&wcs, no_hit, entry);
-        mpc.step(&wcs, no_hit, 0); // compare misses -> fall through
-        let fail = mpc.step(&wcs, no_hit, 0); // FAIL trampoline
-        assert_eq!(fail.sequencer, Sequencer::Jump(3));
-    }
-
-    #[test]
-    fn query_translation_appends_driver() {
-        use clare_pif::encode_query;
-        use clare_term::parser::parse_term;
-        let mut sy = clare_term::SymbolTable::new();
-        let q = parse_term("f(a, X, g(b, Y))", &mut sy).unwrap();
-        let stream = encode_query(&q).unwrap();
-        let program = Microprogram::for_query(&stream);
-        let entry = program.query_driver_entry().expect("driver present");
-        let base = Microprogram::standard().len();
-        assert_eq!(entry as usize, base);
-        // One dispatch per stream word, plus the final accept jump.
-        assert_eq!(program.len(), base + stream.len() + 1);
-        for (i, instruction) in program.instructions()[base..base + stream.len()]
-            .iter()
-            .enumerate()
-        {
-            assert_eq!(instruction.sequencer, Sequencer::JumpMap);
-            assert_eq!(instruction.control.q_address as usize, i);
-        }
-        // The translated program round-trips through the WCS word format.
-        let mut wcs = Wcs::new();
-        wcs.load(&program).unwrap();
-        let back = wcs.fetch(entry + 1);
-        assert_eq!(back.control.q_address, 1);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! (Table 1) and filter selectivity. This crate gives every layer of
 //! the reproduction a place to record those numbers without perturbing
 //! them: a process-wide registry of atomic [`Counter`]s, [`Gauge`]s,
-//! and fixed-bucket log2 [`Histogram`]s, plus a [`span`] API whose
-//! events go to a pluggable [`Sink`] (no-op by default, with
-//! [`RingSink`] and [`JsonlSink`] provided).
+//! and fixed-bucket log2 [`Histogram`]s.
 //!
 //! Recording is a handful of `Relaxed` atomic adds — no locks, no
 //! allocation — so the instrumentation stays enabled permanently; the
@@ -15,19 +13,16 @@
 //! name-keyed [`MetricsSnapshot`] that renders as text or JSON and
 //! crosses the wire in the extended `stats` reply.
 //!
-//! This crate is a leaf: it depends only on `parking_lot` so every
-//! other crate in the workspace (scw, fs2, core, net, bench) can record
-//! into the same registry.
+//! This crate is a leaf: it depends only on `parking_lot` and
+//! `clare-simd` (for the `simd.level` gauge) so every other crate in the
+//! workspace (scw, fs2, core, net, bench) can record into the same
+//! registry.
 
 pub mod metric;
 pub mod registry;
-pub mod span;
 
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{
     fs2_op_name, metrics, net_op_name, Metrics, MetricsSnapshot, PredicateLatencies, FS2_OPS,
     NET_OPS,
-};
-pub use span::{
-    clear_sink, set_sink, sink_enabled, span, JsonlSink, RingSink, Sink, Span, SpanEvent,
 };

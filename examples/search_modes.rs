@@ -6,7 +6,7 @@
 //! cargo run --release --example search_modes
 //! ```
 
-use clare::fs2::OperationalMode;
+use clare::fs2::{Microprogram, OperationalMode};
 use clare::prelude::*;
 use clare::term::builder::TermBuilder;
 
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // microprogram -> query -> search -> read result.
     let mut device = Fs2Device::new();
     device.set_mode(OperationalMode::Microprogramming);
-    device.load_microprogram(512)?;
+    device.load_program(&Microprogram::standard())?;
     device.set_mode(OperationalMode::SetQuery);
     device.set_query(&encode_query(&query)?)?;
     device.set_mode(OperationalMode::Search);

@@ -22,7 +22,7 @@
 //! | [`workload`] | synthetic knowledge bases and query sets |
 //! | [`net`] | PIF-over-TCP wire protocol, serving daemon, client |
 //! | [`cluster`] | predicate-sharded router, log-shipping replication |
-//! | [`trace`] | process-wide metrics registry, spans, sinks |
+//! | [`trace`] | process-wide metrics registry |
 //!
 //! # Quickstart
 //!
