@@ -9,22 +9,20 @@
 //! [`ClauseArena`], walking only the clauses the first-word posting lists
 //! select for the keyed query.
 //!
-//! The criterion shim prints medians but exposes no programmatic
-//! results, so the <2% check runs as a separate paired measurement after
-//! the criterion groups and fails the bench run loudly if the budget is
-//! blown. Each round times both arms back to back, in alternating order,
-//! and the check takes the median of the per-round ratios: on a shared
-//! host one sweep swings by ±30 % from round to round, so the minimum of
-//! each arm taken separately lets a single lucky round decide the ratio.
+//! The check is a paired measurement that fails the bench run loudly if
+//! the budget is blown. Each round times both arms back to back, in
+//! alternating order, and the check takes the median of the per-round
+//! ratios: on a shared host one sweep swings by ±30 % from round to
+//! round, so the minimum of each arm taken separately lets a single lucky
+//! round decide the ratio.
 
 use clare_disk::SimNanos;
 use clare_fs2::{Fs2Engine, Selection};
 use clare_kb::{ClauseArena, KbBuilder, KbConfig, KnowledgeBase};
 use clare_pif::encode_query;
 use clare_term::parser::parse_term;
-use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const CLAUSES: usize = 20_000;
 
@@ -34,6 +32,9 @@ const SWEEPS_PER_ROUND: usize = 50;
 
 /// Paired rounds; odd, so the median is one round's ratio.
 const ROUNDS: usize = 31;
+
+/// How long both arms run untimed before the first round.
+const WARM_UP: Duration = Duration::from_secs(2);
 
 fn workload() -> (KnowledgeBase, Fs2Engine) {
     let mut b = KbBuilder::new();
@@ -105,23 +106,7 @@ fn run_instrumented(arena: &ClauseArena, engine: &mut Fs2Engine) -> usize {
     hits
 }
 
-fn bench_hot_path(c: &mut Criterion) {
-    let (kb, mut engine) = workload();
-    let arena = arena(&kb);
-    let mut group = c.benchmark_group("fs2_trace_overhead");
-    group.sample_size(10);
-    group.bench_function("bare", |b| {
-        b.iter(|| black_box(run_bare(black_box(arena), &mut engine)))
-    });
-    group.bench_function("instrumented", |b| {
-        b.iter(|| black_box(run_instrumented(black_box(arena), &mut engine)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_hot_path);
-
-fn overhead_check() {
+fn main() {
     let (kb, mut engine) = workload();
     let arena = arena(&kb);
     // Warm up caches and the registry; both arms must agree.
@@ -137,6 +122,13 @@ fn overhead_check() {
         }
         t.elapsed().as_secs_f64() / SWEEPS_PER_ROUND as f64
     };
+    // Spin both arms untimed first, so the rounds do not also time the
+    // host settling (clock ramp, first touches of the arena).
+    let warm_up = Instant::now();
+    while warm_up.elapsed() < WARM_UP {
+        time(run_bare);
+        time(run_instrumented);
+    }
     // Time both arms back to back, alternating which goes first, so the
     // two halves of a round see the same machine.
     let mut rounds: Vec<(f64, f64)> = (0..ROUNDS)
@@ -165,9 +157,4 @@ fn overhead_check() {
         "observability overhead {:.3}% blows the 2% budget",
         overhead * 100.0
     );
-}
-
-fn main() {
-    benches();
-    overhead_check();
 }

@@ -43,43 +43,35 @@
 //! renaming, and retrieval results are invariant under renaming.
 
 use crate::crs::{Retrieval, SearchMode};
+use crate::lock;
 use clare_kb::KnowledgeBase;
 use clare_pif::PifStream;
 use clare_scw::ScanOutcome;
 use clare_term::{Symbol, Term};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Retrieval-cache knobs, carried on [`crate::CrsOptions`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Whether the server consults the cache at all. Disabled, every
-    /// retrieval runs the full filter pipeline.
-    pub enabled: bool,
     /// Upper bound on entries *per layer* (answers and FS1 outcomes are
     /// bounded independently), spread across the shards. Zero disables
-    /// the cache.
+    /// the cache: every retrieval runs the full filter pipeline.
     pub capacity: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            enabled: true,
-            capacity: 2048,
-        }
+        CacheConfig { capacity: 2048 }
     }
 }
 
 impl CacheConfig {
     /// A disabled cache (every retrieval runs the filters).
     pub fn off() -> Self {
-        CacheConfig {
-            enabled: false,
-            capacity: 0,
-        }
+        CacheConfig { capacity: 0 }
     }
 }
 
@@ -241,7 +233,7 @@ pub(crate) struct RetrievalCache {
 impl RetrievalCache {
     pub(crate) fn new(config: &CacheConfig) -> Self {
         RetrievalCache {
-            enabled: config.enabled && config.capacity > 0,
+            enabled: config.capacity > 0,
             shard_cap: config.capacity.div_ceil(SHARDS).max(1),
             global: AtomicU64::new(0),
             preds: Mutex::new(HashMap::new()),
@@ -259,13 +251,13 @@ impl RetrievalCache {
     pub(crate) fn stamp(&self, pred: (Symbol, usize)) -> Stamp {
         Stamp {
             global: self.global.load(Ordering::Acquire),
-            predicate: self.preds.lock().get(&pred).copied().unwrap_or(0),
+            predicate: lock(&self.preds).get(&pred).copied().unwrap_or(0),
         }
     }
 
     /// Invalidates every cached entry for one predicate.
     pub(crate) fn bump_predicate(&self, pred: (Symbol, usize)) {
-        *self.preds.lock().entry(pred).or_insert(0) += 1;
+        *lock(&self.preds).entry(pred).or_insert(0) += 1;
     }
 
     /// Invalidates the whole cache.
@@ -289,10 +281,10 @@ impl RetrievalCache {
         }
     }
 
-    fn shard(&self, key: &QueryKey) -> &Mutex<Shard> {
+    fn shard(&self, key: &QueryKey) -> MutexGuard<'_, Shard> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+        lock(&self.shards[(h.finish() as usize) % SHARDS])
     }
 
     pub(crate) fn get_answer(
@@ -304,10 +296,7 @@ impl RetrievalCache {
         if !self.enabled {
             return None;
         }
-        self.shard(key)
-            .lock()
-            .answers
-            .get(&(key.clone(), mode), now)
+        self.shard(key).answers.get(&(key.clone(), mode), now)
     }
 
     pub(crate) fn put_answer(
@@ -321,7 +310,6 @@ impl RetrievalCache {
             return;
         }
         self.shard(&key)
-            .lock()
             .answers
             .put((key, mode), stamp, answer, self.shard_cap);
     }
@@ -330,7 +318,7 @@ impl RetrievalCache {
         if !self.enabled {
             return None;
         }
-        self.shard(key).lock().fs1.get(key, now)
+        self.shard(key).fs1.get(key, now)
     }
 
     pub(crate) fn put_fs1(&self, key: QueryKey, stamp: Stamp, outcome: ScanOutcome) {
@@ -338,7 +326,6 @@ impl RetrievalCache {
             return;
         }
         self.shard(&key)
-            .lock()
             .fs1
             .put(key.clone(), stamp, outcome, self.shard_cap);
     }
@@ -414,10 +401,7 @@ mod tests {
     #[test]
     fn layers_stay_bounded() {
         let mut symbols = SymbolTable::default();
-        let cache = RetrievalCache::new(&CacheConfig {
-            enabled: true,
-            capacity: 8,
-        });
+        let cache = RetrievalCache::new(&CacheConfig { capacity: 8 });
         let evictions_before = clare_trace::metrics().cache_evictions.get();
         let keys: Vec<QueryKey> = (0..200)
             .map(|i| key(&format!("p(k{i})"), &mut symbols))
@@ -430,11 +414,7 @@ mod tests {
             let s = cache.stamp(k.pred());
             cache.put_answer(k.clone(), SearchMode::TwoStage, s, empty.clone());
         }
-        let live: usize = cache
-            .shards
-            .iter()
-            .map(|s| s.lock().answers.map.len())
-            .sum();
+        let live: usize = cache.shards.iter().map(|s| lock(s).answers.map.len()).sum();
         assert!(live <= 8 * 2, "bounded: {live} entries live");
         assert!(clare_trace::metrics().cache_evictions.get() > evictions_before);
     }

@@ -66,3 +66,21 @@ pub use server::{
 // The mutable-KB substrate (write-ahead log + memtable overlay) the server
 // builds on, re-exported so front-ends can speak its vocabulary directly.
 pub use clare_wal::{Overlay, OverlayError, ReplayReport, Wal, WalError, WalOp, WalRecord};
+
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+// Lock poisoning is swallowed: a panic under one of the server's locks (a
+// worker's, which the serving layer isolates) must not turn every later
+// call on the shared server into a panic too.
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}

@@ -41,17 +41,17 @@ use crate::cache::{Fs1Slot, QueryKey, RetrievalCache, Stamp};
 use crate::crs::{CrsOptions, Retrieval, SearchMode};
 use crate::plan::{encode_keyed, QueryPlan};
 use crate::resolve::{ModeChoice, SolveOptions, SolveOutcome};
+use crate::{lock, read, write};
 use clare_disk::SimNanos;
 use clare_kb::KnowledgeBase;
 use clare_pif::{PifError, PifStream};
 use clare_term::{ClauseDisplay, SymbolTable, Term};
 use clare_wal::{Overlay, OverlayError, ReplayReport, Wal, WalError, WalOp, WalRecord};
-use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 /// Aggregate service statistics.
@@ -227,14 +227,14 @@ impl WatcherSet {
         if records.is_empty() {
             return;
         }
-        let mut watchers = self.inner.lock();
+        let mut watchers = lock(&self.inner);
         watchers.retain_mut(|w| w(records));
     }
 }
 
 impl fmt::Debug for WatcherSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WatcherSet({})", self.inner.lock().len())
+        write!(f, "WatcherSet({})", lock(&self.inner).len())
     }
 }
 
@@ -371,13 +371,13 @@ impl ClauseRetrievalServer {
     /// *base only* — [`snapshot_merged`](Self::snapshot_merged) also
     /// returns the overlay the serving path merges in.
     pub fn snapshot(&self) -> Arc<KnowledgeBase> {
-        self.kb.read().base.clone()
+        read(&self.kb).base.clone()
     }
 
     /// The full serving state: base snapshot plus memtable overlay, read
     /// under one lock acquisition so the pair is consistent.
     pub fn snapshot_merged(&self) -> (Arc<KnowledgeBase>, Arc<Overlay>) {
-        let guard = self.kb.read();
+        let guard = read(&self.kb);
         (guard.base.clone(), guard.overlay.clone())
     }
 
@@ -385,7 +385,7 @@ impl ClauseRetrievalServer {
     /// atom the overlay has interned since. Parse queries against this to
     /// reach overlay-only predicates.
     pub fn symbols(&self) -> SymbolTable {
-        self.kb.read().overlay.symbols().clone()
+        read(&self.kb).overlay.symbols().clone()
     }
 
     /// The CRS configuration this server retrieves and solves with.
@@ -443,7 +443,7 @@ impl ClauseRetrievalServer {
         let (published, outcomes) = self.retrieve_batch_through_cache(queries, mode, cancel)?;
         let batch = queries.len() > 1;
         {
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats.batches += u64::from(batch);
             stats.retrievals += outcomes.len() as u64;
             for outcome in &outcomes {
@@ -505,7 +505,7 @@ impl ClauseRetrievalServer {
         // can never mix an old state with a new stamp or vice versa — the
         // soundness core of the cache.
         let published = {
-            let guard = self.kb.read();
+            let guard = read(&self.kb);
             for (key, stamp) in keyed.iter_mut().filter_map(|(_, key)| key.as_mut()) {
                 *stamp = self.cache.stamp(key.pred());
             }
@@ -602,7 +602,7 @@ impl ClauseRetrievalServer {
             cancel,
         )?;
         {
-            let mut stats = self.stats.lock();
+            let mut stats = lock(&self.stats);
             stats.solves += 1;
             stats.degraded += u64::from(outcome.stats.degraded);
             stats.total_elapsed += outcome.stats.retrieval_elapsed;
@@ -631,7 +631,7 @@ impl ClauseRetrievalServer {
     /// mutate through transactions ([`begin_update`](Self::begin_update))
     /// and fold with [`compact_now`](Self::compact_now) instead.
     pub fn update(&self, kb: KnowledgeBase) {
-        let mut commit = self.commit.lock();
+        let mut commit = lock(&self.commit);
         // The overlay is discarded wholesale: subscribers can no longer
         // catch up from below the current frontier.
         commit.folded_through = commit
@@ -640,7 +640,7 @@ impl ClauseRetrievalServer {
             .map_or(commit.mem_seq, |wal| wal.next_seq())
             - 1;
         let overlay = Overlay::new(kb.symbols().clone());
-        let mut guard = self.kb.write();
+        let mut guard = write(&self.kb);
         // Bump cache epochs *while holding the write lock*: readers take
         // (snapshot, stamp) under the read lock, so they can never pair
         // the outgoing state with the incoming stamp or vice versa.
@@ -651,7 +651,7 @@ impl ClauseRetrievalServer {
         };
         drop(guard);
         drop(commit);
-        self.stats.lock().updates += 1;
+        lock(&self.stats).updates += 1;
     }
 
     /// Attaches (creating if absent) a write-ahead log and replays it:
@@ -670,10 +670,10 @@ impl ClauseRetrievalServer {
         path: P,
     ) -> Result<ReplayReport, CommitError> {
         let (wal, records, report) = Wal::open(path)?;
-        let mut commit = self.commit.lock();
-        let base = self.kb.read().base.clone();
+        let mut commit = lock(&self.commit);
+        let base = read(&self.kb).base.clone();
         let (overlay, _skipped) = Overlay::rebuild(&base, &records);
-        let mut guard = self.kb.write();
+        let mut guard = write(&self.kb);
         // Replay can resurrect anything; invalidate wholesale.
         self.cache.bump_global();
         guard.overlay = Arc::new(overlay);
@@ -703,10 +703,10 @@ impl ClauseRetrievalServer {
             clare_trace::metrics().wal_noop_commits.inc();
             return Ok(CommitReceipt::noop());
         }
-        let mut commit = self.commit.lock();
+        let mut commit = lock(&self.commit);
         let receipt = self.commit_under_lock(&mut commit, &ops)?;
         drop(commit);
-        self.stats.lock().updates += 1;
+        lock(&self.stats).updates += 1;
         self.maybe_auto_compact();
         Ok(receipt)
     }
@@ -749,7 +749,7 @@ impl ClauseRetrievalServer {
         // Holding the commit lock pins the published pair: every other
         // publisher (commits, wholesale updates, the compaction swap)
         // also takes it.
-        let published = self.kb.read().clone();
+        let published = read(&self.kb).clone();
         let mut overlay = (*published.overlay).clone();
         let first_seq = commit
             .wal
@@ -778,7 +778,7 @@ impl ClauseRetrievalServer {
                 false
             }
         };
-        let mut guard = self.kb.write();
+        let mut guard = write(&self.kb);
         debug_assert!(
             Arc::ptr_eq(&guard.base, &published.base),
             "commit lock pins the base"
@@ -823,7 +823,7 @@ impl ClauseRetrievalServer {
     /// * `record.seq` skips ahead — [`CommitError::ReplicaGap`], and the
     ///   shipper must resend from the reported `expected`.
     pub fn apply_replicated(&self, record: &WalRecord) -> Result<u64, CommitError> {
-        let mut commit = self.commit.lock();
+        let mut commit = lock(&self.commit);
         let expected = commit
             .wal
             .as_ref()
@@ -837,7 +837,7 @@ impl ClauseRetrievalServer {
         let ops = std::slice::from_ref(&record.op);
         self.commit_under_lock(&mut commit, ops)?;
         drop(commit);
-        self.stats.lock().updates += 1;
+        lock(&self.stats).updates += 1;
         self.maybe_auto_compact();
         Ok(record.seq)
     }
@@ -846,7 +846,7 @@ impl ClauseRetrievalServer {
     /// commit). On a primary this is the replication frontier its
     /// backups chase.
     pub fn current_seq(&self) -> u64 {
-        let commit = self.commit.lock();
+        let commit = lock(&self.commit);
         commit
             .wal
             .as_ref()
@@ -871,7 +871,7 @@ impl ClauseRetrievalServer {
         from_seq: u64,
         mut watcher: LogWatcher,
     ) -> Result<u64, SubscribeError> {
-        let commit = self.commit.lock();
+        let commit = lock(&self.commit);
         if from_seq < commit.folded_through {
             return Err(SubscribeError::Gap {
                 folded_through: commit.folded_through,
@@ -882,7 +882,7 @@ impl ClauseRetrievalServer {
             .as_ref()
             .map_or(commit.mem_seq, |wal| wal.next_seq())
             - 1;
-        let overlay = self.kb.read().overlay.clone();
+        let overlay = read(&self.kb).overlay.clone();
         let catch_up: Vec<WalRecord> = overlay
             .ops()
             .iter()
@@ -892,7 +892,7 @@ impl ClauseRetrievalServer {
         if !catch_up.is_empty() && !watcher(&catch_up) {
             return Ok(current);
         }
-        self.watchers.inner.lock().push(watcher);
+        lock(&self.watchers.inner).push(watcher);
         Ok(current)
     }
 
@@ -906,7 +906,7 @@ impl ClauseRetrievalServer {
         let Some(threshold) = self.options.overlay_auto_compact_ops else {
             return;
         };
-        let len = self.kb.read().overlay.len();
+        let len = read(&self.kb).overlay.len();
         if len == 0 || len < threshold {
             return;
         }
@@ -953,7 +953,7 @@ impl ClauseRetrievalServer {
 
     fn compact_inner(&self) -> CompactionOutcome {
         let started = Instant::now();
-        let sealed = self.kb.read().clone();
+        let sealed = read(&self.kb).clone();
         if sealed.overlay.is_empty() {
             return CompactionOutcome::Clean;
         }
@@ -972,8 +972,8 @@ impl ClauseRetrievalServer {
         let sealed_max = sealed.overlay.max_seq();
         // Swap: serialize with publishers; if the base moved under the
         // rebuild (a wholesale update), the result no longer applies.
-        let mut commit = self.commit.lock();
-        let mut guard = self.kb.write();
+        let mut commit = lock(&self.commit);
+        let mut guard = write(&self.kb);
         if !Arc::ptr_eq(&guard.base, &sealed.base) {
             m.compaction_aborts.inc();
             return CompactionOutcome::Aborted;
@@ -1056,14 +1056,14 @@ impl ClauseRetrievalServer {
     /// reaches the retrieval pipeline, so refusals stay observable in one
     /// place alongside the work that was served.
     pub fn note_rejected(&self) {
-        self.stats.lock().rejected += 1;
+        lock(&self.stats).rejected += 1;
     }
 
     /// Service statistics so far: a copy taken under the stats lock, so
     /// it never tears (e.g. a batch's `batches` bump without its
     /// `retrievals` bump).
     pub fn stats(&self) -> ServerStats {
-        *self.stats.lock()
+        *lock(&self.stats)
     }
 }
 

@@ -8,10 +8,7 @@
 //!
 //! The pipeline consequence matters for throughput: clause *k* is matched
 //! while clause *k+1* transfers, so a track's elapsed time is governed by
-//! `max(transfer, match)` per clause, not their sum —
-//! [`pipeline_time`] computes exactly that.
-
-use clare_disk::SimNanos;
+//! `max(transfer, match)` per clause, not their sum.
 
 /// The two alternating banks.
 #[derive(Debug, Clone, Default)]
@@ -55,35 +52,9 @@ impl DoubleBuffer {
     }
 }
 
-/// Total elapsed time for a double-buffered pipeline: each stage `i`
-/// overlaps the transfer of item `i+1` with the processing of item `i`.
-///
-/// Given per-clause `(transfer, process)` pairs, the elapsed time is the
-/// first transfer plus, for each subsequent step, the longer of (current
-/// processing, next transfer), plus the final processing.
-pub fn pipeline_time(stages: &[(SimNanos, SimNanos)]) -> SimNanos {
-    match stages {
-        [] => SimNanos::ZERO,
-        [(t, p)] => *t + *p,
-        _ => {
-            let mut total = stages[0].0; // first transfer
-            for i in 0..stages.len() - 1 {
-                let process_now = stages[i].1;
-                let transfer_next = stages[i + 1].0;
-                total += process_now.max(transfer_next);
-            }
-            total + stages[stages.len() - 1].1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ns(n: u64) -> SimNanos {
-        SimNanos::from_ns(n)
-    }
 
     #[test]
     fn banks_alternate() {
@@ -95,32 +66,5 @@ mod tests {
         assert!(db.fill(&[3, 3]));
         assert_eq!(db.output(), &[3, 3]);
         assert_eq!(db.fills(), 3);
-    }
-
-    #[test]
-    fn pipeline_empty_and_single() {
-        assert_eq!(pipeline_time(&[]), SimNanos::ZERO);
-        assert_eq!(pipeline_time(&[(ns(100), ns(30))]), ns(130));
-    }
-
-    #[test]
-    fn pipeline_overlap_transfer_bound() {
-        // Transfers dominate: elapsed = all transfers + last processing.
-        let stages = vec![(ns(100), ns(10)); 5];
-        assert_eq!(pipeline_time(&stages), ns(100 * 5 + 10));
-    }
-
-    #[test]
-    fn pipeline_overlap_process_bound() {
-        // Processing dominates: elapsed = first transfer + all processing.
-        let stages = vec![(ns(10), ns(100)); 5];
-        assert_eq!(pipeline_time(&stages), ns(10 + 100 * 5));
-    }
-
-    #[test]
-    fn pipeline_mixed() {
-        let stages = [(ns(100), ns(50)), (ns(40), ns(200)), (ns(100), ns(10))];
-        // 100 + max(50,40) + max(200,100) + 10 = 360.
-        assert_eq!(pipeline_time(&stages), ns(360));
     }
 }

@@ -175,12 +175,6 @@ impl Fs2Device {
         Ok(())
     }
 
-    /// The Writable Control Store contents (host view over the VMEbus in
-    /// Microprogramming mode).
-    pub fn wcs(&self) -> &Wcs {
-        &self.wcs
-    }
-
     /// Writes the query argument words (Set Query mode).
     ///
     /// # Errors
@@ -330,10 +324,7 @@ mod tests {
         d.set_mode(OperationalMode::Microprogramming);
         let program = Microprogram::standard();
         d.load_program(&program).unwrap();
-        // The WCS holds the assembled words; spot-check the dispatch word.
-        let dispatch = d.wcs().fetch(program.dispatch_entry());
-        assert_eq!(dispatch.sequencer, crate::micro::Sequencer::JumpMap);
-        // And the device is search-ready once a query is set.
+        // The device is search-ready once a query is set.
         let mut sy = SymbolTable::new();
         d.set_mode(OperationalMode::SetQuery);
         d.set_query(&encode_query(&parse_term("p(a)", &mut sy).unwrap()).unwrap())

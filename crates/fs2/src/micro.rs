@@ -50,14 +50,6 @@ impl SelBranch {
             SelBranch::Right => 2,
         }
     }
-
-    fn from_bits(bits: u64) -> Self {
-        match bits & 0b11 {
-            1 => SelBranch::Left,
-            2 => SelBranch::Right,
-            _ => SelBranch::Hold,
-        }
-    }
 }
 
 /// Condition codes the sequencer can branch on — the CC register inputs
@@ -81,15 +73,6 @@ impl CondCode {
             CondCode::Hit => 1,
             CondCode::DbCounterZero => 2,
             CondCode::QueryCounterZero => 3,
-        }
-    }
-
-    fn from_bits(bits: u64) -> Self {
-        match bits & 0b11 {
-            0 => CondCode::ClauseReady,
-            1 => CondCode::Hit,
-            2 => CondCode::DbCounterZero,
-            _ => CondCode::QueryCounterZero,
         }
     }
 }
@@ -243,41 +226,6 @@ impl MicroInstruction {
         word |= (c.q_address as u64) << 36;
         word |= (c.b_addr_from_reg1 as u64) << 44;
         word
-    }
-
-    /// Unpacks a 64-bit WCS word (labels are lost).
-    pub fn from_word(word: u64) -> Self {
-        let cc = CondCode::from_bits(word >> 4);
-        let addr = ((word >> 6) & 0x7FF) as u16;
-        let sequencer = match word & 0xF {
-            SEQ_JUMP => Sequencer::Jump(addr),
-            SEQ_COND_JUMP => Sequencer::CondJump(cc, addr),
-            SEQ_JUMP_MAP => Sequencer::JumpMap,
-            SEQ_POLL => Sequencer::Poll(cc),
-            _ => Sequencer::Continue,
-        };
-        let control = DatapathControl {
-            sel1: SelBranch::from_bits(word >> 17),
-            sel2: SelBranch::from_bits(word >> 19),
-            sel3: SelBranch::from_bits(word >> 21),
-            sel4: SelBranch::from_bits(word >> 23),
-            sel5: SelBranch::from_bits(word >> 25),
-            sel6: SelBranch::from_bits(word >> 27),
-            latch_reg1: word & (1 << 29) != 0,
-            latch_reg3: word & (1 << 30) != 0,
-            write_db_memory: word & (1 << 31) != 0,
-            write_query_memory: word & (1 << 32) != 0,
-            compare: word & (1 << 33) != 0,
-            dec_db_counter: word & (1 << 34) != 0,
-            dec_query_counter: word & (1 << 35) != 0,
-            q_address: ((word >> 36) & 0xFF) as u8,
-            b_addr_from_reg1: word & (1 << 44) != 0,
-        };
-        MicroInstruction {
-            sequencer,
-            control,
-            label: "",
-        }
     }
 }
 
@@ -669,20 +617,6 @@ impl Wcs {
         }
         Ok(())
     }
-
-    /// Reads one word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the 2048-word store.
-    pub fn read(&self, addr: u16) -> u64 {
-        self.ram[addr as usize]
-    }
-
-    /// Decodes the instruction at `addr`.
-    pub fn fetch(&self, addr: u16) -> MicroInstruction {
-        MicroInstruction::from_word(self.read(addr))
-    }
 }
 
 impl Default for Wcs {
@@ -704,10 +638,55 @@ mod tests {
         wcs.load(&p).unwrap();
     }
 
+    /// Unpacks a 64-bit WCS word (labels are lost).
+    fn from_word(word: u64) -> MicroInstruction {
+        let sel = |bits: u64| match bits & 0b11 {
+            1 => SelBranch::Left,
+            2 => SelBranch::Right,
+            _ => SelBranch::Hold,
+        };
+        let cc = match (word >> 4) & 0b11 {
+            0 => CondCode::ClauseReady,
+            1 => CondCode::Hit,
+            2 => CondCode::DbCounterZero,
+            _ => CondCode::QueryCounterZero,
+        };
+        let addr = ((word >> 6) & 0x7FF) as u16;
+        let sequencer = match word & 0xF {
+            SEQ_JUMP => Sequencer::Jump(addr),
+            SEQ_COND_JUMP => Sequencer::CondJump(cc, addr),
+            SEQ_JUMP_MAP => Sequencer::JumpMap,
+            SEQ_POLL => Sequencer::Poll(cc),
+            _ => Sequencer::Continue,
+        };
+        let control = DatapathControl {
+            sel1: sel(word >> 17),
+            sel2: sel(word >> 19),
+            sel3: sel(word >> 21),
+            sel4: sel(word >> 23),
+            sel5: sel(word >> 25),
+            sel6: sel(word >> 27),
+            latch_reg1: word & (1 << 29) != 0,
+            latch_reg3: word & (1 << 30) != 0,
+            write_db_memory: word & (1 << 31) != 0,
+            write_query_memory: word & (1 << 32) != 0,
+            compare: word & (1 << 33) != 0,
+            dec_db_counter: word & (1 << 34) != 0,
+            dec_query_counter: word & (1 << 35) != 0,
+            q_address: ((word >> 36) & 0xFF) as u8,
+            b_addr_from_reg1: word & (1 << 44) != 0,
+        };
+        MicroInstruction {
+            sequencer,
+            control,
+            label: "",
+        }
+    }
+
     #[test]
     fn word_encoding_roundtrips() {
         for instruction in Microprogram::standard().instructions() {
-            let back = MicroInstruction::from_word(instruction.to_word());
+            let back = from_word(instruction.to_word());
             assert_eq!(
                 back.sequencer, instruction.sequencer,
                 "{}",
@@ -767,6 +746,7 @@ mod tests {
         assert_eq!(poll, p.poll_entry() as usize);
         assert_eq!(code[poll].sequencer, Sequencer::Poll(CondCode::ClauseReady));
         assert_eq!(at("DISPATCH"), poll + 1);
+        assert_eq!(p.dispatch_entry() as usize, poll + 1);
         assert_eq!(code[poll + 1].sequencer, Sequencer::JumpMap);
         let accept = at("ACCEPT_NEXT_ARG") as u16;
         let reject = Sequencer::Jump(at("REJECT_CLAUSE") as u16);

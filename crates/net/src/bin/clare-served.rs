@@ -9,7 +9,6 @@
 //! clare-served [OPTIONS] [program.pl]
 //!
 //!   --addr HOST:PORT   listen address        (default 127.0.0.1:7879)
-//!   --shards N         reactor shard threads (default 1)
 //!   --workers N        worker threads        (default 4)
 //!   --max-conns N      connection limit      (default 64)
 //!   --queue-depth N    request queue bound   (default 256)
@@ -63,7 +62,6 @@ fn parse_args() -> Result<Args, String> {
         let mut value = || it.next().ok_or_else(|| format!("missing value for {arg}"));
         match arg.as_str() {
             "--addr" => args.addr = value()?,
-            "--shards" => args.net.reactor_shards = number(&arg, value()?)?,
             "--workers" => args.net.workers = number(&arg, value()?)?,
             "--max-conns" => args.net.max_connections = number(&arg, value()?)?,
             "--queue-depth" => args.net.queue_depth = number(&arg, value()?)?,

@@ -2,7 +2,7 @@
 //! thousands of concurrent clients on a handful of threads.
 //!
 //! ```text
-//!             ┌────────────── reactor shard (one thread) ──────────────┐
+//!             ┌───────────────── reactor (one thread) ─────────────────┐
 //!   listener ─► nonblocking accept ─► Conn { FrameReader, Outbound }   │
 //!             │        epoll_wait ─► readable: read → reassemble →     │
 //!             │                       process_burst → bounded queue ───┼─► workers
@@ -18,7 +18,7 @@
 //! pool. Replies come back through the connection's [`Outbound`]: the
 //! thread that produced a reply writes it to the socket itself, and only
 //! what the kernel does not take goes onto the bounded queue, with an
-//! eventfd kick so the owning shard flushes it and parks the remainder
+//! eventfd kick so the reactor flushes it and parks the remainder
 //! against `EPOLLOUT`. A worker that finds the queue at capacity blocks —
 //! bounded by the write timeout — which is how a slow client exerts
 //! backpressure on the service instead of ballooning memory.
@@ -27,7 +27,7 @@
 //! `clare-cluster` router both serve through it); the handshake grants
 //! the [`Service`](crate::Service)'s capabilities and its fingerprint.
 //!
-//! Each connection has one shared object, its [`Outbound`]: the shard,
+//! Each connection has one shared object, its [`Outbound`]: the reactor,
 //! every job decoded from the connection and any log watcher it
 //! registered hold the same `Arc`. It owns the socket, the reply queue,
 //! the in-flight job count and the checksum capability negotiated at the
@@ -60,9 +60,9 @@ use crate::protocol::{
 };
 use crate::server::{process_burst, NetConfig, Shared};
 
-/// Epoll token of the listening socket (shard 0 only).
+/// Epoll token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
-/// Epoll token of a shard's eventfd wakeup.
+/// Epoll token of the reactor's eventfd wakeup.
 const TOKEN_WAKE: u64 = 1;
 /// First token handed to a connection.
 pub(crate) const TOKEN_FIRST_CONN: u64 = 2;
@@ -77,12 +77,12 @@ const REFUSED_BUDGET: usize = 32;
 /// the busy reply is abandoned and the socket released.
 const REFUSED_DEADLINE: Duration = Duration::from_secs(2);
 
-/// How often a shard scans its connections for expired deadlines (idle,
+/// How often the reactor scans its connections for expired deadlines (idle,
 /// refused, closing) — also the longest it sleeps in `epoll_wait`.
 const DEADLINE_SCAN_INTERVAL: Duration = Duration::from_millis(25);
 
 thread_local! {
-    /// True inside a reactor shard thread. [`Outbound::enqueue`] consults
+    /// True inside the reactor thread. [`Outbound::enqueue`] consults
     /// this to skip backpressure parking: the reactor must never block on
     /// a queue only it can drain.
     static IN_REACTOR: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -126,7 +126,7 @@ impl Epoll {
     }
 
     /// Waits up to `timeout` for readiness. `EINTR` surfaces as an empty
-    /// event set; any other failure is returned so the shard can quiesce
+    /// event set; any other failure is returned so the reactor can quiesce
     /// instead of busy-spinning on a broken epoll fd.
     fn wait(&self, events: &mut [libc::epoll_event], timeout: Duration) -> std::io::Result<usize> {
         let ms = libc::c_int::try_from(timeout.as_millis()).unwrap_or(libc::c_int::MAX);
@@ -159,7 +159,7 @@ impl Drop for Epoll {
 }
 
 /// An `eventfd`-backed wakeup: any thread bumps the counter to pull a
-/// shard out of `epoll_wait`.
+/// reactor out of `epoll_wait`.
 struct WakeFd {
     fd: RawFd,
 }
@@ -198,27 +198,24 @@ impl Drop for WakeFd {
 
 // --- cross-thread mailboxes ----------------------------------------------
 
-/// One shard's cross-thread mailbox: workers (and the shutdown path) talk
-/// to a running shard exclusively through this — token kicks for fresh
-/// outbound bytes, and connection handoffs from the accepting shard.
-pub(crate) struct ShardQueue {
+/// The reactor's cross-thread mailbox: workers (and the shutdown path)
+/// talk to the running reactor exclusively through this — token kicks for
+/// fresh outbound bytes, and bare wakeups.
+pub(crate) struct KickQueue {
     wake: WakeFd,
     /// Tokens whose [`Outbound`] gained bytes since the last drain.
     kicked: Mutex<Vec<u64>>,
-    /// Connections accepted by shard 0 but owned by this shard.
-    handoff: Mutex<Vec<(u64, TcpStream, bool)>>,
 }
 
-impl ShardQueue {
-    pub(crate) fn new() -> std::io::Result<Arc<ShardQueue>> {
-        Ok(Arc::new(ShardQueue {
+impl KickQueue {
+    pub(crate) fn new() -> std::io::Result<Arc<KickQueue>> {
+        Ok(Arc::new(KickQueue {
             wake: WakeFd::new()?,
             kicked: Mutex::new(Vec::new()),
-            handoff: Mutex::new(Vec::new()),
         }))
     }
 
-    /// Wakes the shard with no associated token (shutdown, handoff).
+    /// Wakes the reactor with no associated token (shutdown).
     pub(crate) fn kick(&self) {
         self.wake.wake();
     }
@@ -234,10 +231,6 @@ impl ShardQueue {
     fn take_kicked(&self) -> Vec<u64> {
         std::mem::take(&mut *self.kicked.lock().unwrap_or_else(|e| e.into_inner()))
     }
-
-    fn take_handoff(&self) -> Vec<(u64, TcpStream, bool)> {
-        std::mem::take(&mut *self.handoff.lock().unwrap_or_else(|e| e.into_inner()))
-    }
 }
 
 /// Outcome of one flush attempt against a connection's socket.
@@ -252,7 +245,7 @@ enum FlushOutcome {
     Dead,
 }
 
-/// The per-connection object shared by the shard that owns the
+/// The per-connection object shared by the reactor, which owns the
 /// connection's readiness events, every job decoded from it and any log
 /// watcher it registered: its socket, the bounded queue of reply bytes
 /// the socket has not taken yet, the count of jobs still owed a reply, and
@@ -262,13 +255,13 @@ enum FlushOutcome {
 /// only when nothing is queued ahead, so a frame reaches the wire whole
 /// and queued bytes always precede later frames. When the queue is at
 /// capacity senders park on the condvar — bounded by the stall timeout —
-/// until the shard's flushing makes room (write-side backpressure).
+/// until the reactor's flushing makes room (write-side backpressure).
 pub(crate) struct Outbound {
-    shard: Arc<ShardQueue>,
+    kicks: Arc<KickQueue>,
     token: u64,
     /// The connection's nonblocking socket, one handle for every reader
     /// and writer. [`close_conn`] shuts it down, so the peer sees the close
-    /// when the shard decides it; the fd goes with the last holder (a job
+    /// when the reactor decides it; the fd goes with the last holder (a job
     /// or log watcher may outlive the `Conn`).
     stream: TcpStream,
     /// Queue capacity in bytes; enqueues past it park the caller.
@@ -276,24 +269,24 @@ pub(crate) struct Outbound {
     /// How long an enqueue may stay parked before the connection is
     /// condemned as a non-consuming peer.
     stall_timeout: Duration,
-    /// The shard has stopped reading this connection and releases it once
+    /// The reactor has stopped reading this connection and releases it once
     /// its in-flight jobs finish and the queue drains.
     closing: AtomicBool,
     /// Jobs decoded from this connection still queued or executing. A
-    /// half-closed connection owes a reply per in-flight job, so the shard
+    /// half-closed connection owes a reply per in-flight job, so the reactor
     /// may not release it while this is nonzero.
     in_flight: AtomicUsize,
     /// Negotiated at the handshake: append a CRC32C trailer to every
-    /// reply frame. `Relaxed` suffices: the shard stores it before any
+    /// reply frame. `Relaxed` suffices: the reactor stores it before any
     /// job exists, and every other sender (a worker, a log watcher) got
     /// its job through the queue mutex after that store.
     checksums: AtomicBool,
     /// Bytes the socket has accepted, from either kind of writer. The
-    /// shard's deadline scan reads it as evidence of write-side progress.
+    /// reactor's deadline scan reads it as evidence of write-side progress.
     written: AtomicU64,
     /// The stream is condemned (a write failed, the peer stopped
-    /// consuming, or the shard dropped the connection): sends are no-ops
-    /// and the shard closes the connection if it has not already. Only
+    /// consuming, or the reactor dropped the connection): sends are no-ops
+    /// and the reactor closes the connection if it has not already. Only
     /// stored under the queue lock, so a parked sender cannot miss it;
     /// atomic so [`Outbound::send`] can skip encoding without the lock.
     dead: AtomicBool,
@@ -313,9 +306,9 @@ struct OutboundInner {
 }
 
 impl Outbound {
-    fn new(shard: Arc<ShardQueue>, token: u64, stream: TcpStream, cfg: &NetConfig) -> Arc<Self> {
+    fn new(kicks: Arc<KickQueue>, token: u64, stream: TcpStream, cfg: &NetConfig) -> Arc<Self> {
         Arc::new(Outbound {
-            shard,
+            kicks,
             token,
             stream,
             cap: cfg.outbound_queue_bytes.max(1),
@@ -360,8 +353,8 @@ impl Outbound {
 
     /// Sends encoded bytes: straight to the socket when nothing is queued
     /// ahead (a complete write wakes no one), the rest onto the queue with
-    /// a kick to the owning shard. Blocks (bounded by the stall timeout)
-    /// while the queue is at capacity — unless called from the shard
+    /// a kick to the reactor. Blocks (bounded by the stall timeout)
+    /// while the queue is at capacity — unless called from the reactor
     /// thread itself, which must never park on a queue only it can drain.
     /// A no-op once the connection is gone or condemned.
     fn enqueue(&self, bytes: Vec<u8>) {
@@ -407,7 +400,7 @@ impl Outbound {
                     return;
                 }
             }
-            // The peer is not keeping up: from here the shard's flush and
+            // The peer is not keeping up: from here the reactor's flush and
             // `EPOLLOUT` take over, and later frames queue behind this one.
             m.net_reactor_partial_writes.inc();
             inner.front_written = sent;
@@ -417,11 +410,11 @@ impl Outbound {
         inner.queued += rest;
         inner.segments.push_back(bytes);
         drop(inner);
-        self.shard.kick_token(self.token);
+        self.kicks.kick_token(self.token);
     }
 
     /// Writes one frame; a failed write condemns the connection, later
-    /// sends become no-ops and the shard drops it.
+    /// sends become no-ops and the reactor drops it.
     ///
     /// This is the server-side network fault-injection point
     /// ([`clare_fault::FaultSite::NetServerSend`], keyed by request id and
@@ -470,14 +463,14 @@ impl Outbound {
     }
 
     /// The job is done — reply sent, shed, or panicked — and its reply is
-    /// on the socket or the queue, so the shard needs waking only if it
+    /// on the socket or the queue, so the reactor needs waking only if it
     /// has parked the connection as closing and this was the last job it
-    /// waits for. The shard stores the flag *before* its own
+    /// waits for. The reactor stores the flag *before* its own
     /// [`Outbound::idle`] check and both sides are SeqCst, so either it
     /// sees the count at zero or this sees the flag.
     pub(crate) fn job_finished(&self) {
         if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 && self.closing() {
-            self.shard.kick_token(self.token);
+            self.kicks.kick_token(self.token);
         }
     }
 
@@ -491,7 +484,7 @@ impl Outbound {
         self.dead.store(true, Ordering::SeqCst);
         drop(inner);
         self.room.notify_all();
-        self.shard.kick_token(self.token);
+        self.kicks.kick_token(self.token);
     }
 
     /// The connection is gone or condemned.
@@ -504,13 +497,13 @@ impl Outbound {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).queued
     }
 
-    /// The shard is waiting to release this connection.
+    /// The reactor is waiting to release this connection.
     fn closing(&self) -> bool {
         self.closing.load(Ordering::SeqCst)
     }
 
     /// Reactor-side: stop reading; close once idle and flushed. Stored
-    /// before the shard's own [`Outbound::idle`] check, SeqCst like the
+    /// before the reactor's own [`Outbound::idle`] check, SeqCst like the
     /// count (see [`Outbound::job_finished`]).
     fn set_closing(&self) {
         self.closing.store(true, Ordering::SeqCst);
@@ -610,7 +603,7 @@ struct Conn {
     hello: [u8; CLIENT_HELLO_LEN],
     fr: FrameReader,
     outbound: Arc<Outbound>,
-    /// When a byte last moved in either direction, as far as the shard
+    /// When a byte last moved in either direction, as far as the reactor
     /// has observed (reads at once, writes at the next deadline scan).
     last_activity: Instant,
     /// [`Outbound::written`] at the last deadline scan.
@@ -629,18 +622,18 @@ enum ConnVerdict {
     Close,
 }
 
-// --- the shard loop ------------------------------------------------------
+// --- the reactor loop ----------------------------------------------------
 
-/// A shard's acknowledgement that it has stopped turning input into jobs:
-/// counted into [`Shared::quiesced_shards`] exactly once — when the shard
+/// The reactor's acknowledgement that it has stopped turning input into jobs:
+/// recorded in [`Shared::quiesced`] exactly once — when the reactor
 /// says so, or when it exits without having said so, by a panic included —
-/// so `NetServer::shutdown` never waits on a shard that is gone.
+/// so `NetServer::shutdown` never waits on a reactor that is gone.
 struct Quiesce<'a>(Option<&'a Shared>);
 
 impl Quiesce<'_> {
     fn ack(&mut self) {
         if let Some(shared) = self.0.take() {
-            shared.quiesced_shards.fetch_add(1, Ordering::SeqCst);
+            shared.quiesced.store(true, Ordering::SeqCst);
         }
     }
 }
@@ -651,31 +644,24 @@ impl Drop for Quiesce<'_> {
     }
 }
 
-/// Runs one reactor shard until shutdown completes. Shard 0 owns the
-/// listener; connections are distributed across shards by token.
-pub(crate) fn run_shard(
-    shard_idx: usize,
-    mut listener: Option<TcpListener>,
-    shards: Vec<Arc<ShardQueue>>,
-    shared: Arc<Shared>,
-) {
+/// Runs the reactor until shutdown completes: it owns the listener and
+/// every connection.
+pub(crate) fn run_reactor(listener: TcpListener, me: Arc<KickQueue>, shared: Arc<Shared>) {
     IN_REACTOR.with(|f| f.set(true));
     let mut quiesce = Quiesce(Some(&shared));
-    let me = Arc::clone(&shards[shard_idx]);
     let setup = || {
         let epoll = Epoll::new()?;
         epoll.add(me.wake.fd, libc::EPOLLIN, TOKEN_WAKE)?;
-        if let Some(l) = &listener {
-            epoll.add(l.as_raw_fd(), libc::EPOLLIN, TOKEN_LISTENER)?;
-        }
+        epoll.add(listener.as_raw_fd(), libc::EPOLLIN, TOKEN_LISTENER)?;
         std::io::Result::Ok(epoll)
     };
     let Ok(epoll) = setup() else {
-        // Without its epoll instance this shard cannot serve; returning
+        // Without its epoll instance the reactor cannot serve; returning
         // quiesces it, so shutdown never hangs waiting for it.
         return;
     };
 
+    let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut events = vec![libc::epoll_event { events: 0, u64: 0 }; 256];
     let mut draining = false;
@@ -697,8 +683,8 @@ pub(crate) fn run_shard(
             break;
         }
         #[cfg(test)]
-        if shared.panic_in_shard.load(Ordering::SeqCst) {
-            panic!("test hook: a reactor shard panics");
+        if shared.panic_in_reactor.load(Ordering::SeqCst) {
+            panic!("test hook: the reactor panics");
         }
 
         let n = match epoll.wait(&mut events, DEADLINE_SCAN_INTERVAL) {
@@ -706,7 +692,7 @@ pub(crate) fn run_shard(
             Err(_) => {
                 // A fatal epoll failure (EBADF and friends) cannot be
                 // served around: acknowledge quiesce so shutdown never
-                // hangs on this shard, then fall through to the final
+                // hangs on the reactor, then fall through to the final
                 // drain (best-effort flush, release every fd) instead of
                 // spinning on a broken fd.
                 quiesce.ack();
@@ -723,21 +709,11 @@ pub(crate) fn run_shard(
             match token {
                 TOKEN_LISTENER => {
                     if !draining {
-                        accept_ready(
-                            &epoll,
-                            listener.as_ref(),
-                            &shards,
-                            shard_idx,
-                            &shared,
-                            &mut conns,
-                        );
+                        accept_ready(&epoll, listener.as_ref(), &me, &shared, &mut conns);
                     }
                 }
                 TOKEN_WAKE => {
                     me.wake.drain();
-                    for (token, stream, admitted) in me.take_handoff() {
-                        register_conn(&epoll, &mut conns, &shared, &me, token, stream, admitted);
-                    }
                     for token in me.take_kicked() {
                         if let Some(conn) = conns.get_mut(&token) {
                             if matches!(service_write(&epoll, conn), ConnVerdict::Close) {
@@ -774,7 +750,7 @@ pub(crate) fn run_shard(
         // Deadline scan: reap peers that stopped making progress so they
         // stop pinning connection slots and fds. One pass per interval is
         // O(connections) and runs a few dozen times a second — no timer
-        // wheel needed at the scale one shard carries. `last_activity`
+        // wheel needed at the scale one reactor carries. `last_activity`
         // advances on *either* direction of progress (bytes read, or
         // bytes the socket accepted from a flush or a direct write), so a
         // healthy slow reader working through a large backlog is never
@@ -819,7 +795,7 @@ pub(crate) fn run_shard(
     // the sockets or in the outbound queues); flush what the peers will
     // accept, bounded by the write timeout, then release everything.
     // Dropping `epoll` (and the per-conn streams) closes every fd this
-    // shard owns.
+    // reactor owns.
     let deadline = Instant::now() + shared.cfg.write_timeout;
     while conns.values().any(|c| c.outbound.pending() > 0) && Instant::now() < deadline {
         let stalled: Vec<u64> = conns
@@ -854,13 +830,11 @@ pub(crate) fn run_shard(
     }
 }
 
-/// Accepts every pending connection on the listener, distributing them
-/// across shards round-robin by token.
+/// Accepts every pending connection on the listener.
 fn accept_ready(
     epoll: &Epoll,
     listener: Option<&TcpListener>,
-    shards: &[Arc<ShardQueue>],
-    shard_idx: usize,
+    me: &Arc<KickQueue>,
     shared: &Arc<Shared>,
     conns: &mut HashMap<u64, Conn>,
 ) {
@@ -889,25 +863,7 @@ fn accept_ready(
                     shared.refused.fetch_add(1, Ordering::Relaxed);
                 }
                 let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
-                let target = (token % shards.len() as u64) as usize;
-                if target == shard_idx {
-                    register_conn(
-                        epoll,
-                        conns,
-                        shared,
-                        &shards[shard_idx],
-                        token,
-                        stream,
-                        admitted,
-                    );
-                } else {
-                    shards[target]
-                        .handoff
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((token, stream, admitted));
-                    shards[target].kick();
-                }
+                register_conn(epoll, conns, shared, me, token, stream, admitted);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -920,13 +876,13 @@ fn register_conn(
     epoll: &Epoll,
     conns: &mut HashMap<u64, Conn>,
     shared: &Arc<Shared>,
-    shard: &Arc<ShardQueue>,
+    kicks: &Arc<KickQueue>,
     token: u64,
     stream: TcpStream,
     admitted: bool,
 ) {
     let fd = stream.as_raw_fd();
-    let outbound = Outbound::new(Arc::clone(shard), token, stream, &shared.cfg);
+    let outbound = Outbound::new(Arc::clone(kicks), token, stream, &shared.cfg);
     let conn = Conn {
         token,
         state: ConnState::Hello {
@@ -1046,7 +1002,7 @@ fn service_read(epoll: &Epoll, conn: &mut Conn, shared: &Arc<Shared>) -> ConnVer
             return ConnVerdict::Close;
         }
         // Drop read interest (a half-closed peer would otherwise report
-        // EPOLLRDHUP on every wait, spinning the shard until the last
+        // EPOLLRDHUP on every wait, spinning the reactor until the last
         // reply lands) and wait on worker completions + flushes.
         sync_interest(epoll, conn, conn.outbound.pending() > 0);
     }

@@ -4,17 +4,17 @@
 //! or the `clare-cluster` router in front of several.
 //!
 //! ```text
-//!   reactor shard ──► bounded job queue ──► workers
+//!   reactor ──► bounded job queue ──► workers
 //!        ▲                                     │ reply
 //!        └── queued remainder ◄── Outbound ◄───┘ (socket first)
 //! ```
 //!
-//! The shard decodes frames and enqueues jobs; workers execute them against
+//! The reactor decodes frames and enqueues jobs; workers execute them against
 //! the service and send replies through the connection's shared [`Outbound`],
 //! so pipelined requests complete out of order (responses are matched by
 //! request id, not position). A reply is written to the connection's
 //! nonblocking socket by the thread that produced it; only what the kernel
-//! does not take at once is queued for the shard to flush. Every retrieval
+//! does not take at once is queued for the reactor to flush. Every retrieval
 //! is one job kind: a RETRIEVE_BATCH request, or a run of pipelined
 //! same-predicate RETRIEVEs coalesced into one `retrieve_batch` pass (a
 //! lone one is a run of one) — safe because the core pins batch results to
@@ -47,11 +47,6 @@ use crate::Service;
 /// Tuning knobs for [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Reactor shard threads. Each shard owns an epoll instance and a
-    /// subset of the connections; shard 0 also owns the listener. More
-    /// than one shard only helps once a single event loop saturates a
-    /// core.
-    pub reactor_shards: usize,
     /// Per-connection outbound reply queue capacity in bytes. The queue
     /// only holds what the peer's socket did not take at once; a worker
     /// finding it at capacity parks until the event loop flushes room —
@@ -101,7 +96,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            reactor_shards: 1,
             outbound_queue_bytes: 1 << 20,
             workers: 4,
             max_connections: 64,
@@ -297,16 +291,16 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     /// Set once the intake has drained; lets idle workers exit.
     drained: AtomicBool,
-    /// Tells reactor shards the workers are gone: final-flush outbound
+    /// Tells the reactor the workers are gone: final-flush outbound
     /// queues, close every fd, and exit.
     pub(crate) reactor_exit: AtomicBool,
-    /// Shards that have acknowledged `shutdown` (stopped producing jobs).
-    /// Workers may only drain once every shard has quiesced, or a job
-    /// enqueued late would be dropped with its reply unsent.
-    pub(crate) quiesced_shards: AtomicUsize,
-    /// Test hook: every reactor shard panics at its next loop turn.
+    /// The reactor has acknowledged `shutdown` (stopped producing jobs).
+    /// Workers may only drain once it has quiesced, or a job enqueued late
+    /// would be dropped with its reply unsent.
+    pub(crate) quiesced: AtomicBool,
+    /// Test hook: the reactor panics at its next loop turn.
     #[cfg(test)]
-    pub(crate) panic_in_shard: AtomicBool,
+    pub(crate) panic_in_reactor: AtomicBool,
     /// Epoll token allocator.
     pub(crate) next_token: AtomicU64,
     queue: Mutex<VecDeque<Job>>,
@@ -417,10 +411,10 @@ pub struct NetServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// Reactor shard threads.
-    reactors: Vec<std::thread::JoinHandle<()>>,
-    /// Shard mailboxes, kept to kick shards awake during shutdown.
-    shards: Vec<Arc<crate::reactor::ShardQueue>>,
+    /// The reactor thread; `None` once joined.
+    reactor: Option<std::thread::JoinHandle<()>>,
+    /// The reactor's mailbox, kept to kick it awake during shutdown.
+    kicks: Arc<crate::reactor::KickQueue>,
 }
 
 impl NetServer {
@@ -450,11 +444,7 @@ impl NetServer {
         listener.set_nonblocking(true)?;
 
         // Everything fallible happens before the first thread is spawned.
-        let nshards = cfg.reactor_shards.max(1);
-        let mut shards = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            shards.push(crate::reactor::ShardQueue::new()?);
-        }
+        let kicks = crate::reactor::KickQueue::new()?;
 
         let shared = Arc::new(Shared {
             service,
@@ -462,9 +452,9 @@ impl NetServer {
             shutdown: AtomicBool::new(false),
             drained: AtomicBool::new(false),
             reactor_exit: AtomicBool::new(false),
-            quiesced_shards: AtomicUsize::new(0),
+            quiesced: AtomicBool::new(false),
             #[cfg(test)]
-            panic_in_shard: AtomicBool::new(false),
+            panic_in_reactor: AtomicBool::new(false),
             next_token: AtomicU64::new(crate::reactor::TOKEN_FIRST_CONN),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -483,25 +473,21 @@ impl NetServer {
             })
             .collect();
 
-        let mut listener = Some(listener);
-        let reactors = (0..nshards)
-            .map(|i| {
-                let shards_all = shards.clone();
-                let shared = Arc::clone(&shared);
-                let l = listener.take(); // shard 0 owns the listener
-                std::thread::Builder::new()
-                    .name(format!("clare-net-reactor-{i}"))
-                    .spawn(move || crate::reactor::run_shard(i, l, shards_all, shared))
-                    .expect("spawn reactor shard")
-            })
-            .collect();
+        let reactor = {
+            let kicks = Arc::clone(&kicks);
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("clare-net-reactor".to_owned())
+                .spawn(move || crate::reactor::run_reactor(listener, kicks, shared))
+                .expect("spawn reactor thread")
+        };
 
         Ok(NetServer {
             shared,
             local_addr,
             workers,
-            reactors,
-            shards,
+            reactor: Some(reactor),
+            kicks,
         })
     }
 
@@ -523,16 +509,12 @@ impl NetServer {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Intake quiesce: wake every shard, then wait for each to
-        // acknowledge it has stopped turning input into jobs. The shards
-        // keep running — they still have replies to flush. Only after
-        // that may idle workers exit, so nothing queued is dropped on the
-        // floor.
-        for shard in &self.shards {
-            shard.kick();
-        }
-        let nshards = self.reactors.len();
-        while self.shared.quiesced_shards.load(Ordering::SeqCst) < nshards {
+        // Intake quiesce: wake the reactor, then wait for it to
+        // acknowledge it has stopped turning input into jobs. It keeps
+        // running — it still has replies to flush. Only after that may
+        // idle workers exit, so nothing queued is dropped on the floor.
+        self.kicks.kick();
+        while !self.shared.quiesced.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
         }
         self.shared.drained.store(true, Ordering::Release);
@@ -541,13 +523,11 @@ impl NetServer {
             let _ = h.join();
         }
         // The workers are gone, so every reply that will ever exist is
-        // written or queued: tell the shards to final-flush and release
-        // their fds (connections, listener, epoll, eventfd).
+        // written or queued: tell the reactor to final-flush and release
+        // its fds (connections, listener, epoll, eventfd).
         self.shared.reactor_exit.store(true, Ordering::SeqCst);
-        for shard in &self.shards {
-            shard.kick();
-        }
-        for h in self.reactors.drain(..) {
+        self.kicks.kick();
+        if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
     }
@@ -826,15 +806,13 @@ mod tests {
         let kb = KbBuilder::new().finish(KbConfig::default());
         let crs = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
         let server = NetServer::bind(crs, "127.0.0.1:0", NetConfig::default()).expect("bind");
-        server.shared.panic_in_shard.store(true, Ordering::SeqCst);
-        for shard in &server.shards {
-            shard.kick();
-        }
+        server.shared.panic_in_reactor.store(true, Ordering::SeqCst);
+        server.kicks.kick();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !server.reactors.iter().all(|h| h.is_finished()) {
+        while !server.reactor.as_ref().is_some_and(|h| h.is_finished()) {
             assert!(
                 Instant::now() < deadline,
-                "the hook did not stop the shards"
+                "the hook did not stop the reactor"
             );
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -846,7 +824,7 @@ mod tests {
         // On a hang the thread is left behind: joining it would hang too.
         assert!(
             finished.recv_timeout(Duration::from_secs(10)).is_ok(),
-            "shutdown waited forever on panicked shards"
+            "shutdown waited forever on a panicked reactor"
         );
         shutdown.join().expect("shutdown thread");
     }

@@ -23,6 +23,16 @@ pub enum PifError {
     },
 }
 
+impl PifError {
+    /// A [`PifError::Malformed`] at byte 0 of the decoder's input.
+    pub(crate) fn malformed(reason: impl Into<String>) -> Self {
+        PifError::Malformed {
+            offset: 0,
+            reason: reason.into(),
+        }
+    }
+}
+
 impl fmt::Display for PifError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

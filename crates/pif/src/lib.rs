@@ -44,6 +44,7 @@
 
 pub mod encode;
 pub mod error;
+mod reader;
 pub mod record;
 pub mod tags;
 pub mod termio;

@@ -15,9 +15,9 @@
 
 use crate::encode::encode_clause_head;
 use crate::error::PifError;
-use crate::termio::{ensure, read_term, write_term, TermLimits};
+use crate::reader::Reader;
+use crate::termio::{read_term, write_term, TermLimits};
 use crate::word::PifStream;
-use bytes::{Buf, BufMut};
 use clare_term::Clause;
 
 /// A compiled clause record: PIF head stream plus the full clause.
@@ -76,7 +76,7 @@ impl ClauseRecord {
         self.head_stream.write_to(&mut body);
         write_clause(&self.clause, &mut body);
         let mut out = Vec::with_capacity(body.len() + 4);
-        out.put_u32((body.len() + 4) as u32);
+        out.extend_from_slice(&((body.len() + 4) as u32).to_be_bytes());
         out.extend_from_slice(&body);
         out
     }
@@ -95,16 +95,10 @@ impl ClauseRecord {
     ///
     /// Returns [`PifError::Malformed`] on truncation or invalid content.
     pub fn from_bytes(data: &[u8]) -> Result<(Self, usize), PifError> {
-        let malformed = |offset: usize, reason: &str| PifError::Malformed {
-            offset,
-            reason: reason.to_owned(),
-        };
-        if data.len() < 4 {
-            return Err(malformed(0, "truncated record length"));
-        }
-        let total = u32::from_be_bytes([data[0], data[1], data[2], data[3]]) as usize;
+        let mut header = data;
+        let total = header.u32()? as usize;
         if total < 4 || data.len() < total {
-            return Err(malformed(0, "record length exceeds available data"));
+            return Err(PifError::malformed("record length exceeds available data"));
         }
         let mut buf = &data[4..total];
         let head_stream = PifStream::read_from(&mut buf)?;
@@ -119,45 +113,37 @@ impl ClauseRecord {
     }
 }
 
-fn write_clause(clause: &Clause, buf: &mut impl BufMut) {
+fn write_clause(clause: &Clause, buf: &mut Vec<u8>) {
     write_term(clause.head(), buf);
-    buf.put_u16(clause.body().len() as u16);
+    buf.extend_from_slice(&(clause.body().len() as u16).to_be_bytes());
     for goal in clause.body() {
         write_term(goal, buf);
     }
-    buf.put_u16(clause.var_names().len() as u16);
+    buf.extend_from_slice(&(clause.var_names().len() as u16).to_be_bytes());
     for name in clause.var_names() {
-        buf.put_u16(name.len() as u16);
-        buf.put_slice(name.as_bytes());
+        buf.extend_from_slice(&(name.len() as u16).to_be_bytes());
+        buf.extend_from_slice(name.as_bytes());
     }
 }
 
-fn read_clause(buf: &mut impl Buf) -> Result<Clause, PifError> {
-    let malformed = |reason: &str| PifError::Malformed {
-        offset: 0,
-        reason: reason.to_owned(),
-    };
+fn read_clause(buf: &mut &[u8]) -> Result<Clause, PifError> {
     let limits = TermLimits::default();
     let head = read_term(buf, &limits)?;
-    ensure(buf, 2)?;
-    let n_body = buf.get_u16() as usize;
+    let n_body = buf.u16()? as usize;
     let mut body = Vec::with_capacity(n_body.min(1024));
     for _ in 0..n_body {
         body.push(read_term(buf, &limits)?);
     }
-    ensure(buf, 2)?;
-    let n_vars = buf.get_u16() as usize;
+    let n_vars = buf.u16()? as usize;
     let mut var_names = Vec::with_capacity(n_vars.min(1024));
     for _ in 0..n_vars {
-        ensure(buf, 2)?;
-        let len = buf.get_u16() as usize;
-        ensure(buf, len)?;
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
-        var_names
-            .push(String::from_utf8(bytes).map_err(|_| malformed("variable name is not UTF-8"))?);
+        let len = buf.u16()? as usize;
+        let name = std::str::from_utf8(buf.bytes(len)?)
+            .map_err(|_| PifError::malformed("variable name is not UTF-8"))?;
+        var_names.push(name.to_owned());
     }
-    Clause::new(head, body, var_names).map_err(|_| malformed("stored head is not callable"))
+    Clause::new(head, body, var_names)
+        .map_err(|_| PifError::malformed("stored head is not callable"))
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 //! ```
 
 use crate::error::PifError;
+use crate::reader::Reader;
 use crate::word::CONTENT_MAX;
-use bytes::{Buf, BufMut};
 use clare_term::{FloatId, Symbol, Term, VarId};
 
 /// Default cap on term nesting depth while decoding.
@@ -60,37 +60,37 @@ impl Default for TermLimits {
 }
 
 /// Serializes one term in the record/wire format.
-pub fn write_term(term: &Term, buf: &mut impl BufMut) {
+pub fn write_term(term: &Term, buf: &mut Vec<u8>) {
     match term {
         Term::Atom(s) => {
-            buf.put_u8(0x01);
-            buf.put_u32(s.offset());
+            buf.push(0x01);
+            buf.extend_from_slice(&s.offset().to_be_bytes());
         }
         Term::Int(v) => {
-            buf.put_u8(0x02);
-            buf.put_i64(*v);
+            buf.push(0x02);
+            buf.extend_from_slice(&v.to_be_bytes());
         }
         Term::Float(fid) => {
-            buf.put_u8(0x03);
-            buf.put_u32(fid.offset());
+            buf.push(0x03);
+            buf.extend_from_slice(&fid.offset().to_be_bytes());
         }
         Term::Var(v) => {
-            buf.put_u8(0x04);
-            buf.put_u32(v.index());
+            buf.push(0x04);
+            buf.extend_from_slice(&v.index().to_be_bytes());
         }
-        Term::Anon => buf.put_u8(0x05),
+        Term::Anon => buf.push(0x05),
         Term::Struct { functor, args } => {
-            buf.put_u8(0x06);
-            buf.put_u32(functor.offset());
-            buf.put_u16(args.len() as u16);
+            buf.push(0x06);
+            buf.extend_from_slice(&functor.offset().to_be_bytes());
+            buf.extend_from_slice(&(args.len() as u16).to_be_bytes());
             for a in args {
                 write_term(a, buf);
             }
         }
         Term::List { items, tail } => {
-            buf.put_u8(0x07);
-            buf.put_u16(items.len() as u16);
-            buf.put_u8(tail.is_some() as u8);
+            buf.push(0x07);
+            buf.extend_from_slice(&(items.len() as u16).to_be_bytes());
+            buf.push(tail.is_some() as u8);
             for i in items {
                 write_term(i, buf);
             }
@@ -108,14 +108,15 @@ pub fn encode_term(term: &Term) -> Vec<u8> {
     out
 }
 
-/// Deserializes one term written by [`write_term`], enforcing `limits`.
+/// Deserializes one term written by [`write_term`] off the front of
+/// `buf`, enforcing `limits`, and advances `buf` past it.
 ///
 /// # Errors
 ///
 /// Returns [`PifError::Malformed`] on truncation, unknown markers, or
 /// over-deep nesting; [`PifError::SymbolOffsetTooLarge`] /
 /// [`PifError::VarOffsetTooLarge`] for out-of-range offsets.
-pub fn read_term(buf: &mut impl Buf, limits: &TermLimits) -> Result<Term, PifError> {
+pub fn read_term(buf: &mut &[u8], limits: &TermLimits) -> Result<Term, PifError> {
     read_term_at(buf, limits, 0)
 }
 
@@ -132,27 +133,18 @@ pub fn decode_term(data: &[u8], limits: &TermLimits) -> Result<(Term, usize), Pi
     Ok((term, data.len() - buf.len()))
 }
 
-fn read_term_at(buf: &mut impl Buf, limits: &TermLimits, depth: u32) -> Result<Term, PifError> {
-    let malformed = |reason: &str| PifError::Malformed {
-        offset: 0,
-        reason: reason.to_owned(),
-    };
+fn read_term_at(buf: &mut &[u8], limits: &TermLimits, depth: u32) -> Result<Term, PifError> {
     if depth >= limits.max_depth {
-        return Err(malformed("term nesting exceeds the decode depth limit"));
+        return Err(PifError::malformed(
+            "term nesting exceeds the decode depth limit",
+        ));
     }
-    if !buf.has_remaining() {
-        return Err(malformed("truncated term"));
-    }
-    match buf.get_u8() {
+    match buf.u8()? {
         0x01 => Ok(Term::Atom(Symbol::from_offset(read_symbol(buf, limits)?))),
-        0x02 => {
-            ensure(buf, 8)?;
-            Ok(Term::Int(buf.get_i64()))
-        }
+        0x02 => Ok(Term::Int(buf.i64()?)),
         0x03 => Ok(Term::Float(FloatId::from_offset(read_symbol(buf, limits)?))),
         0x04 => {
-            ensure(buf, 4)?;
-            let index = buf.get_u32();
+            let index = buf.u32()?;
             if index > limits.max_var {
                 return Err(PifError::VarOffsetTooLarge(index));
             }
@@ -161,8 +153,7 @@ fn read_term_at(buf: &mut impl Buf, limits: &TermLimits, depth: u32) -> Result<T
         0x05 => Ok(Term::Anon),
         0x06 => {
             let functor = Symbol::from_offset(read_symbol(buf, limits)?);
-            ensure(buf, 2)?;
-            let n = buf.get_u16() as usize;
+            let n = buf.u16()? as usize;
             let mut args = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 args.push(read_term_at(buf, limits, depth + 1)?);
@@ -170,13 +161,14 @@ fn read_term_at(buf: &mut impl Buf, limits: &TermLimits, depth: u32) -> Result<T
             Ok(Term::Struct { functor, args })
         }
         0x07 => {
-            ensure(buf, 3)?;
-            let n = buf.get_u16() as usize;
-            let has_tail = match buf.get_u8() {
+            let n = buf.u16()? as usize;
+            let has_tail = match buf.u8()? {
                 0 => false,
                 1 => true,
                 other => {
-                    return Err(malformed(&format!("invalid list tail flag {other:#04x}")));
+                    return Err(PifError::malformed(format!(
+                        "invalid list tail flag {other:#04x}"
+                    )));
                 }
             };
             let mut items = Vec::with_capacity(n.min(1024));
@@ -190,29 +182,18 @@ fn read_term_at(buf: &mut impl Buf, limits: &TermLimits, depth: u32) -> Result<T
             };
             Ok(Term::List { items, tail })
         }
-        other => Err(malformed(&format!("unknown term marker {other:#04x}"))),
+        other => Err(PifError::malformed(format!(
+            "unknown term marker {other:#04x}"
+        ))),
     }
 }
 
-fn read_symbol(buf: &mut impl Buf, limits: &TermLimits) -> Result<u32, PifError> {
-    ensure(buf, 4)?;
-    let offset = buf.get_u32();
+fn read_symbol(buf: &mut &[u8], limits: &TermLimits) -> Result<u32, PifError> {
+    let offset = buf.u32()?;
     if offset > limits.max_symbol {
         return Err(PifError::SymbolOffsetTooLarge(offset));
     }
     Ok(offset)
-}
-
-/// Checks that at least `n` bytes remain before a multi-byte read.
-pub(crate) fn ensure(buf: &impl Buf, n: usize) -> Result<(), PifError> {
-    if buf.remaining() < n {
-        Err(PifError::Malformed {
-            offset: 0,
-            reason: "truncated term payload".to_owned(),
-        })
-    } else {
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! words). This is what travels over the In-bus to the FS2 comparator.
 
 use crate::error::PifError;
+use crate::reader::Reader;
 use crate::tags::{TagCategory, TypeTag};
-use bytes::{Buf, BufMut};
 use std::fmt;
 
 /// Maximum value of the 24-bit content field.
@@ -221,53 +221,40 @@ impl PifStream {
 
     /// Serializes the stream: each word as 4 big-endian bytes, pointer
     /// words followed by a 4-byte extension. A leading `u16` word count and
-    /// `u16` extension bitmap-length make the encoding self-delimiting.
-    pub fn write_to(&self, buf: &mut impl BufMut) {
-        buf.put_u16(self.words.len() as u16);
+    /// a per-word extension flag byte make the encoding self-delimiting.
+    pub fn write_to(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(self.words.len() as u16).to_be_bytes());
         for word in &self.words {
-            buf.put_u32(word.to_u32());
-            buf.put_u8(word.extension.is_some() as u8);
+            buf.extend_from_slice(&word.to_u32().to_be_bytes());
+            buf.push(word.extension.is_some() as u8);
             if let Some(ext) = word.extension {
-                buf.put_u32(ext);
+                buf.extend_from_slice(&ext.to_be_bytes());
             }
         }
     }
 
-    /// Deserializes a stream written by [`Self::write_to`].
+    /// Deserializes a stream written by [`Self::write_to`] off the front of
+    /// `buf`, and advances `buf` past it.
     ///
     /// # Errors
     ///
     /// Returns [`PifError::Malformed`] on truncated or invalid data.
-    pub fn read_from(buf: &mut impl Buf) -> Result<Self, PifError> {
-        let malformed = |reason: &str| PifError::Malformed {
-            offset: 0,
-            reason: reason.to_owned(),
-        };
-        if buf.remaining() < 2 {
-            return Err(malformed("truncated stream header"));
-        }
-        let count = buf.get_u16() as usize;
-        let mut words = Vec::with_capacity(count);
+    pub fn read_from(buf: &mut &[u8]) -> Result<Self, PifError> {
+        let count = buf.u16()? as usize;
+        let mut words = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            if buf.remaining() < 5 {
-                return Err(malformed("truncated word"));
-            }
-            let mut word = PifWord::from_u32(buf.get_u32())?;
+            let mut word = PifWord::from_u32(buf.u32()?)?;
             // The extension flag is strictly 0 or 1: anything else means the
             // stream is corrupt (or adversarial), not merely sloppy.
-            let has_ext = match buf.get_u8() {
-                0 => false,
-                1 => true,
+            word.extension = match buf.u8()? {
+                0 => None,
+                1 => Some(buf.u32()?),
                 other => {
-                    return Err(malformed(&format!("invalid extension flag {other:#04x}")));
+                    return Err(PifError::malformed(format!(
+                        "invalid extension flag {other:#04x}"
+                    )));
                 }
             };
-            if has_ext {
-                if buf.remaining() < 4 {
-                    return Err(malformed("truncated extension"));
-                }
-                word.extension = Some(buf.get_u32());
-            }
             words.push(word);
         }
         Ok(PifStream { words })

@@ -2,7 +2,7 @@
 
 use clare_pif::termio::{decode_term, encode_term, TermLimits};
 use clare_pif::word::{INT_MAX, INT_MIN};
-use clare_pif::{ClauseRecord, PifStream, PifWord, TypeTag};
+use clare_pif::{ClauseRecord, PifError, PifStream, PifWord, TypeTag};
 use clare_term::parser::{parse_clause, parse_term};
 use clare_term::SymbolTable;
 use proptest::prelude::*;
@@ -116,6 +116,75 @@ proptest! {
         let _ = decode_term(&bytes, &TermLimits::default());
         let _ = PifStream::read_from(&mut bytes.as_slice());
         let _ = ClauseRecord::from_bytes(&bytes);
+    }
+
+    /// Terms, PIF streams and clause records — nested structs, lists with
+    /// tails, extension words, variable names — round-trip, and every
+    /// strict prefix of each decodes to `Malformed` rather than a panic or
+    /// a value. Record bodies are also cut inside a correct length prefix,
+    /// so the clause decoder itself, not only the length check, meets the
+    /// end of its input.
+    #[test]
+    fn every_strict_prefix_is_malformed(
+        args in prop::collection::vec(
+            prop_oneof![
+                "[a-z][a-z0-9]{0,4}".prop_map(|a| a),
+                (-1000i64..1000).prop_map(|v| v.to_string()),
+                "[A-Z]".prop_map(|v| v),
+                Just("1.25".to_owned()),
+                Just("[x, Y | T]".to_owned()),
+                Just("g(h(deep, [1, f(Z)]), [a | B])".to_owned()),
+            ],
+            1..5,
+        ),
+        words in prop::collection::vec(
+            (arbitrary_tag(), 0u32..0x100_0000, proptest::option::of(any::<u32>())),
+            1..12,
+        ),
+    ) {
+        let malformed = |r: Result<(), PifError>| matches!(r, Err(PifError::Malformed { .. }));
+        let mut symbols = SymbolTable::new();
+        let src = format!("p({}) :- q(X, [Y | T]), r(f(T), W).", args.join(", "));
+        let clause = parse_clause(&src, &mut symbols).unwrap();
+
+        let term = encode_term(clause.head());
+        let (back, used) = decode_term(&term, &TermLimits::default()).unwrap();
+        prop_assert_eq!((&back, used), (clause.head(), term.len()));
+        for cut in 0..term.len() {
+            let r = decode_term(&term[..cut], &TermLimits::default()).map(drop);
+            prop_assert!(malformed(r), "term cut at {}", cut);
+        }
+
+        let stream: PifStream = words
+            .iter()
+            .map(|&(tag, content, ext)| match ext {
+                Some(e) => PifWord::with_extension(tag, content, e),
+                None => PifWord::new(tag, content),
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        stream.write_to(&mut bytes);
+        let mut rest = bytes.as_slice();
+        prop_assert_eq!(PifStream::read_from(&mut rest).unwrap(), stream);
+        prop_assert!(rest.is_empty());
+        for cut in 0..bytes.len() {
+            let r = PifStream::read_from(&mut &bytes[..cut]).map(drop);
+            prop_assert!(malformed(r), "stream cut at {}", cut);
+        }
+
+        let record = ClauseRecord::compile(&clause).unwrap().to_bytes();
+        let (back, used) = ClauseRecord::from_bytes(&record).unwrap();
+        prop_assert_eq!((back.clause(), used), (&clause, record.len()));
+        for cut in 0..record.len() {
+            let r = ClauseRecord::from_bytes(&record[..cut]).map(drop);
+            prop_assert!(malformed(r), "record cut at {}", cut);
+            if cut >= 4 {
+                let mut reframed = record[..cut].to_vec();
+                reframed[..4].copy_from_slice(&(cut as u32).to_be_bytes());
+                let r = ClauseRecord::from_bytes(&reframed).map(drop);
+                prop_assert!(malformed(r), "record body cut at {}", cut);
+            }
+        }
     }
 
     /// Byte strings that *start* valid and trail off into garbage also

@@ -8,15 +8,13 @@
 //!
 //! Recording is a handful of `Relaxed` atomic adds — no locks, no
 //! allocation — so the instrumentation stays enabled permanently; the
-//! criterion bench `trace_overhead` pins the FS2 hot-path cost at under
-//! 2%. Readers call [`metrics()`]`.snapshot()` for a plain-data,
+//! bench `trace_overhead` pins the FS2 hot-path cost at under 2%. Readers call [`metrics()`]`.snapshot()` for a plain-data,
 //! name-keyed [`MetricsSnapshot`] that renders as text or JSON and
 //! crosses the wire in the extended `stats` reply.
 //!
-//! This crate is a leaf: it depends only on `parking_lot` and
-//! `clare-simd` (for the `simd.level` gauge) so every other crate in the
-//! workspace (scw, fs2, core, net, bench) can record into the same
-//! registry.
+//! This crate is a leaf: it depends only on `std` and `clare-simd` (for
+//! the `simd.level` gauge) so every other crate in the workspace (scw,
+//! fs2, core, net, bench) can record into the same registry.
 
 pub mod metric;
 pub mod registry;

@@ -14,10 +14,9 @@
 //! process-wide and shared across in-process tests).
 
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// The seven FS2 hardware operations, in [`fs2_op_name`] index order.
 /// Mirrors `clare_fs2::HwOp::ALL` (asserted by an integration test) —
@@ -297,11 +296,18 @@ impl PredicateLatencies {
 
     /// Records a modelled retrieval latency for `functor/arity`.
     pub fn record(&self, key: &str, elapsed_ns: u64) {
-        if let Some(h) = self.map.read().get(key) {
+        // Poisoning is swallowed: metrics must never turn one panic into
+        // many.
+        if let Some(h) = self
+            .map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+        {
             h.record(elapsed_ns);
             return;
         }
-        let mut map = self.map.write();
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         map.entry(key.to_owned())
             .or_insert_with(|| Arc::new(Histogram::new()))
             .record(elapsed_ns);
@@ -311,6 +317,7 @@ impl PredicateLatencies {
     pub fn snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
         self.map
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect()
