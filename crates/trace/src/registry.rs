@@ -1,12 +1,18 @@
 //! The process-wide metric registry and its snapshot form.
 //!
 //! One static [`Metrics`] instance (reached via [`metrics`]) holds every
-//! counter, gauge, and histogram the four pipeline layers record into:
-//! FS1 index scans, FS2 track sweeps, the Clause Retrieval Server, and
-//! the `clare-net` daemon. The fixed part of the registry is plain
+//! counter, gauge, and histogram the workspace records into, from FS1
+//! index scans and FS2 track sweeps to the WAL, the `clare-net` daemon
+//! and the cluster router. The fixed part of the registry is plain
 //! statics — recording never allocates or locks. The only dynamic part
 //! is the per-predicate latency map, which takes a read lock on the hit
 //! path and a write lock once per predicate lifetime.
+//!
+//! Each scalar metric is declared once, as one entry of the table that
+//! `metric_table!` expands into the struct field, its zero initializer
+//! and its snapshot entry. Only the two counter arrays, the sampled
+//! `simd.level` gauge and the per-predicate histograms are written out
+//! by hand.
 //!
 //! [`MetricsSnapshot`] is the plain-data, name-keyed copy of everything:
 //! it renders as text or JSON, crosses the wire in the extended `stats`
@@ -60,221 +66,286 @@ pub fn net_op_name(i: usize) -> &'static str {
     ][i]
 }
 
-/// Every metric the workspace records, grouped by pipeline layer. See
-/// the README's "Observability" section for the full catalogue.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    // --- disk: the simulated volume -------------------------------------
-    /// Tracks whose delivered bytes failed CRC32C verification.
-    pub disk_track_crc_failures: Counter,
-    // --- FS1: superimposed-codeword index scans -------------------------
-    /// Descriptors scanned (each member of a shared pass counts once).
-    pub fs1_scans: Counter,
-    /// Scan passes shared by more than one descriptor.
-    pub fs1_batch_scans: Counter,
-    /// Index entries examined across all scans.
-    pub fs1_entries_scanned: Counter,
-    /// Candidate clause addresses produced (FS1 "in" is entries, "out"
-    /// is this).
-    pub fs1_candidates_out: Counter,
-    /// FS1 candidates later rejected by FS2 verdicts (two-stage mode):
-    /// the numerator of the FS1 false-drop rate.
-    pub fs1_false_drops: Counter,
-    /// Host wall-clock per scan call, ns.
-    pub fs1_scan_wall_ns: Histogram,
-    // --- FS2: partial-test-unification track sweeps ---------------------
-    /// Query streams loaded into an FS2 engine.
-    pub fs2_queries_loaded: Counter,
-    /// Track sweeps performed (one per retrieval that ran an FS2 phase).
-    pub fs2_sweeps: Counter,
-    /// Tracks streamed through the filter.
-    pub fs2_tracks: Counter,
-    /// Clause-head streams matched.
-    pub fs2_clauses: Counter,
-    /// Clauses that satisfied the partial test.
-    pub fs2_satisfiers: Counter,
-    /// Hardware operations executed, by `HwOp` index (MATCH, DB_STORE,
-    /// …) — the global roll-up of every `StreamVerdict` op histogram.
-    pub fs2_ops: [Counter; FS2_OPS],
-    /// Modelled (Table 1) time per sweep, ns.
-    pub fs2_modelled_ns: Histogram,
-    /// Host wall-clock per sweep, ns.
-    pub fs2_wall_ns: Histogram,
-    /// Tracks quarantined during FS2 sweeps: checksum-failed bytes whose
-    /// clauses were re-served through the software fallback instead of
-    /// being trusted to the hardware filter.
-    pub fs2_quarantined_tracks: Counter,
-    // --- CRS: the clause retrieval server -------------------------------
-    /// Retrieval/solve answers flagged degraded (some input failed
-    /// integrity checks and a software fallback covered for it).
-    pub crs_degraded_answers: Counter,
-    /// Goals compiled into a query plan (PIF stream, FS1 descriptor, mode
-    /// inputs): one per retrieval that runs the filters, none per
-    /// answer-cache hit.
-    pub crs_query_compiles: Counter,
-    /// Retrieval-cache lookups answered from the cache (either layer:
-    /// full answers or FS1 candidate sets).
-    pub cache_hits: Counter,
-    /// Retrieval-cache lookups that found no live entry.
-    pub cache_misses: Counter,
-    /// Cache entries dropped by capacity-bound FIFO eviction.
-    pub cache_evictions: Counter,
-    /// Cache entries dropped because their epoch stamp no longer matched
-    /// (a knowledge-base update or track quarantine intervened). Each
-    /// also counts as a miss.
-    pub cache_epoch_invalidations: Counter,
-    // --- budget: end-to-end deadlines and cooperative cancellation --------
-    /// Queued jobs dropped because their deadline expired before a
-    /// worker picked them up (shed with `DeadlineExpired`, never
-    /// executed).
-    pub budget_expired_in_queue: Counter,
-    /// Requests cancelled mid-execution because their deadline passed a
-    /// cooperative checkpoint (typed `BudgetExceeded`, never cached).
-    pub budget_exceeded_deadline: Counter,
-    /// Solve calls cancelled because they hit their resolution-step
-    /// budget.
-    pub budget_exceeded_steps: Counter,
-    /// Retrievals cancelled because they hit their candidate budget.
-    pub budget_exceeded_candidates: Counter,
-    /// Jobs shed at admission by the CoDel-style sojourn controller
-    /// (sustained queue delay above target — shed early, before the
-    /// queue fills).
-    pub budget_codel_sheds: Counter,
-    /// Solve calls that exhausted `SolveOptions::max_depth` at least
-    /// once (the answer is complete only up to the depth cap).
-    pub solve_depth_cap_hits: Counter,
-    // --- wal: the write-ahead log and memtable overlay -------------------
-    /// Batches appended to the write-ahead log (one fsync each — the
-    /// group-commit unit).
-    pub wal_appends: Counter,
-    /// Individual assert/retract records appended to the log.
-    pub wal_records: Counter,
-    /// `fdatasync` calls issued by the log (equals `wal.appends` unless
-    /// an append failed before reaching the sync).
-    pub wal_fsyncs: Counter,
-    /// Bytes appended to the log, frames included.
-    pub wal_bytes: Counter,
-    /// Records recovered by replay when a log was opened.
-    pub wal_replayed_records: Counter,
-    /// Torn tails truncated at open: bytes after the last intact frame
-    /// (an append that crashed mid-write and was never acknowledged).
-    pub wal_truncated_tails: Counter,
-    /// Transaction commits skipped because they carried zero operations
-    /// (nothing published, no epoch bumped, no cache flushed).
-    pub wal_noop_commits: Counter,
-    /// Live clauses added to the memtable overlay by asserts.
-    pub wal_overlay_asserts: Counter,
-    /// Clauses removed (from the base or the overlay) by retracts.
-    pub wal_overlay_retracts: Counter,
-    // --- compaction: folding the overlay into the base segments ----------
-    /// Compaction passes started.
-    pub compaction_runs: Counter,
-    /// Compaction passes started automatically because a commit pushed
-    /// the overlay past a configured size/age threshold (no manual
-    /// `compact_now`/`spawn_compaction` call involved).
-    pub compaction_auto_triggers: Counter,
-    /// Compaction passes whose rebuilt base was swapped in.
-    pub compaction_swaps: Counter,
-    /// Compaction passes abandoned at the swap gate because the base
-    /// moved (a wholesale `update` won the race); the overlay is left
-    /// for the next pass.
-    pub compaction_aborts: Counter,
-    /// Overlay clauses folded into rebuilt track segments.
-    pub compaction_clauses: Counter,
-    /// Retrievals served while a compaction pass was in flight — the
-    /// benchmark reports it as `wal.retrievals_during_compaction`, the
-    /// liveness check that compaction never blocks readers.
-    pub compaction_concurrent_retrievals: Counter,
-    /// Host wall-clock per compaction pass, ns (rebuild plus swap).
-    pub compaction_wall_ns: Histogram,
-    /// Host wall-clock per served retrieval call, ns.
-    pub crs_retrieve_wall_ns: Histogram,
-    /// Host wall-clock per served solve call, ns.
-    pub crs_solve_wall_ns: Histogram,
-    /// Sizes of served retrieval requests that carried more than one query.
-    pub crs_batch_size: Histogram,
-    /// Per-predicate modelled retrieval latency, keyed `functor/arity`.
-    pub crs_predicates: PredicateLatencies,
-    // --- net: the clare-net daemon --------------------------------------
-    /// Live client connections.
-    pub net_connections: Gauge,
-    /// Jobs waiting in the worker queue (sampled at enqueue/dequeue).
-    pub net_queue_depth: Gauge,
-    /// Time a job spent queued before a worker picked it up, ns.
-    pub net_queue_wait_ns: Histogram,
-    /// Requests shed with `Busy` (queue full), plus connections refused
-    /// at the connection limit.
-    pub net_busy_rejections: Counter,
-    /// Request frames received, by opcode (see [`net_op_name`]).
-    pub net_frames_in: [Counter; NET_OPS],
-    /// Bytes received inside request frames.
-    pub net_bytes_in: Counter,
-    /// Frames written back to clients (replies and errors).
-    pub net_frames_out: Counter,
-    /// Bytes written back to clients.
-    pub net_bytes_out: Counter,
-    /// Pipelined retrieve frames that were folded into a coalesced batch
-    /// pass. The coalescing hit rate is this over `net.frames_in.retrieve`.
-    pub net_coalesced_members: Counter,
-    /// Coalesced groups formed (each runs one hardware batch pass).
-    pub net_coalesced_groups: Counter,
-    /// Worker threads that caught a panic while serving a request. The
-    /// affected request ids are answered with `Internal` errors — the
-    /// job is never silently lost — and the pool keeps serving.
-    pub net_worker_panics: Counter,
-    /// Frames rejected because their negotiated CRC32C trailer did not
-    /// match the received bytes.
-    pub net_frame_crc_failures: Counter,
-    /// Connections reaped after sitting idle past the configured limit.
-    pub net_idle_reaps: Counter,
-    /// Client-side reconnect-and-replay recoveries on idempotent
-    /// requests.
-    pub net_client_reconnects: Counter,
-    // --- net.reactor: the epoll serving core ----------------------------
-    /// Connections currently registered with a reactor shard (accepted,
-    /// past admission, not yet closed).
-    pub net_reactor_connections: Gauge,
-    /// `epoll_wait` returns that reported at least one ready fd (the
-    /// reactor's readiness wakeup count; timeouts are not counted).
-    pub net_reactor_wakeups: Counter,
-    /// Readiness events dispatched across all wakeups (sockets, the
-    /// listener, and cross-thread kicks via the eventfd).
-    pub net_reactor_events: Counter,
-    /// Bytes sitting in per-connection outbound reply queues, summed
-    /// across connections (enqueued by workers, not yet on the wire).
-    pub net_reactor_outbound_bytes: Gauge,
-    /// Times a worker blocked because a connection's outbound queue was
-    /// at capacity (write-side backpressure from a slow client).
-    pub net_reactor_backpressure_stalls: Counter,
-    /// Flush rounds that moved only part of a connection's pending bytes
-    /// (kernel buffer full or an injected torn write); the remainder
-    /// waits parked against `EPOLLOUT`.
-    pub net_reactor_partial_writes: Counter,
-    // --- cluster: the predicate-sharded router ---------------------------
-    /// Requests routed to a shard backend (every retrieve / assert /
-    /// retract the router forwarded, broadcast fan-out counted per
-    /// shard).
-    pub cluster_routed: Counter,
-    /// Shards failed over from primary to backup (manual promotions and
-    /// heartbeat-triggered automatic ones).
-    pub cluster_failovers: Counter,
-    /// WAL records shipped through the replication stream (primary →
-    /// router → backup forwards; resends count again).
-    pub cluster_repl_frames: Counter,
-    /// Answers the router flagged degraded because they were served by a
-    /// stale backup after failover.
-    pub cluster_degraded_answers: Counter,
-    /// Replication lag of the worst shard: records committed on the
-    /// primary but not yet acknowledged as applied by its backup.
-    pub cluster_repl_lag_frames: Gauge,
-    /// Per-shard circuit breakers tripped open (K consecutive
-    /// failures).
-    pub router_breaker_opens: Counter,
-    /// Half-open probe requests let through a cooling-down breaker.
-    pub router_breaker_half_open_probes: Counter,
-    /// Requests fast-failed with `ShardUnavailable` because the shard's
-    /// breaker was open.
-    pub router_breaker_rejections: Counter,
+/// Seed for the counter arrays: an array repeat copies a `const`, so
+/// each element gets its own fresh atomic (as in `Histogram::new`).
+#[allow(clippy::declare_interior_mutable_const)]
+const ZERO: Counter = Counter::new();
+
+/// Expands the metric table below into the [`Metrics`] struct (the
+/// table's fields, then the hand-written ones), its `const` initializer
+/// and the table's part of the snapshot, so that each metric's field,
+/// kind and dotted name are written once. Each section lists its
+/// metrics in snapshot order.
+macro_rules! metric_table {
+    (
+        $(#[$meta:meta])*
+        pub struct Metrics {
+            $( $(#[doc = $xdoc:literal])* pub $x:ident: $xty:ty = $xinit:expr, )*
+        }
+        counters { $( $(#[doc = $cdoc:literal])* $c:ident: $cty:ty = $cname:literal, )* }
+        gauges { $( $(#[doc = $gdoc:literal])* $g:ident: $gty:ty = $gname:literal, )* }
+        histograms { $( $(#[doc = $hdoc:literal])* $h:ident: $hty:ty = $hname:literal, )* }
+    ) => {
+        $(#[$meta])*
+        pub struct Metrics {
+            $( $(#[doc = $cdoc])* pub $c: $cty, )*
+            $( $(#[doc = $gdoc])* pub $g: $gty, )*
+            $( $(#[doc = $hdoc])* pub $h: $hty, )*
+            $( $(#[doc = $xdoc])* pub $x: $xty, )*
+        }
+
+        impl Metrics {
+            /// Every metric at zero; `const`, so the registry is a plain
+            /// static.
+            const fn new() -> Self {
+                Metrics {
+                    $( $c: <$cty>::new(), )*
+                    $( $g: <$gty>::new(), )*
+                    $( $h: <$hty>::new(), )*
+                    $( $x: $xinit, )*
+                }
+            }
+
+            /// The table's metrics, in table order; [`Metrics::snapshot`]
+            /// adds the hand-written ones.
+            fn table_snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    counters: vec![$( ($cname.into(), self.$c.get()), )*],
+                    gauges: vec![$( ($gname.into(), self.$g.get()), )*],
+                    histograms: vec![$( ($hname.into(), self.$h.snapshot()), )*],
+                }
+            }
+        }
+    };
+}
+
+metric_table! {
+    /// Every metric the workspace records: each scalar metric is one
+    /// table entry (`field: Kind = "dotted.name"`), grouped by kind and
+    /// then by pipeline layer. See the README's "Observability" section
+    /// for the full catalogue.
+    #[derive(Debug, Default)]
+    pub struct Metrics {
+        /// Hardware operations executed, by `HwOp` index (MATCH, DB_STORE,
+        /// …) — the global roll-up of every `StreamVerdict` op histogram.
+        pub fs2_ops: [Counter; FS2_OPS] = [ZERO; FS2_OPS],
+        /// Request frames received, by opcode (see [`net_op_name`]).
+        pub net_frames_in: [Counter; NET_OPS] = [ZERO; NET_OPS],
+        /// Per-predicate modelled retrieval latency, keyed `functor/arity`.
+        pub crs_predicates: PredicateLatencies = PredicateLatencies::new(),
+    }
+    counters {
+        // --- disk: the simulated volume ---------------------------------
+        /// Tracks whose delivered bytes failed CRC32C verification.
+        disk_track_crc_failures: Counter = "disk.track_crc_failures",
+        // --- FS1: superimposed-codeword index scans ---------------------
+        /// Descriptors scanned (each member of a shared pass counts once).
+        fs1_scans: Counter = "fs1.scans",
+        /// Scan passes shared by more than one descriptor.
+        fs1_batch_scans: Counter = "fs1.batch_scans",
+        /// Index entries examined across all scans.
+        fs1_entries_scanned: Counter = "fs1.entries_scanned",
+        /// Candidate clause addresses produced (FS1 "in" is entries, "out"
+        /// is this).
+        fs1_candidates_out: Counter = "fs1.candidates_out",
+        /// FS1 candidates later rejected by FS2 verdicts (two-stage mode):
+        /// the numerator of the FS1 false-drop rate.
+        fs1_false_drops: Counter = "fs1.false_drops",
+        // --- FS2: partial-test-unification track sweeps -----------------
+        /// Query streams loaded into an FS2 engine.
+        fs2_queries_loaded: Counter = "fs2.queries_loaded",
+        /// Track sweeps performed (one per retrieval that ran an FS2 phase).
+        fs2_sweeps: Counter = "fs2.sweeps",
+        /// Tracks streamed through the filter.
+        fs2_tracks: Counter = "fs2.tracks",
+        /// Clause-head streams matched.
+        fs2_clauses: Counter = "fs2.clauses",
+        /// Clauses that satisfied the partial test.
+        fs2_satisfiers: Counter = "fs2.satisfiers",
+        /// Tracks quarantined during FS2 sweeps: checksum-failed bytes whose
+        /// clauses were re-served through the software fallback instead of
+        /// being trusted to the hardware filter.
+        fs2_quarantined_tracks: Counter = "fs2.quarantined_tracks",
+        // --- CRS: the clause retrieval server ---------------------------
+        /// Retrieval/solve answers flagged degraded (some input failed
+        /// integrity checks and a software fallback covered for it).
+        crs_degraded_answers: Counter = "crs.degraded_answers",
+        /// Goals compiled into a query plan (PIF stream, FS1 descriptor, mode
+        /// inputs): one per retrieval that runs the filters, none per
+        /// answer-cache hit.
+        crs_query_compiles: Counter = "crs.query_compiles",
+        // --- cache: the retrieval cache ---------------------------------
+        /// Retrieval-cache lookups answered from the cache (either layer:
+        /// full answers or FS1 candidate sets).
+        cache_hits: Counter = "cache.hits",
+        /// Retrieval-cache lookups that found no live entry.
+        cache_misses: Counter = "cache.misses",
+        /// Cache entries dropped by capacity-bound FIFO eviction.
+        cache_evictions: Counter = "cache.evictions",
+        /// Cache entries dropped because their epoch stamp no longer matched
+        /// (a knowledge-base update or track quarantine intervened). Each
+        /// also counts as a miss.
+        cache_epoch_invalidations: Counter = "cache.epoch_invalidations",
+        // --- budget: end-to-end deadlines and cooperative cancellation --
+        /// Queued jobs dropped because their deadline expired before a
+        /// worker picked them up (shed with `DeadlineExpired`, never
+        /// executed).
+        budget_expired_in_queue: Counter = "budget.expired_in_queue",
+        /// Requests cancelled mid-execution because their deadline passed a
+        /// cooperative checkpoint (typed `BudgetExceeded`, never cached).
+        budget_exceeded_deadline: Counter = "budget.exceeded_deadline",
+        /// Solve calls cancelled because they hit their resolution-step
+        /// budget.
+        budget_exceeded_steps: Counter = "budget.exceeded_steps",
+        /// Retrievals cancelled because they hit their candidate budget.
+        budget_exceeded_candidates: Counter = "budget.exceeded_candidates",
+        /// Jobs shed at admission by the CoDel-style sojourn controller
+        /// (sustained queue delay above target — shed early, before the
+        /// queue fills).
+        budget_codel_sheds: Counter = "budget.codel_sheds",
+        /// Solve calls that exhausted `SolveOptions::max_depth` at least
+        /// once (the answer is complete only up to the depth cap).
+        solve_depth_cap_hits: Counter = "solve.depth_cap_hits",
+        // --- wal: the write-ahead log and memtable overlay --------------
+        /// Batches appended to the write-ahead log (one fsync each — the
+        /// group-commit unit).
+        wal_appends: Counter = "wal.appends",
+        /// Individual assert/retract records appended to the log.
+        wal_records: Counter = "wal.records",
+        /// `fdatasync` calls issued by the log (one per append, unless an
+        /// append failed before reaching the sync).
+        wal_fsyncs: Counter = "wal.fsyncs",
+        /// Bytes appended to the log, frames included.
+        wal_bytes: Counter = "wal.bytes",
+        /// Records recovered by replay when a log was opened.
+        wal_replayed_records: Counter = "wal.replayed_records",
+        /// Torn tails truncated at open: bytes after the last intact frame
+        /// (an append that crashed mid-write and was never acknowledged).
+        wal_truncated_tails: Counter = "wal.truncated_tails",
+        /// Transaction commits skipped because they carried zero operations
+        /// (nothing published, no epoch bumped, no cache flushed).
+        wal_noop_commits: Counter = "wal.noop_commits",
+        /// Live clauses added to the memtable overlay by asserts.
+        wal_overlay_asserts: Counter = "wal.overlay_asserts",
+        /// Clauses removed (from the base or the overlay) by retracts.
+        wal_overlay_retracts: Counter = "wal.overlay_retracts",
+        // --- compaction: folding the overlay into the base segments -----
+        /// Compaction passes started.
+        compaction_runs: Counter = "compaction.runs",
+        /// Compaction passes started automatically because a commit left
+        /// the overlay holding at least `CrsOptions::overlay_auto_compact_ops`
+        /// logged operations (no manual `compact_now`/`spawn_compaction`
+        /// call involved).
+        compaction_auto_triggers: Counter = "compaction.auto_triggers",
+        /// Compaction passes whose rebuilt base was swapped in.
+        compaction_swaps: Counter = "compaction.swaps",
+        /// Compaction passes abandoned at the swap gate because the base
+        /// moved (a wholesale `update` won the race); the overlay is left
+        /// for the next pass.
+        compaction_aborts: Counter = "compaction.aborts",
+        /// Overlay clauses folded into rebuilt track segments.
+        compaction_clauses: Counter = "compaction.clauses",
+        /// Retrievals served while a compaction pass was in flight — the
+        /// benchmark reports it as `wal.retrievals_during_compaction`, the
+        /// liveness check that compaction never blocks readers.
+        compaction_concurrent_retrievals: Counter = "compaction.concurrent_retrievals",
+        // --- net: the clare-net daemon ----------------------------------
+        /// Requests shed with `Busy` (queue full), plus connections refused
+        /// at the connection limit.
+        net_busy_rejections: Counter = "net.busy_rejections",
+        /// Bytes received inside request frames.
+        net_bytes_in: Counter = "net.bytes_in",
+        /// Frames written back to clients (replies and errors).
+        net_frames_out: Counter = "net.frames_out",
+        /// Bytes written back to clients.
+        net_bytes_out: Counter = "net.bytes_out",
+        /// Pipelined retrieve frames that were folded into a coalesced batch
+        /// pass. The coalescing hit rate is this over `net.frames_in.retrieve`.
+        net_coalesced_members: Counter = "net.coalesced_members",
+        /// Coalesced groups formed (each runs one hardware batch pass).
+        net_coalesced_groups: Counter = "net.coalesced_groups",
+        /// Worker threads that caught a panic while serving a request. The
+        /// affected request ids are answered with `Internal` errors — the
+        /// job is never silently lost — and the pool keeps serving.
+        net_worker_panics: Counter = "net.worker_panics",
+        /// Frames rejected because their negotiated CRC32C trailer did not
+        /// match the received bytes.
+        net_frame_crc_failures: Counter = "net.frame_crc_failures",
+        /// Connections reaped after sitting idle past the configured limit.
+        net_idle_reaps: Counter = "net.idle_reaps",
+        /// Client-side reconnect-and-replay recoveries on idempotent
+        /// requests.
+        net_client_reconnects: Counter = "net.client_reconnects",
+        // --- net.reactor: the epoll serving core ------------------------
+        /// `epoll_wait` returns that reported at least one ready fd (the
+        /// reactor's readiness wakeup count; timeouts are not counted).
+        net_reactor_wakeups: Counter = "net.reactor.wakeups",
+        /// Readiness events dispatched across all wakeups (sockets, the
+        /// listener, and cross-thread kicks via the eventfd).
+        net_reactor_events: Counter = "net.reactor.events",
+        /// Times a worker blocked because a connection's outbound queue was
+        /// at capacity (write-side backpressure from a slow client).
+        net_reactor_backpressure_stalls: Counter = "net.reactor.backpressure_stalls",
+        /// Flush rounds that moved only part of a connection's pending bytes
+        /// (kernel buffer full or an injected torn write); the remainder
+        /// waits parked against `EPOLLOUT`.
+        net_reactor_partial_writes: Counter = "net.reactor.partial_writes",
+        // --- cluster: the predicate-sharded router ----------------------
+        /// Requests routed to a shard backend (every retrieve / assert /
+        /// retract the router forwarded, broadcast fan-out counted per
+        /// shard).
+        cluster_routed: Counter = "cluster.routed",
+        /// Shards failed over from primary to backup (manual promotions and
+        /// heartbeat-triggered automatic ones).
+        cluster_failovers: Counter = "cluster.failovers",
+        /// WAL records shipped through the replication stream (primary →
+        /// router → backup forwards; resends count again).
+        cluster_repl_frames: Counter = "cluster.repl_frames",
+        /// Answers the router flagged degraded because they were served by a
+        /// stale backup after failover.
+        cluster_degraded_answers: Counter = "cluster.degraded_answers",
+        /// Per-shard circuit breakers tripped open (K consecutive
+        /// failures).
+        router_breaker_opens: Counter = "router.breaker_opens",
+        /// Half-open probe requests let through a cooling-down breaker.
+        router_breaker_half_open_probes: Counter = "router.breaker_half_open_probes",
+        /// Requests fast-failed with `ShardUnavailable` because the shard's
+        /// breaker was open.
+        router_breaker_rejections: Counter = "router.breaker_rejections",
+    }
+    gauges {
+        /// Live client connections.
+        net_connections: Gauge = "net.connections",
+        /// Jobs waiting in the worker queue (sampled at enqueue/dequeue).
+        net_queue_depth: Gauge = "net.queue_depth",
+        /// Connections currently registered with the reactor thread
+        /// (accepted, past admission, not yet closed).
+        net_reactor_connections: Gauge = "net.reactor.connections",
+        /// Bytes sitting in per-connection outbound reply queues, summed
+        /// across connections (enqueued by workers, not yet on the wire).
+        net_reactor_outbound_bytes: Gauge = "net.reactor.outbound_bytes",
+        /// Replication lag of the worst shard: records committed on the
+        /// primary but not yet acknowledged as applied by its backup.
+        cluster_repl_lag_frames: Gauge = "cluster.repl_lag_frames",
+    }
+    histograms {
+        /// Host wall-clock per scan call, ns.
+        fs1_scan_wall_ns: Histogram = "fs1.scan_wall_ns",
+        /// Host wall-clock per compaction pass, ns (rebuild plus swap).
+        compaction_wall_ns: Histogram = "compaction.wall_ns",
+        /// Modelled (Table 1) time per sweep, ns.
+        fs2_modelled_ns: Histogram = "fs2.modelled_ns",
+        /// Host wall-clock per sweep, ns.
+        fs2_wall_ns: Histogram = "fs2.wall_ns",
+        /// Host wall-clock per served retrieval call, ns.
+        crs_retrieve_wall_ns: Histogram = "crs.retrieve_wall_ns",
+        /// Host wall-clock per served solve call, ns.
+        crs_solve_wall_ns: Histogram = "crs.solve_wall_ns",
+        /// Sizes of served retrieval requests that carried more than one query.
+        crs_batch_size: Histogram = "crs.batch_size",
+        /// Time a job spent queued before a worker picked it up, ns.
+        net_queue_wait_ns: Histogram = "net.queue_wait_ns",
+    }
 }
 
 /// The dynamic per-predicate latency histograms. Lookup takes a read
@@ -324,105 +395,7 @@ impl PredicateLatencies {
     }
 }
 
-static METRICS: Metrics = Metrics {
-    disk_track_crc_failures: Counter::new(),
-    fs1_scans: Counter::new(),
-    fs1_batch_scans: Counter::new(),
-    fs1_entries_scanned: Counter::new(),
-    fs1_candidates_out: Counter::new(),
-    fs1_false_drops: Counter::new(),
-    fs1_scan_wall_ns: Histogram::new(),
-    fs2_queries_loaded: Counter::new(),
-    fs2_sweeps: Counter::new(),
-    fs2_tracks: Counter::new(),
-    fs2_clauses: Counter::new(),
-    fs2_satisfiers: Counter::new(),
-    fs2_ops: [
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-    ],
-    fs2_modelled_ns: Histogram::new(),
-    fs2_wall_ns: Histogram::new(),
-    fs2_quarantined_tracks: Counter::new(),
-    crs_degraded_answers: Counter::new(),
-    crs_query_compiles: Counter::new(),
-    cache_hits: Counter::new(),
-    cache_misses: Counter::new(),
-    cache_evictions: Counter::new(),
-    cache_epoch_invalidations: Counter::new(),
-    budget_expired_in_queue: Counter::new(),
-    budget_exceeded_deadline: Counter::new(),
-    budget_exceeded_steps: Counter::new(),
-    budget_exceeded_candidates: Counter::new(),
-    budget_codel_sheds: Counter::new(),
-    solve_depth_cap_hits: Counter::new(),
-    wal_appends: Counter::new(),
-    wal_records: Counter::new(),
-    wal_fsyncs: Counter::new(),
-    wal_bytes: Counter::new(),
-    wal_replayed_records: Counter::new(),
-    wal_truncated_tails: Counter::new(),
-    wal_noop_commits: Counter::new(),
-    wal_overlay_asserts: Counter::new(),
-    wal_overlay_retracts: Counter::new(),
-    compaction_runs: Counter::new(),
-    compaction_auto_triggers: Counter::new(),
-    compaction_swaps: Counter::new(),
-    compaction_aborts: Counter::new(),
-    compaction_clauses: Counter::new(),
-    compaction_concurrent_retrievals: Counter::new(),
-    compaction_wall_ns: Histogram::new(),
-    crs_retrieve_wall_ns: Histogram::new(),
-    crs_solve_wall_ns: Histogram::new(),
-    crs_batch_size: Histogram::new(),
-    crs_predicates: PredicateLatencies::new(),
-    net_connections: Gauge::new(),
-    net_queue_depth: Gauge::new(),
-    net_queue_wait_ns: Histogram::new(),
-    net_busy_rejections: Counter::new(),
-    net_frames_in: [
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-        Counter::new(),
-    ],
-    net_bytes_in: Counter::new(),
-    net_frames_out: Counter::new(),
-    net_bytes_out: Counter::new(),
-    net_coalesced_members: Counter::new(),
-    net_coalesced_groups: Counter::new(),
-    net_worker_panics: Counter::new(),
-    net_frame_crc_failures: Counter::new(),
-    net_idle_reaps: Counter::new(),
-    net_client_reconnects: Counter::new(),
-    net_reactor_connections: Gauge::new(),
-    net_reactor_wakeups: Counter::new(),
-    net_reactor_events: Counter::new(),
-    net_reactor_outbound_bytes: Gauge::new(),
-    net_reactor_backpressure_stalls: Counter::new(),
-    net_reactor_partial_writes: Counter::new(),
-    cluster_routed: Counter::new(),
-    cluster_failovers: Counter::new(),
-    cluster_repl_frames: Counter::new(),
-    cluster_degraded_answers: Counter::new(),
-    cluster_repl_lag_frames: Gauge::new(),
-    router_breaker_opens: Counter::new(),
-    router_breaker_half_open_probes: Counter::new(),
-    router_breaker_rejections: Counter::new(),
-};
+static METRICS: Metrics = Metrics::new();
 
 /// The process-wide registry every layer records into.
 pub fn metrics() -> &'static Metrics {
@@ -430,195 +403,30 @@ pub fn metrics() -> &'static Metrics {
 }
 
 impl Metrics {
-    /// A plain-data, name-keyed copy of every metric.
+    /// A plain-data, name-keyed copy of every metric: the table's
+    /// counters, then the `fs2.op.*` and `net.frames_in.*` arrays; the
+    /// sampled `simd.level`, then the table's gauges; the table's
+    /// histograms, then the `crs.pred.*` ones.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = vec![
-            (
-                "disk.track_crc_failures".into(),
-                self.disk_track_crc_failures.get(),
-            ),
-            ("fs1.scans".into(), self.fs1_scans.get()),
-            ("fs1.batch_scans".into(), self.fs1_batch_scans.get()),
-            ("fs1.entries_scanned".into(), self.fs1_entries_scanned.get()),
-            ("fs1.candidates_out".into(), self.fs1_candidates_out.get()),
-            ("fs1.false_drops".into(), self.fs1_false_drops.get()),
-            ("fs2.queries_loaded".into(), self.fs2_queries_loaded.get()),
-            ("fs2.sweeps".into(), self.fs2_sweeps.get()),
-            ("fs2.tracks".into(), self.fs2_tracks.get()),
-            ("fs2.clauses".into(), self.fs2_clauses.get()),
-            ("fs2.satisfiers".into(), self.fs2_satisfiers.get()),
-            (
-                "fs2.quarantined_tracks".into(),
-                self.fs2_quarantined_tracks.get(),
-            ),
-            (
-                "crs.degraded_answers".into(),
-                self.crs_degraded_answers.get(),
-            ),
-            ("crs.query_compiles".into(), self.crs_query_compiles.get()),
-            ("cache.hits".into(), self.cache_hits.get()),
-            ("cache.misses".into(), self.cache_misses.get()),
-            ("cache.evictions".into(), self.cache_evictions.get()),
-            (
-                "cache.epoch_invalidations".into(),
-                self.cache_epoch_invalidations.get(),
-            ),
-            (
-                "budget.expired_in_queue".into(),
-                self.budget_expired_in_queue.get(),
-            ),
-            (
-                "budget.exceeded_deadline".into(),
-                self.budget_exceeded_deadline.get(),
-            ),
-            (
-                "budget.exceeded_steps".into(),
-                self.budget_exceeded_steps.get(),
-            ),
-            (
-                "budget.exceeded_candidates".into(),
-                self.budget_exceeded_candidates.get(),
-            ),
-            ("budget.codel_sheds".into(), self.budget_codel_sheds.get()),
-            (
-                "solve.depth_cap_hits".into(),
-                self.solve_depth_cap_hits.get(),
-            ),
-            ("wal.appends".into(), self.wal_appends.get()),
-            ("wal.records".into(), self.wal_records.get()),
-            ("wal.fsyncs".into(), self.wal_fsyncs.get()),
-            ("wal.bytes".into(), self.wal_bytes.get()),
-            (
-                "wal.replayed_records".into(),
-                self.wal_replayed_records.get(),
-            ),
-            ("wal.truncated_tails".into(), self.wal_truncated_tails.get()),
-            ("wal.noop_commits".into(), self.wal_noop_commits.get()),
-            ("wal.overlay_asserts".into(), self.wal_overlay_asserts.get()),
-            (
-                "wal.overlay_retracts".into(),
-                self.wal_overlay_retracts.get(),
-            ),
-            ("compaction.runs".into(), self.compaction_runs.get()),
-            (
-                "compaction.auto_triggers".into(),
-                self.compaction_auto_triggers.get(),
-            ),
-            ("compaction.swaps".into(), self.compaction_swaps.get()),
-            ("compaction.aborts".into(), self.compaction_aborts.get()),
-            ("compaction.clauses".into(), self.compaction_clauses.get()),
-            (
-                "compaction.concurrent_retrievals".into(),
-                self.compaction_concurrent_retrievals.get(),
-            ),
-            ("net.busy_rejections".into(), self.net_busy_rejections.get()),
-            ("net.bytes_in".into(), self.net_bytes_in.get()),
-            ("net.frames_out".into(), self.net_frames_out.get()),
-            ("net.bytes_out".into(), self.net_bytes_out.get()),
-            (
-                "net.coalesced_members".into(),
-                self.net_coalesced_members.get(),
-            ),
-            (
-                "net.coalesced_groups".into(),
-                self.net_coalesced_groups.get(),
-            ),
-            ("net.worker_panics".into(), self.net_worker_panics.get()),
-            (
-                "net.frame_crc_failures".into(),
-                self.net_frame_crc_failures.get(),
-            ),
-            ("net.idle_reaps".into(), self.net_idle_reaps.get()),
-            (
-                "net.client_reconnects".into(),
-                self.net_client_reconnects.get(),
-            ),
-            ("net.reactor.wakeups".into(), self.net_reactor_wakeups.get()),
-            ("net.reactor.events".into(), self.net_reactor_events.get()),
-            (
-                "net.reactor.backpressure_stalls".into(),
-                self.net_reactor_backpressure_stalls.get(),
-            ),
-            (
-                "net.reactor.partial_writes".into(),
-                self.net_reactor_partial_writes.get(),
-            ),
-            ("cluster.routed".into(), self.cluster_routed.get()),
-            ("cluster.failovers".into(), self.cluster_failovers.get()),
-            ("cluster.repl_frames".into(), self.cluster_repl_frames.get()),
-            (
-                "cluster.degraded_answers".into(),
-                self.cluster_degraded_answers.get(),
-            ),
-            (
-                "router.breaker_opens".into(),
-                self.router_breaker_opens.get(),
-            ),
-            (
-                "router.breaker_half_open_probes".into(),
-                self.router_breaker_half_open_probes.get(),
-            ),
-            (
-                "router.breaker_rejections".into(),
-                self.router_breaker_rejections.get(),
-            ),
-        ];
+        let mut snap = self.table_snapshot();
         for (i, c) in self.fs2_ops.iter().enumerate() {
-            counters.push((format!("fs2.op.{}", fs2_op_name(i)), c.get()));
+            let name = format!("fs2.op.{}", fs2_op_name(i));
+            snap.counters.push((name, c.get()));
         }
         for (i, c) in self.net_frames_in.iter().enumerate() {
-            counters.push((format!("net.frames_in.{}", net_op_name(i)), c.get()));
+            let name = format!("net.frames_in.{}", net_op_name(i));
+            snap.counters.push((name, c.get()));
         }
-        let gauges = vec![
-            // The active SIMD dispatch tier (0 scalar, 1 NEON, 2 AVX2):
-            // environment state rather than a recorded metric, sampled at
-            // snapshot time so every transport reports it for free.
-            ("simd.level".into(), clare_simd::level().as_gauge() as i64),
-            ("net.connections".into(), self.net_connections.get()),
-            ("net.queue_depth".into(), self.net_queue_depth.get()),
-            (
-                "net.reactor.connections".into(),
-                self.net_reactor_connections.get(),
-            ),
-            (
-                "net.reactor.outbound_bytes".into(),
-                self.net_reactor_outbound_bytes.get(),
-            ),
-            (
-                "cluster.repl_lag_frames".into(),
-                self.cluster_repl_lag_frames.get(),
-            ),
-        ];
-        let mut histograms = vec![
-            ("fs1.scan_wall_ns".into(), self.fs1_scan_wall_ns.snapshot()),
-            (
-                "compaction.wall_ns".into(),
-                self.compaction_wall_ns.snapshot(),
-            ),
-            ("fs2.modelled_ns".into(), self.fs2_modelled_ns.snapshot()),
-            ("fs2.wall_ns".into(), self.fs2_wall_ns.snapshot()),
-            (
-                "crs.retrieve_wall_ns".into(),
-                self.crs_retrieve_wall_ns.snapshot(),
-            ),
-            (
-                "crs.solve_wall_ns".into(),
-                self.crs_solve_wall_ns.snapshot(),
-            ),
-            ("crs.batch_size".into(), self.crs_batch_size.snapshot()),
-            (
-                "net.queue_wait_ns".into(),
-                self.net_queue_wait_ns.snapshot(),
-            ),
-        ];
-        for (key, snap) in self.crs_predicates.snapshot() {
-            histograms.push((format!("crs.pred.{key}.elapsed_ns"), snap));
+        // The active SIMD dispatch tier (0 scalar, 1 NEON, 2 AVX2):
+        // environment state rather than a recorded metric, sampled at
+        // snapshot time so every transport reports it for free.
+        let simd = clare_simd::level().as_gauge() as i64;
+        snap.gauges.insert(0, (String::from("simd.level"), simd));
+        for (key, h) in self.crs_predicates.snapshot() {
+            snap.histograms
+                .push((format!("crs.pred.{key}.elapsed_ns"), h));
         }
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
+        snap
     }
 }
 
