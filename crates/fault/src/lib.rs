@@ -35,45 +35,76 @@ pub use crc32c::{crc32c, crc32c_append};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-/// Where in the pipeline a fault decision is being made.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultSite {
+/// Declares [`FaultSite`] from one table: each site's docs, its index
+/// (the explicit discriminant, which `DeterministicInjector` hashes, so
+/// every seeded chaos schedule depends on it) and its report name.
+macro_rules! fault_sites {
+    ($( $(#[$doc:meta])* $site:ident = $index:literal => $name:literal, )*) => {
+        /// Where in the pipeline a fault decision is being made.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum FaultSite {
+            $( $(#[$doc])* $site = $index, )*
+        }
+
+        /// Number of distinct [`FaultSite`]s (sizes the counter arrays).
+        pub const SITE_COUNT: usize = [$($index),*].len();
+
+        impl FaultSite {
+            /// All sites, in counter index order.
+            pub const ALL: [FaultSite; SITE_COUNT] = [$(FaultSite::$site),*];
+
+            /// Index of this site in [`Self::ALL`].
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable display name (used in chaos reports).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(FaultSite::$site => $name,)*
+                }
+            }
+        }
+    };
+}
+
+fault_sites! {
     /// A disk [`Track`](../clare_disk/volume/struct.Track.html) being
     /// delivered to a reader. Context: track index mixed with a hash of
     /// the file name. Menu: bit flips, short reads.
-    DiskTrackRead,
+    DiskTrackRead = 0 => "disk_track_read",
     /// A chunk read while loading a `.ckb` knowledge-base image.
     /// Context: byte offset of the chunk. Menu: bit flips, short reads.
-    KbRead,
+    KbRead = 1 => "kb_read",
     /// A chunk written while saving a `.ckb` image. Context: byte offset.
     /// Menu: torn write (the file ends here, as if power was lost).
-    CkbWrite,
+    CkbWrite = 2 => "ckb_write",
     /// The server writing a reply frame. Context: request id. Menu:
     /// dropped frame, half-written frame, bit flip in the payload.
-    NetServerSend,
+    NetServerSend = 3 => "net_server_send",
     /// The client writing a request frame. Context: request id. Menu:
     /// dropped frame, half-written frame.
-    NetClientSend,
+    NetClientSend = 4 => "net_client_send",
     /// The epoll reactor pulling bytes off a ready socket. Context: the
     /// connection token mixed with the read round. Menu: short read
     /// (deliver only a prefix of what the kernel had — the frame
     /// reassembler must pick up mid-frame), spurious wakeup (an EAGAIN
     /// storm: the readiness notification yields no bytes this round).
     /// Both are *transparent* faults: answers must stay byte-identical.
-    NetReactorRead,
+    NetReactorRead = 5 => "net_reactor_read",
     /// The epoll reactor flushing a connection's outbound queue.
     /// Context: the connection token mixed with the flush round. Menu:
     /// torn write (only a prefix of the pending bytes — possibly
     /// splitting a frame's length prefix — leaves this round; the rest
     /// must follow on a later `EPOLLOUT`). Transparent: replies must
     /// still arrive byte-identical.
-    NetReactorWrite,
+    NetReactorWrite = 6 => "net_reactor_write",
     /// The write-ahead log appending a commit batch. Context: the first
     /// sequence number of the batch. Menu: torn append (a prefix of the
     /// batch's frames reaches the file and the append reports failure, as
     /// if power was lost mid-write — the batch is never acknowledged, and
     /// replay-on-open must truncate the torn tail).
-    WalAppend,
+    WalAppend = 7 => "wal_append",
     /// The cluster router forwarding a shipped WAL frame to a shard's
     /// backup. Context: the record's sequence number. Menu: `Drop` (the
     /// frame never leaves — the resend window must recover it),
@@ -81,72 +112,18 @@ pub enum FaultSite {
     /// its successor — a reorder), `Truncate` (the call site forwards
     /// the frame twice — a duplicate). The last two are site-interpreted
     /// shapes, the established pattern for worker-style sites.
-    ReplSend,
+    ReplSend = 8 => "repl_send",
     /// A backup applying a shipped WAL frame. Context: the record's
     /// sequence number. Menu: `Drop` (refuse the frame with an error
     /// reply, forcing the router to retry), `Delay` (stall before
     /// applying).
-    ReplApply,
+    ReplApply = 9 => "repl_apply",
     /// A serving worker beginning to execute a dequeued job. Context:
     /// the request id. Menu: `Delay` only — the worker stalls before
     /// touching the engine, so chaos schedules can pin workers long
     /// enough that queued jobs outlive their deadlines and must be shed
     /// (never executed, never cached).
-    WorkerStall,
-}
-
-/// Number of distinct [`FaultSite`]s (sizes the counter arrays).
-pub const SITE_COUNT: usize = 11;
-
-impl FaultSite {
-    /// All sites, in counter index order.
-    pub const ALL: [FaultSite; SITE_COUNT] = [
-        FaultSite::DiskTrackRead,
-        FaultSite::KbRead,
-        FaultSite::CkbWrite,
-        FaultSite::NetServerSend,
-        FaultSite::NetClientSend,
-        FaultSite::NetReactorRead,
-        FaultSite::NetReactorWrite,
-        FaultSite::WalAppend,
-        FaultSite::ReplSend,
-        FaultSite::ReplApply,
-        FaultSite::WorkerStall,
-    ];
-
-    /// Index of this site in [`Self::ALL`].
-    pub fn index(self) -> usize {
-        match self {
-            FaultSite::DiskTrackRead => 0,
-            FaultSite::KbRead => 1,
-            FaultSite::CkbWrite => 2,
-            FaultSite::NetServerSend => 3,
-            FaultSite::NetClientSend => 4,
-            FaultSite::NetReactorRead => 5,
-            FaultSite::NetReactorWrite => 6,
-            FaultSite::WalAppend => 7,
-            FaultSite::ReplSend => 8,
-            FaultSite::ReplApply => 9,
-            FaultSite::WorkerStall => 10,
-        }
-    }
-
-    /// Stable display name (used in chaos reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::DiskTrackRead => "disk_track_read",
-            FaultSite::KbRead => "kb_read",
-            FaultSite::CkbWrite => "ckb_write",
-            FaultSite::NetServerSend => "net_server_send",
-            FaultSite::NetClientSend => "net_client_send",
-            FaultSite::NetReactorRead => "net_reactor_read",
-            FaultSite::NetReactorWrite => "net_reactor_write",
-            FaultSite::WalAppend => "wal_append",
-            FaultSite::ReplSend => "repl_send",
-            FaultSite::ReplApply => "repl_apply",
-            FaultSite::WorkerStall => "worker_stall",
-        }
-    }
+    WorkerStall = 10 => "worker_stall",
 }
 
 /// What the injector asks the call site to do to the operation in
@@ -336,19 +313,11 @@ static INJECTOR: RwLock<Option<Arc<dyn FaultInjector>>> = RwLock::new(None);
 /// the guard's lifetime.
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 /// Faults actually handed out, per site (for chaos assertions).
-static INJECTED: [AtomicU64; SITE_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static INJECTED: [AtomicU64; SITE_COUNT] = {
+    #[allow(clippy::declare_interior_mutable_const)]
+    const ZERO: AtomicU64 = AtomicU64::new(0);
+    [ZERO; SITE_COUNT]
+};
 
 fn read_injector() -> Option<Arc<dyn FaultInjector>> {
     match INJECTOR.read() {
@@ -454,6 +423,17 @@ pub fn corrupt_in_place(action: FaultAction, bytes: &mut Vec<u8>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn site_table_indices_and_names_are_consistent() {
+        for (i, site) in FaultSite::ALL.iter().enumerate() {
+            assert_eq!(site.index(), i, "{site:?}");
+        }
+        let mut names: Vec<&str> = FaultSite::ALL.iter().map(|s| s.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), SITE_COUNT, "duplicate site names");
+    }
 
     #[test]
     fn noop_injector_never_faults() {
