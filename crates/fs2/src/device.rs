@@ -9,7 +9,7 @@
 use crate::buffer::DoubleBuffer;
 use crate::control::{ControlRegister, FilterSelect, OperationalMode};
 use crate::engine::Fs2Engine;
-use crate::micro::{Microprogram, Wcs};
+use crate::micro::Microprogram;
 use crate::result::{ResultMemory, ResultOverflow};
 use clare_disk::{SimNanos, Track};
 use clare_pif::{ClauseRecord, PifStream};
@@ -119,7 +119,6 @@ pub struct Fs2Device {
     engine: Option<Fs2Engine>,
     buffer: DoubleBuffer,
     result: ResultMemory,
-    wcs: Wcs,
     programmed: bool,
 }
 
@@ -133,7 +132,6 @@ impl Fs2Device {
             engine: None,
             buffer: DoubleBuffer::new(),
             result: ResultMemory::new(),
-            wcs: Wcs::new(),
             programmed: false,
         }
     }
@@ -159,17 +157,18 @@ impl Fs2Device {
         }
     }
 
-    /// Loads `program` into the WCS (Microprogramming mode). Every
+    /// Loads `program` into the WCS (Microprogramming mode): checks that
+    /// it fits the 2048-word store and marks the device programmed. Every
     /// program is [`Microprogram::standard`], the Level-3 program every
-    /// search uses, and it fits the 2048-word store.
+    /// search uses, and it fits.
     ///
     /// # Errors
     ///
     /// [`Fs2Error::WrongMode`].
     pub fn load_program(&mut self, program: &Microprogram) -> Result<(), Fs2Error> {
         self.require_mode(OperationalMode::Microprogramming)?;
-        self.wcs
-            .load(program)
+        program
+            .check_fits()
             .expect("the standard microprogram fits the WCS");
         self.programmed = true;
         Ok(())

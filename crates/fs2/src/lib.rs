@@ -55,6 +55,6 @@ pub use device::{Fs2Device, SearchStats};
 pub use engine::{
     Fs2Engine, MatchObserver, Selection, StreamVerdict, Trace, TraceStep, TrackVerdict,
 };
-pub use micro::{Microprogram, Wcs};
+pub use micro::Microprogram;
 pub use ops::{HwOp, RouteTrace};
 pub use result::ResultMemory;

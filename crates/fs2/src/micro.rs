@@ -20,7 +20,9 @@
 //!   point, one routine per Table 1 operation (whose per-cycle selector
 //!   settings are cross-validated against the Figure 6–12 routes in
 //!   [`ops`](crate::ops)), and the complex-term counter loop.
-//! * [`Wcs`] — the 2048×64-bit RAM with Microprogramming-mode loading.
+//! * [`Microprogram::check_fits`] — the 2048-word WCS capacity that
+//!   Microprogramming-mode loading enforces. No copy of the loaded
+//!   words is kept: nothing reads them back.
 //!
 //! Nothing steps the program: which routine fires for a type pair is the
 //! [`map`](crate::map) dispatch, and how long it takes is the route sum in
@@ -416,6 +418,21 @@ impl Microprogram {
             .map(MicroInstruction::to_word)
             .collect()
     }
+
+    /// Checks that the program fits the WCS, as loading it at address
+    /// zero in Microprogramming mode requires.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WcsOverflowError`] if the program exceeds 2048 words.
+    pub fn check_fits(&self) -> Result<(), WcsOverflowError> {
+        if self.len() > WCS_INSTRUCTIONS {
+            return Err(WcsOverflowError {
+                instructions: self.len(),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Microprogram {
@@ -566,12 +583,6 @@ fn op_cycle_control(op: HwOp, k: usize) -> DatapathControl {
     c
 }
 
-/// The WCS RAM: 2048 words of 64 bits, loadable in Microprogramming mode.
-#[derive(Debug, Clone)]
-pub struct Wcs {
-    ram: Vec<u64>,
-}
-
 /// Error loading a microprogram that exceeds the WCS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WcsOverflowError {
@@ -591,40 +602,6 @@ impl fmt::Display for WcsOverflowError {
 
 impl std::error::Error for WcsOverflowError {}
 
-impl Wcs {
-    /// An empty (all-zero) control store.
-    pub fn new() -> Self {
-        Wcs {
-            ram: vec![0; WCS_INSTRUCTIONS],
-        }
-    }
-
-    /// Loads a program at address zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WcsOverflowError`] if the program exceeds 2048 words.
-    pub fn load(&mut self, program: &Microprogram) -> Result<(), WcsOverflowError> {
-        let words = program.words();
-        if words.len() > WCS_INSTRUCTIONS {
-            return Err(WcsOverflowError {
-                instructions: words.len(),
-            });
-        }
-        self.ram[..words.len()].copy_from_slice(&words);
-        for slot in &mut self.ram[words.len()..] {
-            *slot = 0;
-        }
-        Ok(())
-    }
-}
-
-impl Default for Wcs {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,8 +611,7 @@ mod tests {
         let p = Microprogram::standard();
         assert!(p.len() <= WCS_INSTRUCTIONS);
         assert!(p.len() >= 20, "a real program, not a stub: {}", p.len());
-        let mut wcs = Wcs::new();
-        wcs.load(&p).unwrap();
+        p.check_fits().unwrap();
     }
 
     /// Unpacks a 64-bit WCS word (labels are lost).
@@ -764,12 +740,16 @@ mod tests {
 
     #[test]
     fn overflow_rejected() {
-        let mut wcs = Wcs::new();
         let mut big = Microprogram::standard();
         while big.instructions.len() <= WCS_INSTRUCTIONS {
             big.instructions
                 .push(MicroInstruction::sequencer_only(Sequencer::Continue, "PAD"));
         }
-        assert!(wcs.load(&big).is_err());
+        assert_eq!(
+            big.check_fits(),
+            Err(WcsOverflowError {
+                instructions: WCS_INSTRUCTIONS + 1
+            })
+        );
     }
 }
