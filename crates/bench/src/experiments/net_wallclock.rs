@@ -2,7 +2,7 @@
 //! a live loopback `NetServer`.
 //!
 //! The C10K question in numbers: the epoll reactor multiplexes every
-//! connection over a fixed shard thread, so its cost should follow the
+//! connection over its one reactor thread, so its cost should follow the
 //! request rate, not the connection count. This experiment drives a
 //! phased workload — every connection pipelines `depth` retrieves, then
 //! all replies are collected — across a (connections, depth) matrix up to
