@@ -11,7 +11,9 @@
 //! in which bit `j` of word `w` says whether entry `64 w + j` has that
 //! bit, and per encoded argument position two more bitmaps marking the
 //! entries whose mask there is [`ArgMask::Open`] or [`ArgMask::Var`]
-//! (`Ground` is neither). Clause addresses sit in a parallel array.
+//! (`Ground` is neither). Clause addresses are not stored per entry:
+//! entries go in track-major (see [`IndexFile::insert`]), so a table of
+//! each track's first entry number gives every entry's address.
 //!
 //! A query that constrains k codeword bits then reads k bitmaps of N/64
 //! words instead of every entry's codeword. The hit set is exactly the
@@ -33,7 +35,9 @@
 //! pass, 4096 entries at a time, on the calling thread: per stride and
 //! query it ANDs the column slices, then reads the surviving bits out in
 //! entry order, so each hit list comes back in clause order — Prolog
-//! clause order is preserved.
+//! clause order is preserved. Each hit's address comes from a forward
+//! cursor over the track table, which the ascending hits only ever move
+//! forward.
 
 use crate::codeword::key_positions;
 use crate::config::ScwConfig;
@@ -160,8 +164,10 @@ pub struct IndexFile {
     bits: Vec<u64>,
     /// Number of real (clause-arity) mask fields per entry.
     mask_len: Vec<u8>,
-    /// Clause address per entry, in clause order.
-    addrs: Vec<ClauseAddr>,
+    /// First entry number of each track: track `t` holds entries
+    /// `track_starts[t]..track_starts[t + 1]` (the last one up to the end),
+    /// slot `s` of it being entry `track_starts[t] + s`.
+    track_starts: Vec<u32>,
 }
 
 impl IndexFile {
@@ -182,7 +188,7 @@ impl IndexFile {
             stride: entries.div_ceil(64),
             bits: Vec::new(),
             mask_len: Vec::with_capacity(entries),
-            addrs: Vec::with_capacity(entries),
+            track_starts: Vec::new(),
         }
     }
 
@@ -198,7 +204,32 @@ impl IndexFile {
     /// Each key's bits go straight into the columns, where
     /// [`encode_clause_signature`](crate::encode_clause_signature) would
     /// set them, without materializing the signature.
+    ///
+    /// # Panics
+    ///
+    /// Addresses go in track-major, as a compiled clause file lays them
+    /// out: the first entry is `t0#0`, and each next one is either the next
+    /// slot of the same track or slot 0 of the next track. Any other
+    /// address panics — the index keeps only where each track starts.
     pub fn insert(&mut self, head: &Term, addr: ClauseAddr) {
+        let n = self.len();
+        let (track, slot) = (addr.track() as usize, addr.slot() as usize);
+        let next_slot = self.track_starts.last().map(|&first| n - first as usize);
+        let track_major = match next_slot {
+            None => track == 0 && slot == 0,
+            Some(next) => {
+                let current = self.track_starts.len() - 1;
+                (track == current && slot == next) || (track == current + 1 && slot == 0)
+            }
+        };
+        assert!(
+            track_major,
+            "index entries go in track-major: {addr} cannot be entry {n}"
+        );
+        if slot == 0 {
+            self.track_starts
+                .push(u32::try_from(n).expect("an index holds fewer than 2^32 entries"));
+        }
         let config = self.config;
         let (word, bit) = (self.len() / 64, 1u64 << (self.len() % 64));
         let width = head.children().take(config.encoded_args()).count();
@@ -225,7 +256,6 @@ impl IndexFile {
             self.set_mask(p, ArgMask::Var, word, bit);
         }
         self.mask_len.push(width as u8);
-        self.addrs.push(addr);
     }
 
     /// Records the mask at `position` of the entry at `bit` of `word`.
@@ -268,17 +298,41 @@ impl IndexFile {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.mask_len.len()
     }
 
     /// True if the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.mask_len.is_empty()
     }
 
     /// The clause address of entry `i` (clause order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Self::len`].
     pub fn addr_at(&self, i: usize) -> ClauseAddr {
-        self.addrs[i]
+        assert!(i < self.len(), "entry {i} of {}", self.len());
+        let track = self
+            .track_starts
+            .partition_point(|&first| first as usize <= i)
+            - 1;
+        ClauseAddr::new(track as u32, (i - self.track_starts[track] as usize) as u16)
+    }
+
+    /// Every entry's address, in clause order.
+    fn addrs(&self) -> impl Iterator<Item = ClauseAddr> + '_ {
+        let ends = self.track_starts[1..]
+            .iter()
+            .map(|&next| next as usize)
+            .chain([self.len()]);
+        self.track_starts
+            .iter()
+            .zip(ends)
+            .enumerate()
+            .flat_map(|(t, (&first, end))| {
+                (0..end - first as usize).map(move |slot| ClauseAddr::new(t as u32, slot as u16))
+            })
     }
 
     /// Reconstructs the signature of entry `i` from the bit columns.
@@ -307,9 +361,9 @@ impl IndexFile {
     /// Materializes the entries in clause order (a row view over the
     /// bit columns — for inspection and tests, not the scan path).
     pub fn iter_entries(&self) -> impl Iterator<Item = IndexEntry> + '_ {
-        (0..self.len()).map(|i| IndexEntry {
+        self.addrs().enumerate().map(|(i, addr)| IndexEntry {
             signature: self.signature_at(i),
-            addr: self.addrs[i],
+            addr,
         })
     }
 
@@ -344,7 +398,7 @@ impl IndexFile {
             .iter()
             .map(|d| self.compile(d.borrow()))
             .collect();
-        let mut per_query = vec![Vec::new(); compiled.len()];
+        let mut per_query = vec![Hits::new(&self.track_starts); compiled.len()];
         let len = self.len();
         let words = len.div_ceil(64);
         let mut acc = [0u64; STRIDE_WORDS];
@@ -365,17 +419,15 @@ impl IndexFile {
                     acc[end - start - 1] &= last_word_mask(len);
                 }
                 for (w, &word) in acc.iter().enumerate() {
-                    let base = 64 * (start + w);
-                    let mut rest = word;
-                    while rest != 0 {
-                        hits.push(self.addrs[base + rest.trailing_zeros() as usize]);
-                        rest &= rest - 1;
-                    }
+                    hits.extract(64 * (start + w) as u32, word);
                 }
             }
             start = end;
         }
-        let outcomes: Vec<ScanOutcome> = per_query.into_iter().map(|m| self.outcome(m)).collect();
+        let outcomes: Vec<ScanOutcome> = per_query
+            .into_iter()
+            .map(|hits| self.outcome(hits.matches))
+            .collect();
         let m = clare_trace::metrics();
         if outcomes.len() > 1 {
             m.fs1_batch_scans.inc();
@@ -402,9 +454,11 @@ impl IndexFile {
     /// baseline the sliced scan is property-tested against
     /// (and as the benchmark's "seed scalar" contender).
     pub fn scan_reference(&self, descriptor: &QueryDescriptor) -> ScanOutcome {
-        let matches = (0..self.len())
-            .filter(|&i| descriptor.matches(&self.signature_at(i)))
-            .map(|i| self.addrs[i])
+        let matches = self
+            .addrs()
+            .enumerate()
+            .filter(|&(i, _)| descriptor.matches(&self.signature_at(i)))
+            .map(|(_, addr)| addr)
             .collect();
         self.outcome(matches)
     }
@@ -474,6 +528,69 @@ impl IndexFile {
                 *a &= var[w] | open[w] & open_pass[w] | !(open[w] | var[w]) & ground_pass[w];
             }
         }
+    }
+}
+
+/// One query's hit list under construction, with the forward cursor that
+/// turns entry numbers into addresses. Hits arrive ascending, so the
+/// cursor only ever moves forward through the track table.
+#[derive(Clone)]
+struct Hits<'a> {
+    track_starts: &'a [u32],
+    /// The cursor's track, its first entry, and the next track's first
+    /// entry (`u32::MAX` past the last track). A fresh cursor's `next` is
+    /// 0, so the first hit seeks.
+    track: usize,
+    first: u32,
+    next: u32,
+    matches: Vec<ClauseAddr>,
+}
+
+impl<'a> Hits<'a> {
+    fn new(track_starts: &'a [u32]) -> Self {
+        Hits {
+            track_starts,
+            track: 0,
+            first: 0,
+            next: 0,
+            matches: Vec::new(),
+        }
+    }
+
+    /// Appends the address of every entry whose bit is set in `word`, the
+    /// bitmap word of entries `base..base + 64`.
+    #[inline]
+    fn extract(&mut self, base: u32, word: u64) {
+        let mut rest = word;
+        while rest != 0 {
+            let entry = base + rest.trailing_zeros();
+            if entry >= self.next {
+                self.seek(entry);
+            }
+            self.matches.push(ClauseAddr::new(
+                self.track as u32,
+                (entry - self.first) as u16,
+            ));
+            rest &= rest - 1;
+        }
+    }
+
+    /// Moves the cursor forward to the track holding `entry`, eight track
+    /// starts a step: the starts ascend, so the count of those at or below
+    /// `entry` in a window is how far to move, with no branch per track.
+    fn seek(&mut self, entry: u32) {
+        let starts = self.track_starts;
+        loop {
+            let window = &starts[(self.track + 1).min(starts.len())..];
+            let window = &window[..window.len().min(8)];
+            let passed = window.iter().filter(|&&first| first <= entry).count();
+            self.track += passed;
+            if passed < 8 {
+                break;
+            }
+        }
+        self.first = starts.get(self.track).copied().unwrap_or(0);
+        self.next = starts.get(self.track + 1).copied().unwrap_or(u32::MAX);
     }
 }
 
@@ -736,8 +853,9 @@ mod tests {
     }
 
     #[test]
-    fn a_three_argument_fact_costs_at_most_18_resident_bytes() {
-        // 64 codeword bits + 3 × 2 mask bits + mask_len + address.
+    fn a_three_argument_fact_costs_at_most_9_85_resident_bytes() {
+        // 64 codeword bits + 3 × 2 mask bits + mask_len = 9.75 B, plus one
+        // 4-byte track start per 64-clause track: 9.8125 B.
         let mut sy = SymbolTable::new();
         let n = 64 * 100;
         let mut index = IndexFile::with_capacity(ScwConfig::paper(), n);
@@ -747,7 +865,135 @@ mod tests {
         }
         let bytes = 8 * index.bits.capacity()
             + index.mask_len.capacity()
-            + index.addrs.capacity() * std::mem::size_of::<ClauseAddr>();
-        assert!(bytes as f64 / n as f64 <= 18.0, "{bytes} B for {n} entries");
+            + 4 * index.track_starts.capacity();
+        assert!(bytes as f64 / n as f64 <= 9.85, "{bytes} B for {n} entries");
+    }
+
+    #[test]
+    fn only_track_major_inserts_are_accepted() {
+        let mut sy = SymbolTable::new();
+        let head = parse_term("p(a)", &mut sy).unwrap();
+        let insert_all = |addrs: &[(u32, u16)]| {
+            std::panic::catch_unwind(|| {
+                let mut index = IndexFile::new(ScwConfig::paper());
+                for &(track, slot) in addrs {
+                    index.insert(&head, ClauseAddr::new(track, slot));
+                }
+            })
+        };
+        assert!(insert_all(&[(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]).is_ok());
+        for rejected in [
+            &[(0, 1)][..],
+            &[(1, 0)],
+            &[(0, 0), (0, 0)],
+            &[(0, 0), (0, 2)],
+            &[(0, 0), (2, 0)],
+            &[(0, 0), (1, 1)],
+            &[(0, 0), (0, 1), (1, 0), (0, 2)],
+        ] {
+            let panic = insert_all(rejected).expect_err("not track-major");
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("track-major"), "{rejected:?}: {message}");
+        }
+    }
+
+    #[test]
+    fn addr_at_follows_the_track_table() {
+        let mut sy = SymbolTable::new();
+        let head = parse_term("p(a)", &mut sy).unwrap();
+        let layout = [3usize, 1, 70, 2];
+        let mut index = IndexFile::new(ScwConfig::paper());
+        let mut addrs = Vec::new();
+        for (t, &count) in layout.iter().enumerate() {
+            for slot in 0..count {
+                let addr = ClauseAddr::new(t as u32, slot as u16);
+                index.insert(&head, addr);
+                addrs.push(addr);
+            }
+        }
+        let stored: Vec<ClauseAddr> = (0..index.len()).map(|i| index.addr_at(i)).collect();
+        assert_eq!(stored, addrs);
+        let rows: Vec<ClauseAddr> = index.iter_entries().map(|e| e.addr).collect();
+        assert_eq!(rows, addrs);
+    }
+
+    /// `layout[t]` entries on each track `t`, each head `e(miss)` but the
+    /// entries numbered in `hits`, which are `e(hit)`. (The two codewords
+    /// are fixed, so `e(hit)` selects exactly the hits: no false drops.)
+    fn index_with_hits(layout: &[usize], hits: &[usize], sy: &mut SymbolTable) -> IndexFile {
+        let total: usize = layout.iter().sum();
+        let mut index = IndexFile::with_capacity(ScwConfig::paper(), total);
+        let (hit, miss) = (
+            parse_term("e(hit)", sy).unwrap(),
+            parse_term("e(miss)", sy).unwrap(),
+        );
+        let mut i = 0;
+        for (t, &count) in layout.iter().enumerate() {
+            for slot in 0..count {
+                let head = if hits.contains(&i) { &hit } else { &miss };
+                index.insert(head, ClauseAddr::new(t as u32, slot as u16));
+                i += 1;
+            }
+        }
+        index
+    }
+
+    #[test]
+    fn extraction_edge_cases_equal_the_reference() {
+        let mut sy = SymbolTable::new();
+        // 4096-entry strides: entries 4095 | 4096 straddle the first one;
+        // 9000 entries leave a last partial word of 40 entries.
+        let layout: Vec<usize> = std::iter::repeat_n([1usize, 63, 64, 5, 130, 37], 24)
+            .flatten()
+            .chain([64])
+            .collect();
+        let total: usize = layout.iter().sum();
+        let firsts: Vec<usize> = layout
+            .iter()
+            .scan(0, |next, &count| {
+                let first = *next;
+                *next += count;
+                Some(first)
+            })
+            .collect();
+        let cases: Vec<(&str, Vec<usize>)> = vec![
+            ("entry 0", vec![0]),
+            ("entries 63 and 64", vec![63, 64]),
+            ("several hits in one word", vec![128, 129, 150, 191]),
+            ("both sides of the stride", vec![4095, 4096]),
+            (
+                "the last partial word",
+                vec![total - 40, total - 2, total - 1],
+            ),
+            ("the first entry of a track", firsts[1..6].to_vec()),
+            ("every track's first entry", firsts.clone()),
+            ("no hit", vec![]),
+        ];
+        for (what, hits) in &cases {
+            let index = index_with_hits(&layout, hits, &mut sy);
+            assert_eq!(index.len(), total);
+            let query = parse_term("e(hit)", &mut sy).unwrap();
+            let descriptor = encode_query_descriptor(&query, index.config());
+            let reference = index.scan_reference(&descriptor);
+            let expected: Vec<ClauseAddr> = hits.iter().map(|&i| index.addr_at(i)).collect();
+            assert_eq!(reference.matches, expected, "{what}: reference");
+            assert_eq!(
+                index.scan_with_descriptor(&descriptor),
+                reference,
+                "{what}: single"
+            );
+            let batch = index
+                .scan(&[&descriptor, &descriptor], None)
+                .expect("no hook");
+            assert_eq!(
+                batch,
+                vec![reference.clone(), reference.clone()],
+                "{what}: batched"
+            );
+            let hooked = index
+                .scan(&[&descriptor], Some(&|| false))
+                .expect("never cancels");
+            assert_eq!(hooked, vec![reference], "{what}: hooked");
+        }
     }
 }

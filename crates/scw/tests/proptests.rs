@@ -152,8 +152,9 @@ proptest! {
     /// a wider head often first arrives after whole blocks; queries
     /// are heads with one argument relaxed to a variable; three codeword
     /// configurations, one and three limbs wide; capacities below and
-    /// above the entry count; and the hooked pass is polled once per
-    /// stride and cancelled at every poll.
+    /// above the entry count; tracks of 1 to 129 clauses, so track
+    /// boundaries fall anywhere in a bitmap word; and the hooked pass is
+    /// polled once per stride and cancelled at every poll.
     #[test]
     fn sliced_scan_equals_freshly_encoded_signatures(
         heads in prop::collection::vec(head_source(), 1..300),
@@ -165,6 +166,7 @@ proptest! {
         ],
         picks in prop::collection::vec((0usize..300, 0usize..7), 1..4),
         capacity in 0usize..12_000,
+        per_track in 1usize..130,
     ) {
         let mut symbols = SymbolTable::new();
         let terms: Vec<Term> = heads
@@ -176,7 +178,7 @@ proptest! {
             .map(|head| encode_clause_signature(head, &config))
             .collect();
         let n = terms.len() * copies;
-        let addr = |i: usize| ClauseAddr::new((i / 64) as u32, (i % 64) as u16);
+        let addr = |i: usize| ClauseAddr::new((i / per_track) as u32, (i % per_track) as u16);
         let mut index = IndexFile::with_capacity(config, capacity);
         for i in 0..n {
             index.insert(&terms[i / copies], addr(i));
