@@ -4,10 +4,11 @@
 //! sweep's modelled and wall times) must cost less than 2% over the bare
 //! sweep.
 //!
-//! Both arms sweep a compiled `fact/3` predicate the way `crs.rs` does:
-//! [`Fs2Engine::match_track`] per track over the predicate's
+//! Both arms sweep a compiled `fact/3` predicate the way `crs.rs` does,
+//! in one pass: [`Fs2Engine::match_track`] per track over the predicate's
 //! [`ClauseArena`], walking only the clauses the first-word posting lists
-//! select for the keyed query.
+//! select for the keyed query, each hit's address pushed straight onto one
+//! ascending satisfier list and each track's modelled time summed.
 //!
 //! The check is a paired measurement that fails the bench run loudly if
 //! the budget is blown. Each round times both arms back to back, in
@@ -20,6 +21,7 @@ use clare_disk::SimNanos;
 use clare_fs2::{Fs2Engine, Selection};
 use clare_kb::{ClauseArena, KbBuilder, KbConfig, KnowledgeBase};
 use clare_pif::encode_query;
+use clare_scw::ClauseAddr;
 use clare_term::parser::parse_term;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -61,33 +63,47 @@ fn selection<'a>(arena: &'a ClauseArena, engine: &Fs2Engine) -> Selection<'a> {
     }
 }
 
-/// The bare sweep: what FS2 filtering costs with no observability.
+/// The bare sweep: what the one-pass FS2 sweep costs with no
+/// observability. Returns the satisfier count.
 fn run_bare(arena: &ClauseArena, engine: &mut Fs2Engine) -> usize {
     let mut selection = selection(arena, engine);
-    let mut hits = 0usize;
+    let mut satisfiers = Vec::new();
+    let mut modelled = SimNanos::ZERO;
     for t in 0..arena.track_count() {
-        let verdict =
-            engine.match_track(arena.track_clauses(t), &mut selection, |c| arena.stream(c));
-        hits += verdict.hits.len();
+        let track = t as u32;
+        let verdict = engine.match_track(
+            arena.track_clauses(t),
+            &mut selection,
+            |c| arena.stream(c),
+            |slot| satisfiers.push(ClauseAddr::new(track, slot)),
+        );
+        modelled += verdict.time;
     }
-    hits
+    black_box(modelled);
+    satisfiers.len()
 }
 
 /// The instrumented sweep: exactly the recording the retrieval pipeline
-/// performs per sweep — per-track locals, one registry publish, the
-/// sweep's modelled and wall times.
+/// performs per one-pass sweep — per-track locals, one registry publish,
+/// the sweep's modelled and wall times.
 fn run_instrumented(arena: &ClauseArena, engine: &mut Fs2Engine) -> usize {
     let started = Instant::now();
     let mut selection = selection(arena, engine);
-    let (mut tracks, mut clauses, mut hits) = (0u64, 0u64, 0usize);
-    let mut ops = [0u64; clare_trace::FS2_OPS];
+    let mut satisfiers = Vec::new();
     let mut modelled = SimNanos::ZERO;
+    let (mut tracks, mut clauses, mut hits) = (0u64, 0u64, 0u64);
+    let mut ops = [0u64; clare_trace::FS2_OPS];
     for t in 0..arena.track_count() {
-        let range = arena.track_clauses(t);
+        let (track, range) = (t as u32, arena.track_clauses(t));
         clauses += range.len() as u64;
-        let verdict = engine.match_track(range, &mut selection, |c| arena.stream(c));
+        let verdict = engine.match_track(
+            range,
+            &mut selection,
+            |c| arena.stream(c),
+            |slot| satisfiers.push(ClauseAddr::new(track, slot)),
+        );
         tracks += 1;
-        hits += verdict.hits.len();
+        hits += verdict.satisfiers as u64;
         for (total, n) in ops.iter_mut().zip(verdict.op_histogram) {
             *total += n;
         }
@@ -96,14 +112,14 @@ fn run_instrumented(arena: &ClauseArena, engine: &mut Fs2Engine) -> usize {
     let m = clare_trace::metrics();
     m.fs2_tracks.add(tracks);
     m.fs2_clauses.add(clauses);
-    m.fs2_satisfiers.add(hits as u64);
+    m.fs2_satisfiers.add(hits);
     for (counter, n) in m.fs2_ops.iter().zip(ops) {
         counter.add(n);
     }
     m.fs2_sweeps.inc();
     m.fs2_modelled_ns.record(modelled.as_ns());
     m.fs2_wall_ns.record(started.elapsed().as_nanos() as u64);
-    hits
+    satisfiers.len()
 }
 
 fn main() {

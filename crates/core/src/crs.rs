@@ -353,19 +353,28 @@ pub(crate) fn pipeline(
             }
         }
         // FS2: each member's engine sweeps its own tracks — the whole
-        // file, or just the tracks its FS1 candidates live on. The token
-        // is polled once per track, so cancellation latency is one track.
+        // file, or just the tracks its FS1 candidates live on — once, in
+        // ascending order, folding each track's satisfiers and accounting
+        // into the sweep as it goes. The token is polled once per track,
+        // so cancellation latency is one track.
         for &i in &members {
-            let plan = &mut plans[i];
-            let Some(engine) = plan.engine.as_mut() else {
+            let Plan {
+                engine: Some(engine),
+                fs1,
+                sweep,
+                ..
+            } = &mut plans[i]
+            else {
                 continue;
             };
-            let tracks: Vec<usize> = match &plan.fs1 {
-                Some(outcome) => candidate_tracks(&outcome.matches).collect(),
-                None => (0..pred.file().track_count()).collect(),
+            // One of the two track sources is present; chained, the sweep
+            // consumes it without collecting the tracks first.
+            let (fs1_tracks, every_track) = match fs1 {
+                Some(outcome) => (Some(candidate_tracks(&outcome.matches)), None),
+                None => (None, Some(0..pred.file().track_count())),
             };
             let started = Instant::now();
-            let mut matches = Vec::with_capacity(tracks.len());
+            let mut swept = Fs2Sweep::new(pred, opts);
             let mut counts = SweepCounts::default();
             let arena = pred.arena();
             let mut selection = match engine.first_key() {
@@ -375,26 +384,21 @@ pub(crate) fn pipeline(
                 },
                 None => Selection::All,
             };
-            for &t in &tracks {
+            let tracks = fs1_tracks.into_iter().flatten();
+            for t in tracks.chain(every_track.into_iter().flatten()) {
                 if let Err(reason) = cancel.checkpoint() {
                     // The tracks that finished were really swept.
                     counts.publish();
                     return Err(exceeded(reason, None));
                 }
-                matches.push(match_track(pred, engine, &mut selection, t, &mut counts));
+                match_track(pred, engine, &mut selection, t, &mut counts, &mut swept);
             }
             counts.publish();
             let m = clare_trace::metrics();
             m.fs2_sweeps.inc();
-            m.fs2_modelled_ns.record(
-                matches
-                    .iter()
-                    .map(|tm| tm.fs2_time)
-                    .sum::<SimNanos>()
-                    .as_ns(),
-            );
+            m.fs2_modelled_ns.record(swept.fs2_time.as_ns());
             m.fs2_wall_ns.record(started.elapsed().as_nanos() as u64);
-            plan.sweep = Some(Fs2Sweep { tracks, matches });
+            *sweep = Some(swept);
         }
     }
 
@@ -434,13 +438,6 @@ struct Plan<'a> {
     fs1: Option<clare_scw::ScanOutcome>,
     /// The FS2 sweep; filled in exactly in the FS2 modes.
     sweep: Option<Fs2Sweep>,
-}
-
-/// A finished FS2 sweep: per-track match results for exactly `tracks`, in
-/// that order.
-struct Fs2Sweep {
-    tracks: Vec<usize>,
-    matches: Vec<TrackMatches>,
 }
 
 impl<'a> Plan<'a> {
@@ -582,14 +579,14 @@ impl<'a> Plan<'a> {
                 addrs_to_ids(pred, &addrs)
             }
             SearchMode::Fs2Only => {
-                let satisfiers = fs2_phase(pred, self.sweep.expect(SWEPT), opts, stats);
+                let satisfiers = self.sweep.expect(SWEPT).finish(stats);
                 stats.after_fs2 = Some(satisfiers.len());
                 addrs_to_ids(pred, &satisfiers)
             }
             SearchMode::TwoStage => {
                 let fs1_addrs = fs1_phase(self.fs1.expect(SCANNED), opts, stats);
                 stats.after_fs1 = Some(fs1_addrs.len());
-                let fs2_addrs = fs2_phase(pred, self.sweep.expect(SWEPT), opts, stats);
+                let fs2_addrs = self.sweep.expect(SWEPT).finish(stats);
                 // Intersect: only clauses selected by both stages go on.
                 let joint = intersect_ascending(&fs1_addrs, &fs2_addrs);
                 // FS1 candidates the FS2 verdicts rejected: the numerator of
@@ -605,9 +602,10 @@ impl<'a> Plan<'a> {
 }
 
 // Every address list below ascends: FS1 outcomes do (see
-// `clare_scw::ScanOutcome::matches`), FS2 sweeps visit tracks in ascending
-// order and report hits in slot order, and an intersection of ascending
-// lists ascends. Clause order is address order, so ids ascend too.
+// `clare_scw::ScanOutcome::matches`), an FS2 sweep visits tracks in
+// ascending order and reports each track's hits in slot order, and an
+// intersection of ascending lists ascends. Clause order is address order,
+// so ids ascend too.
 
 /// The clause ids of the ascending `addrs`, in clause order.
 fn addrs_to_ids(pred: &Predicate, addrs: &[ClauseAddr]) -> Vec<ClauseId> {
@@ -723,29 +721,81 @@ fn fetch_candidate_tracks(
     }
 }
 
-/// One track's FS2 outcome: total modelled matching time plus the slots
-/// of the clauses that satisfied the partial test. A `degraded` track was
-/// quarantined — its FS2 pass was skipped and every clause passes.
-struct TrackMatches {
+/// One FS2 sweep, built track by track in ascending order: the satisfiers
+/// so far, ascending, and the Table 1 and disk accounting of the tracks
+/// swept so far. Each track streams from disk into the Double Buffer while
+/// the previous track's clauses are matched, so its elapsed time is
+/// `max(transfer, matching)` — the single hardware pipeline of the paper,
+/// whatever order the host ran the request's sweeps in.
+struct Fs2Sweep {
+    satisfiers: Vec<ClauseAddr>,
+    /// The last track swept: the next one continues the sweep for free
+    /// when adjacent, and needs a fresh positioning otherwise.
+    prev: Option<usize>,
+    /// Seek plus rotational latency, one track's transfer time and size.
+    positioning: SimNanos,
+    transfer: SimNanos,
+    track_bytes: u64,
     fs2_time: SimNanos,
-    hits: Vec<u16>,
-    degraded: bool,
+    disk_time: SimNanos,
+    elapsed: SimNanos,
+    bytes_from_disk: u64,
+    result_memory_overflows: usize,
+    quarantined_tracks: usize,
 }
 
-/// Quarantines track `t`: the hardware filter is skipped and every clause
-/// on the track becomes a hit, so the filter's completeness contract (no
-/// false negatives) holds even over data it could not trust. Downstream
-/// full unification weeds the extra false drops; the answer set is exactly
-/// the fault-free one. No FS2 time is charged — the hardware did not run.
-fn quarantine_track(pred: &Predicate, t: usize) -> TrackMatches {
-    let slots = pred.file().tracks().get(t).map_or(0, Track::record_count);
-    let m = clare_trace::metrics();
-    m.fs2_quarantined_tracks.inc();
-    m.disk_track_crc_failures.inc();
-    TrackMatches {
-        fs2_time: SimNanos::ZERO,
-        hits: (0..slots as u16).collect(),
-        degraded: true,
+impl Fs2Sweep {
+    fn new(pred: &Predicate, opts: &CrsOptions) -> Self {
+        Fs2Sweep {
+            satisfiers: Vec::new(),
+            prev: None,
+            positioning: opts.disk.avg_seek() + opts.disk.avg_rotational_latency(),
+            transfer: opts.disk.track_transfer_time(),
+            track_bytes: pred.file().track_bytes() as u64,
+            fs2_time: SimNanos::ZERO,
+            disk_time: SimNanos::ZERO,
+            elapsed: SimNanos::ZERO,
+            bytes_from_disk: 0,
+            result_memory_overflows: 0,
+            quarantined_tracks: 0,
+        }
+    }
+
+    /// Charges track `t`, after every track swept before it: FS2 matched
+    /// it in `fs2_time` and `hits` of its clauses (already pushed onto
+    /// `satisfiers`) survived; a `quarantined` track was not matched.
+    fn charge(&mut self, t: usize, fs2_time: SimNanos, hits: usize, quarantined: bool) {
+        if hits > clare_fs2::result::SATISFIER_SLOTS {
+            self.result_memory_overflows += 1;
+        }
+        self.quarantined_tracks += usize::from(quarantined);
+        // Adjacent tracks continue the sweep for free; the first track and
+        // any gap cost a fresh positioning (seek + rotational latency).
+        let contiguous = self.prev.is_some_and(|p| t == p + 1);
+        let positioning = if contiguous {
+            SimNanos::ZERO
+        } else {
+            self.positioning
+        };
+        self.fs2_time += fs2_time;
+        self.disk_time += positioning + self.transfer;
+        self.bytes_from_disk += self.track_bytes;
+        // Double buffering overlaps matching with the next transfer.
+        self.elapsed += positioning + self.transfer.max(fs2_time);
+        self.prev = Some(t);
+    }
+
+    /// FS2 phase accounting: adds the sweep's times, bytes and fault
+    /// counts to `stats` and hands over the satisfiers.
+    fn finish(self, stats: &mut RetrievalStats) -> Vec<ClauseAddr> {
+        stats.fs2_time += self.fs2_time;
+        stats.disk_time += self.disk_time;
+        stats.bytes_from_disk += self.bytes_from_disk;
+        stats.elapsed += self.elapsed;
+        stats.result_memory_overflows += self.result_memory_overflows;
+        stats.quarantined_tracks += self.quarantined_tracks;
+        stats.degraded |= self.quarantined_tracks > 0;
+        self.satisfiers
     }
 }
 
@@ -772,12 +822,18 @@ impl SweepCounts {
     }
 }
 
-/// Streams one track's clauses through the engine: one
+/// Streams track `t`'s clauses through the engine into `sweep`: one
 /// [`Fs2Engine::match_track`] call over the predicate's [`ClauseArena`]
 /// (head streams decoded once at build/load time), walking only the
 /// clauses `selection` lists on the track — the sweep's first-word posting
-/// lists. A track whose stored bytes fail their CRC is quarantined
-/// instead.
+/// lists.
+///
+/// A track whose stored bytes fail their CRC is quarantined instead: the
+/// hardware filter is skipped and every clause on the track becomes a
+/// hit, so the filter's completeness contract (no false negatives) holds
+/// even over data it could not trust. Downstream full unification weeds
+/// the extra false drops; the answer set is exactly the fault-free one.
+/// No FS2 time is charged — the hardware did not run.
 ///
 /// [`ClauseArena`]: clare_kb::ClauseArena
 // Kept out of line: inlined into the large pipeline body, the sweep
@@ -789,67 +845,37 @@ fn match_track(
     selection: &mut Selection<'_>,
     t: usize,
     counts: &mut SweepCounts,
-) -> TrackMatches {
+    sweep: &mut Fs2Sweep,
+) {
+    let track = t as u32;
     // The CRC verdict is memoized per track inside the stored file, so the
     // fault-free fast path pays the checksum exactly once per track.
     if pred.file().read_track(t) != Some(true) {
-        return quarantine_track(pred, t);
+        let slots = pred.file().tracks().get(t).map_or(0, Track::record_count);
+        let m = clare_trace::metrics();
+        m.fs2_quarantined_tracks.inc();
+        m.disk_track_crc_failures.inc();
+        let all = (0..slots as u16).map(|slot| ClauseAddr::new(track, slot));
+        sweep.satisfiers.extend(all);
+        sweep.charge(t, SimNanos::ZERO, slots, true);
+        return;
     }
     let arena = pred.arena();
     let clauses = arena.track_clauses(t);
-    let verdict = engine.match_track(clauses.clone(), selection, |c| arena.stream(c));
+    let satisfiers = &mut sweep.satisfiers;
+    let verdict = engine.match_track(
+        clauses.clone(),
+        selection,
+        |c| arena.stream(c),
+        |slot| satisfiers.push(ClauseAddr::new(track, slot)),
+    );
     counts.tracks += 1;
     counts.clauses += clauses.len() as u64;
-    counts.satisfiers += verdict.hits.len() as u64;
+    counts.satisfiers += verdict.satisfiers as u64;
     for (total, n) in counts.ops.iter_mut().zip(verdict.op_histogram) {
         *total += n;
     }
-    TrackMatches {
-        fs2_time: verdict.time,
-        hits: verdict.hits,
-        degraded: false,
-    }
-}
-
-/// FS2 phase accounting over a finished sweep: each track streams from
-/// disk into the Double Buffer while the previous track's clauses are
-/// matched, so the per-track elapsed time is `max(transfer, matching)` —
-/// the single hardware pipeline of the paper, whatever order the host ran
-/// the request's sweeps in.
-fn fs2_phase(
-    pred: &Predicate,
-    sweep: Fs2Sweep,
-    opts: &CrsOptions,
-    stats: &mut RetrievalStats,
-) -> Vec<ClauseAddr> {
-    let seek = opts.disk.avg_seek() + opts.disk.avg_rotational_latency();
-    let transfer = opts.disk.track_transfer_time();
-    let track_bytes = pred.file().track_bytes() as u64;
-    let mut satisfiers = Vec::new();
-    let mut prev: Option<usize> = None;
-    for (&t, tm) in sweep.tracks.iter().zip(&sweep.matches) {
-        for &slot in &tm.hits {
-            satisfiers.push(ClauseAddr::new(t as u32, slot));
-        }
-        if tm.hits.len() > clare_fs2::result::SATISFIER_SLOTS {
-            stats.result_memory_overflows += 1;
-        }
-        if tm.degraded {
-            stats.quarantined_tracks += 1;
-            stats.degraded = true;
-        }
-        // Adjacent tracks continue the sweep for free; the first track and
-        // any gap cost a fresh positioning (seek + rotational latency).
-        let contiguous = prev.is_some_and(|p| t == p + 1);
-        let positioning = if contiguous { SimNanos::ZERO } else { seek };
-        stats.fs2_time += tm.fs2_time;
-        stats.disk_time += positioning + transfer;
-        stats.bytes_from_disk += track_bytes;
-        // Double buffering overlaps matching with the next transfer.
-        stats.elapsed += positioning + transfer.max(tm.fs2_time);
-        prev = Some(t);
-    }
-    satisfiers
+    sweep.charge(t, verdict.time, verdict.satisfiers, false);
 }
 
 /// The mode-selection heuristic the paper sketches: "depending on the
@@ -1059,20 +1085,12 @@ mod tests {
         // Positioning depends only on which tracks were visited, not on
         // what matched there.
         let sweep = |tracks: &[usize]| {
-            let matches = tracks
-                .iter()
-                .map(|_| TrackMatches {
-                    fs2_time: SimNanos::ZERO,
-                    hits: Vec::new(),
-                    degraded: false,
-                })
-                .collect();
-            let sweep = Fs2Sweep {
-                tracks: tracks.to_vec(),
-                matches,
-            };
+            let mut sweep = Fs2Sweep::new(pred, &opts);
+            for &t in tracks {
+                sweep.charge(t, SimNanos::ZERO, 0, false);
+            }
             let mut stats = RetrievalStats::empty(SearchMode::Fs2Only);
-            fs2_phase(pred, sweep, &opts, &mut stats);
+            sweep.finish(&mut stats);
             stats
         };
         let contiguous = sweep(&[0, 1, 2]);

@@ -37,27 +37,28 @@ pub struct StreamVerdict {
 
 /// Outcome of matching one track's clause-head streams
 /// ([`Fs2Engine::match_track`]): the sums of the per-clause
-/// [`StreamVerdict`]s plus the slots that survived.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// [`StreamVerdict`]s. The surviving slots themselves go to the caller's
+/// sink as they are found.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrackVerdict {
     /// Total execution time over every clause on the track.
     pub time: SimNanos,
     /// Count of each operation performed, indexed per [`HwOp::ALL`].
     pub op_histogram: [u64; 7],
-    /// Slots of the clauses that survive the filter, ascending.
-    pub hits: Vec<u16>,
+    /// Clauses that survive the filter.
+    pub satisfiers: usize,
 }
 
 impl TrackVerdict {
-    /// Folds the verdict of the clause in `slot` into the track's sums.
-    pub fn add_clause(&mut self, slot: u16, clause: StreamVerdict) {
+    /// Folds one clause's verdict into the track's sums; true if the
+    /// clause survives.
+    pub fn add_clause(&mut self, clause: StreamVerdict) -> bool {
         self.time += clause.time;
         for (total, n) in self.op_histogram.iter_mut().zip(clause.op_histogram) {
             *total += n as u64;
         }
-        if clause.matched {
-            self.hits.push(slot);
-        }
+        self.satisfiers += usize::from(clause.matched);
+        clause.matched
     }
 }
 
@@ -85,10 +86,21 @@ pub enum Selection<'a> {
 /// Splits off the front of the ascending clause list `list` the entries
 /// inside `track`, dropping those before it (tracks the sweep skipped).
 fn take_track<'a>(list: &mut &'a [u32], track: &Range<usize>) -> &'a [u32] {
-    let ahead = &list[list.partition_point(|&c| (c as usize) < track.start)..];
-    let (taken, rest) = ahead.split_at(ahead.partition_point(|&c| (c as usize) < track.end));
+    let ahead = &list[leading_below(list, track.start)..];
+    let (taken, rest) = ahead.split_at(leading_below(ahead, track.end));
     *list = rest;
     taken
+}
+
+/// How many entries of the ascending `list` lie below `bound`. A list
+/// that starts at or after `bound`, or ends before it, costs one
+/// comparison; only a list that straddles it is searched.
+fn leading_below(list: &[u32], bound: usize) -> usize {
+    match (list.first(), list.last()) {
+        (Some(&first), _) if first as usize >= bound => 0,
+        (_, Some(&last)) if (last as usize) < bound => list.len(),
+        _ => list.partition_point(|&c| (c as usize) < bound),
+    }
 }
 
 /// What a caller of [`Fs2Engine::match_clause_observed`] records of one
@@ -298,7 +310,8 @@ impl Fs2Engine {
     /// Matches one track's worth of clause heads: the track holds clauses
     /// `clauses` (slot `s` is clause `clauses.start + s`) and `stream(c)`
     /// is clause `c`'s head stream. The result is exactly the fold of
-    /// [`Self::match_clause_words`] over `stream(clauses)`.
+    /// [`Self::match_clause_words`] over `stream(clauses)`, and `hit`
+    /// receives the slot of every surviving clause, ascending.
     ///
     /// When the loaded query's first word is a simple value, a clause
     /// whose key is neither `0` nor that word is, by the Map ROM's own
@@ -316,20 +329,23 @@ impl Fs2Engine {
         clauses: Range<usize>,
         selection: &mut Selection<'_>,
         stream: impl Fn(usize) -> &'a [PifWord],
+        mut hit: impl FnMut(u16),
     ) -> TrackVerdict {
         let mut verdict = TrackVerdict::default();
-        let slot = |clause: usize| (clause - clauses.start) as u16;
+        let mut walk = |engine: &mut Self, clause: usize| {
+            if verdict.add_clause(engine.match_clause_words(stream(clause))) {
+                hit((clause - clauses.start) as u16);
+            }
+        };
         let Selection::Keyed { keyed, zero } = selection else {
             for clause in clauses.clone() {
-                verdict.add_clause(slot(clause), self.match_clause_words(stream(clause)));
+                walk(self, clause);
             }
             return verdict;
         };
         debug_assert!(self.first_key.is_some(), "a keyed selection needs a key");
         let (mut keyed, mut zero) = (take_track(keyed, &clauses), take_track(zero, &clauses));
         let rejected = (clauses.len() - keyed.len() - zero.len()) as u64;
-        verdict.op_histogram[HwOp::Match.index()] = rejected;
-        verdict.time = HwOp::Match.execution_time() * rejected;
         // The two lists are disjoint and ascending: walk their union in
         // slot order.
         loop {
@@ -348,8 +364,10 @@ impl Fs2Engine {
                 }
                 (None, None) => break,
             } as usize;
-            verdict.add_clause(slot(clause), self.match_clause_words(stream(clause)));
+            walk(self, clause);
         }
+        verdict.op_histogram[HwOp::Match.index()] += rejected;
+        verdict.time += HwOp::Match.execution_time() * rejected;
         verdict
     }
 
@@ -1030,13 +1048,22 @@ mod tests {
                     skipped += usize::from(keyed.iter().chain(&zero).any(selected));
                     continue;
                 }
-                let mut fold = TrackVerdict::default();
+                let (mut fold, mut fold_hits) = (TrackVerdict::default(), Vec::new());
                 for clause in range.clone() {
-                    let slot = (clause - range.start) as u16;
-                    fold.add_clause(slot, engine.match_clause_words(&clauses[clause]));
+                    if fold.add_clause(engine.match_clause_words(&clauses[clause])) {
+                        fold_hits.push((clause - range.start) as u16);
+                    }
                 }
-                let got = engine.match_track(range.clone(), &mut selection, |c| &clauses[c]);
+                let mut hits = Vec::new();
+                let got = engine.match_track(
+                    range.clone(),
+                    &mut selection,
+                    |c| &clauses[c],
+                    |slot| hits.push(slot),
+                );
                 assert_eq!(got, fold, "round {round}, track {t}: {q_stream:?}");
+                assert_eq!(hits, fold_hits, "round {round}, track {t}: {q_stream:?}");
+                assert_eq!(got.satisfiers, hits.len());
                 if engine.first_key().is_some() && !range.is_empty() {
                     keyed_tracks += 1;
                     zero_only += usize::from(range.clone().all(|c| keys[c] == 0));
@@ -1247,5 +1274,52 @@ mod robustness_tests {
             // Must not panic, whatever the verdict.
             let _ = engine.match_clause_words(stream.words());
         }
+    }
+}
+
+#[cfg(test)]
+mod cursor_tests {
+    use super::*;
+
+    #[test]
+    fn leading_below_equals_a_partition_point() {
+        let lists: [&[u32]; 6] = [
+            &[],
+            &[5],
+            &[0, 1, 2, 3],
+            &[2, 4, 8, 16, 32, 64, 65, 66],
+            &[7; 5],
+            &[
+                1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33,
+            ],
+        ];
+        for list in lists {
+            for bound in 0..70 {
+                let want = list.partition_point(|&c| (c as usize) < bound);
+                assert_eq!(leading_below(list, bound), want, "{list:?} below {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn take_track_splits_off_each_tracks_share() {
+        let posting: &[u32] = &[1, 2, 9, 10, 11, 30, 31, 64];
+        let mut list = posting;
+        assert_eq!(
+            take_track(&mut list, &(0..1)),
+            &[] as &[u32],
+            "before the list"
+        );
+        assert_eq!(take_track(&mut list, &(0..8)), &[1, 2]);
+        // Track 8..10 is skipped: its entry 9 is dropped with it.
+        assert_eq!(take_track(&mut list, &(10..20)), &[10, 11]);
+        assert_eq!(take_track(&mut list, &(20..25)), &[] as &[u32], "a gap");
+        assert_eq!(take_track(&mut list, &(40..70)), &[64]);
+        assert!(list.is_empty());
+        assert_eq!(
+            take_track(&mut list, &(70..80)),
+            &[] as &[u32],
+            "past the list"
+        );
     }
 }
