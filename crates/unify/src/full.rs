@@ -7,7 +7,8 @@
 //! module: any clause accepted here must also be accepted by FS1 and FS2.
 
 use crate::store::{shift_vars, var_span, BindingStore};
-use clare_term::Term;
+use clare_term::{Term, VarId};
+use std::borrow::Cow;
 
 /// Options for [`unify`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,29 +35,33 @@ pub fn unify(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptions
     }
 }
 
+/// `term` with its binding chain followed, as [`BindingStore::walk`] does.
+/// A bound variable's representative lives in the store, which the
+/// unifier goes on to extend, so it is cloned out; any other term is
+/// borrowed as it is.
+fn walked<'t>(store: &BindingStore, term: &'t Term) -> Cow<'t, Term> {
+    match term {
+        Term::Var(v) if store.lookup(*v).is_some() => Cow::Owned(store.walk(term).clone()),
+        _ => Cow::Borrowed(term),
+    }
+}
+
 fn unify_inner(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptions) -> bool {
     // Anonymous variables are "don't care" on either side.
     if matches!(a, Term::Anon) || matches!(b, Term::Anon) {
         return true;
     }
-    let wa = store.walk(a).clone();
-    let wb = store.walk(b).clone();
-    match (&wa, &wb) {
+    let (wa, wb) = (walked(store, a), walked(store, b));
+    match (&*wa, &*wb) {
         (Term::Anon, _) | (_, Term::Anon) => true,
         (Term::Var(va), Term::Var(vb)) => {
-            if va == vb {
-                true
-            } else {
-                store.bind(*va, wb.clone());
-                true
+            if va != vb {
+                store.bind(*va, Term::Var(*vb));
             }
+            true
         }
         (Term::Var(v), other) | (other, Term::Var(v)) => {
-            if options.occurs_check && store.occurs(*v, other) {
-                return false;
-            }
-            store.bind(*v, other.clone());
-            true
+            bind_checked(*v, Cow::Borrowed(other), store, options)
         }
         (Term::Atom(x), Term::Atom(y)) => x == y,
         (Term::Int(x), Term::Int(y)) => x == y,
@@ -78,62 +83,125 @@ fn unify_inner(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptio
                     .zip(ab)
                     .all(|(x, y)| unify_inner(x, y, store, options))
         }
-        (Term::List { .. }, Term::List { .. }) => unify_lists(&wa, &wb, store, options),
+        (
+            Term::List {
+                items: ia,
+                tail: ta,
+            },
+            Term::List {
+                items: ib,
+                tail: tb,
+            },
+        ) => {
+            let (a, b) = (ListView::of(ia, ta), ListView::of(ib, tb));
+            unify_lists(a, b, store, options)
+        }
         _ => false,
     }
 }
 
-/// Unifies two list terms, handling unterminated tails on either side.
-fn unify_lists(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptions) -> bool {
-    let (
+/// Binds the unbound variable `v` to `term`, unless the occurs check is
+/// on and `term` contains `v`. A borrowed `term` is copied only here, for
+/// the binding it makes.
+fn bind_checked(
+    v: VarId,
+    term: Cow<'_, Term>,
+    store: &mut BindingStore,
+    options: UnifyOptions,
+) -> bool {
+    if options.occurs_check && store.occurs(v, &term) {
+        return false;
+    }
+    store.bind(v, term.into_owned());
+    true
+}
+
+/// A list's items from some point on, and its tail: what is left of a
+/// list term once a prefix of its items has been unified.
+#[derive(Clone, Copy)]
+struct ListView<'t> {
+    items: &'t [Term],
+    tail: Option<&'t Term>,
+}
+
+impl<'t> ListView<'t> {
+    fn of(items: &'t [Term], tail: &'t Option<Box<Term>>) -> Self {
+        ListView {
+            items,
+            tail: tail.as_deref(),
+        }
+    }
+
+    /// The list term this view stands for.
+    fn to_term(self) -> Term {
         Term::List {
-            items: ia,
-            tail: ta,
-        },
-        Term::List {
-            items: ib,
-            tail: tb,
-        },
-    ) = (a, b)
-    else {
-        unreachable!("unify_lists called on non-lists");
-    };
-    let common = ia.len().min(ib.len());
-    for (x, y) in ia[..common].iter().zip(&ib[..common]) {
+            items: self.items.to_vec(),
+            tail: self.tail.map(|t| Box::new(t.clone())),
+        }
+    }
+}
+
+/// Unifies two lists, handling unterminated tails on either side.
+fn unify_lists(
+    a: ListView<'_>,
+    b: ListView<'_>,
+    store: &mut BindingStore,
+    options: UnifyOptions,
+) -> bool {
+    let common = a.items.len().min(b.items.len());
+    for (x, y) in a.items[..common].iter().zip(&b.items[..common]) {
         if !unify_inner(x, y, store, options) {
             return false;
         }
     }
     // The longer side's remainder must unify with the shorter side's tail.
-    let leftover_a = &ia[common..];
-    let leftover_b = &ib[common..];
-    if !leftover_a.is_empty() {
+    let rest_a = ListView {
+        items: &a.items[common..],
+        ..a
+    };
+    let rest_b = ListView {
+        items: &b.items[common..],
+        ..b
+    };
+    if !rest_a.items.is_empty() {
         // b's items are exhausted: b's tail must absorb a's remainder.
-        let rest_a = Term::List {
-            items: leftover_a.to_vec(),
-            tail: ta.clone(),
-        };
-        return match tb {
-            Some(t) => unify_inner(t, &rest_a, store, options),
+        return match b.tail {
+            Some(t) => unify_with_list(t, rest_a, store, options),
             None => false,
         };
     }
-    if !leftover_b.is_empty() {
-        let rest_b = Term::List {
-            items: leftover_b.to_vec(),
-            tail: tb.clone(),
-        };
-        return match ta {
-            Some(t) => unify_inner(t, &rest_b, store, options),
+    if !rest_b.items.is_empty() {
+        return match a.tail {
+            Some(t) => unify_with_list(t, rest_b, store, options),
             None => false,
         };
     }
     // Items exhausted on both sides: unify the tails (absent tail = nil).
-    match (ta, tb) {
+    match (a.tail, b.tail) {
         (None, None) => true,
         (Some(t), None) => unify_inner(t, &Term::nil(), store, options),
         (None, Some(t)) => unify_inner(&Term::nil(), t, store, options),
         (Some(x), Some(y)) => unify_inner(x, y, store, options),
+    }
+}
+
+/// Unifies the tail `t` with the non-empty list `rest`, exactly as
+/// [`unify_inner`] would with `rest` built as a term — which is built only
+/// when a variable gets bound to it.
+fn unify_with_list(
+    t: &Term,
+    rest: ListView<'_>,
+    store: &mut BindingStore,
+    options: UnifyOptions,
+) -> bool {
+    if matches!(t, Term::Anon) {
+        return true;
+    }
+    match &*walked(store, t) {
+        Term::Anon => true,
+        Term::Var(v) => bind_checked(*v, Cow::Owned(rest.to_term()), store, options),
+        Term::List { items, tail } => unify_lists(ListView::of(items, tail), rest, store, options),
+        _ => false,
     }
 }
 
