@@ -540,7 +540,7 @@ impl ClauseRetrievalServer {
                     })
                 })
                 .collect();
-            let computed = crate::crs::pipeline(
+            let computed = crate::crs::retrieve_plans(
                 Some(&published.overlay),
                 &plans,
                 &self.options,

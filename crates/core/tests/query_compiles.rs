@@ -1,6 +1,6 @@
 //! `crs.query_compiles` counts query plans: one per retrieval that runs the
-//! filters, none per answer-cache hit, one per resolver expansion, none
-//! per call of the public `choose_mode`.
+//! filters, none per answer-cache hit, one per distinct goal of a solve,
+//! none per call of the public `choose_mode`.
 //!
 //! The trace registry is process-wide, so the tests in this binary hold
 //! one lock while they read counter deltas.
@@ -17,6 +17,10 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn compiles() -> u64 {
     clare_trace::metrics().crs_query_compiles.get()
+}
+
+fn repeats() -> u64 {
+    clare_trace::metrics().solve_repeat_retrievals.get()
 }
 
 #[test]
@@ -44,7 +48,7 @@ fn a_cold_server_compiles_once_per_answer_cache_miss() {
 }
 
 #[test]
-fn a_solve_compiles_once_per_expansion() {
+fn a_solve_compiles_once_per_distinct_goal() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut b = KbBuilder::new();
     b.consult(
@@ -63,7 +67,7 @@ fn a_solve_compiles_once_per_expansion() {
             mode,
             ..SolveOptions::default()
         };
-        let before = compiles();
+        let (compiled, repeated) = (compiles(), repeats());
         let outcome = solve_goals(
             &kb,
             None,
@@ -75,11 +79,12 @@ fn a_solve_compiles_once_per_expansion() {
         )
         .unwrap();
         assert_eq!(outcome.solutions.len(), 5, "{mode:?}");
-        assert_eq!(
-            compiles() - before,
-            outcome.stats.retrievals as u64,
-            "{mode:?}: one plan per expansion"
-        );
+        // Six ancestor/2 calls, each expanding into its own call and the
+        // two parent(P, _) goals of its clauses: 18 retrievals of 12
+        // distinct goals, as the two parent goals compact alike.
+        assert_eq!(outcome.stats.retrievals, 18, "{mode:?}");
+        assert_eq!(compiles() - compiled, 12, "{mode:?}: one plan per goal");
+        assert_eq!(repeats() - repeated, 6, "{mode:?}: the rest repeat");
     }
     // The public mode choice compiles a throwaway plan, not a retrieval's.
     let before = compiles();

@@ -83,7 +83,7 @@ impl fmt::Display for ClauseId {
 /// assert_eq!(t.arity(), 2);
 /// assert!(!t.is_ground());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A named constant, interned in the symbol table.
     Atom(Symbol),

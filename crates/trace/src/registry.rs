@@ -206,6 +206,10 @@ metric_table! {
         /// Solve calls that exhausted `SolveOptions::max_depth` at least
         /// once (the answer is complete only up to the depth cap).
         solve_depth_cap_hits: Counter = "solve.depth_cap_hits",
+        /// Solve retrievals whose goal repeated one the same solve had
+        /// already filtered: the resolver reran only the candidate charge
+        /// and the counting unification on the filter output it held.
+        solve_repeat_retrievals: Counter = "solve.repeat_retrievals",
         // --- wal: the write-ahead log and memtable overlay --------------
         /// Batches appended to the write-ahead log (one fsync each — the
         /// group-commit unit).
