@@ -7,9 +7,9 @@
 //!
 //! * [`QueryBudget`] — the client-declared limits a request carries:
 //!   a wall-clock deadline, a resolution-step ceiling for solve, and a
-//!   candidate ceiling for retrieval. Zero means unlimited; the whole
-//!   struct is plain data and crosses the wire in the protocol-v4 frame
-//!   extension.
+//!   candidate ceiling summed over the request's retrievals. Zero means
+//!   unlimited; the whole struct is plain data and crosses the wire in
+//!   the protocol-v4 frame extension.
 //! * [`CancelToken`] — the runtime form. The serving layer mints one
 //!   token per request (capturing the absolute deadline) and threads it
 //!   through FS1 index strides, FS2 track sweeps, the full-unification
@@ -40,8 +40,10 @@ pub struct QueryBudget {
     /// Maximum solve resolution steps — goal expansions — before the
     /// solve is cancelled (0 = unlimited).
     pub solve_step_limit: u64,
-    /// Maximum candidate clauses examined by one retrieval before it is
-    /// cancelled (0 = unlimited).
+    /// Maximum candidate clauses examined before the request is
+    /// cancelled (0 = unlimited). The count is summed over every
+    /// retrieval of the request: each member of a batch, and each goal a
+    /// solve retrieves, repeats of an earlier goal included.
     pub candidate_limit: u64,
 }
 
@@ -238,7 +240,8 @@ impl CancelToken {
     }
 
     /// Charges `n` candidate clauses against the budget, then runs a
-    /// checkpoint. The count is cumulative across retrieval phases.
+    /// checkpoint. The count is cumulative across every retrieval that
+    /// shares the token.
     pub fn note_candidates(&self, n: u64) -> Result<(), BudgetReason> {
         let Some(inner) = &self.inner else {
             return Ok(());

@@ -623,8 +623,9 @@ fn ordered_seqs(r: &CommitReceipt) -> Result<(), WireError> {
 pub struct BudgetExt {
     /// Abandon a solve after this many resolution steps; `0` = unlimited.
     pub solve_step_limit: u64,
-    /// Abandon a retrieval once this many candidates have survived the
-    /// filters; `0` = unlimited.
+    /// Abandon the request once this many candidates have survived the
+    /// filters, summed over all of its retrievals (every member of a
+    /// batch, every goal of a solve, repeats included); `0` = unlimited.
     pub candidate_limit: u64,
 }
 
