@@ -4,7 +4,10 @@
 //! fixed multi-track predicate: keyed, unkeyed, missing-key and
 //! shared-variable queries, alone, as one batch, and merged with an
 //! overlay delta. One track of the predicate fails its CRC on every read,
-//! so the quarantine path is pinned too. The rendered outcomes must equal
+//! so the quarantine path is pinned too. A second, memory-resident module
+//! (the arity-0 `flag/0` and an `s/2` of lists, structures, shared
+//! variables, integers and a rule) runs its own queries in every mode,
+//! bare and merged with an overlay delta. The rendered outcomes must equal
 //! `tests/golden/retrieval.txt` byte for byte: a change to the retrieval
 //! pipeline that is meant to keep answers, modelled times and counts
 //! exactly as they were must leave this file untouched.
@@ -14,8 +17,8 @@
 //! binary would see its faults.
 
 use clare_core::{
-    retrieve, retrieve_batch, retrieve_merged, CancelToken, CrsOptions, Overlay, Retrieval,
-    SearchMode, WalOp,
+    choose_mode, retrieve, retrieve_batch, retrieve_merged, CancelToken, CrsOptions, Overlay,
+    Retrieval, SearchMode, WalOp,
 };
 use clare_fault::{FaultAction, FaultInjector, FaultSite};
 use clare_kb::{KbBuilder, KbConfig};
@@ -90,6 +93,79 @@ const QUERIES: [&str; 20] = [
     "g(S, f(S), S)",
 ];
 
+/// The memory-resident module: two `flag/0` clauses, and `s/2` facts
+/// over lists, structures, shared variables and integers, plus a rule.
+const MEMORY_SOURCE: &str = "
+    flag.
+    flag.
+    s(1, [a, b, c]).
+    s(2, f(x, Y)).
+    s(X, X).
+    s([H | T], g(H, T)).
+    s(k, [a | T]).
+    s(f(A, b), A).
+    s(-7, 300).
+    s(g(q, [1, 2]), h).
+    s(A, B) :- flag, s(B, A).
+";
+
+const MEMORY_QUERIES: [&str; 17] = [
+    "flag",
+    "s(1, L)",
+    "s(1, [a, b, c])",
+    "s(1, [a, b])",
+    "s(2, f(x, z))",
+    "s(X, X)",
+    "s([a, b], Z)",
+    "s(k, [a, b])",
+    "s(f(c, b), c)",
+    "s(f(c, b), d)",
+    "s(-7, N)",
+    "s(N, 300)",
+    "s(g(q, L), h)",
+    "s(A, B)",
+    "s(q, r)",
+    "s(S, f(S, S))",
+    "s(S, g(S, T))",
+];
+
+/// Every [`MEMORY_QUERIES`] retrieval over the memory-resident module, in
+/// each mode, bare and merged with an overlay delta.
+fn render_memory_module(out: &mut String, opts: &CrsOptions) {
+    let mut b = KbBuilder::new();
+    b.consult("mem", MEMORY_SOURCE).unwrap();
+    let queries: Vec<Term> = MEMORY_QUERIES
+        .iter()
+        .map(|q| parse_term(q, b.symbols_mut()).unwrap())
+        .collect();
+    let kb = b.finish(KbConfig::default());
+    for query in &queries {
+        assert_eq!(choose_mode(&kb, query), SearchMode::SoftwareOnly);
+    }
+    let mut overlay = Overlay::new(kb.symbols().clone());
+    let ops = [
+        WalOp::Retract {
+            module: "mem".to_owned(),
+            source: "s(2, f(x, Y)).".to_owned(),
+        },
+        WalOp::Assert {
+            module: "mem".to_owned(),
+            source: "s(new, [a]). s(Q, Q). flag.".to_owned(),
+        },
+    ];
+    for (seq, op) in (1..).zip(&ops) {
+        overlay.apply(seq, op, &kb).unwrap();
+    }
+    for mode in SearchMode::ALL {
+        for (text, query) in MEMORY_QUERIES.iter().zip(&queries) {
+            let bare = retrieve(&kb, query, mode, opts);
+            render(out, &format!("memory {mode} {text}"), &bare);
+            let merged = retrieve_merged(&kb, &overlay, query, mode, opts);
+            render(out, &format!("memory {mode} overlay {text}"), &merged);
+        }
+    }
+}
+
 fn render(out: &mut String, label: &str, r: &Retrieval) {
     let ids: Vec<u32> = r.candidates.iter().map(|id| id.index()).collect();
     writeln!(out, "{label}\n  candidates {ids:?}\n  {:?}", r.stats).unwrap();
@@ -147,6 +223,7 @@ fn retrieval_outcomes_match_the_golden_file() {
             render(&mut actual, &format!("{mode} overlay {text}"), &merged);
         }
     }
+    render_memory_module(&mut actual, &opts);
     assert!(
         actual.contains("quarantined_tracks: 1"),
         "the corrupt track was quarantined somewhere"
