@@ -6,11 +6,16 @@
 //!   and every software matching level);
 //! * the FS2 hardware simulator and the software Figure 1 reference agree
 //!   on verdicts *and* operation traces;
+//! * software-only retrieval, which runs the FS2 engine's walk on the
+//!   host, returns exactly what that reference accepts and charges its
+//!   operation count;
 //! * matching levels are monotone (L1 ⊇ L2 ⊇ L3 ⊇ L4 ⊇ L5);
 //! * all four search modes return the same answer set;
 //! * PIF clause records round-trip losslessly.
 
+use clare::kb::ModuleKind;
 use clare::prelude::*;
+use clare::term::ClauseId;
 use clare_workload::{RandomTermSpec, RandomTerms};
 use proptest::prelude::*;
 
@@ -68,6 +73,45 @@ proptest! {
             let hw_ops: Vec<&str> = ops.iter().map(|o| o.name()).collect();
             let sw_ops: Vec<&str> = sw.ops.iter().map(|o| o.name()).collect();
             prop_assert_eq!(hw_ops, sw_ops, "op traces differ");
+        }
+    }
+
+    /// Software mode walks the arena words through the FS2 engine; the
+    /// term-level reference still decides what it must return. Over one
+    /// memory-resident predicate of random heads it returns exactly the
+    /// clauses `partial_match` accepts at the FS2 configuration, and
+    /// charges one `partial_op` per reference operation, at least one per
+    /// clause.
+    #[test]
+    fn software_mode_matches_the_reference(seed in any::<u64>()) {
+        let (symbols, mut gen) = generator(seed);
+        let mut render = || TermDisplay::new(&gen.head(), &symbols).to_string();
+        let facts: Vec<String> = (0..24).map(|_| format!("{}.", render())).collect();
+        let texts: Vec<String> = (0..8).map(|_| render()).collect();
+        let mut builder = KbBuilder::new();
+        builder.consult("m", &facts.join("\n")).unwrap();
+        let queries: Vec<Term> = texts
+            .iter()
+            .map(|text| parse_term(text, builder.symbols_mut()).unwrap())
+            .collect();
+        let kb = builder.finish(KbConfig::default());
+        let (functor, arity) = queries[0].functor_arity().unwrap();
+        let (module, pred) = kb.module_of(functor, arity).unwrap();
+        prop_assert_eq!(module.kind(), ModuleKind::Small);
+        let opts = CrsOptions::default();
+        for query in &queries {
+            let got = retrieve(&kb, query, SearchMode::SoftwareOnly, &opts);
+            let mut accepted = Vec::new();
+            let mut ops = 0;
+            for (i, clause) in pred.clauses().iter().enumerate() {
+                let report = partial_match(query, clause.head(), PartialConfig::fs2());
+                ops += report.ops.len().max(1) as u64;
+                if report.matched {
+                    accepted.push(ClauseId::new(i as u32));
+                }
+            }
+            prop_assert_eq!(&got.candidates, &accepted);
+            prop_assert_eq!(got.stats.software_filter_time, opts.cost.partial_op * ops);
         }
     }
 
