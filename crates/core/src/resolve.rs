@@ -20,7 +20,7 @@ use crate::plan::QueryPlan;
 use clare_disk::SimNanos;
 use clare_kb::KnowledgeBase;
 use clare_term::{Term, VarId};
-use clare_unify::full::{unify, UnifyOptions};
+use clare_unify::full::unify;
 use clare_unify::store::{shift_vars, var_span, BindingStore};
 use clare_wal::Overlay;
 use std::borrow::Cow;
@@ -327,7 +327,7 @@ impl Solver<'_> {
             // Unify against the *original* goal (under the store), not the
             // compacted copy, so bindings propagate to the caller's terms.
             // Occurs check on: keeps the solver total (see the oracle).
-            let descend = if unify(goal, &head, self.store, UnifyOptions { occurs_check: true }) {
+            let descend = if unify(goal, &head, self.store) {
                 let mut next: Vec<Term> =
                     clause.body().iter().map(|g| shift_vars(g, base)).collect();
                 next.extend(rest.iter().cloned());

@@ -10,24 +10,18 @@ use crate::store::{shift_vars, var_span, BindingStore};
 use clare_term::{Term, VarId};
 use std::borrow::Cow;
 
-/// Options for [`unify`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnifyOptions {
-    /// Perform the occurs check when binding a variable to a compound term.
-    /// Standard Prolog omits it (and the paper's hardware certainly does);
-    /// the resolution engine leaves it off, tests can turn it on.
-    pub occurs_check: bool,
-}
-
 /// Unifies `a` and `b` in a shared variable scope, extending `store`.
 ///
 /// On failure the store is rolled back to its state at entry, so callers can
 /// try alternatives without explicit trail management.
 ///
-/// Anonymous variables unify with anything and bind nothing.
-pub fn unify(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptions) -> bool {
+/// Anonymous variables unify with anything and bind nothing. The occurs
+/// check is always on: a binding that would build a cyclic term fails, as
+/// with `unify_with_occurs_check/2` (the paper's hardware filters never
+/// bind, so only this host-side oracle needs it).
+pub fn unify(a: &Term, b: &Term, store: &mut BindingStore) -> bool {
     let mark = store.mark();
-    if unify_inner(a, b, store, options) {
+    if unify_inner(a, b, store) {
         true
     } else {
         store.undo(mark);
@@ -46,7 +40,7 @@ fn walked<'t>(store: &BindingStore, term: &'t Term) -> Cow<'t, Term> {
     }
 }
 
-fn unify_inner(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptions) -> bool {
+fn unify_inner(a: &Term, b: &Term, store: &mut BindingStore) -> bool {
     // Anonymous variables are "don't care" on either side.
     if matches!(a, Term::Anon) || matches!(b, Term::Anon) {
         return true;
@@ -61,7 +55,7 @@ fn unify_inner(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptio
             true
         }
         (Term::Var(v), other) | (other, Term::Var(v)) => {
-            bind_checked(*v, Cow::Borrowed(other), store, options)
+            bind_checked(*v, Cow::Borrowed(other), store)
         }
         (Term::Atom(x), Term::Atom(y)) => x == y,
         (Term::Int(x), Term::Int(y)) => x == y,
@@ -78,10 +72,7 @@ fn unify_inner(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptio
         ) => {
             fa == fb
                 && aa.len() == ab.len()
-                && aa
-                    .iter()
-                    .zip(ab)
-                    .all(|(x, y)| unify_inner(x, y, store, options))
+                && aa.iter().zip(ab).all(|(x, y)| unify_inner(x, y, store))
         }
         (
             Term::List {
@@ -94,22 +85,16 @@ fn unify_inner(a: &Term, b: &Term, store: &mut BindingStore, options: UnifyOptio
             },
         ) => {
             let (a, b) = (ListView::of(ia, ta), ListView::of(ib, tb));
-            unify_lists(a, b, store, options)
+            unify_lists(a, b, store)
         }
         _ => false,
     }
 }
 
-/// Binds the unbound variable `v` to `term`, unless the occurs check is
-/// on and `term` contains `v`. A borrowed `term` is copied only here, for
-/// the binding it makes.
-fn bind_checked(
-    v: VarId,
-    term: Cow<'_, Term>,
-    store: &mut BindingStore,
-    options: UnifyOptions,
-) -> bool {
-    if options.occurs_check && store.occurs(v, &term) {
+/// Binds the unbound variable `v` to `term`, unless `term` contains `v`.
+/// A borrowed `term` is copied only here, for the binding it makes.
+fn bind_checked(v: VarId, term: Cow<'_, Term>, store: &mut BindingStore) -> bool {
+    if store.occurs(v, &term) {
         return false;
     }
     store.bind(v, term.into_owned());
@@ -142,15 +127,10 @@ impl<'t> ListView<'t> {
 }
 
 /// Unifies two lists, handling unterminated tails on either side.
-fn unify_lists(
-    a: ListView<'_>,
-    b: ListView<'_>,
-    store: &mut BindingStore,
-    options: UnifyOptions,
-) -> bool {
+fn unify_lists(a: ListView<'_>, b: ListView<'_>, store: &mut BindingStore) -> bool {
     let common = a.items.len().min(b.items.len());
     for (x, y) in a.items[..common].iter().zip(&b.items[..common]) {
-        if !unify_inner(x, y, store, options) {
+        if !unify_inner(x, y, store) {
             return false;
         }
     }
@@ -166,41 +146,36 @@ fn unify_lists(
     if !rest_a.items.is_empty() {
         // b's items are exhausted: b's tail must absorb a's remainder.
         return match b.tail {
-            Some(t) => unify_with_list(t, rest_a, store, options),
+            Some(t) => unify_with_list(t, rest_a, store),
             None => false,
         };
     }
     if !rest_b.items.is_empty() {
         return match a.tail {
-            Some(t) => unify_with_list(t, rest_b, store, options),
+            Some(t) => unify_with_list(t, rest_b, store),
             None => false,
         };
     }
     // Items exhausted on both sides: unify the tails (absent tail = nil).
     match (a.tail, b.tail) {
         (None, None) => true,
-        (Some(t), None) => unify_inner(t, &Term::nil(), store, options),
-        (None, Some(t)) => unify_inner(&Term::nil(), t, store, options),
-        (Some(x), Some(y)) => unify_inner(x, y, store, options),
+        (Some(t), None) => unify_inner(t, &Term::nil(), store),
+        (None, Some(t)) => unify_inner(&Term::nil(), t, store),
+        (Some(x), Some(y)) => unify_inner(x, y, store),
     }
 }
 
 /// Unifies the tail `t` with the non-empty list `rest`, exactly as
 /// [`unify_inner`] would with `rest` built as a term — which is built only
 /// when a variable gets bound to it.
-fn unify_with_list(
-    t: &Term,
-    rest: ListView<'_>,
-    store: &mut BindingStore,
-    options: UnifyOptions,
-) -> bool {
+fn unify_with_list(t: &Term, rest: ListView<'_>, store: &mut BindingStore) -> bool {
     if matches!(t, Term::Anon) {
         return true;
     }
     match &*walked(store, t) {
         Term::Anon => true,
-        Term::Var(v) => bind_checked(*v, Cow::Owned(rest.to_term()), store, options),
-        Term::List { items, tail } => unify_lists(ListView::of(items, tail), rest, store, options),
+        Term::Var(v) => bind_checked(*v, Cow::Owned(rest.to_term()), store),
+        Term::List { items, tail } => unify_lists(ListView::of(items, tail), rest, store),
         _ => false,
     }
 }
@@ -236,12 +211,7 @@ pub fn unify_query_clause(query: &Term, clause_head: &Term) -> Option<BindingSto
     let offset = var_span(query);
     let renamed = shift_vars(clause_head, offset);
     let mut store = BindingStore::with_capacity((offset + var_span(&renamed)) as usize);
-    if unify(
-        query,
-        &renamed,
-        &mut store,
-        UnifyOptions { occurs_check: true },
-    ) {
+    if unify(query, &renamed, &mut store) {
         Some(store)
     } else {
         None
@@ -350,20 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn occurs_check_optional() {
+    fn occurs_check_is_on() {
         let mut sy = SymbolTable::new();
         let x = parse_term("X", &mut sy).unwrap();
         let fx = parse_term("f(X)", &mut sy).unwrap();
         let mut store = BindingStore::with_capacity(1);
-        // Without occurs check: binds (classic Prolog behaviour).
-        assert!(unify(&x, &fx, &mut store, UnifyOptions::default()));
-        let mut store2 = BindingStore::with_capacity(1);
-        assert!(!unify(
-            &x,
-            &fx,
-            &mut store2,
-            UnifyOptions { occurs_check: true }
-        ));
+        assert!(!unify(&x, &fx, &mut store));
     }
 
     #[test]
@@ -372,7 +334,7 @@ mod tests {
         let a = parse_term("f(X, a)", &mut sy).unwrap();
         let b = parse_term("f(q, b)", &mut sy).unwrap();
         let mut store = BindingStore::with_capacity(1);
-        assert!(!unify(&a, &b, &mut store, UnifyOptions::default()));
+        assert!(!unify(&a, &b, &mut store));
         assert!(
             store.lookup(clare_term::VarId::new(0)).is_none(),
             "X binding rolled back on failure"

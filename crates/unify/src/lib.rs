@@ -6,7 +6,7 @@
 //! hardware):
 //!
 //! * [`full`] — a complete, sound unifier over [`clare_term::Term`]s with a
-//!   trail for backtracking and an optional occurs check. This is the
+//!   trail for backtracking and the occurs check. This is the
 //!   reference oracle every filter is validated against: a filter may accept
 //!   clauses that full unification later rejects (*false drops*), but must
 //!   never reject a clause that would unify (*no false negatives*).

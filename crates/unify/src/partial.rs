@@ -32,8 +32,8 @@
 //! * unterminated lists match element-wise only up to the shorter arity
 //!   (the paper's two-counter rule).
 
-use crate::full::{unify, UnifyOptions};
-use crate::store::{shift_vars, var_span, BindingStore};
+use crate::full::unify_query_clause;
+use crate::store::var_span;
 use clare_term::{FloatId, Symbol, Term, VarId};
 use std::fmt;
 
@@ -427,17 +427,8 @@ pub fn partial_match(query: &Term, clause_head: &Term, config: PartialConfig) ->
     // Level 5 is full test unification: delegate to the oracle (no op trace
     // — the hardware never implements this level).
     if config.check_bindings && config.depth == DepthPolicy::Full {
-        let offset = var_span(query);
-        let renamed = shift_vars(clause_head, offset);
-        let mut store = BindingStore::with_capacity((offset + var_span(&renamed)) as usize);
-        let matched = unify(
-            query,
-            &renamed,
-            &mut store,
-            UnifyOptions { occurs_check: true },
-        );
         return MatchReport {
-            matched,
+            matched: unify_query_clause(query, clause_head).is_some(),
             ops: Vec::new(),
             comparisons: 0,
         };

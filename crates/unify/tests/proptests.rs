@@ -2,7 +2,7 @@
 
 use clare_term::parser::parse_term;
 use clare_term::SymbolTable;
-use clare_unify::full::{unify, UnifyOptions};
+use clare_unify::full::unify;
 use clare_unify::partial::{match_at_all_levels, partial_match, PartialConfig};
 use clare_unify::store::{shift_vars, var_span, BindingStore};
 use clare_unify::unify_query_clause;
@@ -82,7 +82,7 @@ proptest! {
         let offset = var_span(&qt);
         let renamed = shift_vars(&ct, offset);
         let mut store = BindingStore::with_capacity((offset + var_span(&renamed)) as usize);
-        if !unify(&qt, &renamed, &mut store, UnifyOptions { occurs_check: true }) {
+        if !unify(&qt, &renamed, &mut store) {
             for i in 0..store.len() {
                 prop_assert!(
                     store.lookup(clare_term::VarId::new(i as u32)).is_none(),
