@@ -238,26 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_agree_on_answers() {
-        let report = report();
-        for kb in ["fact-intensive", "rule-intensive"] {
-            for shape in ["ground-hit", "half-open", "shared-var"] {
-                let answers: Vec<usize> = report
-                    .rows
-                    .iter()
-                    .filter(|r| r.kb == kb && r.shape == shape)
-                    .map(|r| r.unified)
-                    .collect();
-                assert_eq!(answers.len(), 4);
-                assert!(
-                    answers.windows(2).all(|w| w[0] == w[1]),
-                    "{kb}/{shape}: {answers:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn two_stage_wins_ground_queries_on_fact_kb() {
         let r = report();
         let two = r.cell("fact-intensive", "ground-hit", SearchMode::TwoStage);

@@ -43,8 +43,9 @@ pub(crate) struct QueryPlan<'a> {
     /// whenever the heuristic had to read it.
     pub(crate) descriptor: Option<QueryDescriptor>,
     /// The requested mode, or the heuristic's pick under
-    /// [`ModeChoice::Auto`]. The pipeline still falls back to software,
-    /// with no filter, when the engine cannot load the stream.
+    /// [`ModeChoice::Auto`]. When the engine cannot load the stream the
+    /// pipeline drops only the walk: a two-stage plan runs FS1 alone, the
+    /// others software mode with no filter.
     pub(crate) mode: SearchMode,
 }
 

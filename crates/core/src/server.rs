@@ -1290,64 +1290,6 @@ mod tests {
     }
 
     #[test]
-    fn update_swaps_atomically() {
-        let (server, queries) = server_with("p(a).", &["p(a)"]);
-        assert_eq!(
-            server
-                .retrieve(&queries[0], SearchMode::TwoStage)
-                .stats
-                .unified,
-            1
-        );
-        // Build a replacement KB in the *same* symbol-table lineage so the
-        // query's interned atoms stay valid.
-        let snapshot = server.snapshot();
-        let mut b = KbBuilder::new();
-        *b.symbols_mut() = snapshot.symbols().clone();
-        b.consult("m", "p(a). p(a).").unwrap();
-        server.update(b.finish(KbConfig::default()));
-        assert_eq!(
-            server
-                .retrieve(&queries[0], SearchMode::TwoStage)
-                .stats
-                .unified,
-            2
-        );
-        assert_eq!(server.stats().updates, 1);
-    }
-
-    #[test]
-    fn update_transaction_appends_clauses() {
-        let (server, queries) = server_with("p(a).", &["p(a)"]);
-        let mut tx = server.begin_update();
-        tx.consult("m", "p(a). q(new_thing).").unwrap();
-        let receipt = tx.commit().unwrap();
-        assert_eq!(receipt.asserted, 2);
-        assert!(!receipt.durable, "no WAL attached");
-        // The old clause survived, the new ones joined.
-        assert_eq!(
-            server
-                .retrieve(&queries[0], SearchMode::SoftwareOnly)
-                .stats
-                .unified,
-            2
-        );
-        // q/1 lives in the overlay until a compaction folds it down.
-        let q = parse_term("q(new_thing)", &mut server.symbols()).unwrap();
-        assert_eq!(server.retrieve(&q, SearchMode::TwoStage).stats.unified, 1);
-        assert_eq!(server.stats().updates, 1);
-        // Symbol offsets stayed stable across the transaction: the old
-        // query term still resolves.
-        assert_eq!(
-            server
-                .retrieve(&queries[0], SearchMode::TwoStage)
-                .stats
-                .unified,
-            2
-        );
-    }
-
-    #[test]
     fn empty_transaction_commit_is_a_noop() {
         let (server, queries) = server_with("p(a).", &["p(a)"]);
         server.retrieve(&queries[0], SearchMode::TwoStage); // warm the cache
@@ -1367,30 +1309,6 @@ mod tests {
         // epoch was bumped.
         server.retrieve(&queries[0], SearchMode::TwoStage);
         assert!(clare_trace::metrics().cache_hits.get() > hits_before);
-    }
-
-    #[test]
-    fn retract_removes_first_structural_match() {
-        let (server, queries) = server_with("p(a). p(a). p(b).", &["p(a)", "p(X)"]);
-        let mut tx = server.begin_update();
-        tx.retract("m", "p(a).").unwrap();
-        let receipt = tx.commit().unwrap();
-        assert_eq!(receipt.retracted, 1);
-        assert_eq!(
-            server
-                .retrieve(&queries[0], SearchMode::TwoStage)
-                .stats
-                .unified,
-            1,
-            "one of the two p(a) clauses is gone"
-        );
-        assert_eq!(
-            server
-                .retrieve(&queries[1], SearchMode::SoftwareOnly)
-                .stats
-                .unified,
-            2
-        );
     }
 
     #[test]
@@ -1425,37 +1343,6 @@ mod tests {
             1
         );
         assert_eq!(server.stats().updates, 0);
-    }
-
-    #[test]
-    fn compaction_folds_overlay_and_preserves_answers() {
-        let (server, queries) = server_with("p(a). p(b).", &["p(X)"]);
-        let mut tx = server.begin_update();
-        tx.consult("m", "p(c). p(d).").unwrap();
-        tx.retract("m", "p(a).").unwrap();
-        tx.commit().unwrap();
-        let before: Vec<_> = SearchMode::ALL
-            .map(|mode| server.retrieve(&queries[0], mode).stats.unified)
-            .to_vec();
-        assert_eq!(before, vec![3, 3, 3, 3]);
-
-        let outcome = server.compact_now();
-        assert!(matches!(outcome, CompactionOutcome::Swapped { folded: 2 }));
-        let (_, overlay) = server.snapshot_merged();
-        assert!(overlay.is_empty(), "overlay folded into the base");
-        assert!(
-            server.snapshot().lookup("p", 1).is_some(),
-            "clauses now live in the base"
-        );
-        for mode in SearchMode::ALL {
-            assert_eq!(
-                server.retrieve(&queries[0], mode).stats.unified,
-                3,
-                "answers unchanged after compaction in {mode}"
-            );
-        }
-        // Nothing left to do: the next run is clean.
-        assert_eq!(server.compact_now(), CompactionOutcome::Clean);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! integration-test file is its own binary, so isolation at file
 //! granularity is enough.
 
-use clare_core::{retrieve, retrieve_batch, CancelToken, CrsOptions, SearchMode};
+use clare_core::{retrieve_batch, CancelToken, CrsOptions, SearchMode};
 use clare_fs2::Fs2Engine;
 use clare_kb::{KbBuilder, KbConfig};
 use clare_pif::encode_query;
@@ -25,7 +25,7 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
     b.consult("m", &facts).unwrap();
     // Three queries the hardware can encode, and one it cannot: the
     // integer is outside the 28-bit in-line range, so a two-stage request
-    // for it falls back to software and has no business in the index pass.
+    // for it runs FS1 alone. It joins the index pass and sweeps nothing.
     let queries: Vec<Term> = ["p(k1, X)", "p(k2, X)", "p(K, 7)", "p(k3, 99999999999)"]
         .iter()
         .map(|q| parse_term(q, b.symbols_mut()).unwrap())
@@ -42,28 +42,21 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
     );
     let unlimited = CancelToken::unlimited();
     let batch = retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &unlimited).unwrap();
-    assert_eq!(
-        m.fs1_scans.get(),
-        scans + 3,
-        "one scan per encodable member"
-    );
-    assert_eq!(m.fs1_entries_scanned.get(), entries + 3 * 300);
+    assert_eq!(m.fs1_scans.get(), scans + 4, "one scan per member");
+    assert_eq!(m.fs1_entries_scanned.get(), entries + 4 * 300);
     assert_eq!(
         m.fs1_batch_scans.get(),
         batch_scans + 1,
         "in one shared pass"
     );
 
-    assert_eq!(batch[3].stats.mode, SearchMode::SoftwareOnly);
+    assert_eq!(batch[3].stats.mode, SearchMode::Fs1Only);
     let scans = m.fs1_scans.get();
     for (query, got) in queries.iter().zip(&batch) {
-        assert_eq!(got, &retrieve(&kb, query, SearchMode::TwoStage, &opts));
+        let alone = retrieve_batch(&kb, None, &[query], SearchMode::TwoStage, &opts, &unlimited);
+        assert_eq!(alone.unwrap(), std::slice::from_ref(got));
     }
-    assert_eq!(
-        m.fs1_scans.get(),
-        scans + 3,
-        "alone, the odd one scans nothing either"
-    );
+    assert_eq!(m.fs1_scans.get(), scans + 4, "alone, each scans once");
     assert_eq!(
         m.fs1_batch_scans.get(),
         batch_scans + 1,
@@ -90,7 +83,8 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
         .zip(before)
         .map(|(a, b)| a - b)
         .collect();
-    // Three encodable members, each sweeping the predicate's one track.
+    // Three encodable members, each sweeping the predicate's one track;
+    // the odd one sweeps nothing.
     assert_eq!(kernel[..3], [3, 3, 3 * 300]);
     let arena = kb.lookup("p", 2).unwrap().arena();
     let mut per_clause = kernel[..3].to_vec();
