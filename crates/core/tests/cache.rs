@@ -6,8 +6,8 @@
 //! covers: the interplay of budget trips with the cache.
 
 use clare_core::{
-    retrieve_batch, BudgetReason, CancelToken, ClauseRetrievalServer, CrsOptions, QueryBudget,
-    Retrieval, SearchMode,
+    retrieve_merged, BudgetReason, CancelToken, ClauseRetrievalServer, CrsOptions, QueryBudget,
+    SearchMode,
 };
 use clare_kb::{KbBuilder, KbConfig};
 use clare_term::parser::parse_term;
@@ -69,6 +69,10 @@ proptest! {
         for (step, &(qi, mi, budgeted)) in ops.iter().enumerate() {
             let query = &queries[qi];
             let mode = SearchMode::ALL[mi];
+            // The uncached answer on the current snapshot pair, run fresh
+            // through the pipeline, never through the server cache.
+            let (base, overlay) = server.snapshot_merged();
+            let uncached = retrieve_merged(&base, &overlay, query, mode, &CrsOptions::default());
             if budgeted {
                 let alone = std::slice::from_ref(query);
                 match server.retrieve_batch(alone, mode, &CancelToken::new(&tiny)) {
@@ -94,7 +98,7 @@ proptest! {
                     // answer: legal, and it must still be the truth.
                     Ok(got) => prop_assert_eq!(
                         got,
-                        vec![uncached(&server, query, mode)],
+                        vec![uncached.clone()],
                         "step {}: cached hit under budget diverged",
                         step
                     ),
@@ -104,7 +108,7 @@ proptest! {
             // the cancelled attempts did before it.
             prop_assert_eq!(
                 server.retrieve(query, mode),
-                uncached(&server, query, mode),
+                uncached,
                 "step {}: answer after budget trips diverged from uncached reference",
                 step
             );
@@ -119,13 +123,4 @@ proptest! {
             }
         }
     }
-}
-
-/// The uncached answer for `query` on the server's current snapshot
-/// pair, run fresh through the pipeline, never through the server cache.
-fn uncached(server: &ClauseRetrievalServer, query: &Term, mode: SearchMode) -> Retrieval {
-    let (base, overlay) = server.snapshot_merged();
-    let (opts, unlimited) = (CrsOptions::default(), CancelToken::unlimited());
-    let mut got = retrieve_batch(&base, Some(&overlay), &[query], mode, &opts, &unlimited);
-    got.as_mut().unwrap().pop().unwrap()
 }

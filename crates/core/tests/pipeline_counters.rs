@@ -8,7 +8,7 @@
 //! integration-test file is its own binary, so isolation at file
 //! granularity is enough.
 
-use clare_core::{retrieve_batch, CancelToken, CrsOptions, SearchMode};
+use clare_core::{retrieve, retrieve_batch, CancelToken, CrsOptions, SearchMode};
 use clare_fs2::Fs2Engine;
 use clare_kb::{KbBuilder, KbConfig};
 use clare_pif::encode_query;
@@ -53,8 +53,7 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
     assert_eq!(batch[3].stats.mode, SearchMode::Fs1Only);
     let scans = m.fs1_scans.get();
     for (query, got) in queries.iter().zip(&batch) {
-        let alone = retrieve_batch(&kb, None, &[query], SearchMode::TwoStage, &opts, &unlimited);
-        assert_eq!(alone.unwrap(), std::slice::from_ref(got));
+        assert_eq!(&retrieve(&kb, query, SearchMode::TwoStage, &opts), got);
     }
     assert_eq!(m.fs1_scans.get(), scans + 4, "alone, each scans once");
     assert_eq!(

@@ -17,10 +17,11 @@
 //! binary would see its faults.
 
 use clare_core::{
-    choose_mode, retrieve_batch, CancelToken, CrsOptions, Overlay, Retrieval, SearchMode, WalOp,
+    choose_mode, retrieve, retrieve_batch, retrieve_merged, CancelToken, CrsOptions, Overlay,
+    Retrieval, SearchMode, WalOp,
 };
 use clare_fault::{FaultAction, FaultInjector, FaultSite};
-use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
+use clare_kb::{KbBuilder, KbConfig};
 use clare_term::parser::parse_term;
 use clare_term::Term;
 use std::fmt::Write;
@@ -157,25 +158,12 @@ fn render_memory_module(out: &mut String, opts: &CrsOptions) {
     }
     for mode in SearchMode::ALL {
         for (text, query) in MEMORY_QUERIES.iter().zip(&queries) {
-            let bare = alone(&kb, None, query, mode, opts);
+            let bare = retrieve(&kb, query, mode, opts);
             render(out, &format!("memory {mode} {text}"), &bare);
-            let merged = alone(&kb, Some(&overlay), query, mode, opts);
+            let merged = retrieve_merged(&kb, &overlay, query, mode, opts);
             render(out, &format!("memory {mode} overlay {text}"), &merged);
         }
     }
-}
-
-/// A request of one query under the unlimited budget.
-fn alone(
-    kb: &KnowledgeBase,
-    overlay: Option<&Overlay>,
-    query: &Term,
-    mode: SearchMode,
-    opts: &CrsOptions,
-) -> Retrieval {
-    let unlimited = CancelToken::unlimited();
-    let mut got = retrieve_batch(kb, overlay, &[query], mode, opts, &unlimited).unwrap();
-    got.pop().unwrap()
 }
 
 fn render(out: &mut String, label: &str, r: &Retrieval) {
@@ -221,7 +209,7 @@ fn retrieval_outcomes_match_the_golden_file() {
             render(
                 &mut actual,
                 &format!("{mode} {text}"),
-                &alone(&kb, None, query, mode, &opts),
+                &retrieve(&kb, query, mode, &opts),
             );
         }
         let refs: Vec<&Term> = queries.iter().collect();
@@ -231,7 +219,7 @@ fn retrieval_outcomes_match_the_golden_file() {
             render(&mut actual, &format!("{mode} batch {text}"), got);
         }
         for (text, query) in QUERIES.iter().zip(&queries).take(11) {
-            let merged = alone(&kb, Some(&overlay), query, mode, &opts);
+            let merged = retrieve_merged(&kb, &overlay, query, mode, &opts);
             render(&mut actual, &format!("{mode} overlay {text}"), &merged);
         }
     }
