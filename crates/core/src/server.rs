@@ -402,13 +402,14 @@ impl ClauseRetrievalServer {
 
     /// Post-retrieval cache bookkeeping: a quarantine invalidates the
     /// predicate (the stored file memoizes CRC verdicts, so later runs
-    /// may legitimately differ); clean answers in the requested mode are
-    /// inserted.
+    /// may legitimately differ); clean answers are inserted under the
+    /// requested mode. That includes the fallback of a query the FS2
+    /// engine cannot load, which depends only on the query and the base.
     fn note_outcome(&self, key: &QueryKey, mode: SearchMode, stamp: Stamp, outcome: &Retrieval) {
         if outcome.stats.quarantined_tracks > 0 {
             self.cache.bump_predicate(key.pred());
         }
-        if !outcome.stats.degraded && outcome.stats.mode == mode {
+        if !outcome.stats.degraded {
             self.cache
                 .put_answer(key.clone(), mode, stamp, outcome.clone());
         }
@@ -471,11 +472,11 @@ impl ClauseRetrievalServer {
     /// The cache front: answer-layer hits are taken per query, and only
     /// the misses flow through the pipeline (each with its own FS1-layer
     /// slot), preserving both query order and the sharing wins for the
-    /// cold subset. Clean (non-degraded, mode-as-requested) answers are
-    /// inserted afterwards; a budget trip exits with `?` *before* the
-    /// insertion, so a cancelled partial answer is structurally
-    /// unreachable from the cache. Queries with no canonical encoding (or
-    /// all of them, with the cache off) simply run uncached.
+    /// cold subset. Clean (non-degraded) answers are inserted afterwards;
+    /// a budget trip exits with `?` *before* the insertion, so a cancelled
+    /// partial answer is structurally unreachable from the cache. Queries
+    /// with no canonical encoding (or all of them, with the cache off)
+    /// simply run uncached.
     ///
     /// A query is encoded once: its PIF stream keys the cache and, on a
     /// miss, is handed to the query plan the pipeline runs. A hit compiles
