@@ -8,7 +8,7 @@
 //! query solved end-to-end with automatic mode selection, reporting the
 //! answer counts, candidate volumes, and modelled retrieval times.
 
-use clare_core::{choose_mode, solve_goals, CancelToken, CrsOptions, SolveOptions};
+use clare_core::{choose_mode, solve_goals, CrsOptions, RequestContext, SolveOptions};
 use clare_kb::{KbBuilder, KbConfig, KbStats};
 use clare_workload::SuiteSpec;
 use std::fmt;
@@ -64,7 +64,7 @@ pub fn run(scale: usize) -> SuiteReport {
                 ..SolveOptions::default()
             },
             &CrsOptions::default(),
-            &CancelToken::unlimited(),
+            &mut RequestContext::unlimited(),
         )
         .expect("the unlimited budget cannot trip");
         rows.push(SuiteRow {

@@ -8,7 +8,7 @@
 //! inside this process; fetch them with `net_client` or the `stats`
 //! opcode instead.
 
-use clare_core::{CancelToken, ClauseRetrievalServer, CrsOptions, SearchMode};
+use clare_core::{ClauseRetrievalServer, CrsOptions, RequestContext, SearchMode};
 use clare_kb::{KbBuilder, KbConfig};
 use clare_term::builder::TermBuilder;
 use clare_workload::{derive_queries, QueryShape};
@@ -45,7 +45,11 @@ pub fn run(json: bool) -> String {
         server.retrieve(q, SearchMode::TwoStage);
     }
     server
-        .retrieve_batch(&queries, SearchMode::TwoStage, &CancelToken::unlimited())
+        .retrieve_batch(
+            &queries,
+            SearchMode::TwoStage,
+            &mut RequestContext::unlimited(),
+        )
         .expect("the unlimited budget cannot trip");
 
     let snapshot = clare_trace::metrics().snapshot();

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use clare_core::{CancelToken, CommitReceipt, Retrieval, SearchMode, ServerStats};
+use clare_core::{CommitReceipt, RequestContext, Retrieval, SearchMode, ServerStats};
 use clare_net::protocol::{ErrorReply, CAP_FRAME_CRC};
 use clare_net::{ClientConfig, ErrorCode, NetClient, NetError, Service};
 use clare_term::parser::parse_program;
@@ -796,7 +796,7 @@ impl Service for Router {
         &self,
         queries: &[Term],
         mode: SearchMode,
-        _cancel: &CancelToken,
+        _cx: &mut RequestContext,
     ) -> Result<Vec<Retrieval>, ErrorReply> {
         queries
             .iter()

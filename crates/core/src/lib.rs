@@ -47,6 +47,7 @@ pub mod cache;
 pub mod cost;
 pub mod crs;
 mod plan;
+pub mod request;
 pub mod resolve;
 pub mod server;
 
@@ -57,6 +58,7 @@ pub use crs::{
     choose_mode, retrieve, retrieve_batch, retrieve_merged, CrsOptions, Retrieval, RetrievalStats,
     SearchMode,
 };
+pub use request::{RequestContext, Stage, StageRecord};
 pub use resolve::{solve_goals, ModeChoice, Solution, SolveOptions, SolveOutcome, SolveStats};
 pub use server::{
     ClauseRetrievalServer, CommitError, CommitReceipt, CompactionOutcome, LogWatcher, ServerStats,

@@ -7,7 +7,7 @@
 
 use clare_core::{
     retrieve_merged, BudgetReason, CancelToken, ClauseRetrievalServer, CrsOptions, QueryBudget,
-    SearchMode,
+    RequestContext, SearchMode,
 };
 use clare_kb::{KbBuilder, KbConfig};
 use clare_term::parser::parse_term;
@@ -75,7 +75,7 @@ proptest! {
             let uncached = retrieve_merged(&base, &overlay, query, mode, &CrsOptions::default());
             if budgeted {
                 let alone = std::slice::from_ref(query);
-                match server.retrieve_batch(alone, mode, &CancelToken::new(&tiny)) {
+                match server.retrieve_batch(alone, mode, &mut RequestContext::new(CancelToken::new(&tiny))) {
                     Err(e) => {
                         prop_assert_eq!(
                             e.reason,
@@ -87,7 +87,7 @@ proptest! {
                         // abandoned pass — an identical re-run still trips.
                         prop_assert!(
                             server
-                                .retrieve_batch(alone, mode, &CancelToken::new(&tiny))
+                                .retrieve_batch(alone, mode, &mut RequestContext::new(CancelToken::new(&tiny)))
                                 .is_err(),
                             "step {}: a tripped retrieval populated the cache \
                              (identical re-run was served as a budget-exempt hit)",

@@ -7,7 +7,7 @@
 //! integration-test file is its own binary (own process, own statics),
 //! so isolation at file granularity is enough.
 
-use clare_core::{CancelToken, ClauseRetrievalServer, CrsOptions, SearchMode};
+use clare_core::{ClauseRetrievalServer, CrsOptions, RequestContext, SearchMode};
 use clare_kb::{KbBuilder, KbConfig};
 use clare_term::parser::parse_term;
 
@@ -57,7 +57,7 @@ fn warm_cache_skips_both_filter_stages_and_invalidates_selectively() {
     let batch = server.retrieve_batch(
         &[p_query.clone(), q_query.clone()],
         SearchMode::TwoStage,
-        &CancelToken::unlimited(),
+        &mut RequestContext::unlimited(),
     );
     assert_eq!(batch, Ok(vec![cold_p.clone(), cold_q.clone()]));
     assert!(m.cache_hits.get() >= hits + 2, "both members hit");

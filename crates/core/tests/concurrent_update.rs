@@ -16,7 +16,9 @@
 //! lock — the tests below pin the *replacement* guarantee: overlapping
 //! commits both land, and no writer's clauses are ever lost.
 
-use clare_core::{CancelToken, ClauseRetrievalServer, CompactionOutcome, CrsOptions, SearchMode};
+use clare_core::{
+    ClauseRetrievalServer, CompactionOutcome, CrsOptions, RequestContext, SearchMode,
+};
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
 use clare_term::parser::parse_term;
 use clare_term::{SymbolTable, Term};
@@ -105,7 +107,7 @@ fn updates_race_inflight_retrievals_and_batches() {
                         SearchMode::Fs2Only
                     };
                     let got: Vec<usize> = server
-                        .retrieve_batch(&batch, mode, &CancelToken::unlimited())
+                        .retrieve_batch(&batch, mode, &mut RequestContext::unlimited())
                         .unwrap()
                         .iter()
                         .map(|r| r.stats.unified)

@@ -1,6 +1,7 @@
 //! Trace-counter proof that a request scans the index only for the
-//! queries that will really run on FS1, and that the FS2 track kernel
-//! charges the registry exactly what a clause-at-a-time walk charges.
+//! queries that will really run on FS1, and that the FS2 track kernel and
+//! software mode's host walk charge the registry exactly what a
+//! clause-at-a-time walk charges.
 //!
 //! This file holds exactly one test on purpose: the trace registry is
 //! process-wide, and a sibling test running concurrently in the same
@@ -8,7 +9,7 @@
 //! integration-test file is its own binary, so isolation at file
 //! granularity is enough.
 
-use clare_core::{retrieve, retrieve_batch, CancelToken, CrsOptions, SearchMode};
+use clare_core::{retrieve, retrieve_batch, CrsOptions, RequestContext, SearchMode};
 use clare_fs2::Fs2Engine;
 use clare_kb::{KbBuilder, KbConfig};
 use clare_pif::encode_query;
@@ -40,8 +41,8 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
         m.fs1_entries_scanned.get(),
         m.fs1_batch_scans.get(),
     );
-    let unlimited = CancelToken::unlimited();
-    let batch = retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &unlimited).unwrap();
+    let mut cx = RequestContext::unlimited();
+    let batch = retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &mut cx).unwrap();
     assert_eq!(m.fs1_scans.get(), scans + 4, "one scan per member");
     assert_eq!(m.fs1_entries_scanned.get(), entries + 4 * 300);
     assert_eq!(
@@ -62,7 +63,7 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
         "lone scans are not batches"
     );
 
-    // FS2 totals, published once per sweep: the kernel's bulk-charged
+    // FS2 totals, published once per request: the kernel's bulk-charged
     // first-word rejects must add up to what walking every clause of the
     // predicate through the engine counts one clause at a time.
     let fs2_counts = || {
@@ -76,7 +77,7 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
         counts
     };
     let before = fs2_counts();
-    retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &unlimited).unwrap();
+    retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &mut cx).unwrap();
     let kernel: Vec<u64> = fs2_counts()
         .iter()
         .zip(before)
@@ -89,7 +90,8 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
     let mut per_clause = kernel[..3].to_vec();
     per_clause.resize(kernel.len(), 0);
     for query in &queries[..3] {
-        let mut engine = Fs2Engine::new(&encode_query(query).unwrap()).unwrap();
+        let stream = encode_query(query).unwrap();
+        let mut engine = Fs2Engine::new(&stream).unwrap();
         for clause in 0..arena.len() {
             let verdict = engine.match_clause_words(arena.stream(clause));
             per_clause[3] += u64::from(verdict.matched);
@@ -103,4 +105,18 @@ fn a_batch_scans_once_per_query_that_runs_on_fs1() {
         kernel[4..].iter().sum::<u64>() >= 3 * 300,
         "an op per clause"
     );
+
+    // Software mode walks every clause through the same engine on the
+    // host and publishes that walk's clauses, satisfiers and ops, but no
+    // sweep or track. The query the engine cannot load walks nothing.
+    let before = fs2_counts();
+    retrieve_batch(&kb, None, &refs, SearchMode::SoftwareOnly, &opts, &mut cx).unwrap();
+    let software: Vec<u64> = fs2_counts()
+        .iter()
+        .zip(before)
+        .map(|(a, b)| a - b)
+        .collect();
+    let mut walked = per_clause;
+    walked[..2].fill(0);
+    assert_eq!(software, walked);
 }

@@ -6,7 +6,7 @@
 //! one lock while they read counter deltas.
 
 use clare_core::{
-    solve_goals, CancelToken, ClauseRetrievalServer, CrsOptions, ModeChoice, SearchMode,
+    solve_goals, ClauseRetrievalServer, CrsOptions, ModeChoice, RequestContext, SearchMode,
     SolveOptions,
 };
 use clare_kb::{KbBuilder, KbConfig};
@@ -75,7 +75,7 @@ fn a_solve_compiles_once_per_distinct_goal() {
             &names,
             &options,
             &CrsOptions::default(),
-            &CancelToken::unlimited(),
+            &mut RequestContext::unlimited(),
         )
         .unwrap();
         assert_eq!(outcome.solutions.len(), 5, "{mode:?}");

@@ -17,7 +17,7 @@
 //! binary would see its faults.
 
 use clare_core::{
-    choose_mode, retrieve, retrieve_batch, retrieve_merged, CancelToken, CrsOptions, Overlay,
+    choose_mode, retrieve, retrieve_batch, retrieve_merged, CrsOptions, Overlay, RequestContext,
     Retrieval, SearchMode, WalOp,
 };
 use clare_fault::{FaultAction, FaultInjector, FaultSite};
@@ -213,8 +213,8 @@ fn retrieval_outcomes_match_the_golden_file() {
             );
         }
         let refs: Vec<&Term> = queries.iter().collect();
-        let unlimited = CancelToken::unlimited();
-        let batch = retrieve_batch(&kb, None, &refs, mode, &opts, &unlimited).unwrap();
+        let mut cx = RequestContext::unlimited();
+        let batch = retrieve_batch(&kb, None, &refs, mode, &opts, &mut cx).unwrap();
         for (text, got) in QUERIES.iter().zip(&batch) {
             render(&mut actual, &format!("{mode} batch {text}"), got);
         }

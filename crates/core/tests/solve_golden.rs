@@ -23,7 +23,7 @@
 
 use clare_core::{
     choose_mode, solve_goals, BudgetExceeded, CancelToken, CrsOptions, ModeChoice, Overlay,
-    QueryBudget, SearchMode, SolveOptions, SolveOutcome, WalOp,
+    QueryBudget, RequestContext, SearchMode, SolveOptions, SolveOutcome, WalOp,
 };
 use clare_disk::{ByteRate, DiskProfile, SimNanos};
 use clare_fault::{FaultAction, FaultInjector, FaultSite};
@@ -149,7 +149,7 @@ impl Case<'_> {
             mode: choice,
             ..SolveOptions::default()
         };
-        let cancel = CancelToken::new(budget);
+        let mut cx = RequestContext::new(CancelToken::new(budget));
         solve_goals(
             self.kb,
             self.overlay,
@@ -157,7 +157,7 @@ impl Case<'_> {
             names,
             &options,
             self.crs,
-            &cancel,
+            &mut cx,
         )
     }
 

@@ -116,7 +116,7 @@ impl SearchStats {
 #[derive(Debug)]
 pub struct Fs2Device {
     control: ControlRegister,
-    engine: Option<Fs2Engine>,
+    engine: Option<Fs2Engine<'static>>,
     buffer: DoubleBuffer,
     result: ResultMemory,
     programmed: bool,
@@ -181,7 +181,8 @@ impl Fs2Device {
     /// [`Fs2Error::WrongMode`] or [`Fs2Error::QueryTooLarge`].
     pub fn set_query(&mut self, stream: &PifStream) -> Result<(), Fs2Error> {
         self.require_mode(OperationalMode::SetQuery)?;
-        self.engine = Some(Fs2Engine::new(stream).map_err(Fs2Error::QueryTooLarge)?);
+        let engine = Fs2Engine::new(stream).map_err(Fs2Error::QueryTooLarge)?;
+        self.engine = Some(engine.into_owned());
         Ok(())
     }
 

@@ -16,6 +16,7 @@
 
 use clare_pif::tags::{TAG_SUB_DV, TAG_SUB_QV};
 use clare_pif::PifWord;
+use std::borrow::Cow;
 
 /// Query Memory capacity in words: the query address travels on microcode
 /// bits 13–20, an 8-bit field.
@@ -98,10 +99,12 @@ impl CellBank {
 }
 
 /// The pre-loaded query side: the argument word stream plus the
-/// query-variable cell region.
+/// query-variable cell region. The stream is borrowed from the caller's
+/// [`PifStream`](clare_pif::PifStream), which outlives the retrieval, so
+/// loading a query copies nothing.
 #[derive(Debug, Clone)]
-pub struct QueryMemory {
-    stream: Vec<PifWord>,
+pub struct QueryMemory<'q> {
+    stream: Cow<'q, [PifWord]>,
     n_vars: usize,
 }
 
@@ -125,14 +128,14 @@ impl std::fmt::Display for QueryTooLargeError {
 
 impl std::error::Error for QueryTooLargeError {}
 
-impl QueryMemory {
+impl<'q> QueryMemory<'q> {
     /// Loads a query stream (Set Query mode).
     ///
     /// # Errors
     ///
     /// Returns [`QueryTooLargeError`] if the stream plus one cell per
     /// query variable exceeds [`QUERY_MEMORY_WORDS`].
-    pub fn load(stream: &clare_pif::PifStream) -> Result<Self, QueryTooLargeError> {
+    pub fn load(stream: &'q clare_pif::PifStream) -> Result<Self, QueryTooLargeError> {
         let n_vars = stream
             .words()
             .iter()
@@ -147,9 +150,17 @@ impl QueryMemory {
             return Err(QueryTooLargeError { required });
         }
         Ok(QueryMemory {
-            stream: stream.words().to_vec(),
+            stream: Cow::Borrowed(stream.words()),
             n_vars,
         })
+    }
+
+    /// The same Query Memory holding its own copy of the stream.
+    pub fn into_owned(self) -> QueryMemory<'static> {
+        QueryMemory {
+            stream: Cow::Owned(self.stream.into_owned()),
+            n_vars: self.n_vars,
+        }
     }
 
     /// The query argument words.
@@ -193,7 +204,8 @@ mod tests {
     fn query_memory_counts_vars() {
         let mut sy = SymbolTable::new();
         let q = parse_term("f(X, a, Y, X)", &mut sy).unwrap();
-        let qm = QueryMemory::load(&encode_query(&q).unwrap()).unwrap();
+        let stream = encode_query(&q).unwrap();
+        let qm = QueryMemory::load(&stream).unwrap();
         assert_eq!(qm.var_count(), 2);
         assert_eq!(qm.stream().len(), 4);
     }
@@ -211,7 +223,8 @@ mod tests {
     fn ground_query_has_zero_cells() {
         let mut sy = SymbolTable::new();
         let q = parse_term("f(a, b)", &mut sy).unwrap();
-        let qm = QueryMemory::load(&encode_query(&q).unwrap()).unwrap();
+        let stream = encode_query(&q).unwrap();
+        let qm = QueryMemory::load(&stream).unwrap();
         assert_eq!(qm.var_count(), 0);
     }
 }

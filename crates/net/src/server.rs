@@ -687,6 +687,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
         },
         job.accepted,
     );
+    let mut cx = clare_core::RequestContext::new(cancel);
 
     let service = &*shared.service;
     let served = match &job.work {
@@ -696,7 +697,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
         // whole job — members share one (identical) budget, so none of
         // them would have finished either.
         Work::Retrieve { req, answer } => service
-            .retrieve_batch(&req.queries, req.mode, &cancel)
+            .retrieve_batch(&req.queries, req.mode, &mut cx)
             .map(|retrievals| match answer {
                 Answer::PerMember(ids) => {
                     for (&id, retrieval) in ids.iter().zip(&retrievals) {
@@ -716,7 +717,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
                 max_depth: usize::try_from(req.max_depth).unwrap_or(usize::MAX),
             };
             service
-                .solve_goals(&req.goals, &req.var_names, &options, &cancel)
+                .solve_goals(&req.goals, &req.var_names, &options, &mut cx)
                 .map(|outcome| job.reply::<SolveReq>(&outcome))
         }
         // A successful consult's reply payload is empty.

@@ -6,8 +6,8 @@
 
 use clare_core::{
     BudgetExceeded, BudgetReason, CancelToken, ClauseRetrievalServer, CommitError, CommitReceipt,
-    LogWatcher, Retrieval, SearchMode, ServerStats, SolveOptions, SolveOutcome, SubscribeError,
-    WalRecord,
+    LogWatcher, RequestContext, Retrieval, SearchMode, ServerStats, SolveOptions, SolveOutcome,
+    SubscribeError, WalRecord,
 };
 use clare_term::{SymbolTable, Term};
 
@@ -23,13 +23,13 @@ pub trait Service: Send + Sync + 'static {
     /// The hello capabilities (`CAP_*` bits) this service grants.
     fn caps(&self) -> u8;
 
-    /// Answers `queries` in one pass, in order. A failure fails the whole
-    /// pass.
+    /// Answers `queries` in one pass, in order, under the request's
+    /// context. A failure fails the whole pass.
     fn retrieve_batch(
         &self,
         queries: &[Term],
         mode: SearchMode,
-        cancel: &CancelToken,
+        cx: &mut RequestContext,
     ) -> Result<Vec<Retrieval>, ErrorReply>;
 
     /// Runs a conjunctive query to its solutions.
@@ -38,7 +38,7 @@ pub trait Service: Send + Sync + 'static {
         _goals: &[Term],
         _var_names: &[String],
         _options: &SolveOptions,
-        _cancel: &CancelToken,
+        _cx: &mut RequestContext,
     ) -> Result<SolveOutcome, ErrorReply> {
         Err(unsupported("SOLVE"))
     }
@@ -118,9 +118,9 @@ impl Service for ClauseRetrievalServer {
         &self,
         queries: &[Term],
         mode: SearchMode,
-        cancel: &CancelToken,
+        cx: &mut RequestContext,
     ) -> Result<Vec<Retrieval>, ErrorReply> {
-        ClauseRetrievalServer::retrieve_batch(self, queries, mode, cancel).map_err(budget_reply)
+        ClauseRetrievalServer::retrieve_batch(self, queries, mode, cx).map_err(budget_reply)
     }
 
     fn solve_goals(
@@ -128,9 +128,9 @@ impl Service for ClauseRetrievalServer {
         goals: &[Term],
         var_names: &[String],
         options: &SolveOptions,
-        cancel: &CancelToken,
+        cx: &mut RequestContext,
     ) -> Result<SolveOutcome, ErrorReply> {
-        ClauseRetrievalServer::solve_goals(self, goals, var_names, options, cancel)
+        ClauseRetrievalServer::solve_goals(self, goals, var_names, options, cx)
             .map_err(budget_reply)
     }
 

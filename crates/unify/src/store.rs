@@ -114,18 +114,29 @@ impl BindingStore {
     /// Deep substitution: replaces every bound variable in `term` by its
     /// (recursively resolved) binding. Unbound variables stay as they are.
     pub fn resolve(&self, term: &Term) -> Term {
+        self.resolve_with(term, &mut Term::Var)
+    }
+
+    /// [`resolve`](Self::resolve), with each unbound variable `v` it meets
+    /// replaced by `unbound(v)`, in order of occurrence: a renaming folded
+    /// into the same pass.
+    pub fn resolve_with(&self, term: &Term, unbound: &mut impl FnMut(VarId) -> Term) -> Term {
         let walked = self.walk(term);
         match walked {
+            Term::Var(v) => unbound(*v),
             Term::Struct { functor, args } => Term::Struct {
                 functor: *functor,
-                args: args.iter().map(|a| self.resolve(a)).collect(),
+                args: args.iter().map(|a| self.resolve_with(a, unbound)).collect(),
             },
             Term::List { items, tail } => {
-                let items: Vec<Term> = items.iter().map(|i| self.resolve(i)).collect();
+                let items: Vec<Term> = items
+                    .iter()
+                    .map(|i| self.resolve_with(i, unbound))
+                    .collect();
                 match tail {
                     None => Term::List { items, tail: None },
                     Some(t) => {
-                        let resolved_tail = self.resolve(t);
+                        let resolved_tail = self.resolve_with(t, unbound);
                         // Normalise: if the tail resolved to a list, splice it.
                         if let Term::List {
                             items: tail_items,
@@ -201,11 +212,10 @@ pub fn shift_vars(term: &Term, offset: u32) -> Term {
 /// Largest named-variable index in `term` plus one (0 if none) — the size of
 /// the variable scope the term needs.
 pub fn var_span(term: &Term) -> u32 {
-    clare_term::collect_vars(term)
-        .into_iter()
-        .map(|v| v.index() + 1)
-        .max()
-        .unwrap_or(0)
+    match term {
+        Term::Var(v) => v.index() + 1,
+        _ => term.children().map(var_span).max().unwrap_or(0),
+    }
 }
 
 #[cfg(test)]

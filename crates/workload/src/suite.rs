@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn queries_are_answerable() {
-        use clare_core::{solve_goals, CancelToken, CrsOptions, SolveOptions};
+        use clare_core::{solve_goals, CrsOptions, RequestContext, SolveOptions};
         let mut b = KbBuilder::new();
         let summary = small_spec().generate(&mut b, "db");
         let kb = b.finish(KbConfig::default());
@@ -176,7 +176,7 @@ mod tests {
                     ..SolveOptions::default()
                 },
                 &CrsOptions::default(),
-                &CancelToken::unlimited(),
+                &mut RequestContext::unlimited(),
             )
             .unwrap();
             match q.label {

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ..SolveOptions::default()
             },
             &CrsOptions::default(),
-            &CancelToken::unlimited(),
+            &mut RequestContext::unlimited(),
         )?;
         println!(
             "{:<18} {:<14} {:>8} {:>11} {:>11} {:>12}",

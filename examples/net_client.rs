@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         // Path 3: an explicit batch against one snapshot.
         let batch = client.retrieve_batch(&queries, mode)?;
-        let direct = crs.retrieve_batch(&queries, mode, &CancelToken::unlimited())?;
+        let direct = crs.retrieve_batch(&queries, mode, &mut RequestContext::unlimited())?;
         for (networked, direct) in batch.iter().zip(&direct) {
             check("batch", networked, direct);
         }

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &names,
         &SolveOptions::default(),
         &CrsOptions::default(),
-        &CancelToken::unlimited(),
+        &mut RequestContext::unlimited(),
     )?;
 
     println!("?- ancestor(tom, Who).");

@@ -169,7 +169,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..SolveOptions::default()
         };
         let outcome = server
-            .solve_goals(&goals, &names, &options, &CancelToken::unlimited())
+            .solve_goals(&goals, &names, &options, &mut RequestContext::unlimited())
             .expect("the unlimited budget cannot trip");
         if outcome.solutions.is_empty() {
             println!("false.");

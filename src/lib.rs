@@ -37,8 +37,8 @@
 //! let (goals, names) = parse_goals("grandparent(tom, Who)", builder.symbols_mut())?;
 //! let kb = builder.finish(KbConfig::default());
 //!
-//! let (options, unlimited) = (SolveOptions::default(), CancelToken::unlimited());
-//! let outcome = solve_goals(&kb, None, &goals, &names, &options, &CrsOptions::default(), &unlimited)?;
+//! let (options, mut cx) = (SolveOptions::default(), RequestContext::unlimited());
+//! let outcome = solve_goals(&kb, None, &goals, &names, &options, &CrsOptions::default(), &mut cx)?;
 //! assert_eq!(outcome.solutions.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -63,8 +63,8 @@ pub use clare_workload as workload;
 pub mod prelude {
     pub use clare_core::{
         choose_mode, retrieve, retrieve_batch, solve_goals, CancelToken, ClauseRetrievalServer,
-        CommitError, CommitReceipt, CompactionOutcome, CrsOptions, ReplayReport, Retrieval,
-        SearchMode, ServerStats, SolveOptions, UpdateTransaction, WalError, WalOp,
+        CommitError, CommitReceipt, CompactionOutcome, CrsOptions, ReplayReport, RequestContext,
+        Retrieval, SearchMode, ServerStats, SolveOptions, UpdateTransaction, WalError, WalOp,
     };
     pub use clare_disk::{ByteRate, DiskProfile, SimNanos};
     pub use clare_fs2::{Fs2Device, Fs2Engine, HwOp};

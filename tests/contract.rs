@@ -722,15 +722,19 @@ impl Engine {
                 // The bare base when there is nothing to merge.
                 let overlay = Some(overlay).filter(|o| !o.is_empty());
                 let refs: Vec<&Term> = request.iter().collect();
-                retrieve_batch(base, overlay, &refs, mode, &CrsOptions::default(), &token).unwrap()
+                let cx = &mut RequestContext::new(token.clone());
+                retrieve_batch(base, overlay, &refs, mode, &CrsOptions::default(), cx).unwrap()
             }
             (Path::Server, _) => self.servers[cache]
-                .retrieve_batch(request, mode, &token)
+                .retrieve_batch(request, mode, &mut RequestContext::new(token.clone()))
                 .unwrap(),
             (Path::Served, false) => vec![client.retrieve(&request[0], mode).unwrap()],
             (Path::Served, true) => client.retrieve_batch(request, mode).unwrap(),
             (Path::Routed, false) => vec![router.retrieve(&request[0], mode).unwrap()],
-            (Path::Routed, true) => Service::retrieve_batch(router, request, mode, &token).unwrap(),
+            (Path::Routed, true) => {
+                let cx = &mut RequestContext::new(token.clone());
+                Service::retrieve_batch(router, request, mode, cx).unwrap()
+            }
         });
         batches.flatten().collect()
     }
@@ -742,7 +746,8 @@ impl Engine {
         names: &[String],
         options: &SolveOptions,
     ) -> [SolveOutcome; 2] {
-        let local = self.servers[0].solve_goals(goals, names, options, &CancelToken::unlimited());
+        let local =
+            self.servers[0].solve_goals(goals, names, options, &mut RequestContext::unlimited());
         let served = self.clients[0][0].solve_goals(goals, names, options);
         [local.unwrap(), served.unwrap()]
     }

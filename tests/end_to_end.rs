@@ -14,7 +14,7 @@ fn solve_in(
     names: &[String],
     options: &SolveOptions,
 ) -> clare::core::SolveOutcome {
-    let (crs, unlimited) = (CrsOptions::default(), CancelToken::unlimited());
+    let crs = CrsOptions::default();
     solve_goals(
         kb,
         None,
@@ -22,7 +22,7 @@ fn solve_in(
         names,
         options,
         &crs,
-        &unlimited,
+        &mut RequestContext::unlimited(),
     )
     .expect("the unlimited budget cannot trip")
 }
@@ -238,7 +238,7 @@ fn conjunction_queries_share_bindings() {
             &goals,
             &names,
             &SolveOptions::default(),
-            &CancelToken::unlimited(),
+            &mut RequestContext::unlimited(),
         )
         .unwrap();
     // X ranges over {bob, liz}; only bob has children (ann, pat), liz has joe.
@@ -273,7 +273,7 @@ fn conjunction_with_no_shared_solutions_fails() {
             &goals,
             &names,
             &SolveOptions::default(),
-            &CancelToken::unlimited(),
+            &mut RequestContext::unlimited(),
         )
         .unwrap();
     assert!(outcome.solutions.is_empty());

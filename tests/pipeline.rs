@@ -50,7 +50,8 @@ proptest! {
                 partial_match(&query, &clause, PartialConfig::fs2()).matched,
                 "false negative at the FS2 configuration"
             );
-            let mut engine = Fs2Engine::new(&encode_query(&query).unwrap()).unwrap();
+            let stream = encode_query(&query).unwrap();
+            let mut engine = Fs2Engine::new(&stream).unwrap();
             let verdict = engine.match_clause_words(encode_clause_head(&clause).unwrap().words());
             prop_assert!(verdict.matched, "false negative in the hardware engine");
         }
@@ -66,7 +67,8 @@ proptest! {
             let query = gen.head();
             let clause = gen.head();
             let sw = partial_match(&query, &clause, PartialConfig::fs2());
-            let mut engine = Fs2Engine::new(&encode_query(&query).unwrap()).unwrap();
+            let stream = encode_query(&query).unwrap();
+            let mut engine = Fs2Engine::new(&stream).unwrap();
             let mut ops = Vec::new();
             let hw = engine.match_clause_observed(encode_clause_head(&clause).unwrap().words(), &mut ops);
             prop_assert_eq!(hw.matched, sw.matched, "verdicts differ");

@@ -82,12 +82,12 @@ proptest! {
             // arguments, so both sides of the kernel's prefilter run.
             for overlay in overlays {
                 for budgeted in [false, true] {
-                    let token = || if budgeted { generous() } else { CancelToken::unlimited() };
+                    let token = if budgeted { generous() } else { CancelToken::unlimited() };
                     let shape = format!(
                         "mode = {mode}, overlay ops = {:?}, budgeted = {budgeted}",
                         overlay.map(Overlay::len)
                     );
-                    let batch = retrieve_batch(&kb, overlay, &all, mode, &opts, &token());
+                    let batch = retrieve_batch(&kb, overlay, &all, mode, &opts, &mut RequestContext::new(token));
                     prop_assert_eq!(batch.as_ref(), Ok(&reference), "batched, {}", shape);
                 }
                 if let Some(overlay) = overlay {
