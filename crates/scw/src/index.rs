@@ -481,13 +481,16 @@ impl IndexFile {
         // codewords is one column set. A query encoded with a wider config
         // than the index contributes only the limbs the entries store —
         // the zip-truncation semantics of [`Codeword::subset_of`].
-        let union = |arg: &QueryArg, mask| {
-            let mut columns = vec![0u64; self.code_columns / 64];
+        let add = |columns: &mut [u64], arg: &QueryArg, mask| {
             for cw in arg.required_codewords(mask) {
                 for (c, l) in columns.iter_mut().zip(cw.limbs()) {
                     *c |= l;
                 }
             }
+        };
+        let union = |arg: &QueryArg, mask| {
+            let mut columns = vec![0u64; self.code_columns / 64];
+            add(&mut columns, arg, mask);
             columns
         };
         let mut query = CompiledQuery {
@@ -500,9 +503,7 @@ impl IndexFile {
                 continue;
             }
             if self.mixed & (1 << position) == 0 {
-                for (a, c) in query.always.iter_mut().zip(union(arg, ArgMask::Ground)) {
-                    *a |= c;
-                }
+                add(&mut query.always, arg, ArgMask::Ground);
             } else {
                 query.mixed.push(MixedPosition {
                     open_column: self.code_columns + 2 * position,
@@ -553,7 +554,9 @@ impl<'a> Hits<'a> {
             track: 0,
             first: 0,
             next: 0,
-            matches: Vec::new(),
+            // Room for a selective query's hits, so that most scans
+            // allocate the list once.
+            matches: Vec::with_capacity(16),
         }
     }
 
