@@ -18,6 +18,7 @@ use crate::error::PifError;
 use crate::reader::Reader;
 use crate::termio::{read_term, write_term, TermLimits};
 use crate::word::PifStream;
+use clare_term::term::InvalidClauseError;
 use clare_term::Clause;
 
 /// A compiled clause record: PIF head stream plus the full clause.
@@ -142,8 +143,12 @@ fn read_clause(buf: &mut &[u8]) -> Result<Clause, PifError> {
             .map_err(|_| PifError::malformed("variable name is not UTF-8"))?;
         var_names.push(name.to_owned());
     }
-    Clause::new(head, body, var_names)
-        .map_err(|_| PifError::malformed("stored head is not callable"))
+    Clause::new(head, body, var_names).map_err(|e| match e {
+        InvalidClauseError::HeadNotCallable => PifError::malformed("stored head is not callable"),
+        InvalidClauseError::UnnamedVar(_) => {
+            PifError::malformed("stored variable has no entry in the name table")
+        }
+    })
 }
 
 #[cfg(test)]
@@ -176,6 +181,24 @@ mod tests {
         roundtrip("member(X, [_ | T]) :- member(X, T).");
         roundtrip("deep(f(g(h([a, b, [c | T]])))).");
         roundtrip("halt.");
+    }
+
+    #[test]
+    fn a_short_name_table_is_malformed() {
+        // `p(X)` stored with an empty name table: the clause's variable
+        // scope would no longer cover `X`.
+        let mut sy = SymbolTable::new();
+        let clause = parse_clause("p(X).", &mut sy).unwrap();
+        let mut bytes = ClauseRecord::compile(&clause).unwrap().to_bytes();
+        assert_eq!(bytes[bytes.len() - 5..], [0, 1, 0, 1, b'X']);
+        bytes.truncate(bytes.len() - 5);
+        bytes.extend_from_slice(&[0, 0]);
+        let total = (bytes.len() as u32).to_be_bytes();
+        bytes[..4].copy_from_slice(&total);
+        assert!(matches!(
+            ClauseRecord::from_bytes(&bytes),
+            Err(PifError::Malformed { .. })
+        ));
     }
 
     #[test]

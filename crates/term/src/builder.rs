@@ -119,7 +119,7 @@ impl<'st> TermBuilder<'st> {
         &mut self,
         head: Term,
         body: Vec<Term>,
-    ) -> Result<Clause, crate::term::InvalidHeadError> {
+    ) -> Result<Clause, crate::term::InvalidClauseError> {
         Clause::new(head, body, synthesized_names(self.next_var as usize))
     }
 

@@ -273,7 +273,7 @@ impl<'a, 'st> Parser<'a, 'st> {
             Vec::new()
         };
         self.expect(&TokenKind::Dot, "`.` ending the clause")?;
-        Clause::new(head, body, scope.into_names()).map_err(|_| ParseError::Unexpected {
+        Clause::scoped(head, body, scope.into_names()).map_err(|_| ParseError::Unexpected {
             found: "non-callable term".into(),
             expected: "an atom or structure as clause head".into(),
             offset: head_offset,

@@ -222,20 +222,34 @@ pub struct Clause {
     var_names: Vec<String>,
 }
 
-/// Error from [`Clause::new`]: the head was not an atom or structure.
+/// Error from [`Clause::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidHeadError;
+pub enum InvalidClauseError {
+    /// The head is not an atom or a structure.
+    HeadNotCallable,
+    /// A variable's index has no entry in the clause's name table, so the
+    /// table would not bound the clause's variable scope.
+    UnnamedVar(VarId),
+}
 
-impl fmt::Display for InvalidHeadError {
+impl fmt::Display for InvalidClauseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("clause head must be an atom or a structure")
+        match self {
+            InvalidClauseError::HeadNotCallable => {
+                f.write_str("clause head must be an atom or a structure")
+            }
+            InvalidClauseError::UnnamedVar(v) => {
+                write!(f, "clause variable _{} has no name", v.index())
+            }
+        }
     }
 }
 
-impl std::error::Error for InvalidHeadError {}
+impl std::error::Error for InvalidClauseError {}
 
 impl Clause {
-    /// Creates a clause, validating that the head is callable.
+    /// Creates a clause, validating that the head is callable and that
+    /// every variable is named.
     ///
     /// `var_names[i]` is the source name of `VarId::new(i)`; pass generated
     /// names (or an appropriately sized vector of placeholders) for
@@ -243,15 +257,35 @@ impl Clause {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidHeadError`] if `head` is not an atom or structure.
+    /// Returns [`InvalidClauseError::HeadNotCallable`] if `head` is not an
+    /// atom or structure, and [`InvalidClauseError::UnnamedVar`] if a
+    /// variable's index is not below `var_names.len()`.
     pub fn new(
         head: Term,
         body: Vec<Term>,
         var_names: Vec<String>,
-    ) -> Result<Self, InvalidHeadError> {
+    ) -> Result<Self, InvalidClauseError> {
         if head.functor_arity().is_none() {
-            return Err(InvalidHeadError);
+            return Err(InvalidClauseError::HeadNotCallable);
         }
+        if let Some(v) = first_unnamed(&head, &body, var_names.len()) {
+            return Err(InvalidClauseError::UnnamedVar(v));
+        }
+        Clause::scoped(head, body, var_names)
+    }
+
+    /// [`Clause::new`] for a name table built while scoping the clause's
+    /// variables, which names each one it hands out (the parser's): only
+    /// the head is checked, so consulting a program walks no clause twice.
+    pub(crate) fn scoped(
+        head: Term,
+        body: Vec<Term>,
+        var_names: Vec<String>,
+    ) -> Result<Self, InvalidClauseError> {
+        if head.functor_arity().is_none() {
+            return Err(InvalidClauseError::HeadNotCallable);
+        }
+        debug_assert_eq!(first_unnamed(&head, &body, var_names.len()), None);
         Ok(Clause {
             head,
             body,
@@ -263,10 +297,10 @@ impl Clause {
     ///
     /// # Panics
     ///
-    /// Panics if `head` is not an atom or structure. Use [`Clause::new`] for
-    /// fallible construction.
+    /// Panics if `head` is not an atom or structure, or holds a variable.
+    /// Use [`Clause::new`] for fallible construction.
     pub fn fact(head: Term) -> Self {
-        Clause::new(head, Vec::new(), Vec::new()).expect("fact head must be callable")
+        Clause::new(head, Vec::new(), Vec::new()).expect("fact head must be callable and ground")
     }
 
     /// The clause head.
@@ -284,7 +318,8 @@ impl Clause {
         &self.var_names
     }
 
-    /// Number of distinct named variables in the clause.
+    /// Size of the clause's variable scope: every variable's index is
+    /// below it ([`Clause::new`] checks).
     pub fn var_count(&self) -> usize {
         self.var_names.len()
     }
@@ -311,6 +346,22 @@ impl Clause {
     pub fn into_parts(self) -> (Term, Vec<Term>, Vec<String>) {
         (self.head, self.body, self.var_names)
     }
+}
+
+/// The first variable of `head` or `body` whose index is not below
+/// `names`.
+fn first_unnamed(head: &Term, body: &[Term], names: usize) -> Option<VarId> {
+    let mut unnamed = None;
+    for term in std::iter::once(head).chain(body) {
+        crate::visit::for_each_subterm(term, &mut |t| {
+            if let Term::Var(v) = t {
+                if v.index() as usize >= names {
+                    unnamed.get_or_insert(*v);
+                }
+            }
+        });
+    }
+    unnamed
 }
 
 #[cfg(test)]
@@ -446,12 +497,37 @@ mod tests {
         assert!(Clause::new(Term::Atom(p), vec![], vec![]).is_ok());
         assert_eq!(
             Clause::new(Term::Int(1), vec![], vec![]),
-            Err(InvalidHeadError)
+            Err(InvalidClauseError::HeadNotCallable)
         );
         assert_eq!(
             Clause::new(Term::Var(VarId::new(0)), vec![], vec![]),
-            Err(InvalidHeadError)
+            Err(InvalidClauseError::HeadNotCallable)
         );
+    }
+
+    #[test]
+    fn every_variable_needs_a_name() {
+        let mut t = table();
+        let p = t.intern_atom("p");
+        let [x, y] = [0, 1].map(|i| Term::Var(VarId::new(i)));
+        let head = Term::Struct {
+            functor: p,
+            args: vec![x.clone()],
+        };
+        let body = Term::Struct {
+            functor: p,
+            args: vec![y],
+        };
+        assert_eq!(
+            Clause::new(head.clone(), vec![], vec![]),
+            Err(InvalidClauseError::UnnamedVar(VarId::new(0)))
+        );
+        assert_eq!(
+            Clause::new(head.clone(), vec![body.clone()], vec!["X".into()]),
+            Err(InvalidClauseError::UnnamedVar(VarId::new(1)))
+        );
+        let clause = Clause::new(head, vec![body], vec!["X".into(), "Y".into()]).unwrap();
+        assert_eq!(clause.var_count(), 2);
     }
 
     #[test]
