@@ -1,8 +1,9 @@
 //! Overhead budget for the observability layer: the FS2 sweep with the
-//! metric recording the retrieval pipeline does (per-track local counts,
-//! published to the process registry once per request — here a request of
-//! one sweep — and the sweep's modelled and wall times) must cost less
-//! than 2% over the bare sweep.
+//! metric recording a request's context does around it (per-track counts
+//! kept in the request's `RequestCounts`, the clock read at the pass's
+//! start and end, the sweep's modelled and wall samples, and one
+//! publication of the request's counts to the process registry — here a
+//! request of one sweep) must cost less than 2% over the bare sweep.
 //!
 //! Both arms sweep a compiled `fact/3` predicate the way `crs.rs` does,
 //! in one pass: [`Fs2Engine::match_track`] per track over the predicate's
@@ -17,6 +18,7 @@
 //! round, so the minimum of each arm taken separately lets a single lucky
 //! round decide the ratio.
 
+use clare_core::RequestCounts;
 use clare_disk::SimNanos;
 use clare_fs2::{Fs2Engine, Selection};
 use clare_kb::{ClauseArena, KbBuilder, KbConfig, KnowledgeBase};
@@ -83,42 +85,42 @@ fn run_bare(arena: &ClauseArena, engine: &mut Fs2Engine) -> usize {
     satisfiers.len()
 }
 
-/// The instrumented sweep: exactly the recording the retrieval pipeline
-/// performs for a one-sweep request — per-track locals, one registry
-/// publish, the sweep's modelled and wall times.
+/// The instrumented sweep: exactly what the request context does for a
+/// one-sweep request — the pass's two clock reads, the counts kept in
+/// the request's `RequestCounts`, the sweep's modelled and wall samples,
+/// and the context's one publication of the request's counts (the plan
+/// compile and the engine load included).
 fn run_instrumented(arena: &ClauseArena, engine: &mut Fs2Engine) -> usize {
     let started = Instant::now();
+    let mut counts = RequestCounts {
+        crs_query_compiles: 1,
+        fs2_queries_loaded: 1,
+        ..RequestCounts::default()
+    };
     let mut selection = selection(arena, engine);
     let mut satisfiers = Vec::new();
     let mut modelled = SimNanos::ZERO;
-    let (mut tracks, mut clauses, mut hits) = (0u64, 0u64, 0u64);
-    let mut ops = [0u64; clare_trace::FS2_OPS];
     for t in 0..arena.track_count() {
         let (track, range) = (t as u32, arena.track_clauses(t));
-        clauses += range.len() as u64;
+        counts.fs2_clauses += range.len() as u64;
         let verdict = engine.match_track(
             range,
             &mut selection,
             |c| arena.stream(c),
             |slot| satisfiers.push(ClauseAddr::new(track, slot)),
         );
-        tracks += 1;
-        hits += verdict.satisfiers as u64;
-        for (total, n) in ops.iter_mut().zip(verdict.op_histogram) {
+        counts.fs2_tracks += 1;
+        counts.fs2_satisfiers += verdict.satisfiers as u64;
+        for (total, n) in counts.fs2_ops.iter_mut().zip(verdict.op_histogram) {
             *total += n;
         }
         modelled += verdict.time;
     }
+    counts.fs2_sweeps += 1;
     let m = clare_trace::metrics();
-    m.fs2_tracks.add(tracks);
-    m.fs2_clauses.add(clauses);
-    m.fs2_satisfiers.add(hits);
-    for (counter, n) in m.fs2_ops.iter().zip(ops) {
-        counter.add(n);
-    }
-    m.fs2_sweeps.inc();
     m.fs2_modelled_ns.record(modelled.as_ns());
     m.fs2_wall_ns.record(started.elapsed().as_nanos() as u64);
+    counts.publish(m);
     satisfiers.len()
 }
 

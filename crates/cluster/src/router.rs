@@ -724,7 +724,6 @@ impl Router {
             write_timeout: self.cfg.health_timeout,
             busy_retries: 0,
             reconnect_retries: 0,
-            ..self.cfg.client.clone()
         };
         match NetClient::connect(addr, cfg) {
             Ok(mut client) => client.ping().is_ok(),

@@ -20,7 +20,7 @@ use crate::budget::{BudgetExceeded, BudgetReason};
 use crate::cache::{CacheConfig, Fs1Slot};
 use crate::cost::SoftwareCostModel;
 use crate::plan::QueryPlan;
-use crate::request::{Fs2Counts, RequestContext, Stage};
+use crate::request::{RequestContext, RequestCounts, Stage};
 use crate::resolve::ModeChoice;
 use clare_disk::{DiskProfile, SimNanos, Track};
 use clare_fs2::{Fs2Engine, Selection};
@@ -34,7 +34,6 @@ use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::fmt;
-use std::time::Instant;
 
 /// The four searching modes of §2.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -346,6 +345,9 @@ pub(crate) fn pipeline<'p, 'a>(
         .iter()
         .map(|query| Plan::new(query, overlay))
         .collect();
+    cx.counts.crs_query_compiles += plans.len() as u64;
+    cx.counts.fs2_queries_loaded +=
+        plans.iter().filter(|plan| plan.engine.is_some()).count() as u64;
     // The hardware queries grouped by predicate: a stable sort keeps each
     // group's members in input order.
     let mut grouped = std::mem::take(&mut cx.groups);
@@ -363,6 +365,7 @@ pub(crate) fn pipeline<'p, 'a>(
 
     let slot = |i: usize| fs1_slots.get(i).copied().flatten();
     for group in grouped.chunk_by(|a, b| a.0 == b.0) {
+        cx.open_passes();
         let members = || group.iter().map(|&(_, i)| i);
         let pred = plans[group[0].1]
             .pred
@@ -399,13 +402,13 @@ pub(crate) fn pipeline<'p, 'a>(
                 let reason = cancel.checkpoint().err().unwrap_or(BudgetReason::Deadline);
                 return Err(exceeded(reason, None));
             };
+            cx.scanned(&outcomes);
             for (&i, outcome) in need.iter().zip(outcomes) {
                 if let Some(slot) = slot(i) {
                     slot.put(&outcome);
                 }
                 plans[i].fs1 = Some(outcome);
             }
-            cx.lap(Stage::Fs1Scan);
         }
         // FS2: each member's engine sweeps its own tracks — the whole
         // file, or just the tracks its FS1 candidates live on — once, in
@@ -428,7 +431,6 @@ pub(crate) fn pipeline<'p, 'a>(
                 Some(outcome) => (Some(candidate_tracks(&outcome.matches)), None),
                 None => (None, Some(0..pred.file().track_count())),
             };
-            let started = Instant::now();
             let mut swept = Fs2Sweep::new(pred, opts);
             let arena = pred.arena();
             let mut selection = match engine.first_key() {
@@ -445,19 +447,14 @@ pub(crate) fn pipeline<'p, 'a>(
                     // context publishes their counts.
                     return Err(exceeded(reason, None));
                 }
-                match_track(pred, engine, &mut selection, t, &mut cx.fs2, &mut swept);
+                match_track(pred, engine, &mut selection, t, &mut cx.counts, &mut swept);
             }
-            cx.fs2.sweeps += 1;
-            let m = clare_trace::metrics();
-            m.fs2_modelled_ns.record(swept.fs2_time.as_ns());
-            m.fs2_wall_ns.record(started.elapsed().as_nanos() as u64);
+            cx.swept(swept.fs2_time);
             *sweep = Some(swept);
-            cx.lap(Stage::Fs2Sweep);
         }
     }
 
     (cx.groups, cx.fs1_misses) = (grouped, need);
-    cx.note_filter_runs(plans.len());
     let filtered = plans
         .into_iter()
         .map(|plan| plan.filter(opts, cx))
@@ -542,9 +539,7 @@ impl Filtered<'_> {
         stats.unified = unified;
         stats.false_drops = self.candidates.len() - unified;
         stats.elapsed += stats.full_unify_time;
-        if stats.degraded {
-            clare_trace::metrics().crs_degraded_answers.inc();
-        }
+        cx.counts.crs_degraded_answers += u64::from(stats.degraded);
         cx.note_retrieval();
         cx.lap(Stage::Unify);
         Ok(stats)
@@ -752,9 +747,7 @@ impl<'p, 'a> Plan<'p, 'a> {
                 let joint = intersect_ascending(&fs1_addrs, &fs2_addrs);
                 // FS1 candidates the FS2 verdicts rejected: the numerator of
                 // the FS1 false-drop rate (`fs1.false_drops / fs1.candidates_out`).
-                clare_trace::metrics()
-                    .fs1_false_drops
-                    .add((fs1_addrs.len() - joint.len()) as u64);
+                cx.counts.fs1_false_drops += (fs1_addrs.len() - joint.len()) as u64;
                 stats.after_fs2 = Some(joint.len());
                 addrs_to_ids(pred, &joint)
             }
@@ -834,7 +827,7 @@ fn software_phase(
         return Ok((0..arena.len()).map(|c| ClauseId::new(c as u32)).collect());
     };
     let mut out = Vec::new();
-    let counts = &mut cx.fs2;
+    let counts = &mut cx.counts;
     for c in 0..arena.len() {
         if c % 64 == 0 {
             cx.cancel.checkpoint()?;
@@ -842,12 +835,12 @@ fn software_phase(
         let verdict = engine.match_clause_words(arena.stream(c));
         let ops: usize = verdict.op_histogram.iter().sum();
         stats.software_filter_time += opts.cost.partial_match_cost(ops.max(1));
-        counts.clauses += 1;
-        for (total, n) in counts.ops.iter_mut().zip(verdict.op_histogram) {
+        counts.fs2_clauses += 1;
+        for (total, n) in counts.fs2_ops.iter_mut().zip(verdict.op_histogram) {
             *total += n as u64;
         }
         if verdict.matched {
-            counts.satisfiers += 1;
+            counts.fs2_satisfiers += 1;
             out.push(ClauseId::new(c as u32));
         }
     }
@@ -1002,7 +995,7 @@ fn match_track(
     engine: &mut Fs2Engine<'_>,
     selection: &mut Selection<'_>,
     t: usize,
-    counts: &mut Fs2Counts,
+    counts: &mut RequestCounts,
     sweep: &mut Fs2Sweep,
 ) {
     let track = t as u32;
@@ -1010,9 +1003,8 @@ fn match_track(
     // fault-free fast path pays the checksum exactly once per track.
     if pred.file().read_track(t) != Some(true) {
         let slots = pred.file().tracks().get(t).map_or(0, Track::record_count);
-        let m = clare_trace::metrics();
-        m.fs2_quarantined_tracks.inc();
-        m.disk_track_crc_failures.inc();
+        counts.fs2_quarantined_tracks += 1;
+        counts.disk_track_crc_failures += 1;
         let all = (0..slots as u16).map(|slot| ClauseAddr::new(track, slot));
         sweep.satisfiers.extend(all);
         sweep.charge(t, SimNanos::ZERO, slots, true);
@@ -1032,10 +1024,10 @@ fn match_track(
             )
         }
     };
-    counts.tracks += 1;
-    counts.clauses += clauses.len() as u64;
-    counts.satisfiers += verdict.satisfiers as u64;
-    for (total, n) in counts.ops.iter_mut().zip(verdict.op_histogram) {
+    counts.fs2_tracks += 1;
+    counts.fs2_clauses += clauses.len() as u64;
+    counts.fs2_satisfiers += verdict.satisfiers as u64;
+    for (total, n) in counts.fs2_ops.iter_mut().zip(verdict.op_histogram) {
         *total += n;
     }
     sweep.charge(t, verdict.time, verdict.satisfiers, false);

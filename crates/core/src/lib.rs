@@ -58,7 +58,7 @@ pub use crs::{
     choose_mode, retrieve, retrieve_batch, retrieve_merged, CrsOptions, Retrieval, RetrievalStats,
     SearchMode,
 };
-pub use request::{RequestContext, Stage, StageRecord};
+pub use request::{RequestContext, RequestCounts, Stage, StageRecord};
 pub use resolve::{solve_goals, ModeChoice, Solution, SolveOptions, SolveOutcome, SolveStats};
 pub use server::{
     ClauseRetrievalServer, CommitError, CommitReceipt, CompactionOutcome, LogWatcher, ServerStats,

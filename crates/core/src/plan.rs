@@ -60,7 +60,6 @@ impl<'q, 'a> QueryPlan<'q, 'a> {
         stream: Option<Result<PifStream, PifError>>,
         choice: ModeChoice,
     ) -> Self {
-        clare_trace::metrics().crs_query_compiles.inc();
         let mut plan = Self::choose(kb, query, choice);
         plan.stream = stream;
         if plan.walks() && plan.stream.is_none() {

@@ -1,26 +1,18 @@
 //! The request context: what one request carries through the engine
-//! besides its inputs.
+//! besides its inputs, and the one way an engine call reaches the metric
+//! registry and the clock.
 //!
 //! A [`RequestContext`] is minted once per request — by the serving layer
 //! per job, by an in-process caller per call — and lent to every layer the
 //! request runs through: the server's cache front, the retrieval pipeline
-//! and the resolver. It holds
-//!
-//! * the request's [`CancelToken`];
-//! * its [`StageRecord`], when the caller asks for one
-//!   ([`RequestContext::recording`]);
-//! * the `fs2.*` walk counters its FS2 sweeps and software-mode walks
-//!   accumulate, published to the registry once, when the engine call
-//!   that took the context returns;
-//! * scratch the engine reuses across the request's retrievals: the
-//!   pipeline's grouping buffers and the binding store the counting
-//!   unification undoes after every candidate.
-//!
-//! A context that asks for nothing costs what the bare unlimited token
-//! cost: one branch per checkpoint, and one per stage boundary.
+//! and the resolver. The wall histograms sample from its stage-boundary
+//! clock reads.
 
 use crate::budget::CancelToken;
+use clare_disk::SimNanos;
+use clare_scw::ScanOutcome;
 use clare_term::Symbol;
+use clare_trace::{Counter, Histogram, Metrics, FS2_OPS};
 use clare_unify::BindingStore;
 use std::time::Instant;
 
@@ -51,33 +43,23 @@ pub enum Stage {
 }
 
 /// Where one request's host time went, stage by stage, with the counts
-/// the pipeline computes anyway.
+/// the pipeline computes anyway and what the request's engine calls
+/// published to the registry.
 ///
 /// The clock is read once per stage boundary: each read closes the
 /// stretch since the previous one and charges it to the stage that just
 /// ended, so the stages of one engine call sum to the time from its entry
 /// to its last boundary. Boundaries sit between stages, never per track
 /// or per clause.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StageRecord {
     ns: [u64; 7],
     retrievals: u64,
-    filter_runs: u64,
     clock_reads: u64,
-    mark: Instant,
+    counts: RequestCounts,
 }
 
 impl StageRecord {
-    fn new() -> Self {
-        StageRecord {
-            ns: [0; 7],
-            retrievals: 0,
-            filter_runs: 0,
-            clock_reads: 0,
-            mark: Instant::now(),
-        }
-    }
-
     /// Nanoseconds charged to `stage`.
     pub fn ns(&self, stage: Stage) -> u64 {
         self.ns[stage as usize]
@@ -94,71 +76,83 @@ impl StageRecord {
         self.retrievals
     }
 
-    /// Filter runs: the retrievals that ran the filter pipeline, so a
-    /// solve's memo hits are not among them.
-    pub fn filter_runs(&self) -> u64 {
-        self.filter_runs
-    }
-
-    /// Clock reads taken: one per engine entry and one per stage
-    /// boundary.
+    /// Clock reads the request's engine calls took: one per engine entry
+    /// and one per stage boundary.
     pub fn clock_reads(&self) -> u64 {
         self.clock_reads
     }
 
-    fn read_clock(&mut self) -> Instant {
-        self.clock_reads += 1;
-        Instant::now()
-    }
-
-    fn lap(&mut self, stage: Stage) {
-        let now = self.read_clock();
-        self.ns[stage as usize] += now.duration_since(self.mark).as_nanos() as u64;
-        self.mark = now;
+    /// What the request's engine calls published to the registry.
+    pub fn counts(&self) -> &RequestCounts {
+        &self.counts
     }
 }
 
-/// What one request's FS2 walks add to the `fs2.*` registry counters,
-/// kept here and published once per engine call: eleven atomic adds per
-/// sweep are not noise when a sweep costs a microsecond. Software mode's
-/// host walk adds clauses, satisfiers and ops; tracks and sweeps are the
-/// track sweep's alone.
-#[derive(Debug, Default)]
-pub(crate) struct Fs2Counts {
-    pub(crate) sweeps: u64,
-    pub(crate) tracks: u64,
-    pub(crate) clauses: u64,
-    pub(crate) satisfiers: u64,
-    pub(crate) ops: [u64; 7],
+/// Declares [`RequestCounts`], one field per registry counter an engine
+/// call moves, named as the [`Metrics`] field it publishes to.
+macro_rules! request_counts {
+    ($( $field:ident ),*) => {
+        /// What one request's engine work adds to the registry's counters,
+        /// counted in its context and published once per engine call: a
+        /// scan or a sweep costs microseconds, and a dozen atomic adds on
+        /// each are not noise.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct RequestCounts {
+            $(
+                #[doc = concat!("Added to [`Metrics::", stringify!($field), "`].")]
+                pub $field: u64,
+            )*
+            /// Added to [`Metrics::fs2_ops`], by hardware operation.
+            pub fs2_ops: [u64; FS2_OPS],
+        }
+
+        impl RequestCounts {
+            /// Adds every count to `m`'s counter of the same name; a zero
+            /// costs no atomic add. An engine call's context does this once,
+            /// when the call returns.
+            pub fn publish(&self, m: &Metrics) {
+                let add = |counter: &Counter, n| if n > 0 { counter.add(n) };
+                $( add(&m.$field, self.$field); )*
+                for (counter, &n) in m.fs2_ops.iter().zip(&self.fs2_ops) {
+                    add(counter, n);
+                }
+            }
+
+            /// Adds `other`'s counts to these.
+            fn absorb(&mut self, other: &RequestCounts) {
+                $( self.$field += other.$field; )*
+                for (total, n) in self.fs2_ops.iter_mut().zip(other.fs2_ops) {
+                    *total += n;
+                }
+            }
+        }
+    };
 }
 
-impl Fs2Counts {
-    /// Adds the counts to the registry and starts again from zero.
-    fn publish(&mut self) {
-        let counts = std::mem::take(self);
-        if counts.clauses == 0 && counts.sweeps == 0 {
-            return;
-        }
-        let m = clare_trace::metrics();
-        m.fs2_sweeps.add(counts.sweeps);
-        m.fs2_tracks.add(counts.tracks);
-        m.fs2_clauses.add(counts.clauses);
-        m.fs2_satisfiers.add(counts.satisfiers);
-        for (counter, n) in m.fs2_ops.iter().zip(counts.ops) {
-            counter.add(n);
-        }
-    }
+request_counts! {
+    fs1_scans, fs1_batch_scans, fs1_entries_scanned, fs1_candidates_out, fs1_false_drops,
+    fs2_queries_loaded, fs2_sweeps, fs2_tracks, fs2_clauses, fs2_satisfiers,
+    fs2_quarantined_tracks, disk_track_crc_failures,
+    crs_query_compiles, crs_degraded_answers, solve_repeat_retrievals, solve_depth_cap_hits
 }
 
 /// One request's passage through the engine: its budget token, its stage
-/// record when asked for, and the per-request state the engine reuses
-/// across the request's retrievals. Lend the same context to one engine
-/// call at a time; the record and the counts carry over between calls.
+/// record, its counts, and the per-request state the engine
+/// reuses across the request's retrievals. Lend the same context to one
+/// engine call at a time; the record carries over between calls.
 #[derive(Debug, Default)]
 pub struct RequestContext {
     pub(crate) cancel: CancelToken,
-    record: Option<StageRecord>,
-    pub(crate) fs2: Fs2Counts,
+    /// Whether the caller asked for the record: only then does every stage
+    /// boundary read the clock. The record is kept either way.
+    recording: bool,
+    pub(crate) record: StageRecord,
+    pub(crate) counts: RequestCounts,
+    /// The engine call's entry.
+    entry: Option<Instant>,
+    /// The last stage boundary, while the clock read it: a boundary an
+    /// unrecorded context passes without reading clears it.
+    mark: Option<Instant>,
     /// The counting unification's binding store, undone after every
     /// candidate.
     pub(crate) scratch: BindingStore,
@@ -187,49 +181,105 @@ impl RequestContext {
     /// [`StageRecord`].
     pub fn recording(cancel: CancelToken) -> Self {
         RequestContext {
-            record: Some(StageRecord::new()),
+            recording: true,
             ..RequestContext::new(cancel)
         }
     }
 
     /// The stage record, when the request asked for one.
     pub fn stage_record(&self) -> Option<&StageRecord> {
-        self.record.as_ref()
+        self.recording.then_some(&self.record)
     }
 
-    /// An engine call starts: the record's next stage runs from here.
+    fn read_clock(&mut self) -> Instant {
+        self.record.clock_reads += 1;
+        Instant::now()
+    }
+
+    /// An engine call starts: its first stage, and a served request's
+    /// wall time, run from here.
     pub(crate) fn begin(&mut self) {
-        if let Some(record) = &mut self.record {
-            record.mark = record.read_clock();
-        }
+        let now = self.read_clock();
+        (self.entry, self.mark) = (Some(now), Some(now));
     }
 
-    /// A stage boundary: the stretch since the last one was `stage`.
+    /// A stage boundary: the stretch since the last one was `stage`. Only
+    /// a recording context reads the clock here.
     #[inline]
     pub(crate) fn lap(&mut self, stage: Stage) {
-        if let Some(record) = &mut self.record {
-            record.lap(stage);
+        if self.recording {
+            self.read_lap(stage);
+        } else {
+            self.mark = None;
         }
+    }
+
+    /// Reads the clock at a stage boundary: the stretch since the last
+    /// one, in ns, charged to `stage` in the record.
+    fn read_lap(&mut self, stage: Stage) -> u64 {
+        let now = self.read_clock();
+        let ns = self.mark.map_or(0, |mark| nanos(mark, now));
+        self.mark = Some(now);
+        self.record.ns[stage as usize] += ns;
+        ns
+    }
+
+    /// A run of hardware passes starts: the first pass's wall sample runs
+    /// from the last boundary, or from here when the clock did not read it.
+    pub(crate) fn open_passes(&mut self) {
+        self.mark = self.mark.or_else(|| Some(self.read_clock()));
+    }
+
+    /// The boundary after a shared FS1 index pass: counts the pass's
+    /// `outcomes` and samples `fs1.scan_wall_ns`.
+    pub(crate) fn scanned(&mut self, outcomes: &[ScanOutcome]) {
+        let counts = &mut self.counts;
+        counts.fs1_scans += outcomes.len() as u64;
+        counts.fs1_batch_scans += u64::from(outcomes.len() > 1);
+        for outcome in outcomes {
+            counts.fs1_entries_scanned += outcome.entries_scanned as u64;
+            counts.fs1_candidates_out += outcome.matches.len() as u64;
+        }
+        let ns = self.read_lap(Stage::Fs1Scan);
+        clare_trace::metrics().fs1_scan_wall_ns.record(ns);
+    }
+
+    /// The boundary after one FS2 sweep whose Table 1 time was
+    /// `modelled`: counts the sweep and samples `fs2.modelled_ns` and
+    /// `fs2.wall_ns`.
+    pub(crate) fn swept(&mut self, modelled: SimNanos) {
+        self.counts.fs2_sweeps += 1;
+        let ns = self.read_lap(Stage::Fs2Sweep);
+        let m = clare_trace::metrics();
+        m.fs2_modelled_ns.record(modelled.as_ns());
+        m.fs2_wall_ns.record(ns);
     }
 
     /// One logical retrieval finished.
     #[inline]
     pub(crate) fn note_retrieval(&mut self) {
-        if let Some(record) = &mut self.record {
-            record.retrievals += 1;
-        }
+        self.record.retrievals += 1;
     }
 
-    /// The filter pipeline ran for `n` queries.
-    #[inline]
-    pub(crate) fn note_filter_runs(&mut self, n: usize) {
-        if let Some(record) = &mut self.record {
-            record.filter_runs += n as u64;
-        }
-    }
-
-    /// An engine call returns: publishes what its walks counted.
+    /// An engine call returns: publishes its counts, and keeps them in the
+    /// record.
     pub(crate) fn end(&mut self) {
-        self.fs2.publish();
+        let counts = std::mem::take(&mut self.counts);
+        counts.publish(clare_trace::metrics());
+        self.record.counts.absorb(&counts);
     }
+
+    /// A served request's engine call returned: samples its `wall` time,
+    /// from the call's entry to its last boundary, which the clock reads
+    /// now if it did not then.
+    pub(crate) fn served(&mut self, wall: fn(&Metrics) -> &Histogram) {
+        let last = self.mark.unwrap_or_else(|| self.read_clock());
+        let ns = self.entry.map_or(0, |entry| nanos(entry, last));
+        wall(clare_trace::metrics()).record(ns);
+    }
+}
+
+/// Nanoseconds from `from` to `to`.
+fn nanos(from: Instant, to: Instant) -> u64 {
+    to.duration_since(from).as_nanos() as u64
 }

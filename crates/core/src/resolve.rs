@@ -202,25 +202,19 @@ pub fn solve_goals(
         var_names,
         cx,
         memo: Memo::default(),
-        repeats: 0,
     };
     let result = ctx.dfs(&continuation, 0);
     let Solver {
         solutions,
         stats,
-        repeats,
         memo,
         cx,
         ..
     } = ctx;
     drop((memo, continuation));
-    let m = clare_trace::metrics();
-    m.solve_repeat_retrievals.add(repeats);
-    if stats.depth_cuts > 0 {
-        // Once per capped solve, not per cut: the counter tracks how
-        // many answers were silently bounded, not how bushy the tree was.
-        m.solve_depth_cap_hits.inc();
-    }
+    // Once per capped solve, not per cut: the counter tracks how many
+    // answers were silently bounded, not how bushy the tree was.
+    cx.counts.solve_depth_cap_hits += u64::from(stats.depth_cuts > 0);
     cx.lap(Stage::Resolver);
     cx.end();
     match result {
@@ -277,8 +271,6 @@ struct Solver<'a> {
     var_names: &'a [String],
     cx: &'a mut RequestContext,
     memo: Memo<'a>,
-    /// Retrievals served from the memo.
-    repeats: u64,
 }
 
 impl Solver<'_> {
@@ -317,7 +309,7 @@ impl Solver<'_> {
                 self.cx.lap(Stage::Memo);
                 let filtered = Rc::clone(held.get());
                 count(&mut self.stats, &filtered, held.key(), self.crs, self.cx)?;
-                self.repeats += 1;
+                self.cx.counts.solve_repeat_retrievals += 1;
                 filtered
             }
             Entry::Vacant(new) => {
@@ -601,24 +593,19 @@ mod tests {
             .unwrap();
         let (q, names) = parse_term_with_vars("down(a)", b.symbols_mut()).unwrap();
         let kb = b.finish(KbConfig::default());
-        let before = clare_trace::metrics().solve_depth_cap_hits.get();
-        let outcome = solve_in(
-            &kb,
-            &q,
-            &names,
-            &SolveOptions {
-                max_depth: 16,
-                ..SolveOptions::default()
-            },
-        );
+        let options = SolveOptions {
+            max_depth: 16,
+            ..SolveOptions::default()
+        };
+        let (goals, crs) = (std::slice::from_ref(&q), CrsOptions::default());
+        let mut cx = RequestContext::recording(crate::CancelToken::unlimited());
+        let outcome = solve_goals(&kb, None, goals, &names, &options, &crs, &mut cx).unwrap();
         assert!(
             outcome.depth_capped(),
             "exhausting max_depth marks the outcome"
         );
-        assert!(
-            clare_trace::metrics().solve_depth_cap_hits.get() > before,
-            "depth-cap exhaustion bumps solve.depth_cap_hits"
-        );
+        let counts = cx.stage_record().unwrap().counts();
+        assert_eq!(counts.solve_depth_cap_hits, 1, "once per capped solve");
         // A shallow query on the same KB does not cap and does not mark.
         let mut b = KbBuilder::new();
         b.consult("m", "flat(a).").unwrap();

@@ -443,11 +443,11 @@ impl ClauseRetrievalServer {
         mode: SearchMode,
         cx: &mut RequestContext,
     ) -> Result<Vec<Retrieval>, BudgetExceeded> {
-        let started = Instant::now();
         cx.begin();
         let through_cache = self.retrieve_batch_through_cache(queries, mode, cx);
         cx.end();
         let (published, outcomes) = through_cache?;
+        cx.served(|m| &m.crs_retrieve_wall_ns);
         let batch = queries.len() > 1;
         {
             let mut stats = lock(&self.stats);
@@ -465,8 +465,6 @@ impl ClauseRetrievalServer {
         if batch {
             m.crs_batch_size.record(queries.len() as u64);
         }
-        m.crs_retrieve_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
         for (query, outcome) in queries.iter().zip(&outcomes) {
             if let Some(key) = pred_key(published.overlay.symbols(), query) {
                 m.crs_predicates.record(&key, outcome.stats.elapsed.as_ns());
@@ -601,7 +599,6 @@ impl ClauseRetrievalServer {
         options: &SolveOptions,
         cx: &mut RequestContext,
     ) -> Result<SolveOutcome, BudgetExceeded> {
-        let started = Instant::now();
         let (base, overlay) = self.snapshot_merged();
         let outcome = crate::resolve::solve_goals(
             &base,
@@ -612,18 +609,18 @@ impl ClauseRetrievalServer {
             &self.options,
             cx,
         )?;
+        cx.served(|m| &m.crs_solve_wall_ns);
         {
             let mut stats = lock(&self.stats);
             stats.solves += 1;
             stats.degraded += u64::from(outcome.stats.degraded);
             stats.total_elapsed += outcome.stats.retrieval_elapsed;
         }
-        let m = clare_trace::metrics();
         if self.compacting.load(Ordering::Relaxed) {
-            m.compaction_concurrent_retrievals.inc();
+            clare_trace::metrics()
+                .compaction_concurrent_retrievals
+                .inc();
         }
-        m.crs_solve_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
         Ok(outcome)
     }
 
@@ -1209,6 +1206,17 @@ mod tests {
         });
         assert_eq!(server.stats().retrievals, 8 * 2 * 4);
         assert!(server.stats().total_elapsed.as_ns() > 0);
+    }
+
+    #[test]
+    fn an_unrecorded_retrieval_reads_the_clock_where_a_histogram_samples() {
+        let facts: String = (0..200).map(|i| format!("p(a{}, b{i}).", i % 20)).collect();
+        let (server, query) = server_with(&facts, &["p(a3, X)"]);
+        let mut cx = RequestContext::unlimited();
+        let answer = server.retrieve_batch(&query, SearchMode::TwoStage, &mut cx);
+        // The entry, the start of the passes, the scan's and the sweep's
+        // ends, and the return.
+        assert_eq!((answer.is_ok(), cx.record.clock_reads()), (true, 5));
     }
 
     #[test]

@@ -1,122 +1,129 @@
-//! Trace-counter proof that a request scans the index only for the
-//! queries that will really run on FS1, and that the FS2 track kernel and
-//! software mode's host walk charge the registry exactly what a
-//! clause-at-a-time walk charges.
-//!
-//! This file holds exactly one test on purpose: the trace registry is
-//! process-wide, and a sibling test running concurrently in the same
-//! binary would pollute the counter deltas asserted here. Each
-//! integration-test file is its own binary, so isolation at file
-//! granularity is enough.
+//! Counter proof that a request scans the index only for the queries that
+//! will really run on FS1, and that the FS2 track kernel and software
+//! mode's host walk count exactly what a clause-at-a-time walk counts.
+//! Each test reads its own requests' counts from their stage records.
 
-use clare_core::{retrieve, retrieve_batch, CrsOptions, RequestContext, SearchMode};
+use clare_core::{
+    retrieve_batch, CancelToken, CrsOptions, RequestContext, RequestCounts, SearchMode,
+};
 use clare_fs2::Fs2Engine;
-use clare_kb::{KbBuilder, KbConfig};
+use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
 use clare_pif::encode_query;
 use clare_term::parser::parse_term;
 use clare_term::Term;
 
-#[test]
-fn a_batch_scans_once_per_query_that_runs_on_fs1() {
+/// 300 `p/2` facts over one track, and four queries: three the hardware
+/// can encode, and one it cannot. That one's integer is outside the
+/// 28-bit in-line range, so a two-stage request for it runs FS1 alone: it
+/// joins the index pass and sweeps nothing.
+fn fixture() -> (KnowledgeBase, Vec<Term>) {
     let mut b = KbBuilder::new();
     let facts: String = (0..300)
         .map(|i| format!("p(k{}, {i}).", i % 40))
         .collect::<Vec<_>>()
         .join("\n");
     b.consult("m", &facts).unwrap();
-    // Three queries the hardware can encode, and one it cannot: the
-    // integer is outside the 28-bit in-line range, so a two-stage request
-    // for it runs FS1 alone. It joins the index pass and sweeps nothing.
     let queries: Vec<Term> = ["p(k1, X)", "p(k2, X)", "p(K, 7)", "p(k3, 99999999999)"]
         .iter()
         .map(|q| parse_term(q, b.symbols_mut()).unwrap())
         .collect();
-    let kb = b.finish(KbConfig::default());
-    let opts = CrsOptions::default();
-    let m = clare_trace::metrics();
+    (b.finish(KbConfig::default()), queries)
+}
 
+/// The counts of one `mode` request for `queries`.
+fn counted(kb: &KnowledgeBase, queries: &[Term], mode: SearchMode) -> RequestCounts {
     let refs: Vec<&Term> = queries.iter().collect();
-    let (scans, entries, batch_scans) = (
-        m.fs1_scans.get(),
-        m.fs1_entries_scanned.get(),
-        m.fs1_batch_scans.get(),
-    );
-    let mut cx = RequestContext::unlimited();
-    let batch = retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &mut cx).unwrap();
-    assert_eq!(m.fs1_scans.get(), scans + 4, "one scan per member");
-    assert_eq!(m.fs1_entries_scanned.get(), entries + 4 * 300);
-    assert_eq!(
-        m.fs1_batch_scans.get(),
-        batch_scans + 1,
-        "in one shared pass"
-    );
+    let mut cx = RequestContext::recording(CancelToken::unlimited());
+    retrieve_batch(kb, None, &refs, mode, &CrsOptions::default(), &mut cx).unwrap();
+    cx.stage_record().unwrap().counts().clone()
+}
 
-    assert_eq!(batch[3].stats.mode, SearchMode::Fs1Only);
-    let scans = m.fs1_scans.get();
-    for (query, got) in queries.iter().zip(&batch) {
-        assert_eq!(&retrieve(&kb, query, SearchMode::TwoStage, &opts), got);
-    }
-    assert_eq!(m.fs1_scans.get(), scans + 4, "alone, each scans once");
-    assert_eq!(
-        m.fs1_batch_scans.get(),
-        batch_scans + 1,
-        "lone scans are not batches"
-    );
+/// The `fs2.*` counts in order: sweeps, tracks, clauses, satisfiers, then
+/// one per hardware operation.
+fn fs2(counts: &RequestCounts) -> Vec<u64> {
+    let mut fs2 = vec![
+        counts.fs2_sweeps,
+        counts.fs2_tracks,
+        counts.fs2_clauses,
+        counts.fs2_satisfiers,
+    ];
+    fs2.extend(counts.fs2_ops);
+    fs2
+}
 
-    // FS2 totals, published once per request: the kernel's bulk-charged
-    // first-word rejects must add up to what walking every clause of the
-    // predicate through the engine counts one clause at a time.
-    let fs2_counts = || {
-        let mut counts = vec![
-            m.fs2_sweeps.get(),
-            m.fs2_tracks.get(),
-            m.fs2_clauses.get(),
-            m.fs2_satisfiers.get(),
-        ];
-        counts.extend(m.fs2_ops.iter().map(|op| op.get()));
-        counts
-    };
-    let before = fs2_counts();
-    retrieve_batch(&kb, None, &refs, SearchMode::TwoStage, &opts, &mut cx).unwrap();
-    let kernel: Vec<u64> = fs2_counts()
-        .iter()
-        .zip(before)
-        .map(|(a, b)| a - b)
-        .collect();
-    // Three encodable members, each sweeping the predicate's one track;
-    // the odd one sweeps nothing.
-    assert_eq!(kernel[..3], [3, 3, 3 * 300]);
+/// What walking every clause of `p/2` through the engine counts for the
+/// three encodable queries, one clause at a time: clauses, satisfiers and
+/// ops, with no sweep or track.
+fn clause_walk(kb: &KnowledgeBase, queries: &[Term]) -> Vec<u64> {
     let arena = kb.lookup("p", 2).unwrap().arena();
-    let mut per_clause = kernel[..3].to_vec();
-    per_clause.resize(kernel.len(), 0);
+    let mut walked = vec![0; 4 + clare_trace::FS2_OPS];
     for query in &queries[..3] {
         let stream = encode_query(query).unwrap();
         let mut engine = Fs2Engine::new(&stream).unwrap();
         for clause in 0..arena.len() {
             let verdict = engine.match_clause_words(arena.stream(clause));
-            per_clause[3] += u64::from(verdict.matched);
-            for (total, n) in per_clause[4..].iter_mut().zip(verdict.op_histogram) {
+            walked[2] += 1;
+            walked[3] += u64::from(verdict.matched);
+            for (total, n) in walked[4..].iter_mut().zip(verdict.op_histogram) {
                 *total += n as u64;
             }
         }
     }
-    assert_eq!(kernel, per_clause);
+    walked
+}
+
+#[test]
+fn a_batch_scans_once_per_query_that_runs_on_fs1() {
+    let (kb, queries) = fixture();
+    let batch = counted(&kb, &queries, SearchMode::TwoStage);
+    assert_eq!(batch.fs1_scans, 4, "one scan per member");
+    assert_eq!(batch.fs1_entries_scanned, 4 * 300);
+    assert_eq!(batch.fs1_batch_scans, 1, "in one shared pass");
+    assert_eq!(batch.fs2_queries_loaded, 3, "the odd one loads no engine");
+    assert_eq!(batch.crs_query_compiles, 4);
+
+    let opts = CrsOptions::default();
+    let answers = retrieve_batch(
+        &kb,
+        None,
+        &queries.iter().collect::<Vec<_>>(),
+        SearchMode::TwoStage,
+        &opts,
+        &mut RequestContext::unlimited(),
+    )
+    .unwrap();
+    assert_eq!(answers[3].stats.mode, SearchMode::Fs1Only);
+    for query in &queries {
+        let alone = counted(&kb, std::slice::from_ref(query), SearchMode::TwoStage);
+        assert_eq!(alone.fs1_scans, 1, "alone, each scans once");
+        assert_eq!(alone.fs1_batch_scans, 0, "lone scans are not batches");
+    }
+}
+
+#[test]
+fn the_track_kernel_counts_what_a_clause_walk_counts() {
+    // The kernel's bulk-charged first-word rejects must add up to what
+    // walking every clause of the predicate through the engine counts.
+    let (kb, queries) = fixture();
+    let kernel = fs2(&counted(&kb, &queries, SearchMode::TwoStage));
+    // Three encodable members, each sweeping the predicate's one track;
+    // the odd one sweeps nothing.
+    assert_eq!(kernel[..3], [3, 3, 3 * 300]);
+    let mut walked = clause_walk(&kb, &queries);
+    walked[..2].copy_from_slice(&kernel[..2]);
+    assert_eq!(kernel, walked);
     assert!(
         kernel[4..].iter().sum::<u64>() >= 3 * 300,
         "an op per clause"
     );
+}
 
+#[test]
+fn software_mode_counts_its_host_walk() {
     // Software mode walks every clause through the same engine on the
-    // host and publishes that walk's clauses, satisfiers and ops, but no
+    // host and counts that walk's clauses, satisfiers and ops, but no
     // sweep or track. The query the engine cannot load walks nothing.
-    let before = fs2_counts();
-    retrieve_batch(&kb, None, &refs, SearchMode::SoftwareOnly, &opts, &mut cx).unwrap();
-    let software: Vec<u64> = fs2_counts()
-        .iter()
-        .zip(before)
-        .map(|(a, b)| a - b)
-        .collect();
-    let mut walked = per_clause;
-    walked[..2].fill(0);
-    assert_eq!(software, walked);
+    let (kb, queries) = fixture();
+    let software = fs2(&counted(&kb, &queries, SearchMode::SoftwareOnly));
+    assert_eq!(software, clause_walk(&kb, &queries));
 }

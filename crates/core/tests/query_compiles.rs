@@ -1,31 +1,26 @@
 //! `crs.query_compiles` counts query plans: one per retrieval that runs the
 //! filters, none per answer-cache hit, one per distinct goal of a solve,
-//! none per call of the public `choose_mode`.
-//!
-//! The trace registry is process-wide, so the tests in this binary hold
-//! one lock while they read counter deltas.
+//! none per call of the public `choose_mode`. Each test reads its own
+//! requests' counts from their stage records.
 
 use clare_core::{
-    solve_goals, ClauseRetrievalServer, CrsOptions, ModeChoice, RequestContext, SearchMode,
-    SolveOptions,
+    solve_goals, CancelToken, ClauseRetrievalServer, CrsOptions, ModeChoice, RequestContext,
+    RequestCounts, SearchMode, SolveOptions,
 };
 use clare_kb::{KbBuilder, KbConfig};
 use clare_term::parser::{parse_term, parse_term_with_vars};
-use std::sync::Mutex;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn compiles() -> u64 {
-    clare_trace::metrics().crs_query_compiles.get()
+/// A context that keeps its request's counts.
+fn recording() -> RequestContext {
+    RequestContext::recording(CancelToken::unlimited())
 }
 
-fn repeats() -> u64 {
-    clare_trace::metrics().solve_repeat_retrievals.get()
+fn counts(cx: &RequestContext) -> &RequestCounts {
+    cx.stage_record().expect("a recording context").counts()
 }
 
 #[test]
 fn a_cold_server_compiles_once_per_answer_cache_miss() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut b = KbBuilder::new();
     let facts: Vec<String> = (0..400).map(|i| format!("p(k{i}, v{}).", i % 9)).collect();
     b.consult("m", &facts.join("\n")).unwrap();
@@ -34,22 +29,32 @@ fn a_cold_server_compiles_once_per_answer_cache_miss() {
         .map(|i| parse_term(&format!("p(k{}, X)", i * 31), &mut symbols).unwrap())
         .collect();
     let server = ClauseRetrievalServer::new(b.finish(KbConfig::default()), CrsOptions::default());
-    let m = clare_trace::metrics();
     // FS2 alone, so the FS1 layer of the cache is never consulted and
-    // every miss counted is an answer-layer miss.
+    // every compile counted is an answer-layer miss.
     let mode = SearchMode::Fs2Only;
-    let (compiles_before, misses_before) = (compiles(), m.cache_misses.get());
-    let cold: Vec<_> = queries.iter().map(|q| server.retrieve(q, mode)).collect();
-    let warm: Vec<_> = queries.iter().map(|q| server.retrieve(q, mode)).collect();
-    assert_eq!(warm, cold, "the repeats are served from the cache");
-    let compiled = compiles() - compiles_before;
+    let (mut cold, mut warm) = (recording(), recording());
+    // The cache's counters stay process-wide; no other test here serves.
+    let misses = clare_trace::metrics().cache_misses.get();
+    let retrieve = |query, cx: &mut RequestContext| {
+        let query = std::slice::from_ref(query);
+        server.retrieve_batch(query, mode, cx).unwrap()
+    };
+    let first: Vec<_> = queries.iter().map(|q| retrieve(q, &mut cold)).collect();
+    let again: Vec<_> = queries.iter().map(|q| retrieve(q, &mut warm)).collect();
+    assert_eq!(again, first, "the repeats are served from the cache");
+    let compiled = counts(&cold).crs_query_compiles;
     assert_eq!(compiled, queries.len() as u64, "one compile per cold query");
-    assert_eq!(compiled, m.cache_misses.get() - misses_before);
+    assert_eq!(compiled, clare_trace::metrics().cache_misses.get() - misses);
+    assert_eq!(counts(&cold).fs2_sweeps, compiled, "every cold query swept");
+    assert_eq!(
+        counts(&warm),
+        &RequestCounts::default(),
+        "hits compile nothing"
+    );
 }
 
 #[test]
 fn a_solve_compiles_once_per_distinct_goal() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut b = KbBuilder::new();
     b.consult(
         "family",
@@ -67,7 +72,7 @@ fn a_solve_compiles_once_per_distinct_goal() {
             mode,
             ..SolveOptions::default()
         };
-        let (compiled, repeated) = (compiles(), repeats());
+        let mut cx = recording();
         let outcome = solve_goals(
             &kb,
             None,
@@ -75,7 +80,7 @@ fn a_solve_compiles_once_per_distinct_goal() {
             &names,
             &options,
             &CrsOptions::default(),
-            &mut RequestContext::unlimited(),
+            &mut cx,
         )
         .unwrap();
         assert_eq!(outcome.solutions.len(), 5, "{mode:?}");
@@ -83,14 +88,17 @@ fn a_solve_compiles_once_per_distinct_goal() {
         // two parent(P, _) goals of its clauses: 18 retrievals of 12
         // distinct goals, as the two parent goals compact alike.
         assert_eq!(outcome.stats.retrievals, 18, "{mode:?}");
-        assert_eq!(compiles() - compiled, 12, "{mode:?}: one plan per goal");
-        assert_eq!(repeats() - repeated, 6, "{mode:?}: the rest repeat");
+        let counts = counts(&cx);
+        assert_eq!(counts.crs_query_compiles, 12, "{mode:?}: one plan per goal");
+        assert_eq!(
+            counts.solve_repeat_retrievals, 6,
+            "{mode:?}: the rest repeat"
+        );
     }
-    // The public mode choice compiles a throwaway plan, not a retrieval's.
-    let before = compiles();
+    // The public mode choice compiles a throwaway plan, not a retrieval's:
+    // it takes no context, so it has nothing to count into.
     assert_eq!(
         clare_core::choose_mode(&kb, &goal),
         SearchMode::SoftwareOnly
     );
-    assert_eq!(compiles(), before, "choose_mode counts no compile");
 }

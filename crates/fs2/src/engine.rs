@@ -280,7 +280,6 @@ impl<'q> Fs2Engine<'q> {
     pub fn new(query_stream: &'q PifStream) -> Result<Self, QueryTooLargeError> {
         let query = QueryMemory::load(query_stream)?;
         let n_vars = query.var_count();
-        clare_trace::metrics().fs2_queries_loaded.inc();
         let first_key = query
             .stream()
             .first()

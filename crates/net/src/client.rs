@@ -48,10 +48,6 @@ pub struct ClientConfig {
     /// surfaces. A `Busy` reply means the request was shed *before*
     /// execution, so re-sending never duplicates work. 0 disables.
     pub busy_retries: u32,
-    /// Upper bound on a single backoff sleep between `Busy` retries. The
-    /// sleep starts from the server's `retry_after_ms` hint and doubles
-    /// per attempt up to this cap.
-    pub busy_retry_cap: Duration,
     /// How many times an *idempotent* request that died with a
     /// connection-fatal error (I/O failure, framing corruption) is
     /// replayed over a fresh connection before the error surfaces.
@@ -66,11 +62,15 @@ impl Default for ClientConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             busy_retries: 5,
-            busy_retry_cap: Duration::from_secs(1),
             reconnect_retries: 2,
         }
     }
 }
+
+/// Upper bound on a single backoff sleep between `Busy` retries. The
+/// sleep starts from the server's `retry_after_ms` hint and doubles per
+/// attempt up to this cap.
+const BUSY_RETRY_CAP: Duration = Duration::from_secs(1);
 
 /// A blocking connection to a [`NetServer`](crate::NetServer).
 pub struct NetClient {
@@ -304,8 +304,7 @@ impl NetClient {
                     ..
                 }) if R::IDEMPOTENT && attempt < self.cfg.busy_retries => {
                     let hinted = Duration::from_millis(u64::from(retry_after_ms.max(1)));
-                    let backoff =
-                        full_jitter(&mut self.rng, hinted, attempt, self.cfg.busy_retry_cap);
+                    let backoff = full_jitter(&mut self.rng, hinted, attempt, BUSY_RETRY_CAP);
                     std::thread::sleep(backoff);
                     attempt += 1;
                 }

@@ -81,16 +81,6 @@ pub struct NetConfig {
     /// `None` (the default) disables sojourn shedding; the queue-full
     /// bound still applies.
     pub codel_target: Option<Duration>,
-    /// Fault injection for tests: a worker panics when it picks up a
-    /// `stats` job. Exercises the panic-isolation path (Internal error
-    /// replies + `net.worker_panics`) without any adversarial input.
-    #[doc(hidden)]
-    pub debug_panic_on_stats: bool,
-    /// Test-only throttle: every worker sleeps this long before executing
-    /// a job, so shutdown-drain tests can reliably catch replies still in
-    /// flight.
-    #[doc(hidden)]
-    pub debug_worker_delay: Option<Duration>,
 }
 
 impl Default for NetConfig {
@@ -104,8 +94,6 @@ impl Default for NetConfig {
             retry_after_ms: 100,
             idle_timeout: Some(Duration::from_secs(300)),
             codel_target: None,
-            debug_panic_on_stats: false,
-            debug_worker_delay: None,
         }
     }
 }
@@ -648,9 +636,6 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn execute(shared: &Arc<Shared>, job: &Job) {
-    if let Some(delay) = shared.cfg.debug_worker_delay {
-        std::thread::sleep(delay);
-    }
     // Worker-side stall fault point (chaos schedules only), keyed by the
     // job's first request id: pins this worker for a bounded delay
     // *before* the queue-expiry check, so a deterministic schedule can
@@ -730,18 +715,13 @@ fn execute(shared: &Arc<Shared>, job: &Job) {
         Work::Retract(Tagged(req)) => service
             .retract_source(&req.module, &req.source)
             .map(|receipt| job.reply::<RetractReq>(&receipt)),
-        Work::Stats { extended } => {
-            if shared.cfg.debug_panic_on_stats {
-                panic!("debug_panic_on_stats fault injection");
+        Work::Stats { extended } => service.stats().map(|stats| {
+            if *extended {
+                job.reply::<MetricsReq>(&(stats, clare_trace::metrics().snapshot()));
+            } else {
+                job.reply::<StatsReq>(&stats);
             }
-            service.stats().map(|stats| {
-                if *extended {
-                    job.reply::<MetricsReq>(&(stats, clare_trace::metrics().snapshot()));
-                } else {
-                    job.reply::<StatsReq>(&stats);
-                }
-            })
-        }
+        }),
         Work::Symbols => {
             job.reply::<SymbolsReq>(&service.symbols());
             Ok(())

@@ -5,11 +5,15 @@
 //! an injected corruption storm lives in `frame_crc.rs`: its injector is
 //! process-wide and would hit these tests' replies.)
 
-use clare_core::{ClauseRetrievalServer, CrsOptions, SearchMode};
+use clare_core::{
+    ClauseRetrievalServer, CommitReceipt, CrsOptions, RequestContext, Retrieval, SearchMode,
+    ServerStats,
+};
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
-use clare_net::{ClientConfig, NetClient, NetConfig, NetServer};
+use clare_net::protocol::ErrorReply;
+use clare_net::{ClientConfig, NetClient, NetConfig, NetServer, Service};
 use clare_term::parser::parse_term;
-use clare_term::Term;
+use clare_term::{SymbolTable, Term};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,8 +36,12 @@ fn serve(cfg: NetConfig) -> (NetServer, Arc<ClauseRetrievalServer>) {
 
 /// The facts of `item_kb(60)` plus a second predicate, `tag/2`, so a
 /// pipeline can alternate predicates and no two consecutive retrieves
-/// share a coalescing key.
-fn serve_two_predicates(cfg: NetConfig) -> (NetServer, Arc<ClauseRetrievalServer>) {
+/// share a coalescing key. Every retrieve sleeps `delay` first, so a
+/// test can catch replies still in flight.
+fn serve_two_predicates_slowly(
+    cfg: NetConfig,
+    delay: Duration,
+) -> (NetServer, Arc<ClauseRetrievalServer>) {
     let mut b = KbBuilder::new();
     let facts: String = (0..60)
         .map(|i| {
@@ -48,7 +56,52 @@ fn serve_two_predicates(cfg: NetConfig) -> (NetServer, Arc<ClauseRetrievalServer
         .collect::<Vec<_>>()
         .join("\n");
     b.consult("m", &facts).unwrap();
-    serve_kb(b.finish(KbConfig::default()), cfg)
+    let crs = Arc::new(ClauseRetrievalServer::new(
+        b.finish(KbConfig::default()),
+        CrsOptions::default(),
+    ));
+    let slow = Arc::new(Slow(Arc::clone(&crs), delay));
+    let server = NetServer::bind(slow, "127.0.0.1:0", cfg).unwrap();
+    (server, crs)
+}
+
+/// The CRS, except that every retrieve sleeps first.
+struct Slow(Arc<ClauseRetrievalServer>, Duration);
+
+impl Service for Slow {
+    fn fingerprint(&self) -> u64 {
+        Service::fingerprint(&*self.0)
+    }
+
+    fn caps(&self) -> u8 {
+        Service::caps(&*self.0)
+    }
+
+    fn retrieve_batch(
+        &self,
+        queries: &[Term],
+        mode: SearchMode,
+        cx: &mut RequestContext,
+    ) -> Result<Vec<Retrieval>, ErrorReply> {
+        std::thread::sleep(self.1);
+        Service::retrieve_batch(&*self.0, queries, mode, cx)
+    }
+
+    fn assert_source(&self, module: &str, source: &str) -> Result<CommitReceipt, ErrorReply> {
+        Service::assert_source(&*self.0, module, source)
+    }
+
+    fn retract_source(&self, module: &str, source: &str) -> Result<CommitReceipt, ErrorReply> {
+        Service::retract_source(&*self.0, module, source)
+    }
+
+    fn stats(&self) -> Result<ServerStats, ErrorReply> {
+        Service::stats(&*self.0)
+    }
+
+    fn symbols(&self) -> SymbolTable {
+        Service::symbols(&*self.0)
+    }
 }
 
 /// Six retrieves alternating `item/2` and `tag/2`: each is its own job.
@@ -360,11 +413,13 @@ fn writes_are_never_replayed_after_mid_request_hangup() {
 #[test]
 fn shutdown_drains_queued_replies() {
     // Alternating predicates: six distinct jobs must sit in the queue.
-    let (server, crs) = serve_two_predicates(NetConfig {
-        workers: 1,
-        debug_worker_delay: Some(Duration::from_millis(40)),
-        ..NetConfig::default()
-    });
+    let (server, crs) = serve_two_predicates_slowly(
+        NetConfig {
+            workers: 1,
+            ..NetConfig::default()
+        },
+        Duration::from_millis(40),
+    );
     let addr = server.local_addr();
 
     let crs2 = Arc::clone(&crs);
@@ -442,11 +497,13 @@ fn half_close_delivers_in_flight_replies() {
     // Six distinct jobs (alternating predicates), one slow worker: the
     // EOF overtakes the queue, so most replies are produced *after* the
     // half-close.
-    let (server, crs) = serve_two_predicates(NetConfig {
-        workers: 1,
-        debug_worker_delay: Some(Duration::from_millis(30)),
-        ..NetConfig::default()
-    });
+    let (server, crs) = serve_two_predicates_slowly(
+        NetConfig {
+            workers: 1,
+            ..NetConfig::default()
+        },
+        Duration::from_millis(30),
+    );
 
     let mut symbols = {
         let mut c = NetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();

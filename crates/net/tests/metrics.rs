@@ -6,14 +6,19 @@
 //! The metrics registry is process-global, so every assertion here is a
 //! delta (or a monotone non-zero check) — never an absolute equality.
 
-use clare_core::{ClauseRetrievalServer, CrsOptions, ModeChoice, SearchMode};
+use clare_core::{
+    ClauseRetrievalServer, CommitReceipt, CrsOptions, ModeChoice, RequestContext, Retrieval,
+    SearchMode, ServerStats,
+};
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
+use clare_net::protocol::ErrorReply;
 use clare_net::protocol::{
     self, encode, encode_client_hello_caps, opcode, BudgetExt, Frame, HelloStatus, RetrieveReq,
     SolveReq, PROTOCOL_VERSION, SERVER_HELLO_LEN,
 };
-use clare_net::{ClientConfig, ErrorCode, NetClient, NetConfig, NetError, NetServer};
+use clare_net::{ClientConfig, ErrorCode, NetClient, NetConfig, NetError, NetServer, Service};
 use clare_term::parser::parse_term;
+use clare_term::{SymbolTable, Term};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -221,10 +226,11 @@ fn worker_panic_is_counted_and_survived() {
     let panics_before = clare_trace::metrics().net_worker_panics.get();
     let cfg = NetConfig {
         workers: 2,
-        debug_panic_on_stats: true,
         ..NetConfig::default()
     };
-    let (server, crs) = serve(cfg);
+    let crs = Arc::new(ClauseRetrievalServer::new(item_kb(), CrsOptions::default()));
+    let service = Arc::new(PanicsOnStats(Arc::clone(&crs)));
+    let server = NetServer::bind(service, "127.0.0.1:0", cfg).unwrap();
     let mut client = NetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
 
     match client.stats() {
@@ -243,6 +249,45 @@ fn worker_panic_is_counted_and_survived() {
     let networked = client.retrieve(&query, SearchMode::TwoStage).unwrap();
     assert_eq!(networked, crs.retrieve(&query, SearchMode::TwoStage));
     server.shutdown();
+}
+
+/// The CRS, except that its `stats` call panics: drives the pool's panic
+/// isolation without any adversarial input.
+struct PanicsOnStats(Arc<ClauseRetrievalServer>);
+
+impl Service for PanicsOnStats {
+    fn fingerprint(&self) -> u64 {
+        Service::fingerprint(&*self.0)
+    }
+
+    fn caps(&self) -> u8 {
+        Service::caps(&*self.0)
+    }
+
+    fn retrieve_batch(
+        &self,
+        queries: &[Term],
+        mode: SearchMode,
+        cx: &mut RequestContext,
+    ) -> Result<Vec<Retrieval>, ErrorReply> {
+        Service::retrieve_batch(&*self.0, queries, mode, cx)
+    }
+
+    fn assert_source(&self, module: &str, source: &str) -> Result<CommitReceipt, ErrorReply> {
+        Service::assert_source(&*self.0, module, source)
+    }
+
+    fn retract_source(&self, module: &str, source: &str) -> Result<CommitReceipt, ErrorReply> {
+        Service::retract_source(&*self.0, module, source)
+    }
+
+    fn stats(&self) -> Result<ServerStats, ErrorReply> {
+        panic!("stats panics on purpose");
+    }
+
+    fn symbols(&self) -> SymbolTable {
+        Service::symbols(&*self.0)
+    }
 }
 
 /// The registry's per-opcode frame counter names line up with the wire

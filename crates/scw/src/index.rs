@@ -48,7 +48,6 @@ use clare_term::Term;
 use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Address of a clause in its compiled clause file: track plus slot within
 /// the track. What FS1 hands to FS2 (or the CRS) after an index hit.
@@ -382,8 +381,7 @@ impl IndexFile {
     /// `cancel`, when given, is polled every 4096 entries (and once before
     /// the first and after the last); a `true` answer abandons the
     /// scan and returns `None`. A cancelled scan never yields a partial
-    /// match list and records no scan metrics — to the registry it never
-    /// happened. The hook is a plain closure so this crate stays free of
+    /// match list. The hook is a plain closure so this crate stays free of
     /// any budget-layer dependency. Without a hook the result is `Some`.
     ///
     /// The descriptors may be owned or borrowed (a caller that keeps each
@@ -393,7 +391,6 @@ impl IndexFile {
         descriptors: &[D],
         cancel: Option<&dyn Fn() -> bool>,
     ) -> Option<Vec<ScanOutcome>> {
-        let started = Instant::now();
         let compiled: Vec<CompiledQuery> = descriptors
             .iter()
             .map(|d| self.compile(d.borrow()))
@@ -424,21 +421,10 @@ impl IndexFile {
             }
             start = end;
         }
-        let outcomes: Vec<ScanOutcome> = per_query
+        let outcomes = per_query
             .into_iter()
             .map(|hits| self.outcome(hits.matches))
             .collect();
-        let m = clare_trace::metrics();
-        if outcomes.len() > 1 {
-            m.fs1_batch_scans.inc();
-        }
-        m.fs1_scans.add(outcomes.len() as u64);
-        for o in &outcomes {
-            m.fs1_entries_scanned.add(o.entries_scanned as u64);
-            m.fs1_candidates_out.add(o.matches.len() as u64);
-        }
-        m.fs1_scan_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
         Some(outcomes)
     }
 

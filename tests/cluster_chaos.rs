@@ -502,7 +502,6 @@ fn breaker_opens_after_k_failures_and_recovers_via_half_open_probe() {
             write_timeout: Duration::from_millis(300),
             busy_retries: 0,
             reconnect_retries: 0,
-            ..ClientConfig::default()
         },
         ..RouterConfig::default()
     };
