@@ -220,15 +220,8 @@ pub fn retrieve_merged(
     mode: SearchMode,
     opts: &CrsOptions,
 ) -> Retrieval {
-    let mut cx = RequestContext::unlimited();
-    only(retrieve_batch(
-        kb,
-        Some(overlay),
-        &[query],
-        mode,
-        opts,
-        &mut cx,
-    ))
+    let (overlay, mut cx) = (Some(overlay), RequestContext::unlimited());
+    only(retrieve_batch(kb, overlay, &[query], mode, opts, &mut cx))
 }
 
 /// The single result of a one-query request under the unlimited budget,
@@ -540,7 +533,7 @@ impl Filtered<'_> {
         stats.false_drops = self.candidates.len() - unified;
         stats.elapsed += stats.full_unify_time;
         cx.counts.crs_degraded_answers += u64::from(stats.degraded);
-        cx.note_retrieval();
+        cx.note_retrievals(1);
         cx.lap(Stage::Unify);
         Ok(stats)
     }

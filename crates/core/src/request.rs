@@ -148,7 +148,7 @@ pub struct RequestContext {
     recording: bool,
     pub(crate) record: StageRecord,
     pub(crate) counts: RequestCounts,
-    /// The engine call's entry.
+    /// A served request's entry, while its engine call runs.
     entry: Option<Instant>,
     /// The last stage boundary, while the clock read it: a boundary an
     /// unrecorded context passes without reading clears it.
@@ -196,11 +196,13 @@ impl RequestContext {
         Instant::now()
     }
 
-    /// An engine call starts: its first stage, and a served request's
-    /// wall time, run from here.
+    /// An engine call starts: its first stage runs from here. Only a
+    /// recording context reads the clock, and not inside [`Self::serve`],
+    /// whose entry read already started the call.
     pub(crate) fn begin(&mut self) {
-        let now = self.read_clock();
-        (self.entry, self.mark) = (Some(now), Some(now));
+        if self.entry.is_none() {
+            self.mark = self.recording.then(|| self.read_clock());
+        }
     }
 
     /// A stage boundary: the stretch since the last one was `stage`. Only
@@ -255,10 +257,10 @@ impl RequestContext {
         m.fs2_wall_ns.record(ns);
     }
 
-    /// One logical retrieval finished.
+    /// `n` logical retrievals finished.
     #[inline]
-    pub(crate) fn note_retrieval(&mut self) {
-        self.record.retrievals += 1;
+    pub(crate) fn note_retrievals(&mut self, n: usize) {
+        self.record.retrievals += n as u64;
     }
 
     /// An engine call returns: publishes its counts, and keeps them in the
@@ -269,13 +271,24 @@ impl RequestContext {
         self.record.counts.absorb(&counts);
     }
 
-    /// A served request's engine call returned: samples its `wall` time,
-    /// from the call's entry to its last boundary, which the clock reads
-    /// now if it did not then.
-    pub(crate) fn served(&mut self, wall: fn(&Metrics) -> &Histogram) {
-        let last = self.mark.unwrap_or_else(|| self.read_clock());
-        let ns = self.entry.map_or(0, |entry| nanos(entry, last));
-        wall(clare_trace::metrics()).record(ns);
+    /// Runs a served request's engine `call` and, when it succeeds,
+    /// samples its `wall` time: from the entry, which the clock reads
+    /// here recorded or not, to the call's last boundary, which the clock
+    /// reads on return if it did not then.
+    pub(crate) fn serve<T, E>(
+        &mut self,
+        wall: fn(&Metrics) -> &Histogram,
+        call: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let entry = self.read_clock();
+        (self.entry, self.mark) = (Some(entry), Some(entry));
+        let outcome = call(self);
+        self.entry = None;
+        if outcome.is_ok() {
+            let last = self.mark.unwrap_or_else(|| self.read_clock());
+            wall(clare_trace::metrics()).record(nanos(entry, last));
+        }
+        outcome
     }
 }
 

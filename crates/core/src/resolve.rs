@@ -472,17 +472,10 @@ mod tests {
         var_names: &[String],
         options: &SolveOptions,
     ) -> SolveOutcome {
-        let crs = CrsOptions::default();
-        solve_goals(
-            kb,
-            None,
-            std::slice::from_ref(query),
-            var_names,
-            options,
-            &crs,
-            &mut RequestContext::unlimited(),
-        )
-        .expect("the unlimited budget cannot trip")
+        let (goals, crs) = (std::slice::from_ref(query), CrsOptions::default());
+        let mut cx = RequestContext::unlimited();
+        solve_goals(kb, None, goals, var_names, options, &crs, &mut cx)
+            .expect("the unlimited budget cannot trip")
     }
 
     fn family_kb() -> KnowledgeBase {

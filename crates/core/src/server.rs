@@ -41,7 +41,7 @@ use crate::cache::{Fs1Slot, QueryKey, RetrievalCache, Stamp};
 use crate::crs::{CrsOptions, Retrieval, SearchMode};
 use crate::plan::{encode_keyed, QueryPlan};
 use crate::request::{RequestContext, Stage};
-use crate::resolve::{ModeChoice, SolveOptions, SolveOutcome};
+use crate::resolve::{self, ModeChoice, SolveOptions, SolveOutcome};
 use crate::{lock, read, write};
 use clare_disk::SimNanos;
 use clare_kb::KnowledgeBase;
@@ -443,11 +443,14 @@ impl ClauseRetrievalServer {
         mode: SearchMode,
         cx: &mut RequestContext,
     ) -> Result<Vec<Retrieval>, BudgetExceeded> {
-        cx.begin();
-        let through_cache = self.retrieve_batch_through_cache(queries, mode, cx);
-        cx.end();
-        let (published, outcomes) = through_cache?;
-        cx.served(|m| &m.crs_retrieve_wall_ns);
+        let (published, outcomes) = cx.serve(
+            |m| &m.crs_retrieve_wall_ns,
+            |cx| {
+                let through_cache = self.retrieve_batch_through_cache(queries, mode, cx);
+                cx.end();
+                through_cache
+            },
+        )?;
         let batch = queries.len() > 1;
         {
             let mut stats = lock(&self.stats);
@@ -526,9 +529,7 @@ impl ClauseRetrievalServer {
         let misses: Vec<usize> = (0..queries.len())
             .filter(|&i| outcomes[i].is_none())
             .collect();
-        for _hit in misses.len()..queries.len() {
-            cx.note_retrieval();
-        }
+        cx.note_retrievals(queries.len() - misses.len());
         cx.lap(Stage::Plan);
         if !misses.is_empty() {
             let plans: Vec<QueryPlan<'_, '_>> = misses
@@ -563,11 +564,11 @@ impl ClauseRetrievalServer {
                 outcomes[i] = Some(outcome);
             }
         }
-        let outcomes = outcomes
-            .into_iter()
-            .map(|outcome| outcome.unwrap_or_else(|| unreachable!("every slot filled above")))
-            .collect();
-        Ok((published, outcomes))
+        // Every slot was filled above: by a hit or by the pipeline.
+        Ok((
+            published,
+            outcomes.into_iter().map(Option::unwrap).collect(),
+        ))
     }
 
     /// Serves one solve call: a one-goal [`solve_goals`](Self::solve_goals)
@@ -600,16 +601,11 @@ impl ClauseRetrievalServer {
         cx: &mut RequestContext,
     ) -> Result<SolveOutcome, BudgetExceeded> {
         let (base, overlay) = self.snapshot_merged();
-        let outcome = crate::resolve::solve_goals(
-            &base,
-            Some(&overlay),
-            goals,
-            var_names,
-            options,
-            &self.options,
-            cx,
+        let crs = &self.options;
+        let outcome = cx.serve(
+            |m| &m.crs_solve_wall_ns,
+            |cx| resolve::solve_goals(&base, Some(&overlay), goals, var_names, options, crs, cx),
         )?;
-        cx.served(|m| &m.crs_solve_wall_ns);
         {
             let mut stats = lock(&self.stats);
             stats.solves += 1;
@@ -1217,18 +1213,26 @@ mod tests {
         // The entry, the start of the passes, the scan's and the sweep's
         // ends, and the return.
         assert_eq!((answer.is_ok(), cx.record.clock_reads()), (true, 5));
+        // Called directly, a retrieval reads no entry: only the start of
+        // the passes and each pass's end read the clock.
+        let kb = server.snapshot();
+        let reads = |mode| {
+            let mut cx = RequestContext::unlimited();
+            crate::crs::retrieve_batch(&kb, None, &[&query[0]], mode, &server.options, &mut cx)
+                .unwrap();
+            cx.record.clock_reads()
+        };
+        // Software, FS1 only, FS2 only, two-stage.
+        assert_eq!(SearchMode::ALL.map(reads), [0, 2, 2, 3]);
     }
 
     #[test]
     fn batch_and_rejection_counters() {
         let (server, queries) = server_with("p(a). p(b).", &["p(a)", "p(X)"]);
         assert_eq!(server.stats(), ServerStats::default());
+        let mut cx = RequestContext::unlimited();
         server
-            .retrieve_batch(
-                &queries,
-                SearchMode::TwoStage,
-                &mut RequestContext::unlimited(),
-            )
+            .retrieve_batch(&queries, SearchMode::TwoStage, &mut cx)
             .unwrap();
         server.retrieve(&queries[0], SearchMode::TwoStage);
         server.note_rejected();
@@ -1253,13 +1257,10 @@ mod tests {
                 let queries = &queries;
                 scope.spawn(move || {
                     for _ in 0..50 {
-                        server
-                            .retrieve_batch(
-                                queries,
-                                SearchMode::SoftwareOnly,
-                                &mut RequestContext::unlimited(),
-                            )
-                            .unwrap();
+                        let mut cx = RequestContext::unlimited();
+                        let batch =
+                            server.retrieve_batch(queries, SearchMode::SoftwareOnly, &mut cx);
+                        batch.unwrap();
                     }
                 });
             }

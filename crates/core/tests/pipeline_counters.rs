@@ -4,7 +4,7 @@
 //! Each test reads its own requests' counts from their stage records.
 
 use clare_core::{
-    retrieve_batch, CancelToken, CrsOptions, RequestContext, RequestCounts, SearchMode,
+    retrieve_batch, CancelToken, CrsOptions, RequestContext, RequestCounts, Retrieval, SearchMode,
 };
 use clare_fs2::Fs2Engine;
 use clare_kb::{KbBuilder, KbConfig, KnowledgeBase};
@@ -30,12 +30,16 @@ fn fixture() -> (KnowledgeBase, Vec<Term>) {
     (b.finish(KbConfig::default()), queries)
 }
 
-/// The counts of one `mode` request for `queries`.
-fn counted(kb: &KnowledgeBase, queries: &[Term], mode: SearchMode) -> RequestCounts {
+/// The answers and the counts of one `mode` request for `queries`.
+fn counted(
+    kb: &KnowledgeBase,
+    queries: &[Term],
+    mode: SearchMode,
+) -> (Vec<Retrieval>, RequestCounts) {
     let refs: Vec<&Term> = queries.iter().collect();
     let mut cx = RequestContext::recording(CancelToken::unlimited());
-    retrieve_batch(kb, None, &refs, mode, &CrsOptions::default(), &mut cx).unwrap();
-    cx.stage_record().unwrap().counts().clone()
+    let answers = retrieve_batch(kb, None, &refs, mode, &CrsOptions::default(), &mut cx).unwrap();
+    (answers, cx.stage_record().unwrap().counts().clone())
 }
 
 /// The `fs2.*` counts in order: sweeps, tracks, clauses, satisfiers, then
@@ -75,26 +79,21 @@ fn clause_walk(kb: &KnowledgeBase, queries: &[Term]) -> Vec<u64> {
 #[test]
 fn a_batch_scans_once_per_query_that_runs_on_fs1() {
     let (kb, queries) = fixture();
-    let batch = counted(&kb, &queries, SearchMode::TwoStage);
+    let (answers, batch) = counted(&kb, &queries, SearchMode::TwoStage);
     assert_eq!(batch.fs1_scans, 4, "one scan per member");
     assert_eq!(batch.fs1_entries_scanned, 4 * 300);
     assert_eq!(batch.fs1_batch_scans, 1, "in one shared pass");
     assert_eq!(batch.fs2_queries_loaded, 3, "the odd one loads no engine");
     assert_eq!(batch.crs_query_compiles, 4);
 
-    let opts = CrsOptions::default();
-    let answers = retrieve_batch(
-        &kb,
-        None,
-        &queries.iter().collect::<Vec<_>>(),
-        SearchMode::TwoStage,
-        &opts,
-        &mut RequestContext::unlimited(),
-    )
-    .unwrap();
     assert_eq!(answers[3].stats.mode, SearchMode::Fs1Only);
-    for query in &queries {
-        let alone = counted(&kb, std::slice::from_ref(query), SearchMode::TwoStage);
+    for (query, got) in queries.iter().zip(&answers) {
+        let (lone, alone) = counted(&kb, std::slice::from_ref(query), SearchMode::TwoStage);
+        assert_eq!(
+            &lone[..],
+            std::slice::from_ref(got),
+            "alone, the same answer"
+        );
         assert_eq!(alone.fs1_scans, 1, "alone, each scans once");
         assert_eq!(alone.fs1_batch_scans, 0, "lone scans are not batches");
     }
@@ -105,7 +104,7 @@ fn the_track_kernel_counts_what_a_clause_walk_counts() {
     // The kernel's bulk-charged first-word rejects must add up to what
     // walking every clause of the predicate through the engine counts.
     let (kb, queries) = fixture();
-    let kernel = fs2(&counted(&kb, &queries, SearchMode::TwoStage));
+    let kernel = fs2(&counted(&kb, &queries, SearchMode::TwoStage).1);
     // Three encodable members, each sweeping the predicate's one track;
     // the odd one sweeps nothing.
     assert_eq!(kernel[..3], [3, 3, 3 * 300]);
@@ -124,6 +123,6 @@ fn software_mode_counts_its_host_walk() {
     // host and counts that walk's clauses, satisfiers and ops, but no
     // sweep or track. The query the engine cannot load walks nothing.
     let (kb, queries) = fixture();
-    let software = fs2(&counted(&kb, &queries, SearchMode::SoftwareOnly));
+    let software = fs2(&counted(&kb, &queries, SearchMode::SoftwareOnly).1);
     assert_eq!(software, clause_walk(&kb, &queries));
 }
